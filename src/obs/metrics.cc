@@ -129,19 +129,29 @@ void MetricsRegistry::SetInfo(std::string_view name, InfoLabels labels) {
   infos_[std::move(key)] = std::move(labels);
 }
 
+void MetricsRegistry::AddCollector(Collector collector) {
+  std::lock_guard<std::mutex> lock(mu_);
+  collectors_.push_back(std::move(collector));
+}
+
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, counter] : counters_) {
-    snap.counters[name] = counter->value();
+  std::vector<Collector> collectors;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    collectors = collectors_;
+    for (const auto& [name, counter] : counters_) {
+      snap.counters[name] = counter->value();
+    }
+    for (const auto& [name, gauge] : gauges_) {
+      snap.gauges[name] = gauge->value();
+    }
+    for (const auto& [name, histogram] : histograms_) {
+      snap.histograms[name] = histogram->Snapshot();
+    }
+    for (const auto& [name, labels] : infos_) snap.infos[name] = labels;
   }
-  for (const auto& [name, gauge] : gauges_) {
-    snap.gauges[name] = gauge->value();
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    snap.histograms[name] = histogram->Snapshot();
-  }
-  for (const auto& [name, labels] : infos_) snap.infos[name] = labels;
+  for (const Collector& collect : collectors) collect(&snap);
   return snap;
 }
 

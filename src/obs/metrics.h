@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -128,6 +129,12 @@ struct MetricsSnapshot {
   std::map<std::string, InfoLabels> infos;
 };
 
+/// Pull-style collector (Prometheus's collector idiom): adds counters and
+/// gauges read straight from their source to a snapshot being taken, so a
+/// subsystem with its own tallies exports them without mirror instruments.
+/// Names must already be valid metric names (no sanitizing is applied).
+using Collector = std::function<void(MetricsSnapshot* snapshot)>;
+
 /// Owns named instruments. Get* registers on first use (mutex-guarded) and
 /// returns a stable pointer; callers cache the pointer and touch it
 /// lock-free afterwards. Instrument names follow Prometheus conventions
@@ -147,6 +154,13 @@ class MetricsRegistry {
   /// git sha and build type). Label values are escaped at render time.
   void SetInfo(std::string_view name, InfoLabels labels);
 
+  /// Registers a collector. Every Snapshot() — and so every RenderText()
+  /// and RenderJson() — runs each collector once, after the registered
+  /// instruments are copied (a collected name overwrites an instrument of
+  /// the same name). Collectors run outside the registry mutex and may be
+  /// called from several scraping threads at once.
+  void AddCollector(Collector collector);
+
   MetricsSnapshot Snapshot() const;
 
   /// Prometheus-style exposition text: `# TYPE` comments, cumulative
@@ -165,6 +179,7 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, InfoLabels, std::less<>> infos_;
+  std::vector<Collector> collectors_;
 };
 
 }  // namespace p3pdb::obs

@@ -126,8 +126,7 @@ PolicyServer::PolicyServer(Options options)
       start_time_(std::chrono::steady_clock::now()) {
   // Instruments register once here; the match path then touches them
   // through cached pointers only (relaxed atomics, no registry lock).
-  // Build identity and uptime: the `_info` idiom (constant labels, value 1)
-  // plus a gauge refreshed at snapshot time.
+  // Build identity: the `_info` idiom (constant labels, value 1).
 #ifndef P3PDB_GIT_SHA
 #define P3PDB_GIT_SHA "unknown"
 #endif
@@ -136,7 +135,6 @@ PolicyServer::PolicyServer(Options options)
 #endif
   metrics_.SetInfo("p3p_build_info", {{"git_sha", P3PDB_GIT_SHA},
                                       {"build_type", P3PDB_BUILD_TYPE}});
-  uptime_seconds_ = metrics_.GetGauge("p3p_uptime_seconds");
   matches_total_ = metrics_.GetCounter("p3p_matches_total");
   match_errors_total_ = metrics_.GetCounter("p3p_match_errors_total");
   no_policy_total_ = metrics_.GetCounter("p3p_match_no_policy_total");
@@ -148,47 +146,10 @@ PolicyServer::PolicyServer(Options options)
   compile_us_ = metrics_.GetHistogram("p3p_preference_compile_duration_us");
   cache_hit_us_ = metrics_.GetHistogram("p3p_match_cache_hit_duration_us");
   cache_miss_us_ = metrics_.GetHistogram("p3p_match_cache_miss_duration_us");
-  sql_plans_built_ = metrics_.GetCounter("sqldb_plans_built_total");
-  sql_plan_cache_hits_ = metrics_.GetCounter("sqldb_plan_cache_hits_total");
-  sql_semi_join_rewrites_ =
-      metrics_.GetCounter("sqldb_semi_join_rewrites_total");
-  sql_anti_join_rewrites_ =
-      metrics_.GetCounter("sqldb_anti_join_rewrites_total");
-  sql_hash_join_builds_ = metrics_.GetCounter("sqldb_hash_join_builds_total");
-  sql_hash_join_probes_ = metrics_.GetCounter("sqldb_hash_join_probes_total");
-  sql_batches_ = metrics_.GetCounter("sqldb_batches_total");
-  sql_batch_rows_ = metrics_.GetCounter("sqldb_batch_rows_total");
-  sql_vectorized_filters_ =
-      metrics_.GetCounter("sqldb_vectorized_filters_total");
-  sql_vectorized_fallback_rows_ =
-      metrics_.GetCounter("sqldb_vectorized_fallback_rows_total");
-  sql_cost_exists_kept_ = metrics_.GetCounter("sqldb_cost_exists_kept_total");
-  sql_cost_join_reorders_ =
-      metrics_.GetCounter("sqldb_cost_join_reorders_total");
-  sql_cost_seq_forced_ = metrics_.GetCounter("sqldb_cost_seq_forced_total");
-  sql_plan_recosts_ = metrics_.GetCounter("sqldb_plan_recosts_total");
-  sql_stats_updates_ = metrics_.GetCounter("sqldb_stats_updates_total");
-  sql_stats_rebuilds_ = metrics_.GetCounter("sqldb_stats_rebuilds_total");
-  sql_stats_epoch_bumps_ =
-      metrics_.GetCounter("sqldb_stats_epoch_bumps_total");
-  if (!options_.storage_path.empty()) {
-    storage_wal_records_ =
-        metrics_.GetCounter("p3p_storage_wal_records_total");
-    storage_wal_commits_ =
-        metrics_.GetCounter("p3p_storage_wal_commits_total");
-    storage_wal_syncs_ = metrics_.GetCounter("p3p_storage_wal_syncs_total");
-    storage_wal_group_syncs_ =
-        metrics_.GetCounter("p3p_storage_wal_group_syncs_total");
-    storage_wal_bytes_ = metrics_.GetCounter("p3p_storage_wal_bytes_total");
-    storage_checkpoints_ =
-        metrics_.GetCounter("p3p_storage_checkpoints_total");
-    storage_pool_hits_ =
-        metrics_.GetCounter("p3p_storage_buffer_pool_hits_total");
-    storage_pool_misses_ =
-        metrics_.GetCounter("p3p_storage_buffer_pool_misses_total");
-    storage_recovered_txns_ =
-        metrics_.GetCounter("p3p_storage_recovered_txns_total");
-  }
+  // Executor, stats-catalog, storage and uptime values have no
+  // instruments: the collector reads them from their sources per snapshot.
+  metrics_.AddCollector(
+      [this](obs::MetricsSnapshot* snapshot) { CollectMetrics(snapshot); });
   if (options_.enable_match_cache && !UsesLegacyMaterialization()) {
     match_cache_ = std::make_unique<MatchCache>(
         MatchCache::Options{
@@ -1088,63 +1049,43 @@ void PolicyServer::TallyMatch(const Result<MatchResult>& result,
   }
 }
 
-void PolicyServer::SyncDatabaseMetrics() const {
-  const sqldb::ExecStats stats = db_.stats();
-  // Counters are monotonic on both sides, so incrementing by the delta
-  // since the last sync makes the registry converge on the database's
-  // cumulative totals regardless of how often (or from how many threads)
-  // the render entry points are hit.
-  const auto sync = [](obs::Counter* counter, uint64_t current) {
-    const uint64_t seen = counter->value();
-    if (current > seen) counter->Increment(current - seen);
-  };
-  sync(sql_plans_built_, stats.plans_built);
-  sync(sql_plan_cache_hits_, stats.plan_cache_hits);
-  sync(sql_semi_join_rewrites_, stats.semi_join_rewrites);
-  sync(sql_anti_join_rewrites_, stats.anti_join_rewrites);
-  sync(sql_hash_join_builds_, stats.hash_join_builds);
-  sync(sql_hash_join_probes_, stats.hash_join_probes);
-  sync(sql_batches_, stats.batches);
-  sync(sql_batch_rows_, stats.batch_rows);
-  sync(sql_vectorized_filters_, stats.vectorized_filters);
-  sync(sql_vectorized_fallback_rows_, stats.vectorized_fallback_rows);
-  sync(sql_cost_exists_kept_, stats.cost_exists_kept);
-  sync(sql_cost_join_reorders_, stats.cost_join_reorders);
-  sync(sql_cost_seq_forced_, stats.cost_seq_forced);
-  sync(sql_plan_recosts_, stats.plan_recosts);
-  const sqldb::StatsCounters stats_counters = db_.stats_catalog().counters();
-  sync(sql_stats_updates_, stats_counters.updates);
-  sync(sql_stats_rebuilds_, stats_counters.rebuilds);
-  sync(sql_stats_epoch_bumps_, stats_counters.epoch_bumps);
-  if (storage_wal_records_ != nullptr) {
-    const sqldb::StorageStats storage = db_.storage_stats();
-    sync(storage_wal_records_, storage.wal_records);
-    sync(storage_wal_commits_, storage.wal_commits);
-    sync(storage_wal_syncs_, storage.wal_syncs);
-    sync(storage_wal_group_syncs_, storage.wal_group_syncs);
-    sync(storage_wal_bytes_, storage.wal_bytes);
-    sync(storage_checkpoints_, storage.checkpoints);
-    sync(storage_pool_hits_, storage.pool.hits);
-    sync(storage_pool_misses_, storage.pool.misses);
-    sync(storage_recovered_txns_, storage.recovered_txns);
+void PolicyServer::CollectMetrics(obs::MetricsSnapshot* snapshot) const {
+  auto& counters = snapshot->counters;
+  const sqldb::ExecStats exec = db_.stats();
+  for (const sqldb::ExecStatsField& field : sqldb::kExecStatsFields) {
+    if (field.metric != nullptr) counters[field.metric] = exec.*field.member;
   }
-  uptime_seconds_->Set(std::chrono::duration_cast<std::chrono::seconds>(
-                           std::chrono::steady_clock::now() - start_time_)
-                           .count());
+  const sqldb::StatsCounters catalog = db_.stats_catalog().counters();
+  counters["sqldb_stats_updates_total"] = catalog.updates;
+  counters["sqldb_stats_rebuilds_total"] = catalog.rebuilds;
+  counters["sqldb_stats_epoch_bumps_total"] = catalog.epoch_bumps;
+  if (!options_.storage_path.empty()) {
+    const sqldb::StorageStats storage = db_.storage_stats();
+    counters["p3p_storage_wal_records_total"] = storage.wal_records;
+    counters["p3p_storage_wal_commits_total"] = storage.wal_commits;
+    counters["p3p_storage_wal_syncs_total"] = storage.wal_syncs;
+    counters["p3p_storage_wal_group_syncs_total"] = storage.wal_group_syncs;
+    counters["p3p_storage_wal_bytes_total"] = storage.wal_bytes;
+    counters["p3p_storage_checkpoints_total"] = storage.checkpoints;
+    counters["p3p_storage_buffer_pool_hits_total"] = storage.pool.hits;
+    counters["p3p_storage_buffer_pool_misses_total"] = storage.pool.misses;
+    counters["p3p_storage_recovered_txns_total"] = storage.recovered_txns;
+  }
+  snapshot->gauges["p3p_uptime_seconds"] =
+      std::chrono::duration_cast<std::chrono::seconds>(
+          std::chrono::steady_clock::now() - start_time_)
+          .count();
 }
 
 obs::MetricsSnapshot PolicyServer::MetricsSnapshot() const {
-  SyncDatabaseMetrics();
   return metrics_.Snapshot();
 }
 
 std::string PolicyServer::RenderMetricsText() const {
-  SyncDatabaseMetrics();
   return metrics_.RenderText();
 }
 
 std::string PolicyServer::RenderMetricsJson() const {
-  SyncDatabaseMetrics();
   return metrics_.RenderJson();
 }
 

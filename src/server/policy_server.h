@@ -442,11 +442,11 @@ class PolicyServer {
   void TallyMatch(const Result<MatchResult>& result, double elapsed_us,
                   bool cache_hit);
 
-  /// Folds the database's cumulative executor counters into the sqldb_*
-  /// metrics (incrementing each by the delta since the previous sync), so
-  /// snapshots and renders always expose current planner/plan-cache
-  /// activity without putting a registry touch on the query hot path.
-  void SyncDatabaseMetrics() const;
+  /// The registry's collector: adds the database's exported executor
+  /// counters (sqldb_*), the stats catalog's maintenance tallies, the
+  /// storage counters (p3p_storage_*, disk-backed servers only) and
+  /// p3p_uptime_seconds to a snapshot, reading each source once.
+  void CollectMetrics(obs::MetricsSnapshot* snapshot) const;
 
   int64_t PolicyVersionLocked(std::string_view name);
   std::optional<int64_t> FindPolicyIdByAboutLocked(
@@ -498,13 +498,12 @@ class PolicyServer {
   std::unique_ptr<AdminHttpServer> admin_;
 
   // Uptime baseline for p3p_uptime_seconds (stamped at construction; the
-  // gauge is refreshed on every snapshot/render).
+  // collector reports the elapsed time on every snapshot/render).
   std::chrono::steady_clock::time_point start_time_;
 
   // Server instruments. Registered once in the constructor; every update
   // afterwards is a relaxed atomic op, safe under the shared lock.
   obs::MetricsRegistry metrics_;
-  obs::Gauge* uptime_seconds_ = nullptr;
   obs::Counter* matches_total_ = nullptr;
   obs::Counter* match_errors_total_ = nullptr;
   obs::Counter* no_policy_total_ = nullptr;
@@ -516,38 +515,6 @@ class PolicyServer {
   obs::Histogram* compile_us_ = nullptr;
   obs::Histogram* cache_hit_us_ = nullptr;
   obs::Histogram* cache_miss_us_ = nullptr;
-  // Mirrors of the database's planner/plan-cache counters, synced on demand.
-  obs::Counter* sql_plans_built_ = nullptr;
-  obs::Counter* sql_plan_cache_hits_ = nullptr;
-  obs::Counter* sql_semi_join_rewrites_ = nullptr;
-  obs::Counter* sql_anti_join_rewrites_ = nullptr;
-  obs::Counter* sql_hash_join_builds_ = nullptr;
-  obs::Counter* sql_hash_join_probes_ = nullptr;
-  obs::Counter* sql_batches_ = nullptr;
-  obs::Counter* sql_batch_rows_ = nullptr;
-  obs::Counter* sql_vectorized_filters_ = nullptr;
-  obs::Counter* sql_vectorized_fallback_rows_ = nullptr;
-  // Mirrors of the database's cost-model decision counters and the stats
-  // catalog's maintenance tallies.
-  obs::Counter* sql_cost_exists_kept_ = nullptr;
-  obs::Counter* sql_cost_join_reorders_ = nullptr;
-  obs::Counter* sql_cost_seq_forced_ = nullptr;
-  obs::Counter* sql_plan_recosts_ = nullptr;
-  obs::Counter* sql_stats_updates_ = nullptr;
-  obs::Counter* sql_stats_rebuilds_ = nullptr;
-  obs::Counter* sql_stats_epoch_bumps_ = nullptr;
-  // Mirrors of the storage engine's WAL/buffer-pool counters. Registered
-  // only when Options::storage_path is set, so in-memory servers expose
-  // exactly the metric set they always did; null pointers mean "no storage".
-  obs::Counter* storage_wal_records_ = nullptr;
-  obs::Counter* storage_wal_commits_ = nullptr;
-  obs::Counter* storage_wal_syncs_ = nullptr;
-  obs::Counter* storage_wal_group_syncs_ = nullptr;
-  obs::Counter* storage_wal_bytes_ = nullptr;
-  obs::Counter* storage_checkpoints_ = nullptr;
-  obs::Counter* storage_pool_hits_ = nullptr;
-  obs::Counter* storage_pool_misses_ = nullptr;
-  obs::Counter* storage_recovered_txns_ = nullptr;
 };
 
 }  // namespace p3pdb::server

@@ -35,17 +35,20 @@ std::shared_ptr<const SelectStmt> ShareSelect(std::unique_ptr<Statement> stmt,
       std::shared_ptr<Statement>(std::move(stmt)), select);
 }
 
-/// Single-writer increment on a stats-shard counter (see LocalStats).
-void BumpRelaxed(std::atomic<uint64_t>& c) {
-  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+/// The calling thread's ordinal, taken once from a process-wide counter:
+/// consecutive threads get consecutive stats stripes.
+size_t ThreadOrdinal() {
+  static std::atomic<size_t> next_ordinal{0};
+  thread_local const size_t ordinal =
+      next_ordinal.fetch_add(1, std::memory_order_relaxed);
+  return ordinal;
+}
+
+void Bump(std::atomic<uint64_t>& counter) {
+  counter.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
-
-uint64_t Database::NextDatabaseId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 Database::~Database() {
   if (storage_ != nullptr && storage_status_.ok() &&
@@ -141,41 +144,20 @@ Status Database::Checkpoint() {
   return storage_->Checkpoint(*this);
 }
 
-AtomicExecStats& Database::LocalStats() const {
-  // Small per-thread cache of (database id, shard) pairs: the common case
-  // (a server thread executing against one or two databases, e.g. the
-  // cross-engine differential harness) resolves with a few integer
-  // compares. Eviction can hand a thread a second shard for the same
-  // database; sums stay exact. A stale entry for a destroyed database is
-  // only ever compared, never dereferenced — ids are process-unique.
-  struct TlsEntry {
-    uint64_t db_id = 0;
-    AtomicExecStats* stats = nullptr;
-  };
-  constexpr size_t kTlsEntries = 4;
-  thread_local TlsEntry tls_cache[kTlsEntries];
-  thread_local size_t tls_next = 0;
-  for (const TlsEntry& e : tls_cache) {
-    if (e.db_id == db_id_) return *e.stats;
-  }
-  std::lock_guard<std::mutex> lock(shard_mu_);
-  shards_.push_back(std::make_unique<StatShard>());
-  AtomicExecStats* stats = &shards_.back()->stats;
-  tls_cache[tls_next] = {db_id_, stats};
-  tls_next = (tls_next + 1) % kTlsEntries;
-  return *stats;
+AtomicExecStats& Database::Stripe() {
+  return stripes_[ThreadOrdinal() % kStatsStripes].stats;
 }
 
 ExecStats Database::stats() const {
-  std::lock_guard<std::mutex> lock(shard_mu_);
   ExecStats total;
-  for (const auto& shard : shards_) total.Accumulate(shard->stats.Snapshot());
+  for (const StatsStripe& stripe : stripes_) {
+    total.Accumulate(stripe.stats.Snapshot());
+  }
   return total;
 }
 
 void Database::ResetStats() {
-  std::lock_guard<std::mutex> lock(shard_mu_);
-  for (const auto& shard : shards_) shard->stats.Reset();
+  for (StatsStripe& stripe : stripes_) stripe.stats.Reset();
 }
 
 Result<QueryResult> Database::Execute(std::string_view sql) {
@@ -278,29 +260,21 @@ Status Database::BindAndPlan(SelectStmt* select, std::string_view sql) {
   ++local.plans_built;
   const StatsCatalog* catalog =
       options_.enable_cost_model ? &stats_catalog_ : nullptr;
-  PlannerStats planner_stats;
-  if (options_.enable_planner) {
-    PlanSelect(select, &planner_stats, catalog);
-    local.semi_join_rewrites = planner_stats.semi_join_rewrites;
-    local.anti_join_rewrites = planner_stats.anti_join_rewrites;
-  }
+  if (options_.enable_planner) PlanSelect(select, &local, catalog);
   // Annotation must follow planning: the rewrite replaces EXISTS subtrees
   // with hash joins, and the slot plans point into the final tree. The
   // cost model needs the slot plans too (est rows, index-vs-seq override),
   // so annotation also runs — scalar-path or not — whenever stats are on.
   if (options_.enable_vectorized_executor || catalog != nullptr) {
-    AnnotateSelect(select, catalog, &planner_stats);
+    AnnotateSelect(select, catalog, &local);
   }
-  local.cost_exists_kept = planner_stats.cost_exists_kept;
-  local.cost_join_reorders = planner_stats.cost_join_reorders;
-  local.cost_seq_forced = planner_stats.cost_seq_forced;
   PrecomputeExecHints(select);
   if (options_.enable_statement_stats && !sql.empty()) {
     select->stats_entry = statement_stats_.Intern(sql);
     select->stats_entry->RecordPlanned(local.semi_join_rewrites,
                                        local.anti_join_rewrites);
   }
-  LocalStats().MergeSingleWriter(local);
+  Stripe().Merge(local);
   return Status::OK();
 }
 
@@ -323,7 +297,7 @@ Result<QueryResult> Database::RunBoundSelect(const SelectStmt& select,
                     ExecConfig{options_.enable_vectorized_executor,
                                options_.vector_chunk_size});
   auto result = executor.RunSelect(select);
-  LocalStats().MergeSingleWriter(local);
+  Stripe().Merge(local);
   if (entry != nullptr) {
     const double elapsed_us = timer.ElapsedMicros();
     entry->RecordExecution(local,
@@ -405,11 +379,11 @@ std::shared_ptr<const SelectStmt> Database::LookupCachedPlan(
     // it and let the caller re-plan against current statistics.
     plan_lru_.erase(it->second);
     plan_index_.erase(it);
-    BumpRelaxed(LocalStats().plan_recosts);
+    Bump(Stripe().plan_recosts);
     return nullptr;
   }
   plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);
-  BumpRelaxed(LocalStats().plan_cache_hits);
+  Bump(Stripe().plan_cache_hits);
   if (it->second->second.stmt->stats_entry != nullptr) {
     it->second->second.stmt->stats_entry->RecordPlanCacheHit();
   }
@@ -507,7 +481,7 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
                         ExecConfig{options_.enable_vectorized_executor,
                                    options_.vector_chunk_size});
       auto result = executor.RunSelect(*select);
-      LocalStats().MergeSingleWriter(local);
+      Stripe().Merge(local);
       return result;
     }
     case StatementKind::kInsert: {
@@ -539,7 +513,7 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
       // CreateTable consumes the schema; copy so re-execution stays valid.
       TableSchema schema = ct->schema;
       P3PDB_RETURN_IF_ERROR(CreateTable(std::move(schema)));
-      BumpRelaxed(LocalStats().statements_executed);
+      Bump(Stripe().statements_executed);
       return QueryResult{};
     }
     case StatementKind::kCreateIndex: {
@@ -552,13 +526,13 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
       P3PDB_RETURN_IF_ERROR(
           table->CreateIndex(ci->index_name, ci->columns, ci->unique));
       P3PDB_RETURN_IF_ERROR(StorageStatementEnd());
-      BumpRelaxed(LocalStats().statements_executed);
+      Bump(Stripe().statements_executed);
       return QueryResult{};
     }
     case StatementKind::kDropTable: {
       auto* dt = static_cast<DropTableStmt*>(stmt);
       P3PDB_RETURN_IF_ERROR(DropTable(dt->table_name, dt->if_exists));
-      BumpRelaxed(LocalStats().statements_executed);
+      Bump(Stripe().statements_executed);
       return QueryResult{};
     }
     case StatementKind::kExplain: {
@@ -584,7 +558,7 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
                           ExecConfig{options_.enable_vectorized_executor,
                                      options_.vector_chunk_size});
         P3PDB_RETURN_IF_ERROR(executor.RunSelect(*select).status());
-        LocalStats().MergeSingleWriter(local);
+        Stripe().Merge(local);
         explain_options.profile = &profile;
       }
       QueryResult result;
@@ -816,7 +790,7 @@ Result<QueryResult> Database::ExecuteInsert(InsertStmt* stmt) {
     ++inserted;
   }
   ++local.statements_executed;
-  LocalStats().MergeSingleWriter(local);
+  Stripe().Merge(local);
   QueryResult result;
   result.rows_affected = inserted;
   return result;
@@ -913,7 +887,7 @@ Result<QueryResult> Database::ExecuteUpdate(UpdateStmt* stmt) {
     }
   }
   ++local.statements_executed;
-  LocalStats().MergeSingleWriter(local);
+  Stripe().Merge(local);
   QueryResult result;
   result.rows_affected = static_cast<int64_t>(updates.size());
   return result;
@@ -970,7 +944,7 @@ Result<QueryResult> Database::ExecuteDelete(DeleteStmt* stmt) {
 
   for (size_t row_id : victims) table->Delete(row_id);
   ++local.statements_executed;
-  LocalStats().MergeSingleWriter(local);
+  Stripe().Merge(local);
   QueryResult result;
   result.rows_affected = static_cast<int64_t>(victims.size());
   return result;

@@ -9,6 +9,7 @@
 #ifndef P3PDB_SQLDB_DATABASE_H_
 #define P3PDB_SQLDB_DATABASE_H_
 
+#include <array>
 #include <cstddef>
 #include <list>
 #include <map>
@@ -170,8 +171,7 @@ class Database : public CatalogView {
   };
 
   Database() : Database(Options{}) {}
-  explicit Database(Options options)
-      : options_(options), db_id_(NextDatabaseId()) {
+  explicit Database(Options options) : options_(options) {
     if (options_.enable_statement_stats &&
         (options_.slow_query_threshold_us > 0 ||
          options_.trace_sample_every > 0)) {
@@ -257,10 +257,13 @@ class Database : public CatalogView {
   size_t TableCount() const { return tables_.size(); }
 
   const Options& options() const { return options_; }
-  /// Snapshot of the accumulated execution counters (sums the per-thread
-  /// shards). Returned by value: the live shards are atomic and may be
+  /// Snapshot of the accumulated execution counters (sums the stats
+  /// stripes). Returned by value: the stripes are atomic and may be
   /// concurrently updated.
   ExecStats stats() const;
+  /// Zeroes every counter. The server's exported sqldb_* counters read
+  /// stats() directly, so they drop back to zero too; only tests and the
+  /// scaling/schema-ablation benches call this.
   void ResetStats();
 
   /// Per-statement aggregates (populated only when
@@ -325,28 +328,22 @@ class Database : public CatalogView {
   Result<QueryResult> ExecuteDelete(DeleteStmt* stmt);
   Status CheckForeignKeys(const Table& table, const Row& row) const;
 
-  static uint64_t NextDatabaseId();
-
-  /// The per-thread stats shard for this database. Each (thread, database)
-  /// pair writes its own cache-line-aligned shard, so the per-query stats
-  /// merge is a handful of relaxed loads+stores instead of locked
-  /// fetch_adds on one contended aggregate (the locked RMWs were a visible
-  /// slice of the per-match profile). Shards are keyed by a process-unique
-  /// database id, so a thread's cached shard pointer can never be revived
-  /// by a later Database allocated at the same address; stats() sums every
-  /// shard under the registry mutex.
-  AtomicExecStats& LocalStats() const;
+  /// This thread's stats stripe (see stripes_).
+  AtomicExecStats& Stripe();
 
   Options options_;
   // Keyed by lower-cased name for case-insensitive resolution.
   std::map<std::string, std::unique_ptr<Table>> tables_;
 
-  struct alignas(64) StatShard {
+  // Execution counters, striped so concurrent executions rarely share a
+  // cache line: each thread merges into the stripe picked by an ordinal it
+  // takes once from a process-wide counter, with skip-zero relaxed
+  // fetch_adds. stats() and ResetStats() walk every stripe without a lock.
+  static constexpr size_t kStatsStripes = 16;
+  struct alignas(64) StatsStripe {
     AtomicExecStats stats;
   };
-  const uint64_t db_id_;
-  mutable std::mutex shard_mu_;
-  mutable std::vector<std::unique_ptr<StatShard>> shards_;
+  std::array<StatsStripe, kStatsStripes> stripes_;
   // Bumped on every DDL change; prepared statements from an older
   // generation refuse to run rather than touch stale table pointers.
   uint64_t catalog_generation_ = 0;

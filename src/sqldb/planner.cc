@@ -470,7 +470,7 @@ constexpr double kCorrelatedBuildFactor = 8.0;
 
 class Planner {
  public:
-  Planner(PlannerStats* stats, const StatsCatalog* catalog)
+  Planner(ExecStats* stats, const StatsCatalog* catalog)
       : stats_(stats), catalog_(catalog) {}
 
   void Plan(SelectStmt* stmt) {
@@ -733,14 +733,14 @@ class Planner {
     }
   }
 
-  PlannerStats* stats_;
+  ExecStats* stats_;
   const StatsCatalog* catalog_;  // null = pure rule-based planning
   std::vector<const SelectStmt*> path_;  // enclosing selects, innermost last
 };
 
 }  // namespace
 
-void PlanSelect(SelectStmt* stmt, PlannerStats* stats,
+void PlanSelect(SelectStmt* stmt, ExecStats* stats,
                 const StatsCatalog* catalog) {
   Planner planner(stats, catalog);
   planner.Plan(stmt);
@@ -749,7 +749,7 @@ void PlanSelect(SelectStmt* stmt, PlannerStats* stats,
 namespace {
 
 void AnnotateExpr(const Expr& e, const StatsCatalog* catalog,
-                  PlannerStats* stats);
+                  ExecStats* stats);
 
 /// Resolves the access path of every FROM slot of `stmt`, mirroring the
 /// executor's per-scan derivation exactly (same equality collection, same
@@ -759,7 +759,7 @@ void AnnotateExpr(const Expr& e, const StatsCatalog* catalog,
 /// unselective that the lookup would return most of the table (low-NDV
 /// column) is overridden back to a sequential scan.
 void AnnotateOne(SelectStmt* stmt, const StatsCatalog* catalog,
-                 PlannerStats* stats) {
+                 ExecStats* stats) {
   stmt->slot_plans.assign(stmt->from.size(), SlotPlan{});
   for (size_t slot = 0; slot < stmt->from.size(); ++slot) {
     SlotPlan& sp = stmt->slot_plans[slot];
@@ -833,7 +833,7 @@ void AnnotateOne(SelectStmt* stmt, const StatsCatalog* catalog,
 }
 
 void AnnotateExpr(const Expr& e, const StatsCatalog* catalog,
-                  PlannerStats* stats) {
+                  ExecStats* stats) {
   switch (e.kind) {
     case ExprKind::kComparison: {
       const auto& c = static_cast<const ComparisonExpr&>(e);
@@ -883,7 +883,7 @@ void AnnotateExpr(const Expr& e, const StatsCatalog* catalog,
 }  // namespace
 
 void AnnotateSelect(SelectStmt* stmt, const StatsCatalog* catalog,
-                    PlannerStats* stats) {
+                    ExecStats* stats) {
   AnnotateOne(stmt, catalog, stats);
 }
 

@@ -36,23 +36,12 @@
 #ifndef P3PDB_SQLDB_PLANNER_H_
 #define P3PDB_SQLDB_PLANNER_H_
 
-#include <cstdint>
-
 #include "sqldb/ast.h"
+#include "sqldb/query_result.h"
 
 namespace p3pdb::sqldb {
 
 class StatsCatalog;
-
-/// Rewrite tallies, merged into the database's ExecStats by the caller.
-struct PlannerStats {
-  uint64_t semi_join_rewrites = 0;  // EXISTS -> hash semi-join
-  uint64_t anti_join_rewrites = 0;  // NOT EXISTS -> hash anti-join
-  // Cost-model decisions (only tick when a StatsCatalog was supplied).
-  uint64_t cost_exists_kept = 0;    // rewrite vetoed: correlated path cheaper
-  uint64_t cost_join_reorders = 0;  // AND chains reordered cheapest-first
-  uint64_t cost_seq_forced = 0;     // index access overridden to seq scan
-};
 
 /// Rewrites eligible [NOT] EXISTS predicates of a *bound* SELECT into
 /// HashJoinExpr nodes, in place. Idempotent-safe to skip: an unplanned
@@ -70,8 +59,9 @@ struct PlannerStats {
 ///     identical: AND over the joins' three-valued verdicts is order-
 ///     independent.
 /// Every surviving HashJoinExpr is stamped with its estimated build rows
-/// for EXPLAIN.
-void PlanSelect(SelectStmt* stmt, PlannerStats* stats = nullptr,
+/// for EXPLAIN. Rewrites and cost decisions are tallied into `stats` (the
+/// semi/anti-join rewrite and cost_* counters) when it is non-null.
+void PlanSelect(SelectStmt* stmt, ExecStats* stats = nullptr,
                 const StatsCatalog* catalog = nullptr);
 
 /// Fills `slot_plans` on `stmt` and every nested SELECT (EXISTS subqueries,
@@ -84,9 +74,10 @@ void PlanSelect(SelectStmt* stmt, PlannerStats* stats = nullptr,
 /// With a non-null `catalog` each slot plan additionally carries estimated
 /// rows, and the cost model may override the syntactic index choice with a
 /// sequential scan when the index's estimated selectivity is so poor (low
-/// NDV key) that the lookup would return most of the table anyway.
+/// NDV key) that the lookup would return most of the table anyway; each
+/// override ticks `stats->cost_seq_forced` when `stats` is non-null.
 void AnnotateSelect(SelectStmt* stmt, const StatsCatalog* catalog = nullptr,
-                    PlannerStats* stats = nullptr);
+                    ExecStats* stats = nullptr);
 
 }  // namespace p3pdb::sqldb
 

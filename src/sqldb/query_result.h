@@ -64,213 +64,103 @@ struct QueryResult {
   std::string ToString() const;
 };
 
+// The executor's counters, declared once. One line per counter:
+// X(field, exported metric name or nullptr) followed by what it counts.
+// ExecStats, AtomicExecStats and kExecStatsFields are generated from this
+// list, and the server's metric collector exports every named counter, so
+// adding a counter (exported or not) is a one-line edit here.
+//
+// Planner rewrite and cost-model decision counters tick at plan time (see
+// planner.h, stats.h); plan_recosts ticks when the plan cache drops an
+// entry whose stats epoch drifted; the hash-join and vectorized counters
+// (see vectorized.cc) tick at execution time.
+#define P3PDB_EXEC_STATS_FIELDS(X)                                                                    \
+  X(statements_executed, nullptr)                                     /* statements run */            \
+  X(rows_scanned, nullptr)                                            /* rows visited, any path */    \
+  X(index_lookups, nullptr)                                           /* hash-index point lookups */  \
+  X(full_scans, nullptr)                                              /* scans, no usable index */    \
+  X(subquery_evals, nullptr)                                          /* EXISTS subquery runs */      \
+  X(comparisons, nullptr)                                             /* predicate comparisons */     \
+  X(plans_built, "sqldb_plans_built_total")                           /* SELECTs bound + planned */   \
+  X(plan_cache_hits, "sqldb_plan_cache_hits_total")                   /* parse/bind skipped */        \
+  X(semi_join_rewrites, "sqldb_semi_join_rewrites_total")             /* EXISTS -> semi-join */       \
+  X(anti_join_rewrites, "sqldb_anti_join_rewrites_total")             /* NOT EXISTS -> anti-join */   \
+  X(hash_join_builds, "sqldb_hash_join_builds_total")                 /* key-set builds */            \
+  X(hash_join_build_rows, nullptr)                                    /* rows enumerated by builds */ \
+  X(hash_join_probes, "sqldb_hash_join_probes_total")                 /* key-set probes */            \
+  X(cost_exists_kept, "sqldb_cost_exists_kept_total")                 /* rewrites vetoed by cost */   \
+  X(cost_join_reorders, "sqldb_cost_join_reorders_total")             /* AND chains reordered */      \
+  X(cost_seq_forced, "sqldb_cost_seq_forced_total")                   /* index -> seq scan */         \
+  X(plan_recosts, "sqldb_plan_recosts_total")                         /* plans dropped on drift */    \
+  X(batches, "sqldb_batches_total")                                   /* columnar chunks emitted */   \
+  X(batch_rows, "sqldb_batch_rows_total")                             /* rows gathered in chunks */   \
+  X(vectorized_filters, "sqldb_vectorized_filters_total")             /* WHEREs run by kernels */     \
+  X(vectorized_fallback_rows, "sqldb_vectorized_fallback_rows_total") /* chunk rows run scalar */
+
 /// Counters accumulated by the executor; reset via Database::ResetStats().
 /// The ablation benchmarks report these to explain *why* one plan shape is
 /// faster than another (index lookups vs. full scans). Each execution fills
-/// a private ExecStats, which the Database merges into its AtomicExecStats
-/// aggregate — so concurrent read-only executions never race on counters.
+/// a private ExecStats, which the Database merges into one of its
+/// AtomicExecStats stripes, so concurrent read-only executions never race
+/// on counters.
 struct ExecStats {
-  uint64_t statements_executed = 0;
-  uint64_t rows_scanned = 0;      // rows visited by any access path
-  uint64_t index_lookups = 0;     // point lookups served by a hash index
-  uint64_t full_scans = 0;        // table scans (no usable index)
-  uint64_t subquery_evals = 0;    // EXISTS subquery evaluations
-  uint64_t comparisons = 0;       // predicate comparisons evaluated
-
-  // Planner counters (see planner.h). Rewrite counters tick at plan time;
-  // the hash-join counters tick at execution time.
-  uint64_t plans_built = 0;           // SELECTs bound + planned
-  uint64_t plan_cache_hits = 0;       // plan-cache hits (parse/bind skipped)
-  uint64_t semi_join_rewrites = 0;    // EXISTS -> hash semi-join
-  uint64_t anti_join_rewrites = 0;    // NOT EXISTS -> hash anti-join
-  uint64_t hash_join_builds = 0;      // key-set builds (cache misses)
-  uint64_t hash_join_build_rows = 0;  // rows enumerated by builds
-  uint64_t hash_join_probes = 0;      // O(1) probes answered from a key set
-
-  // Cost-model counters (see stats.h / planner.h). Decision counters tick
-  // at plan time; plan_recosts ticks when the plan cache drops an entry
-  // whose stats epoch drifted.
-  uint64_t cost_exists_kept = 0;    // EXISTS rewrites vetoed by cost
-  uint64_t cost_join_reorders = 0;  // AND chains reordered cheapest-first
-  uint64_t cost_seq_forced = 0;     // index access overridden to seq scan
-  uint64_t plan_recosts = 0;        // cached plans dropped on epoch drift
-
-  // Vectorized-executor counters (see vectorized.cc). `batches` counts the
-  // columnar chunks emitted by batch scans and `batch_rows` the rows
-  // gathered into them; `vectorized_filters` counts WHERE clauses evaluated
-  // through the chunk kernels, while `vectorized_fallback_rows` counts the
-  // rows a chunk had to route through the per-row scalar evaluator
-  // (correlated EXISTS and other non-kernel operators).
-  uint64_t batches = 0;
-  uint64_t batch_rows = 0;
-  uint64_t vectorized_filters = 0;
-  uint64_t vectorized_fallback_rows = 0;
+#define P3PDB_EXEC_STATS_DECLARE(field, metric) uint64_t field = 0;
+  P3PDB_EXEC_STATS_FIELDS(P3PDB_EXEC_STATS_DECLARE)
+#undef P3PDB_EXEC_STATS_DECLARE
 
   void Accumulate(const ExecStats& s) {
-    statements_executed += s.statements_executed;
-    rows_scanned += s.rows_scanned;
-    index_lookups += s.index_lookups;
-    full_scans += s.full_scans;
-    subquery_evals += s.subquery_evals;
-    comparisons += s.comparisons;
-    plans_built += s.plans_built;
-    plan_cache_hits += s.plan_cache_hits;
-    semi_join_rewrites += s.semi_join_rewrites;
-    anti_join_rewrites += s.anti_join_rewrites;
-    hash_join_builds += s.hash_join_builds;
-    hash_join_build_rows += s.hash_join_build_rows;
-    hash_join_probes += s.hash_join_probes;
-    cost_exists_kept += s.cost_exists_kept;
-    cost_join_reorders += s.cost_join_reorders;
-    cost_seq_forced += s.cost_seq_forced;
-    plan_recosts += s.plan_recosts;
-    batches += s.batches;
-    batch_rows += s.batch_rows;
-    vectorized_filters += s.vectorized_filters;
-    vectorized_fallback_rows += s.vectorized_fallback_rows;
+#define P3PDB_EXEC_STATS_ADD(field, metric) field += s.field;
+    P3PDB_EXEC_STATS_FIELDS(P3PDB_EXEC_STATS_ADD)
+#undef P3PDB_EXEC_STATS_ADD
   }
 };
 
-/// Database-level stats aggregate safe under concurrent executions.
-/// Relaxed ordering suffices: the counters are monotonic tallies, not
-/// synchronization points.
+/// One row of the counter table, for code that walks every counter
+/// (metric export, tests).
+struct ExecStatsField {
+  const char* name;    // the ExecStats member name
+  const char* metric;  // exported counter name; nullptr when not exported
+  uint64_t ExecStats::*member;
+};
+
+inline constexpr ExecStatsField kExecStatsFields[] = {
+#define P3PDB_EXEC_STATS_ROW(field, metric) {#field, metric, &ExecStats::field},
+    P3PDB_EXEC_STATS_FIELDS(P3PDB_EXEC_STATS_ROW)
+#undef P3PDB_EXEC_STATS_ROW
+};
+
+/// Stats aggregate safe under concurrent executions. Relaxed ordering
+/// suffices: the counters are monotonic tallies, not synchronization
+/// points.
 struct AtomicExecStats {
-  std::atomic<uint64_t> statements_executed{0};
-  std::atomic<uint64_t> rows_scanned{0};
-  std::atomic<uint64_t> index_lookups{0};
-  std::atomic<uint64_t> full_scans{0};
-  std::atomic<uint64_t> subquery_evals{0};
-  std::atomic<uint64_t> comparisons{0};
-  std::atomic<uint64_t> plans_built{0};
-  std::atomic<uint64_t> plan_cache_hits{0};
-  std::atomic<uint64_t> semi_join_rewrites{0};
-  std::atomic<uint64_t> anti_join_rewrites{0};
-  std::atomic<uint64_t> hash_join_builds{0};
-  std::atomic<uint64_t> hash_join_build_rows{0};
-  std::atomic<uint64_t> hash_join_probes{0};
-  std::atomic<uint64_t> cost_exists_kept{0};
-  std::atomic<uint64_t> cost_join_reorders{0};
-  std::atomic<uint64_t> cost_seq_forced{0};
-  std::atomic<uint64_t> plan_recosts{0};
-  std::atomic<uint64_t> batches{0};
-  std::atomic<uint64_t> batch_rows{0};
-  std::atomic<uint64_t> vectorized_filters{0};
-  std::atomic<uint64_t> vectorized_fallback_rows{0};
+#define P3PDB_EXEC_STATS_DECLARE(field, metric) std::atomic<uint64_t> field{0};
+  P3PDB_EXEC_STATS_FIELDS(P3PDB_EXEC_STATS_DECLARE)
+#undef P3PDB_EXEC_STATS_DECLARE
 
   void Merge(const ExecStats& s) {
     // Skip zero counters: a typical statement touches a handful of the
     // fields, and an uncontended atomic RMW still costs a locked cycle the
     // per-match path pays per execution. A load+branch is ~free.
-    auto add = [](std::atomic<uint64_t>& dst, uint64_t v) {
-      if (v != 0) dst.fetch_add(v, std::memory_order_relaxed);
-    };
-    add(statements_executed, s.statements_executed);
-    add(rows_scanned, s.rows_scanned);
-    add(index_lookups, s.index_lookups);
-    add(full_scans, s.full_scans);
-    add(subquery_evals, s.subquery_evals);
-    add(comparisons, s.comparisons);
-    add(plans_built, s.plans_built);
-    add(plan_cache_hits, s.plan_cache_hits);
-    add(semi_join_rewrites, s.semi_join_rewrites);
-    add(anti_join_rewrites, s.anti_join_rewrites);
-    add(hash_join_builds, s.hash_join_builds);
-    add(hash_join_build_rows, s.hash_join_build_rows);
-    add(hash_join_probes, s.hash_join_probes);
-    add(cost_exists_kept, s.cost_exists_kept);
-    add(cost_join_reorders, s.cost_join_reorders);
-    add(cost_seq_forced, s.cost_seq_forced);
-    add(plan_recosts, s.plan_recosts);
-    add(batches, s.batches);
-    add(batch_rows, s.batch_rows);
-    add(vectorized_filters, s.vectorized_filters);
-    add(vectorized_fallback_rows, s.vectorized_fallback_rows);
-  }
-
-  /// Merge for a single-writer shard (see Database::LocalStats): only the
-  /// owning thread ever writes the shard, so a relaxed load+store — a plain
-  /// add, no locked read-modify-write — replaces fetch_add. Concurrent
-  /// readers (stats snapshots) still see whole atomic field values.
-  void MergeSingleWriter(const ExecStats& s) {
-    auto add = [](std::atomic<uint64_t>& dst, uint64_t v) {
-      if (v != 0) {
-        dst.store(dst.load(std::memory_order_relaxed) + v,
-                  std::memory_order_relaxed);
-      }
-    };
-    add(statements_executed, s.statements_executed);
-    add(rows_scanned, s.rows_scanned);
-    add(index_lookups, s.index_lookups);
-    add(full_scans, s.full_scans);
-    add(subquery_evals, s.subquery_evals);
-    add(comparisons, s.comparisons);
-    add(plans_built, s.plans_built);
-    add(plan_cache_hits, s.plan_cache_hits);
-    add(semi_join_rewrites, s.semi_join_rewrites);
-    add(anti_join_rewrites, s.anti_join_rewrites);
-    add(hash_join_builds, s.hash_join_builds);
-    add(hash_join_build_rows, s.hash_join_build_rows);
-    add(hash_join_probes, s.hash_join_probes);
-    add(cost_exists_kept, s.cost_exists_kept);
-    add(cost_join_reorders, s.cost_join_reorders);
-    add(cost_seq_forced, s.cost_seq_forced);
-    add(plan_recosts, s.plan_recosts);
-    add(batches, s.batches);
-    add(batch_rows, s.batch_rows);
-    add(vectorized_filters, s.vectorized_filters);
-    add(vectorized_fallback_rows, s.vectorized_fallback_rows);
+#define P3PDB_EXEC_STATS_MERGE(field, metric) \
+  if (s.field != 0) field.fetch_add(s.field, std::memory_order_relaxed);
+    P3PDB_EXEC_STATS_FIELDS(P3PDB_EXEC_STATS_MERGE)
+#undef P3PDB_EXEC_STATS_MERGE
   }
 
   ExecStats Snapshot() const {
     ExecStats s;
-    s.statements_executed = statements_executed.load(std::memory_order_relaxed);
-    s.rows_scanned = rows_scanned.load(std::memory_order_relaxed);
-    s.index_lookups = index_lookups.load(std::memory_order_relaxed);
-    s.full_scans = full_scans.load(std::memory_order_relaxed);
-    s.subquery_evals = subquery_evals.load(std::memory_order_relaxed);
-    s.comparisons = comparisons.load(std::memory_order_relaxed);
-    s.plans_built = plans_built.load(std::memory_order_relaxed);
-    s.plan_cache_hits = plan_cache_hits.load(std::memory_order_relaxed);
-    s.semi_join_rewrites = semi_join_rewrites.load(std::memory_order_relaxed);
-    s.anti_join_rewrites = anti_join_rewrites.load(std::memory_order_relaxed);
-    s.hash_join_builds = hash_join_builds.load(std::memory_order_relaxed);
-    s.hash_join_build_rows =
-        hash_join_build_rows.load(std::memory_order_relaxed);
-    s.hash_join_probes = hash_join_probes.load(std::memory_order_relaxed);
-    s.cost_exists_kept = cost_exists_kept.load(std::memory_order_relaxed);
-    s.cost_join_reorders = cost_join_reorders.load(std::memory_order_relaxed);
-    s.cost_seq_forced = cost_seq_forced.load(std::memory_order_relaxed);
-    s.plan_recosts = plan_recosts.load(std::memory_order_relaxed);
-    s.batches = batches.load(std::memory_order_relaxed);
-    s.batch_rows = batch_rows.load(std::memory_order_relaxed);
-    s.vectorized_filters = vectorized_filters.load(std::memory_order_relaxed);
-    s.vectorized_fallback_rows =
-        vectorized_fallback_rows.load(std::memory_order_relaxed);
+#define P3PDB_EXEC_STATS_LOAD(field, metric) \
+  s.field = field.load(std::memory_order_relaxed);
+    P3PDB_EXEC_STATS_FIELDS(P3PDB_EXEC_STATS_LOAD)
+#undef P3PDB_EXEC_STATS_LOAD
     return s;
   }
 
   void Reset() {
-    statements_executed.store(0, std::memory_order_relaxed);
-    rows_scanned.store(0, std::memory_order_relaxed);
-    index_lookups.store(0, std::memory_order_relaxed);
-    full_scans.store(0, std::memory_order_relaxed);
-    subquery_evals.store(0, std::memory_order_relaxed);
-    comparisons.store(0, std::memory_order_relaxed);
-    plans_built.store(0, std::memory_order_relaxed);
-    plan_cache_hits.store(0, std::memory_order_relaxed);
-    semi_join_rewrites.store(0, std::memory_order_relaxed);
-    anti_join_rewrites.store(0, std::memory_order_relaxed);
-    hash_join_builds.store(0, std::memory_order_relaxed);
-    hash_join_build_rows.store(0, std::memory_order_relaxed);
-    hash_join_probes.store(0, std::memory_order_relaxed);
-    cost_exists_kept.store(0, std::memory_order_relaxed);
-    cost_join_reorders.store(0, std::memory_order_relaxed);
-    cost_seq_forced.store(0, std::memory_order_relaxed);
-    plan_recosts.store(0, std::memory_order_relaxed);
-    batches.store(0, std::memory_order_relaxed);
-    batch_rows.store(0, std::memory_order_relaxed);
-    vectorized_filters.store(0, std::memory_order_relaxed);
-    vectorized_fallback_rows.store(0, std::memory_order_relaxed);
+#define P3PDB_EXEC_STATS_ZERO(field, metric) \
+  field.store(0, std::memory_order_relaxed);
+    P3PDB_EXEC_STATS_FIELDS(P3PDB_EXEC_STATS_ZERO)
+#undef P3PDB_EXEC_STATS_ZERO
   }
 };
 

@@ -10,12 +10,10 @@
 // accumulates calls, rows, plan-cache hits, planner rewrites, vectorized
 // batch activity, and a latency distribution.
 //
-// Concurrency follows the PR-6 stats discipline: the registry mutex is
-// taken only at prepare time (Intern) and snapshot time; the per-execution
-// tallies on an entry are relaxed atomic operations (entries are shared by
-// every thread executing the same statement shape, so the tallies are
-// fetch_adds like the MetricsRegistry instruments, not the single-writer
-// shard stores — either way the hot loop never blocks).
+// Concurrency: the registry mutex is taken only at prepare time (Intern)
+// and snapshot time; the per-execution tallies on an entry are relaxed
+// fetch_adds, like the MetricsRegistry instruments and the Database's
+// stats stripes, so the hot loop never blocks.
 
 #ifndef P3PDB_SQLDB_STATEMENT_STATS_H_
 #define P3PDB_SQLDB_STATEMENT_STATS_H_

@@ -129,6 +129,46 @@ TEST(MetricsRegistryTest, RenderJsonCarriesTheSameNumbers) {
   EXPECT_NE(json.find("\"p50\": 8.0"), std::string::npos) << json;
 }
 
+TEST(MetricsRegistryTest, CollectorValuesAppearBesidePushedInstruments) {
+  MetricsRegistry registry;
+  registry.GetCounter("pushed_total")->Increment(2);
+  registry.GetGauge("pushed_depth")->Set(4);
+  int calls = 0;
+  uint64_t source = 40;
+  registry.AddCollector([&](MetricsSnapshot* snapshot) {
+    ++calls;
+    snapshot->counters["pulled_total"] = source;
+    snapshot->gauges["pulled_depth"] = -3;
+  });
+
+  MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(snap.counters.at("pushed_total"), 2u);
+  EXPECT_EQ(snap.counters.at("pulled_total"), 40u);
+  EXPECT_EQ(snap.gauges.at("pushed_depth"), 4);
+  EXPECT_EQ(snap.gauges.at("pulled_depth"), -3);
+
+  // The collector reads its source afresh on every render, once each.
+  source = 41;
+  const std::string text = registry.RenderText();
+  EXPECT_EQ(calls, 2);
+  EXPECT_NE(text.find("# TYPE pulled_total counter\npulled_total 41\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# TYPE pulled_depth gauge\npulled_depth -3\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("pushed_total 2"), std::string::npos) << text;
+
+  source = 42;
+  const std::string json = registry.RenderJson();
+  EXPECT_EQ(calls, 3);
+  EXPECT_NE(json.find("\"pulled_total\": 42"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"pulled_depth\": -3"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"pushed_total\": 2"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"pushed_depth\": 4"), std::string::npos) << json;
+}
+
 TEST(MetricsRegistryTest, ConcurrentRecordingLosesNothing) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("ops_total");

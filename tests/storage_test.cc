@@ -7,6 +7,9 @@
 
 #include <cstring>
 #include <filesystem>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "sqldb/file_backend.h"
 #include "sqldb/storage_serde.h"
 #include "sqldb/wal.h"
+#include "workload/corpus.h"
 #include "workload/jrc_preferences.h"
 #include "workload/paper_examples.h"
 
@@ -483,6 +487,114 @@ TEST(ServerStorage, CatalogAndMatchingSurviveReopen) {
   // In-memory servers expose exactly the metric set they always did.
   auto memory_server = PolicyServer::Create({});
   ASSERT_TRUE(memory_server.ok());
+  EXPECT_EQ(memory_server.value()->RenderMetricsText().find("p3p_storage_"),
+            std::string::npos);
+}
+
+// Parses the counters out of Prometheus exposition text: name -> value for
+// every `# TYPE <name> counter` block whose name starts with one of
+// `prefixes`. A sample line without its TYPE comment is a test failure.
+std::map<std::string, uint64_t> ExportedCounters(
+    const std::string& text, const std::vector<std::string>& prefixes) {
+  std::map<std::string, uint64_t> counters;
+  std::set<std::string> typed;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::string type_prefix = "# TYPE ";
+    if (line.rfind(type_prefix, 0) == 0) {
+      std::istringstream fields(line.substr(type_prefix.size()));
+      std::string name, kind;
+      fields >> name >> kind;
+      if (kind == "counter") typed.insert(name);
+      continue;
+    }
+    const size_t space = line.find(' ');
+    if (space == std::string::npos) continue;
+    const std::string name = line.substr(0, space);
+    bool wanted = false;
+    for (const std::string& p : prefixes) wanted |= name.rfind(p, 0) == 0;
+    if (!wanted) continue;
+    EXPECT_TRUE(typed.count(name) != 0) << name << " lacks '# TYPE counter'";
+    counters[name] = std::stoull(line.substr(space + 1));
+  }
+  return counters;
+}
+
+TEST(ServerStorage, ExportedSqldbAndStorageMetricNamesArePinned) {
+  const std::string dir = TestDir("server_metric_names");
+  PolicyServer::Options options;
+  options.engine = EngineKind::kSql;
+  options.storage_path = dir;
+  const std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
+  {
+    // No close-time checkpoint: the reopen replays the WAL, so the
+    // recovery counter carries a value too.
+    PolicyServer::Options first = options;
+    first.storage_checkpoint_on_close = false;
+    auto server = PolicyServer::Create(first);
+    ASSERT_TRUE(server.ok()) << server.status();
+    for (size_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(server.value()->InstallPolicy(corpus[i]).ok());
+    }
+  }
+  auto server = PolicyServer::Create(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  PolicyServer& s = *server.value();
+  for (size_t i = 3; i < 6; ++i) ASSERT_TRUE(s.InstallPolicy(corpus[i]).ok());
+  for (workload::PreferenceLevel level : workload::AllPreferenceLevels()) {
+    auto pref = s.CompilePreference(workload::JrcPreference(level));
+    ASSERT_TRUE(pref.ok()) << pref.status();
+    for (int64_t id : s.policy_ids()) {
+      ASSERT_TRUE(s.MatchPolicyId(pref.value(), id).ok());
+    }
+  }
+
+  const std::map<std::string, uint64_t> exported =
+      ExportedCounters(s.RenderMetricsText(), {"sqldb_", "p3p_storage_"});
+  const ExecStats exec = s.database()->stats();
+  const StatsCounters catalog = s.database()->stats_catalog().counters();
+  const StorageStats storage = s.database()->storage_stats();
+  const std::map<std::string, uint64_t> expected = {
+      {"sqldb_plans_built_total", exec.plans_built},
+      {"sqldb_plan_cache_hits_total", exec.plan_cache_hits},
+      {"sqldb_semi_join_rewrites_total", exec.semi_join_rewrites},
+      {"sqldb_anti_join_rewrites_total", exec.anti_join_rewrites},
+      {"sqldb_hash_join_builds_total", exec.hash_join_builds},
+      {"sqldb_hash_join_probes_total", exec.hash_join_probes},
+      {"sqldb_batches_total", exec.batches},
+      {"sqldb_batch_rows_total", exec.batch_rows},
+      {"sqldb_vectorized_filters_total", exec.vectorized_filters},
+      {"sqldb_vectorized_fallback_rows_total", exec.vectorized_fallback_rows},
+      {"sqldb_cost_exists_kept_total", exec.cost_exists_kept},
+      {"sqldb_cost_join_reorders_total", exec.cost_join_reorders},
+      {"sqldb_cost_seq_forced_total", exec.cost_seq_forced},
+      {"sqldb_plan_recosts_total", exec.plan_recosts},
+      {"sqldb_stats_updates_total", catalog.updates},
+      {"sqldb_stats_rebuilds_total", catalog.rebuilds},
+      {"sqldb_stats_epoch_bumps_total", catalog.epoch_bumps},
+      {"p3p_storage_wal_records_total", storage.wal_records},
+      {"p3p_storage_wal_commits_total", storage.wal_commits},
+      {"p3p_storage_wal_syncs_total", storage.wal_syncs},
+      {"p3p_storage_wal_group_syncs_total", storage.wal_group_syncs},
+      {"p3p_storage_wal_bytes_total", storage.wal_bytes},
+      {"p3p_storage_checkpoints_total", storage.checkpoints},
+      {"p3p_storage_buffer_pool_hits_total", storage.pool.hits},
+      {"p3p_storage_buffer_pool_misses_total", storage.pool.misses},
+      {"p3p_storage_recovered_txns_total", storage.recovered_txns},
+  };
+  EXPECT_EQ(exported, expected);
+  EXPECT_GT(exec.plans_built, 0u);
+  EXPECT_GT(storage.recovered_txns, 0u);
+
+  // An in-memory server exports the sqldb_* set but no p3p_storage_* name.
+  PolicyServer::Options memory;
+  memory.engine = EngineKind::kSql;
+  auto memory_server = PolicyServer::Create(memory);
+  ASSERT_TRUE(memory_server.ok());
+  const std::map<std::string, uint64_t> memory_exported = ExportedCounters(
+      memory_server.value()->RenderMetricsText(), {"sqldb_", "p3p_storage_"});
+  EXPECT_EQ(memory_exported.size(), 17u);
   EXPECT_EQ(memory_server.value()->RenderMetricsText().find("p3p_storage_"),
             std::string::npos);
 }
