@@ -112,11 +112,6 @@ bool NativeEngine::MatchExpr(const AppelExpr& expr,
   return false;
 }
 
-Result<MatchOutcome> NativeEngine::Evaluate(
-    const AppelRuleset& ruleset, const xml::Element& policy_root) const {
-  return Evaluate(ruleset, policy_root, nullptr);
-}
-
 Result<MatchOutcome> NativeEngine::Evaluate(const AppelRuleset& ruleset,
                                             const xml::Element& policy_root,
                                             obs::TraceContext* trace) const {

@@ -50,17 +50,15 @@ class NativeEngine {
   /// Evaluates `ruleset` against the POLICY element `policy_root`.
   /// Rules fire in order; a rule with an empty body always fires. When no
   /// rule fires, returns kDefaultBehavior with fired_rule_index = -1.
-  Result<MatchOutcome> Evaluate(const AppelRuleset& ruleset,
-                                const xml::Element& policy_root) const;
-
-  /// Traced variant: records a `category-augmentation` span (with a
+  ///
+  /// A non-null `trace` records a `category-augmentation` span (with a
   /// deterministic `work` counter — elements scanned in the base schema
   /// plus elements of the augmented working copy) and a `connective-eval`
   /// span (`work` = pattern-match step count), reproducing the paper's
-  /// §6.3.2 cost breakdown per match. Null `trace` is the overload above.
+  /// §6.3.2 cost breakdown per match.
   Result<MatchOutcome> Evaluate(const AppelRuleset& ruleset,
                                 const xml::Element& policy_root,
-                                obs::TraceContext* trace) const;
+                                obs::TraceContext* trace = nullptr) const;
 
   /// Whether one expression matches one evidence element (exposed for
   /// testing the connective semantics in isolation).

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 
 #include "server/policy_server.h"
@@ -16,21 +17,20 @@ namespace p3pdb::server {
 namespace {
 
 /// Parses `top=N` out of a query string ("top=5&x=y"); `fallback` when
-/// absent or malformed.
+/// absent or malformed (a value that overflows size_t is malformed).
 size_t TopFromQuery(std::string_view query, size_t fallback) {
   while (!query.empty()) {
     size_t amp = query.find('&');
     std::string_view pair = query.substr(0, amp);
     if (pair.size() > 4 && pair.substr(0, 4) == "top=") {
       size_t value = 0;
-      bool any = false;
       for (char c : pair.substr(4)) {
         if (c < '0' || c > '9') return fallback;
-        value = value * 10 + static_cast<size_t>(c - '0');
-        any = true;
+        const size_t digit = static_cast<size_t>(c - '0');
+        if (value > (SIZE_MAX - digit) / 10) return fallback;
+        value = value * 10 + digit;
       }
-      if (any) return value;
-      return fallback;
+      return value;
     }
     if (amp == std::string_view::npos) break;
     query.remove_prefix(amp + 1);

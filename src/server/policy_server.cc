@@ -386,30 +386,37 @@ std::optional<p3p::ReferenceFile> PolicyServer::InstalledReferenceFile()
   return reference_file_;
 }
 
-Result<int64_t> PolicyServer::InstallPolicy(const p3p::Policy& policy) {
+Status PolicyServer::InstallDurably(const std::function<Status()>& install) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  // One durable unit: every row the shred writes plus the catalog entry
-  // commit together, so a crash mid-install recovers to "not installed".
-  // There is no rollback — a *failed* install keeps its partial in-memory
-  // effects, exactly as before storage existed — so the commit runs on
-  // every path to keep disk and memory identical.
   P3PDB_RETURN_IF_ERROR(db_.BeginTransaction());
-  auto result = InstallPolicyLocked(policy);
+  Status result = install();
+  Status commit;
   if (options_.storage_group_commit) {
     // Two-phase commit: every WAL record (including the commit record) is
     // already appended, so the exclusive lock can be released before the
     // fsync — matches proceed and concurrent installers coalesce their
     // fsyncs in WaitDurable's leader/follower queue.
-    auto ticket = db_.CommitTransactionStaged();
-    if (!ticket.ok()) return result.ok() ? ticket.status() : result;
-    lock.unlock();
-    Status durable = db_.WaitDurable(ticket.value());
-    if (result.ok() && !durable.ok()) return durable;
-    return result;
+    Result<uint64_t> ticket = db_.CommitTransactionStaged();
+    commit = ticket.status();
+    if (ticket.ok()) {
+      lock.unlock();
+      commit = db_.WaitDurable(ticket.value());
+    }
+  } else {
+    commit = db_.CommitTransaction();
   }
-  Status commit = db_.CommitTransaction();
-  if (result.ok() && !commit.ok()) return commit;
-  return result;
+  return result.ok() ? commit : result;
+}
+
+Result<int64_t> PolicyServer::InstallPolicy(const p3p::Policy& policy) {
+  // One durable unit: every row the shred writes plus the catalog entry
+  // commit together, so a crash mid-install recovers to "not installed".
+  int64_t policy_id = -1;
+  P3PDB_RETURN_IF_ERROR(InstallDurably([&]() -> Status {
+    P3PDB_ASSIGN_OR_RETURN(policy_id, InstallPolicyLocked(policy));
+    return Status::OK();
+  }));
+  return policy_id;
 }
 
 Result<int64_t> PolicyServer::InstallPolicyLocked(const p3p::Policy& policy) {
@@ -465,22 +472,9 @@ Result<int64_t> PolicyServer::InstallPolicyLocked(const p3p::Policy& policy) {
 }
 
 Status PolicyServer::InstallReferenceFile(const p3p::ReferenceFile& rf) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
   // One durable unit, as in InstallPolicy: the old reference rows' deletes,
   // the reshred, and the RefFileCatalog swap commit together.
-  P3PDB_RETURN_IF_ERROR(db_.BeginTransaction());
-  Status result = InstallReferenceFileLocked(rf);
-  if (options_.storage_group_commit) {
-    auto ticket = db_.CommitTransactionStaged();
-    if (!ticket.ok()) return result.ok() ? ticket.status() : result;
-    lock.unlock();
-    Status durable = db_.WaitDurable(ticket.value());
-    if (result.ok() && !durable.ok()) return durable;
-    return result;
-  }
-  Status commit = db_.CommitTransaction();
-  if (result.ok() && !commit.ok()) return commit;
-  return result;
+  return InstallDurably([&] { return InstallReferenceFileLocked(rf); });
 }
 
 Status PolicyServer::InstallReferenceFileLocked(const p3p::ReferenceFile& rf) {
@@ -516,11 +510,6 @@ Status PolicyServer::InstallReferenceFileLocked(const p3p::ReferenceFile& rf) {
   // under the previous reference file must never be served again.
   ++catalog_epoch_;
   return Status::OK();
-}
-
-Result<CompiledPreference> PolicyServer::CompilePreference(
-    const appel::AppelRuleset& ruleset) {
-  return CompilePreference(ruleset, nullptr);
 }
 
 Result<CompiledPreference> PolicyServer::CompilePreference(
@@ -582,6 +571,9 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
         P3PDB_ASSIGN_OR_RETURN(pref.xquery_text,
                                to_xq.TranslateRuleset(ruleset));
         xquery::XTableTranslator to_sql;
+        // The generated SQL joins the materialized ApplicablePolicy row and
+        // takes no parameters; it runs through the kSql rule loop.
+        pref.sql.behaviors = pref.xquery_text.behaviors;
         for (const std::string& text : pref.xquery_text.rule_queries) {
           // XTABLE consumes the XQuery *text*, so parse then translate —
           // both conversions are part of this path's cost.
@@ -598,7 +590,7 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
             P3PDB_RETURN_IF_ERROR(binder.BindSelect(
                 static_cast<sqldb::SelectStmt*>(stmt.get())));
           }
-          pref.xtable_sql.push_back(std::move(sql));
+          pref.sql.rule_queries.push_back(std::move(sql));
         }
         break;
       }
@@ -607,10 +599,6 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
   if (options_.use_prepared_statements) {
     obs::ScopedSpan prepare_span(t, "prepare");
     for (const std::string& sql : pref.sql.rule_queries) {
-      P3PDB_ASSIGN_OR_RETURN(sqldb::PreparedStatement stmt, db_.Prepare(sql));
-      pref.prepared_sql.push_back(std::move(stmt));
-    }
-    for (const std::string& sql : pref.xtable_sql) {
       P3PDB_ASSIGN_OR_RETURN(sqldb::PreparedStatement stmt, db_.Prepare(sql));
       pref.prepared_sql.push_back(std::move(stmt));
     }
@@ -737,7 +725,8 @@ Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
       break;
     }
     case EngineKind::kSql:
-    case EngineKind::kSqlSimple: {
+    case EngineKind::kSqlSimple:
+    case EngineKind::kXQueryXTable: {
       if (UsesLegacyMaterialization()) {
         P3PDB_RETURN_IF_ERROR(MaterializeApplicablePolicy(policy_id));
       }
@@ -751,25 +740,19 @@ Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
           rule_span.SetAttr("behavior", pref.sql.behaviors[i]);
         }
         // In the default (parameterized) mode, every `?` of the rule query
-        // binds the applicable policy id; catch-all rules take none.
-        const size_t param_count = i < pref.sql.param_counts.size()
-                                       ? pref.sql.param_counts[i]
-                                       : 0;
-        QueryResult rows;
-        if (prepared) {
-          params.assign(param_count, Value::Integer(policy_id));
-          P3PDB_ASSIGN_OR_RETURN(rows,
-                                 pref.prepared_sql[i].Execute(params, trace));
-        } else if (param_count > 0) {
-          params.assign(param_count, Value::Integer(policy_id));
-          P3PDB_ASSIGN_OR_RETURN(
-              rows, db_.Execute(pref.sql.rule_queries[i], params, trace));
-        } else {
-          // Paper methodology: the SQL text is submitted to the database
-          // for every match; query time includes its prepare.
-          P3PDB_ASSIGN_OR_RETURN(
-              rows, db_.Execute(pref.sql.rule_queries[i], trace));
-        }
+        // binds the applicable policy id; catch-all rules, the legacy
+        // materialized mode and XTABLE's SQL take none.
+        params.assign(i < pref.sql.param_counts.size()
+                          ? pref.sql.param_counts[i]
+                          : 0,
+                      Value::Integer(policy_id));
+        // Without prepared statements (the paper's methodology) the SQL
+        // text is submitted to the database for every match; query time
+        // includes its prepare.
+        P3PDB_ASSIGN_OR_RETURN(
+            QueryResult rows,
+            prepared ? pref.prepared_sql[i].Execute(params, trace)
+                     : db_.Execute(pref.sql.rule_queries[i], params, trace));
         if (options_.collect_metrics) rule_queries_total_->Increment();
         if (rule_span.active()) rule_span.AddCount("rows", rows.rows.size());
         if (!rows.rows.empty()) {
@@ -800,23 +783,6 @@ Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
       }
       break;
     }
-    case EngineKind::kXQueryXTable: {
-      P3PDB_RETURN_IF_ERROR(MaterializeApplicablePolicy(policy_id));
-      for (size_t i = 0; i < pref.xtable_sql.size(); ++i) {
-        obs::ScopedSpan rule_span(trace, "rule-query");
-        if (rule_span.active()) rule_span.SetAttr("rule", std::to_string(i));
-        P3PDB_ASSIGN_OR_RETURN(QueryResult rows,
-                               db_.Execute(pref.xtable_sql[i], trace));
-        if (options_.collect_metrics) rule_queries_total_->Increment();
-        if (rule_span.active()) rule_span.AddCount("rows", rows.rows.size());
-        if (!rows.rows.empty()) {
-          result.behavior = rows.rows[0][0].AsText();
-          result.fired_rule_index = static_cast<int>(i);
-          break;
-        }
-      }
-      break;
-    }
   }
   if (options_.record_matches) {
     obs::ScopedSpan record_span(trace, "record-match");
@@ -825,19 +791,17 @@ Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
   return result;
 }
 
-Result<MatchResult> PolicyServer::MatchUri(const CompiledPreference& pref,
-                                           std::string_view local_path) {
-  return MatchUri(pref, local_path, nullptr);
-}
-
-Result<MatchResult> PolicyServer::MatchUri(const CompiledPreference& pref,
-                                           std::string_view local_path,
-                                           obs::TraceContext* trace) {
+Result<MatchResult> PolicyServer::Match(const CompiledPreference& pref,
+                                        MatchSubject subject,
+                                        int64_t policy_id,
+                                        std::string_view path,
+                                        obs::TraceContext* trace) {
   obs::TraceContext* t = EffectiveTrace(trace);
   obs::ScopedSpan match_span(t, "match");
   if (match_span.active()) {
     match_span.SetAttr("engine", EngineKindName(options_.engine));
-    match_span.SetAttr("uri", local_path);
+    if (subject == MatchSubject::kUri) match_span.SetAttr("uri", path);
+    if (subject == MatchSubject::kCookie) match_span.SetAttr("cookie", path);
   }
   std::chrono::steady_clock::time_point start{};
   if (options_.collect_metrics) start = std::chrono::steady_clock::now();
@@ -855,146 +819,34 @@ Result<MatchResult> PolicyServer::MatchUri(const CompiledPreference& pref,
   const bool cacheable = match_cache_ != nullptr && pref.fingerprint != 0;
   bool cache_hit = false;
   MatchCacheKey key;
-  Result<MatchResult> result = [&]() -> Result<MatchResult> {
-    if (cacheable) {
-      key = MatchCacheKey{pref.fingerprint, MatchSubject::kUri, -1,
-                          std::string(local_path),
-                          static_cast<uint8_t>(options_.engine)};
-      if (std::optional<MatchResult> hit =
-              CachedMatch(key, catalog_epoch_, match_span)) {
-        cache_hit = true;
-        if (options_.record_matches) {
-          obs::ScopedSpan record_span(t, "record-match");
-          P3PDB_RETURN_IF_ERROR(RecordMatch(*hit));
-        }
-        return *hit;
-      }
-    }
-    P3PDB_ASSIGN_OR_RETURN(
-        int64_t policy_id,
-        FindApplicablePolicyId(local_path, /*for_cookie=*/false, t));
-    if (policy_id < 0) {
-      MatchResult miss;
-      miss.behavior = kNoPolicyBehavior;
-      miss.policy_found = false;
-      return miss;
-    }
-    return EvaluateAgainstCurrent(pref, policy_id, t);
-  }();
-  if (cacheable && !cache_hit) StoreMatch(key, catalog_epoch_, result);
-  FinishMatchSpan(match_span, result);
-  if (options_.collect_metrics) {
-    TallyMatch(result, MicrosSince(start), cache_hit);
-  }
-  return result;
-}
-
-Result<MatchResult> PolicyServer::MatchCookie(const CompiledPreference& pref,
-                                              std::string_view cookie_path) {
-  return MatchCookie(pref, cookie_path, nullptr);
-}
-
-Result<MatchResult> PolicyServer::MatchCookie(const CompiledPreference& pref,
-                                              std::string_view cookie_path,
-                                              obs::TraceContext* trace) {
-  obs::TraceContext* t = EffectiveTrace(trace);
-  obs::ScopedSpan match_span(t, "match");
-  if (match_span.active()) {
-    match_span.SetAttr("engine", EngineKindName(options_.engine));
-    match_span.SetAttr("cookie", cookie_path);
-  }
-  std::chrono::steady_clock::time_point start{};
-  if (options_.collect_metrics) start = std::chrono::steady_clock::now();
-
-  std::shared_lock<std::shared_mutex> shared(mu_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> exclusive(mu_, std::defer_lock);
-  if (UsesLegacyMaterialization()) {
-    exclusive.lock();
-  } else {
-    shared.lock();
-  }
-  const bool cacheable = match_cache_ != nullptr && pref.fingerprint != 0;
-  bool cache_hit = false;
-  MatchCacheKey key;
-  Result<MatchResult> result = [&]() -> Result<MatchResult> {
-    if (cacheable) {
-      key = MatchCacheKey{pref.fingerprint, MatchSubject::kCookie, -1,
-                          std::string(cookie_path),
-                          static_cast<uint8_t>(options_.engine)};
-      if (std::optional<MatchResult> hit =
-              CachedMatch(key, catalog_epoch_, match_span)) {
-        cache_hit = true;
-        if (options_.record_matches) {
-          obs::ScopedSpan record_span(t, "record-match");
-          P3PDB_RETURN_IF_ERROR(RecordMatch(*hit));
-        }
-        return *hit;
-      }
-    }
-    P3PDB_ASSIGN_OR_RETURN(
-        int64_t policy_id,
-        FindApplicablePolicyId(cookie_path, /*for_cookie=*/true, t));
-    if (policy_id < 0) {
-      MatchResult miss;
-      miss.behavior = kNoPolicyBehavior;
-      miss.policy_found = false;
-      return miss;
-    }
-    return EvaluateAgainstCurrent(pref, policy_id, t);
-  }();
-  if (cacheable && !cache_hit) StoreMatch(key, catalog_epoch_, result);
-  FinishMatchSpan(match_span, result);
-  if (options_.collect_metrics) {
-    TallyMatch(result, MicrosSince(start), cache_hit);
-  }
-  return result;
-}
-
-Result<MatchResult> PolicyServer::MatchPolicyId(const CompiledPreference& pref,
-                                                int64_t policy_id) {
-  return MatchPolicyId(pref, policy_id, nullptr);
-}
-
-Result<MatchResult> PolicyServer::MatchPolicyId(const CompiledPreference& pref,
-                                                int64_t policy_id,
-                                                obs::TraceContext* trace) {
-  obs::TraceContext* t = EffectiveTrace(trace);
-  obs::ScopedSpan match_span(t, "match");
-  if (match_span.active()) {
-    match_span.SetAttr("engine", EngineKindName(options_.engine));
-  }
-  std::chrono::steady_clock::time_point start{};
-  if (options_.collect_metrics) start = std::chrono::steady_clock::now();
-
-  std::shared_lock<std::shared_mutex> shared(mu_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> exclusive(mu_, std::defer_lock);
-  if (UsesLegacyMaterialization()) {
-    exclusive.lock();
-  } else {
-    shared.lock();
-  }
-  const bool cacheable = match_cache_ != nullptr && pref.fingerprint != 0;
-  bool cache_hit = false;
-  MatchCacheKey key;
   uint64_t version = 0;
   Result<MatchResult> result = [&]() -> Result<MatchResult> {
-    if (policy_dom_.find(policy_id) == policy_dom_.end()) {
+    if (subject == MatchSubject::kPolicyId &&
+        policy_dom_.find(policy_id) == policy_dom_.end()) {
       return Status::NotFound("policy id " + std::to_string(policy_id) +
                               " not installed");
     }
     if (cacheable) {
-      // Policy ids are immutable (re-installing a name mints a new id), so
-      // the entry is stamped with the id's own version and survives
-      // unrelated catalog changes.
-      auto version_it = policy_version_by_id_.find(policy_id);
-      version = version_it == policy_version_by_id_.end()
-                    ? 0
-                    : static_cast<uint64_t>(version_it->second);
-      key = MatchCacheKey{pref.fingerprint, MatchSubject::kPolicyId,
-                          policy_id, std::string(),
+      if (subject == MatchSubject::kPolicyId) {
+        // Policy ids are immutable (re-installing a name mints a new id),
+        // so the entry is stamped with the id's own version and survives
+        // unrelated catalog changes.
+        auto version_it = policy_version_by_id_.find(policy_id);
+        version = version_it == policy_version_by_id_.end()
+                      ? 0
+                      : static_cast<uint64_t>(version_it->second);
+      } else {
+        version = catalog_epoch_;
+      }
+      key = MatchCacheKey{pref.fingerprint, subject, policy_id,
+                          std::string(path),
                           static_cast<uint8_t>(options_.engine)};
-      if (std::optional<MatchResult> hit =
-              CachedMatch(key, version, match_span)) {
+      std::optional<MatchResult> hit = match_cache_->Lookup(key, version);
+      if (match_span.active()) {
+        match_span.SetAttr("cache", hit.has_value() ? "hit" : "miss");
+      }
+      if (hit.has_value()) {
+        // A hit does the per-match bookkeeping a computed match would.
         cache_hit = true;
         if (options_.record_matches) {
           obs::ScopedSpan record_span(t, "record-match");
@@ -1003,30 +855,28 @@ Result<MatchResult> PolicyServer::MatchPolicyId(const CompiledPreference& pref,
         return *hit;
       }
     }
+    if (subject != MatchSubject::kPolicyId) {
+      P3PDB_ASSIGN_OR_RETURN(
+          policy_id,
+          FindApplicablePolicyId(path, subject == MatchSubject::kCookie, t));
+      if (policy_id < 0) {
+        MatchResult miss;
+        miss.behavior = kNoPolicyBehavior;
+        miss.policy_found = false;
+        return miss;
+      }
+    }
     return EvaluateAgainstCurrent(pref, policy_id, t);
   }();
-  if (cacheable && !cache_hit) StoreMatch(key, version, result);
+  // Errors are not memoized: they describe the attempt, not the catalog.
+  if (cacheable && !cache_hit && result.ok()) {
+    match_cache_->Insert(key, version, result.value());
+  }
   FinishMatchSpan(match_span, result);
   if (options_.collect_metrics) {
     TallyMatch(result, MicrosSince(start), cache_hit);
   }
   return result;
-}
-
-std::optional<MatchResult> PolicyServer::CachedMatch(
-    const MatchCacheKey& key, uint64_t version, obs::ScopedSpan& match_span) {
-  std::optional<MatchResult> hit = match_cache_->Lookup(key, version);
-  if (match_span.active()) {
-    match_span.SetAttr("cache", hit.has_value() ? "hit" : "miss");
-  }
-  return hit;
-}
-
-void PolicyServer::StoreMatch(const MatchCacheKey& key, uint64_t version,
-                              const Result<MatchResult>& result) {
-  // Errors are not memoized: they describe the attempt, not the catalog.
-  if (!result.ok()) return;
-  match_cache_->Insert(key, version, result.value());
 }
 
 uint64_t PolicyServer::catalog_epoch() const {

@@ -51,6 +51,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -116,11 +117,12 @@ struct CompiledPreference {
   std::string appel_text;                    // kNativeAppel: the client
                                              // engine re-parses this per
                                              // match, as the JRC engine did
-  translator::SqlRuleset sql;                // kSql / kSqlSimple
+  translator::SqlRuleset sql;                // kSql / kSqlSimple /
+                                             // kXQueryXTable (its
+                                             // XQuery-derived SQL)
   std::vector<sqldb::PreparedStatement> prepared_sql;  // bound rule queries
   xquery::XQueryRuleset xquery_text;         // kXQuery*
   std::vector<xquery::Query> xquery_asts;    // kXQueryNative
-  std::vector<std::string> xtable_sql;       // kXQueryXTable
 };
 
 class PolicyServer {
@@ -169,10 +171,9 @@ class PolicyServer {
     /// the server's MetricsRegistry (lock-free on the hot path; see
     /// RenderMetricsText). Off switches even the clock reads off.
     bool collect_metrics = true;
-    /// Honor the TraceContext* passed to the Match*/CompilePreference
-    /// overloads. Off (the default) makes every instrumentation point a
-    /// no-op — the zero-overhead guarantee — even when a caller supplies a
-    /// context.
+    /// Honor the TraceContext* passed to Match*/CompilePreference. Off (the
+    /// default) makes every instrumentation point a no-op — the
+    /// zero-overhead guarantee — even when a caller supplies a context.
     bool enable_tracing = false;
     /// Memoize full MatchResults in a sharded LRU keyed by (preference
     /// fingerprint, subject, catalog version, engine kind); installs bump
@@ -260,47 +261,43 @@ class PolicyServer {
   /// Compiles an APPEL preference for this server's engine. For the SQL
   /// engines this is the paper's "conversion" step: translation plus
   /// statement preparation; matches then pay execution cost only.
+  ///
+  /// Every `trace` parameter below is honored only when
+  /// Options::enable_tracing is set; a null context is always free. Here it
+  /// gets a `compile-preference` root span with `translate` (one
+  /// `translate-rule` child per rule) and `prepare` children.
   Result<CompiledPreference> CompilePreference(
-      const appel::AppelRuleset& ruleset);
-
-  /// Traced compile: a `compile-preference` root span with `translate`
-  /// (one `translate-rule` child per rule) and `prepare` children. The
-  /// context is honored only when Options::enable_tracing is set.
-  Result<CompiledPreference> CompilePreference(
-      const appel::AppelRuleset& ruleset, obs::TraceContext* trace);
+      const appel::AppelRuleset& ruleset, obs::TraceContext* trace = nullptr);
 
   /// Full pipeline: locate the applicable policy for the URI local path,
-  /// then evaluate the compiled preference against it.
-  Result<MatchResult> MatchUri(const CompiledPreference& pref,
-                               std::string_view local_path);
-
-  /// Traced match: a `match` root span covering `ref-lookup` and the
-  /// engine's evaluation steps — per-rule `rule-query` (with nested
-  /// sql-parse/sql-bind/sql-execute) for the SQL engines, or
-  /// policy-parse/appel-parse plus the engine's category-augmentation and
-  /// connective-eval spans for the native path. Honored only when
-  /// Options::enable_tracing is set; a null context is always free.
+  /// then evaluate the compiled preference against it. The trace gets a
+  /// `match` root span covering `ref-lookup` and the engine's evaluation
+  /// steps — per-rule `rule-query` (with nested sql-parse/sql-bind/
+  /// sql-execute) for the SQL engines, or policy-parse/appel-parse plus the
+  /// engine's category-augmentation and connective-eval spans for the
+  /// native path.
   Result<MatchResult> MatchUri(const CompiledPreference& pref,
                                std::string_view local_path,
-                               obs::TraceContext* trace);
+                               obs::TraceContext* trace = nullptr) {
+    return Match(pref, MatchSubject::kUri, -1, local_path, trace);
+  }
 
   /// Like MatchUri, but resolves the URI of a cookie via the reference
   /// file's COOKIE-INCLUDE/COOKIE-EXCLUDE patterns (§5.5).
   Result<MatchResult> MatchCookie(const CompiledPreference& pref,
-                                  std::string_view cookie_path);
-
-  Result<MatchResult> MatchCookie(const CompiledPreference& pref,
                                   std::string_view cookie_path,
-                                  obs::TraceContext* trace);
+                                  obs::TraceContext* trace = nullptr) {
+    return Match(pref, MatchSubject::kCookie, -1, cookie_path, trace);
+  }
 
   /// Evaluates the compiled preference against one installed policy
   /// (the paper's experiments match each preference against every policy).
-  Result<MatchResult> MatchPolicyId(const CompiledPreference& pref,
-                                    int64_t policy_id);
-
+  /// NotFound when the id was never installed.
   Result<MatchResult> MatchPolicyId(const CompiledPreference& pref,
                                     int64_t policy_id,
-                                    obs::TraceContext* trace);
+                                    obs::TraceContext* trace = nullptr) {
+    return Match(pref, MatchSubject::kPolicyId, policy_id, {}, trace);
+  }
 
   /// Resolves a POLICY-REF `about` URI (by its fragment name) to the
   /// latest installed policy id; nullopt when unknown. Used by the hybrid
@@ -401,6 +398,12 @@ class PolicyServer {
   /// Disk-backed reopen: verifies the recovered tables match this engine
   /// configuration and rebuilds all in-memory state from them.
   Status RestoreFromStorage();
+  /// Runs `install` under the exclusive lock as one durable unit: one WAL
+  /// transaction, committed on every path (there is no rollback, so disk
+  /// keeps whatever memory kept). Under group commit the lock is released
+  /// before the fsync wait. The install's own error wins over a commit
+  /// error.
+  Status InstallDurably(const std::function<Status()>& install);
   Result<int64_t> InstallPolicyLocked(const p3p::Policy& policy);
   Status InstallReferenceFileLocked(const p3p::ReferenceFile& rf);
   bool UsesSqlMatching() const;
@@ -417,17 +420,15 @@ class PolicyServer {
                                              obs::TraceContext* trace);
   Status RecordMatch(const MatchResult& result);
 
-  /// Consults the match cache (when enabled and the preference carries a
-  /// fingerprint). On a hit, performs the per-match bookkeeping a computed
-  /// match would (MatchLog append, span attribute) and returns the result.
-  /// Caller must hold mu_ (shared suffices). `version` is the stamp the
-  /// entry must carry to be served.
-  std::optional<MatchResult> CachedMatch(const MatchCacheKey& key,
-                                         uint64_t version,
-                                         obs::ScopedSpan& match_span);
-  /// Memoizes an ok, fingerprinted result; no-op otherwise.
-  void StoreMatch(const MatchCacheKey& key, uint64_t version,
-                  const Result<MatchResult>& result);
+  /// The one match pipeline behind MatchPolicyId/MatchUri/MatchCookie:
+  /// span, lock (shared, or exclusive under legacy materialization), the
+  /// id existence check, match-cache probe (a hit still appends its
+  /// MatchLog row), reference-file resolution for URI/cookie subjects,
+  /// evaluation, memoization and tally. `policy_id` is read for kPolicyId,
+  /// `path` for kUri/kCookie.
+  Result<MatchResult> Match(const CompiledPreference& pref,
+                            MatchSubject subject, int64_t policy_id,
+                            std::string_view path, obs::TraceContext* trace);
 
   /// The context instrumentation actually sees: null unless
   /// Options::enable_tracing is set (so disabled tracing never reads the

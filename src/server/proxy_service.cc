@@ -129,21 +129,9 @@ Result<MatchResult> ProxyService::Handle(std::string_view user,
 
 Result<MatchResult> ProxyService::HandleRequest(std::string_view user,
                                                 std::string_view host,
-                                                std::string_view path) {
-  return Handle(user, host, path, /*cookie=*/false, nullptr);
-}
-
-Result<MatchResult> ProxyService::HandleRequest(std::string_view user,
-                                                std::string_view host,
                                                 std::string_view path,
                                                 obs::TraceContext* trace) {
   return Handle(user, host, path, /*cookie=*/false, trace);
-}
-
-Result<MatchResult> ProxyService::HandleCookie(std::string_view user,
-                                               std::string_view host,
-                                               std::string_view cookie_path) {
-  return Handle(user, host, cookie_path, /*cookie=*/true, nullptr);
 }
 
 Result<MatchResult> ProxyService::HandleCookie(std::string_view user,

@@ -70,28 +70,20 @@ class ProxyService {
 
   /// Full proxy pipeline for one browsing request: find the site, compile
   /// the user's preference for it (cached), locate the applicable policy
-  /// for the path, evaluate. NotFound for unknown host or user.
-  Result<MatchResult> HandleRequest(std::string_view user,
-                                    std::string_view host,
-                                    std::string_view path);
-
-  /// Traced variant: adds a `proxy-request` root span (user/host/path
-  /// attributes) and forwards the context into the site server's match,
-  /// which honors it only when its Options::enable_tracing is set.
+  /// for the path, evaluate. NotFound for unknown host or user. A non-null
+  /// `trace` gets a `proxy-request` root span (user/host/path attributes)
+  /// and is forwarded into the site server's match, which honors it only
+  /// when its Options::enable_tracing is set.
   Result<MatchResult> HandleRequest(std::string_view user,
                                     std::string_view host,
                                     std::string_view path,
-                                    obs::TraceContext* trace);
+                                    obs::TraceContext* trace = nullptr);
 
   /// Cookie variant of HandleRequest.
   Result<MatchResult> HandleCookie(std::string_view user,
                                    std::string_view host,
-                                   std::string_view cookie_path);
-
-  Result<MatchResult> HandleCookie(std::string_view user,
-                                   std::string_view host,
                                    std::string_view cookie_path,
-                                   obs::TraceContext* trace);
+                                   obs::TraceContext* trace = nullptr);
 
   /// Proxy-level instruments (request counts/latency); each hosted site's
   /// PolicyServer keeps its own registry in addition.

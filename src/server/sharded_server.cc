@@ -200,8 +200,7 @@ Result<int64_t> ShardedPolicyServer::InstallPolicy(const p3p::Policy& policy) {
   }
   P3PDB_ASSIGN_OR_RETURN(int64_t local_id, ApplyAndPublish(shard, policy));
   if (installs_total_ != nullptr) installs_total_->Increment();
-  return local_id * static_cast<int64_t>(shards_.size()) +
-         static_cast<int64_t>(k);
+  return GlobalId(local_id, k);
 }
 
 void ShardedPolicyServer::PublishDirectory(const p3p::ReferenceFile& rf) {
@@ -238,17 +237,8 @@ Result<MatchResult> ShardedPolicyServer::MatchPolicyId(
   }
   const int64_t n = static_cast<int64_t>(shards_.size());
   const size_t k = static_cast<size_t>(global_policy_id % n);
-  const int64_t local_id = global_policy_id / n;
-  Shard& shard = *shards_[k];
-  auto snapshot = shard.published.Load();
-  Result<MatchResult> result = snapshot->server->MatchPolicyId(pref, local_id);
-  if (matches_total_ != nullptr) matches_total_->Increment();
-  if (shard.matches_total != nullptr) shard.matches_total->Increment();
-  if (result.ok() && result.value().policy_id >= 0) {
-    result.value().policy_id =
-        result.value().policy_id * n + static_cast<int64_t>(k);
-  }
-  return result;
+  auto snapshot = shards_[k]->published.Load();
+  return MatchOnShard(pref, k, *snapshot, global_policy_id / n);
 }
 
 Result<MatchResult> ShardedPolicyServer::MatchResolved(
@@ -277,15 +267,26 @@ Result<MatchResult> ShardedPolicyServer::MatchResolved(
     miss.policy_found = false;
     return miss;
   }
-  Shard& shard = *shards_[k];
-  Result<MatchResult> result =
-      snapshot->server->MatchPolicyId(pref, *local_id);
+  return MatchOnShard(pref, k, *snapshot, *local_id);
+}
+
+Result<MatchResult> ShardedPolicyServer::MatchOnShard(
+    const CompiledPreference& pref, size_t k, const ShardSnapshot& snapshot,
+    int64_t local_id) {
+  Result<MatchResult> result = snapshot.server->MatchPolicyId(pref, local_id);
   if (matches_total_ != nullptr) matches_total_->Increment();
-  if (shard.matches_total != nullptr) shard.matches_total->Increment();
-  if (result.ok() && result.value().policy_id >= 0) {
-    result.value().policy_id =
-        result.value().policy_id * static_cast<int64_t>(shards_.size()) +
-        static_cast<int64_t>(k);
+  if (shards_[k]->matches_total != nullptr) {
+    shards_[k]->matches_total->Increment();
+  }
+  if (!result.ok()) {
+    if (result.status().code() != StatusCode::kNotFound) return result;
+    // The replica names its local id; the caller only knows global ones.
+    return Status::NotFound("policy id " +
+                            std::to_string(GlobalId(local_id, k)) +
+                            " not installed");
+  }
+  if (result.value().policy_id >= 0) {
+    result.value().policy_id = GlobalId(result.value().policy_id, k);
   }
   return result;
 }
@@ -306,8 +307,7 @@ std::optional<int64_t> ShardedPolicyServer::FindPolicyIdByAbout(
   auto snapshot = shards_[k]->published.Load();
   std::optional<int64_t> local_id = snapshot->server->FindPolicyIdByAbout(about);
   if (!local_id.has_value()) return std::nullopt;
-  return *local_id * static_cast<int64_t>(shards_.size()) +
-         static_cast<int64_t>(k);
+  return GlobalId(*local_id, k);
 }
 
 size_t ShardedPolicyServer::ShardPolicyCount(size_t shard) const {
@@ -320,7 +320,6 @@ uint64_t ShardedPolicyServer::ShardPublishes(size_t shard) const {
 
 std::vector<int64_t> ShardedPolicyServer::GlobalPolicyIds() const {
   std::vector<int64_t> ids;
-  const int64_t n = static_cast<int64_t>(shards_.size());
   for (size_t k = 0; k < shards_.size(); ++k) {
     Shard& shard = *shards_[k];
     // install_mu keeps installs (which mutate the replica behind the
@@ -328,7 +327,7 @@ std::vector<int64_t> ShardedPolicyServer::GlobalPolicyIds() const {
     std::lock_guard<std::mutex> lock(shard.install_mu);
     auto snapshot = shard.published.Load();
     for (int64_t local_id : snapshot->server->policy_ids()) {
-      ids.push_back(local_id * n + static_cast<int64_t>(k));
+      ids.push_back(GlobalId(local_id, k));
     }
   }
   return ids;

@@ -245,6 +245,18 @@ class ShardedPolicyServer {
   void PublishDirectory(const p3p::ReferenceFile& rf);
   Result<MatchResult> MatchResolved(const CompiledPreference& pref,
                                     std::string_view path, bool for_cookie);
+  /// The tail every tier match shares: evaluates `local_id` on shard `k`'s
+  /// snapshot replica, ticks the tier and shard match counters, and reports
+  /// ids as global ids (the result's, and the one a replica NotFound
+  /// names).
+  Result<MatchResult> MatchOnShard(const CompiledPreference& pref, size_t k,
+                                   const ShardSnapshot& snapshot,
+                                   int64_t local_id);
+  /// Global id of shard `k`'s local id: local_id * shards + k.
+  int64_t GlobalId(int64_t local_id, size_t k) const {
+    return local_id * static_cast<int64_t>(shards_.size()) +
+           static_cast<int64_t>(k);
+  }
 
   Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;

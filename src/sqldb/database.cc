@@ -35,6 +35,16 @@ std::shared_ptr<const SelectStmt> ShareSelect(std::unique_ptr<Statement> stmt,
       std::shared_ptr<Statement>(std::move(stmt)), select);
 }
 
+/// InvalidArgument unless `params` (null = none) holds exactly `expected`
+/// values.
+Status CheckParamCount(size_t expected, const std::vector<Value>* params) {
+  const size_t supplied = params == nullptr ? 0 : params->size();
+  if (supplied == expected) return Status::OK();
+  return Status::InvalidArgument("statement takes " + std::to_string(expected) +
+                                 " parameter(s) but " +
+                                 std::to_string(supplied) + " were supplied");
+}
+
 /// The calling thread's ordinal, taken once from a process-wide counter:
 /// consecutive threads get consecutive stats stripes.
 size_t ThreadOrdinal() {
@@ -160,61 +170,9 @@ void Database::ResetStats() {
   for (StatsStripe& stripe : stripes_) stripe.stats.Reset();
 }
 
-Result<QueryResult> Database::Execute(std::string_view sql) {
-  if (std::shared_ptr<const SelectStmt> plan = LookupCachedPlan(sql)) {
-    return RunBoundSelect(*plan, nullptr, nullptr);
-  }
-  P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt,
-                         ParseStatement(sql));
-  if (stmt->kind == StatementKind::kSelect) {
-    auto* select = static_cast<SelectStmt*>(stmt.get());
-    P3PDB_RETURN_IF_ERROR(BindAndPlan(select, sql));
-    std::shared_ptr<const SelectStmt> plan = ShareSelect(std::move(stmt),
-                                                         select);
-    StoreCachedPlan(sql, plan);
-    return RunBoundSelect(*plan, nullptr, nullptr);
-  }
-  return ExecuteParsed(stmt.get());
-}
-
-Result<QueryResult> Database::Execute(std::string_view sql,
-                                      const std::vector<Value>& params) {
-  if (std::shared_ptr<const SelectStmt> plan = LookupCachedPlan(sql)) {
-    return RunBoundSelect(*plan, &params, nullptr);
-  }
-  P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt,
-                         ParseStatement(sql));
-  if (stmt->kind == StatementKind::kSelect) {
-    auto* select = static_cast<SelectStmt*>(stmt.get());
-    P3PDB_RETURN_IF_ERROR(BindAndPlan(select, sql));
-    std::shared_ptr<const SelectStmt> plan = ShareSelect(std::move(stmt),
-                                                         select);
-    StoreCachedPlan(sql, plan);
-    return RunBoundSelect(*plan, &params, nullptr);
-  }
-  if (stmt->kind != StatementKind::kExplain) {
-    return Status::Unsupported(
-        "bind parameters are only supported for SELECT statements");
-  }
-  return ExecuteParsed(stmt.get(), &params);
-}
-
-Result<QueryResult> Database::Execute(std::string_view sql,
-                                      obs::TraceContext* trace) {
-  if (trace == nullptr) return Execute(sql);
-  return ExecuteTraced(sql, nullptr, trace);
-}
-
-Result<QueryResult> Database::Execute(std::string_view sql,
-                                      const std::vector<Value>& params,
-                                      obs::TraceContext* trace) {
-  if (trace == nullptr) return Execute(sql, params);
-  return ExecuteTraced(sql, &params, trace);
-}
-
-Result<QueryResult> Database::ExecuteTraced(std::string_view sql,
-                                            const std::vector<Value>* params,
-                                            obs::TraceContext* trace) {
+Result<QueryResult> Database::ExecuteSql(std::string_view sql,
+                                         const std::vector<Value>* params,
+                                         obs::TraceContext* trace) {
   // A plan-cache hit skips the parse and bind spans entirely — that absence
   // in the trace *is* the signal that the cached path ran.
   if (std::shared_ptr<const SelectStmt> plan = LookupCachedPlan(sql)) {
@@ -237,12 +195,7 @@ Result<QueryResult> Database::ExecuteTraced(std::string_view sql,
     return ExecuteParsed(stmt, params);
   }
   auto* select = static_cast<SelectStmt*>(stmt);
-  const size_t supplied = params == nullptr ? 0 : params->size();
-  if (supplied != select->param_count) {
-    return Status::InvalidArgument(
-        "statement takes " + std::to_string(select->param_count) +
-        " parameter(s) but " + std::to_string(supplied) + " were supplied");
-  }
+  P3PDB_RETURN_IF_ERROR(CheckParamCount(select->param_count, params));
   {
     obs::ScopedSpan bind_span(trace, "sql-bind");
     P3PDB_RETURN_IF_ERROR(BindAndPlan(select, sql));
@@ -281,12 +234,7 @@ Status Database::BindAndPlan(SelectStmt* select, std::string_view sql) {
 Result<QueryResult> Database::RunBoundSelect(const SelectStmt& select,
                                              const std::vector<Value>* params,
                                              obs::TraceContext* trace) {
-  const size_t supplied = params == nullptr ? 0 : params->size();
-  if (supplied != select.param_count) {
-    return Status::InvalidArgument(
-        "statement takes " + std::to_string(select.param_count) +
-        " parameter(s) but " + std::to_string(supplied) + " were supplied");
-  }
+  P3PDB_RETURN_IF_ERROR(CheckParamCount(select.param_count, params));
   obs::ScopedSpan exec_span(trace, "sql-execute");
   // Telemetry costs one branch when off; when on, a stopwatch read plus a
   // handful of relaxed fetch_adds on the interned entry.
@@ -422,16 +370,6 @@ Result<PreparedStatement> Database::Prepare(std::string_view sql) {
   return prepared;
 }
 
-Result<QueryResult> PreparedStatement::Execute() const {
-  static const std::vector<Value> kNoParams;
-  return Execute(kNoParams);
-}
-
-Result<QueryResult> PreparedStatement::Execute(
-    const std::vector<Value>& params) const {
-  return Execute(params, nullptr);
-}
-
 Result<QueryResult> PreparedStatement::Execute(
     const std::vector<Value>& params, obs::TraceContext* trace) const {
   if (stmt_ == nullptr) {
@@ -468,13 +406,7 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
   switch (stmt->kind) {
     case StatementKind::kSelect: {
       auto* select = static_cast<SelectStmt*>(stmt);
-      const size_t supplied = params == nullptr ? 0 : params->size();
-      if (supplied != select->param_count) {
-        return Status::InvalidArgument(
-            "statement takes " + std::to_string(select->param_count) +
-            " parameter(s) but " + std::to_string(supplied) +
-            " were supplied");
-      }
+      P3PDB_RETURN_IF_ERROR(CheckParamCount(select->param_count, params));
       P3PDB_RETURN_IF_ERROR(BindAndPlan(select));
       ExecStats local;
       Executor executor(&local, params, nullptr,
@@ -538,15 +470,10 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
     case StatementKind::kExplain: {
       auto* explain = static_cast<ExplainStmt*>(stmt);
       SelectStmt* select = explain->select.get();
-      const size_t supplied = params == nullptr ? 0 : params->size();
       // Plain EXPLAIN renders a parameterized plan without values (the
       // placeholders stay `?`); ANALYZE executes, so values are mandatory.
-      if (supplied != select->param_count &&
-          (explain->analyze || supplied != 0)) {
-        return Status::InvalidArgument(
-            "statement takes " + std::to_string(select->param_count) +
-            " parameter(s) but " + std::to_string(supplied) +
-            " were supplied");
+      if (explain->analyze || (params != nullptr && !params->empty())) {
+        P3PDB_RETURN_IF_ERROR(CheckParamCount(select->param_count, params));
       }
       P3PDB_RETURN_IF_ERROR(BindAndPlan(select));
       ExplainOptions explain_options;

@@ -66,19 +66,13 @@ class PreparedStatement {
  public:
   PreparedStatement() = default;
 
-  /// Runs the statement against the database it was prepared on. The
-  /// catalog must still contain the bound tables. Fails if the statement
-  /// contains `?` placeholders (their values would be unbound).
-  Result<QueryResult> Execute() const;
-
-  /// Runs the statement with one value per `?` placeholder, in order.
-  /// `params.size()` must equal param_count().
-  Result<QueryResult> Execute(const std::vector<Value>& params) const;
-
-  /// As above, recording an `sql-execute` trace span (row and access-path
-  /// counters attached). A null `trace` is a plain Execute.
-  Result<QueryResult> Execute(const std::vector<Value>& params,
-                              obs::TraceContext* trace) const;
+  /// Runs the statement against the database it was prepared on, with one
+  /// value per `?` placeholder, in order (`params.size()` must equal
+  /// param_count()). The catalog must still contain the bound tables. A
+  /// non-null `trace` records an `sql-execute` span (row and access-path
+  /// counters attached).
+  Result<QueryResult> Execute(const std::vector<Value>& params = {},
+                              obs::TraceContext* trace = nullptr) const;
 
   bool valid() const { return stmt_ != nullptr; }
   /// The SQL text the statement was prepared from.
@@ -222,20 +216,21 @@ class Database : public CatalogView {
   Status Checkpoint();
 
   /// Parses and executes one SQL statement. Statements containing `?`
-  /// placeholders are rejected (use the parameterized overload).
-  Result<QueryResult> Execute(std::string_view sql);
+  /// placeholders are rejected (use the parameterized overload). A non-null
+  /// `trace` records `sql-parse` / `sql-bind` / `sql-execute` spans; it
+  /// changes nothing else.
+  Result<QueryResult> Execute(std::string_view sql,
+                              obs::TraceContext* trace = nullptr) {
+    return ExecuteSql(sql, nullptr, trace);
+  }
 
   /// Parses and executes one SELECT (or EXPLAIN [ANALYZE]) with one value
   /// per `?` placeholder.
   Result<QueryResult> Execute(std::string_view sql,
-                              const std::vector<Value>& params);
-
-  /// Traced variants: record `sql-parse` / `sql-bind` / `sql-execute`
-  /// spans into `trace` (null = untraced, identical to the above).
-  Result<QueryResult> Execute(std::string_view sql, obs::TraceContext* trace);
-  Result<QueryResult> Execute(std::string_view sql,
                               const std::vector<Value>& params,
-                              obs::TraceContext* trace);
+                              obs::TraceContext* trace = nullptr) {
+    return ExecuteSql(sql, &params, trace);
+  }
 
   /// Parses and binds a SELECT once for repeated execution.
   Result<PreparedStatement> Prepare(std::string_view sql);
@@ -297,9 +292,12 @@ class Database : public CatalogView {
 
   Result<QueryResult> ExecuteParsed(Statement* stmt,
                                     const std::vector<Value>* params = nullptr);
-  Result<QueryResult> ExecuteTraced(std::string_view sql,
-                                    const std::vector<Value>* params,
-                                    obs::TraceContext* trace);
+  /// The one text-execution path: plan-cache lookup, then parse, the
+  /// parameter-count check, bind/plan, cache store and run. `params` is
+  /// null when the caller supplied none.
+  Result<QueryResult> ExecuteSql(std::string_view sql,
+                                 const std::vector<Value>* params,
+                                 obs::TraceContext* trace);
 
   /// Binds (and, when enabled, plans) a freshly parsed SELECT, counting the
   /// work in the stats aggregate. With statement stats on and a non-empty

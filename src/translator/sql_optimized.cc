@@ -365,11 +365,6 @@ Result<std::string> OptimizedSqlTranslator::TranslateRule(
 }
 
 Result<SqlRuleset> OptimizedSqlTranslator::TranslateRuleset(
-    const AppelRuleset& rs) const {
-  return TranslateRuleset(rs, nullptr);
-}
-
-Result<SqlRuleset> OptimizedSqlTranslator::TranslateRuleset(
     const AppelRuleset& rs, obs::TraceContext* trace) const {
   SqlRuleset out;
   for (const AppelRule& rule : rs.rules) {

@@ -38,12 +38,11 @@ class OptimizedSqlTranslator {
   /// the ApplicablePolicy anchor row).
   Result<std::string> TranslateRule(const appel::AppelRule& rule) const;
 
-  Result<SqlRuleset> TranslateRuleset(const appel::AppelRuleset& rs) const;
-
-  /// Traced variant: one `translate-rule` span per rule (behavior
-  /// attribute; generated-SQL size and placeholder count as counters).
+  /// Translates every rule of the preference. A non-null `trace` records
+  /// one `translate-rule` span per rule (behavior attribute; generated-SQL
+  /// size and placeholder count as counters).
   Result<SqlRuleset> TranslateRuleset(const appel::AppelRuleset& rs,
-                                      obs::TraceContext* trace) const;
+                                      obs::TraceContext* trace = nullptr) const;
 
  private:
   bool parameterized_;

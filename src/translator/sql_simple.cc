@@ -152,11 +152,6 @@ Result<std::string> SimpleSqlTranslator::TranslateRule(
 }
 
 Result<SqlRuleset> SimpleSqlTranslator::TranslateRuleset(
-    const AppelRuleset& rs) const {
-  return TranslateRuleset(rs, nullptr);
-}
-
-Result<SqlRuleset> SimpleSqlTranslator::TranslateRuleset(
     const AppelRuleset& rs, obs::TraceContext* trace) const {
   SqlRuleset out;
   for (const AppelRule& rule : rs.rules) {

@@ -156,6 +156,34 @@ TEST(AdminHttpTest, StatementsRouteOrdersAndHonorsTop) {
   EXPECT_EQ(entries, 1u);
 }
 
+TEST(AdminHttpTest, StatementsTopOverflowFallsBackToDefault) {
+  auto server = MakeAdminServer();
+  // 25 distinct statement shapes: more than the default top of 20, so the
+  // fallback and "all" (top=0) are told apart.
+  std::string select = "SELECT 1";
+  for (int width = 1; width <= 25; ++width) {
+    ASSERT_TRUE(
+        server->database()->Execute(select + " FROM PolicyCatalog").ok());
+    select += ", 1";
+  }
+  auto entries = [&](const std::string& target) {
+    const std::string body = Body(HttpGet(server->admin_port(), target));
+    size_t count = 0;
+    for (size_t pos = 0;
+         (pos = body.find("\"fingerprint\"", pos)) != std::string::npos;
+         ++pos) {
+      ++count;
+    }
+    return count;
+  };
+  EXPECT_GE(entries("/statements?top=0"), 25u);
+  EXPECT_EQ(entries("/statements"), 20u);
+  // 2^64 does not fit a size_t: malformed, not wrapped to 0 ("all").
+  EXPECT_EQ(entries("/statements?top=18446744073709551616"), 20u);
+  EXPECT_EQ(entries("/statements?top=99999999999999999999999"), 20u);
+  EXPECT_GE(entries("/statements?top=18446744073709551615"), 25u);
+}
+
 TEST(AdminHttpTest, SlowRouteServesCapturedPlans) {
   auto server = MakeAdminServer(/*slow_threshold_us=*/1);
   WarmUp(server.get(), /*matches=*/2);

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "obs/trace.h"
 #include "server/policy_server.h"
@@ -240,6 +242,142 @@ TEST(ObservabilityTest, ProxyCountsRequestsAndForwardsTrace) {
   EXPECT_EQ(snap.counters.at("proxy_requests_total"), 2u);
   EXPECT_EQ(snap.counters.at("proxy_request_errors_total"), 1u);
   EXPECT_EQ(snap.histograms.at("proxy_request_duration_us").count, 2u);
+}
+
+// The per-subject match contract every Match* entry point keeps: one root
+// `match` span carrying the subject attribute and (on a cached server) the
+// cache outcome, one tally per match routed into the hit/miss histograms,
+// one MatchLog row per match with cache hits included, and NotFound for an
+// id that was never installed.
+enum class Subject { kPolicyId, kUri, kCookie };
+
+constexpr const char* kContractPath = "/catalog/specials";
+
+std::optional<std::string> SpanAttr(const TraceSpan& span,
+                                    std::string_view key) {
+  for (const auto& [name, value] : span.attributes) {
+    if (name == key) return value;
+  }
+  return std::nullopt;
+}
+
+Result<MatchResult> MatchSubjectOnce(PolicyServer* server,
+                                     const CompiledPreference& pref,
+                                     Subject subject, int64_t policy_id,
+                                     TraceContext* trace) {
+  switch (subject) {
+    case Subject::kPolicyId:
+      return server->MatchPolicyId(pref, policy_id, trace);
+    case Subject::kUri:
+      return server->MatchUri(pref, kContractPath, trace);
+    case Subject::kCookie:
+      return server->MatchCookie(pref, kContractPath, trace);
+  }
+  return Status::Internal("unreachable");
+}
+
+void CheckMatchContract(EngineKind engine, bool enable_match_cache) {
+  for (Subject subject : {Subject::kPolicyId, Subject::kUri, Subject::kCookie}) {
+    SCOPED_TRACE(::testing::Message()
+                 << EngineKindName(engine) << " cache=" << enable_match_cache
+                 << " subject=" << static_cast<int>(subject));
+    PolicyServer::Options options;
+    options.engine = engine;
+    options.enable_tracing = true;
+    options.record_matches = true;
+    options.enable_match_cache = enable_match_cache;
+    auto server = PolicyServer::Create(options);
+    ASSERT_TRUE(server.ok()) << server.status();
+    auto policy_id = server.value()->InstallPolicy(workload::VolgaPolicy());
+    ASSERT_TRUE(policy_id.ok()) << policy_id.status();
+    ASSERT_TRUE(server.value()
+                    ->InstallReferenceFile(workload::VolgaReferenceFile())
+                    .ok());
+    auto pref = server.value()->CompilePreference(workload::JanePreference());
+    ASSERT_TRUE(pref.ok()) << pref.status();
+    const bool cached = server.value()->match_cache() != nullptr;
+    EXPECT_EQ(cached, enable_match_cache && engine != EngineKind::kXQueryXTable);
+
+    constexpr int kMatches = 3;
+    std::string first_behavior;
+    for (int i = 0; i < kMatches; ++i) {
+      TraceContext trace;
+      auto result = MatchSubjectOnce(server.value().get(), pref.value(),
+                                     subject, policy_id.value(), &trace);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_TRUE(result.value().policy_found);
+      EXPECT_EQ(result.value().policy_id, policy_id.value());
+      if (i == 0) first_behavior = result.value().behavior;
+      EXPECT_EQ(result.value().behavior, first_behavior);
+
+      const TraceSpan* root = trace.root();
+      ASSERT_NE(root, nullptr);
+      EXPECT_EQ(root->name, "match");
+      EXPECT_EQ(SpanAttr(*root, "engine"),
+                std::optional<std::string>(EngineKindName(engine)));
+      EXPECT_EQ(SpanAttr(*root, "uri"),
+                subject == Subject::kUri
+                    ? std::optional<std::string>(kContractPath)
+                    : std::nullopt)
+          << trace.RenderText();
+      EXPECT_EQ(SpanAttr(*root, "cookie"),
+                subject == Subject::kCookie
+                    ? std::optional<std::string>(kContractPath)
+                    : std::nullopt)
+          << trace.RenderText();
+      const bool hit = cached && i > 0;
+      EXPECT_EQ(SpanAttr(*root, "cache"),
+                cached ? std::optional<std::string>(hit ? "hit" : "miss")
+                       : std::nullopt)
+          << trace.RenderText();
+      EXPECT_EQ(SpanAttr(*root, "behavior"),
+                std::optional<std::string>(first_behavior));
+      // Only a computed URI/cookie match resolves the reference file.
+      EXPECT_EQ(root->FindChild("ref-lookup") != nullptr,
+                subject != Subject::kPolicyId && !hit)
+          << trace.RenderText();
+      EXPECT_NE(root->FindChild("record-match"), nullptr)
+          << trace.RenderText();
+    }
+
+    obs::MetricsSnapshot snap = server.value()->MetricsSnapshot();
+    EXPECT_EQ(snap.counters.at("p3p_matches_total"),
+              static_cast<uint64_t>(kMatches));
+    EXPECT_EQ(snap.counters.at("p3p_match_errors_total"), 0u);
+    EXPECT_EQ(snap.histograms.at("p3p_match_duration_us").count,
+              static_cast<uint64_t>(kMatches));
+    EXPECT_EQ(snap.histograms.at("p3p_match_cache_hit_duration_us").count,
+              cached ? static_cast<uint64_t>(kMatches - 1) : 0u);
+    EXPECT_EQ(snap.histograms.at("p3p_match_cache_miss_duration_us").count,
+              cached ? 1u : 0u);
+
+    // One MatchLog row per match, cache hits included.
+    auto report = server.value()->ConflictReport();
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_EQ(report.value().rows.size(), 1u);
+    EXPECT_EQ(report.value().rows[0][0].AsInteger(), policy_id.value());
+    EXPECT_EQ(report.value().rows[0][1].AsText(), first_behavior);
+    EXPECT_EQ(report.value().rows[0][2].AsInteger(), kMatches);
+
+    auto unknown = server.value()->MatchPolicyId(pref.value(), 999);
+    ASSERT_FALSE(unknown.ok());
+    EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound)
+        << unknown.status();
+  }
+}
+
+TEST(ObservabilityTest, MatchContractPerSubjectOnCachedSqlServer) {
+  CheckMatchContract(EngineKind::kSql, /*enable_match_cache=*/true);
+}
+
+TEST(ObservabilityTest, MatchContractPerSubjectOnUncachedSqlServer) {
+  CheckMatchContract(EngineKind::kSql, /*enable_match_cache=*/false);
+}
+
+TEST(ObservabilityTest, MatchContractPerSubjectOnXTableServer) {
+  // Uncached and exclusive: XTABLE's SQL joins the materialized
+  // ApplicablePolicy row, so every match is a writer.
+  CheckMatchContract(EngineKind::kXQueryXTable, /*enable_match_cache=*/true);
 }
 
 }  // namespace

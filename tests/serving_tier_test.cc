@@ -156,6 +156,29 @@ TEST(ServingTierTest, MatchUriResolvesAcrossShards) {
   EXPECT_EQ(miss.value().behavior, kNoPolicyBehavior);
 }
 
+// An unknown global id is reported as the caller named it, not as the
+// shard-local id it decodes to (global 13 on 4 shards is local 3 on shard 1).
+TEST(ServingTierTest, UnknownGlobalIdIsReportedAsGlobal) {
+  auto tier = ShardedPolicyServer::Create(TierOptions(4));
+  ASSERT_TRUE(tier.ok());
+  auto pref =
+      tier.value()->CompilePreference(JrcPreference(PreferenceLevel::kHigh));
+  ASSERT_TRUE(pref.ok());
+  auto expect_not_found = [&](int64_t global_id) {
+    auto result = tier.value()->MatchPolicyId(pref.value(), global_id);
+    ASSERT_FALSE(result.ok()) << global_id;
+    EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(result.status().message(),
+              "policy id " + std::to_string(global_id) + " not installed");
+  };
+  expect_not_found(13);
+  for (const p3p::Policy& policy :
+       workload::FortuneCorpus({.seed = 5, .policy_count = 3})) {
+    ASSERT_TRUE(tier.value()->InstallPolicy(policy).ok());
+  }
+  expect_not_found(4001);
+}
+
 TEST(ServingTierTest, HealthzAndMetricsExposeShards) {
   const std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
   auto tier = ShardedPolicyServer::Create(TierOptions(2));

@@ -1,33 +1,42 @@
 // Bind-parameter (`?`) support: parse/bind/execute plumbing, unbound and
-// miscounted rejection, index use, and prepared re-execution.
+// miscounted rejection, index use, prepared re-execution, and agreement
+// between traced and untraced execution.
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "obs/trace.h"
 
 #include "sqldb/database.h"
 
 namespace p3pdb::sqldb {
 namespace {
 
+void InstallAlbums(Database* db) {
+  ASSERT_TRUE(db->ExecuteScript(R"sql(
+    CREATE TABLE Album (
+      album_id INTEGER NOT NULL,
+      artist VARCHAR(64) NOT NULL,
+      year INTEGER,
+      PRIMARY KEY (album_id)
+    );
+  )sql")
+                  .ok());
+  for (int i = 1; i <= 40; ++i) {
+    ASSERT_TRUE(db->InsertRow("Album",
+                              {Value::Integer(i),
+                               Value::Text("artist-" + std::to_string(i % 4)),
+                               Value::Integer(1960 + i)})
+                    .ok());
+  }
+}
+
 class SqldbParamsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ASSERT_TRUE(db_.ExecuteScript(R"sql(
-      CREATE TABLE Album (
-        album_id INTEGER NOT NULL,
-        artist VARCHAR(64) NOT NULL,
-        year INTEGER,
-        PRIMARY KEY (album_id)
-      );
-    )sql")
-                    .ok());
-    for (int i = 1; i <= 40; ++i) {
-      ASSERT_TRUE(db_.InsertRow("Album",
-                                {Value::Integer(i),
-                                 Value::Text("artist-" + std::to_string(i % 4)),
-                                 Value::Integer(1960 + i)})
-                      .ok());
-    }
-  }
+  void SetUp() override { InstallAlbums(&db_); }
 
   Database db_;
 };
@@ -117,6 +126,66 @@ TEST_F(SqldbParamsTest, ParamInSubqueryCountsOnRootStatement) {
   ASSERT_TRUE(rows.ok()) << rows.status();
   ASSERT_EQ(rows.value().rows.size(), 1u);
   EXPECT_EQ(rows.value().rows[0][0].AsInteger(), 10);
+}
+
+// A trace only records spans: for the same statement sequence, traced and
+// untraced execution return the same rows and status and move every
+// executor counter by the same amount.
+TEST(SqldbTracedExecuteTest, TracedAndUntracedExecutionAgree) {
+  struct Step {
+    std::string sql;
+    std::optional<std::vector<Value>> params;
+  };
+  const std::vector<Step> steps = {
+      {"SELECT artist FROM Album WHERE album_id = ?", {{Value::Integer(7)}}},
+      // Plan-cache hit.
+      {"SELECT artist FROM Album WHERE album_id = ?", {{Value::Integer(8)}}},
+      {"UPDATE Album SET year = 2000 WHERE album_id = 3", std::nullopt},
+      {"DELETE FROM Album WHERE album_id = 40", std::nullopt},
+      {"EXPLAIN SELECT year FROM Album WHERE album_id = ?",
+       {{Value::Integer(21)}}},
+      // Wrong parameter count: rejected before binding, so nothing is
+      // planned or cached.
+      {"SELECT * FROM Album WHERE album_id = ? AND year = ?",
+       {{Value::Integer(1)}}},
+      {"SELECT year FROM Album WHERE artist = ?", std::nullopt},
+      {"SELECT * FROM Album WHERE album_id = ? AND year = ?",
+       {{Value::Integer(1), Value::Integer(1961)}}},
+      {"DELETE FROM Album WHERE album_id = ?", {{Value::Integer(1)}}},
+      {"SELECT COUNT(*) FROM Album", std::nullopt},
+  };
+
+  Database plain;
+  Database traced;
+  InstallAlbums(&plain);
+  InstallAlbums(&traced);
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.sql);
+    const ExecStats plain_before = plain.stats();
+    const ExecStats traced_before = traced.stats();
+    obs::TraceContext trace;
+    Result<QueryResult> untraced_result =
+        step.params ? plain.Execute(step.sql, *step.params)
+                    : plain.Execute(step.sql);
+    Result<QueryResult> traced_result =
+        step.params ? traced.Execute(step.sql, *step.params, &trace)
+                    : traced.Execute(step.sql, &trace);
+    const ExecStats plain_after = plain.stats();
+    const ExecStats traced_after = traced.stats();
+
+    ASSERT_EQ(untraced_result.status(), traced_result.status());
+    EXPECT_NE(trace.root(), nullptr);
+    if (untraced_result.ok()) {
+      EXPECT_EQ(untraced_result.value().rows, traced_result.value().rows);
+      EXPECT_EQ(untraced_result.value().rows_affected,
+                traced_result.value().rows_affected);
+    }
+    for (const ExecStatsField& field : kExecStatsFields) {
+      EXPECT_EQ(plain_after.*field.member - plain_before.*field.member,
+                traced_after.*field.member - traced_before.*field.member)
+          << field.name;
+    }
+  }
 }
 
 }  // namespace
