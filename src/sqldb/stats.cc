@@ -33,10 +33,18 @@ void HllSketch::Insert(const Value& v) {
   const uint8_t rank =
       rest == 0 ? static_cast<uint8_t>(64 - kPrecision + 1)
                 : static_cast<uint8_t>(__builtin_clzll(rest) + 1);
-  registers_[bucket] = std::max(registers_[bucket], rank);
+  if (rank > registers_[bucket]) {
+    registers_[bucket] = rank;
+    estimate_.reset();
+  }
 }
 
-double HllSketch::Estimate() const {
+double HllSketch::Estimate() {
+  if (!estimate_.has_value()) estimate_ = ComputeEstimate();
+  return *estimate_;
+}
+
+double HllSketch::ComputeEstimate() const {
   const double m = static_cast<double>(kRegisters);
   double sum = 0.0;
   size_t zeros = 0;
@@ -208,7 +216,7 @@ std::optional<TableStatsSnapshot> StatsCatalog::Snapshot(
   TableStatsSnapshot snap;
   snap.row_count = entry->row_count;
   snap.columns.reserve(entry->columns.size());
-  for (const ColumnEntry& col : entry->columns) {
+  for (ColumnEntry& col : entry->columns) {
     ColumnStatsSnapshot cs;
     cs.ndv = col.sketch.Estimate();
     cs.null_count = col.null_count;

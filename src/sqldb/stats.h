@@ -29,7 +29,11 @@
 // Thread-safety: mutations run under the server's exclusive install lock;
 // reads (planning, snapshots) run under its shared lock and may be
 // concurrent with each other. Each table's stats carry their own mutex so
-// a lazy rebuild triggered by one reader is invisible to the rest.
+// a lazy rebuild triggered by one reader is invisible to the rest. That
+// mutex (TableEntry::mu) also guards the sketches' memoized estimates:
+// HllSketch::Estimate() caches its result, only Insert and Reset
+// invalidate the cache, and every catalog call into a sketch holds the
+// owning entry's mutex.
 
 #ifndef P3PDB_SQLDB_STATS_H_
 #define P3PDB_SQLDB_STATS_H_
@@ -53,6 +57,12 @@ namespace p3pdb::sqldb {
 /// column. Values are hashed through Value::Hash() and finalized with a
 /// SplitMix64 mix — the raw integer hash is close to identity, which would
 /// starve the leading-zero estimator.
+///
+/// Estimate() is memoized: the planner reads a column's NDV many times per
+/// cold plan, and a fresh estimate walks all 512 registers. Only Insert
+/// (when a register rises) and Reset invalidate the memo, so it always
+/// equals a fresh recompute bit for bit. Callers serialize on the owning
+/// StatsCatalog::TableEntry::mu, as every catalog caller does.
 class HllSketch {
  public:
   static constexpr int kPrecision = 9;
@@ -61,14 +71,21 @@ class HllSketch {
   void Insert(const Value& v);
   /// Cardinality estimate with linear-counting correction for the small
   /// range (the classic HLL bias region).
-  double Estimate() const;
-  void Reset() { registers_.assign(kRegisters, 0); }
+  double Estimate();
+  void Reset() {
+    registers_.assign(kRegisters, 0);
+    estimate_.reset();
+  }
   bool operator==(const HllSketch& other) const {
     return registers_ == other.registers_;
   }
 
  private:
+  double ComputeEstimate() const;
+
   std::vector<uint8_t> registers_ = std::vector<uint8_t>(kRegisters, 0);
+  /// Estimate of the current registers; empty once a register changed.
+  std::optional<double> estimate_;
 };
 
 /// Point-in-time view of one column's statistics (tests, admin endpoint).

@@ -3,8 +3,10 @@
 // carries. Exact quantities (row count, null count, min/max) must be exact
 // through arbitrary seeded insert/delete churn; the HLL distinct-count
 // estimate must stay inside its sketch error bounds on both skewed
-// (Zipfian) and near-unique data; and a disk-backed database must come back
-// from a reopen with the same statistics it closed with.
+// (Zipfian) and near-unique data; a disk-backed database must come back
+// from a reopen with the same statistics it closed with; and the memoized
+// NDV estimate must equal a fresh recompute bit for bit after every kind of
+// maintenance, so the memo can never change a plan.
 
 #include <gtest/gtest.h>
 
@@ -229,6 +231,137 @@ TEST(StatsAccuracyTest, StatsSurviveDiskBackedReopen) {
       EXPECT_EQ(Value::OrderCompare(*a.max, *b.max), 0) << "column " << c;
     }
   }
+  std::filesystem::remove_all(dir);
+}
+
+/// Reads every column's NDV through both catalog entry points (which serve
+/// the memoized estimate) and requires each to equal, with exact double
+/// equality, the estimate of a second catalog that analyzes `t` from
+/// scratch. Call it only when the tracked sketch should reflect the live
+/// rows (after a rebuild, or after inserts alone).
+void ExpectNdvMatchesFreshRecompute(const Database& db, const Table* t) {
+  StatsCatalog fresh;
+  fresh.Register(t);
+  const size_t columns = t->schema().ColumnCount();
+  for (size_t c = 0; c < columns; ++c) {
+    EXPECT_EQ(db.stats_catalog().EstimatedNdv(t, c), fresh.EstimatedNdv(t, c))
+        << "column " << c;
+  }
+  auto snap = db.stats_catalog().Snapshot(t);
+  ASSERT_TRUE(snap.has_value());
+  ASSERT_EQ(snap->columns.size(), columns);
+  for (size_t c = 0; c < columns; ++c) {
+    EXPECT_EQ(snap->columns[c].ndv, fresh.EstimatedNdv(t, c))
+        << "column " << c;
+  }
+}
+
+/// Reads every column's estimate so the memo is filled before the next
+/// mutation; a mutation that failed to invalidate it then shows up as a
+/// stale value in ExpectNdvMatchesFreshRecompute.
+void PrimeMemo(const Database& db, const Table* t) {
+  for (size_t c = 0; c < t->schema().ColumnCount(); ++c) {
+    db.stats_catalog().EstimatedNdv(t, c);
+  }
+}
+
+TEST(StatsAccuracyTest, MemoizedNdvEqualsFreshRecompute) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER, s TEXT);").ok());
+  const Table* t = db.LookupTable("t");
+  ASSERT_NE(t, nullptr);
+  const StatsCatalog& stats = db.stats_catalog();
+  ExpectNdvMatchesFreshRecompute(db, t);
+
+  // Distinct inserts: each batch raises registers, so each must invalidate.
+  for (int batch = 0; batch < 5; ++batch) {
+    PrimeMemo(db, t);
+    for (int i = batch * 100; i < (batch + 1) * 100; ++i) {
+      ASSERT_TRUE(db.InsertRow("t", {Value::Integer(i),
+                                     Value::Text("k" + std::to_string(i))})
+                      .ok());
+    }
+    ExpectNdvMatchesFreshRecompute(db, t);
+  }
+
+  // A duplicate insert raises no register: the value stays bit-identical.
+  const double a_before = stats.EstimatedNdv(t, 0);
+  const double s_before = stats.EstimatedNdv(t, 1);
+  ASSERT_TRUE(db.InsertRow("t", {Value::Integer(5), Value::Text("k5")}).ok());
+  EXPECT_EQ(stats.EstimatedNdv(t, 0), a_before);
+  EXPECT_EQ(stats.EstimatedNdv(t, 1), s_before);
+  ExpectNdvMatchesFreshRecompute(db, t);
+
+  // Deletes past StaleDeleteThreshold (live/4) mark the sketch stale; the
+  // next read rebuilds it from the live rows. The extrema (0 and 499)
+  // survive, so only the NDV path triggers the rebuild.
+  PrimeMemo(db, t);
+  uint64_t rebuilds = stats.counters().rebuilds;
+  ASSERT_TRUE(db.Execute("DELETE FROM t WHERE a >= 100 AND a < 400").ok());
+  ExpectNdvMatchesFreshRecompute(db, t);
+  EXPECT_GT(stats.counters().rebuilds, rebuilds);
+
+  // Deleting the tracked maximum leaves min/max stale; MinMax rescans with
+  // a full rebuild, which must reset the memo along with the registers.
+  PrimeMemo(db, t);
+  rebuilds = stats.counters().rebuilds;
+  ASSERT_TRUE(db.Execute("DELETE FROM t WHERE a = 499").ok());
+  auto span = stats.MinMax(t, 0);
+  ASSERT_TRUE(span.has_value());
+  EXPECT_EQ(span->second.AsInteger(), 498);
+  EXPECT_GT(stats.counters().rebuilds, rebuilds);
+  ExpectNdvMatchesFreshRecompute(db, t);
+
+  // Analyze: a delete below both thresholds leaves the deleted values in
+  // the sketch until the explicit recompute.
+  ASSERT_TRUE(db.InsertRow("t", {Value::Integer(1000),
+                                 Value::Text("k1000")})
+                  .ok());
+  ASSERT_TRUE(db.Execute("DELETE FROM t WHERE a = 50").ok());
+  PrimeMemo(db, t);
+  db.mutable_stats_catalog().Analyze(t);
+  ExpectNdvMatchesFreshRecompute(db, t);
+
+  // Deleting every row: the rebuild re-inserts nothing, so only Reset can
+  // clear the memo, and the estimate must fall to the empty sketch's.
+  PrimeMemo(db, t);
+  ASSERT_TRUE(db.Execute("DELETE FROM t").ok());
+  ExpectNdvMatchesFreshRecompute(db, t);
+  EXPECT_EQ(stats.EstimatedNdv(t, 0), 0.0);
+}
+
+TEST(StatsAccuracyTest, MemoizedNdvEqualsFreshRecomputeAfterReopen) {
+  const std::string dir = "stats_memo_reopen.tmp";
+  std::filesystem::remove_all(dir);
+  {
+    Database db(Database::Options{.storage_path = dir});
+    ASSERT_TRUE(db.storage_status().ok());
+    ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER, s TEXT);").ok());
+    for (int i = 0; i < 800; ++i) {
+      ASSERT_TRUE(db.InsertRow("t", {Value::Integer(i % 300),
+                                     Value::Text("k" + std::to_string(i))})
+                      .ok());
+    }
+    ASSERT_TRUE(db.Execute("DELETE FROM t WHERE a < 40").ok());
+    const Table* t = db.LookupTable("t");
+    ASSERT_NE(t, nullptr);
+    PrimeMemo(db, t);
+  }  // destructor checkpoints
+
+  // Reopening replays the rows and calls AnalyzeAll, which resets every
+  // sketch; inserts after that must invalidate the rebuilt memo again.
+  Database reopened(Database::Options{.storage_path = dir});
+  ASSERT_TRUE(reopened.storage_status().ok());
+  const Table* t = reopened.LookupTable("t");
+  ASSERT_NE(t, nullptr);
+  ExpectNdvMatchesFreshRecompute(reopened, t);
+  PrimeMemo(reopened, t);
+  for (int i = 1000; i < 1100; ++i) {
+    ASSERT_TRUE(reopened.InsertRow("t", {Value::Integer(i),
+                                         Value::Text("k" + std::to_string(i))})
+                    .ok());
+  }
+  ExpectNdvMatchesFreshRecompute(reopened, t);
   std::filesystem::remove_all(dir);
 }
 
