@@ -1,12 +1,10 @@
 // E7 (beyond the paper) — concurrent matching throughput.
 //
 // The paper reports single-stream match latency; a deployed server-centric
-// checker answers many page requests at once. With parameterized rule
-// queries (the policy id arrives as a bind parameter instead of a
-// materialized ApplicablePolicy row), MatchUri is read-only and runs under
-// a shared lock, so throughput should scale with threads. The legacy
-// materialized mode — every match writes the one-row table and takes the
-// exclusive lock — is the serialized baseline.
+// checker answers many page requests at once. The rule queries take the
+// policy id as a bind parameter, so MatchUri is read-only and runs under a
+// shared lock, and throughput should scale with threads. The "cached" mode
+// adds the match-result cache to price the full deployment.
 //
 // Usage: bench_concurrent_matching [--json <path>]
 // The JSON report carries (name, iters, ns/op, matches/sec) per
@@ -67,10 +65,9 @@ struct ThroughputPoint {
 };
 
 Result<std::unique_ptr<PolicyServer>> MakeServer(
-    bool materialize, bool cached, const std::vector<p3p::Policy>& corpus) {
+    bool cached, const std::vector<p3p::Policy>& corpus) {
   PolicyServer::Options options;
   options.engine = EngineKind::kSql;
-  options.materialize_applicable_policy = materialize;
   // Figure-reproduction modes price the engine, so the memo cache is off;
   // the "cached" mode turns it on to price the full deployment.
   options.enable_match_cache = cached;
@@ -157,22 +154,14 @@ Result<ExperimentOutput> RunExperiment() {
   }
 
   ExperimentOutput out;
-  P3PDB_ASSIGN_OR_RETURN(
-      auto parameterized,
-      MakeServer(/*materialize=*/false, /*cached=*/false, corpus));
-  P3PDB_ASSIGN_OR_RETURN(
-      auto legacy, MakeServer(/*materialize=*/true, /*cached=*/false, corpus));
-  P3PDB_ASSIGN_OR_RETURN(
-      auto cached, MakeServer(/*materialize=*/false, /*cached=*/true, corpus));
+  P3PDB_ASSIGN_OR_RETURN(auto parameterized,
+                         MakeServer(/*cached=*/false, corpus));
+  P3PDB_ASSIGN_OR_RETURN(auto cached, MakeServer(/*cached=*/true, corpus));
   for (int threads : ThreadCounts()) {
     P3PDB_ASSIGN_OR_RETURN(
         ThroughputPoint p,
         Measure(parameterized.get(), "parameterized", paths, threads));
     out.points.push_back(std::move(p));
-    P3PDB_ASSIGN_OR_RETURN(
-        ThroughputPoint m,
-        Measure(legacy.get(), "materialized", paths, threads));
-    out.points.push_back(std::move(m));
     P3PDB_ASSIGN_OR_RETURN(ThroughputPoint c,
                            Measure(cached.get(), "cached", paths, threads));
     out.points.push_back(std::move(c));
@@ -194,8 +183,7 @@ void PrintReport(const std::vector<ThroughputPoint>& points) {
   if (static_cast<int>(cores) < widest) {
     std::printf(
         "note: fewer cores than the widest thread count — speedups are "
-        "bounded by the\nhardware, not the locking; the parameterized/"
-        "materialized gap is still meaningful.\n");
+        "bounded by the\nhardware, not the locking.\n");
   }
   std::vector<int> widths = {14, 8, 12, 14, 10, 10, 10, 10, 10};
   PrintTableRule(widths);
@@ -230,9 +218,7 @@ void PrintReport(const std::vector<ThroughputPoint>& points) {
   PrintTableRule(widths);
   if (parameterized_1t > 0.0) {
     std::printf(
-        "(parameterized %d-thread speedup over 1 thread: %sx; the "
-        "materialized baseline\nserializes every match behind the exclusive "
-        "lock, so added threads cannot help it)\n\n",
+        "(parameterized %d-thread speedup over 1 thread: %sx)\n\n",
         widest,
         FormatDouble(parameterized_widest / parameterized_1t, 2).c_str());
   }

@@ -150,7 +150,7 @@ PolicyServer::PolicyServer(Options options)
   // instruments: the collector reads them from their sources per snapshot.
   metrics_.AddCollector(
       [this](obs::MetricsSnapshot* snapshot) { CollectMetrics(snapshot); });
-  if (options_.enable_match_cache && !UsesLegacyMaterialization()) {
+  if (options_.enable_match_cache) {
     match_cache_ = std::make_unique<MatchCache>(
         MatchCache::Options{
             .shards = options_.match_cache_shards,
@@ -184,11 +184,6 @@ bool PolicyServer::UsesSqlMatching() const {
 
 bool PolicyServer::UsesSimpleSchema() const {
   return options_.engine == EngineKind::kSqlSimple ||
-         options_.engine == EngineKind::kXQueryXTable;
-}
-
-bool PolicyServer::UsesLegacyMaterialization() const {
-  return options_.materialize_applicable_policy ||
          options_.engine == EngineKind::kXQueryXTable;
 }
 
@@ -236,17 +231,15 @@ Status PolicyServer::InitSchema() {
     reference_shredder_ = std::make_unique<shredder::ReferenceShredder>(&db_);
     P3PDB_RETURN_IF_ERROR(
         db_.ExecuteScript(translator::ApplicablePolicyDdl()));
-    if (!UsesLegacyMaterialization()) {
-      // Parameterized matching never joins ApplicablePolicy — the rule
-      // queries only need it as a one-row FROM anchor so catch-all rules
-      // return a row. Install that anchor once; matches never mutate it.
-      sqldb::Table* table =
-          db_.GetMutableTable(translator::kApplicablePolicyTable);
-      if (table == nullptr) {
-        return Status::Internal("ApplicablePolicy table missing");
-      }
-      P3PDB_RETURN_IF_ERROR(table->Insert({Value::Integer(0)}));
+    // The rule queries bind the policy id and never join ApplicablePolicy;
+    // they only need it as a one-row FROM anchor so catch-all rules return
+    // a row. Install that anchor once; matches never mutate it.
+    sqldb::Table* table =
+        db_.GetMutableTable(translator::kApplicablePolicyTable);
+    if (table == nullptr) {
+      return Status::Internal("ApplicablePolicy table missing");
     }
+    P3PDB_RETURN_IF_ERROR(table->Insert({Value::Integer(0)}));
   }
   return Status::OK();
 }
@@ -293,18 +286,16 @@ Status PolicyServer::RestoreFromStorage() {
     }
     reference_shredder_ = std::make_unique<shredder::ReferenceShredder>(&db_);
     reference_shredder_->ResumeIds();
-    if (!UsesLegacyMaterialization()) {
-      // Re-seed the one-row FROM anchor if a legacy-materialized run (which
-      // mutates the table per match) left it empty.
-      sqldb::Table* anchor =
-          db_.GetMutableTable(translator::kApplicablePolicyTable);
-      if (anchor->RowCount() == 0) {
-        P3PDB_RETURN_IF_ERROR(db_.BeginTransaction());
-        Status inserted = anchor->Insert({Value::Integer(0)});
-        Status commit = db_.CommitTransaction();
-        P3PDB_RETURN_IF_ERROR(inserted);
-        P3PDB_RETURN_IF_ERROR(commit);
-      }
+    // Re-seed the one-row FROM anchor if the directory was written by an
+    // older build whose matches rewrote the table and could leave it empty.
+    sqldb::Table* anchor =
+        db_.GetMutableTable(translator::kApplicablePolicyTable);
+    if (anchor->RowCount() == 0) {
+      P3PDB_RETURN_IF_ERROR(db_.BeginTransaction());
+      Status inserted = anchor->Insert({Value::Integer(0)});
+      Status commit = db_.CommitTransaction();
+      P3PDB_RETURN_IF_ERROR(inserted);
+      P3PDB_RETURN_IF_ERROR(commit);
     }
   }
 
@@ -544,14 +535,14 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
         break;
       case EngineKind::kSql: {
         translator::OptimizedSqlTranslator translator(
-            /*parameterized=*/!UsesLegacyMaterialization());
+            /*parameterized=*/true);
         P3PDB_ASSIGN_OR_RETURN(pref.sql,
                                translator.TranslateRuleset(ruleset, t));
         break;
       }
       case EngineKind::kSqlSimple: {
         translator::SimpleSqlTranslator translator(
-            /*parameterized=*/!UsesLegacyMaterialization());
+            /*parameterized=*/true);
         P3PDB_ASSIGN_OR_RETURN(pref.sql,
                                translator.TranslateRuleset(ruleset, t));
         break;
@@ -571,8 +562,8 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
         P3PDB_ASSIGN_OR_RETURN(pref.xquery_text,
                                to_xq.TranslateRuleset(ruleset));
         xquery::XTableTranslator to_sql;
-        // The generated SQL joins the materialized ApplicablePolicy row and
-        // takes no parameters; it runs through the kSql rule loop.
+        // Like the Figure 11/15 translations, the generated SQL binds the
+        // policy id to each `?` and runs through the kSql rule loop.
         pref.sql.behaviors = pref.xquery_text.behaviors;
         for (const std::string& text : pref.xquery_text.rule_queries) {
           // XTABLE consumes the XQuery *text*, so parse then translate —
@@ -585,12 +576,15 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
           // 21).
           P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<sqldb::Statement> stmt,
                                  sqldb::ParseStatement(sql));
+          size_t param_count = 0;
           if (stmt->kind == sqldb::StatementKind::kSelect) {
+            auto* select = static_cast<sqldb::SelectStmt*>(stmt.get());
             sqldb::Binder binder(db_, options_.max_subquery_depth);
-            P3PDB_RETURN_IF_ERROR(binder.BindSelect(
-                static_cast<sqldb::SelectStmt*>(stmt.get())));
+            P3PDB_RETURN_IF_ERROR(binder.BindSelect(select));
+            param_count = select->param_count;
           }
           pref.sql.rule_queries.push_back(std::move(sql));
+          pref.sql.param_counts.push_back(param_count);
         }
         break;
       }
@@ -666,21 +660,6 @@ std::optional<int64_t> PolicyServer::FindPolicyIdByAboutLocked(
   return it->second;
 }
 
-Status PolicyServer::MaterializeApplicablePolicy(int64_t policy_id) {
-  // A direct storage operation (not a SQL round-trip): this is server
-  // plumbing around the generated queries, equivalent to binding the
-  // one-row temporary table of the paper's Figure 13 preamble.
-  sqldb::Table* table =
-      db_.GetMutableTable(translator::kApplicablePolicyTable);
-  if (table == nullptr) {
-    return Status::Internal("ApplicablePolicy table missing");
-  }
-  for (size_t row_id = 0; row_id < table->SlotCount(); ++row_id) {
-    if (table->IsLive(row_id)) table->Delete(row_id);
-  }
-  return table->Insert({Value::Integer(policy_id)});
-}
-
 Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
     const CompiledPreference& pref, int64_t policy_id,
     obs::TraceContext* trace) {
@@ -727,9 +706,6 @@ Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
     case EngineKind::kSql:
     case EngineKind::kSqlSimple:
     case EngineKind::kXQueryXTable: {
-      if (UsesLegacyMaterialization()) {
-        P3PDB_RETURN_IF_ERROR(MaterializeApplicablePolicy(policy_id));
-      }
       const bool prepared = !pref.prepared_sql.empty();
       const size_t rule_count = pref.sql.rule_queries.size();
       std::vector<Value> params;  // reused across rules (capacity sticks)
@@ -739,13 +715,9 @@ Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
           rule_span.SetAttr("rule", std::to_string(i));
           rule_span.SetAttr("behavior", pref.sql.behaviors[i]);
         }
-        // In the default (parameterized) mode, every `?` of the rule query
-        // binds the applicable policy id; catch-all rules, the legacy
-        // materialized mode and XTABLE's SQL take none.
-        params.assign(i < pref.sql.param_counts.size()
-                          ? pref.sql.param_counts[i]
-                          : 0,
-                      Value::Integer(policy_id));
+        // Every `?` of the rule query binds the applicable policy id;
+        // catch-all rules take none.
+        params.assign(pref.sql.param_counts[i], Value::Integer(policy_id));
         // Without prepared statements (the paper's methodology) the SQL
         // text is submitted to the database for every match; query time
         // includes its prepare.
@@ -806,16 +778,9 @@ Result<MatchResult> PolicyServer::Match(const CompiledPreference& pref,
   std::chrono::steady_clock::time_point start{};
   if (options_.collect_metrics) start = std::chrono::steady_clock::now();
 
-  // Read-only matching runs under the shared lock; only the legacy
-  // materialized mode mutates the ApplicablePolicy row and must exclude
-  // other matchers.
-  std::shared_lock<std::shared_mutex> shared(mu_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> exclusive(mu_, std::defer_lock);
-  if (UsesLegacyMaterialization()) {
-    exclusive.lock();
-  } else {
-    shared.lock();
-  }
+  // Matching is read-only for every engine, so matches run concurrently
+  // under the shared lock.
+  std::shared_lock<std::shared_mutex> lock(mu_);
   const bool cacheable = match_cache_ != nullptr && pref.fingerprint != 0;
   bool cache_hit = false;
   MatchCacheKey key;

@@ -26,16 +26,14 @@
 // Installs (InstallPolicy, InstallReferenceFile) and ConflictReport take the
 // server mutex exclusively; matching, preference compilation, and the
 // catalog lookups take it shared and therefore run concurrently. This works
-// because the default match path is read-only: the generated rule queries
-// take the applicable policy id as a bind parameter (`?`) instead of
-// joining a materialized one-row ApplicablePolicy table, and the executor
-// statistics merge into atomic counters at the Database level. Per-match
-// bookkeeping that does write — the MatchLog insert and its id sequence,
-// active only with `record_matches` — is serialized by a dedicated internal
-// mutex so it never blocks other readers' query execution. The legacy
-// materialized mode (Options::materialize_applicable_policy, and always
-// kXQueryXTable, whose generated SQL still joins ApplicablePolicy) mutates
-// that table per match and falls back to the exclusive lock.
+// because every engine's match path is read-only: the generated rule
+// queries take the applicable policy id as a bind parameter (`?`) instead
+// of joining a materialized one-row ApplicablePolicy table (which stays
+// only as a static one-row FROM anchor), and the executor statistics merge
+// into atomic counters at the Database level. Per-match bookkeeping that
+// does write — the MatchLog insert and its id sequence, active only with
+// `record_matches` — is serialized by a dedicated internal mutex so it
+// never blocks other readers' query execution.
 //
 // Caching: repeated (preference, subject) checks — the server-centric load
 // of Figure 6 — are memoized in a sharded LRU MatchCache keyed by the
@@ -43,8 +41,7 @@
 // catalog version, and the engine kind. Installs bump the catalog epoch so
 // stale entries are never served (versioned invalidation; see
 // match_cache.h). A warm hit takes the shared lock, one shard lookup, and
-// zero SQL. On by default for read-only engines; the legacy materialized
-// mode (and kXQueryXTable) bypasses it.
+// zero SQL. On by default for every engine (Options::enable_match_cache).
 
 #ifndef P3PDB_SERVER_POLICY_SERVER_H_
 #define P3PDB_SERVER_POLICY_SERVER_H_
@@ -160,13 +157,6 @@ class PolicyServer {
     /// "query time" includes the database's prepare); turning it on is the
     /// modern deployment choice and cuts match latency further.
     bool use_prepared_statements = false;
-    /// Compatibility mode: materialize the applicable policy into the
-    /// one-row ApplicablePolicy table before evaluating each match, as the
-    /// paper's Figure 13 preamble describes, instead of passing the policy
-    /// id as a bind parameter. Makes every match a writer (serialized under
-    /// the exclusive lock). kXQueryXTable always behaves this way: its
-    /// XQuery-derived SQL joins ApplicablePolicy.policy_id directly.
-    bool materialize_applicable_policy = false;
     /// Tally counters and latency histograms for matches and compiles into
     /// the server's MetricsRegistry (lock-free on the hot path; see
     /// RenderMetricsText). Off switches even the clock reads off.
@@ -177,9 +167,7 @@ class PolicyServer {
     bool enable_tracing = false;
     /// Memoize full MatchResults in a sharded LRU keyed by (preference
     /// fingerprint, subject, catalog version, engine kind); installs bump
-    /// the version so stale entries are never served. On by default for the
-    /// read-only engines; the legacy materialized mode (and kXQueryXTable,
-    /// which always materializes) bypasses the cache even when this is set.
+    /// the version so stale entries are never served. On by default.
     /// Benchmarks reproducing the paper's figures turn it off — the paper
     /// restarted DB2 between preferences precisely to defeat caching.
     bool enable_match_cache = true;
@@ -374,9 +362,9 @@ class PolicyServer {
   /// The server's registry, for callers that add their own instruments.
   obs::MetricsRegistry* metrics() { return &metrics_; }
 
-  /// The match-result cache, or nullptr when disabled (option off, or the
-  /// legacy materialized mode). Exposed for tests and hit-rate reporting;
-  /// the cache is internally thread-safe.
+  /// The match-result cache, or nullptr when Options::enable_match_cache
+  /// is off. Exposed for tests and hit-rate reporting; the cache is
+  /// internally thread-safe.
   const MatchCache* match_cache() const { return match_cache_.get(); }
 
   /// Current catalog version. Every InstallPolicy/InstallReferenceFile
@@ -408,24 +396,19 @@ class PolicyServer {
   Status InstallReferenceFileLocked(const p3p::ReferenceFile& rf);
   bool UsesSqlMatching() const;
   bool UsesSimpleSchema() const;
-  /// True when matches mutate the ApplicablePolicy row (compat flag, or the
-  /// XTABLE engine whose SQL joins it) and thus need the exclusive lock.
-  bool UsesLegacyMaterialization() const;
   Result<int64_t> FindApplicablePolicyId(std::string_view local_path,
                                          bool for_cookie,
                                          obs::TraceContext* trace);
-  Status MaterializeApplicablePolicy(int64_t policy_id);
   Result<MatchResult> EvaluateAgainstCurrent(const CompiledPreference& pref,
                                              int64_t policy_id,
                                              obs::TraceContext* trace);
   Status RecordMatch(const MatchResult& result);
 
   /// The one match pipeline behind MatchPolicyId/MatchUri/MatchCookie:
-  /// span, lock (shared, or exclusive under legacy materialization), the
-  /// id existence check, match-cache probe (a hit still appends its
-  /// MatchLog row), reference-file resolution for URI/cookie subjects,
-  /// evaluation, memoization and tally. `policy_id` is read for kPolicyId,
-  /// `path` for kUri/kCookie.
+  /// span, shared lock, the id existence check, match-cache probe (a hit
+  /// still appends its MatchLog row), reference-file resolution for
+  /// URI/cookie subjects, evaluation, memoization and tally. `policy_id`
+  /// is read for kPolicyId, `path` for kUri/kCookie.
   Result<MatchResult> Match(const CompiledPreference& pref,
                             MatchSubject subject, int64_t policy_id,
                             std::string_view path, obs::TraceContext* trace);
@@ -456,8 +439,8 @@ class PolicyServer {
   Options options_;
   // Reader/writer: installs and ConflictReport lock exclusively; matches,
   // compiles, and catalog lookups lock shared (read-only against db_ and
-  // the in-memory maps). Legacy-materialization matches lock exclusively.
-  // Private *Locked helpers assume the caller holds it (either mode).
+  // the in-memory maps). Private *Locked helpers assume the caller holds
+  // it (either mode).
   mutable std::shared_mutex mu_;
   // Serializes MatchLog appends (next_match_id_ and the InsertRow), which
   // happen under the *shared* main lock when record_matches is on. MatchLog

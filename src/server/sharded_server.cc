@@ -23,11 +23,6 @@ Result<std::unique_ptr<ShardedPolicyServer>> ShardedPolicyServer::Create(
   if (options.shards == 0) {
     return Status::InvalidArgument("sharded tier needs at least one shard");
   }
-  if (options.engine == EngineKind::kXQueryXTable) {
-    return Status::InvalidArgument(
-        "kXQueryXTable matches by mutating the ApplicablePolicy row and "
-        "cannot run on the lock-free serving tier");
-  }
   std::unique_ptr<ShardedPolicyServer> tier(
       new ShardedPolicyServer(std::move(options)));
   P3PDB_RETURN_IF_ERROR(tier->Init());

@@ -76,9 +76,8 @@ class ShardedPolicyServer {
   struct Options {
     /// Number of catalog shards (policy-name hash partitions).
     size_t shards = 4;
-    /// Engine of every replica. kXQueryXTable is rejected: its generated
-    /// SQL mutates the ApplicablePolicy row per match, which is exactly the
-    /// exclusive-lock path this tier exists to avoid.
+    /// Engine of every replica; any of the five, since every engine's
+    /// match is read-only.
     EngineKind engine = EngineKind::kSql;
     bool enable_planner = sqldb::PlannerEnabledFromEnv();
     bool enable_vectorized_executor = sqldb::VectorizeEnabledFromEnv();

@@ -7,11 +7,7 @@ namespace p3pdb::translator {
 std::string ApplicablePolicyQuery(std::string_view local_path,
                                   bool for_cookie) {
   const char* include_table = for_cookie ? "CookieInclude" : "Include";
-  const char* include_id = for_cookie ? "cookieinclude_id" : "include_id";
   const char* exclude_table = for_cookie ? "CookieExclude" : "Exclude";
-  const char* exclude_id = for_cookie ? "cookieexclude_id" : "exclude_id";
-  (void)include_id;
-  (void)exclude_id;
   std::string path_literal = SqlQuote(local_path);
   std::string sql = "SELECT Policyref.policy_id FROM Policyref WHERE ";
   sql += "Policyref.policy_id IS NOT NULL AND EXISTS (SELECT * FROM ";

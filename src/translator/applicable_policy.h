@@ -3,8 +3,10 @@
 // governing a requested URI.
 //
 // The paper materializes its result as the one-row temporary table
-// "ApplicablePolicy" that the generated rule queries select FROM; the
-// server module does the same (translator/…; server/policy_server.cc).
+// "ApplicablePolicy" that the generated rule queries select FROM and join
+// on policy_id (Figure 13's preamble). The server instead binds the id to
+// a `?` in each rule query and keeps ApplicablePolicy as a static one-row
+// FROM anchor that matches never write (server/policy_server.cc).
 
 #ifndef P3PDB_TRANSLATOR_APPLICABLE_POLICY_H_
 #define P3PDB_TRANSLATOR_APPLICABLE_POLICY_H_
@@ -14,7 +16,7 @@
 
 namespace p3pdb::translator {
 
-/// Name of the materialized one-row table the rule queries reference.
+/// Name of the one-row table the rule queries select FROM.
 inline constexpr const char* kApplicablePolicyTable = "ApplicablePolicy";
 
 /// Builds the SQL locating the applicable policy for `local_path` per spec
@@ -23,7 +25,7 @@ inline constexpr const char* kApplicablePolicyTable = "ApplicablePolicy";
 std::string ApplicablePolicyQuery(std::string_view local_path,
                                   bool for_cookie = false);
 
-/// DDL for the materialized table.
+/// DDL for the ApplicablePolicy table.
 std::string ApplicablePolicyDdl();
 
 }  // namespace p3pdb::translator

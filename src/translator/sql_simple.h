@@ -29,9 +29,9 @@ namespace p3pdb::translator {
 struct SqlRuleset {
   std::vector<std::string> rule_queries;   // aligned with behaviors
   std::vector<std::string> behaviors;
-  /// `?` placeholders per rule query (all bound to the applicable
-  /// policy_id). All zeros when translated in the legacy materialized
-  /// mode.
+  /// `?` placeholders per rule query, aligned with rule_queries (all bound
+  /// to the applicable policy_id). All zeros for the paper-text
+  /// (unparameterized) queries.
   std::vector<size_t> param_counts;
 };
 

@@ -95,9 +95,7 @@ Result<std::string> DocCondToSql(const Cond& cond) {
       }
       const ElementSpec& policy_spec = shredder::PolicyElementSpec();
       std::vector<std::string> own_pk = {"policy_id"};
-      std::string sub =
-          std::string("SELECT * FROM Policy WHERE Policy.policy_id = ") +
-          translator::kApplicablePolicyTable + ".policy_id";
+      std::string sub = "SELECT * FROM Policy WHERE Policy.policy_id = ?";
       for (const Cond& pred : cond.step->predicates) {
         P3PDB_ASSIGN_OR_RETURN(std::string cond_sql,
                                CondToSql(pred, policy_spec, own_pk));

@@ -25,8 +25,11 @@ namespace p3pdb::xquery {
 
 class XTableTranslator {
  public:
-  /// Translates one rule's XQuery into SQL against the simple schema plus
-  /// the materialized ApplicablePolicy table.
+  /// Translates one rule's XQuery into SQL against the simple schema. Each
+  /// document("applicable-policy") POLICY test becomes an EXISTS over
+  /// Policy with `Policy.policy_id = ?`: every `?` binds the applicable
+  /// policy id, and the outer query selects FROM the one-row
+  /// ApplicablePolicy anchor so a rule without conditions returns a row.
   Result<std::string> TranslateQuery(const Query& query) const;
 };
 

@@ -18,46 +18,56 @@ using workload::JanePreference;
 using workload::JrcPreference;
 using workload::PreferenceLevel;
 
+// Every SQL engine's match is read-only and runs under the shared lock:
+// XTABLE included. Uncached, the worker threads execute rule queries
+// concurrently; cached, they race on the match-cache shards.
 TEST(ConcurrencyTest, ParallelMatchesAreConsistent) {
-  auto server = PolicyServer::Create({.engine = EngineKind::kSql});
-  ASSERT_TRUE(server.ok());
-  std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
-  std::vector<int64_t> ids;
-  for (const p3p::Policy& policy : corpus) {
-    auto id = server.value()->InstallPolicy(policy);
-    ASSERT_TRUE(id.ok());
-    ids.push_back(id.value());
-  }
-  auto pref = server.value()->CompilePreference(
-      JrcPreference(PreferenceLevel::kHigh));
-  ASSERT_TRUE(pref.ok());
-
-  // Single-threaded reference outcomes.
-  std::vector<std::string> expected;
-  for (int64_t id : ids) {
-    auto r = server.value()->MatchPolicyId(pref.value(), id);
-    ASSERT_TRUE(r.ok());
-    expected.push_back(r.value().behavior);
-  }
-
-  std::atomic<int> mismatches{0};
-  std::atomic<int> errors{0};
-  auto worker = [&](int seed) {
-    for (int i = 0; i < 200; ++i) {
-      size_t pick = static_cast<size_t>(seed * 37 + i) % ids.size();
-      auto r = server.value()->MatchPolicyId(pref.value(), ids[pick]);
-      if (!r.ok()) {
-        ++errors;
-      } else if (r.value().behavior != expected[pick]) {
-        ++mismatches;
+  for (EngineKind engine : {EngineKind::kSql, EngineKind::kXQueryXTable}) {
+    for (bool cached : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << EngineKindName(engine)
+                                        << " cached=" << cached);
+      auto server = PolicyServer::Create(
+          {.engine = engine, .enable_match_cache = cached});
+      ASSERT_TRUE(server.ok());
+      std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
+      std::vector<int64_t> ids;
+      for (const p3p::Policy& policy : corpus) {
+        auto id = server.value()->InstallPolicy(policy);
+        ASSERT_TRUE(id.ok());
+        ids.push_back(id.value());
       }
+      auto pref = server.value()->CompilePreference(
+          JrcPreference(PreferenceLevel::kHigh));
+      ASSERT_TRUE(pref.ok());
+
+      // Single-threaded reference outcomes.
+      std::vector<std::string> expected;
+      for (int64_t id : ids) {
+        auto r = server.value()->MatchPolicyId(pref.value(), id);
+        ASSERT_TRUE(r.ok());
+        expected.push_back(r.value().behavior);
+      }
+
+      std::atomic<int> mismatches{0};
+      std::atomic<int> errors{0};
+      auto worker = [&](int seed) {
+        for (int i = 0; i < 200; ++i) {
+          size_t pick = static_cast<size_t>(seed * 37 + i) % ids.size();
+          auto r = server.value()->MatchPolicyId(pref.value(), ids[pick]);
+          if (!r.ok()) {
+            ++errors;
+          } else if (r.value().behavior != expected[pick]) {
+            ++mismatches;
+          }
+        }
+      };
+      std::vector<std::thread> threads;
+      for (int t = 0; t < 4; ++t) threads.emplace_back(worker, t);
+      for (std::thread& t : threads) t.join();
+      EXPECT_EQ(errors.load(), 0);
+      EXPECT_EQ(mismatches.load(), 0);
     }
-  };
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) threads.emplace_back(worker, t);
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(errors.load(), 0);
-  EXPECT_EQ(mismatches.load(), 0);
+  }
 }
 
 TEST(ConcurrencyTest, InstallsRaceWithMatches) {

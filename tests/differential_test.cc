@@ -51,7 +51,7 @@ constexpr const char* kFailureArtifact = "differential_failure.txt";
 constexpr const char* kStatementsArtifact = "differential_statements.txt";
 
 // The engines under differential test. kXQueryXTable is exercised by
-// property_test; here the focus is the read-only matrix plus the cache.
+// property_test; here the focus is the engine matrix plus the cache.
 struct EngineConfig {
   const char* label;
   EngineKind kind;

@@ -323,26 +323,13 @@ TEST(MatchCacheServerTest, PolicyIdEntriesSurviveUnrelatedInstalls) {
   EXPECT_EQ(after.invalidations, before.invalidations);
 }
 
-TEST(MatchCacheServerTest, DisabledOptionAndLegacyModeBypassTheCache) {
+TEST(MatchCacheServerTest, DisabledOptionBypassesTheCache) {
   PolicyServer::Options off;
   off.engine = EngineKind::kSql;
   off.enable_match_cache = false;
   auto disabled = PolicyServer::Create(off);
   ASSERT_TRUE(disabled.ok());
   EXPECT_EQ(disabled.value()->match_cache(), nullptr);
-
-  PolicyServer::Options legacy;
-  legacy.engine = EngineKind::kSql;
-  legacy.materialize_applicable_policy = true;  // exclusive-lock match path
-  auto materialized = PolicyServer::Create(legacy);
-  ASSERT_TRUE(materialized.ok());
-  EXPECT_EQ(materialized.value()->match_cache(), nullptr);
-
-  PolicyServer::Options xtable;
-  xtable.engine = EngineKind::kXQueryXTable;  // always materializes
-  auto xtable_server = PolicyServer::Create(xtable);
-  ASSERT_TRUE(xtable_server.ok());
-  EXPECT_EQ(xtable_server.value()->match_cache(), nullptr);
 }
 
 TEST(MatchCacheServerTest, HandAssembledPreferenceBypassesCacheSafely) {

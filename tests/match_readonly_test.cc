@@ -1,7 +1,8 @@
-// The parameterized match path: the generated rule queries take the
-// applicable policy id as a bind parameter, so (a) their results are
-// identical to the legacy materialized-ApplicablePolicy queries, and
-// (b) a match with record_matches off mutates no table at all.
+// The read-only match path: the generated rule queries take the applicable
+// policy id as a bind parameter, so (a) their rows are identical to the
+// paper-text queries that join a materialized ApplicablePolicy row, and
+// (b) a match with record_matches off mutates no table at all, for every
+// SQL engine.
 
 #include <gtest/gtest.h>
 
@@ -15,17 +16,15 @@
 namespace p3pdb::server {
 namespace {
 
-using sqldb::QueryResult;
 using sqldb::Value;
 using workload::JrcPreference;
 using workload::PreferenceLevel;
 
 Result<std::unique_ptr<PolicyServer>> CorpusServer(
-    EngineKind engine, bool materialize,
-    const std::vector<p3p::Policy>& corpus, std::vector<int64_t>* ids) {
+    EngineKind engine, const std::vector<p3p::Policy>& corpus,
+    std::vector<int64_t>* ids) {
   PolicyServer::Options options;
   options.engine = engine;
-  options.materialize_applicable_policy = materialize;
   P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<PolicyServer> server,
                          PolicyServer::Create(options));
   for (const p3p::Policy& policy : corpus) {
@@ -37,50 +36,14 @@ Result<std::unique_ptr<PolicyServer>> CorpusServer(
   return server;
 }
 
-// The tentpole's correctness anchor: for every engine, preference level,
-// and policy, the parameterized (read-only) match and the legacy
-// materialized match agree on behavior and fired rule.
-TEST(MatchReadonlyTest, ParameterizedMatchesEqualLegacyMaterialized) {
-  std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
-  for (EngineKind engine : {EngineKind::kSql, EngineKind::kSqlSimple}) {
-    std::vector<int64_t> param_ids, legacy_ids;
-    auto param_server =
-        CorpusServer(engine, /*materialize=*/false, corpus, &param_ids);
-    ASSERT_TRUE(param_server.ok()) << param_server.status();
-    auto legacy_server =
-        CorpusServer(engine, /*materialize=*/true, corpus, &legacy_ids);
-    ASSERT_TRUE(legacy_server.ok()) << legacy_server.status();
-    ASSERT_EQ(param_ids, legacy_ids);
-
-    for (PreferenceLevel level : workload::AllPreferenceLevels()) {
-      auto param_pref =
-          param_server.value()->CompilePreference(JrcPreference(level));
-      ASSERT_TRUE(param_pref.ok()) << param_pref.status();
-      auto legacy_pref =
-          legacy_server.value()->CompilePreference(JrcPreference(level));
-      ASSERT_TRUE(legacy_pref.ok()) << legacy_pref.status();
-      for (size_t i = 0; i < param_ids.size(); ++i) {
-        auto p = param_server.value()->MatchPolicyId(param_pref.value(),
-                                                     param_ids[i]);
-        ASSERT_TRUE(p.ok()) << p.status();
-        auto l = legacy_server.value()->MatchPolicyId(legacy_pref.value(),
-                                                      legacy_ids[i]);
-        ASSERT_TRUE(l.ok()) << l.status();
-        EXPECT_EQ(p.value().behavior, l.value().behavior);
-        EXPECT_EQ(p.value().fired_rule_index, l.value().fired_rule_index);
-      }
-    }
-  }
-}
-
 // PreparedStatement::Execute with params returns exactly the rows of the
-// literal (legacy) translation, for both the Figure 11 and the Figure 15
-// translators, against the same materialized database state.
+// literal (paper-text) translation, for both the Figure 11 and the Figure
+// 15 translators, with the ApplicablePolicy row set to the same policy.
 TEST(MatchReadonlyTest, PreparedWithParamsMatchesLiteralQueryRows) {
   std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
   for (EngineKind engine : {EngineKind::kSqlSimple, EngineKind::kSql}) {
     std::vector<int64_t> ids;
-    auto server = CorpusServer(engine, /*materialize=*/true, corpus, &ids);
+    auto server = CorpusServer(engine, corpus, &ids);
     ASSERT_TRUE(server.ok()) << server.status();
     const appel::AppelRule rule = workload::JaneSimplifiedFirstRule();
 
@@ -103,19 +66,19 @@ TEST(MatchReadonlyTest, PreparedWithParamsMatchesLiteralQueryRows) {
       param_sql = par.value();
     }
 
-    auto pref = server.value()->CompilePreference(
-        JrcPreference(PreferenceLevel::kHigh));
-    ASSERT_TRUE(pref.ok());
-    auto prepared = server.value()->database()->Prepare(param_sql);
+    sqldb::Database* db = server.value()->database();
+    auto prepared = db->Prepare(param_sql);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
     ASSERT_EQ(prepared.value().param_count(), 1u);
 
     int fired = 0;
     for (int64_t id : ids) {
-      // A legacy-mode match leaves ApplicablePolicy materialized to `id`,
-      // the state the literal query reads.
-      ASSERT_TRUE(server.value()->MatchPolicyId(pref.value(), id).ok());
-      auto literal = server.value()->database()->Execute(literal_sql);
+      // Materialize `id` into the one-row table, the state the literal
+      // query reads (the paper's Figure 13 preamble).
+      auto set = db->Execute("UPDATE ApplicablePolicy SET policy_id = " +
+                             std::to_string(id));
+      ASSERT_TRUE(set.ok()) << set.status();
+      auto literal = db->Execute(literal_sql);
       ASSERT_TRUE(literal.ok()) << literal.status();
       auto bound = prepared.value().Execute({Value::Integer(id)});
       ASSERT_TRUE(bound.ok()) << bound.status();
@@ -136,9 +99,11 @@ TEST(MatchReadonlyTest, PreparedWithParamsMatchesLiteralQueryRows) {
 // match changes no table — neither live row counts nor tombstones.
 TEST(MatchReadonlyTest, MatchMutatesNoTableWhenNotRecording) {
   std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
-  for (EngineKind engine : {EngineKind::kSql, EngineKind::kSqlSimple}) {
+  for (EngineKind engine : {EngineKind::kSql, EngineKind::kSqlSimple,
+                            EngineKind::kXQueryXTable}) {
+    SCOPED_TRACE(EngineKindName(engine));
     std::vector<int64_t> ids;
-    auto server = CorpusServer(engine, /*materialize=*/false, corpus, &ids);
+    auto server = CorpusServer(engine, corpus, &ids);
     ASSERT_TRUE(server.ok()) << server.status();
     auto pref = server.value()->CompilePreference(
         JrcPreference(PreferenceLevel::kHigh));
@@ -169,25 +134,6 @@ TEST(MatchReadonlyTest, MatchMutatesNoTableWhenNotRecording) {
     }
     EXPECT_EQ(table_state(), before);
   }
-}
-
-// The legacy compatibility flag keeps the old behavior observable: the
-// materialized mode rewrites the ApplicablePolicy row per match.
-TEST(MatchReadonlyTest, LegacyModeStillMaterializes) {
-  std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
-  std::vector<int64_t> ids;
-  auto server =
-      CorpusServer(EngineKind::kSql, /*materialize=*/true, corpus, &ids);
-  ASSERT_TRUE(server.ok()) << server.status();
-  auto pref = server.value()->CompilePreference(
-      JrcPreference(PreferenceLevel::kLow));
-  ASSERT_TRUE(pref.ok());
-  ASSERT_TRUE(server.value()->MatchPolicyId(pref.value(), ids[2]).ok());
-  auto row = server.value()->database()->Execute(
-      "SELECT policy_id FROM ApplicablePolicy");
-  ASSERT_TRUE(row.ok());
-  ASSERT_EQ(row.value().rows.size(), 1u);
-  EXPECT_EQ(row.value().rows[0][0].AsInteger(), ids[2]);
 }
 
 }  // namespace

@@ -296,7 +296,7 @@ void CheckMatchContract(EngineKind engine, bool enable_match_cache) {
     auto pref = server.value()->CompilePreference(workload::JanePreference());
     ASSERT_TRUE(pref.ok()) << pref.status();
     const bool cached = server.value()->match_cache() != nullptr;
-    EXPECT_EQ(cached, enable_match_cache && engine != EngineKind::kXQueryXTable);
+    EXPECT_EQ(cached, enable_match_cache);
 
     constexpr int kMatches = 3;
     std::string first_behavior;
@@ -375,8 +375,8 @@ TEST(ObservabilityTest, MatchContractPerSubjectOnUncachedSqlServer) {
 }
 
 TEST(ObservabilityTest, MatchContractPerSubjectOnXTableServer) {
-  // Uncached and exclusive: XTABLE's SQL joins the materialized
-  // ApplicablePolicy row, so every match is a writer.
+  // XTABLE binds the policy id like the other SQL engines, so it is cached
+  // and shares the lock.
   CheckMatchContract(EngineKind::kXQueryXTable, /*enable_match_cache=*/true);
 }
 

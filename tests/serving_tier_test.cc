@@ -38,11 +38,10 @@ ShardedPolicyServer::Options TierOptions(size_t shards) {
   return o;
 }
 
-TEST(ServingTierTest, RejectsZeroShardsAndXTable) {
-  EXPECT_FALSE(ShardedPolicyServer::Create(TierOptions(0)).ok());
-  ShardedPolicyServer::Options o = TierOptions(2);
-  o.engine = EngineKind::kXQueryXTable;
-  EXPECT_FALSE(ShardedPolicyServer::Create(o).ok());
+TEST(ServingTierTest, RejectsZeroShards) {
+  auto tier = ShardedPolicyServer::Create(TierOptions(0));
+  ASSERT_FALSE(tier.ok());
+  EXPECT_EQ(tier.status().code(), StatusCode::kInvalidArgument);
 }
 
 // Every corpus policy, matched by its global id on the tier, must yield
@@ -154,6 +153,65 @@ TEST(ServingTierTest, MatchUriResolvesAcrossShards) {
   ASSERT_TRUE(miss.ok());
   EXPECT_FALSE(miss.value().policy_found);
   EXPECT_EQ(miss.value().behavior, kNoPolicyBehavior);
+}
+
+// kXQueryXTable binds the policy id like the other SQL engines, so the tier
+// serves it: a 2-shard XTABLE tier agrees with a single XTABLE server on
+// every corpus policy and preference level, by global id and by URI.
+TEST(ServingTierTest, XTableTierAgreesWithSingleServer) {
+  const std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
+  const p3p::ReferenceFile rf = workload::CorpusReferenceFile(corpus);
+
+  auto single = PolicyServer::Create({.engine = EngineKind::kXQueryXTable});
+  ASSERT_TRUE(single.ok()) << single.status();
+  ShardedPolicyServer::Options o = TierOptions(2);
+  o.engine = EngineKind::kXQueryXTable;
+  auto tier = ShardedPolicyServer::Create(o);
+  ASSERT_TRUE(tier.ok()) << tier.status();
+
+  std::vector<int64_t> single_ids, global_ids;
+  for (const p3p::Policy& policy : corpus) {
+    auto single_id = single.value()->InstallPolicy(policy);
+    ASSERT_TRUE(single_id.ok()) << single_id.status();
+    single_ids.push_back(single_id.value());
+    auto global_id = tier.value()->InstallPolicy(policy);
+    ASSERT_TRUE(global_id.ok()) << global_id.status();
+    global_ids.push_back(global_id.value());
+  }
+  ASSERT_TRUE(single.value()->InstallReferenceFile(rf).ok());
+  ASSERT_TRUE(tier.value()->InstallReferenceFile(rf).ok());
+
+  for (PreferenceLevel level : workload::AllPreferenceLevels()) {
+    auto single_pref =
+        single.value()->CompilePreference(JrcPreference(level));
+    ASSERT_TRUE(single_pref.ok()) << single_pref.status();
+    auto tier_pref = tier.value()->CompilePreference(JrcPreference(level));
+    ASSERT_TRUE(tier_pref.ok()) << tier_pref.status();
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      SCOPED_TRACE(corpus[i].name);
+      auto expected =
+          single.value()->MatchPolicyId(single_pref.value(), single_ids[i]);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      auto by_id =
+          tier.value()->MatchPolicyId(tier_pref.value(), global_ids[i]);
+      ASSERT_TRUE(by_id.ok()) << by_id.status();
+      EXPECT_EQ(by_id.value().behavior, expected.value().behavior);
+      EXPECT_EQ(by_id.value().fired_rule_index,
+                expected.value().fired_rule_index);
+      EXPECT_EQ(by_id.value().policy_id, global_ids[i]);
+
+      const std::string path = "/" + corpus[i].name + "/index.html";
+      auto expected_uri = single.value()->MatchUri(single_pref.value(), path);
+      ASSERT_TRUE(expected_uri.ok()) << expected_uri.status();
+      auto by_uri = tier.value()->MatchUri(tier_pref.value(), path);
+      ASSERT_TRUE(by_uri.ok()) << by_uri.status();
+      EXPECT_TRUE(by_uri.value().policy_found);
+      EXPECT_EQ(by_uri.value().behavior, expected_uri.value().behavior);
+      EXPECT_EQ(by_uri.value().fired_rule_index,
+                expected_uri.value().fired_rule_index);
+      EXPECT_EQ(by_uri.value().policy_id, global_ids[i]);
+    }
+  }
 }
 
 // An unknown global id is reported as the caller named it, not as the

@@ -177,10 +177,17 @@ class XTableTest : public ::testing::Test {
     std::unique_ptr<xml::Element> dom = p3p::PolicyToXml(prepared);
     auto id = shredder.ShredPolicy(*dom);
     ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(db_
-                    .InsertRow("ApplicablePolicy",
-                               {sqldb::Value::Integer(id.value())})
-                    .ok());
+    policy_id_ = id.value();
+    // The one-row FROM anchor; the policy id itself is bound to each `?`.
+    ASSERT_TRUE(
+        db_.InsertRow("ApplicablePolicy", {sqldb::Value::Integer(0)}).ok());
+  }
+
+  /// Runs the translated rule with every `?` bound to the installed id.
+  Result<sqldb::QueryResult> Run(const std::string& sql) {
+    P3PDB_ASSIGN_OR_RETURN(sqldb::PreparedStatement stmt, db_.Prepare(sql));
+    return stmt.Execute(std::vector<sqldb::Value>(
+        stmt.param_count(), sqldb::Value::Integer(policy_id_)));
   }
 
   Result<std::string> Translate(const appel::AppelRule& rule) {
@@ -192,6 +199,7 @@ class XTableTest : public ::testing::Test {
   }
 
   sqldb::Database db_;
+  int64_t policy_id_ = -1;
 };
 
 TEST_F(XTableTest, GeneratesUnmergedSimpleSchemaSql) {
@@ -201,13 +209,16 @@ TEST_F(XTableTest, GeneratesUnmergedSimpleSchemaSql) {
   EXPECT_NE(sql.value().find("FROM Admin"), std::string::npos);
   EXPECT_NE(sql.value().find("FROM Contact"), std::string::npos);
   EXPECT_EQ(sql.value().find("Purpose.purpose ="), std::string::npos);
+  // The policy id is bound, not joined from the ApplicablePolicy row.
+  EXPECT_NE(sql.value().find("Policy.policy_id = ?"), std::string::npos);
+  EXPECT_EQ(sql.value().find("ApplicablePolicy.policy_id"), std::string::npos);
 }
 
 TEST_F(XTableTest, DoesNotFireOnVolga) {
   Install(VolgaPolicy());
   auto sql = Translate(JaneSimplifiedFirstRule());
   ASSERT_TRUE(sql.ok()) << sql.status();
-  auto result = db_.Execute(sql.value());
+  auto result = Run(sql.value());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result.value().rows.empty());
 }
@@ -218,7 +229,7 @@ TEST_F(XTableTest, FiresOnMandatoryContact) {
   Install(policy);
   auto sql = Translate(JaneSimplifiedFirstRule());
   ASSERT_TRUE(sql.ok());
-  auto result = db_.Execute(sql.value());
+  auto result = Run(sql.value());
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result.value().rows.size(), 1u);
   EXPECT_EQ(result.value().rows[0][0].AsText(), "block");
