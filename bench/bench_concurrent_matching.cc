@@ -6,17 +6,25 @@
 // shared lock, and throughput should scale with threads. The "cached" mode
 // adds the match-result cache to price the full deployment.
 //
+// The two tier modes price the deployed shape on its hottest path: a
+// 4-shard ShardedPolicyServer holding 1,000 corpus policies, every match a
+// warm cache hit. "tier_policy_id" runs MatchPolicyId, "tier_uri" runs
+// MatchUri (reference-file resolution, then the hit). A warm hit writes
+// only per-thread cache lines, so these should scale with cores.
+//
 // Usage: bench_concurrent_matching [--json <path>]
 // The JSON report carries (name, iters, ns/op, matches/sec) per
 // (mode, thread-count) point.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "bench/harness.h"
 #include "common/string_util.h"
+#include "server/sharded_server.h"
 #include "workload/corpus.h"
 #include "workload/jrc_preferences.h"
 
@@ -25,10 +33,15 @@ namespace {
 
 using server::EngineKind;
 using server::PolicyServer;
+using server::ShardedPolicyServer;
 using workload::JrcPreference;
 using workload::PreferenceLevel;
 
 constexpr int kMatchesPerThread = 400;
+// A warm tier hit costs well under a microsecond, so the tier modes need
+// far more matches per point than the engine modes to dwarf thread startup.
+constexpr int kTierMatchesPerThread = 100000;
+constexpr size_t kTierPolicies = 1000;
 
 /// Thread counts sized to the machine instead of a hard-coded {1,2,4,8}:
 /// powers of two up to the hardware thread count, plus one 2x
@@ -40,6 +53,13 @@ std::vector<int> ThreadCounts() {
   const int hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<int> counts;
   for (int t = 1; t <= std::min(hw, 16); t *= 2) counts.push_back(t);
+  // One core short of the machine: the load-thread count of a deployment
+  // that leaves a core to the rest of the process (3 on 4 cores).
+  if (hw >= 3 && hw - 1 <= 16 &&
+      std::find(counts.begin(), counts.end(), hw - 1) == counts.end()) {
+    counts.push_back(hw - 1);
+    std::sort(counts.begin(), counts.end());
+  }
   const int oversubscribed = std::min(16, 2 * hw);
   if (oversubscribed > counts.back()) counts.push_back(oversubscribed);
   return counts;
@@ -141,6 +161,77 @@ Result<ThroughputPoint> Measure(PolicyServer* server, const char* mode,
   return point;
 }
 
+/// A 4-shard tier over the 1,000-policy corpus, cache on (the default).
+Result<std::unique_ptr<ShardedPolicyServer>> MakeTier(
+    const std::vector<p3p::Policy>& corpus) {
+  ShardedPolicyServer::Options options;
+  options.shards = 4;
+  P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<ShardedPolicyServer> tier,
+                         ShardedPolicyServer::Create(options));
+  for (const p3p::Policy& policy : corpus) {
+    P3PDB_RETURN_IF_ERROR(tier->InstallPolicy(policy).status());
+  }
+  P3PDB_RETURN_IF_ERROR(
+      tier->InstallReferenceFile(workload::CorpusReferenceFile(corpus)));
+  return tier;
+}
+
+/// Closed-loop warm matches on the tier: every thread sweeps all subjects
+/// (ids or paths), each from its own offset. `by_uri` picks MatchUri over
+/// MatchPolicyId. The subjects are matched once before timing, so every
+/// timed match is a cache hit.
+Result<ThroughputPoint> MeasureTier(ShardedPolicyServer* tier,
+                                    const server::CompiledPreference& pref,
+                                    const std::vector<int64_t>& ids,
+                                    const std::vector<std::string>& paths,
+                                    bool by_uri, int threads) {
+  const size_t subjects = by_uri ? paths.size() : ids.size();
+  auto match = [&](size_t i) {
+    return by_uri ? tier->MatchUri(pref, paths[i])
+                  : tier->MatchPolicyId(pref, ids[i]);
+  };
+  for (size_t i = 0; i < subjects; ++i) {
+    P3PDB_RETURN_IF_ERROR(match(i).status());
+  }
+
+  std::vector<std::thread> workers;
+  std::vector<Status> outcomes(threads, Status::OK());
+  std::vector<TimingStats> latencies(threads);
+  std::atomic<bool> go{false};
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      size_t i = static_cast<size_t>(t) * subjects / threads;
+      for (int n = 0; n < kTierMatchesPerThread; ++n) {
+        Stopwatch match_sw;
+        auto r = match(i);
+        double us = match_sw.ElapsedMicros();
+        if (!r.ok()) {
+          outcomes[t] = r.status();
+          return;
+        }
+        latencies[t].Add(us);
+        if (++i == subjects) i = 0;
+      }
+    });
+  }
+  Stopwatch sw;
+  go.store(true);
+  for (std::thread& w : workers) w.join();
+  ThroughputPoint point;
+  point.elapsed_us = sw.ElapsedMicros();
+  for (const Status& s : outcomes) {
+    if (!s.ok()) return s;
+  }
+  for (const TimingStats& per_thread : latencies) {
+    for (double us : per_thread.samples()) point.latency_us.Add(us);
+  }
+  point.mode = by_uri ? "tier_uri" : "tier_policy_id";
+  point.threads = threads;
+  point.matches = static_cast<uint64_t>(threads) * kTierMatchesPerThread;
+  return point;
+}
+
 struct ExperimentOutput {
   std::vector<ThroughputPoint> points;
   std::string metrics_text;  // parameterized server's registry, end of run
@@ -169,6 +260,28 @@ Result<ExperimentOutput> RunExperiment() {
   // The server kept its own histograms while the harness timed externally —
   // the two views should agree. Emit the registry for eyeballing that.
   out.metrics_text = parameterized->RenderMetricsText();
+  parameterized.reset();
+  cached.reset();
+
+  std::vector<p3p::Policy> tier_corpus =
+      workload::FortuneCorpus({.policy_count = kTierPolicies});
+  P3PDB_ASSIGN_OR_RETURN(auto tier, MakeTier(tier_corpus));
+  P3PDB_ASSIGN_OR_RETURN(
+      server::CompiledPreference pref,
+      tier->CompilePreference(JrcPreference(PreferenceLevel::kHigh)));
+  const std::vector<int64_t> ids = tier->GlobalPolicyIds();
+  std::vector<std::string> tier_paths;
+  for (const p3p::Policy& policy : tier_corpus) {
+    tier_paths.push_back("/" + policy.name + "/index.html");
+  }
+  for (bool by_uri : {false, true}) {
+    for (int threads : ThreadCounts()) {
+      P3PDB_ASSIGN_OR_RETURN(
+          ThroughputPoint p,
+          MeasureTier(tier.get(), pref, ids, tier_paths, by_uri, threads));
+      out.points.push_back(std::move(p));
+    }
+  }
   return out;
 }
 
@@ -178,7 +291,8 @@ void PrintReport(const std::vector<ThroughputPoint>& points) {
   for (const ThroughputPoint& p : points) widest = std::max(widest, p.threads);
   std::printf(
       "E7: concurrent MatchUri throughput (SQL engine, High preference, "
-      "29 policies, %u core%s)\n",
+      "29 policies; tier_* modes: 4-shard tier, 1000 policies, warm; "
+      "%u core%s)\n",
       cores, cores == 1 ? "" : "s");
   if (static_cast<int>(cores) < widest) {
     std::printf(
@@ -193,6 +307,9 @@ void PrintReport(const std::vector<ThroughputPoint>& points) {
   PrintTableRule(widths);
   double parameterized_1t = 0.0;
   double parameterized_widest = 0.0;
+  double tier_1t = 0.0;
+  double tier_most = 0.0;  // widest point within the core count
+  int tier_most_threads = 0;
   for (const ThroughputPoint& p : points) {
     double base = 0.0;
     for (const ThroughputPoint& q : points) {
@@ -201,6 +318,14 @@ void PrintReport(const std::vector<ThroughputPoint>& points) {
     if (p.mode == "parameterized") {
       if (p.threads == 1) parameterized_1t = p.MatchesPerSec();
       if (p.threads == widest) parameterized_widest = p.MatchesPerSec();
+    }
+    if (p.mode == "tier_policy_id") {
+      if (p.threads == 1) tier_1t = p.MatchesPerSec();
+      if (p.threads < static_cast<int>(cores) &&
+          p.threads > tier_most_threads) {
+        tier_most = p.MatchesPerSec();
+        tier_most_threads = p.threads;
+      }
     }
     PrintTableRow({p.mode, std::to_string(p.threads),
                    FormatDouble(p.NsPerOp(), 0),
@@ -221,6 +346,11 @@ void PrintReport(const std::vector<ThroughputPoint>& points) {
         "(parameterized %d-thread speedup over 1 thread: %sx)\n\n",
         widest,
         FormatDouble(parameterized_widest / parameterized_1t, 2).c_str());
+  }
+  if (tier_1t > 0.0 && tier_most_threads > 1) {
+    std::printf(
+        "(tier_policy_id %d-thread speedup over 1 thread: %sx)\n\n",
+        tier_most_threads, FormatDouble(tier_most / tier_1t, 2).c_str());
   }
 }
 

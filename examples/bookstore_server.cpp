@@ -90,16 +90,16 @@ ReferenceFile SiteReferenceFile() {
   catalog.about = "/P3P/policies.xml#catalog";
   catalog.includes.push_back("/catalog/*");
   catalog.includes.push_back("/index.html");
-  rf.refs.push_back(std::move(catalog));
+  rf.AddRef(std::move(catalog));
   PolicyRef shop;
   shop.about = "/P3P/policies.xml#volga";
   shop.includes.push_back("/shop/*");
-  rf.refs.push_back(std::move(shop));
+  rf.AddRef(std::move(shop));
   PolicyRef community;
   community.about = "/P3P/policies.xml#community";
   community.includes.push_back("/community/*");
   community.excludes.push_back("/community/help/*");
-  rf.refs.push_back(std::move(community));
+  rf.AddRef(std::move(community));
   return rf;
 }
 

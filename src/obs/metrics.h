@@ -5,8 +5,9 @@
 // profiling of the native APPEL engine and access-path counters for the SQL
 // plans. This registry is the production-shaped version of that discipline:
 // instruments are registered once (under a mutex), after which every
-// Increment/Record is a relaxed atomic operation, so the hot match path
-// stays lock-free — the same tally discipline as sqldb's AtomicExecStats.
+// Increment/Record is a relaxed atomic operation (a counter's on the calling
+// thread's own stripe), so the hot match path stays lock-free — the same
+// tally discipline as sqldb's AtomicExecStats.
 // Snapshots render as Prometheus-style exposition text and as JSON, with
 // p50/p90/p99 computed from the histogram buckets.
 
@@ -26,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_ordinal.h"
+
 namespace p3pdb::obs {
 
 /// Coerces a name into the Prometheus metric-name alphabet
@@ -35,16 +38,28 @@ namespace p3pdb::obs {
 std::string SanitizeMetricName(std::string_view name);
 
 /// Monotonic counter. Lock-free; relaxed ordering (a tally, not a
-/// synchronization point).
+/// synchronization point). Striped: Increment writes the calling thread's
+/// stripe (common/thread_ordinal.h), so threads counting the same event
+/// never share a cache line; value() sums the stripes.
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    stripes_[ThreadStripe()].value.fetch_add(delta,
+                                             std::memory_order_relaxed);
   }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  uint64_t value() const {
+    uint64_t total = 0;
+    for (const Stripe& stripe : stripes_) {
+      total += stripe.value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  struct alignas(64) Stripe {
+    std::atomic<uint64_t> value{0};
+  };
+  std::array<Stripe, kThreadStripes> stripes_;
 };
 
 /// Last-write-wins gauge (e.g. installed policy count).

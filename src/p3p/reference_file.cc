@@ -1,5 +1,6 @@
 #include "p3p/reference_file.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -33,6 +34,19 @@ bool UriPatternMatch(std::string_view pattern, std::string_view path) {
 
 namespace {
 
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a, one byte: the hash of a string extended by `c`.
+inline uint64_t HashStep(uint64_t hash, char c) {
+  return (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+}
+
+/// Table slot of a hash: FNV's low bits depend only on the inputs' low
+/// bits, so fold the high half in first.
+inline size_t TableSlot(uint64_t hash, size_t mask) {
+  return static_cast<size_t>(hash ^ (hash >> 32) ^ (hash >> 47)) & mask;
+}
+
 bool AnyPatternMatches(const std::vector<std::string>& patterns,
                        std::string_view path) {
   for (const std::string& p : patterns) {
@@ -41,30 +55,131 @@ bool AnyPatternMatches(const std::vector<std::string>& patterns,
   return false;
 }
 
-std::optional<std::string> MatchRefs(
-    const std::vector<PolicyRef>& refs, std::string_view path,
-    const std::vector<std::string> PolicyRef::* includes,
-    const std::vector<std::string> PolicyRef::* excludes) {
-  for (const PolicyRef& ref : refs) {
-    if (!AnyPatternMatches(ref.*includes, path)) continue;
-    if (AnyPatternMatches(ref.*excludes, path)) continue;
-    return ref.about;
+}  // namespace
+
+size_t ReferenceFile::PrefixIndex::Find(std::string_view prefix,
+                                        uint64_t hash) const {
+  if (table.empty()) return kNone;
+  const size_t mask = table.size() - 1;
+  for (size_t slot = TableSlot(hash, mask);; slot = (slot + 1) & mask) {
+    const size_t i = table[slot];
+    if (i == kNone) return kNone;
+    const Prefix& candidate = prefixes[i];
+    if (candidate.hash == hash && candidate.length == prefix.size() &&
+        std::string_view(bytes).substr(candidate.offset, candidate.length) ==
+            prefix) {
+      return i;
+    }
   }
-  return std::nullopt;
 }
 
-}  // namespace
+void ReferenceFile::PrefixIndex::Rehash(size_t slots) {
+  table.assign(slots, kNone);
+  const size_t mask = slots - 1;
+  for (size_t i = 0; i < prefixes.size(); ++i) {
+    size_t slot = TableSlot(prefixes[i].hash, mask);
+    while (table[slot] != kNone) slot = (slot + 1) & mask;
+    table[slot] = i;
+  }
+}
+
+void ReferenceFile::PrefixIndex::Add(std::string_view pattern, size_t ref) {
+  if (pattern.empty()) return;
+  const std::string_view prefix = pattern.substr(0, pattern.find('*'));
+  uint64_t hash = kFnvBasis;
+  for (char c : prefix) hash = HashStep(hash, c);
+  size_t i = Find(prefix, hash);
+  if (i == kNone) {
+    // Keep the load factor at most 1/2 (power-of-two sizes).
+    if (2 * (prefixes.size() + 1) > table.size()) {
+      Rehash(table.empty() ? 16 : 2 * table.size());
+    }
+    i = prefixes.size();
+    prefixes.push_back({bytes.size(), prefix.size(), hash, kNone, kNone});
+    bytes.append(prefix);
+    const size_t mask = table.size() - 1;
+    size_t slot = TableSlot(hash, mask);
+    while (table[slot] != kNone) slot = (slot + 1) & mask;
+    table[slot] = i;
+    if (has_length.size() <= prefix.size()) {
+      has_length.resize(prefix.size() + 1, 0);
+    }
+    has_length[prefix.size()] = 1;
+  }
+  Prefix& entry = prefixes[i];
+  // Refs arrive in document order, so appending keeps each list sorted; a
+  // ref with two patterns under one prefix is filed once.
+  if (entry.tail != kNone && postings[entry.tail].ref == ref) return;
+  postings.push_back({ref, kNone});
+  const size_t posting = postings.size() - 1;
+  if (entry.tail == kNone) {
+    entry.head = posting;
+  } else {
+    postings[entry.tail].next = posting;
+  }
+  entry.tail = posting;
+}
+
+void ReferenceFile::AddRef(PolicyRef ref) {
+  const size_t index = refs_.size();
+  for (const std::string& pattern : ref.includes) {
+    includes_.Add(pattern, index);
+  }
+  for (const std::string& pattern : ref.cookie_includes) {
+    cookie_includes_.Add(pattern, index);
+  }
+  refs_.push_back(std::move(ref));
+}
+
+const PolicyRef* ReferenceFile::FindRef(
+    const PrefixIndex& index, std::string_view path,
+    const std::vector<std::string> PolicyRef::* includes,
+    const std::vector<std::string> PolicyRef::* excludes) const {
+  if (index.has_length.empty()) return nullptr;
+  // Every pattern that matches `path` has a literal prefix that is a prefix
+  // of it, so the candidates are the postings of the path's own prefixes.
+  // Each list is in document order; the first candidate that matches is
+  // the answer, so a list stops at the first match or at `best`.
+  size_t best = PrefixIndex::kNone;
+  const size_t longest = std::min(path.size(), index.has_length.size() - 1);
+  uint64_t hash = kFnvBasis;
+  for (size_t n = 0;; ++n) {
+    if (index.has_length[n] != 0) {
+      const size_t i = index.Find(path.substr(0, n), hash);
+      if (i != PrefixIndex::kNone) {
+        for (size_t p = index.prefixes[i].head; p != PrefixIndex::kNone;
+             p = index.postings[p].next) {
+          const size_t ref = index.postings[p].ref;
+          if (ref >= best) break;
+          if (AnyPatternMatches(refs_[ref].*includes, path) &&
+              !AnyPatternMatches(refs_[ref].*excludes, path)) {
+            best = ref;
+            break;
+          }
+        }
+      }
+    }
+    if (n == longest) break;
+    hash = HashStep(hash, path[n]);
+  }
+  return best == PrefixIndex::kNone ? nullptr : &refs_[best];
+}
 
 std::optional<std::string> ReferenceFile::PolicyForPath(
     std::string_view local_path) const {
-  return MatchRefs(refs, local_path, &PolicyRef::includes,
-                   &PolicyRef::excludes);
+  const PolicyRef* ref = FindRef(includes_, local_path, &PolicyRef::includes,
+                                 &PolicyRef::excludes);
+  if (ref == nullptr) return std::nullopt;
+  return ref->about;
 }
 
 std::optional<std::string> ReferenceFile::PolicyForCookie(
     std::string_view cookie_path) const {
-  return MatchRefs(refs, cookie_path, &PolicyRef::cookie_includes,
-                   &PolicyRef::cookie_excludes);
+  const PolicyRef* ref =
+      FindRef(cookie_includes_, cookie_path, &PolicyRef::cookie_includes,
+              &PolicyRef::cookie_excludes);
+  if (ref == nullptr) return std::nullopt;
+  return ref->about;
 }
 
 Result<ReferenceFile> ReferenceFileFromXml(const xml::Element& root) {
@@ -118,7 +233,7 @@ Result<ReferenceFile> ReferenceFileFromXml(const xml::Element& root) {
                                   std::string(sub_name) + "' in POLICY-REF");
       }
     }
-    rf.refs.push_back(std::move(ref));
+    rf.AddRef(std::move(ref));
   }
   return rf;
 }
@@ -136,7 +251,7 @@ std::unique_ptr<xml::Element> ReferenceFileToXml(const ReferenceFile& rf) {
     references->AddChild("EXPIRY")->SetAttr(
         "max-age", std::to_string(rf.expiry_max_age));
   }
-  for (const PolicyRef& ref : rf.refs) {
+  for (const PolicyRef& ref : rf.refs()) {
     xml::Element* r = references->AddChild("POLICY-REF");
     r->SetAttr("about", ref.about);
     for (const std::string& p : ref.includes) {

@@ -4,7 +4,7 @@ namespace p3pdb::server {
 
 Status HybridClient::FetchReferenceFile(const p3p::ReferenceFile& rf) {
   about_to_policy_id_.clear();
-  for (const p3p::PolicyRef& ref : rf.refs) {
+  for (const p3p::PolicyRef& ref : rf.refs()) {
     std::optional<int64_t> id = server_->FindPolicyIdByAbout(ref.about);
     if (id.has_value()) {
       about_to_policy_id_[ref.about] = *id;

@@ -1,5 +1,8 @@
 #include "server/match_cache.h"
 
+#include <mutex>
+#include <shared_mutex>
+
 namespace p3pdb::server {
 
 namespace {
@@ -30,15 +33,11 @@ MatchCache::MatchCache(Options options, obs::MetricsRegistry* registry)
   size_t shard_count = options.shards == 0 ? 1 : options.shards;
   shards_.reserve(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Shard>(capacity_per_shard_));
   }
   if (registry != nullptr) {
-    hits_total_ = registry->GetCounter("p3p_match_cache_hits_total");
-    misses_total_ = registry->GetCounter("p3p_match_cache_misses_total");
-    evictions_total_ = registry->GetCounter("p3p_match_cache_evictions_total");
-    invalidations_total_ =
-        registry->GetCounter("p3p_match_cache_invalidations_total");
-    entries_ = registry->GetGauge("p3p_match_cache_entries");
+    registry->AddCollector(
+        [this](obs::MetricsSnapshot* snapshot) { Collect(snapshot); });
   }
 }
 
@@ -49,69 +48,95 @@ size_t MatchCache::ShardIndex(const MatchCacheKey& key) const {
 std::optional<MatchResult> MatchCache::Lookup(const MatchCacheKey& key,
                                               uint64_t version) {
   Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
+  {
+    std::shared_lock<StripedSharedMutex> lock(shard.mu);
+    auto it = shard.index.find(key);
+    if (it == shard.index.end()) {
+      shard.misses.Increment();
+      return std::nullopt;
+    }
+    const Slot& slot = shard.slots[it->second];
+    if (slot.version == version) {
+      // Test before set: a hot entry's bit is already up, and the hit then
+      // writes no shared line.
+      std::atomic<uint8_t>& referenced = shard.referenced[it->second];
+      if (referenced.load(std::memory_order_relaxed) == 0) {
+        referenced.store(1, std::memory_order_relaxed);
+      }
+      shard.hits.Increment();
+      return slot.result;
+    }
+  }
+  // Stale: computed under another catalog version. Erase it so the slot
+  // frees up — exclusively, and only if a concurrent Insert has not
+  // restamped or replaced the entry since the shared section.
+  std::unique_lock<StripedSharedMutex> lock(shard.mu);
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    if (misses_total_ != nullptr) misses_total_->Increment();
-    return std::nullopt;
-  }
-  if (it->second->second.version != version) {
-    // Stale: computed under a superseded catalog version. Erase eagerly so
-    // the slot frees up, and surface the event to the owner's counters.
-    shard.lru.erase(it->second);
+  if (it != shard.index.end() && shard.slots[it->second].version != version) {
+    const uint32_t slot = it->second;
     shard.index.erase(it);
-    shard.invalidations.fetch_add(1, std::memory_order_relaxed);
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    if (invalidations_total_ != nullptr) invalidations_total_->Increment();
-    if (misses_total_ != nullptr) misses_total_->Increment();
-    if (entries_ != nullptr) entries_->Add(-1);
-    return std::nullopt;
+    shard.slots[slot] = Slot{};
+    shard.free.push_back(slot);
+    shard.invalidations.Increment();
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  shard.hits.fetch_add(1, std::memory_order_relaxed);
-  if (hits_total_ != nullptr) hits_total_->Increment();
-  return it->second->second.result;
+  shard.misses.Increment();
+  return std::nullopt;
+}
+
+uint32_t MatchCache::Sweep(Shard& shard) {
+  for (;;) {
+    const uint32_t slot = static_cast<uint32_t>(shard.hand);
+    shard.hand = (shard.hand + 1) % shard.slots.size();
+    std::atomic<uint8_t>& referenced = shard.referenced[slot];
+    if (referenced.load(std::memory_order_relaxed) == 0) return slot;
+    referenced.store(0, std::memory_order_relaxed);  // second chance
+  }
 }
 
 void MatchCache::Insert(const MatchCacheKey& key, uint64_t version,
                         const MatchResult& result) {
   Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::unique_lock<StripedSharedMutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->second = Entry{version, result};
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    Slot& slot = shard.slots[it->second];
+    slot.version = version;
+    slot.result = result;
+    shard.referenced[it->second].store(1, std::memory_order_relaxed);
     return;
   }
-  shard.lru.emplace_front(key, Entry{version, result});
-  shard.index.emplace(key, shard.lru.begin());
-  if (entries_ != nullptr) entries_->Add(1);
-  if (shard.lru.size() > capacity_per_shard_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    shard.evictions.fetch_add(1, std::memory_order_relaxed);
-    if (evictions_total_ != nullptr) evictions_total_->Increment();
-    if (entries_ != nullptr) entries_->Add(-1);
+  uint32_t slot;
+  if (!shard.free.empty()) {
+    slot = shard.free.back();
+    shard.free.pop_back();
+  } else if (shard.slots.size() < capacity_per_shard_) {
+    slot = static_cast<uint32_t>(shard.slots.size());
+    shard.slots.emplace_back();
+  } else {
+    slot = Sweep(shard);
+    shard.index.erase(shard.slots[slot].key);
+    shard.evictions.Increment();
   }
+  shard.slots[slot] = Slot{key, version, result};
+  shard.referenced[slot].store(0, std::memory_order_relaxed);
+  shard.index.emplace(key, slot);
 }
 
 void MatchCache::Clear() {
   for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (entries_ != nullptr) {
-      entries_->Add(-static_cast<int64_t>(shard->lru.size()));
-    }
+    std::unique_lock<StripedSharedMutex> lock(shard->mu);
     shard->index.clear();
-    shard->lru.clear();
+    shard->slots.clear();
+    shard->free.clear();
+    shard->hand = 0;
   }
 }
 
 size_t MatchCache::size() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->lru.size();
+    std::shared_lock<StripedSharedMutex> lock(shard->mu);
+    total += shard->index.size();
   }
   return total;
 }
@@ -119,13 +144,13 @@ size_t MatchCache::size() const {
 MatchCache::Stats MatchCache::ShardStats(size_t shard_index) const {
   const Shard& shard = *shards_[shard_index];
   Stats stats;
-  stats.hits = shard.hits.load(std::memory_order_relaxed);
-  stats.misses = shard.misses.load(std::memory_order_relaxed);
-  stats.evictions = shard.evictions.load(std::memory_order_relaxed);
-  stats.invalidations = shard.invalidations.load(std::memory_order_relaxed);
+  stats.hits = shard.hits.value();
+  stats.misses = shard.misses.value();
+  stats.evictions = shard.evictions.value();
+  stats.invalidations = shard.invalidations.value();
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    stats.entries = shard.lru.size();
+    std::shared_lock<StripedSharedMutex> lock(shard.mu);
+    stats.entries = shard.index.size();
   }
   return stats;
 }
@@ -141,6 +166,17 @@ MatchCache::Stats MatchCache::TotalStats() const {
     total.entries += s.entries;
   }
   return total;
+}
+
+void MatchCache::Collect(obs::MetricsSnapshot* snapshot) const {
+  const Stats total = TotalStats();
+  auto& counters = snapshot->counters;
+  counters["p3p_match_cache_hits_total"] = total.hits;
+  counters["p3p_match_cache_misses_total"] = total.misses;
+  counters["p3p_match_cache_evictions_total"] = total.evictions;
+  counters["p3p_match_cache_invalidations_total"] = total.invalidations;
+  snapshot->gauges["p3p_match_cache_entries"] =
+      static_cast<int64_t>(total.entries);
 }
 
 }  // namespace p3pdb::server

@@ -1,12 +1,13 @@
-// Sharded, thread-safe LRU memo cache for match results.
+// Sharded, thread-safe CLOCK memo cache for match results.
 //
 // The server-centric pitch of the paper (§4, Figure 6) is that a site has a
 // handful of policies while millions of users repeat the same (preference,
 // policy) checks. The match outcome is a pure function of the compiled
 // preference, the subject being checked (a policy id, or a URI/cookie path
 // the reference file resolves), the catalog version, and the engine — an
-// ideal memoization target. A warm hit costs one shard mutex and one hash
-// lookup: no reference-file SQL, no rule queries, no policy parse.
+// ideal memoization target. A warm hit costs one hash lookup under the
+// shard's shared lock and writes only lines the calling thread owns: no
+// reference-file SQL, no rule queries, no policy parse.
 //
 // Key: (preference fingerprint, subject, policy id, engine kind); every
 // entry is stamped with the catalog version it was computed under, so the
@@ -16,34 +17,44 @@
 //
 // Invalidation is versioned and lazy: installing a policy or reference file
 // bumps the owning server's catalog epoch instead of sweeping the cache.
-// A later lookup that finds an entry with a stale stamp erases it, ticks
-// the shard's invalidation counter, and reports a miss; untouched stale
-// entries age out through normal LRU eviction. Policy-id entries are
-// stamped with the immutable version of that policy id (re-installing a
-// name mints a new id), so they stay valid across installs; URI/cookie
-// entries are stamped with the catalog epoch, since any install may remap
-// what a path resolves to.
+// A later lookup that finds an entry with a stale stamp erases it (after
+// retaking the shard lock exclusively and checking again), ticks the
+// shard's invalidation counter, and reports a miss; untouched stale entries
+// age out through normal eviction. Policy-id entries are stamped with the
+// immutable version of that policy id (re-installing a name mints a new
+// id), so they stay valid across installs; URI/cookie entries are stamped
+// with the catalog epoch, since any install may remap what a path resolves
+// to.
 //
-// Sharding: the key hash selects one of N shards, each with its own mutex,
-// LRU list, and hit/miss/eviction/invalidation counters, so concurrent
-// readers under the server's shared lock rarely contend. Aggregate totals
-// are mirrored into an obs::MetricsRegistry as p3p_match_cache_* counters
-// and an entry-count gauge.
+// Replacement is second-chance CLOCK, so a hit need not reorder anything:
+// each shard stores its entries in a fixed ring of slots (plus a key->slot
+// map), and each slot has a referenced bit. A hit sets the bit, and only if
+// it is clear, so a hot entry's hits write nothing at all. Insert, when the
+// shard is full, sweeps the hand: a set bit is cleared and the slot skipped,
+// the first clear bit is the victim. An entry hit since the hand last
+// passed it therefore survives the sweep.
+//
+// Sharding and locking: the key hash selects one of N shards. Each shard
+// has a StripedSharedMutex (common/striped_shared_mutex.h): Lookup holds it
+// shared, Insert, stale-entry erasure and Clear exclusively. The hit, miss,
+// eviction and invalidation counts are striped obs::Counters, so the
+// counting is per thread too. With a registry, the totals are exported by
+// a pull-style collector as p3p_match_cache_{hits,misses,evictions,
+// invalidations}_total counters and the p3p_match_cache_entries gauge.
 
 #ifndef P3PDB_SERVER_MATCH_CACHE_H_
 #define P3PDB_SERVER_MATCH_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/striped_shared_mutex.h"
 #include "obs/metrics.h"
 #include "server/match_result.h"
 
@@ -91,10 +102,12 @@ class MatchCache {
     }
   };
 
-  /// `registry` (may be null) receives the aggregate instruments:
+  /// `registry` (may be null) gets a collector exporting the aggregate
   /// p3p_match_cache_{hits,misses,evictions,invalidations}_total counters
-  /// and the p3p_match_cache_entries gauge. Per-shard counts stay readable
-  /// through ShardStats regardless.
+  /// and the p3p_match_cache_entries gauge from TotalStats(). The collector
+  /// reads this cache, so the registry must not be snapshotted after the
+  /// cache is destroyed. Per-shard counts stay readable through ShardStats
+  /// regardless.
   MatchCache(Options options, obs::MetricsRegistry* registry);
 
   MatchCache(const MatchCache&) = delete;
@@ -106,9 +119,9 @@ class MatchCache {
   std::optional<MatchResult> Lookup(const MatchCacheKey& key,
                                     uint64_t version);
 
-  /// Memoizes `result` under (key, version), refreshing LRU position and
-  /// restamping if the key is already present. Evicts the shard's least
-  /// recently used entry when over capacity.
+  /// Memoizes `result` under (key, version), restamping (and marking
+  /// referenced) if the key is already present. When the shard is full,
+  /// the CLOCK hand evicts the first entry not hit since it last passed.
   void Insert(const MatchCacheKey& key, uint64_t version,
               const MatchResult& result);
 
@@ -128,38 +141,46 @@ class MatchCache {
   size_t ShardIndex(const MatchCacheKey& key) const;
 
  private:
-  struct Entry {
+  struct Slot {
+    MatchCacheKey key;
     uint64_t version = 0;
     MatchResult result;
   };
-  // LRU list front = most recently used; the map points into the list.
-  using LruList = std::list<std::pair<MatchCacheKey, Entry>>;
 
   struct Shard {
-    mutable std::mutex mu;
-    LruList lru;
-    std::unordered_map<MatchCacheKey, LruList::iterator, MatchCacheKeyHash>
-        index;
-    // Relaxed atomics so ShardStats can read without the shard mutex.
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> invalidations{0};
+    explicit Shard(size_t capacity)
+        : referenced(std::make_unique<std::atomic<uint8_t>[]>(capacity)) {}
+
+    // Guards everything below except the referenced bits and counters.
+    mutable StripedSharedMutex mu;
+    // The ring: grows to capacity, then slots are reused in place. A slot
+    // freed by a stale-entry erase goes on `free` and is refilled first.
+    std::vector<Slot> slots;
+    std::vector<uint32_t> free;
+    std::unordered_map<MatchCacheKey, uint32_t, MatchCacheKeyHash> index;
+    size_t hand = 0;
+    // Per slot: set by a hit under the shared lock (atomic for that
+    // reason), cleared by the sweep under the exclusive lock.
+    std::unique_ptr<std::atomic<uint8_t>[]> referenced;
+    obs::Counter hits;
+    obs::Counter misses;
+    obs::Counter evictions;
+    obs::Counter invalidations;
   };
 
   Shard& ShardFor(const MatchCacheKey& key) {
     return *shards_[ShardIndex(key)];
   }
 
+  /// Runs the CLOCK hand of a full shard and returns the victim slot.
+  /// Requires the shard's exclusive lock.
+  uint32_t Sweep(Shard& shard);
+
+  /// Adds the totals to a registry snapshot (the registry's collector).
+  void Collect(obs::MetricsSnapshot* snapshot) const;
+
   size_t capacity_per_shard_;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Aggregate mirrors in the owning registry; null when no registry given.
-  obs::Counter* hits_total_ = nullptr;
-  obs::Counter* misses_total_ = nullptr;
-  obs::Counter* evictions_total_ = nullptr;
-  obs::Counter* invalidations_total_ = nullptr;
-  obs::Gauge* entries_ = nullptr;
 };
 
 }  // namespace p3pdb::server

@@ -1,6 +1,7 @@
 #include "server/policy_server.h"
 
 #include <chrono>
+#include <shared_mutex>
 
 #include "appel/fingerprint.h"
 #include "common/string_util.h"
@@ -352,7 +353,7 @@ Status PolicyServer::RestoreFromStorage() {
 
 Result<std::vector<InstalledPolicyRecord>>
 PolicyServer::InstalledPolicyRecords() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<StripedSharedMutex> lock(mu_);
   const sqldb::Table* catalog = db_.LookupTable("PolicyCatalog");
   if (catalog == nullptr) {
     return Status::Internal("PolicyCatalog table missing");
@@ -372,13 +373,13 @@ PolicyServer::InstalledPolicyRecords() const {
 
 std::optional<p3p::ReferenceFile> PolicyServer::InstalledReferenceFile()
     const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<StripedSharedMutex> lock(mu_);
   if (!has_reference_file_) return std::nullopt;
   return reference_file_;
 }
 
 Status PolicyServer::InstallDurably(const std::function<Status()>& install) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::unique_lock<StripedSharedMutex> lock(mu_);
   P3PDB_RETURN_IF_ERROR(db_.BeginTransaction());
   Status result = install();
   Status commit;
@@ -471,7 +472,7 @@ Status PolicyServer::InstallReferenceFile(const p3p::ReferenceFile& rf) {
 Status PolicyServer::InstallReferenceFileLocked(const p3p::ReferenceFile& rf) {
   // Resolve about -> latest installed policy id by fragment name.
   std::map<std::string, int64_t> resolution;
-  for (const p3p::PolicyRef& ref : rf.refs) {
+  for (const p3p::PolicyRef& ref : rf.refs()) {
     auto it = latest_policy_by_name_.find(AboutToPolicyName(ref.about));
     if (it != latest_policy_by_name_.end()) {
       resolution[ref.about] = it->second;
@@ -508,7 +509,7 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
   // Read-only against the server: translation touches no shared state and
   // statement preparation only reads the catalog, so compiles run
   // concurrently with matches and each other.
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<StripedSharedMutex> lock(mu_);
   obs::TraceContext* t = EffectiveTrace(trace);
   obs::ScopedSpan compile_span(t, "compile-preference");
   if (compile_span.active()) {
@@ -649,7 +650,7 @@ Result<int64_t> PolicyServer::FindApplicablePolicyId(
 
 std::optional<int64_t> PolicyServer::FindPolicyIdByAbout(
     std::string_view about) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<StripedSharedMutex> lock(mu_);
   return FindPolicyIdByAboutLocked(about);
 }
 
@@ -780,7 +781,7 @@ Result<MatchResult> PolicyServer::Match(const CompiledPreference& pref,
 
   // Matching is read-only for every engine, so matches run concurrently
   // under the shared lock.
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<StripedSharedMutex> lock(mu_);
   const bool cacheable = match_cache_ != nullptr && pref.fingerprint != 0;
   bool cache_hit = false;
   MatchCacheKey key;
@@ -845,7 +846,7 @@ Result<MatchResult> PolicyServer::Match(const CompiledPreference& pref,
 }
 
 uint64_t PolicyServer::catalog_epoch() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<StripedSharedMutex> lock(mu_);
   return catalog_epoch_;
 }
 
@@ -920,7 +921,7 @@ std::string PolicyServer::RenderSlowLogJson(
 }
 
 std::string PolicyServer::RenderHealthzJson() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<StripedSharedMutex> lock(mu_);
   std::string out = "{\"status\":\"ok\",\"catalog_epoch\":" +
                     std::to_string(catalog_epoch_) +
                     ",\"policies\":" + std::to_string(policy_ids_.size()) +
@@ -956,7 +957,7 @@ Status PolicyServer::RecordMatch(const MatchResult& result) {
 }
 
 int64_t PolicyServer::PolicyVersion(std::string_view name) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<StripedSharedMutex> lock(mu_);
   return PolicyVersionLocked(name);
 }
 
@@ -973,7 +974,7 @@ int64_t PolicyServer::PolicyVersionLocked(std::string_view name) {
 
 Result<std::string> PolicyServer::PolicyXml(std::string_view name,
                                             int64_t version) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<StripedSharedMutex> lock(mu_);
   P3PDB_ASSIGN_OR_RETURN(
       QueryResult result,
       db_.Execute("SELECT xml FROM PolicyCatalog WHERE name = " +
@@ -989,7 +990,7 @@ Result<std::string> PolicyServer::PolicyXml(std::string_view name,
 Result<sqldb::QueryResult> PolicyServer::ConflictReport() {
   // Exclusive: reads MatchLog, which concurrent shared-lock matchers append
   // to under match_log_mu_.
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::unique_lock<StripedSharedMutex> lock(mu_);
   return db_.Execute(
       "SELECT policy_id, behavior, COUNT(*) AS matches FROM MatchLog "
       "GROUP BY policy_id, behavior ORDER BY 1, 2");

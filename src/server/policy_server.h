@@ -36,12 +36,18 @@
 // never blocks other readers' query execution.
 //
 // Caching: repeated (preference, subject) checks — the server-centric load
-// of Figure 6 — are memoized in a sharded LRU MatchCache keyed by the
+// of Figure 6 — are memoized in a sharded CLOCK MatchCache keyed by the
 // preference fingerprint, the subject (policy id or URI/cookie path), the
 // catalog version, and the engine kind. Installs bump the catalog epoch so
 // stale entries are never served (versioned invalidation; see
 // match_cache.h). A warm hit takes the shared lock, one shard lookup, and
 // zero SQL. On by default for every engine (Options::enable_match_cache).
+//
+// Locking: the main lock is a StripedSharedMutex
+// (common/striped_shared_mutex.h), so taking it shared writes only the
+// calling thread's stripe; with the cache's striped counters and CLOCK
+// bits, a warm hit writes no cache line another thread writes. The lock is
+// writer-preferring: no method takes it shared while already holding it.
 
 #ifndef P3PDB_SERVER_POLICY_SERVER_H_
 #define P3PDB_SERVER_POLICY_SERVER_H_
@@ -52,7 +58,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,6 +65,7 @@
 #include "appel/engine.h"
 #include "appel/model.h"
 #include "common/result.h"
+#include "common/striped_shared_mutex.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "p3p/policy.h"
@@ -165,9 +171,10 @@ class PolicyServer {
     /// default) makes every instrumentation point a no-op — the
     /// zero-overhead guarantee — even when a caller supplies a context.
     bool enable_tracing = false;
-    /// Memoize full MatchResults in a sharded LRU keyed by (preference
-    /// fingerprint, subject, catalog version, engine kind); installs bump
-    /// the version so stale entries are never served. On by default.
+    /// Memoize full MatchResults in a sharded CLOCK cache keyed by
+    /// (preference fingerprint, subject, catalog version, engine kind);
+    /// installs bump the version so stale entries are never served. On by
+    /// default.
     /// Benchmarks reproducing the paper's figures turn it off — the paper
     /// restarted DB2 between preferences precisely to defeat caching.
     bool enable_match_cache = true;
@@ -440,8 +447,9 @@ class PolicyServer {
   // Reader/writer: installs and ConflictReport lock exclusively; matches,
   // compiles, and catalog lookups lock shared (read-only against db_ and
   // the in-memory maps). Private *Locked helpers assume the caller holds
-  // it (either mode).
-  mutable std::shared_mutex mu_;
+  // it (either mode); it is never taken shared recursively (see the
+  // locking note above).
+  mutable StripedSharedMutex mu_;
   // Serializes MatchLog appends (next_match_id_ and the InsertRow), which
   // happen under the *shared* main lock when record_matches is on. MatchLog
   // is only read by ConflictReport, which holds the exclusive lock.

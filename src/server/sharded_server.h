@@ -3,7 +3,7 @@
 // architecture implies — one shared matching service fielding match traffic
 // from many clients while sites keep (re)installing policies.
 //
-// Why not one PolicyServer? Its single shared_mutex means every install
+// Why not one PolicyServer? Its single reader-writer lock means every install
 // stalls the entire match fleet for the install's full duration (shred +
 // WAL fsync). Here, policy state is partitioned by policy-name hash into N
 // catalog shards, and each shard serves matches from an immutable published
@@ -27,8 +27,10 @@
 //     that replica. Everything the match touches — the replica's catalog,
 //     its MatchCache, its statement stats — is per-shard, so matches on
 //     different shards share no lock at all, and matches on the same shard
-//     share only that replica's (never exclusively held) shared_mutex and
-//     its internally sharded cache.
+//     share only that replica's (never exclusively held) StripedSharedMutex
+//     and its internally sharded cache. A warm hit writes only per-thread
+//     stripes — snapshot pin, shared locks, cache bits and counters — plus
+//     the snapshot's shared_ptr refcount.
 //
 // Epoch publication: every snapshot carries the tier-wide epoch it was
 // published at. A match resolves its whole subject against one snapshot, so

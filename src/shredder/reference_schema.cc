@@ -92,7 +92,7 @@ Result<int64_t> ReferenceShredder::ShredReferenceFile(
   const int64_t meta_id = next_id_++;
   P3PDB_RETURN_IF_ERROR(db_->InsertRow("Meta", {Value::Integer(meta_id)}));
 
-  for (const p3p::PolicyRef& ref : rf.refs) {
+  for (const p3p::PolicyRef& ref : rf.refs()) {
     const int64_t policyref_id = next_id_++;
     auto it = policy_ids.find(ref.about);
     Value policy_id =

@@ -45,15 +45,6 @@ Status CheckParamCount(size_t expected, const std::vector<Value>* params) {
                                  std::to_string(supplied) + " were supplied");
 }
 
-/// The calling thread's ordinal, taken once from a process-wide counter:
-/// consecutive threads get consecutive stats stripes.
-size_t ThreadOrdinal() {
-  static std::atomic<size_t> next_ordinal{0};
-  thread_local const size_t ordinal =
-      next_ordinal.fetch_add(1, std::memory_order_relaxed);
-  return ordinal;
-}
-
 void Bump(std::atomic<uint64_t>& counter) {
   counter.fetch_add(1, std::memory_order_relaxed);
 }
@@ -155,7 +146,7 @@ Status Database::Checkpoint() {
 }
 
 AtomicExecStats& Database::Stripe() {
-  return stripes_[ThreadOrdinal() % kStatsStripes].stats;
+  return stripes_[ThreadStripe()].stats;
 }
 
 ExecStats Database::stats() const {
@@ -341,6 +332,10 @@ std::shared_ptr<const SelectStmt> Database::LookupCachedPlan(
 void Database::StoreCachedPlan(std::string_view sql,
                                std::shared_ptr<const SelectStmt> plan) {
   if (!options_.enable_plan_cache || options_.plan_cache_capacity == 0) return;
+  // The evicted plan moves here and is destroyed after plan_mu_ is
+  // released: freeing a bound AST costs microseconds that other lookups
+  // would otherwise wait out behind the lock.
+  PlanLruList evicted;
   std::lock_guard<std::mutex> lock(plan_mu_);
   if (plan_index_.find(sql) != plan_index_.end()) return;  // concurrent store
   plan_lru_.emplace_front(
@@ -350,7 +345,7 @@ void Database::StoreCachedPlan(std::string_view sql,
   plan_index_.emplace(plan_lru_.front().first, plan_lru_.begin());
   if (plan_lru_.size() > options_.plan_cache_capacity) {
     plan_index_.erase(plan_lru_.back().first);
-    plan_lru_.pop_back();
+    evicted.splice(evicted.begin(), plan_lru_, std::prev(plan_lru_.end()));
   }
 }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_ordinal.h"
 #include "obs/slow_log.h"
 #include "obs/trace.h"
 #include "sqldb/ast.h"
@@ -334,14 +335,13 @@ class Database : public CatalogView {
   std::map<std::string, std::unique_ptr<Table>> tables_;
 
   // Execution counters, striped so concurrent executions rarely share a
-  // cache line: each thread merges into the stripe picked by an ordinal it
-  // takes once from a process-wide counter, with skip-zero relaxed
-  // fetch_adds. stats() and ResetStats() walk every stripe without a lock.
-  static constexpr size_t kStatsStripes = 16;
+  // cache line: each thread merges into its ThreadStripe() (see
+  // common/thread_ordinal.h), with skip-zero relaxed fetch_adds. stats()
+  // and ResetStats() walk every stripe without a lock.
   struct alignas(64) StatsStripe {
     AtomicExecStats stats;
   };
-  std::array<StatsStripe, kStatsStripes> stripes_;
+  std::array<StatsStripe, kThreadStripes> stripes_;
   // Bumped on every DDL change; prepared statements from an older
   // generation refuse to run rather than touch stale table pointers.
   uint64_t catalog_generation_ = 0;

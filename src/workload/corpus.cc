@@ -244,7 +244,7 @@ p3p::ReferenceFile CorpusReferenceFile(const std::vector<Policy>& corpus) {
     ref.about = "/P3P/policies.xml#" + policy.name;
     ref.includes.push_back("/" + policy.name + "/*");
     ref.excludes.push_back("/" + policy.name + "/public-archive/*");
-    rf.refs.push_back(std::move(ref));
+    rf.AddRef(std::move(ref));
   }
   return rf;
 }

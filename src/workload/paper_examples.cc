@@ -168,7 +168,7 @@ p3p::ReferenceFile VolgaReferenceFile() {
   ref.includes.push_back("/*");
   ref.excludes.push_back("/about/*");
   ref.cookie_includes.push_back("/*");
-  rf.refs.push_back(std::move(ref));
+  rf.AddRef(std::move(ref));
   return rf;
 }
 

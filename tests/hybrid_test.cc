@@ -77,7 +77,7 @@ TEST(HybridClientTest, UnresolvedAboutReportsNoPolicy) {
   p3p::PolicyRef ref;
   ref.about = "/P3P/policies.xml#no-such-policy";
   ref.includes.push_back("/*");
-  rf.refs.push_back(ref);
+  rf.AddRef(ref);
   ASSERT_TRUE(client.FetchReferenceFile(rf).ok());
   auto result = client.Check(pref.value(), "/anything");
   ASSERT_TRUE(result.ok());
@@ -126,7 +126,7 @@ TEST(PolicyServerCookieTest, MatchCookieAcrossEngines) {
     p3p::PolicyRef ref;
     ref.about = "/P3P/policies.xml#volga";
     ref.includes.push_back("/*");
-    rf.refs.push_back(ref);
+    rf.AddRef(ref);
     ASSERT_TRUE(server.value()->InstallReferenceFile(rf).ok());
     auto none = server.value()->MatchCookie(pref.value(), "/session");
     ASSERT_TRUE(none.ok()) << EngineKindName(kind);

@@ -1,10 +1,14 @@
-// MatchCache unit tests (LRU, sharding, versioned invalidation, counters)
-// plus server-level invalidation: installs mid-stream must never let a
-// stale cached result be served.
+// MatchCache unit tests (CLOCK replacement, sharding, versioned
+// invalidation, counters, a threaded hammer) plus server-level
+// invalidation: installs mid-stream must never let a stale cached result be
+// served.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -78,14 +82,14 @@ TEST(MatchCacheTest, DistinctKeyComponentsDoNotAlias) {
   EXPECT_TRUE(cache.Lookup(base, 1).has_value());
 }
 
-TEST(MatchCacheTest, LruEvictsLeastRecentlyUsed) {
+TEST(MatchCacheTest, ClockKeepsAnEntryHitSinceTheLastSweep) {
   MatchCache cache({.shards = 1, .capacity_per_shard = 2}, nullptr);
   MatchCacheKey a = UriKey(1, "/a");
   MatchCacheKey b = UriKey(1, "/b");
   MatchCacheKey c = UriKey(1, "/c");
   cache.Insert(a, 1, SomeResult("block", 1));
   cache.Insert(b, 1, SomeResult("block", 2));
-  // Touch a so b becomes the LRU victim.
+  // Hit a so the sweep gives it a second chance and takes b.
   EXPECT_TRUE(cache.Lookup(a, 1).has_value());
   cache.Insert(c, 1, SomeResult("block", 3));
 
@@ -94,6 +98,35 @@ TEST(MatchCacheTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.Lookup(c, 1).has_value());
   EXPECT_FALSE(cache.Lookup(b, 1).has_value());
   EXPECT_EQ(cache.TotalStats().evictions, 1u);
+}
+
+TEST(MatchCacheTest, ClockHandSweepsInSlotOrder) {
+  MatchCache cache({.shards = 1, .capacity_per_shard = 3}, nullptr);
+  MatchCacheKey a = UriKey(1, "/a");
+  MatchCacheKey b = UriKey(1, "/b");
+  MatchCacheKey c = UriKey(1, "/c");
+  MatchCacheKey d = UriKey(1, "/d");
+  MatchCacheKey e = UriKey(1, "/e");
+  cache.Insert(a, 1, SomeResult("block", 1));  // slot 0
+  cache.Insert(b, 1, SomeResult("block", 2));  // slot 1
+  cache.Insert(c, 1, SomeResult("block", 3));  // slot 2
+  EXPECT_TRUE(cache.Lookup(a, 1).has_value());
+  EXPECT_TRUE(cache.Lookup(c, 1).has_value());
+
+  // The hand starts at slot 0: it clears a's bit, then takes b (not hit).
+  cache.Insert(d, 1, SomeResult("block", 4));
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.TotalStats().evictions, 1u);
+
+  // It resumes at slot 2: clears c's bit, wraps, and takes a, whose bit
+  // the first sweep cleared and no hit has set again.
+  cache.Insert(e, 1, SomeResult("block", 5));
+  EXPECT_EQ(cache.TotalStats().evictions, 2u);
+  EXPECT_FALSE(cache.Lookup(a, 1).has_value());
+  EXPECT_FALSE(cache.Lookup(b, 1).has_value());
+  EXPECT_TRUE(cache.Lookup(c, 1).has_value());
+  EXPECT_TRUE(cache.Lookup(d, 1).has_value());
+  EXPECT_TRUE(cache.Lookup(e, 1).has_value());
 }
 
 TEST(MatchCacheTest, StaleVersionIsInvalidatedLazily) {
@@ -185,6 +218,97 @@ TEST(MatchCacheTest, MirrorsCountersIntoRegistry) {
   EXPECT_EQ(snap.gauges.at("p3p_match_cache_entries"), 0);
 }
 
+TEST(MatchCacheTest, CollectorReportsTotalStats) {
+  obs::MetricsRegistry registry;
+  MatchCache cache({.shards = 4, .capacity_per_shard = 2}, &registry);
+  for (int i = 0; i < 40; ++i) {
+    MatchCacheKey key = UriKey(7, "/p" + std::to_string(i % 13));
+    if (!cache.Lookup(key, i % 3).has_value()) {
+      cache.Insert(key, i % 3, SomeResult("block", i));
+    }
+  }
+  MatchCacheKey stale = UriKey(8, "/stale");
+  cache.Insert(stale, 1, SomeResult("block", 0));
+  EXPECT_FALSE(cache.Lookup(stale, 2).has_value());
+  const MatchCache::Stats total = cache.TotalStats();
+  obs::MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counters.at("p3p_match_cache_hits_total"), total.hits);
+  EXPECT_EQ(snap.counters.at("p3p_match_cache_misses_total"), total.misses);
+  EXPECT_EQ(snap.counters.at("p3p_match_cache_evictions_total"),
+            total.evictions);
+  EXPECT_EQ(snap.counters.at("p3p_match_cache_invalidations_total"),
+            total.invalidations);
+  EXPECT_EQ(snap.gauges.at("p3p_match_cache_entries"),
+            static_cast<int64_t>(total.entries));
+  EXPECT_GT(total.evictions, 0u);
+  EXPECT_GT(total.invalidations, 0u);
+}
+
+// Readers hit a full shard while a writer inserts new keys (forcing CLOCK
+// sweeps) and restamps existing ones with new versions. A result carries
+// the version it was inserted under in its policy id, so a reader can tell
+// a stale result from a current one.
+TEST(MatchCacheTest, ConcurrentHitsSweepsAndRestampsStayConsistent) {
+  constexpr size_t kCapacity = 16;
+  constexpr int kHotKeys = 8;
+  constexpr int kReaders = 3;
+  constexpr int kLookupsPerReader = 20000;
+  MatchCache cache({.shards = 1, .capacity_per_shard = kCapacity}, nullptr);
+  std::vector<MatchCacheKey> hot;
+  for (int i = 0; i < kHotKeys; ++i) {
+    hot.push_back(UriKey(3, "/hot" + std::to_string(i)));
+  }
+  // version[i]: the current version of hot key i; a reader asks for the
+  // value it loads, so any hit must carry a version at least that new.
+  std::vector<std::atomic<uint64_t>> version(kHotKeys);
+  for (int i = 0; i < kHotKeys; ++i) {
+    version[i].store(1);
+    cache.Insert(hot[i], 1, SomeResult("block", 1));
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> stale_results{0};
+  std::atomic<uint64_t> lookups{0};
+  std::thread writer([&] {
+    uint64_t next = 0;
+    while (!stop.load()) {
+      // A cold key: fills the shard and forces a sweep once it is full.
+      cache.Insert(UriKey(4, "/cold" + std::to_string(next)), 1,
+                   SomeResult("block", 0));
+      const int i = static_cast<int>(next % kHotKeys);
+      const uint64_t v = version[i].load() + 1;
+      cache.Insert(hot[i], v, SomeResult("block", static_cast<int64_t>(v)));
+      version[i].store(v);
+      ++next;
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (int n = 0; n < kLookupsPerReader; ++n) {
+        const int i = (n + r) % kHotKeys;
+        const uint64_t v = version[i].load();
+        std::optional<MatchResult> hit = cache.Lookup(hot[i], v);
+        lookups.fetch_add(1);
+        if (hit.has_value() &&
+            static_cast<uint64_t>(hit->policy_id) != v) {
+          stale_results.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  stop.store(true);
+  writer.join();
+
+  EXPECT_EQ(stale_results.load(), 0);
+  const MatchCache::Stats stats = cache.TotalStats();
+  EXPECT_EQ(stats.hits + stats.misses, lookups.load());
+  EXPECT_LE(stats.entries, kCapacity);
+  EXPECT_LE(cache.size(), kCapacity);
+  EXPECT_GT(stats.evictions, 0u);
+}
+
 // -- server-level invalidation ----------------------------------------------
 
 Result<std::unique_ptr<PolicyServer>> MakeCachedServer(EngineKind kind) {
@@ -262,7 +386,7 @@ TEST(MatchCacheServerTest, ReferenceFileRemapInvalidatesUriAndCookieEntries) {
     ref.about = "/P3P/policies.xml#" + name;
     ref.includes.push_back("/site/*");
     ref.cookie_includes.push_back("/site/*");
-    rf.refs.push_back(ref);
+    rf.AddRef(ref);
     return rf;
   };
   ASSERT_TRUE(

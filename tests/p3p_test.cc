@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include "common/random.h"
 #include "p3p/augment.h"
 #include "p3p/data_schema.h"
 #include "p3p/policy.h"
@@ -252,12 +257,12 @@ TEST(ReferenceFileTest, FirstMatchingRefWins) {
   PolicyRef a;
   a.about = "#special";
   a.includes.push_back("/shop/checkout/*");
-  rf.refs.push_back(a);
+  rf.AddRef(a);
   PolicyRef b;
   b.about = "#general";
   b.includes.push_back("/*");
   b.excludes.push_back("/private/*");
-  rf.refs.push_back(b);
+  rf.AddRef(b);
 
   EXPECT_EQ(rf.PolicyForPath("/shop/checkout/pay"), "#special");
   EXPECT_EQ(rf.PolicyForPath("/shop/browse"), "#general");
@@ -270,7 +275,7 @@ TEST(ReferenceFileTest, CookiePatterns) {
   a.about = "#cookies";
   a.cookie_includes.push_back("/*");
   a.cookie_excludes.push_back("/tracker/*");
-  rf.refs.push_back(a);
+  rf.AddRef(a);
   EXPECT_EQ(rf.PolicyForCookie("/session"), "#cookies");
   EXPECT_EQ(rf.PolicyForCookie("/tracker/pixel"), std::nullopt);
   EXPECT_EQ(rf.PolicyForPath("/session"), std::nullopt);  // no INCLUDEs
@@ -283,11 +288,11 @@ TEST(ReferenceFileTest, RoundTrip) {
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const ReferenceFile& rf = parsed.value();
   EXPECT_EQ(rf.expiry_max_age, 86400);
-  ASSERT_EQ(rf.refs.size(), 1u);
-  EXPECT_EQ(rf.refs[0].about, "/P3P/policies.xml#volga");
-  EXPECT_EQ(rf.refs[0].includes, original.refs[0].includes);
-  EXPECT_EQ(rf.refs[0].excludes, original.refs[0].excludes);
-  EXPECT_EQ(rf.refs[0].cookie_includes, original.refs[0].cookie_includes);
+  ASSERT_EQ(rf.refs().size(), 1u);
+  EXPECT_EQ(rf.refs()[0].about, "/P3P/policies.xml#volga");
+  EXPECT_EQ(rf.refs()[0].includes, original.refs()[0].includes);
+  EXPECT_EQ(rf.refs()[0].excludes, original.refs()[0].excludes);
+  EXPECT_EQ(rf.refs()[0].cookie_includes, original.refs()[0].cookie_includes);
 }
 
 TEST(ReferenceFileTest, ParserRejectsMissingAbout) {
@@ -295,6 +300,95 @@ TEST(ReferenceFileTest, ParserRejectsMissingAbout) {
       "<META><POLICY-REFERENCES><POLICY-REF>"
       "<INCLUDE>/*</INCLUDE></POLICY-REF></POLICY-REFERENCES></META>";
   EXPECT_FALSE(ReferenceFileFromText(text).ok());
+}
+
+// The §2.4.1 rule as a plain scan of every POLICY-REF in document order:
+// the oracle the prefix index must agree with.
+std::optional<std::string> BruteForceLookup(
+    const ReferenceFile& rf, std::string_view path, bool cookie) {
+  for (const PolicyRef& ref : rf.refs()) {
+    const auto& includes = cookie ? ref.cookie_includes : ref.includes;
+    const auto& excludes = cookie ? ref.cookie_excludes : ref.excludes;
+    auto matches = [&](const std::vector<std::string>& patterns) {
+      return std::any_of(patterns.begin(), patterns.end(),
+                         [&](const std::string& p) {
+                           return UriPatternMatch(p, path);
+                         });
+    };
+    if (matches(includes) && !matches(excludes)) return ref.about;
+  }
+  return std::nullopt;
+}
+
+/// A random string over a small alphabet, so patterns and paths share
+/// prefixes often. `star_rate` is the chance each character is a '*'.
+std::string RandomText(Random* rng, int max_length, double star_rate) {
+  static const char kAlphabet[] = {'/', 'a', 'b', 'c'};
+  std::string text;
+  const int length = rng->UniformInt(0, max_length);
+  for (int i = 0; i < length; ++i) {
+    text += rng->Bernoulli(star_rate) ? '*' : kAlphabet[rng->Uniform(4)];
+  }
+  return text;
+}
+
+std::vector<std::string> RandomPatterns(Random* rng) {
+  std::vector<std::string> patterns;
+  const int count = rng->UniformInt(0, 3);
+  for (int i = 0; i < count; ++i) {
+    // Some patterns have no '*', some are empty, some start with one.
+    patterns.push_back(RandomText(rng, 6, rng->Bernoulli(0.5) ? 0.0 : 0.25));
+  }
+  return patterns;
+}
+
+TEST(ReferenceFileTest, PrefixIndexAgreesWithScanOnRandomFiles) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Random rng(seed);
+    ReferenceFile rf;
+    const int ref_count = rng.UniformInt(0, 24);
+    for (int r = 0; r < ref_count; ++r) {
+      PolicyRef ref;
+      ref.about = "#ref" + std::to_string(r);
+      ref.includes = RandomPatterns(&rng);
+      ref.excludes = RandomPatterns(&rng);
+      ref.cookie_includes = RandomPatterns(&rng);
+      ref.cookie_excludes = RandomPatterns(&rng);
+      rf.AddRef(std::move(ref));
+    }
+    for (int q = 0; q < 200; ++q) {
+      const std::string path = RandomText(&rng, 8, 0.0);
+      ASSERT_EQ(rf.PolicyForPath(path), BruteForceLookup(rf, path, false))
+          << "seed " << seed << " path '" << path << "'";
+      ASSERT_EQ(rf.PolicyForCookie(path), BruteForceLookup(rf, path, true))
+          << "seed " << seed << " cookie '" << path << "'";
+    }
+  }
+}
+
+TEST(ReferenceFileTest, RefAddedAfterALookupIsSeenByTheNext) {
+  ReferenceFile rf;
+  PolicyRef shop;
+  shop.about = "#shop";
+  shop.includes.push_back("/shop/*");
+  rf.AddRef(shop);
+  EXPECT_EQ(rf.PolicyForPath("/blog/post"), std::nullopt);
+  EXPECT_EQ(rf.PolicyForPath("/shop/cart"), "#shop");
+
+  PolicyRef blog;
+  blog.about = "#blog";
+  blog.includes.push_back("/blog/*");
+  blog.cookie_includes.push_back("/*");
+  rf.AddRef(blog);
+  EXPECT_EQ(rf.PolicyForPath("/blog/post"), "#blog");
+  EXPECT_EQ(rf.PolicyForCookie("/session"), "#blog");
+  // Document order still decides between the two.
+  PolicyRef everything;
+  everything.about = "#everything";
+  everything.includes.push_back("*");
+  rf.AddRef(everything);
+  EXPECT_EQ(rf.PolicyForPath("/shop/cart"), "#shop");
+  EXPECT_EQ(rf.PolicyForPath("/about"), "#everything");
 }
 
 TEST(AugmentTest, ModelAugmentationAddsFixedCategories) {

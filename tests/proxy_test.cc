@@ -39,7 +39,7 @@ class ProxyTest : public ::testing::Test {
     p3p::PolicyRef ref;
     ref.about = "/P3P/policies.xml#tracker";
     ref.includes.push_back("/*");
-    rf.refs.push_back(ref);
+    rf.AddRef(ref);
     ASSERT_TRUE(ads.value()->InstallReferenceFile(rf).ok());
 
     ASSERT_TRUE(proxy_.Subscribe("jane", JanePreference()).ok());

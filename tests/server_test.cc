@@ -95,7 +95,7 @@ TEST(PolicyServerTest, ReferenceFileReplacement) {
   p3p::PolicyRef ref;
   ref.about = "/P3P/policies.xml#volga";
   ref.includes.push_back("/shop/*");
-  narrow.refs.push_back(ref);
+  narrow.AddRef(ref);
   ASSERT_TRUE(server->InstallReferenceFile(narrow).ok());
 
   auto covered = server->MatchUri(pref.value(), "/shop/cart");

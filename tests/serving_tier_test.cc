@@ -422,7 +422,7 @@ TEST(ServingTierTest, TornEpochNeverObserved) {
   p3p::PolicyRef ref;
   ref.about = "/P3P/policies.xml#churn";
   ref.includes = {"/churn/*"};
-  rf.refs.push_back(ref);
+  rf.AddRef(ref);
   ASSERT_TRUE(tier.value()->InstallReferenceFile(rf).ok());
 
   auto pref =

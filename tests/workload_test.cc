@@ -64,7 +64,7 @@ TEST(CorpusTest, ScalesToOtherCounts) {
 TEST(CorpusTest, ReferenceFileCoversEachPolicy) {
   std::vector<p3p::Policy> corpus = FortuneCorpus();
   p3p::ReferenceFile rf = CorpusReferenceFile(corpus);
-  ASSERT_EQ(rf.refs.size(), corpus.size());
+  ASSERT_EQ(rf.refs().size(), corpus.size());
   for (const p3p::Policy& policy : corpus) {
     auto about = rf.PolicyForPath("/" + policy.name + "/index.html");
     ASSERT_TRUE(about.has_value()) << policy.name;
