@@ -10,6 +10,12 @@
 // microseconds (so p50/p99 describe query latency); `matches_per_sec`
 // carries the rows-per-second throughput (rows visited by the scan, or
 // probes answered, divided by query time).
+//
+// `micro/prepare_cold` times the other half of a rule query's cost: the
+// first-time Database::Prepare (parse, bind, plan) of the optimized
+// translator's rule queries for seeded random preferences, against one
+// shard's replica of the serving tier. Samples are per-statement
+// microseconds; `matches_per_sec` carries statements prepared per second.
 
 #include <cstdint>
 #include <cstdio>
@@ -18,8 +24,13 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "common/random.h"
 #include "common/stopwatch.h"
+#include "server/policy_server.h"
 #include "sqldb/database.h"
+#include "translator/sql_optimized.h"
+#include "workload/corpus.h"
+#include "workload/random_preferences.h"
 
 namespace p3pdb::bench {
 namespace {
@@ -123,6 +134,67 @@ std::string FormatRowsPerSec(double v) {
   return buf;
 }
 
+/// Cold prepares of the rule queries for preferences seeded 1000..1999 on
+/// a kSql replica holding every 4th of 1,000 corpus policies (statement
+/// stats off, as on the tier's replicas). Every statement is prepared
+/// exactly once, so each sample is a first-time Prepare.
+MicroResult RunPrepareCold(size_t* statements, double* arena_reserved,
+                           double* arena_used) {
+  server::PolicyServer::Options options;
+  options.engine = server::EngineKind::kSql;
+  options.enable_statement_stats = false;
+  options.collect_metrics = false;
+  auto replica = server::PolicyServer::Create(std::move(options));
+  if (!replica.ok()) {
+    std::fprintf(stderr, "setup error: %s\n",
+                 replica.status().ToString().c_str());
+    std::exit(1);
+  }
+  const std::vector<p3p::Policy> corpus =
+      workload::FortuneCorpus({.policy_count = 1000});
+  for (size_t i = 0; i < corpus.size(); i += 4) {
+    if (!replica.value()->InstallPolicy(corpus[i]).ok()) {
+      std::fprintf(stderr, "setup error: install %s\n",
+                   corpus[i].name.c_str());
+      std::exit(1);
+    }
+  }
+  sqldb::Database* db = replica.value()->database();
+  translator::OptimizedSqlTranslator translator(/*parameterized=*/true);
+  MicroResult out;
+  size_t reserved = 0;
+  size_t used = 0;
+  for (uint64_t seed = 1000; seed < 2000; ++seed) {
+    Random rng(seed);
+    auto rules = translator.TranslateRuleset(
+        workload::RandomPreference(&rng, workload::RandomPreferenceOptions{}));
+    if (!rules.ok()) {
+      std::fprintf(stderr, "translate error: %s\n",
+                   rules.status().ToString().c_str());
+      std::exit(1);
+    }
+    for (const std::string& sql : rules.value().rule_queries) {
+      Stopwatch sw;
+      auto prepared = db->Prepare(sql);
+      const double us = sw.ElapsedMicros();
+      if (!prepared.ok()) {
+        std::fprintf(stderr, "prepare error: %s\n",
+                     prepared.status().ToString().c_str());
+        std::exit(1);
+      }
+      out.timings.Add(us);
+      reserved += prepared.value().arena()->reserved_bytes();
+      used += prepared.value().arena()->used_bytes();
+    }
+  }
+  *statements = out.timings.count();
+  const double n = static_cast<double>(*statements);
+  *arena_reserved = static_cast<double>(reserved) / n;
+  *arena_used = static_cast<double>(used) / n;
+  out.rows_per_sec = 1e6 / out.timings.Average();
+  return out;
+}
+
 }  // namespace
 
 int Main(int argc, char** argv) {
@@ -190,6 +262,18 @@ int Main(int argc, char** argv) {
     records.push_back(
         Record("micro/scan_filter_chunk" + std::to_string(chunk), r));
   }
+
+  size_t statements = 0;
+  double arena_reserved = 0.0;
+  double arena_used = 0.0;
+  MicroResult cold = RunPrepareCold(&statements, &arena_reserved, &arena_used);
+  std::printf(
+      "\nCold Prepare (%zu rule queries, 250-policy kSql replica): p50 "
+      "%.1fus, p99 %.1fus per statement; arena bytes per plan reserved "
+      "%.0f, used %.0f\n",
+      statements, cold.timings.Percentile(50.0), cold.timings.Percentile(99.0),
+      arena_reserved, arena_used);
+  records.push_back(Record("micro/prepare_cold", cold));
 
   if (!json_path.empty()) {
     auto written = WriteBenchJson(json_path, records);

@@ -5,28 +5,27 @@
 // site's handful of policies are an ideal memoization target (paper §4,
 // Figure 6). The memo key needs a stable identity for a preference that is
 // cheap to compare and independent of which server compiled it: a 64-bit
-// FNV-1a hash over the canonical serialized form of the validated ruleset.
-// Two rulesets that serialize identically — same rules, behaviors,
-// connectives, expressions, attributes, in the same order — always hash
-// identically; distinct preferences collide with probability ~2^-64.
+// FNV-1a hash over every field of the validated ruleset, in order — each
+// rule's behavior, description and connective, then each expression's
+// name, connective, attributes and children — with every string
+// length-prefixed and every list size-prefixed. Equal rulesets always hash
+// identically; rulesets that differ in any field (a repeated attribute
+// included, which an XML serialization would collapse) collide only with
+// probability ~2^-64.
 
 #ifndef P3PDB_APPEL_FINGERPRINT_H_
 #define P3PDB_APPEL_FINGERPRINT_H_
 
 #include <cstdint>
-#include <string_view>
 
 #include "appel/model.h"
 
 namespace p3pdb::appel {
 
-/// FNV-1a 64-bit over a byte string. Never returns 0 (0 is reserved as the
-/// "no fingerprint" sentinel, so a default-constructed CompiledPreference
-/// can never alias a real one in the match cache).
-uint64_t FingerprintBytes(std::string_view bytes);
-
-/// Fingerprint of a ruleset: FingerprintBytes over its canonical XML
-/// serialization (RulesetToText). Stable across processes and runs.
+/// Fingerprint of a ruleset, hashed field by field (no serialization is
+/// built). Stable across processes and runs. Never returns 0 (0 is reserved
+/// as the "no fingerprint" sentinel, so a default-constructed
+/// CompiledPreference can never alias a real one in the match cache).
 uint64_t RulesetFingerprint(const AppelRuleset& ruleset);
 
 }  // namespace p3pdb::appel

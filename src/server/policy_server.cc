@@ -522,10 +522,9 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
   P3PDB_RETURN_IF_ERROR(ruleset.Validate());
   CompiledPreference pref;
   // The fingerprint is the preference's identity in the match cache — over
-  // the canonical serialized ruleset, so it is the same on every server and
+  // every field of the ruleset, so it is the same on every server and
   // engine this preference compiles on.
   pref.fingerprint = appel::RulesetFingerprint(ruleset);
-  pref.ruleset = ruleset;
   {
     obs::ScopedSpan translate_span(t, "translate");
     switch (options_.engine) {

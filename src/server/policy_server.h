@@ -116,7 +116,6 @@ struct CompiledPreference {
   /// hand-assembled CompiledPreference — means "unknown" and bypasses the
   /// cache entirely, so no two distinct preferences can ever alias.
   uint64_t fingerprint = 0;
-  appel::AppelRuleset ruleset;               // always retained
   std::string appel_text;                    // kNativeAppel: the client
                                              // engine re-parses this per
                                              // match, as the JRC engine did

@@ -1,6 +1,55 @@
 #include "sqldb/ast.h"
 
+#include <algorithm>
+
 namespace p3pdb::sqldb {
+
+namespace {
+
+// First-block sizing: node bytes per byte of SQL text, calibrated on the
+// translators' rule queries after planning (see DESIGN.md "Statement
+// memory"); statements that outgrow the block take further blocks from the
+// heap, each half again the size of the last. The cap keeps text that is
+// mostly a long literal or comment from reserving six times its size.
+constexpr size_t kArenaBytesPerSqlByte = 6;
+constexpr size_t kMinFirstBlock = 256;
+constexpr size_t kMaxFirstBlock = 64 << 10;
+
+}  // namespace
+
+std::unique_ptr<StatementArena> StatementArena::ForText(size_t sql_bytes) {
+  const size_t first_block = std::clamp(sql_bytes * kArenaBytesPerSqlByte,
+                                        kMinFirstBlock, kMaxFirstBlock);
+  return std::unique_ptr<StatementArena>(
+      new (FirstBlock{first_block}) StatementArena(first_block));
+}
+
+StatementArena::StatementArena(size_t first_block)
+    : reserved_(first_block),
+      resource_(reinterpret_cast<std::byte*>(this) + sizeof(StatementArena),
+                first_block, this) {}
+
+StatementArena::~StatementArena() {
+  // Return the grown blocks while this object is still whole: release()
+  // calls back into do_deallocate.
+  resource_.release();
+}
+
+void* StatementArena::do_allocate(size_t bytes, size_t alignment) {
+  reserved_ += bytes;
+  if (alignment <= __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
+    return ::operator new(bytes);
+  }
+  return ::operator new(bytes, std::align_val_t(alignment));
+}
+
+void StatementArena::do_deallocate(void* p, size_t bytes, size_t alignment) {
+  if (alignment <= __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
+    ::operator delete(p, bytes);
+  } else {
+    ::operator delete(p, bytes, std::align_val_t(alignment));
+  }
+}
 
 const char* CompareOpSql(CompareOp op) {
   switch (op) {
@@ -45,7 +94,7 @@ std::string LogicalExpr::ToSql() const {
   return out;
 }
 
-ExistsExpr::ExistsExpr(bool neg, std::unique_ptr<SelectStmt> sub)
+ExistsExpr::ExistsExpr(bool neg, ArenaPtr<SelectStmt> sub)
     : Expr(ExprKind::kExists), negated(neg), subquery(std::move(sub)) {}
 
 ExistsExpr::~ExistsExpr() = default;
@@ -55,8 +104,7 @@ std::string ExistsExpr::ToSql() const {
          subquery->ToSql() + ")";
 }
 
-HashJoinExpr::HashJoinExpr(bool anti_join,
-                           std::unique_ptr<SelectStmt> build_select)
+HashJoinExpr::HashJoinExpr(bool anti_join, ArenaPtr<SelectStmt> build_select)
     : Expr(ExprKind::kHashJoin),
       anti(anti_join),
       build(std::move(build_select)) {}

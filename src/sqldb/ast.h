@@ -7,14 +7,29 @@
 //
 // The binder annotates the tree in place (column refs get scope coordinates,
 // table refs get table pointers); see binder.h.
+//
+// Statement memory: every node of a parsed statement (each Expr, every
+// nested SelectStmt, and the HashJoinExpr / residual LogicalExpr nodes the
+// planner adds) lives in one StatementArena owned by the root Statement.
+// Node pointers are ArenaPtrs, which destroy a node but never free it; the
+// arena releases its blocks when the root goes, so however the root is
+// shared (a cached plan's aliasing shared_ptr, a PreparedStatement) the
+// nodes live exactly as long as it. Nothing allocates from an arena once
+// parse, bind and plan finish: executions only read the tree. Left on the
+// heap: node-owned vectors and strings, the shared column_headers, the
+// mutable HashJoinRuntime, and everything the executor allocates per run.
 
 #ifndef P3PDB_SQLDB_AST_H_
 #define P3PDB_SQLDB_AST_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
+#include <new>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sqldb/schema.h"
@@ -25,6 +40,81 @@ namespace p3pdb::sqldb {
 class Index;
 class Table;
 struct SelectStmt;
+
+// ---------------------------------------------------------------------------
+// Statement memory
+// ---------------------------------------------------------------------------
+
+/// Deleter for arena-placed nodes: runs the destructor and frees nothing
+/// (the StatementArena releases the memory in whole blocks).
+struct ArenaDelete {
+  template <typename T>
+  void operator()(T* node) const {
+    node->~T();
+  }
+};
+
+/// Owning pointer to a node in its statement's arena. Moves, `.get()` and
+/// derived-to-base conversion work as for any unique_ptr.
+template <typename T>
+using ArenaPtr = std::unique_ptr<T, ArenaDelete>;
+
+/// The arena one parsed statement's nodes live in: a
+/// std::pmr::monotonic_buffer_resource whose first block is sized from the
+/// statement's SQL text and allocated together with the arena object, so a
+/// statement's nodes cost one heap allocation until they outgrow that
+/// block. Single-threaded: only the parser and planner place nodes.
+class alignas(std::max_align_t) StatementArena final
+    : private std::pmr::memory_resource {
+ public:
+  /// An arena for a statement of `sql_bytes` bytes of SQL text.
+  static std::unique_ptr<StatementArena> ForText(size_t sql_bytes);
+  ~StatementArena() override;
+
+  StatementArena(const StatementArena&) = delete;
+  StatementArena& operator=(const StatementArena&) = delete;
+
+  /// Constructs a T in the arena.
+  template <typename T, typename... Args>
+  ArenaPtr<T> New(Args&&... args) {
+    void* memory = resource_.allocate(sizeof(T), alignof(T));
+    used_ += sizeof(T);
+    return ArenaPtr<T>(::new (memory) T(std::forward<Args>(args)...));
+  }
+
+  /// Bytes of nodes placed so far (destroyed nodes included: a monotonic
+  /// arena never reuses memory).
+  size_t used_bytes() const { return used_; }
+  /// Bytes of blocks the arena holds: the first block plus any it grew.
+  size_t reserved_bytes() const { return reserved_; }
+
+  static void operator delete(void* p) { ::operator delete(p); }
+
+ private:
+  // The object and its first block are one allocation (see ForText).
+  struct FirstBlock {
+    size_t bytes;
+  };
+  static void* operator new(size_t size, FirstBlock first) {
+    return ::operator new(size + first.bytes);
+  }
+  static void operator delete(void* p, FirstBlock /*first*/) {
+    ::operator delete(p);
+  }
+  explicit StatementArena(size_t first_block);
+
+  // Upstream for the blocks after the first, counted into reserved_.
+  void* do_allocate(size_t bytes, size_t alignment) override;
+  void do_deallocate(void* p, size_t bytes, size_t alignment) override;
+  bool do_is_equal(const std::pmr::memory_resource& other) const
+      noexcept override {
+    return this == &other;
+  }
+
+  size_t used_ = 0;
+  size_t reserved_;
+  std::pmr::monotonic_buffer_resource resource_;
+};
 
 // ---------------------------------------------------------------------------
 // Expressions
@@ -57,7 +147,7 @@ struct Expr {
   const ExprKind kind;
 };
 
-using ExprPtr = std::unique_ptr<Expr>;
+using ExprPtr = ArenaPtr<Expr>;
 
 struct LiteralExpr : Expr {
   explicit LiteralExpr(Value v) : Expr(ExprKind::kLiteral), value(std::move(v)) {}
@@ -136,12 +226,12 @@ struct NotExpr : Expr {
 };
 
 struct ExistsExpr : Expr {
-  ExistsExpr(bool neg, std::unique_ptr<SelectStmt> sub);
+  ExistsExpr(bool neg, ArenaPtr<SelectStmt> sub);
   ~ExistsExpr() override;
   std::string ToSql() const override;
 
   bool negated;
-  std::unique_ptr<SelectStmt> subquery;
+  ArenaPtr<SelectStmt> subquery;
 };
 
 /// Executor-shared runtime state for a HashJoinExpr: the cached build-side
@@ -163,13 +253,13 @@ struct HashJoinRuntime;
 /// probe key yields false for EXISTS / true for NOT EXISTS, matching the
 /// three-valued-logic result of the correlated path.
 struct HashJoinExpr : Expr {
-  HashJoinExpr(bool anti_join, std::unique_ptr<SelectStmt> build_select);
+  HashJoinExpr(bool anti_join, ArenaPtr<SelectStmt> build_select);
   ~HashJoinExpr() override;
   std::string ToSql() const override;
 
   bool anti;  // true = NOT EXISTS (anti-join), false = EXISTS (semi-join)
-  std::unique_ptr<SelectStmt> build;
-  std::vector<std::unique_ptr<ColumnRefExpr>> build_keys;  // level-0 in build
+  ArenaPtr<SelectStmt> build;
+  std::vector<ArenaPtr<ColumnRefExpr>> build_keys;  // level-0 in build
   std::vector<ExprPtr> probe_keys;  // evaluated in the enclosing scope
   /// Every table the build side reads (transitively, nested subqueries
   /// included); the cached key set is stale once any of their versions move.
@@ -268,6 +358,11 @@ struct Statement {
   Statement& operator=(const Statement&) = delete;
 
   const StatementKind kind;
+  /// The arena holding every node below this statement. Set on a root
+  /// statement only (the one ParseStatement/ParseScript return); null on
+  /// nested SELECTs, which live in their root's arena. Declared in the base
+  /// so it is destroyed after the derived statement's node pointers.
+  std::unique_ptr<StatementArena> arena;
 };
 
 /// `table [alias]` in a FROM list.
@@ -407,7 +502,7 @@ struct DropTableStmt : Statement {
 struct ExplainStmt : Statement {
   ExplainStmt() : Statement(StatementKind::kExplain) {}
 
-  std::unique_ptr<SelectStmt> select;
+  ArenaPtr<SelectStmt> select;
   bool analyze = false;
 };
 

@@ -189,7 +189,7 @@ Result<QueryResult> Database::ExecuteSql(std::string_view sql,
   P3PDB_RETURN_IF_ERROR(CheckParamCount(select->param_count, params));
   {
     obs::ScopedSpan bind_span(trace, "sql-bind");
-    P3PDB_RETURN_IF_ERROR(BindAndPlan(select, sql));
+    P3PDB_RETURN_IF_ERROR(BindAndPlan(select, select->arena.get(), sql));
   }
   std::shared_ptr<const SelectStmt> plan =
       ShareSelect(std::move(parsed).value(), select);
@@ -197,14 +197,15 @@ Result<QueryResult> Database::ExecuteSql(std::string_view sql,
   return RunBoundSelect(*plan, params, trace);
 }
 
-Status Database::BindAndPlan(SelectStmt* select, std::string_view sql) {
+Status Database::BindAndPlan(SelectStmt* select, StatementArena* arena,
+                             std::string_view sql) {
   Binder binder(*this, options_.max_subquery_depth);
   P3PDB_RETURN_IF_ERROR(binder.BindSelect(select));
   ExecStats local;
   ++local.plans_built;
   const StatsCatalog* catalog =
       options_.enable_cost_model ? &stats_catalog_ : nullptr;
-  if (options_.enable_planner) PlanSelect(select, &local, catalog);
+  if (options_.enable_planner) PlanSelect(select, arena, &local, catalog);
   // Annotation must follow planning: the rewrite replaces EXISTS subtrees
   // with hash joins, and the slot plans point into the final tree. The
   // cost model needs the slot plans too (est rows, index-vs-seq override),
@@ -302,12 +303,15 @@ void Database::MaybeCaptureStatement(const SelectStmt& select,
 std::shared_ptr<const SelectStmt> Database::LookupCachedPlan(
     std::string_view sql) {
   if (!options_.enable_plan_cache) return nullptr;
+  // A dropped plan moves here and is destroyed after plan_mu_ is released,
+  // as in StoreCachedPlan.
+  PlanLruList dropped;
   std::lock_guard<std::mutex> lock(plan_mu_);
   auto it = plan_index_.find(sql);
   if (it == plan_index_.end()) return nullptr;
   if (it->second->second.generation != catalog_generation_) {
     // Stale after DDL: drop and let the caller re-prepare.
-    plan_lru_.erase(it->second);
+    dropped.splice(dropped.begin(), plan_lru_, it->second);
     plan_index_.erase(it);
     return nullptr;
   }
@@ -316,7 +320,7 @@ std::shared_ptr<const SelectStmt> Database::LookupCachedPlan(
     // Cardinalities drifted past the epoch boundary since this plan was
     // costed: its build-side/access-path choices may no longer hold. Drop
     // it and let the caller re-plan against current statistics.
-    plan_lru_.erase(it->second);
+    dropped.splice(dropped.begin(), plan_lru_, it->second);
     plan_index_.erase(it);
     Bump(Stripe().plan_recosts);
     return nullptr;
@@ -355,8 +359,8 @@ Result<PreparedStatement> Database::Prepare(std::string_view sql) {
   if (stmt->kind != StatementKind::kSelect) {
     return Status::Unsupported("only SELECT statements can be prepared");
   }
-  P3PDB_RETURN_IF_ERROR(
-      BindAndPlan(static_cast<SelectStmt*>(stmt.get()), sql));
+  P3PDB_RETURN_IF_ERROR(BindAndPlan(static_cast<SelectStmt*>(stmt.get()),
+                                    stmt->arena.get(), sql));
   PreparedStatement prepared;
   prepared.db_ = this;
   prepared.stmt_ = std::shared_ptr<Statement>(std::move(stmt));
@@ -402,7 +406,7 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
     case StatementKind::kSelect: {
       auto* select = static_cast<SelectStmt*>(stmt);
       P3PDB_RETURN_IF_ERROR(CheckParamCount(select->param_count, params));
-      P3PDB_RETURN_IF_ERROR(BindAndPlan(select));
+      P3PDB_RETURN_IF_ERROR(BindAndPlan(select, stmt->arena.get()));
       ExecStats local;
       Executor executor(&local, params, nullptr,
                         ExecConfig{options_.enable_vectorized_executor,
@@ -470,7 +474,7 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
       if (explain->analyze || (params != nullptr && !params->empty())) {
         P3PDB_RETURN_IF_ERROR(CheckParamCount(select->param_count, params));
       }
-      P3PDB_RETURN_IF_ERROR(BindAndPlan(select));
+      P3PDB_RETURN_IF_ERROR(BindAndPlan(select, explain->arena.get()));
       ExplainOptions explain_options;
       explain_options.params = params;
       PlanProfile profile;

@@ -80,6 +80,11 @@ class PreparedStatement {
   const std::string& sql() const { return sql_; }
   /// Number of `?` placeholders the statement takes.
   size_t param_count() const;
+  /// The arena holding the bound statement's nodes (see ast.h); null when
+  /// !valid().
+  const StatementArena* arena() const {
+    return stmt_ == nullptr ? nullptr : stmt_->arena.get();
+  }
 
  private:
   friend class Database;
@@ -301,10 +306,13 @@ class Database : public CatalogView {
                                  obs::TraceContext* trace);
 
   /// Binds (and, when enabled, plans) a freshly parsed SELECT, counting the
-  /// work in the stats aggregate. With statement stats on and a non-empty
+  /// work in the stats aggregate. `arena` is the root statement's arena;
+  /// planner rewrites place their nodes there, and nothing allocates from
+  /// it after this returns. With statement stats on and a non-empty
   /// `sql`, interns the statement shape and stamps the entry pointer onto
   /// the bound AST so executions tally without any lookup.
-  Status BindAndPlan(SelectStmt* select, std::string_view sql = {});
+  Status BindAndPlan(SelectStmt* select, StatementArena* arena,
+                     std::string_view sql = {});
   /// Post-execution telemetry hook: decides whether this execution crossed
   /// the slow threshold or hit the trace-sampling stride, and if so
   /// re-executes with a PlanProfile to capture an EXPLAIN ANALYZE plan into

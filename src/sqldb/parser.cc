@@ -1,6 +1,5 @@
 #include "sqldb/parser.h"
 
-#include "common/string_util.h"
 #include "sqldb/lexer.h"
 
 namespace p3pdb::sqldb {
@@ -9,7 +8,7 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(TokenList tokens) : tokens_(std::move(tokens)) {}
 
   Result<std::unique_ptr<Statement>> ParseSingle() {
     P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt, ParseStatement());
@@ -55,7 +54,7 @@ class Parser {
     return false;
   }
 
-  bool ConsumeKeyword(std::string_view kw) {
+  bool ConsumeKeyword(Keyword kw) {
     if (Current().IsKeyword(kw)) {
       Advance();
       return true;
@@ -63,9 +62,9 @@ class Parser {
     return false;
   }
 
-  Status ExpectKeyword(std::string_view kw) {
+  Status ExpectKeyword(Keyword kw) {
     if (!ConsumeKeyword(kw)) {
-      return ErrorHere("expected " + std::string(kw));
+      return ErrorHere("expected " + std::string(KeywordSpelling(kw)));
     }
     return Status::OK();
   }
@@ -80,46 +79,82 @@ class Parser {
                               std::to_string(Current().offset) +
                               (Current().text.empty()
                                    ? std::string(" (end of input)")
-                                   : " ('" + Current().text + "')"));
+                                   : " ('" + std::string(Current().text) +
+                                         "')"));
   }
 
   Result<std::string> ExpectIdentifier(std::string_view what) {
     if (Current().type != TokenType::kIdentifier) {
       return ErrorHere("expected " + std::string(what));
     }
-    std::string name = Current().text;
+    std::string name(Current().text);
     Advance();
     return name;
   }
 
+  /// Places a node in the current statement's arena.
+  template <typename T, typename... Args>
+  ArenaPtr<T> New(Args&&... args) {
+    return arena_->New<T>(std::forward<Args>(args)...);
+  }
+
+  /// Bytes of SQL text from the current token to the end of the statement
+  /// it starts (the next ';' or the end of input).
+  size_t StatementBytes() const {
+    size_t end = pos_;
+    while (tokens_[end].type != TokenType::kSemicolon &&
+           tokens_[end].type != TokenType::kEnd) {
+      ++end;
+    }
+    return tokens_[end].offset - Current().offset;
+  }
+
   // ---- statements ----
 
+  /// Parses one root statement into a fresh arena sized from its text.
+  /// The root itself is a heap object that takes ownership of the arena;
+  /// every node below it is placed in the arena.
   Result<std::unique_ptr<Statement>> ParseStatement() {
     param_count_ = 0;
-    if (Current().IsKeyword("SELECT")) {
-      P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sel, ParseSelect());
+    arena_ = StatementArena::ForText(StatementBytes());
+    P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt, ParseRoot());
+    stmt->arena = std::move(arena_);
+    return stmt;
+  }
+
+  Result<std::unique_ptr<Statement>> ParseRoot() {
+    if (Current().IsKeyword(Keyword::kSelect)) {
+      auto sel = std::make_unique<SelectStmt>();
+      P3PDB_RETURN_IF_ERROR(ParseSelectBody(sel.get()));
       sel->param_count = param_count_;
       return std::unique_ptr<Statement>(std::move(sel));
     }
-    if (ConsumeKeyword("EXPLAIN")) {
+    if (ConsumeKeyword(Keyword::kExplain)) {
       auto explain = std::make_unique<ExplainStmt>();
-      explain->analyze = ConsumeKeyword("ANALYZE");
-      P3PDB_ASSIGN_OR_RETURN(explain->select, ParseSelect());
+      explain->analyze = ConsumeKeyword(Keyword::kAnalyze);
+      P3PDB_ASSIGN_OR_RETURN(explain->select, ParseSubquery());
       explain->select->param_count = param_count_;
       return std::unique_ptr<Statement>(std::move(explain));
     }
-    if (ConsumeKeyword("INSERT")) return ParseInsert();
-    if (ConsumeKeyword("UPDATE")) return ParseUpdate();
-    if (ConsumeKeyword("DELETE")) return ParseDelete();
-    if (ConsumeKeyword("CREATE")) return ParseCreate();
-    if (ConsumeKeyword("DROP")) return ParseDrop();
+    if (ConsumeKeyword(Keyword::kInsert)) return ParseInsert();
+    if (ConsumeKeyword(Keyword::kUpdate)) return ParseUpdate();
+    if (ConsumeKeyword(Keyword::kDelete)) return ParseDelete();
+    if (ConsumeKeyword(Keyword::kCreate)) return ParseCreate();
+    if (ConsumeKeyword(Keyword::kDrop)) return ParseDrop();
     return ErrorHere("expected a SQL statement");
   }
 
-  Result<std::unique_ptr<SelectStmt>> ParseSelect() {
-    P3PDB_RETURN_IF_ERROR(ExpectKeyword("SELECT"));
-    auto select = std::make_unique<SelectStmt>();
-    if (ConsumeKeyword("DISTINCT")) select->distinct = true;
+  /// A SELECT below the root (EXISTS subquery, EXPLAIN target), placed in
+  /// the arena.
+  Result<ArenaPtr<SelectStmt>> ParseSubquery() {
+    ArenaPtr<SelectStmt> select = New<SelectStmt>();
+    P3PDB_RETURN_IF_ERROR(ParseSelectBody(select.get()));
+    return select;
+  }
+
+  Status ParseSelectBody(SelectStmt* select) {
+    P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kSelect));
+    if (ConsumeKeyword(Keyword::kDistinct)) select->distinct = true;
 
     // Select list.
     for (;;) {
@@ -128,7 +163,7 @@ class Parser {
         item.is_star = true;
       } else {
         P3PDB_ASSIGN_OR_RETURN(item.expr, ParseExpr());
-        if (ConsumeKeyword("AS")) {
+        if (ConsumeKeyword(Keyword::kAs)) {
           P3PDB_ASSIGN_OR_RETURN(item.alias, ExpectIdentifier("alias"));
         }
       }
@@ -136,13 +171,13 @@ class Parser {
       if (!Consume(TokenType::kComma)) break;
     }
 
-    if (ConsumeKeyword("FROM")) {
+    if (ConsumeKeyword(Keyword::kFrom)) {
       for (;;) {
         TableRef ref;
         P3PDB_ASSIGN_OR_RETURN(ref.table_name, ExpectIdentifier("table name"));
         // Optional alias: a bare identifier that is not a clause keyword.
         if (Current().type == TokenType::kIdentifier && !IsClauseKeyword()) {
-          ref.alias = Current().text;
+          ref.alias = std::string(Current().text);
           Advance();
         } else {
           ref.alias = ref.table_name;
@@ -152,55 +187,65 @@ class Parser {
       }
     }
 
-    if (ConsumeKeyword("WHERE")) {
+    if (ConsumeKeyword(Keyword::kWhere)) {
       P3PDB_ASSIGN_OR_RETURN(select->where, ParseExpr());
     }
-    if (Current().IsKeyword("GROUP")) {
+    if (Current().IsKeyword(Keyword::kGroup)) {
       Advance();
-      P3PDB_RETURN_IF_ERROR(ExpectKeyword("BY"));
+      P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kBy));
       for (;;) {
         P3PDB_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
         select->group_by.push_back(std::move(e));
         if (!Consume(TokenType::kComma)) break;
       }
     }
-    if (Current().IsKeyword("ORDER")) {
+    if (Current().IsKeyword(Keyword::kOrder)) {
       Advance();
-      P3PDB_RETURN_IF_ERROR(ExpectKeyword("BY"));
+      P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kBy));
       for (;;) {
         OrderByItem item;
         P3PDB_ASSIGN_OR_RETURN(item.expr, ParseExpr());
-        if (ConsumeKeyword("DESC")) {
+        if (ConsumeKeyword(Keyword::kDesc)) {
           item.ascending = false;
         } else {
-          ConsumeKeyword("ASC");
+          ConsumeKeyword(Keyword::kAsc);
         }
         select->order_by.push_back(std::move(item));
         if (!Consume(TokenType::kComma)) break;
       }
     }
-    if (ConsumeKeyword("LIMIT")) {
+    if (ConsumeKeyword(Keyword::kLimit)) {
       if (Current().type != TokenType::kInteger) {
         return ErrorHere("expected LIMIT count");
       }
       select->limit = Current().int_value;
       Advance();
     }
-    return select;
+    return Status::OK();
   }
 
   bool IsClauseKeyword() const {
-    static constexpr std::string_view kClauses[] = {
-        "WHERE", "GROUP", "ORDER", "LIMIT", "ON",     "SET",
-        "AND",   "OR",    "AS",    "FROM",  "VALUES", "UNION"};
-    for (std::string_view kw : kClauses) {
-      if (Current().IsKeyword(kw)) return true;
+    switch (Current().keyword) {
+      case Keyword::kWhere:
+      case Keyword::kGroup:
+      case Keyword::kOrder:
+      case Keyword::kLimit:
+      case Keyword::kOn:
+      case Keyword::kSet:
+      case Keyword::kAnd:
+      case Keyword::kOr:
+      case Keyword::kAs:
+      case Keyword::kFrom:
+      case Keyword::kValues:
+      case Keyword::kUnion:
+        return true;
+      default:
+        return false;
     }
-    return false;
   }
 
   Result<std::unique_ptr<Statement>> ParseInsert() {
-    P3PDB_RETURN_IF_ERROR(ExpectKeyword("INTO"));
+    P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kInto));
     auto insert = std::make_unique<InsertStmt>();
     P3PDB_ASSIGN_OR_RETURN(insert->table_name,
                            ExpectIdentifier("table name"));
@@ -213,7 +258,7 @@ class Parser {
       }
       P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
     }
-    P3PDB_RETURN_IF_ERROR(ExpectKeyword("VALUES"));
+    P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kValues));
     for (;;) {
       P3PDB_RETURN_IF_ERROR(Expect(TokenType::kLeftParen, "'('"));
       std::vector<ExprPtr> row;
@@ -233,7 +278,7 @@ class Parser {
     auto update = std::make_unique<UpdateStmt>();
     P3PDB_ASSIGN_OR_RETURN(update->table_name,
                            ExpectIdentifier("table name"));
-    P3PDB_RETURN_IF_ERROR(ExpectKeyword("SET"));
+    P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kSet));
     for (;;) {
       UpdateStmt::Assignment assignment;
       P3PDB_ASSIGN_OR_RETURN(assignment.column,
@@ -246,29 +291,29 @@ class Parser {
       update->assignments.push_back(std::move(assignment));
       if (!Consume(TokenType::kComma)) break;
     }
-    if (ConsumeKeyword("WHERE")) {
+    if (ConsumeKeyword(Keyword::kWhere)) {
       P3PDB_ASSIGN_OR_RETURN(update->where, ParseExpr());
     }
     return std::unique_ptr<Statement>(std::move(update));
   }
 
   Result<std::unique_ptr<Statement>> ParseDelete() {
-    P3PDB_RETURN_IF_ERROR(ExpectKeyword("FROM"));
+    P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kFrom));
     auto del = std::make_unique<DeleteStmt>();
     P3PDB_ASSIGN_OR_RETURN(del->table_name, ExpectIdentifier("table name"));
-    if (ConsumeKeyword("WHERE")) {
+    if (ConsumeKeyword(Keyword::kWhere)) {
       P3PDB_ASSIGN_OR_RETURN(del->where, ParseExpr());
     }
     return std::unique_ptr<Statement>(std::move(del));
   }
 
   Result<std::unique_ptr<Statement>> ParseCreate() {
-    bool unique = ConsumeKeyword("UNIQUE");
-    if (ConsumeKeyword("INDEX")) {
+    bool unique = ConsumeKeyword(Keyword::kUnique);
+    if (ConsumeKeyword(Keyword::kIndex)) {
       auto ci = std::make_unique<CreateIndexStmt>();
       ci->unique = unique;
       P3PDB_ASSIGN_OR_RETURN(ci->index_name, ExpectIdentifier("index name"));
-      P3PDB_RETURN_IF_ERROR(ExpectKeyword("ON"));
+      P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kOn));
       P3PDB_ASSIGN_OR_RETURN(ci->table_name, ExpectIdentifier("table name"));
       P3PDB_RETURN_IF_ERROR(Expect(TokenType::kLeftParen, "'('"));
       for (;;) {
@@ -281,12 +326,12 @@ class Parser {
       return std::unique_ptr<Statement>(std::move(ci));
     }
     if (unique) return ErrorHere("expected INDEX after UNIQUE");
-    P3PDB_RETURN_IF_ERROR(ExpectKeyword("TABLE"));
+    P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kTable));
     auto ct = std::make_unique<CreateTableStmt>();
-    if (Current().IsKeyword("IF")) {
+    if (Current().IsKeyword(Keyword::kIf)) {
       Advance();
-      P3PDB_RETURN_IF_ERROR(ExpectKeyword("NOT"));
-      P3PDB_RETURN_IF_ERROR(ExpectKeyword("EXISTS"));
+      P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kNot));
+      P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kExists));
       ct->if_not_exists = true;
     }
     P3PDB_ASSIGN_OR_RETURN(std::string table_name,
@@ -296,9 +341,9 @@ class Parser {
     std::vector<std::string> primary_key;
     std::vector<ForeignKeyDef> fks;
     for (;;) {
-      if (Current().IsKeyword("PRIMARY")) {
+      if (Current().IsKeyword(Keyword::kPrimary)) {
         Advance();
-        P3PDB_RETURN_IF_ERROR(ExpectKeyword("KEY"));
+        P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kKey));
         P3PDB_RETURN_IF_ERROR(Expect(TokenType::kLeftParen, "'('"));
         for (;;) {
           P3PDB_ASSIGN_OR_RETURN(std::string col,
@@ -307,9 +352,9 @@ class Parser {
           if (!Consume(TokenType::kComma)) break;
         }
         P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
-      } else if (Current().IsKeyword("FOREIGN")) {
+      } else if (Current().IsKeyword(Keyword::kForeign)) {
         Advance();
-        P3PDB_RETURN_IF_ERROR(ExpectKeyword("KEY"));
+        P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kKey));
         ForeignKeyDef fk;
         P3PDB_RETURN_IF_ERROR(Expect(TokenType::kLeftParen, "'('"));
         for (;;) {
@@ -319,7 +364,7 @@ class Parser {
           if (!Consume(TokenType::kComma)) break;
         }
         P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
-        P3PDB_RETURN_IF_ERROR(ExpectKeyword("REFERENCES"));
+        P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kReferences));
         P3PDB_ASSIGN_OR_RETURN(fk.referenced_table,
                                ExpectIdentifier("table name"));
         P3PDB_RETURN_IF_ERROR(Expect(TokenType::kLeftParen, "'('"));
@@ -334,10 +379,12 @@ class Parser {
       } else {
         ColumnDef col;
         P3PDB_ASSIGN_OR_RETURN(col.name, ExpectIdentifier("column name"));
-        if (ConsumeKeyword("INTEGER") || ConsumeKeyword("INT") ||
-            ConsumeKeyword("BIGINT")) {
+        if (ConsumeKeyword(Keyword::kInteger) ||
+            ConsumeKeyword(Keyword::kInt) ||
+            ConsumeKeyword(Keyword::kBigint)) {
           col.type = ColumnType::kInteger;
-        } else if (ConsumeKeyword("VARCHAR") || ConsumeKeyword("CHAR")) {
+        } else if (ConsumeKeyword(Keyword::kVarchar) ||
+                   ConsumeKeyword(Keyword::kChar)) {
           col.type = ColumnType::kText;
           if (Consume(TokenType::kLeftParen)) {
             if (Current().type != TokenType::kInteger) {
@@ -346,17 +393,18 @@ class Parser {
             Advance();
             P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
           }
-        } else if (ConsumeKeyword("TEXT") || ConsumeKeyword("CLOB")) {
+        } else if (ConsumeKeyword(Keyword::kText) ||
+                   ConsumeKeyword(Keyword::kClob)) {
           col.type = ColumnType::kText;
         } else {
           return ErrorHere("expected column type");
         }
-        if (Current().IsKeyword("NOT")) {
+        if (Current().IsKeyword(Keyword::kNot)) {
           Advance();
-          P3PDB_RETURN_IF_ERROR(ExpectKeyword("NULL"));
+          P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kNull));
           col.nullable = false;
         } else {
-          ConsumeKeyword("NULL");
+          ConsumeKeyword(Keyword::kNull);
         }
         columns.push_back(std::move(col));
       }
@@ -370,11 +418,11 @@ class Parser {
   }
 
   Result<std::unique_ptr<Statement>> ParseDrop() {
-    P3PDB_RETURN_IF_ERROR(ExpectKeyword("TABLE"));
+    P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kTable));
     auto drop = std::make_unique<DropTableStmt>();
-    if (Current().IsKeyword("IF")) {
+    if (Current().IsKeyword(Keyword::kIf)) {
       Advance();
-      P3PDB_RETURN_IF_ERROR(ExpectKeyword("EXISTS"));
+      P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kExists));
       drop->if_exists = true;
     }
     P3PDB_ASSIGN_OR_RETURN(drop->table_name, ExpectIdentifier("table name"));
@@ -387,55 +435,57 @@ class Parser {
 
   Result<ExprPtr> ParseOr() {
     P3PDB_ASSIGN_OR_RETURN(ExprPtr first, ParseAnd());
-    if (!Current().IsKeyword("OR")) return first;
+    if (!Current().IsKeyword(Keyword::kOr)) return first;
     std::vector<ExprPtr> operands;
     operands.push_back(std::move(first));
-    while (ConsumeKeyword("OR")) {
+    while (ConsumeKeyword(Keyword::kOr)) {
       P3PDB_ASSIGN_OR_RETURN(ExprPtr next, ParseAnd());
       operands.push_back(std::move(next));
     }
-    return ExprPtr(new LogicalExpr(/*and_op=*/false, std::move(operands)));
+    return ExprPtr(New<LogicalExpr>(/*and_op=*/false, std::move(operands)));
   }
 
   Result<ExprPtr> ParseAnd() {
     P3PDB_ASSIGN_OR_RETURN(ExprPtr first, ParseNot());
-    if (!Current().IsKeyword("AND")) return first;
+    if (!Current().IsKeyword(Keyword::kAnd)) return first;
     std::vector<ExprPtr> operands;
     operands.push_back(std::move(first));
-    while (ConsumeKeyword("AND")) {
+    while (ConsumeKeyword(Keyword::kAnd)) {
       P3PDB_ASSIGN_OR_RETURN(ExprPtr next, ParseNot());
       operands.push_back(std::move(next));
     }
-    return ExprPtr(new LogicalExpr(/*and_op=*/true, std::move(operands)));
+    return ExprPtr(New<LogicalExpr>(/*and_op=*/true, std::move(operands)));
   }
 
   Result<ExprPtr> ParseNot() {
-    if (ConsumeKeyword("NOT")) {
+    if (ConsumeKeyword(Keyword::kNot)) {
       // NOT EXISTS folds into the ExistsExpr.
-      if (Current().IsKeyword("EXISTS")) {
+      if (Current().IsKeyword(Keyword::kExists)) {
         Advance();
         return ParseExistsBody(/*negated=*/true);
       }
       P3PDB_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
-      return ExprPtr(new NotExpr(std::move(inner)));
+      return ExprPtr(New<NotExpr>(std::move(inner)));
     }
     return ParsePredicate();
   }
 
   Result<ExprPtr> ParseExistsBody(bool negated) {
     P3PDB_RETURN_IF_ERROR(Expect(TokenType::kLeftParen, "'(' after EXISTS"));
-    P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sub, ParseSelect());
+    P3PDB_ASSIGN_OR_RETURN(ArenaPtr<SelectStmt> sub, ParseSubquery());
     P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
-    return ExprPtr(new ExistsExpr(negated, std::move(sub)));
+    return ExprPtr(New<ExistsExpr>(negated, std::move(sub)));
   }
 
   Result<ExprPtr> ParsePredicate() {
-    if (ConsumeKeyword("EXISTS")) return ParseExistsBody(/*negated=*/false);
+    if (ConsumeKeyword(Keyword::kExists)) {
+      return ParseExistsBody(/*negated=*/false);
+    }
     P3PDB_ASSIGN_OR_RETURN(ExprPtr left, ParsePrimary());
 
     if (Current().type == TokenType::kOperator) {
       CompareOp op;
-      const std::string& sym = Current().text;
+      const std::string_view sym = Current().text;
       if (sym == "=") {
         op = CompareOp::kEq;
       } else if (sym == "<>") {
@@ -451,21 +501,23 @@ class Parser {
       }
       Advance();
       P3PDB_ASSIGN_OR_RETURN(ExprPtr right, ParsePrimary());
-      return ExprPtr(new ComparisonExpr(op, std::move(left), std::move(right)));
+      return ExprPtr(
+          New<ComparisonExpr>(op, std::move(left), std::move(right)));
     }
-    if (Current().IsKeyword("IS")) {
+    if (Current().IsKeyword(Keyword::kIs)) {
       Advance();
-      bool negated = ConsumeKeyword("NOT");
-      P3PDB_RETURN_IF_ERROR(ExpectKeyword("NULL"));
-      return ExprPtr(new IsNullExpr(std::move(left), negated));
+      bool negated = ConsumeKeyword(Keyword::kNot);
+      P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kNull));
+      return ExprPtr(New<IsNullExpr>(std::move(left), negated));
     }
     bool negated = false;
-    if (Current().IsKeyword("NOT") &&
-        (Peek(1).IsKeyword("IN") || Peek(1).IsKeyword("LIKE"))) {
+    if (Current().IsKeyword(Keyword::kNot) &&
+        (Peek(1).IsKeyword(Keyword::kIn) ||
+         Peek(1).IsKeyword(Keyword::kLike))) {
       Advance();
       negated = true;
     }
-    if (ConsumeKeyword("IN")) {
+    if (ConsumeKeyword(Keyword::kIn)) {
       P3PDB_RETURN_IF_ERROR(Expect(TokenType::kLeftParen, "'(' after IN"));
       std::vector<ExprPtr> items;
       for (;;) {
@@ -474,12 +526,13 @@ class Parser {
         if (!Consume(TokenType::kComma)) break;
       }
       P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
-      return ExprPtr(new InListExpr(std::move(left), std::move(items), negated));
+      return ExprPtr(
+          New<InListExpr>(std::move(left), std::move(items), negated));
     }
-    if (ConsumeKeyword("LIKE")) {
+    if (ConsumeKeyword(Keyword::kLike)) {
       P3PDB_ASSIGN_OR_RETURN(ExprPtr pattern, ParsePrimary());
       char escape = '\0';
-      if (ConsumeKeyword("ESCAPE")) {
+      if (ConsumeKeyword(Keyword::kEscape)) {
         if (Current().type != TokenType::kString ||
             Current().text.size() != 1) {
           return ErrorHere("ESCAPE requires a single-character string");
@@ -488,7 +541,7 @@ class Parser {
         Advance();
       }
       return ExprPtr(
-          new LikeExpr(std::move(left), std::move(pattern), negated, escape));
+          New<LikeExpr>(std::move(left), std::move(pattern), negated, escape));
     }
     return left;
   }
@@ -497,17 +550,17 @@ class Parser {
     const Token& tok = Current();
     switch (tok.type) {
       case TokenType::kQuestion: {
-        ExprPtr e(new ParamExpr(param_count_++));
+        ExprPtr e = New<ParamExpr>(param_count_++);
         Advance();
         return e;
       }
       case TokenType::kString: {
-        ExprPtr e(new LiteralExpr(Value::Text(tok.text)));
+        ExprPtr e = New<LiteralExpr>(Value::Text(std::string(tok.text)));
         Advance();
         return e;
       }
       case TokenType::kInteger: {
-        ExprPtr e(new LiteralExpr(Value::Integer(tok.int_value)));
+        ExprPtr e = New<LiteralExpr>(Value::Integer(tok.int_value));
         Advance();
         return e;
       }
@@ -521,38 +574,38 @@ class Parser {
         return inner;
       }
       case TokenType::kIdentifier: {
-        if (tok.IsKeyword("NULL")) {
+        if (tok.IsKeyword(Keyword::kNull)) {
           Advance();
-          return ExprPtr(new LiteralExpr(Value::Null()));
+          return ExprPtr(New<LiteralExpr>(Value::Null()));
         }
-        if (tok.IsKeyword("TRUE")) {
+        if (tok.IsKeyword(Keyword::kTrue)) {
           Advance();
-          return ExprPtr(new LiteralExpr(Value::Boolean(true)));
+          return ExprPtr(New<LiteralExpr>(Value::Boolean(true)));
         }
-        if (tok.IsKeyword("FALSE")) {
+        if (tok.IsKeyword(Keyword::kFalse)) {
           Advance();
-          return ExprPtr(new LiteralExpr(Value::Boolean(false)));
+          return ExprPtr(New<LiteralExpr>(Value::Boolean(false)));
         }
         // Aggregate function?
         if (Peek(1).type == TokenType::kLeftParen) {
-          if (tok.IsKeyword("COUNT")) {
+          if (tok.IsKeyword(Keyword::kCount)) {
             Advance();
             Advance();  // '('
             if (Consume(TokenType::kStar)) {
               P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
-              return ExprPtr(new AggregateExpr(AggFunc::kCountStar, nullptr));
+              return ExprPtr(New<AggregateExpr>(AggFunc::kCountStar, nullptr));
             }
             P3PDB_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
             P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
-            return ExprPtr(new AggregateExpr(AggFunc::kCount, std::move(arg)));
+            return ExprPtr(New<AggregateExpr>(AggFunc::kCount, std::move(arg)));
           }
           AggFunc func;
           bool is_agg = true;
-          if (tok.IsKeyword("MIN")) {
+          if (tok.IsKeyword(Keyword::kMin)) {
             func = AggFunc::kMin;
-          } else if (tok.IsKeyword("MAX")) {
+          } else if (tok.IsKeyword(Keyword::kMax)) {
             func = AggFunc::kMax;
-          } else if (tok.IsKeyword("SUM")) {
+          } else if (tok.IsKeyword(Keyword::kSum)) {
             func = AggFunc::kSum;
           } else {
             is_agg = false;
@@ -563,18 +616,18 @@ class Parser {
             Advance();  // '('
             P3PDB_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
             P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
-            return ExprPtr(new AggregateExpr(func, std::move(arg)));
+            return ExprPtr(New<AggregateExpr>(func, std::move(arg)));
           }
         }
         // Column reference: ident or ident.ident.
-        std::string first = tok.text;
+        std::string first(tok.text);
         Advance();
         if (Consume(TokenType::kDot)) {
           P3PDB_ASSIGN_OR_RETURN(std::string col,
                                  ExpectIdentifier("column name"));
-          return ExprPtr(new ColumnRefExpr(std::move(first), std::move(col)));
+          return ExprPtr(New<ColumnRefExpr>(std::move(first), std::move(col)));
         }
-        return ExprPtr(new ColumnRefExpr("", std::move(first)));
+        return ExprPtr(New<ColumnRefExpr>("", std::move(first)));
       }
       default:
         break;
@@ -582,8 +635,10 @@ class Parser {
     return ErrorHere("expected expression");
   }
 
-  std::vector<Token> tokens_;
+  TokenList tokens_;
   size_t pos_ = 0;
+  // The arena of the statement being parsed; handed to its root on success.
+  std::unique_ptr<StatementArena> arena_;
   // `?` placeholders seen so far in the current statement; becomes the root
   // SELECT's param_count.
   size_t param_count_ = 0;
@@ -592,14 +647,14 @@ class Parser {
 }  // namespace
 
 Result<std::unique_ptr<Statement>> ParseStatement(std::string_view sql) {
-  P3PDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
+  P3PDB_ASSIGN_OR_RETURN(TokenList tokens, Tokenize(sql));
   Parser parser(std::move(tokens));
   return parser.ParseSingle();
 }
 
 Result<std::vector<std::unique_ptr<Statement>>> ParseScript(
     std::string_view sql) {
-  P3PDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
+  P3PDB_ASSIGN_OR_RETURN(TokenList tokens, Tokenize(sql));
   Parser parser(std::move(tokens));
   return parser.ParseAll();
 }

@@ -12,10 +12,13 @@
 
 namespace p3pdb::sqldb {
 
-/// Parses a single SQL statement (a trailing semicolon is allowed).
+/// Parses a single SQL statement (a trailing semicolon is allowed). The
+/// returned root owns the StatementArena every node below it lives in
+/// (ast.h, "Statement memory"); its first block is sized from the text.
 Result<std::unique_ptr<Statement>> ParseStatement(std::string_view sql);
 
-/// Parses a semicolon-separated script. Empty statements are skipped.
+/// Parses a semicolon-separated script. Empty statements are skipped. Each
+/// statement gets its own arena, sized from its own text.
 Result<std::vector<std::unique_ptr<Statement>>> ParseScript(
     std::string_view sql);
 

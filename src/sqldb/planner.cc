@@ -470,8 +470,9 @@ constexpr double kCorrelatedBuildFactor = 8.0;
 
 class Planner {
  public:
-  Planner(ExecStats* stats, const StatsCatalog* catalog)
-      : stats_(stats), catalog_(catalog) {}
+  Planner(StatementArena* arena, ExecStats* stats,
+          const StatsCatalog* catalog)
+      : arena_(arena), stats_(stats), catalog_(catalog) {}
 
   void Plan(SelectStmt* stmt) {
     path_.push_back(stmt);
@@ -501,7 +502,7 @@ class Planner {
         return;
       case ExprKind::kExists: {
         auto* exists = static_cast<ExistsExpr*>(slot->get());
-        if (std::unique_ptr<HashJoinExpr> join = TryRewrite(exists)) {
+        if (ArenaPtr<HashJoinExpr> join = TryRewrite(exists)) {
           *slot = std::move(join);
           // Nested EXISTS travelled into the build as local conjuncts;
           // give them their own rewrite pass.
@@ -537,7 +538,7 @@ class Planner {
     return columns[ref.column_ordinal].type;
   }
 
-  std::unique_ptr<HashJoinExpr> TryRewrite(ExistsExpr* exists) {
+  ArenaPtr<HashJoinExpr> TryRewrite(ExistsExpr* exists) {
     SelectStmt* sub = exists->subquery.get();
     if (sub->from.empty() || sub->where == nullptr) return nullptr;
     if (SelectContainsParam(*sub)) return nullptr;
@@ -595,8 +596,8 @@ class Planner {
     // Phase 2: eligible — dismantle the WHERE and assemble the join node.
     std::vector<ExprPtr> conjuncts;
     FlattenAndOwned(std::move(sub->where), &conjuncts);
-    auto join = std::make_unique<HashJoinExpr>(exists->negated,
-                                               std::move(exists->subquery));
+    ArenaPtr<HashJoinExpr> join = arena_->New<HashJoinExpr>(
+        exists->negated, std::move(exists->subquery));
     std::vector<ExprPtr> locals;
     for (size_t i = 0; i < conjuncts.size(); ++i) {
       if (!classes[i].is_correlation) {
@@ -619,7 +620,7 @@ class Planner {
       build->where = std::move(locals[0]);
     } else if (!locals.empty()) {
       build->where =
-          std::make_unique<LogicalExpr>(/*and_op=*/true, std::move(locals));
+          arena_->New<LogicalExpr>(/*and_op=*/true, std::move(locals));
     }  // else: no residual predicate; build enumerates the whole table
 
     std::vector<const Table*> deps;
@@ -733,6 +734,7 @@ class Planner {
     }
   }
 
+  StatementArena* arena_;  // where rewrite nodes are placed
   ExecStats* stats_;
   const StatsCatalog* catalog_;  // null = pure rule-based planning
   std::vector<const SelectStmt*> path_;  // enclosing selects, innermost last
@@ -740,9 +742,9 @@ class Planner {
 
 }  // namespace
 
-void PlanSelect(SelectStmt* stmt, ExecStats* stats,
+void PlanSelect(SelectStmt* stmt, StatementArena* arena, ExecStats* stats,
                 const StatsCatalog* catalog) {
-  Planner planner(stats, catalog);
+  Planner planner(arena, stats, catalog);
   planner.Plan(stmt);
 }
 

@@ -61,7 +61,12 @@ class StatsCatalog;
 /// Every surviving HashJoinExpr is stamped with its estimated build rows
 /// for EXPLAIN. Rewrites and cost decisions are tallied into `stats` (the
 /// semi/anti-join rewrite and cost_* counters) when it is non-null.
-void PlanSelect(SelectStmt* stmt, ExecStats* stats = nullptr,
+///
+/// The nodes a rewrite creates (the HashJoinExpr, the residual AND of the
+/// build's local conjuncts) are placed in `arena`, the arena of the root
+/// statement `stmt` belongs to.
+void PlanSelect(SelectStmt* stmt, StatementArena* arena,
+                ExecStats* stats = nullptr,
                 const StatsCatalog* catalog = nullptr);
 
 /// Fills `slot_plans` on `stmt` and every nested SELECT (EXISTS subqueries,

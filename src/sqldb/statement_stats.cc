@@ -85,8 +85,14 @@ std::string NormalizeStatementText(std::string_view sql) {
   if (!tokens.ok()) return CollapseWhitespace(sql);
   std::string out;
   out.reserve(sql.size());
+  // `.` glues its neighbours together (t.col), and parens hug their
+  // contents (`count (*)`): no space follows a dot or an opening paren, and
+  // neither a dot nor a closing paren takes one before it.
   auto append = [&out](std::string_view piece, bool space_before) {
-    if (space_before && !out.empty()) out += ' ';
+    if (space_before && !out.empty() && out.back() != '.' &&
+        out.back() != '(') {
+      out += ' ';
+    }
     out += piece;
   };
   for (const Token& token : tokens.value()) {
@@ -103,7 +109,10 @@ std::string NormalizeStatementText(std::string_view sql) {
       case TokenType::kIdentifier:
         // Keywords and identifiers are case-insensitive in this dialect;
         // fold so `SELECT` and `select` agree.
-        append(ToLower(token.text), true);
+        append(token.text, true);
+        for (size_t i = out.size() - token.text.size(); i < out.size(); ++i) {
+          if (out[i] >= 'A' && out[i] <= 'Z') out[i] += 'a' - 'A';
+        }
         break;
       case TokenType::kOperator:
         append(token.text, true);
@@ -128,24 +137,7 @@ std::string NormalizeStatementText(std::string_view sql) {
         break;
     }
   }
-  // `.` glues its neighbours together (t.col), and parens hug their
-  // contents (`count (*)`). The loop cannot suppress the space an upcoming
-  // token adds without lookahead, so a post-pass strips spaces before a
-  // dot/closing paren and after a dot/opening paren.
-  std::string tidy;
-  tidy.reserve(out.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (out[i] == ' ' && i + 1 < out.size() &&
-        (out[i + 1] == '.' || out[i + 1] == ')')) {
-      continue;
-    }
-    if (out[i] == ' ' && !tidy.empty() &&
-        (tidy.back() == '.' || tidy.back() == '(')) {
-      continue;
-    }
-    tidy += out[i];
-  }
-  return tidy;
+  return out;
 }
 
 uint64_t FingerprintStatementText(std::string_view normalized) {

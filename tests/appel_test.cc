@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "appel/engine.h"
+#include "appel/fingerprint.h"
 #include "appel/model.h"
+#include "common/random.h"
 #include "p3p/policy_xml.h"
 #include "workload/paper_examples.h"
+#include "workload/random_preferences.h"
 #include "xml/parser.h"
 
 namespace p3pdb::appel {
@@ -213,6 +216,118 @@ TEST_F(ConnectiveSemanticsTest, RequiredAttributeDefaults) {
 }
 
 // ---- Engine-level tests ----------------------------------------------------
+
+/// Applies one edit to field number `target` of a ruleset, numbering the
+/// fields in RulesetFingerprint's order: strings get a character appended,
+/// connectives move to the next value, and lists grow by a copy of their
+/// last element (a repeated attribute among them) or a default one.
+class FieldMutator {
+ public:
+  explicit FieldMutator(size_t target) : target_(target) {}
+
+  void Ruleset(AppelRuleset* rs) {
+    List(&rs->rules);
+    for (AppelRule& rule : rs->rules) Rule(&rule);
+  }
+  size_t fields() const { return next_; }
+
+ private:
+  bool Hit() { return next_++ == target_; }
+  void Text(std::string* s) {
+    if (Hit()) s->push_back('z');
+  }
+  void Conn(Connective* c) {
+    if (Hit()) *c = static_cast<Connective>((static_cast<int>(*c) + 1) % 6);
+  }
+  template <typename T>
+  void List(std::vector<T>* v) {
+    if (!Hit()) return;
+    if (v->empty()) {
+      v->emplace_back();
+    } else {
+      v->push_back(v->back());
+    }
+  }
+  void Rule(AppelRule* rule) {
+    Text(&rule->behavior);
+    Text(&rule->description);
+    Conn(&rule->connective);
+    List(&rule->expressions);
+    for (AppelExpr& expr : rule->expressions) Expr(&expr);
+  }
+  void Expr(AppelExpr* expr) {
+    Text(&expr->name);
+    Conn(&expr->connective);
+    List(&expr->attributes);
+    for (AppelAttribute& attr : expr->attributes) {
+      Text(&attr.name);
+      Text(&attr.value);
+    }
+    List(&expr->children);
+    for (AppelExpr& child : expr->children) Expr(&child);
+  }
+
+  size_t target_;
+  size_t next_ = 0;
+};
+
+TEST(FingerprintTest, EveryFieldEditChangesTheFingerprint) {
+  workload::RandomPreferenceOptions options;
+  options.allow_exact_connectives = true;
+  size_t edits = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Random rng(seed);
+    const AppelRuleset original = workload::RandomPreference(&rng, options);
+    const uint64_t fp = RulesetFingerprint(original);
+    ASSERT_NE(fp, 0u);
+    const AppelRuleset copy = original;
+    EXPECT_EQ(RulesetFingerprint(copy), fp) << "seed " << seed;
+
+    AppelRuleset counted = original;
+    FieldMutator counter(SIZE_MAX);
+    counter.Ruleset(&counted);
+    for (size_t field = 0; field < counter.fields(); ++field) {
+      AppelRuleset edited = original;
+      FieldMutator(field).Ruleset(&edited);
+      EXPECT_NE(RulesetFingerprint(edited), fp)
+          << "seed " << seed << ", field " << field << "\n"
+          << RulesetToText(edited);
+      ++edits;
+    }
+  }
+  EXPECT_GT(edits, 2000u);
+}
+
+TEST(FingerprintTest, FieldBoundariesAndRepeatsAreHashed) {
+  const auto policy_with = [](std::vector<AppelAttribute> attrs) {
+    AppelExpr policy;
+    policy.name = "POLICY";
+    policy.attributes = std::move(attrs);
+    AppelRule rule;
+    rule.behavior = "block";
+    rule.expressions.push_back(std::move(policy));
+    AppelRuleset rs;
+    rs.rules.push_back(std::move(rule));
+    return rs;
+  };
+  // A repeated attribute (which an XML serialization collapses to its last
+  // value) and a shifted name/value boundary each hash differently.
+  const uint64_t once = RulesetFingerprint(policy_with({{"name", "p"}}));
+  EXPECT_NE(RulesetFingerprint(policy_with({{"name", "x"}, {"name", "p"}})),
+            once);
+  EXPECT_NE(RulesetFingerprint(policy_with({{"name", "p"}, {"name", "p"}})),
+            once);
+  EXPECT_NE(RulesetFingerprint(policy_with({{"ab", "c"}})),
+            RulesetFingerprint(policy_with({{"a", "bc"}})));
+  // A child moved up to a sibling position changes the shape.
+  AppelRuleset nested = policy_with({});
+  AppelExpr child;
+  child.name = "STATEMENT";
+  nested.rules[0].expressions[0].children.push_back(child);
+  AppelRuleset flat = policy_with({});
+  flat.rules[0].expressions.push_back(child);
+  EXPECT_NE(RulesetFingerprint(nested), RulesetFingerprint(flat));
+}
 
 TEST(NativeEngineTest, JaneVsVolga) {
   NativeEngine engine;

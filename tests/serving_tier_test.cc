@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "appel/model.h"
 #include "server/policy_server.h"
 #include "server/sharded_server.h"
 #include "workload/corpus.h"
@@ -480,6 +481,60 @@ TEST(ServingTierTest, TornEpochNeverObserved) {
       tier.value()->MatchUri(pref.value(), "/churn/index.html");
   ASSERT_TRUE(final_match.ok());
   EXPECT_EQ(final_match.value().behavior, behavior_a);
+}
+
+// Two preferences that differ only in a repeated attribute translate to
+// different SQL, so they must never share a match-cache entry: rule A
+// requires POLICY name="x" *and* name=<p> (never true), rule B only
+// name=<p>. A fingerprint over an XML serialization collapsed A's repeated
+// attribute into B's, and B then got A's cached verdict.
+appel::AppelRuleset NamePreference(std::vector<std::string> names) {
+  appel::AppelExpr policy;
+  policy.name = "POLICY";
+  for (std::string& name : names) {
+    policy.attributes.push_back({"name", std::move(name)});
+  }
+  appel::AppelRule block;
+  block.behavior = "block";
+  block.expressions.push_back(std::move(policy));
+  appel::AppelRule otherwise;
+  otherwise.behavior = "request";
+  appel::AppelRuleset ruleset;
+  ruleset.rules.push_back(std::move(block));
+  ruleset.rules.push_back(std::move(otherwise));
+  return ruleset;
+}
+
+TEST(ServingTierTest, RepeatedAttributeNeverSharesACachedVerdict) {
+  const std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
+  const std::string name = corpus[0].name;
+  const appel::AppelRuleset a = NamePreference({"x", name});
+  const appel::AppelRuleset b = NamePreference({name});
+
+  std::vector<std::string> verdicts[2];
+  for (bool cache : {false, true}) {
+    ShardedPolicyServer::Options options = TierOptions(4);
+    options.enable_match_cache = cache;
+    auto tier = ShardedPolicyServer::Create(options);
+    ASSERT_TRUE(tier.ok()) << tier.status().message();
+    auto id = tier.value()->InstallPolicy(corpus[0]);
+    ASSERT_TRUE(id.ok()) << id.status().message();
+    auto pref_a = tier.value()->CompilePreference(a);
+    auto pref_b = tier.value()->CompilePreference(b);
+    ASSERT_TRUE(pref_a.ok() && pref_b.ok());
+    EXPECT_NE(pref_a.value().fingerprint, pref_b.value().fingerprint);
+    // A first, so with the cache on B would find A's entry if the two
+    // fingerprints collided.
+    for (const CompiledPreference* pref : {&pref_a.value(), &pref_b.value(),
+                                           &pref_a.value()}) {
+      auto match = tier.value()->MatchPolicyId(*pref, id.value());
+      ASSERT_TRUE(match.ok()) << match.status().message();
+      verdicts[cache].push_back(match.value().behavior);
+    }
+  }
+  EXPECT_EQ(verdicts[0],
+            (std::vector<std::string>{"request", "block", "request"}));
+  EXPECT_EQ(verdicts[1], verdicts[0]);
 }
 
 }  // namespace

@@ -9,18 +9,18 @@
 namespace p3pdb::sqldb {
 namespace {
 
-std::vector<Token> MustTokenize(std::string_view sql) {
+TokenList MustTokenize(std::string_view sql) {
   auto result = Tokenize(sql);
   EXPECT_TRUE(result.ok()) << result.status();
   return std::move(result).value();
 }
 
 TEST(LexerTest, BasicTokens) {
-  std::vector<Token> tokens = MustTokenize("SELECT * FROM t WHERE a = 1");
+  TokenList tokens = MustTokenize("SELECT * FROM t WHERE a = 1");
   ASSERT_EQ(tokens.size(), 9u);  // incl. kEnd
-  EXPECT_TRUE(tokens[0].IsKeyword("select"));
+  EXPECT_TRUE(tokens[0].IsKeyword(Keyword::kSelect));
   EXPECT_EQ(tokens[1].type, TokenType::kStar);
-  EXPECT_TRUE(tokens[2].IsKeyword("FROM"));
+  EXPECT_TRUE(tokens[2].IsKeyword(Keyword::kFrom));
   EXPECT_EQ(tokens[3].type, TokenType::kIdentifier);
   EXPECT_EQ(tokens[5].type, TokenType::kIdentifier);
   EXPECT_EQ(tokens[6].type, TokenType::kOperator);
@@ -30,14 +30,14 @@ TEST(LexerTest, BasicTokens) {
 }
 
 TEST(LexerTest, StringLiteralWithEscapedQuote) {
-  std::vector<Token> tokens = MustTokenize("'it''s'");
+  TokenList tokens = MustTokenize("'it''s'");
   ASSERT_EQ(tokens.size(), 2u);
   EXPECT_EQ(tokens[0].type, TokenType::kString);
   EXPECT_EQ(tokens[0].text, "it's");
 }
 
 TEST(LexerTest, Operators) {
-  std::vector<Token> tokens = MustTokenize("= <> != < <= > >=");
+  TokenList tokens = MustTokenize("= <> != < <= > >=");
   ASSERT_EQ(tokens.size(), 8u);
   EXPECT_EQ(tokens[0].text, "=");
   EXPECT_EQ(tokens[1].text, "<>");
@@ -49,7 +49,7 @@ TEST(LexerTest, Operators) {
 }
 
 TEST(LexerTest, CommentsSkipped) {
-  std::vector<Token> tokens = MustTokenize("SELECT -- comment\n 1");
+  TokenList tokens = MustTokenize("SELECT -- comment\n 1");
   ASSERT_EQ(tokens.size(), 3u);
   EXPECT_EQ(tokens[1].type, TokenType::kInteger);
 }
@@ -59,9 +59,116 @@ TEST(LexerTest, UnterminatedStringFails) {
 }
 
 TEST(LexerTest, QualifiedName) {
-  std::vector<Token> tokens = MustTokenize("Policy.policy_id");
+  TokenList tokens = MustTokenize("Policy.policy_id");
   ASSERT_EQ(tokens.size(), 4u);
   EXPECT_EQ(tokens[1].type, TokenType::kDot);
+}
+
+TEST(LexerTest, EscapedLiteralsDecodeAndSurviveAMove) {
+  // Several escaped literals share the list's decode buffer; the views must
+  // stay valid once the list is moved out of the Result and again.
+  const std::string sql = "SELECT 'a''b', 'plain', '''', 'x''''y' FROM t";
+  TokenList first = MustTokenize(sql);
+  TokenList tokens = std::move(first);
+  ASSERT_EQ(tokens.size(), 11u);
+  EXPECT_EQ(tokens[1].text, "a'b");
+  EXPECT_EQ(tokens[3].text, "plain");
+  EXPECT_EQ(tokens[5].text, "'");
+  EXPECT_EQ(tokens[7].text, "x''y");
+  // An unescaped literal is a view into the text itself.
+  EXPECT_EQ(tokens[3].text.data(), sql.data() + 16);
+  EXPECT_EQ(tokens[1].offset, 7u);
+  EXPECT_EQ(tokens[3].offset, 15u);
+  EXPECT_EQ(tokens[7].offset, 30u);
+  auto parsed = ParseStatement(sql);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(static_cast<const SelectStmt&>(*parsed.value()).ToSql(),
+            sql);  // ToSql re-escapes: the statement round-trips
+}
+
+TEST(LexerTest, NotEqualsSpellsAngleBrackets) {
+  TokenList tokens = MustTokenize("a!=b");
+  ASSERT_EQ(tokens.size(), 4u);
+  EXPECT_EQ(tokens[1].type, TokenType::kOperator);
+  EXPECT_EQ(tokens[1].text, "<>");
+  EXPECT_EQ(tokens[1].offset, 1u);
+  auto parsed = ParseStatement("SELECT 1 FROM t WHERE a != 2");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(static_cast<const SelectStmt&>(*parsed.value()).ToSql(),
+            "SELECT 1 FROM t WHERE a <> 2");
+}
+
+TEST(LexerTest, MixedCaseKeywordsGetTheirIds) {
+  TokenList tokens =
+      MustTokenize("sElEcT DiStInCt x FrOm t wHeRe NoT eXiStS");
+  EXPECT_EQ(tokens[0].keyword, Keyword::kSelect);
+  EXPECT_EQ(tokens[1].keyword, Keyword::kDistinct);
+  EXPECT_EQ(tokens[2].keyword, Keyword::kNone);
+  EXPECT_EQ(tokens[3].keyword, Keyword::kFrom);
+  EXPECT_EQ(tokens[5].keyword, Keyword::kWhere);
+  EXPECT_EQ(tokens[6].keyword, Keyword::kNot);
+  EXPECT_EQ(tokens[7].keyword, Keyword::kExists);
+  // The spelling is kept as written.
+  EXPECT_EQ(tokens[0].text, "sElEcT");
+  // Near-misses are plain identifiers: a digit or '_' never folds into a
+  // letter, and longer or shorter words never match.
+  for (const char* word : {"selects", "selec", "s_lect", "SELECT_", "in1",
+                           "references_", "_from"}) {
+    TokenList t = MustTokenize(word);
+    EXPECT_EQ(t[0].type, TokenType::kIdentifier) << word;
+    EXPECT_EQ(t[0].keyword, Keyword::kNone) << word;
+  }
+  EXPECT_EQ(KeywordSpelling(Keyword::kReferences), "REFERENCES");
+  EXPECT_EQ(KeywordSpelling(Keyword::kNone), "");
+}
+
+TEST(LexerTest, KeywordsStillServeAsNames) {
+  // Keywords are not reserved: `key` and `text` work as column names.
+  auto parsed = ParseStatement("SELECT key, text FROM t WHERE key = 1");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(static_cast<const SelectStmt&>(*parsed.value()).ToSql(),
+            "SELECT key, text FROM t WHERE key = 1");
+}
+
+TEST(LexerTest, ErrorMessagesKeepTheirOffsets) {
+  auto bad_char = Tokenize("SELECT a FROM t WHERE a = #");
+  ASSERT_FALSE(bad_char.ok());
+  EXPECT_EQ(bad_char.status().message(),
+            "unexpected character '#' at offset 26");
+  auto bang = Tokenize("SELECT a ! b");
+  ASSERT_FALSE(bang.ok());
+  EXPECT_EQ(bang.status().message(), "unexpected '!' at offset 9");
+  auto open = Tokenize("SELECT 'abc");
+  ASSERT_FALSE(open.ok());
+  EXPECT_EQ(open.status().message(),
+            "unterminated string literal at offset 7");
+  auto parse = ParseStatement("SELECT a FROM t WHERE");
+  ASSERT_FALSE(parse.ok());
+  EXPECT_EQ(parse.status().message(),
+            "expected expression near offset 21 (end of input)");
+  auto keyword = ParseStatement("SELECT a FROM t GROUP x");
+  ASSERT_FALSE(keyword.ok());
+  EXPECT_EQ(keyword.status().message(), "expected BY near offset 22 ('x')");
+}
+
+TEST(LexerTest, IntegerLiteralOutOfRangeIsAParseError) {
+  TokenList max = MustTokenize("9223372036854775807");
+  EXPECT_EQ(max[0].int_value, INT64_MAX);
+  for (const char* sql :
+       {"SELECT 9223372036854775808", "SELECT 99999999999999999999",
+        "SELECT 1 FROM t WHERE a = 123456789012345678901234567890"}) {
+    auto tokens = Tokenize(sql);
+    ASSERT_FALSE(tokens.ok()) << sql;
+    EXPECT_EQ(tokens.status().code(), StatusCode::kParseError);
+    EXPECT_NE(tokens.status().message().find("integer literal out of range"),
+              std::string::npos)
+        << tokens.status().message();
+    EXPECT_FALSE(ParseStatement(sql).ok()) << sql;
+  }
+  auto script = ParseScript("SELECT 1; SELECT 99999999999999999999");
+  ASSERT_FALSE(script.ok());
+  EXPECT_EQ(script.status().message(),
+            "integer literal out of range at offset 17");
 }
 
 std::unique_ptr<Statement> MustParse(std::string_view sql) {
