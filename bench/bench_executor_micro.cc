@@ -16,10 +16,24 @@
 // translator's rule queries for seeded random preferences, against one
 // shard's replica of the serving tier. Samples are per-statement
 // microseconds; `matches_per_sec` carries statements prepared per second.
+//
+// `micro/plan_evict_cold` times what the plan cache's eviction pays for a
+// plan: destroying it. Rounds of 512 distinct rule queries (twice the
+// default plan-cache capacity) are prepared and executed once on the same
+// replica, 8 MiB of other memory is written so the plans go cold in the
+// CPU caches, as a victim 256 misses old is under load, and the plans are
+// destroyed oldest first. Samples are per-plan microseconds;
+// `matches_per_sec` carries plans destroyed per second and `frees_per_op`
+// the heap frees per destroyed plan (this binary counts operator delete).
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -31,6 +45,73 @@
 #include "translator/sql_optimized.h"
 #include "workload/corpus.h"
 #include "workload/random_preferences.h"
+
+namespace {
+
+// Heap frees, counted for micro/plan_evict_cold by the replaced global
+// operator delete below (one relaxed increment per free).
+std::atomic<uint64_t> g_frees{0};
+
+void* Allocate(std::size_t size, std::size_t alignment) {
+  if (size == 0) size = 1;
+  void* p = nullptr;
+  if (alignment <= alignof(std::max_align_t)) {
+    p = std::malloc(size);
+  } else if (posix_memalign(&p, alignment, size) != 0) {
+    p = nullptr;
+  }
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void Free(void* p) {
+  if (p == nullptr) return;
+  g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  return Allocate(size, alignof(std::max_align_t));
+}
+void* operator new[](std::size_t size) {
+  return Allocate(size, alignof(std::max_align_t));
+}
+void* operator new(std::size_t size, std::align_val_t alignment) {
+  return Allocate(size, static_cast<std::size_t>(alignment));
+}
+void* operator new[](std::size_t size, std::align_val_t alignment) {
+  return Allocate(size, static_cast<std::size_t>(alignment));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return Allocate(size, alignof(std::max_align_t));
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return Allocate(size, alignof(std::max_align_t));
+  } catch (...) {
+    return nullptr;
+  }
+}
+void operator delete(void* p) noexcept { Free(p); }
+void operator delete[](void* p) noexcept { Free(p); }
+void operator delete(void* p, std::size_t) noexcept { Free(p); }
+void operator delete[](void* p, std::size_t) noexcept { Free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { Free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { Free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  Free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  Free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { Free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { Free(p); }
 
 namespace p3pdb::bench {
 namespace {
@@ -134,12 +215,9 @@ std::string FormatRowsPerSec(double v) {
   return buf;
 }
 
-/// Cold prepares of the rule queries for preferences seeded 1000..1999 on
-/// a kSql replica holding every 4th of 1,000 corpus policies (statement
-/// stats off, as on the tier's replicas). Every statement is prepared
-/// exactly once, so each sample is a first-time Prepare.
-MicroResult RunPrepareCold(size_t* statements, double* arena_reserved,
-                           double* arena_used) {
+/// A kSql replica holding every 4th of 1,000 corpus policies (statement
+/// stats off, as on the tier's replicas).
+std::unique_ptr<server::PolicyServer> MakeReplica() {
   server::PolicyServer::Options options;
   options.engine = server::EngineKind::kSql;
   options.enable_statement_stats = false;
@@ -159,11 +237,13 @@ MicroResult RunPrepareCold(size_t* statements, double* arena_reserved,
       std::exit(1);
     }
   }
-  sqldb::Database* db = replica.value()->database();
+  return std::move(replica).value();
+}
+
+/// The optimized translator's rule queries for seeds 1000-1999, in order.
+std::vector<std::string> RuleQueries() {
   translator::OptimizedSqlTranslator translator(/*parameterized=*/true);
-  MicroResult out;
-  size_t reserved = 0;
-  size_t used = 0;
+  std::vector<std::string> out;
   for (uint64_t seed = 1000; seed < 2000; ++seed) {
     Random rng(seed);
     auto rules = translator.TranslateRuleset(
@@ -173,24 +253,104 @@ MicroResult RunPrepareCold(size_t* statements, double* arena_reserved,
                    rules.status().ToString().c_str());
       std::exit(1);
     }
-    for (const std::string& sql : rules.value().rule_queries) {
-      Stopwatch sw;
-      auto prepared = db->Prepare(sql);
-      const double us = sw.ElapsedMicros();
-      if (!prepared.ok()) {
-        std::fprintf(stderr, "prepare error: %s\n",
-                     prepared.status().ToString().c_str());
-        std::exit(1);
-      }
-      out.timings.Add(us);
-      reserved += prepared.value().arena()->reserved_bytes();
-      used += prepared.value().arena()->used_bytes();
+    for (std::string& sql : rules.value().rule_queries) {
+      out.push_back(std::move(sql));
     }
+  }
+  return out;
+}
+
+/// Cold prepares of the rule queries for preferences seeded 1000..1999 on
+/// the replica. Every statement is prepared exactly once, so each sample is
+/// a first-time Prepare.
+MicroResult RunPrepareCold(size_t* statements, double* arena_reserved,
+                           double* arena_used) {
+  std::unique_ptr<server::PolicyServer> replica = MakeReplica();
+  sqldb::Database* db = replica->database();
+  MicroResult out;
+  size_t reserved = 0;
+  size_t used = 0;
+  for (const std::string& sql : RuleQueries()) {
+    Stopwatch sw;
+    auto prepared = db->Prepare(sql);
+    const double us = sw.ElapsedMicros();
+    if (!prepared.ok()) {
+      std::fprintf(stderr, "prepare error: %s\n",
+                   prepared.status().ToString().c_str());
+      std::exit(1);
+    }
+    out.timings.Add(us);
+    reserved += prepared.value().arena()->reserved_bytes();
+    used += prepared.value().arena()->used_bytes();
   }
   *statements = out.timings.count();
   const double n = static_cast<double>(*statements);
   *arena_reserved = static_cast<double>(reserved) / n;
   *arena_used = static_cast<double>(used) / n;
+  out.rows_per_sec = 1e6 / out.timings.Average();
+  return out;
+}
+
+constexpr size_t kPlansPerRound = 2 * 256;      // twice the cache's default
+constexpr size_t kColdBytes = size_t{8} << 20;  // written between build/destroy
+
+/// micro/plan_evict_cold (see the header comment). `frees_per_plan` gets
+/// the mean heap frees per destroyed plan.
+MicroResult RunPlanEvictCold(size_t* plans, double* frees_per_plan) {
+  std::unique_ptr<server::PolicyServer> replica = MakeReplica();
+  sqldb::Database* db = replica->database();
+  auto first_policy = db->Execute("SELECT MIN(policy_id) FROM Policy");
+  if (!first_policy.ok()) {
+    std::fprintf(stderr, "setup error: %s\n",
+                 first_policy.status().ToString().c_str());
+    std::exit(1);
+  }
+  const sqldb::Value policy_id = first_policy.value().rows.at(0).at(0);
+  std::vector<std::string> statements;
+  std::set<std::string> seen;
+  for (std::string& sql : RuleQueries()) {
+    if (seen.insert(sql).second) statements.push_back(std::move(sql));
+  }
+  std::vector<unsigned char> other(kColdBytes);
+  MicroResult out;
+  uint64_t frees = 0;
+  for (size_t first = 0; first + kPlansPerRound <= statements.size();
+       first += kPlansPerRound) {
+    std::vector<sqldb::PreparedStatement> round;
+    round.reserve(kPlansPerRound);
+    for (size_t i = first; i < first + kPlansPerRound; ++i) {
+      const std::string& sql = statements[i];
+      auto prepared = db->Prepare(sql);
+      if (!prepared.ok()) {
+        std::fprintf(stderr, "prepare error: %s\n",
+                     prepared.status().ToString().c_str());
+        std::exit(1);
+      }
+      // Run it once, as a cached plan has been: hash-join key sets built,
+      // column headers shared with a result that is gone again.
+      const std::vector<sqldb::Value> params(
+          static_cast<size_t>(std::count(sql.begin(), sql.end(), '?')),
+          policy_id);
+      if (!prepared.value().Execute(params).ok()) {
+        std::fprintf(stderr, "execute error: %s\n", sql.c_str());
+        std::exit(1);
+      }
+      round.push_back(std::move(prepared).value());
+    }
+    for (size_t i = 0; i < other.size(); i += 64) {
+      other[i] = static_cast<unsigned char>(other[i] + i + first);
+    }
+    for (sqldb::PreparedStatement& plan : round) {
+      const uint64_t frees_before = g_frees.load(std::memory_order_relaxed);
+      Stopwatch sw;
+      plan = sqldb::PreparedStatement();
+      const double us = sw.ElapsedMicros();
+      frees += g_frees.load(std::memory_order_relaxed) - frees_before;
+      out.timings.Add(us);
+    }
+  }
+  *plans = out.timings.count();
+  *frees_per_plan = static_cast<double>(frees) / static_cast<double>(*plans);
   out.rows_per_sec = 1e6 / out.timings.Average();
   return out;
 }
@@ -274,6 +434,19 @@ int Main(int argc, char** argv) {
       statements, cold.timings.Percentile(50.0), cold.timings.Percentile(99.0),
       arena_reserved, arena_used);
   records.push_back(Record("micro/prepare_cold", cold));
+
+  size_t plans = 0;
+  double frees_per_plan = 0.0;
+  MicroResult evict = RunPlanEvictCold(&plans, &frees_per_plan);
+  std::printf(
+      "Cold plan destruction (%zu plans in rounds of %zu, %zu MiB written "
+      "between build and destroy): p50 %.2fus, p99 %.2fus per plan; %.2f "
+      "heap frees per plan\n",
+      plans, kPlansPerRound, kColdBytes >> 20, evict.timings.Percentile(50.0),
+      evict.timings.Percentile(99.0), frees_per_plan);
+  BenchJsonRecord evict_record = Record("micro/plan_evict_cold", evict);
+  evict_record.frees_per_op = frees_per_plan;
+  records.push_back(std::move(evict_record));
 
   if (!json_path.empty()) {
     auto written = WriteBenchJson(json_path, records);

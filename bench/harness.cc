@@ -240,6 +240,9 @@ std::string BenchRecordsToJson(const std::vector<BenchJsonRecord>& records) {
       out += ", \"hardware_concurrency\": " +
              std::to_string(r.hardware_concurrency);
     }
+    if (r.frees_per_op >= 0.0) {
+      out += ", \"frees_per_op\": " + FormatDouble(r.frees_per_op, 2);
+    }
     out += "}";
     if (i + 1 < records.size()) out += ",";
     out += "\n";

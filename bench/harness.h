@@ -156,6 +156,9 @@ struct BenchJsonRecord {
   // record, for benches whose numbers only compare across runs on the same
   // core count. 0 (the default) leaves the field out of the JSON.
   unsigned hardware_concurrency = 0;
+  // Heap frees per op, for benches that count them. Negative (the default)
+  // leaves the field out of the JSON.
+  double frees_per_op = -1.0;
 };
 
 /// Builds a record from per-op samples held in microseconds (the unit

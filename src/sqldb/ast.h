@@ -8,16 +8,28 @@
 // The binder annotates the tree in place (column refs get scope coordinates,
 // table refs get table pointers); see binder.h.
 //
-// Statement memory: every node of a parsed statement (each Expr, every
-// nested SelectStmt, and the HashJoinExpr / residual LogicalExpr nodes the
-// planner adds) lives in one StatementArena owned by the root Statement.
-// Node pointers are ArenaPtrs, which destroy a node but never free it; the
-// arena releases its blocks when the root goes, so however the root is
-// shared (a cached plan's aliasing shared_ptr, a PreparedStatement) the
-// nodes live exactly as long as it. Nothing allocates from an arena once
-// parse, bind and plan finish: executions only read the tree. Left on the
-// heap: node-owned vectors and strings, the shared column_headers, the
-// mutable HashJoinRuntime, and everything the executor allocates per run.
+// Statement memory: a parsed statement is a handful of blocks. The root,
+// every node below it (each Expr, every nested SelectStmt, and the
+// HashJoinExpr / residual LogicalExpr nodes the planner adds), every list
+// those nodes own (ArenaVector: operands, select items, FROM lists, slot
+// plans, join keys) and a copy of the statement's SQL text live in one
+// StatementArena. Names (table, column, alias) are views into that text
+// copy, which is also the plan cache's key. Lists are built once at their
+// final size: the parser and planner collect into scratch buffers and copy
+// the finished list into the arena, so no list grows (and strands its old
+// buffer) inside the monotonic arena. Nodes are trivially destructible and
+// nothing runs per node when a statement dies: deleting the root (a
+// destroying delete), or releasing the last shared_ptr to it (whose control
+// block sits in the arena object, see ShareStatement), deletes its arena,
+// which runs the finalizers the few heap-owning members registered and then
+// releases its blocks. Those
+// members are the rendered column headers (shared with every QueryResult,
+// so they outlive the plan), the mutable HashJoinRuntime, text literals too
+// long for std::string's inline buffer, and the non-SELECT roots' own
+// strings and vectors. Nothing allocates from an arena once parse, bind
+// and plan finish: executions only read the tree. Bind and plan take their
+// temporary vectors from a stack buffer (Database::BindAndPlan), not from
+// the arena or the heap.
 
 #ifndef P3PDB_SQLDB_AST_H_
 #define P3PDB_SQLDB_AST_H_
@@ -29,6 +41,8 @@
 #include <new>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -45,53 +59,156 @@ struct SelectStmt;
 // Statement memory
 // ---------------------------------------------------------------------------
 
-/// Deleter for arena-placed nodes: runs the destructor and frees nothing
-/// (the StatementArena releases the memory in whole blocks).
-struct ArenaDelete {
-  template <typename T>
-  void operator()(T* node) const {
-    node->~T();
+/// Pointer to a node in its statement's arena. It owns nothing (the arena
+/// releases nodes in whole blocks) but keeps unique_ptr's move semantics, so
+/// a node moved into a rewrite leaves a null behind. Trivially destructible.
+template <typename T>
+class ArenaPtr {
+ public:
+  ArenaPtr() = default;
+  ArenaPtr(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  explicit ArenaPtr(T* node) : node_(node) {}
+  ArenaPtr(ArenaPtr&& other) noexcept : node_(other.release()) {}
+  template <typename U,
+            typename = std::enable_if_t<std::is_convertible_v<U*, T*>>>
+  ArenaPtr(ArenaPtr<U>&& other)  // NOLINT(google-explicit-constructor)
+      : node_(other.release()) {}
+  ArenaPtr& operator=(ArenaPtr&& other) noexcept {
+    node_ = other.release();
+    return *this;
   }
+  template <typename U,
+            typename = std::enable_if_t<std::is_convertible_v<U*, T*>>>
+  ArenaPtr& operator=(ArenaPtr<U>&& other) {
+    node_ = other.release();
+    return *this;
+  }
+  ArenaPtr(const ArenaPtr&) = delete;
+  ArenaPtr& operator=(const ArenaPtr&) = delete;
+
+  T* get() const { return node_; }
+  T* release() {
+    T* node = node_;
+    node_ = nullptr;
+    return node;
+  }
+  T& operator*() const { return *node_; }
+  T* operator->() const { return node_; }
+  explicit operator bool() const { return node_ != nullptr; }
+  friend bool operator==(const ArenaPtr& p, std::nullptr_t) {
+    return p.node_ == nullptr;
+  }
+
+ private:
+  T* node_ = nullptr;
 };
 
-/// Owning pointer to a node in its statement's arena. Moves, `.get()` and
-/// derived-to-base conversion work as for any unique_ptr.
+/// A fixed-size list in its statement's arena: a pointer and a size, built
+/// once at its final length (StatementArena::NewArray / MoveArray). Copies
+/// are views of the same elements. Trivially destructible; so must its
+/// elements be.
 template <typename T>
-using ArenaPtr = std::unique_ptr<T, ArenaDelete>;
+class ArenaVector {
+ public:
+  static_assert(std::is_trivially_destructible_v<T>,
+                "arena lists are released without destroying elements");
 
-/// The arena one parsed statement's nodes live in: a
+  ArenaVector() = default;
+  ArenaVector(T* data, size_t size) : data_(data), size_(size) {}
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  T* begin() { return data_; }
+  T* end() { return data_ + size_; }
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+  T& operator[](size_t i) { return data_[i]; }
+  const T& operator[](size_t i) const { return data_[i]; }
+  T& back() { return data_[size_ - 1]; }
+  const T& back() const { return data_[size_ - 1]; }
+
+ private:
+  T* data_ = nullptr;
+  size_t size_ = 0;
+};
+
+struct LiteralExpr;
+template <typename T>
+struct ControlBlockAllocator;
+
+/// The arena one parsed statement lives in: a
 /// std::pmr::monotonic_buffer_resource whose first block is sized from the
-/// statement's SQL text and allocated together with the arena object, so a
-/// statement's nodes cost one heap allocation until they outgrow that
-/// block. Single-threaded: only the parser and planner place nodes.
+/// statement's SQL text and allocated together with the arena object and a
+/// copy of that text, so a statement costs one heap allocation until it
+/// outgrows that block. Destroying the arena runs its finalizers (newest
+/// first) and then releases its blocks; no node destructor runs.
+/// Single-threaded: only the parser and planner place objects.
 class alignas(std::max_align_t) StatementArena final
     : private std::pmr::memory_resource {
  public:
-  /// An arena for a statement of `sql_bytes` bytes of SQL text.
-  static std::unique_ptr<StatementArena> ForText(size_t sql_bytes);
+  /// An arena holding a copy of `text`, the statement's SQL text.
+  static std::unique_ptr<StatementArena> ForText(std::string_view text);
   ~StatementArena() override;
 
   StatementArena(const StatementArena&) = delete;
   StatementArena& operator=(const StatementArena&) = delete;
 
-  /// Constructs a T in the arena.
+  /// The arena's copy of the statement text; names in the tree view it.
+  std::string_view text() const { return {text_, text_size_}; }
+
+  /// Constructs a trivially destructible T in the arena.
   template <typename T, typename... Args>
   ArenaPtr<T> New(Args&&... args) {
-    void* memory = resource_.allocate(sizeof(T), alignof(T));
-    used_ += sizeof(T);
-    return ArenaPtr<T>(::new (memory) T(std::forward<Args>(args)...));
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "a node that owns memory outside the arena needs "
+                  "NewFinalized");
+    return ArenaPtr<T>(Place<T>(std::forward<Args>(args)...));
   }
 
-  /// Bytes of nodes placed so far (destroyed nodes included: a monotonic
-  /// arena never reuses memory).
+  /// Constructs a T whose destructor runs as a finalizer when the arena is
+  /// destroyed: for the few objects that own memory outside the arena.
+  template <typename T, typename... Args>
+  T* NewFinalized(Args&&... args) {
+    T* object = Place<T>(std::forward<Args>(args)...);
+    AddFinalizer(object);
+    return object;
+  }
+
+  /// A list of `size` value-initialized elements.
+  template <typename T>
+  ArenaVector<T> NewArray(size_t size) {
+    if (size == 0) return {};
+    T* data = static_cast<T*>(Allocate(sizeof(T) * size, alignof(T)));
+    for (size_t i = 0; i < size; ++i) ::new (data + i) T();
+    return ArenaVector<T>(data, size);
+  }
+
+  /// A list holding `items`, moved out of a scratch buffer.
+  template <typename T>
+  ArenaVector<T> MoveArray(T* items, size_t size) {
+    if (size == 0) return {};
+    T* data = static_cast<T*>(Allocate(sizeof(T) * size, alignof(T)));
+    for (size_t i = 0; i < size; ++i) ::new (data + i) T(std::move(items[i]));
+    return ArenaVector<T>(data, size);
+  }
+
+  /// Bytes placed so far (nodes, lists and finalizer records; dead objects
+  /// included: a monotonic arena never reuses memory). The text copy is
+  /// not counted.
   size_t used_bytes() const { return used_; }
   /// Bytes of blocks the arena holds: the first block plus any it grew.
+  /// The text copy is not counted.
   size_t reserved_bytes() const { return reserved_; }
 
   static void operator delete(void* p) { ::operator delete(p); }
 
  private:
-  // The object and its first block are one allocation (see ForText).
+  friend struct LiteralExpr;
+  template <typename T>
+  friend struct ControlBlockAllocator;
+
+  // The object, its first block and the text copy are one allocation (see
+  // ForText).
   struct FirstBlock {
     size_t bytes;
   };
@@ -101,7 +218,48 @@ class alignas(std::max_align_t) StatementArena final
   static void operator delete(void* p, FirstBlock /*first*/) {
     ::operator delete(p);
   }
-  explicit StatementArena(size_t first_block);
+  StatementArena(size_t first_block, std::string_view text);
+
+  /// One registered destructor call. The first few sit in the arena
+  /// object; later ones are placed in the arena, linked newest first.
+  struct Finalizer {
+    void (*destroy)(void*);
+    void* object;
+    Finalizer* next = nullptr;
+  };
+  static constexpr size_t kInlineFinalizers = 4;
+  // Room for a shared root's shared_ptr control block (ShareStatement).
+  static constexpr size_t kControlBlockBytes = 64;
+
+  void* Allocate(size_t bytes, size_t alignment) {
+    used_ += bytes;
+    return resource_.allocate(bytes, alignment);
+  }
+  template <typename T, typename... Args>
+  T* Place(Args&&... args) {
+    return ::new (Allocate(sizeof(T), alignof(T)))
+        T(std::forward<Args>(args)...);
+  }
+  template <typename T>
+  void AddFinalizer(T* object) {
+    const Finalizer f{[](void* p) { static_cast<T*>(p)->~T(); }, object,
+                      finalizers_};
+    if (inline_finalizers_ < kInlineFinalizers) {
+      inline_finalizer_[inline_finalizers_++] = f;
+    } else {
+      finalizers_ = Place<Finalizer>(f);
+    }
+  }
+  /// Storage for the shared_ptr control block of this arena's root: in the
+  /// object itself when it fits, else in the arena.
+  void* ControlBlock(size_t bytes, size_t alignment) {
+    if (bytes <= kControlBlockBytes &&
+        alignment <= alignof(std::max_align_t) && !control_block_taken_) {
+      control_block_taken_ = true;
+      return control_block_;
+    }
+    return Allocate(bytes, alignment);
+  }
 
   // Upstream for the blocks after the first, counted into reserved_.
   void* do_allocate(size_t bytes, size_t alignment) override;
@@ -111,8 +269,17 @@ class alignas(std::max_align_t) StatementArena final
     return this == &other;
   }
 
+  // Destroying a cold plan reads little beyond these members, which share
+  // a few adjacent cache lines with the control block.
   size_t used_ = 0;
   size_t reserved_;
+  const char* text_;
+  size_t text_size_;
+  size_t inline_finalizers_ = 0;
+  Finalizer inline_finalizer_[kInlineFinalizers];
+  Finalizer* finalizers_ = nullptr;  // the rest, newest first
+  bool control_block_taken_ = false;
+  alignas(std::max_align_t) std::byte control_block_[kControlBlockBytes];
   std::pmr::monotonic_buffer_resource resource_;
 };
 
@@ -135,9 +302,10 @@ enum class ExprKind {
   kHashJoin,
 };
 
+/// Expression nodes live in their statement's arena and are never
+/// destroyed one by one: the destructor is trivial, not virtual.
 struct Expr {
   explicit Expr(ExprKind k) : kind(k) {}
-  virtual ~Expr() = default;
   Expr(const Expr&) = delete;
   Expr& operator=(const Expr&) = delete;
 
@@ -145,13 +313,21 @@ struct Expr {
   virtual std::string ToSql() const = 0;
 
   const ExprKind kind;
+
+ protected:
+  ~Expr() = default;
 };
 
 using ExprPtr = ArenaPtr<Expr>;
 
+/// The one node type that may own heap memory: a text value too long for
+/// std::string's inline buffer. Place literals with Make, which registers a
+/// finalizer for exactly those.
 struct LiteralExpr : Expr {
   explicit LiteralExpr(Value v) : Expr(ExprKind::kLiteral), value(std::move(v)) {}
   std::string ToSql() const override { return value.ToString(); }
+
+  static ArenaPtr<LiteralExpr> Make(StatementArena* arena, Value v);
 
   Value value;
 };
@@ -172,16 +348,13 @@ struct ParamExpr : Expr {
 /// `table_slot` indexes that SELECT's FROM list, `column_ordinal` indexes the
 /// table's columns.
 struct ColumnRefExpr : Expr {
-  ColumnRefExpr(std::string table, std::string column)
-      : Expr(ExprKind::kColumnRef),
-        table_name(std::move(table)),
-        column_name(std::move(column)) {}
-  std::string ToSql() const override {
-    return table_name.empty() ? column_name : table_name + "." + column_name;
-  }
+  ColumnRefExpr(std::string_view table, std::string_view column)
+      : Expr(ExprKind::kColumnRef), table_name(table), column_name(column) {}
+  std::string ToSql() const override;
 
-  std::string table_name;  // may be empty (unqualified)
-  std::string column_name;
+  // Views into the statement's text copy (StatementArena::text).
+  std::string_view table_name;  // may be empty (unqualified)
+  std::string_view column_name;
 
   // Binder output.
   int level = -1;
@@ -210,12 +383,12 @@ struct ComparisonExpr : Expr {
 
 /// N-ary AND / OR.
 struct LogicalExpr : Expr {
-  LogicalExpr(bool and_op, std::vector<ExprPtr> ops)
-      : Expr(ExprKind::kLogical), is_and(and_op), operands(std::move(ops)) {}
+  LogicalExpr(bool and_op, ArenaVector<ExprPtr> ops)
+      : Expr(ExprKind::kLogical), is_and(and_op), operands(ops) {}
   std::string ToSql() const override;
 
   bool is_and;
-  std::vector<ExprPtr> operands;
+  ArenaVector<ExprPtr> operands;
 };
 
 struct NotExpr : Expr {
@@ -227,7 +400,6 @@ struct NotExpr : Expr {
 
 struct ExistsExpr : Expr {
   ExistsExpr(bool neg, ArenaPtr<SelectStmt> sub);
-  ~ExistsExpr() override;
   std::string ToSql() const override;
 
   bool negated;
@@ -236,8 +408,9 @@ struct ExistsExpr : Expr {
 
 /// Executor-shared runtime state for a HashJoinExpr: the cached build-side
 /// key set plus the table-version stamp it was built at. Defined in
-/// executor.h (it needs table.h's IndexKey); the AST only carries an opaque
-/// shared_ptr so concurrent executions of one cached plan share the build.
+/// executor.h (it needs table.h's IndexKey); the AST only carries a pointer
+/// to the one runtime the planner placed (finalized) in the arena, so
+/// concurrent executions of one cached plan share the build.
 struct HashJoinRuntime;
 
 /// Planner output (never produced by the parser): a decorrelated
@@ -254,32 +427,31 @@ struct HashJoinRuntime;
 /// three-valued-logic result of the correlated path.
 struct HashJoinExpr : Expr {
   HashJoinExpr(bool anti_join, ArenaPtr<SelectStmt> build_select);
-  ~HashJoinExpr() override;
   std::string ToSql() const override;
 
   bool anti;  // true = NOT EXISTS (anti-join), false = EXISTS (semi-join)
   ArenaPtr<SelectStmt> build;
-  std::vector<ArenaPtr<ColumnRefExpr>> build_keys;  // level-0 in build
-  std::vector<ExprPtr> probe_keys;  // evaluated in the enclosing scope
+  ArenaVector<ArenaPtr<ColumnRefExpr>> build_keys;  // level-0 in build
+  ArenaVector<ExprPtr> probe_keys;  // evaluated in the enclosing scope
   /// Every table the build side reads (transitively, nested subqueries
   /// included); the cached key set is stale once any of their versions move.
-  std::vector<const Table*> dep_tables;
-  std::shared_ptr<HashJoinRuntime> runtime;
+  ArenaVector<const Table*> dep_tables;
+  HashJoinRuntime* runtime = nullptr;
   /// Cost-model output: estimated rows the build side enumerates (drives
   /// cheapest-build-first ordering of sibling joins). Negative = not costed.
   double est_build_rows = -1.0;
 };
 
 struct InListExpr : Expr {
-  InListExpr(ExprPtr op, std::vector<ExprPtr> list, bool neg)
+  InListExpr(ExprPtr op, ArenaVector<ExprPtr> list, bool neg)
       : Expr(ExprKind::kInList),
         operand(std::move(op)),
-        items(std::move(list)),
+        items(list),
         negated(neg) {}
   std::string ToSql() const override;
 
   ExprPtr operand;
-  std::vector<ExprPtr> items;
+  ArenaVector<ExprPtr> items;
   bool negated;
 };
 
@@ -351,33 +523,44 @@ enum class StatementKind {
   kExplain,
 };
 
+/// Statements have no virtual destructor: a root is deleted through
+/// `std::unique_ptr<Statement>` by a destroying operator delete that deletes
+/// the root's arena, in which the root itself lives. SELECTs are trivially
+/// destructible; the other roots register their destructor as a finalizer.
 struct Statement {
   explicit Statement(StatementKind k) : kind(k) {}
-  virtual ~Statement() = default;
   Statement(const Statement&) = delete;
   Statement& operator=(const Statement&) = delete;
 
+  /// Deletes a root statement: deletes its arena (finalizers, then blocks).
+  static void operator delete(Statement* stmt, std::destroying_delete_t);
+
   const StatementKind kind;
-  /// The arena holding every node below this statement. Set on a root
-  /// statement only (the one ParseStatement/ParseScript return); null on
-  /// nested SELECTs, which live in their root's arena. Declared in the base
-  /// so it is destroyed after the derived statement's node pointers.
-  std::unique_ptr<StatementArena> arena;
+  /// The arena holding this statement and every node below it. Set on a
+  /// root statement only (the one ParseStatement/ParseScript return), which
+  /// owns it; null on nested SELECTs, which live in their root's arena.
+  StatementArena* arena = nullptr;
 };
 
-/// `table [alias]` in a FROM list.
+/// Shared ownership of a parsed root statement (a cached plan, a
+/// PreparedStatement). The shared_ptr's control block is placed in the
+/// root's own arena, so sharing costs no heap block, and releasing the last
+/// reference deletes the arena, root included.
+std::shared_ptr<Statement> ShareStatement(std::unique_ptr<Statement> root);
+
+/// `table [alias]` in a FROM list. Names view the statement's text copy.
 struct TableRef {
-  std::string table_name;
-  std::string alias;  // defaults to table_name
+  std::string_view table_name;
+  std::string_view alias;  // defaults to table_name
 
   // Binder output.
   const Table* table = nullptr;
 };
 
 struct SelectItem {
-  bool is_star = false;  // bare `*`
-  ExprPtr expr;          // null when is_star
-  std::string alias;     // optional `AS alias`
+  bool is_star = false;    // bare `*`
+  ExprPtr expr;            // null when is_star
+  std::string_view alias;  // optional `AS alias`
 };
 
 /// Planner output (AnnotateSelect): the resolved access path for one FROM
@@ -389,7 +572,7 @@ struct SelectItem {
 /// stay row-at-a-time so EXISTS early-out scans no extra rows).
 struct SlotPlan {
   const Index* index = nullptr;          // null = sequential scan
-  std::vector<const Expr*> key_exprs;    // probe keys, index column order
+  ArenaVector<const Expr*> key_exprs;    // probe keys, index column order
   bool vector_filter = false;
   /// Cost-model output: estimated rows this scan produces per loop, after
   /// the WHERE conjuncts local to the slot. Negative = not costed (cost
@@ -399,6 +582,9 @@ struct SlotPlan {
   /// sequential scan (the index's estimated selectivity was too poor).
   bool seq_forced = false;
 };
+
+/// Result column names, shared between a bound SELECT and its results.
+using ColumnHeaders = std::shared_ptr<const std::vector<std::string>>;
 
 struct OrderByItem {
   ExprPtr expr;  // integer literal means result-column ordinal (1-based)
@@ -410,11 +596,11 @@ struct SelectStmt : Statement {
   std::string ToSql() const;
 
   bool distinct = false;
-  std::vector<SelectItem> items;
-  std::vector<TableRef> from;
+  ArenaVector<SelectItem> items;
+  ArenaVector<TableRef> from;
   ExprPtr where;  // may be null
-  std::vector<ExprPtr> group_by;
-  std::vector<OrderByItem> order_by;
+  ArenaVector<ExprPtr> group_by;
+  ArenaVector<OrderByItem> order_by;
   std::optional<int64_t> limit;
   /// Number of `?` placeholders in the whole statement (subqueries
   /// included). Only meaningful on the root SELECT; executions must supply
@@ -424,15 +610,16 @@ struct SelectStmt : Statement {
   /// Per-FROM-slot access paths, filled by AnnotateSelect when the
   /// vectorized executor is enabled. Empty = not annotated (the executor
   /// derives access paths per scan as before).
-  std::vector<SlotPlan> slot_plans;
+  ArenaVector<SlotPlan> slot_plans;
 
   /// Bind-time execution hints (PrecomputeExecHints, called from
   /// Database::BindAndPlan): the rendered result column headers (shared
-  /// with every QueryResult this statement produces) and whether the
+  /// with every QueryResult this statement produces, so they live on the
+  /// heap behind a finalized shared_ptr in the arena) and whether the
   /// statement aggregates. Statements bound outside BindAndPlan (the DML
   /// helpers' single-table shells) leave `aggregate_mode` at -1 and the
   /// executor derives both per query, as it always did.
-  std::shared_ptr<const std::vector<std::string>> column_headers;
+  const ColumnHeaders* column_headers = nullptr;
   int8_t aggregate_mode = -1;  // -1 unknown, 0 plain, 1 aggregate
 
   /// Statement-telemetry entry for this statement's shape, stamped at

@@ -1,6 +1,7 @@
 #include "sqldb/binder.h"
 
-#include <vector>
+#include <algorithm>
+#include <string>
 
 #include "common/string_util.h"
 #include "sqldb/table.h"
@@ -50,12 +51,12 @@ bool ContainsAggregate(const Expr& expr) {
 }
 
 Status Binder::BindSelect(SelectStmt* stmt) {
-  std::vector<SelectStmt*> stack;
+  ScopeStack stack(scratch_);
+  stack.reserve(static_cast<size_t>(std::clamp(max_subquery_depth_, 1, 32)));
   return BindSelectImpl(stmt, &stack);
 }
 
-Status Binder::BindSelectImpl(SelectStmt* stmt,
-                              std::vector<SelectStmt*>* stack) {
+Status Binder::BindSelectImpl(SelectStmt* stmt, ScopeStack* stack) {
   if (static_cast<int>(stack->size()) + 1 > max_subquery_depth_) {
     return Status::LimitExceeded(
         "query nesting depth exceeds the configured limit of " +
@@ -65,15 +66,16 @@ Status Binder::BindSelectImpl(SelectStmt* stmt,
   for (TableRef& ref : stmt->from) {
     ref.table = catalog_.LookupTable(ref.table_name);
     if (ref.table == nullptr) {
-      return Status::NotFound("table '" + ref.table_name + "' does not exist");
+      return Status::NotFound("table '" + std::string(ref.table_name) +
+                              "' does not exist");
     }
     if (ref.alias.empty()) ref.alias = ref.table_name;
     // Duplicate alias check within this FROM list.
     for (const TableRef& other : stmt->from) {
       if (&other != &ref && EqualsIgnoreCase(other.alias, ref.alias) &&
           &other < &ref) {
-        return Status::InvalidArgument("duplicate table alias '" + ref.alias +
-                                       "'");
+        return Status::InvalidArgument("duplicate table alias '" +
+                                       std::string(ref.alias) + "'");
       }
     }
   }
@@ -172,7 +174,7 @@ Status Binder::BindSelectImpl(SelectStmt* stmt,
   return Status::OK();
 }
 
-Status Binder::BindExpr(Expr* expr, std::vector<SelectStmt*>* stack,
+Status Binder::BindExpr(Expr* expr, ScopeStack* stack,
                         bool allow_aggregates) {
   switch (expr->kind) {
     case ExprKind::kLiteral:
@@ -239,8 +241,7 @@ Status Binder::BindExpr(Expr* expr, std::vector<SelectStmt*>* stack,
   return Status::Internal("unhandled expression kind in binder");
 }
 
-Status Binder::BindColumnRef(ColumnRefExpr* ref,
-                             const std::vector<SelectStmt*>& stack) {
+Status Binder::BindColumnRef(ColumnRefExpr* ref, const ScopeStack& stack) {
   // Search scopes innermost-out. level = distance from the innermost scope.
   for (size_t up = 0; up < stack.size(); ++up) {
     const SelectStmt* scope = stack[stack.size() - 1 - up];

@@ -10,7 +10,9 @@
 #ifndef P3PDB_SQLDB_BINDER_H_
 #define P3PDB_SQLDB_BINDER_H_
 
+#include <memory_resource>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "sqldb/ast.h"
@@ -30,22 +32,26 @@ class Binder {
   /// `max_subquery_depth` bounds SELECT nesting (outer query = depth 1).
   /// Exceeding it fails with LimitExceeded — this models the fixed statement
   /// complexity budget of the paper's DB2 setup (the XQuery-generated SQL
-  /// for the Medium preference exceeded it; see Figure 21).
-  Binder(const CatalogView& catalog, int max_subquery_depth)
-      : catalog_(catalog), max_subquery_depth_(max_subquery_depth) {}
+  /// for the Medium preference exceeded it; see Figure 21). Binding's
+  /// temporary vectors come from `scratch`.
+  Binder(const CatalogView& catalog, int max_subquery_depth,
+         std::pmr::memory_resource* scratch = std::pmr::get_default_resource())
+      : catalog_(catalog),
+        max_subquery_depth_(max_subquery_depth),
+        scratch_(scratch) {}
 
   /// Binds a SELECT (and, recursively, its subqueries).
   Status BindSelect(SelectStmt* stmt);
 
  private:
-  Status BindSelectImpl(SelectStmt* stmt, std::vector<SelectStmt*>* stack);
-  Status BindExpr(Expr* expr, std::vector<SelectStmt*>* stack,
-                  bool allow_aggregates);
-  Status BindColumnRef(ColumnRefExpr* ref,
-                       const std::vector<SelectStmt*>& stack);
+  using ScopeStack = std::pmr::vector<SelectStmt*>;
+  Status BindSelectImpl(SelectStmt* stmt, ScopeStack* stack);
+  Status BindExpr(Expr* expr, ScopeStack* stack, bool allow_aggregates);
+  Status BindColumnRef(ColumnRefExpr* ref, const ScopeStack& stack);
 
   const CatalogView& catalog_;
   int max_subquery_depth_;
+  std::pmr::memory_resource* scratch_;
 };
 
 /// True if the expression tree contains an AggregateExpr outside of

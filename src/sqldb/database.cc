@@ -1,6 +1,9 @@
 #include "sqldb/database.h"
 
+#include <array>
+#include <cstddef>
 #include <cstdlib>
+#include <memory_resource>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -31,8 +34,8 @@ namespace {
 /// Shared ownership of a bound SELECT still owned by its Statement base.
 std::shared_ptr<const SelectStmt> ShareSelect(std::unique_ptr<Statement> stmt,
                                               const SelectStmt* select) {
-  return std::shared_ptr<const SelectStmt>(
-      std::shared_ptr<Statement>(std::move(stmt)), select);
+  return std::shared_ptr<const SelectStmt>(ShareStatement(std::move(stmt)),
+                                           select);
 }
 
 /// InvalidArgument unless `params` (null = none) holds exactly `expected`
@@ -48,6 +51,10 @@ Status CheckParamCount(size_t expected, const std::vector<Value>* params) {
 void Bump(std::atomic<uint64_t>& counter) {
   counter.fetch_add(1, std::memory_order_relaxed);
 }
+
+// Stack bytes for bind and plan temporaries (BindAndPlan); the translators'
+// rule queries fit, larger statements spill to the heap.
+constexpr size_t kPlanScratchBytes = 8192;
 
 }  // namespace
 
@@ -165,8 +172,12 @@ Result<QueryResult> Database::ExecuteSql(std::string_view sql,
                                          const std::vector<Value>* params,
                                          obs::TraceContext* trace) {
   // A plan-cache hit skips the parse and bind spans entirely — that absence
-  // in the trace *is* the signal that the cached path ran.
-  if (std::shared_ptr<const SelectStmt> plan = LookupCachedPlan(sql)) {
+  // in the trace *is* the signal that the cached path ran. The text is
+  // hashed once for both the lookup and a miss's store.
+  const size_t hash = options_.enable_plan_cache
+                          ? std::hash<std::string_view>{}(sql)
+                          : 0;
+  if (std::shared_ptr<const SelectStmt> plan = LookupCachedPlan(sql, hash)) {
     return RunBoundSelect(*plan, params, trace);
   }
   obs::ScopedSpan parse_span(trace, "sql-parse");
@@ -189,31 +200,36 @@ Result<QueryResult> Database::ExecuteSql(std::string_view sql,
   P3PDB_RETURN_IF_ERROR(CheckParamCount(select->param_count, params));
   {
     obs::ScopedSpan bind_span(trace, "sql-bind");
-    P3PDB_RETURN_IF_ERROR(BindAndPlan(select, select->arena.get(), sql));
+    P3PDB_RETURN_IF_ERROR(BindAndPlan(select, select->arena, sql));
   }
   std::shared_ptr<const SelectStmt> plan =
       ShareSelect(std::move(parsed).value(), select);
-  StoreCachedPlan(sql, plan);
+  StoreCachedPlan(hash, plan);
   return RunBoundSelect(*plan, params, trace);
 }
 
 Status Database::BindAndPlan(SelectStmt* select, StatementArena* arena,
                              std::string_view sql) {
-  Binder binder(*this, options_.max_subquery_depth);
+  // Bind and plan temporaries: a stack buffer, the heap only past it.
+  alignas(std::max_align_t) std::array<std::byte, kPlanScratchBytes> buffer;
+  std::pmr::monotonic_buffer_resource scratch(buffer.data(), buffer.size());
+  Binder binder(*this, options_.max_subquery_depth, &scratch);
   P3PDB_RETURN_IF_ERROR(binder.BindSelect(select));
   ExecStats local;
   ++local.plans_built;
   const StatsCatalog* catalog =
       options_.enable_cost_model ? &stats_catalog_ : nullptr;
-  if (options_.enable_planner) PlanSelect(select, arena, &local, catalog);
+  if (options_.enable_planner) {
+    PlanSelect(select, arena, &local, catalog, &scratch);
+  }
   // Annotation must follow planning: the rewrite replaces EXISTS subtrees
   // with hash joins, and the slot plans point into the final tree. The
   // cost model needs the slot plans too (est rows, index-vs-seq override),
   // so annotation also runs — scalar-path or not — whenever stats are on.
   if (options_.enable_vectorized_executor || catalog != nullptr) {
-    AnnotateSelect(select, catalog, &local);
+    AnnotateSelect(select, arena, catalog, &local, &scratch);
   }
-  PrecomputeExecHints(select);
+  PrecomputeExecHints(select, arena);
   if (options_.enable_statement_stats && !sql.empty()) {
     select->stats_entry = statement_stats_.Intern(sql);
     select->stats_entry->RecordPlanned(local.semi_join_rewrites,
@@ -301,56 +317,74 @@ void Database::MaybeCaptureStatement(const SelectStmt& select,
 }
 
 std::shared_ptr<const SelectStmt> Database::LookupCachedPlan(
-    std::string_view sql) {
+    std::string_view sql, size_t hash) {
   if (!options_.enable_plan_cache) return nullptr;
   // A dropped plan moves here and is destroyed after plan_mu_ is released,
   // as in StoreCachedPlan.
-  PlanLruList dropped;
+  PlanIndex::node_type dropped;
   std::lock_guard<std::mutex> lock(plan_mu_);
-  auto it = plan_index_.find(sql);
+  auto it = plan_index_.find(PlanKey{sql, hash});
   if (it == plan_index_.end()) return nullptr;
-  if (it->second->second.generation != catalog_generation_) {
+  CachedPlan* plan = &it->second;
+  if (plan->generation != catalog_generation_) {
     // Stale after DDL: drop and let the caller re-prepare.
-    dropped.splice(dropped.begin(), plan_lru_, it->second);
-    plan_index_.erase(it);
+    UnlinkPlan(plan);
+    dropped = plan_index_.extract(it);
     return nullptr;
   }
   if (options_.enable_cost_model &&
-      it->second->second.stats_epoch != stats_catalog_.epoch()) {
+      plan->stats_epoch != stats_catalog_.epoch()) {
     // Cardinalities drifted past the epoch boundary since this plan was
     // costed: its build-side/access-path choices may no longer hold. Drop
     // it and let the caller re-plan against current statistics.
-    dropped.splice(dropped.begin(), plan_lru_, it->second);
-    plan_index_.erase(it);
+    UnlinkPlan(plan);
+    dropped = plan_index_.extract(it);
     Bump(Stripe().plan_recosts);
     return nullptr;
   }
-  plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);
-  Bump(Stripe().plan_cache_hits);
-  if (it->second->second.stmt->stats_entry != nullptr) {
-    it->second->second.stmt->stats_entry->RecordPlanCacheHit();
+  if (plan != newest_plan_) {
+    UnlinkPlan(plan);
+    LinkNewestPlan(plan);
   }
-  return it->second->second.stmt;
+  Bump(Stripe().plan_cache_hits);
+  if (plan->stmt->stats_entry != nullptr) {
+    plan->stmt->stats_entry->RecordPlanCacheHit();
+  }
+  return plan->stmt;
 }
 
-void Database::StoreCachedPlan(std::string_view sql,
+void Database::StoreCachedPlan(size_t hash,
                                std::shared_ptr<const SelectStmt> plan) {
   if (!options_.enable_plan_cache || options_.plan_cache_capacity == 0) return;
+  // The key is the plan's own text copy, alive exactly as long as the entry.
+  const PlanKey key{plan->arena->text(), hash};
   // The evicted plan moves here and is destroyed after plan_mu_ is
-  // released: freeing a bound AST costs microseconds that other lookups
-  // would otherwise wait out behind the lock.
-  PlanLruList evicted;
+  // released, so lookups never wait on a plan's release.
+  PlanIndex::node_type evicted;
   std::lock_guard<std::mutex> lock(plan_mu_);
-  if (plan_index_.find(sql) != plan_index_.end()) return;  // concurrent store
-  plan_lru_.emplace_front(
-      std::string(sql),
-      CachedPlan{std::move(plan), catalog_generation_,
-                 options_.enable_cost_model ? stats_catalog_.epoch() : 0});
-  plan_index_.emplace(plan_lru_.front().first, plan_lru_.begin());
-  if (plan_lru_.size() > options_.plan_cache_capacity) {
-    plan_index_.erase(plan_lru_.back().first);
-    evicted.splice(evicted.begin(), plan_lru_, std::prev(plan_lru_.end()));
+  auto [it, inserted] = plan_index_.try_emplace(
+      key, CachedPlan{std::move(plan), key, catalog_generation_,
+                      options_.enable_cost_model ? stats_catalog_.epoch() : 0});
+  if (!inserted) return;  // concurrent store
+  LinkNewestPlan(&it->second);
+  if (plan_index_.size() > options_.plan_cache_capacity) {
+    CachedPlan* victim = oldest_plan_;
+    UnlinkPlan(victim);
+    evicted = plan_index_.extract(victim->key);
   }
+}
+
+void Database::UnlinkPlan(CachedPlan* plan) {
+  (plan->newer != nullptr ? plan->newer->older : newest_plan_) = plan->older;
+  (plan->older != nullptr ? plan->older->newer : oldest_plan_) = plan->newer;
+  plan->newer = nullptr;
+  plan->older = nullptr;
+}
+
+void Database::LinkNewestPlan(CachedPlan* plan) {
+  plan->older = newest_plan_;
+  (newest_plan_ != nullptr ? newest_plan_->newer : oldest_plan_) = plan;
+  newest_plan_ = plan;
 }
 
 Result<PreparedStatement> Database::Prepare(std::string_view sql) {
@@ -359,12 +393,11 @@ Result<PreparedStatement> Database::Prepare(std::string_view sql) {
   if (stmt->kind != StatementKind::kSelect) {
     return Status::Unsupported("only SELECT statements can be prepared");
   }
-  P3PDB_RETURN_IF_ERROR(BindAndPlan(static_cast<SelectStmt*>(stmt.get()),
-                                    stmt->arena.get(), sql));
+  P3PDB_RETURN_IF_ERROR(
+      BindAndPlan(static_cast<SelectStmt*>(stmt.get()), stmt->arena, sql));
   PreparedStatement prepared;
   prepared.db_ = this;
-  prepared.stmt_ = std::shared_ptr<Statement>(std::move(stmt));
-  prepared.sql_ = std::string(sql);
+  prepared.stmt_ = ShareStatement(std::move(stmt));
   prepared.catalog_generation_ = catalog_generation_;
   return prepared;
 }
@@ -406,7 +439,7 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
     case StatementKind::kSelect: {
       auto* select = static_cast<SelectStmt*>(stmt);
       P3PDB_RETURN_IF_ERROR(CheckParamCount(select->param_count, params));
-      P3PDB_RETURN_IF_ERROR(BindAndPlan(select, stmt->arena.get()));
+      P3PDB_RETURN_IF_ERROR(BindAndPlan(select, stmt->arena));
       ExecStats local;
       Executor executor(&local, params, nullptr,
                         ExecConfig{options_.enable_vectorized_executor,
@@ -474,7 +507,7 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
       if (explain->analyze || (params != nullptr && !params->empty())) {
         P3PDB_RETURN_IF_ERROR(CheckParamCount(select->param_count, params));
       }
-      P3PDB_RETURN_IF_ERROR(BindAndPlan(select, explain->arena.get()));
+      P3PDB_RETURN_IF_ERROR(BindAndPlan(select, explain->arena));
       ExplainOptions explain_options;
       explain_options.params = params;
       PlanProfile profile;
@@ -742,17 +775,18 @@ Result<QueryResult> Database::ExecuteUpdate(UpdateStmt* stmt) {
   }
 
   // Bind WHERE and the assignment expressions through a probe SELECT whose
-  // select list carries the assignment values.
+  // select list carries the assignment values. Its lists view local
+  // storage; nothing of the probe outlives this call.
   SelectStmt probe;
   TableRef ref;
   ref.table_name = stmt->table_name;
   ref.alias = stmt->table_name;
-  probe.from.push_back(std::move(ref));
-  for (UpdateStmt::Assignment& a : stmt->assignments) {
-    SelectItem item;
-    item.expr = std::move(a.value);
-    probe.items.push_back(std::move(item));
+  probe.from = ArenaVector<TableRef>(&ref, 1);
+  std::vector<SelectItem> items(stmt->assignments.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    items[i].expr = std::move(stmt->assignments[i].value);
   }
+  probe.items = ArenaVector<SelectItem>(items.data(), items.size());
   probe.where = std::move(stmt->where);
 
   // Whatever happens, restore the statement for potential re-execution.
@@ -840,10 +874,10 @@ Result<QueryResult> Database::ExecuteDelete(DeleteStmt* stmt) {
     TableRef ref;
     ref.table_name = stmt->table_name;
     ref.alias = stmt->table_name;
-    probe.from.push_back(std::move(ref));
+    probe.from = ArenaVector<TableRef>(&ref, 1);
     SelectItem star;
     star.is_star = true;
-    probe.items.push_back(std::move(star));
+    probe.items = ArenaVector<SelectItem>(&star, 1);
     probe.where = std::move(stmt->where);
 
     Binder binder(*this, options_.max_subquery_depth);

@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstddef>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -76,21 +75,22 @@ class PreparedStatement {
                               obs::TraceContext* trace = nullptr) const;
 
   bool valid() const { return stmt_ != nullptr; }
-  /// The SQL text the statement was prepared from.
-  const std::string& sql() const { return sql_; }
+  /// The SQL text the statement was prepared from (its arena's copy).
+  std::string_view sql() const {
+    return stmt_ == nullptr ? std::string_view() : stmt_->arena->text();
+  }
   /// Number of `?` placeholders the statement takes.
   size_t param_count() const;
   /// The arena holding the bound statement's nodes (see ast.h); null when
   /// !valid().
   const StatementArena* arena() const {
-    return stmt_ == nullptr ? nullptr : stmt_->arena.get();
+    return stmt_ == nullptr ? nullptr : stmt_->arena;
   }
 
  private:
   friend class Database;
   Database* db_ = nullptr;
   std::shared_ptr<Statement> stmt_;  // bound SELECT
-  std::string sql_;
   uint64_t catalog_generation_ = 0;  // guards against post-DDL execution
 };
 
@@ -307,10 +307,12 @@ class Database : public CatalogView {
 
   /// Binds (and, when enabled, plans) a freshly parsed SELECT, counting the
   /// work in the stats aggregate. `arena` is the root statement's arena;
-  /// planner rewrites place their nodes there, and nothing allocates from
-  /// it after this returns. With statement stats on and a non-empty
-  /// `sql`, interns the statement shape and stamps the entry pointer onto
-  /// the bound AST so executions tally without any lookup.
+  /// planner rewrites and annotations place their nodes and lists there,
+  /// and nothing allocates from it after this returns. The binder's and
+  /// planner's temporary vectors come from a stack buffer (the heap only
+  /// past it). With statement stats on and a non-empty `sql`, interns the
+  /// statement shape and stamps the entry pointer onto the bound AST so
+  /// executions tally without any lookup.
   Status BindAndPlan(SelectStmt* select, StatementArena* arena,
                      std::string_view sql = {});
   /// Post-execution telemetry hook: decides whether this execution crossed
@@ -325,11 +327,14 @@ class Database : public CatalogView {
   Result<QueryResult> RunBoundSelect(const SelectStmt& select,
                                      const std::vector<Value>* params,
                                      obs::TraceContext* trace);
-  /// Plan-cache lookup; returns null on miss or stale generation (the
-  /// stale entry is dropped). Hits are counted and moved to the LRU front.
-  std::shared_ptr<const SelectStmt> LookupCachedPlan(std::string_view sql);
-  void StoreCachedPlan(std::string_view sql,
-                       std::shared_ptr<const SelectStmt> plan);
+  /// Plan-cache lookup of `sql`, whose hash the caller computed once
+  /// (PlanKeyHash); returns null on miss or stale generation (the stale
+  /// entry is dropped). Hits are counted and moved to the LRU front.
+  std::shared_ptr<const SelectStmt> LookupCachedPlan(std::string_view sql,
+                                                     size_t hash);
+  /// Caches `plan`, keyed on its arena's copy of its SQL text, whose hash
+  /// is `hash`.
+  void StoreCachedPlan(size_t hash, std::shared_ptr<const SelectStmt> plan);
   Result<QueryResult> ExecuteInsert(InsertStmt* stmt);
   Result<QueryResult> ExecuteUpdate(UpdateStmt* stmt);
   Result<QueryResult> ExecuteDelete(DeleteStmt* stmt);
@@ -359,18 +364,45 @@ class Database : public CatalogView {
   /// the map/list bookkeeping — execution of a cached plan is read-only
   /// over the shared AST (the PreparedStatement concurrency contract), so
   /// hits from many threads proceed in parallel.
+  ///
+  /// An entry keys on the plan's own copy of its SQL text (in its arena),
+  /// with the hash ExecuteSql computed once per statement.
+  struct PlanKey {
+    std::string_view sql;
+    size_t hash;
+  };
+  struct PlanKeyHash {
+    size_t operator()(const PlanKey& key) const noexcept { return key.hash; }
+  };
+  struct PlanKeyEqual {
+    bool operator()(const PlanKey& a, const PlanKey& b) const noexcept {
+      return a.sql == b.sql;
+    }
+  };
+  ///
+  /// The LRU order is a list threaded through the index's own nodes (their
+  /// addresses are stable), so an entry is one heap node.
   struct CachedPlan {
     std::shared_ptr<const SelectStmt> stmt;
+    PlanKey key;
     uint64_t generation = 0;
     /// Stats epoch the plan was costed under (see StatsCatalog). With the
     /// cost model on, a lookup whose epoch moved drops the entry so the
     /// statement re-plans against the current cardinality landscape.
     uint64_t stats_epoch = 0;
+    CachedPlan* newer = nullptr;  // LRU neighbours
+    CachedPlan* older = nullptr;
   };
-  using PlanLruList = std::list<std::pair<std::string, CachedPlan>>;
+  using PlanIndex =
+      std::unordered_map<PlanKey, CachedPlan, PlanKeyHash, PlanKeyEqual>;
+  /// Removes `plan` from the LRU list.
+  void UnlinkPlan(CachedPlan* plan);
+  /// Makes `plan` the most recently used entry.
+  void LinkNewestPlan(CachedPlan* plan);
   mutable std::mutex plan_mu_;
-  PlanLruList plan_lru_;  // front = most recent
-  std::unordered_map<std::string_view, PlanLruList::iterator> plan_index_;
+  PlanIndex plan_index_;
+  CachedPlan* newest_plan_ = nullptr;  // LRU front
+  CachedPlan* oldest_plan_ = nullptr;  // next to evict
 
   // Statement telemetry. The registry always exists (entries are only
   // created when enable_statement_stats is set); the slow log exists only

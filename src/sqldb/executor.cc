@@ -29,7 +29,7 @@ const PlanNodeStats* PlanProfile::FindHashJoin(const Expr* join) const {
 namespace {
 
 /// Flattens nested ANDs into a conjunct list.
-void FlattenAnd(const Expr* e, std::vector<const Expr*>* out) {
+void FlattenAnd(const Expr* e, std::pmr::vector<const Expr*>* out) {
   if (e->kind == ExprKind::kLogical) {
     const auto* l = static_cast<const LogicalExpr*>(e);
     if (l->is_and) {
@@ -77,11 +77,10 @@ bool RefsAvailableForSlot(const Expr& e, size_t slot) {
 
 }  // namespace
 
-std::vector<IndexableEquality> CollectIndexableEqualities(const Expr* where,
-                                                          size_t slot) {
-  std::vector<IndexableEquality> out;
-  if (where == nullptr) return out;
-  std::vector<const Expr*> conjuncts;
+void CollectIndexableEqualities(const Expr* where, size_t slot,
+                                std::pmr::vector<IndexableEquality>* out) {
+  if (where == nullptr) return;
+  std::pmr::vector<const Expr*> conjuncts(out->get_allocator());
   FlattenAnd(where, &conjuncts);
   for (const Expr* c : conjuncts) {
     if (c->kind != ExprKind::kComparison) continue;
@@ -95,11 +94,10 @@ std::vector<IndexableEquality> CollectIndexableEqualities(const Expr* where,
       const auto* ref = static_cast<const ColumnRefExpr*>(col_side);
       if (ref->level != 0 || ref->table_slot != slot) continue;
       if (!RefsAvailableForSlot(*val_side, slot)) continue;
-      out.push_back(IndexableEquality{ref->column_ordinal, val_side});
+      out->push_back(IndexableEquality{ref->column_ordinal, val_side});
       break;
     }
   }
-  return out;
 }
 
 namespace {
@@ -544,10 +542,10 @@ Status Executor::ScanSlot(const SelectStmt& stmt, ScopeStack& stack,
   if (!stmt.slot_plans.empty()) {
     const SlotPlan& sp = stmt.slot_plans[slot];
     index = sp.index;
-    key_exprs = sp.key_exprs;
+    key_exprs.assign(sp.key_exprs.begin(), sp.key_exprs.end());
   } else {
-    std::vector<IndexableEquality> equalities =
-        CollectIndexableEqualities(stmt.where.get(), slot);
+    std::pmr::vector<IndexableEquality> equalities;
+    CollectIndexableEqualities(stmt.where.get(), slot, &equalities);
     if (!equalities.empty()) {
       std::vector<size_t> available_ordinals;
       available_ordinals.reserve(equalities.size());
@@ -642,9 +640,10 @@ namespace {
 
 /// Column header for a select item.
 std::string ItemColumnName(const SelectItem& item) {
-  if (!item.alias.empty()) return item.alias;
+  if (!item.alias.empty()) return std::string(item.alias);
   if (item.expr->kind == ExprKind::kColumnRef) {
-    return static_cast<const ColumnRefExpr*>(item.expr.get())->column_name;
+    return std::string(
+        static_cast<const ColumnRefExpr*>(item.expr.get())->column_name);
   }
   return item.expr->ToSql();
 }
@@ -703,7 +702,7 @@ Result<QueryResult> Executor::RunPlainSelect(const SelectStmt& stmt,
   // Column headers (precomputed at bind time on the statements that went
   // through BindAndPlan; re-derived here otherwise).
   if (stmt.column_headers != nullptr) {
-    result.columns.Borrow(stmt.column_headers);
+    result.columns.Borrow(*stmt.column_headers);
   } else {
     for (const SelectItem& item : stmt.items) {
       if (item.is_star) {
@@ -1011,7 +1010,7 @@ Status Executor::SortAndLimit(const SelectStmt& stmt, QueryResult* result,
   return Status::OK();
 }
 
-void PrecomputeExecHints(SelectStmt* stmt) {
+void PrecomputeExecHints(SelectStmt* stmt, StatementArena* arena) {
   bool aggregate_mode = !stmt->group_by.empty();
   for (const SelectItem& item : stmt->items) {
     if (!item.is_star && ContainsAggregate(*item.expr)) aggregate_mode = true;
@@ -1019,7 +1018,18 @@ void PrecomputeExecHints(SelectStmt* stmt) {
   stmt->aggregate_mode = aggregate_mode ? 1 : 0;
   // Headers match RunPlainSelect's derivation exactly; the aggregate path
   // keeps building its own (its header shape differs for star items).
+  size_t count = 0;
+  for (const SelectItem& item : stmt->items) {
+    if (!item.is_star) {
+      ++count;
+      continue;
+    }
+    for (const TableRef& tr : stmt->from) {
+      count += tr.table->schema().columns().size();
+    }
+  }
   auto headers = std::make_shared<std::vector<std::string>>();
+  headers->reserve(count);
   for (const SelectItem& item : stmt->items) {
     if (item.is_star) {
       for (const TableRef& tr : stmt->from) {
@@ -1031,7 +1041,7 @@ void PrecomputeExecHints(SelectStmt* stmt) {
       headers->push_back(ItemColumnName(item));
     }
   }
-  stmt->column_headers = std::move(headers);
+  stmt->column_headers = arena->NewFinalized<ColumnHeaders>(std::move(headers));
 }
 
 }  // namespace p3pdb::sqldb

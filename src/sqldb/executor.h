@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <mutex>
 #include <unordered_set>
 #include <utility>
@@ -294,14 +295,16 @@ struct IndexableEquality {
   const Expr* key_expr;
 };
 
-/// Extracts the indexable equalities for `slot` from a bound WHERE clause.
-std::vector<IndexableEquality> CollectIndexableEqualities(const Expr* where,
-                                                          size_t slot);
+/// Appends the indexable equalities for `slot` of a bound WHERE clause to
+/// `out` (its temporaries use `out`'s memory resource).
+void CollectIndexableEqualities(const Expr* where, size_t slot,
+                                std::pmr::vector<IndexableEquality>* out);
 
 /// Fills the bound statement's execution hints (column headers, aggregate
 /// mode) so the per-query hot path does not re-derive them. Called from
 /// Database::BindAndPlan after planning; the hints describe the final tree.
-void PrecomputeExecHints(SelectStmt* stmt);
+/// The headers' shared_ptr is placed, finalized, in `arena`.
+void PrecomputeExecHints(SelectStmt* stmt, StatementArena* arena);
 
 }  // namespace p3pdb::sqldb
 

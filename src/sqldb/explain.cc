@@ -136,7 +136,8 @@ void ExplainSelect(const SelectStmt& stmt, int depth,
   for (size_t slot = 0; slot < stmt.from.size(); ++slot) {
     const TableRef& ref = stmt.from[slot];
     Indent(depth + 1, out);
-    out->append("scan " + ref.alias);
+    out->append("scan ");
+    out->append(ref.alias);
     if (ref.table == nullptr) {
       out->append(" (unbound)\n");
       continue;
@@ -151,12 +152,12 @@ void ExplainSelect(const SelectStmt& stmt, int depth,
     if (!stmt.slot_plans.empty()) {
       const SlotPlan& sp = stmt.slot_plans[slot];
       index = sp.index;
-      key_exprs = sp.key_exprs;
+      key_exprs.assign(sp.key_exprs.begin(), sp.key_exprs.end());
       est_rows = sp.est_rows;
       seq_forced = sp.seq_forced;
     } else {
-      std::vector<IndexableEquality> equalities =
-          CollectIndexableEqualities(stmt.where.get(), slot);
+      std::pmr::vector<IndexableEquality> equalities;
+      CollectIndexableEqualities(stmt.where.get(), slot, &equalities);
       if (!equalities.empty()) {
         std::vector<size_t> ordinals;
         ordinals.reserve(equalities.size());

@@ -1,17 +1,40 @@
 #include "sqldb/parser.h"
 
+#include <array>
+#include <cstddef>
+#include <memory_resource>
+
 #include "sqldb/lexer.h"
 
 namespace p3pdb::sqldb {
 
 namespace {
 
+// Stack bytes backing the parser's list scratch; enough for the
+// translators' rule queries without touching the heap.
+constexpr size_t kScratchBytes = 4096;
+
 class Parser {
  public:
-  explicit Parser(TokenList tokens) : tokens_(std::move(tokens)) {}
+  Parser(std::string_view sql, TokenList tokens)
+      : sql_(sql),
+        tokens_(std::move(tokens)),
+        scratch_(scratch_buffer_.data(), scratch_buffer_.size()),
+        exprs_(&scratch_),
+        items_(&scratch_),
+        refs_(&scratch_),
+        order_(&scratch_) {
+    exprs_.reserve(32);
+    items_.reserve(8);
+    refs_.reserve(8);
+    order_.reserve(4);
+  }
 
+  /// The whole input is one statement; its arena copies all of it (the
+  /// plan cache keys on that copy).
   Result<std::unique_ptr<Statement>> ParseSingle() {
-    P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt, ParseStatement());
+    P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt,
+                           ParseStatement(/*whole_input=*/true));
     Consume(TokenType::kSemicolon);
     if (Current().type != TokenType::kEnd) {
       return ErrorHere("unexpected input after statement");
@@ -26,7 +49,7 @@ class Parser {
       }
       if (Current().type == TokenType::kEnd) break;
       P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt,
-                             ParseStatement());
+                             ParseStatement(/*whole_input=*/false));
       out.push_back(std::move(stmt));
       if (Current().type != TokenType::kEnd &&
           !Consume(TokenType::kSemicolon)) {
@@ -83,13 +106,20 @@ class Parser {
                                          "')"));
   }
 
-  Result<std::string> ExpectIdentifier(std::string_view what) {
+  /// The current identifier, as a view into the arena's text copy.
+  Result<std::string_view> ExpectIdentifier(std::string_view what) {
     if (Current().type != TokenType::kIdentifier) {
       return ErrorHere("expected " + std::string(what));
     }
-    std::string name(Current().text);
+    std::string_view name = Name(Current());
     Advance();
     return name;
+  }
+
+  /// An identifier token's spelling in the arena's text copy (identifiers
+  /// are always views into the input, never decoded).
+  std::string_view Name(const Token& tok) const {
+    return arena_->text().substr(tok.offset - text_offset_, tok.text.size());
   }
 
   /// Places a node in the current statement's arena.
@@ -98,43 +128,62 @@ class Parser {
     return arena_->New<T>(std::forward<Args>(args)...);
   }
 
-  /// Bytes of SQL text from the current token to the end of the statement
-  /// it starts (the next ';' or the end of input).
-  size_t StatementBytes() const {
+  /// Moves the elements a list pushed onto `stack` since `start` into the
+  /// arena, at their final count, and pops them. Lists nest (an IN list
+  /// inside an operand list), but an inner list always finishes before its
+  /// parent pushes again, so one stack per element type suffices.
+  template <typename T>
+  ArenaVector<T> Finish(std::pmr::vector<T>* stack, size_t start) {
+    ArenaVector<T> list =
+        arena_->MoveArray(stack->data() + start, stack->size() - start);
+    stack->erase(stack->begin() + static_cast<ptrdiff_t>(start),
+                 stack->end());
+    return list;
+  }
+
+  /// Byte offset just past the statement the current token starts: the
+  /// next ';' or the end of input.
+  size_t StatementEnd() const {
     size_t end = pos_;
     while (tokens_[end].type != TokenType::kSemicolon &&
            tokens_[end].type != TokenType::kEnd) {
       ++end;
     }
-    return tokens_[end].offset - Current().offset;
+    return tokens_[end].offset;
   }
 
   // ---- statements ----
 
-  /// Parses one root statement into a fresh arena sized from its text.
-  /// The root itself is a heap object that takes ownership of the arena;
-  /// every node below it is placed in the arena.
-  Result<std::unique_ptr<Statement>> ParseStatement() {
+  /// Parses one root statement into a fresh arena holding a copy of its
+  /// text (the whole input, or in a script the statement's own span) and
+  /// sized from it. The root and every node below it live in the arena;
+  /// the returned pointer's deleter deletes the arena.
+  Result<std::unique_ptr<Statement>> ParseStatement(bool whole_input) {
     param_count_ = 0;
-    arena_ = StatementArena::ForText(StatementBytes());
-    P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<Statement> stmt, ParseRoot());
-    stmt->arena = std::move(arena_);
-    return stmt;
+    text_offset_ = whole_input ? 0 : Current().offset;
+    const size_t end = whole_input ? sql_.size() : StatementEnd();
+    arena_ = StatementArena::ForText(
+        sql_.substr(text_offset_, end - text_offset_));
+    P3PDB_ASSIGN_OR_RETURN(Statement * stmt, ParseRoot());
+    stmt->arena = arena_.release();
+    return std::unique_ptr<Statement>(stmt);
   }
 
-  Result<std::unique_ptr<Statement>> ParseRoot() {
+  /// The root is placed in the arena like every node. The DML and DDL roots
+  /// own strings and vectors, so they are placed finalized.
+  Result<Statement*> ParseRoot() {
     if (Current().IsKeyword(Keyword::kSelect)) {
-      auto sel = std::make_unique<SelectStmt>();
-      P3PDB_RETURN_IF_ERROR(ParseSelectBody(sel.get()));
+      SelectStmt* sel = New<SelectStmt>().release();
+      P3PDB_RETURN_IF_ERROR(ParseSelectBody(sel));
       sel->param_count = param_count_;
-      return std::unique_ptr<Statement>(std::move(sel));
+      return sel;
     }
     if (ConsumeKeyword(Keyword::kExplain)) {
-      auto explain = std::make_unique<ExplainStmt>();
+      ExplainStmt* explain = New<ExplainStmt>().release();
       explain->analyze = ConsumeKeyword(Keyword::kAnalyze);
       P3PDB_ASSIGN_OR_RETURN(explain->select, ParseSubquery());
       explain->select->param_count = param_count_;
-      return std::unique_ptr<Statement>(std::move(explain));
+      return explain;
     }
     if (ConsumeKeyword(Keyword::kInsert)) return ParseInsert();
     if (ConsumeKeyword(Keyword::kUpdate)) return ParseUpdate();
@@ -157,6 +206,7 @@ class Parser {
     if (ConsumeKeyword(Keyword::kDistinct)) select->distinct = true;
 
     // Select list.
+    const size_t items_start = items_.size();
     for (;;) {
       SelectItem item;
       if (Consume(TokenType::kStar)) {
@@ -167,24 +217,27 @@ class Parser {
           P3PDB_ASSIGN_OR_RETURN(item.alias, ExpectIdentifier("alias"));
         }
       }
-      select->items.push_back(std::move(item));
+      items_.push_back(std::move(item));
       if (!Consume(TokenType::kComma)) break;
     }
+    select->items = Finish(&items_, items_start);
 
     if (ConsumeKeyword(Keyword::kFrom)) {
+      const size_t refs_start = refs_.size();
       for (;;) {
         TableRef ref;
         P3PDB_ASSIGN_OR_RETURN(ref.table_name, ExpectIdentifier("table name"));
         // Optional alias: a bare identifier that is not a clause keyword.
         if (Current().type == TokenType::kIdentifier && !IsClauseKeyword()) {
-          ref.alias = std::string(Current().text);
+          ref.alias = Name(Current());
           Advance();
         } else {
           ref.alias = ref.table_name;
         }
-        select->from.push_back(std::move(ref));
+        refs_.push_back(ref);
         if (!Consume(TokenType::kComma)) break;
       }
+      select->from = Finish(&refs_, refs_start);
     }
 
     if (ConsumeKeyword(Keyword::kWhere)) {
@@ -193,15 +246,18 @@ class Parser {
     if (Current().IsKeyword(Keyword::kGroup)) {
       Advance();
       P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kBy));
+      const size_t start = exprs_.size();
       for (;;) {
         P3PDB_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
-        select->group_by.push_back(std::move(e));
+        exprs_.push_back(std::move(e));
         if (!Consume(TokenType::kComma)) break;
       }
+      select->group_by = Finish(&exprs_, start);
     }
     if (Current().IsKeyword(Keyword::kOrder)) {
       Advance();
       P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kBy));
+      const size_t start = order_.size();
       for (;;) {
         OrderByItem item;
         P3PDB_ASSIGN_OR_RETURN(item.expr, ParseExpr());
@@ -210,9 +266,10 @@ class Parser {
         } else {
           ConsumeKeyword(Keyword::kAsc);
         }
-        select->order_by.push_back(std::move(item));
+        order_.push_back(std::move(item));
         if (!Consume(TokenType::kComma)) break;
       }
+      select->order_by = Finish(&order_, start);
     }
     if (ConsumeKeyword(Keyword::kLimit)) {
       if (Current().type != TokenType::kInteger) {
@@ -244,16 +301,16 @@ class Parser {
     }
   }
 
-  Result<std::unique_ptr<Statement>> ParseInsert() {
+  Result<Statement*> ParseInsert() {
     P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kInto));
-    auto insert = std::make_unique<InsertStmt>();
+    auto* insert = arena_->NewFinalized<InsertStmt>();
     P3PDB_ASSIGN_OR_RETURN(insert->table_name,
                            ExpectIdentifier("table name"));
     if (Consume(TokenType::kLeftParen)) {
       for (;;) {
-        P3PDB_ASSIGN_OR_RETURN(std::string col,
+        P3PDB_ASSIGN_OR_RETURN(std::string_view col,
                                ExpectIdentifier("column name"));
-        insert->columns.push_back(std::move(col));
+        insert->columns.emplace_back(col);
         if (!Consume(TokenType::kComma)) break;
       }
       P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
@@ -271,11 +328,11 @@ class Parser {
       insert->rows.push_back(std::move(row));
       if (!Consume(TokenType::kComma)) break;
     }
-    return std::unique_ptr<Statement>(std::move(insert));
+    return insert;
   }
 
-  Result<std::unique_ptr<Statement>> ParseUpdate() {
-    auto update = std::make_unique<UpdateStmt>();
+  Result<Statement*> ParseUpdate() {
+    auto* update = arena_->NewFinalized<UpdateStmt>();
     P3PDB_ASSIGN_OR_RETURN(update->table_name,
                            ExpectIdentifier("table name"));
     P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kSet));
@@ -294,47 +351,47 @@ class Parser {
     if (ConsumeKeyword(Keyword::kWhere)) {
       P3PDB_ASSIGN_OR_RETURN(update->where, ParseExpr());
     }
-    return std::unique_ptr<Statement>(std::move(update));
+    return update;
   }
 
-  Result<std::unique_ptr<Statement>> ParseDelete() {
+  Result<Statement*> ParseDelete() {
     P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kFrom));
-    auto del = std::make_unique<DeleteStmt>();
+    auto* del = arena_->NewFinalized<DeleteStmt>();
     P3PDB_ASSIGN_OR_RETURN(del->table_name, ExpectIdentifier("table name"));
     if (ConsumeKeyword(Keyword::kWhere)) {
       P3PDB_ASSIGN_OR_RETURN(del->where, ParseExpr());
     }
-    return std::unique_ptr<Statement>(std::move(del));
+    return del;
   }
 
-  Result<std::unique_ptr<Statement>> ParseCreate() {
+  Result<Statement*> ParseCreate() {
     bool unique = ConsumeKeyword(Keyword::kUnique);
     if (ConsumeKeyword(Keyword::kIndex)) {
-      auto ci = std::make_unique<CreateIndexStmt>();
+      auto* ci = arena_->NewFinalized<CreateIndexStmt>();
       ci->unique = unique;
       P3PDB_ASSIGN_OR_RETURN(ci->index_name, ExpectIdentifier("index name"));
       P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kOn));
       P3PDB_ASSIGN_OR_RETURN(ci->table_name, ExpectIdentifier("table name"));
       P3PDB_RETURN_IF_ERROR(Expect(TokenType::kLeftParen, "'('"));
       for (;;) {
-        P3PDB_ASSIGN_OR_RETURN(std::string col,
+        P3PDB_ASSIGN_OR_RETURN(std::string_view col,
                                ExpectIdentifier("column name"));
-        ci->columns.push_back(std::move(col));
+        ci->columns.emplace_back(col);
         if (!Consume(TokenType::kComma)) break;
       }
       P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
-      return std::unique_ptr<Statement>(std::move(ci));
+      return ci;
     }
     if (unique) return ErrorHere("expected INDEX after UNIQUE");
     P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kTable));
-    auto ct = std::make_unique<CreateTableStmt>();
+    auto* ct = arena_->NewFinalized<CreateTableStmt>();
     if (Current().IsKeyword(Keyword::kIf)) {
       Advance();
       P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kNot));
       P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kExists));
       ct->if_not_exists = true;
     }
-    P3PDB_ASSIGN_OR_RETURN(std::string table_name,
+    P3PDB_ASSIGN_OR_RETURN(std::string_view table_name,
                            ExpectIdentifier("table name"));
     P3PDB_RETURN_IF_ERROR(Expect(TokenType::kLeftParen, "'('"));
     std::vector<ColumnDef> columns;
@@ -346,9 +403,9 @@ class Parser {
         P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kKey));
         P3PDB_RETURN_IF_ERROR(Expect(TokenType::kLeftParen, "'('"));
         for (;;) {
-          P3PDB_ASSIGN_OR_RETURN(std::string col,
+          P3PDB_ASSIGN_OR_RETURN(std::string_view col,
                                  ExpectIdentifier("column name"));
-          primary_key.push_back(std::move(col));
+          primary_key.emplace_back(col);
           if (!Consume(TokenType::kComma)) break;
         }
         P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
@@ -358,9 +415,9 @@ class Parser {
         ForeignKeyDef fk;
         P3PDB_RETURN_IF_ERROR(Expect(TokenType::kLeftParen, "'('"));
         for (;;) {
-          P3PDB_ASSIGN_OR_RETURN(std::string col,
+          P3PDB_ASSIGN_OR_RETURN(std::string_view col,
                                  ExpectIdentifier("column name"));
-          fk.columns.push_back(std::move(col));
+          fk.columns.emplace_back(col);
           if (!Consume(TokenType::kComma)) break;
         }
         P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
@@ -369,9 +426,9 @@ class Parser {
                                ExpectIdentifier("table name"));
         P3PDB_RETURN_IF_ERROR(Expect(TokenType::kLeftParen, "'('"));
         for (;;) {
-          P3PDB_ASSIGN_OR_RETURN(std::string col,
+          P3PDB_ASSIGN_OR_RETURN(std::string_view col,
                                  ExpectIdentifier("column name"));
-          fk.referenced_columns.push_back(std::move(col));
+          fk.referenced_columns.emplace_back(col);
           if (!Consume(TokenType::kComma)) break;
         }
         P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
@@ -411,22 +468,22 @@ class Parser {
       if (!Consume(TokenType::kComma)) break;
     }
     P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
-    ct->schema = TableSchema(std::move(table_name), std::move(columns));
+    ct->schema = TableSchema(std::string(table_name), std::move(columns));
     ct->schema.set_primary_key(std::move(primary_key));
     for (ForeignKeyDef& fk : fks) ct->schema.AddForeignKey(std::move(fk));
-    return std::unique_ptr<Statement>(std::move(ct));
+    return ct;
   }
 
-  Result<std::unique_ptr<Statement>> ParseDrop() {
+  Result<Statement*> ParseDrop() {
     P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kTable));
-    auto drop = std::make_unique<DropTableStmt>();
+    auto* drop = arena_->NewFinalized<DropTableStmt>();
     if (Current().IsKeyword(Keyword::kIf)) {
       Advance();
       P3PDB_RETURN_IF_ERROR(ExpectKeyword(Keyword::kExists));
       drop->if_exists = true;
     }
     P3PDB_ASSIGN_OR_RETURN(drop->table_name, ExpectIdentifier("table name"));
-    return std::unique_ptr<Statement>(std::move(drop));
+    return drop;
   }
 
   // ---- expressions ----
@@ -436,25 +493,27 @@ class Parser {
   Result<ExprPtr> ParseOr() {
     P3PDB_ASSIGN_OR_RETURN(ExprPtr first, ParseAnd());
     if (!Current().IsKeyword(Keyword::kOr)) return first;
-    std::vector<ExprPtr> operands;
-    operands.push_back(std::move(first));
+    const size_t start = exprs_.size();
+    exprs_.push_back(std::move(first));
     while (ConsumeKeyword(Keyword::kOr)) {
       P3PDB_ASSIGN_OR_RETURN(ExprPtr next, ParseAnd());
-      operands.push_back(std::move(next));
+      exprs_.push_back(std::move(next));
     }
-    return ExprPtr(New<LogicalExpr>(/*and_op=*/false, std::move(operands)));
+    return ExprPtr(
+        New<LogicalExpr>(/*and_op=*/false, Finish(&exprs_, start)));
   }
 
   Result<ExprPtr> ParseAnd() {
     P3PDB_ASSIGN_OR_RETURN(ExprPtr first, ParseNot());
     if (!Current().IsKeyword(Keyword::kAnd)) return first;
-    std::vector<ExprPtr> operands;
-    operands.push_back(std::move(first));
+    const size_t start = exprs_.size();
+    exprs_.push_back(std::move(first));
     while (ConsumeKeyword(Keyword::kAnd)) {
       P3PDB_ASSIGN_OR_RETURN(ExprPtr next, ParseNot());
-      operands.push_back(std::move(next));
+      exprs_.push_back(std::move(next));
     }
-    return ExprPtr(New<LogicalExpr>(/*and_op=*/true, std::move(operands)));
+    return ExprPtr(
+        New<LogicalExpr>(/*and_op=*/true, Finish(&exprs_, start)));
   }
 
   Result<ExprPtr> ParseNot() {
@@ -519,15 +578,15 @@ class Parser {
     }
     if (ConsumeKeyword(Keyword::kIn)) {
       P3PDB_RETURN_IF_ERROR(Expect(TokenType::kLeftParen, "'(' after IN"));
-      std::vector<ExprPtr> items;
+      const size_t start = exprs_.size();
       for (;;) {
         P3PDB_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
-        items.push_back(std::move(e));
+        exprs_.push_back(std::move(e));
         if (!Consume(TokenType::kComma)) break;
       }
       P3PDB_RETURN_IF_ERROR(Expect(TokenType::kRightParen, "')'"));
-      return ExprPtr(
-          New<InListExpr>(std::move(left), std::move(items), negated));
+      return ExprPtr(New<InListExpr>(std::move(left),
+                                     Finish(&exprs_, start), negated));
     }
     if (ConsumeKeyword(Keyword::kLike)) {
       P3PDB_ASSIGN_OR_RETURN(ExprPtr pattern, ParsePrimary());
@@ -555,12 +614,13 @@ class Parser {
         return e;
       }
       case TokenType::kString: {
-        ExprPtr e = New<LiteralExpr>(Value::Text(std::string(tok.text)));
+        ExprPtr e =
+            LiteralExpr::Make(arena_.get(), Value::Text(std::string(tok.text)));
         Advance();
         return e;
       }
       case TokenType::kInteger: {
-        ExprPtr e = New<LiteralExpr>(Value::Integer(tok.int_value));
+        ExprPtr e = LiteralExpr::Make(arena_.get(), Value::Integer(tok.int_value));
         Advance();
         return e;
       }
@@ -576,15 +636,16 @@ class Parser {
       case TokenType::kIdentifier: {
         if (tok.IsKeyword(Keyword::kNull)) {
           Advance();
-          return ExprPtr(New<LiteralExpr>(Value::Null()));
+          return ExprPtr(LiteralExpr::Make(arena_.get(), Value::Null()));
         }
         if (tok.IsKeyword(Keyword::kTrue)) {
           Advance();
-          return ExprPtr(New<LiteralExpr>(Value::Boolean(true)));
+          return ExprPtr(LiteralExpr::Make(arena_.get(), Value::Boolean(true)));
         }
         if (tok.IsKeyword(Keyword::kFalse)) {
           Advance();
-          return ExprPtr(New<LiteralExpr>(Value::Boolean(false)));
+          return ExprPtr(
+              LiteralExpr::Make(arena_.get(), Value::Boolean(false)));
         }
         // Aggregate function?
         if (Peek(1).type == TokenType::kLeftParen) {
@@ -620,14 +681,14 @@ class Parser {
           }
         }
         // Column reference: ident or ident.ident.
-        std::string first(tok.text);
+        const std::string_view first = Name(tok);
         Advance();
         if (Consume(TokenType::kDot)) {
-          P3PDB_ASSIGN_OR_RETURN(std::string col,
+          P3PDB_ASSIGN_OR_RETURN(std::string_view col,
                                  ExpectIdentifier("column name"));
-          return ExprPtr(New<ColumnRefExpr>(std::move(first), std::move(col)));
+          return ExprPtr(New<ColumnRefExpr>(first, col));
         }
-        return ExprPtr(New<ColumnRefExpr>("", std::move(first)));
+        return ExprPtr(New<ColumnRefExpr>(std::string_view(), first));
       }
       default:
         break;
@@ -635,10 +696,23 @@ class Parser {
     return ErrorHere("expected expression");
   }
 
+  std::string_view sql_;
   TokenList tokens_;
   size_t pos_ = 0;
   // The arena of the statement being parsed; handed to its root on success.
   std::unique_ptr<StatementArena> arena_;
+  // Input offset of the arena's text copy (non-zero for a script's later
+  // statements).
+  size_t text_offset_ = 0;
+  // List scratch: one stack per element type (see Finish), on the stack
+  // buffer while it lasts.
+  alignas(std::max_align_t) std::array<std::byte, kScratchBytes>
+      scratch_buffer_;
+  std::pmr::monotonic_buffer_resource scratch_;
+  std::pmr::vector<ExprPtr> exprs_;
+  std::pmr::vector<SelectItem> items_;
+  std::pmr::vector<TableRef> refs_;
+  std::pmr::vector<OrderByItem> order_;
   // `?` placeholders seen so far in the current statement; becomes the root
   // SELECT's param_count.
   size_t param_count_ = 0;
@@ -648,14 +722,14 @@ class Parser {
 
 Result<std::unique_ptr<Statement>> ParseStatement(std::string_view sql) {
   P3PDB_ASSIGN_OR_RETURN(TokenList tokens, Tokenize(sql));
-  Parser parser(std::move(tokens));
+  Parser parser(sql, std::move(tokens));
   return parser.ParseSingle();
 }
 
 Result<std::vector<std::unique_ptr<Statement>>> ParseScript(
     std::string_view sql) {
   P3PDB_ASSIGN_OR_RETURN(TokenList tokens, Tokenize(sql));
-  Parser parser(std::move(tokens));
+  Parser parser(sql, std::move(tokens));
   return parser.ParseAll();
 }
 

@@ -13,12 +13,13 @@
 namespace p3pdb::sqldb {
 
 /// Parses a single SQL statement (a trailing semicolon is allowed). The
-/// returned root owns the StatementArena every node below it lives in
-/// (ast.h, "Statement memory"); its first block is sized from the text.
+/// returned root lives in, and owns, the StatementArena every node and list
+/// below it lives in (ast.h, "Statement memory"); the arena holds a copy of
+/// `sql`, and its first block is sized from the text.
 Result<std::unique_ptr<Statement>> ParseStatement(std::string_view sql);
 
 /// Parses a semicolon-separated script. Empty statements are skipped. Each
-/// statement gets its own arena, sized from its own text.
+/// statement gets its own arena, holding and sized from its own text.
 Result<std::vector<std::unique_ptr<Statement>>> ParseScript(
     std::string_view sql);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <memory_resource>
 #include <utility>
 #include <vector>
 
@@ -150,17 +151,21 @@ bool SelectContainsParam(const SelectStmt& s) {
   return false;
 }
 
-void CollectTablesExpr(const Expr& e, std::vector<const Table*>* out);
+using TableList = std::pmr::vector<const Table*>;
+using ExprList = std::pmr::vector<ExprPtr>;
+using ExprViewList = std::pmr::vector<const Expr*>;
+
+void CollectTablesExpr(const Expr& e, TableList* out);
 
 /// Every table the select reads, FROM lists of nested subqueries included.
-void CollectTables(const SelectStmt& s, std::vector<const Table*>* out) {
+void CollectTables(const SelectStmt& s, TableList* out) {
   for (const TableRef& tr : s.from) {
     if (tr.table != nullptr) out->push_back(tr.table);
   }
   if (s.where != nullptr) CollectTablesExpr(*s.where, out);
 }
 
-void CollectTablesExpr(const Expr& e, std::vector<const Table*>* out) {
+void CollectTablesExpr(const Expr& e, TableList* out) {
   switch (e.kind) {
     case ExprKind::kComparison: {
       const auto& c = static_cast<const ComparisonExpr&>(e);
@@ -204,7 +209,7 @@ void CollectTablesExpr(const Expr& e, std::vector<const Table*>* out) {
 
 /// Owning counterpart of the executor's FlattenAnd: dismantles a tree of
 /// nested ANDs into its conjuncts, preserving left-to-right order.
-void FlattenAndOwned(ExprPtr e, std::vector<ExprPtr>* out) {
+void FlattenAndOwned(ExprPtr e, ExprList* out) {
   if (e->kind == ExprKind::kLogical) {
     auto* l = static_cast<LogicalExpr*>(e.get());
     if (l->is_and) {
@@ -216,7 +221,7 @@ void FlattenAndOwned(ExprPtr e, std::vector<ExprPtr>* out) {
 }
 
 /// Read-only view of the same flattening, for the eligibility check.
-void FlattenAndView(const Expr* e, std::vector<const Expr*>* out) {
+void FlattenAndView(const Expr* e, ExprViewList* out) {
   if (e->kind == ExprKind::kLogical) {
     const auto* l = static_cast<const LogicalExpr*>(e);
     if (l->is_and) {
@@ -435,14 +440,15 @@ double ConjSelectivity(const Expr& e, size_t slot, const Table& table,
 /// Estimated rows surviving the WHERE conjuncts local to FROM slot `slot`.
 /// `skip_escaping` additionally drops conjuncts referencing enclosing
 /// scopes — the build-side estimate, where correlation equalities are
-/// stripped before the build executes.
+/// stripped before the build executes. Temporaries come from `scratch`.
 double EstimateSlotRows(const SelectStmt& s, size_t slot,
-                        const StatsCatalog& catalog, bool skip_escaping) {
+                        const StatsCatalog& catalog, bool skip_escaping,
+                        std::pmr::memory_resource* scratch) {
   const Table* table = s.from[slot].table;
   if (table == nullptr) return 0.0;
   double rows = catalog.EstimatedRows(table);
   if (s.where == nullptr) return rows;
-  std::vector<const Expr*> conjuncts;
+  ExprViewList conjuncts(scratch);
   FlattenAndView(s.where.get(), &conjuncts);
   double sel = 1.0;
   for (const Expr* c : conjuncts) {
@@ -455,11 +461,12 @@ double EstimateSlotRows(const SelectStmt& s, size_t slot,
 
 /// Estimated row combinations a select enumerates (product over FROM).
 double EstimateSelectRows(const SelectStmt& s, const StatsCatalog& catalog,
-                          bool skip_escaping) {
+                          bool skip_escaping,
+                          std::pmr::memory_resource* scratch) {
   if (s.from.empty()) return 0.0;
   double rows = 1.0;
   for (size_t slot = 0; slot < s.from.size(); ++slot) {
-    rows *= EstimateSlotRows(s, slot, catalog, skip_escaping);
+    rows *= EstimateSlotRows(s, slot, catalog, skip_escaping, scratch);
   }
   return rows;
 }
@@ -471,8 +478,12 @@ constexpr double kCorrelatedBuildFactor = 8.0;
 class Planner {
  public:
   Planner(StatementArena* arena, ExecStats* stats,
-          const StatsCatalog* catalog)
-      : arena_(arena), stats_(stats), catalog_(catalog) {}
+          const StatsCatalog* catalog, std::pmr::memory_resource* scratch)
+      : arena_(arena),
+        stats_(stats),
+        catalog_(catalog),
+        scratch_(scratch),
+        path_(scratch) {}
 
   void Plan(SelectStmt* stmt) {
     path_.push_back(stmt);
@@ -544,9 +555,9 @@ class Planner {
     if (SelectContainsParam(*sub)) return nullptr;
 
     // Phase 1: classify every top-level conjunct without touching the tree.
-    std::vector<const Expr*> view;
+    ExprViewList view(scratch_);
     FlattenAndView(sub->where.get(), &view);
-    std::vector<Conjunct> classes(view.size());
+    std::pmr::vector<Conjunct> classes(view.size(), scratch_);
     size_t correlations = 0;
     for (size_t i = 0; i < view.size(); ++i) {
       const Expr* c = view[i];
@@ -594,11 +605,15 @@ class Planner {
     }
 
     // Phase 2: eligible — dismantle the WHERE and assemble the join node.
-    std::vector<ExprPtr> conjuncts;
+    // Every arena list is allocated once at its final size.
+    ExprList conjuncts(scratch_);
     FlattenAndOwned(std::move(sub->where), &conjuncts);
     ArenaPtr<HashJoinExpr> join = arena_->New<HashJoinExpr>(
         exists->negated, std::move(exists->subquery));
-    std::vector<ExprPtr> locals;
+    join->build_keys = arena_->NewArray<ArenaPtr<ColumnRefExpr>>(correlations);
+    join->probe_keys = arena_->NewArray<ExprPtr>(correlations);
+    ExprList locals(scratch_);
+    size_t key = 0;
     for (size_t i = 0; i < conjuncts.size(); ++i) {
       if (!classes[i].is_correlation) {
         locals.push_back(std::move(conjuncts[i]));
@@ -609,26 +624,27 @@ class Planner {
                                                     : std::move(cmp->right);
       ExprPtr outer_side = classes[i].left_is_inner ? std::move(cmp->right)
                                                     : std::move(cmp->left);
-      join->build_keys.emplace_back(
+      join->build_keys[key] = ArenaPtr<ColumnRefExpr>(
           static_cast<ColumnRefExpr*>(inner_side.release()));
       // The probe expression now evaluates one scope closer to its target.
       static_cast<ColumnRefExpr*>(outer_side.get())->level -= 1;
-      join->probe_keys.push_back(std::move(outer_side));
+      join->probe_keys[key] = std::move(outer_side);
+      ++key;
     }
     SelectStmt* build = join->build.get();
     if (locals.size() == 1) {
       build->where = std::move(locals[0]);
     } else if (!locals.empty()) {
-      build->where =
-          arena_->New<LogicalExpr>(/*and_op=*/true, std::move(locals));
+      build->where = arena_->New<LogicalExpr>(
+          /*and_op=*/true, arena_->MoveArray(locals.data(), locals.size()));
     }  // else: no residual predicate; build enumerates the whole table
 
-    std::vector<const Table*> deps;
+    TableList deps(scratch_);
     CollectTables(*build, &deps);
     std::sort(deps.begin(), deps.end());
     deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-    join->dep_tables = std::move(deps);
-    join->runtime = std::make_shared<HashJoinRuntime>();
+    join->dep_tables = arena_->MoveArray(deps.data(), deps.size());
+    join->runtime = arena_->NewFinalized<HashJoinRuntime>();
 
     if (stats_ != nullptr) {
       if (join->anti) {
@@ -642,12 +658,11 @@ class Planner {
 
   /// The cost model's rewrite veto (see planner.h). `view`/`classes` are
   /// the phase-1 classification of the subquery's conjuncts.
-  bool KeepCorrelated(const SelectStmt& sub,
-                      const std::vector<const Expr*>& view,
-                      const std::vector<Conjunct>& classes) const {
+  bool KeepCorrelated(const SelectStmt& sub, const ExprViewList& view,
+                      const std::pmr::vector<Conjunct>& classes) const {
     // The correlated plan is only competitive as a point lookup: every
     // correlation column must sit on one build slot with a covering index.
-    std::vector<size_t> ordinals;
+    std::pmr::vector<size_t> ordinals(scratch_);
     size_t inner_slot = 0;
     bool have_slot = false;
     for (size_t i = 0; i < view.size(); ++i) {
@@ -669,11 +684,11 @@ class Planner {
       return false;
     }
     const double build_rows =
-        EstimateSelectRows(sub, *catalog_, /*skip_escaping=*/true);
+        EstimateSelectRows(sub, *catalog_, /*skip_escaping=*/true, scratch_);
     const double outer_rows =
         path_.empty() ? 1.0
                       : EstimateSelectRows(*path_.back(), *catalog_,
-                                           /*skip_escaping=*/false);
+                                           /*skip_escaping=*/false, scratch_);
     return build_rows > kCorrelatedBuildFactor * std::max(1.0, outer_rows);
   }
 
@@ -686,12 +701,12 @@ class Planner {
     if (stmt->where->kind != ExprKind::kLogical) return;
     auto* l = static_cast<LogicalExpr*>(stmt->where.get());
     if (!l->is_and) return;
-    std::vector<size_t> join_slots;
+    std::pmr::vector<size_t> join_slots(scratch_);
     for (size_t i = 0; i < l->operands.size(); ++i) {
       if (l->operands[i]->kind == ExprKind::kHashJoin) join_slots.push_back(i);
     }
     if (join_slots.size() < 2) return;
-    std::vector<ExprPtr> joins;
+    ExprList joins(scratch_);
     joins.reserve(join_slots.size());
     for (size_t i : join_slots) joins.push_back(std::move(l->operands[i]));
     const auto build_rows = [](const ExprPtr& e) {
@@ -725,8 +740,8 @@ class Planner {
         auto* j = static_cast<HashJoinExpr*>(e);
         // Correlations were stripped into the keys, so no escaping
         // conjuncts remain in the build's WHERE.
-        j->est_build_rows =
-            EstimateSelectRows(*j->build, *catalog_, /*skip_escaping=*/false);
+        j->est_build_rows = EstimateSelectRows(
+            *j->build, *catalog_, /*skip_escaping=*/false, scratch_);
         return;
       }
       default:
@@ -737,21 +752,30 @@ class Planner {
   StatementArena* arena_;  // where rewrite nodes are placed
   ExecStats* stats_;
   const StatsCatalog* catalog_;  // null = pure rule-based planning
-  std::vector<const SelectStmt*> path_;  // enclosing selects, innermost last
+  std::pmr::memory_resource* scratch_;  // temporaries
+  std::pmr::vector<const SelectStmt*> path_;  // enclosing selects, innermost last
 };
 
 }  // namespace
 
 void PlanSelect(SelectStmt* stmt, StatementArena* arena, ExecStats* stats,
-                const StatsCatalog* catalog) {
-  Planner planner(arena, stats, catalog);
+                const StatsCatalog* catalog,
+                std::pmr::memory_resource* scratch) {
+  Planner planner(arena, stats, catalog, scratch);
   planner.Plan(stmt);
 }
 
 namespace {
 
-void AnnotateExpr(const Expr& e, const StatsCatalog* catalog,
-                  ExecStats* stats);
+/// What AnnotateOne needs besides the statement.
+struct Annotation {
+  StatementArena* arena;  // where slot plans are placed
+  const StatsCatalog* catalog;
+  ExecStats* stats;
+  std::pmr::memory_resource* scratch;  // temporaries
+};
+
+void AnnotateExpr(const Expr& e, const Annotation& a);
 
 /// Resolves the access path of every FROM slot of `stmt`, mirroring the
 /// executor's per-scan derivation exactly (same equality collection, same
@@ -760,44 +784,30 @@ void AnnotateExpr(const Expr& e, const StatsCatalog* catalog,
 /// stamped for EXPLAIN, and a syntactically chosen index whose key is so
 /// unselective that the lookup would return most of the table (low-NDV
 /// column) is overridden back to a sequential scan.
-void AnnotateOne(SelectStmt* stmt, const StatsCatalog* catalog,
-                 ExecStats* stats) {
-  stmt->slot_plans.assign(stmt->from.size(), SlotPlan{});
+void AnnotateOne(SelectStmt* stmt, const Annotation& a) {
+  stmt->slot_plans = a.arena->NewArray<SlotPlan>(stmt->from.size());
   for (size_t slot = 0; slot < stmt->from.size(); ++slot) {
     SlotPlan& sp = stmt->slot_plans[slot];
     const Table* table = stmt->from[slot].table;
     if (table == nullptr) continue;  // unbound (defensive); scalar would fail
-    std::vector<IndexableEquality> equalities =
-        CollectIndexableEqualities(stmt->where.get(), slot);
+    std::pmr::vector<IndexableEquality> equalities(a.scratch);
+    CollectIndexableEqualities(stmt->where.get(), slot, &equalities);
     if (!equalities.empty()) {
-      std::vector<size_t> available;
+      std::pmr::vector<size_t> available(a.scratch);
       available.reserve(equalities.size());
       for (const IndexableEquality& eq : equalities) {
         available.push_back(eq.column_ordinal);
       }
       sp.index = table->FindIndexCovering(available);
     }
-    if (sp.index != nullptr) {
-      sp.key_exprs.reserve(sp.index->column_ordinals().size());
-      for (size_t ord : sp.index->column_ordinals()) {
-        const Expr* key_expr = nullptr;
-        for (const IndexableEquality& eq : equalities) {
-          if (eq.column_ordinal == ord) {
-            key_expr = eq.key_expr;
-            break;
-          }
-        }
-        sp.key_exprs.push_back(key_expr);
-      }
-    }
-    if (catalog != nullptr) {
-      const double table_rows = catalog->EstimatedRows(table);
+    if (a.catalog != nullptr) {
+      const double table_rows = a.catalog->EstimatedRows(table);
       if (sp.index == nullptr) {
         sp.est_rows = table_rows;
       } else {
         double key_sel = 1.0;
         for (size_t ord : sp.index->column_ordinals()) {
-          key_sel *= EqSelectivity(*table, ord, *catalog);
+          key_sel *= EqSelectivity(*table, ord, *a.catalog);
         }
         // Index vs seq: a lookup expected to return around half the table
         // buys nothing over scanning it (and pays key evaluation plus
@@ -807,12 +817,24 @@ void AnnotateOne(SelectStmt* stmt, const StatsCatalog* catalog,
         // tables are left alone — either plan touches a handful of rows.
         if (key_sel >= 0.45 && table_rows >= 4.0) {
           sp.index = nullptr;
-          sp.key_exprs.clear();
           sp.seq_forced = true;
           sp.est_rows = table_rows;
-          if (stats != nullptr) ++stats->cost_seq_forced;
+          if (a.stats != nullptr) ++a.stats->cost_seq_forced;
         } else {
           sp.est_rows = table_rows * key_sel;
+        }
+      }
+    }
+    // Probe keys only for the index that survived the cost check.
+    if (sp.index != nullptr) {
+      const std::vector<size_t>& ordinals = sp.index->column_ordinals();
+      sp.key_exprs = a.arena->NewArray<const Expr*>(ordinals.size());
+      for (size_t k = 0; k < ordinals.size(); ++k) {
+        for (const IndexableEquality& eq : equalities) {
+          if (eq.column_ordinal == ordinals[k]) {
+            sp.key_exprs[k] = eq.key_expr;
+            break;
+          }
         }
       }
     }
@@ -824,57 +846,49 @@ void AnnotateOne(SelectStmt* stmt, const StatsCatalog* catalog,
     stmt->slot_plans.back().vector_filter = true;
   }
 
-  if (stmt->where != nullptr) AnnotateExpr(*stmt->where, catalog, stats);
+  if (stmt->where != nullptr) AnnotateExpr(*stmt->where, a);
   for (const SelectItem& item : stmt->items) {
-    if (!item.is_star) AnnotateExpr(*item.expr, catalog, stats);
+    if (!item.is_star) AnnotateExpr(*item.expr, a);
   }
-  for (const ExprPtr& g : stmt->group_by) AnnotateExpr(*g, catalog, stats);
-  for (const OrderByItem& ob : stmt->order_by) {
-    AnnotateExpr(*ob.expr, catalog, stats);
-  }
+  for (const ExprPtr& g : stmt->group_by) AnnotateExpr(*g, a);
+  for (const OrderByItem& ob : stmt->order_by) AnnotateExpr(*ob.expr, a);
 }
 
-void AnnotateExpr(const Expr& e, const StatsCatalog* catalog,
-                  ExecStats* stats) {
+void AnnotateExpr(const Expr& e, const Annotation& a) {
   switch (e.kind) {
     case ExprKind::kComparison: {
       const auto& c = static_cast<const ComparisonExpr&>(e);
-      AnnotateExpr(*c.left, catalog, stats);
-      AnnotateExpr(*c.right, catalog, stats);
+      AnnotateExpr(*c.left, a);
+      AnnotateExpr(*c.right, a);
       return;
     }
     case ExprKind::kLogical:
       for (const ExprPtr& op : static_cast<const LogicalExpr&>(e).operands) {
-        AnnotateExpr(*op, catalog, stats);
+        AnnotateExpr(*op, a);
       }
       return;
     case ExprKind::kNot:
-      AnnotateExpr(*static_cast<const NotExpr&>(e).operand, catalog, stats);
+      AnnotateExpr(*static_cast<const NotExpr&>(e).operand, a);
       return;
     case ExprKind::kExists:
-      AnnotateOne(static_cast<const ExistsExpr&>(e).subquery.get(), catalog,
-                  stats);
+      AnnotateOne(static_cast<const ExistsExpr&>(e).subquery.get(), a);
       return;
     case ExprKind::kHashJoin:
-      AnnotateOne(static_cast<const HashJoinExpr&>(e).build.get(), catalog,
-                  stats);
+      AnnotateOne(static_cast<const HashJoinExpr&>(e).build.get(), a);
       return;
     case ExprKind::kInList: {
       const auto& in = static_cast<const InListExpr&>(e);
-      AnnotateExpr(*in.operand, catalog, stats);
-      for (const ExprPtr& item : in.items) {
-        AnnotateExpr(*item, catalog, stats);
-      }
+      AnnotateExpr(*in.operand, a);
+      for (const ExprPtr& item : in.items) AnnotateExpr(*item, a);
       return;
     }
     case ExprKind::kIsNull:
-      AnnotateExpr(*static_cast<const IsNullExpr&>(e).operand, catalog,
-                   stats);
+      AnnotateExpr(*static_cast<const IsNullExpr&>(e).operand, a);
       return;
     case ExprKind::kLike: {
       const auto& lk = static_cast<const LikeExpr&>(e);
-      AnnotateExpr(*lk.operand, catalog, stats);
-      AnnotateExpr(*lk.pattern, catalog, stats);
+      AnnotateExpr(*lk.operand, a);
+      AnnotateExpr(*lk.pattern, a);
       return;
     }
     default:
@@ -884,9 +898,10 @@ void AnnotateExpr(const Expr& e, const StatsCatalog* catalog,
 
 }  // namespace
 
-void AnnotateSelect(SelectStmt* stmt, const StatsCatalog* catalog,
-                    ExecStats* stats) {
-  AnnotateOne(stmt, catalog, stats);
+void AnnotateSelect(SelectStmt* stmt, StatementArena* arena,
+                    const StatsCatalog* catalog, ExecStats* stats,
+                    std::pmr::memory_resource* scratch) {
+  AnnotateOne(stmt, Annotation{arena, catalog, stats, scratch});
 }
 
 }  // namespace p3pdb::sqldb

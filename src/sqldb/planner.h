@@ -36,6 +36,8 @@
 #ifndef P3PDB_SQLDB_PLANNER_H_
 #define P3PDB_SQLDB_PLANNER_H_
 
+#include <memory_resource>
+
 #include "sqldb/ast.h"
 #include "sqldb/query_result.h"
 
@@ -62,12 +64,15 @@ class StatsCatalog;
 /// for EXPLAIN. Rewrites and cost decisions are tallied into `stats` (the
 /// semi/anti-join rewrite and cost_* counters) when it is non-null.
 ///
-/// The nodes a rewrite creates (the HashJoinExpr, the residual AND of the
-/// build's local conjuncts) are placed in `arena`, the arena of the root
-/// statement `stmt` belongs to.
+/// The nodes and lists a rewrite creates (the HashJoinExpr and its key and
+/// dependency lists, the residual AND of the build's local conjuncts) are
+/// placed in `arena`, the arena of the root statement `stmt` belongs to,
+/// each list once at its final size; temporary vectors come from `scratch`.
 void PlanSelect(SelectStmt* stmt, StatementArena* arena,
                 ExecStats* stats = nullptr,
-                const StatsCatalog* catalog = nullptr);
+                const StatsCatalog* catalog = nullptr,
+                std::pmr::memory_resource* scratch =
+                    std::pmr::get_default_resource());
 
 /// Fills `slot_plans` on `stmt` and every nested SELECT (EXISTS subqueries,
 /// hash-join build sides): the access path the executor would otherwise
@@ -81,8 +86,14 @@ void PlanSelect(SelectStmt* stmt, StatementArena* arena,
 /// sequential scan when the index's estimated selectivity is so poor (low
 /// NDV key) that the lookup would return most of the table anyway; each
 /// override ticks `stats->cost_seq_forced` when `stats` is non-null.
-void AnnotateSelect(SelectStmt* stmt, const StatsCatalog* catalog = nullptr,
-                    ExecStats* stats = nullptr);
+///
+/// The slot plans and their key lists are placed in `arena` (the root
+/// statement's); temporary vectors come from `scratch`.
+void AnnotateSelect(SelectStmt* stmt, StatementArena* arena,
+                    const StatsCatalog* catalog = nullptr,
+                    ExecStats* stats = nullptr,
+                    std::pmr::memory_resource* scratch =
+                        std::pmr::get_default_resource());
 
 }  // namespace p3pdb::sqldb
 

@@ -188,7 +188,7 @@ size_t Table::FetchChunk(size_t* cursor, size_t max,
 }
 
 const Index* Table::FindIndexCovering(
-    const std::vector<size_t>& column_ordinals) const {
+    std::span<const size_t> column_ordinals) const {
   // An index is usable if every one of its columns appears in the available
   // equality set; prefer the index binding the most columns.
   const Index* best = nullptr;

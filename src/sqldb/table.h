@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -184,7 +185,11 @@ class Table {
   /// Finds an index whose columns are exactly a permutation-free prefix
   /// match of `column_ordinals` (same set). Returns nullptr if none.
   const Index* FindIndexCovering(
-      const std::vector<size_t>& column_ordinals) const;
+      std::span<const size_t> column_ordinals) const;
+  const Index* FindIndexCovering(
+      const std::vector<size_t>& column_ordinals) const {
+    return FindIndexCovering(std::span<const size_t>(column_ordinals));
+  }
 
   const std::vector<std::unique_ptr<Index>>& indexes() const {
     return indexes_;

@@ -52,6 +52,13 @@ class Value {
   const std::string& AsText() const { return std::get<std::string>(data_); }
   bool AsBoolean() const { return std::get<bool>(data_); }
 
+  /// True for text too long for std::string's inline buffer: the one kind
+  /// of value that owns a heap block.
+  bool OwnsHeapText() const {
+    const std::string* text = std::get_if<std::string>(&data_);
+    return text != nullptr && text->capacity() > std::string().capacity();
+  }
+
   /// SQL-literal-ish rendering: NULL, 42, 'text', TRUE.
   std::string ToString() const;
 

@@ -1,22 +1,28 @@
 // Heap allocations on the cold rule-query path, counted by a replaced global
 // operator new: per ParseStatement, per first-time Database::Prepare, and
-// per PolicyServer::CompilePreference. The statements are the optimized
-// translator's output for seeded RandomPreferences, prepared against a
-// kSql server holding every 4th of 1,000 FortuneCorpus policies (one
-// shard's share of the 4-shard serving tier).
+// per PolicyServer::CompilePreference; and heap frees, counted by the
+// replaced operator delete, per cached plan the plan cache evicts. The
+// statements are the optimized translator's output for seeded
+// RandomPreferences, prepared against a kSql server holding every 4th of
+// 1,000 FortuneCorpus policies (one shard's share of the 4-shard serving
+// tier).
 //
 // The bounds pin the statement memory model (ast.h): the lexer copies no
-// token text, every AST node lives in its statement's arena, and the
-// ruleset fingerprint builds no serialization. Putting tokens or nodes back
-// on the heap one by one fails here. The counts repeat exactly from run to
-// run; the test prints them.
+// token text, every AST node and every list a node owns lives in its
+// statement's arena, bind and plan temporaries stay on the stack, the
+// ruleset fingerprint builds no serialization, and a dying plan releases
+// its arena's blocks rather than walking its nodes. Putting tokens, nodes
+// or lists back on the heap one by one fails here. The counts repeat
+// exactly from run to run; the test prints them.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -32,6 +38,13 @@
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_frees{0};
+
+void CountedFree(void* p) {
+  if (p == nullptr) return;
+  g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 
 void* CountedAlloc(std::size_t size, std::size_t alignment) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
@@ -74,21 +87,23 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
     return nullptr;
   }
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 
 namespace p3pdb {
@@ -97,14 +112,25 @@ namespace {
 constexpr uint64_t kFirstSeed = 1000;
 constexpr uint64_t kSeeds = 1000;
 
-// Mean heap allocations per unit; the parent design (token text copied
-// into std::strings, one heap allocation per AST node, an XML DOM per
-// fingerprint) measured 89.4 / 167.5 / 360.6 on the same inputs.
-constexpr double kMaxParseAllocations = 45.0;
-constexpr double kMaxPrepareAllocations = 125.0;
+// Mean heap allocations per unit, now 2.6 / 6.6 / 242.8. Token text copied
+// into std::strings, one heap allocation per AST node and an XML DOM per
+// fingerprint measured 89.4 / 167.5 / 360.6 on the same inputs; with nodes
+// in the arena but node-owned lists, names and bind/plan temporaries on the
+// heap, 32.1 / 110.3 / 242.8.
+constexpr double kMaxParseAllocations = 2.9;
+constexpr double kMaxPrepareAllocations = 8.0;
 constexpr double kMaxCompileAllocations = 270.0;
 
+// Mean heap frees when the plan cache evicts one cached plan, the plan
+// itself and its cache entry: now 4.93 (the entry's node, the arena, the
+// column headers' two blocks, and ~0.93 text literals too long for the
+// inline string buffer). Node-owned lists and names on the heap, a
+// destructor walk over every node, a separate shared_ptr control block and
+// a std::string key in a separate LRU list node measured 47.73.
+constexpr double kMaxFreesPerDestroyedPlan = 6.0;
+
 uint64_t Allocations() { return g_allocations.load(std::memory_order_relaxed); }
+uint64_t Frees() { return g_frees.load(std::memory_order_relaxed); }
 
 /// One shard's replica of the serving tier: kSql, no statement stats, no
 /// metrics, every 4th of 1,000 corpus policies.
@@ -185,13 +211,130 @@ TEST(StatementAllocationsTest, ColdRuleQueryPathStaysPerStatement) {
   EXPECT_LE(per_compile, kMaxCompileAllocations);
 }
 
+/// A standalone copy of `source` with a `plan_cache_capacity`-entry plan
+/// cache: the same schemas and secondary indexes, and the live rows
+/// inserted in slot order, so the cost model's statistics (and with them
+/// every plan) match the source's.
+std::unique_ptr<sqldb::Database> CopyDatabase(const sqldb::Database& source,
+                                              size_t plan_cache_capacity) {
+  sqldb::Database::Options options;
+  options.plan_cache_capacity = plan_cache_capacity;
+  auto copy = std::make_unique<sqldb::Database>(options);
+  std::vector<std::string> pending = source.TableNames();
+  // Referenced tables first: CreateTable checks foreign keys.
+  while (!pending.empty()) {
+    std::vector<std::string> blocked;
+    for (const std::string& name : pending) {
+      const sqldb::Table* table = source.LookupTable(name);
+      bool ready = true;
+      for (const sqldb::ForeignKeyDef& fk : table->schema().foreign_keys()) {
+        if (copy->LookupTable(fk.referenced_table) == nullptr) ready = false;
+      }
+      if (!ready) {
+        blocked.push_back(name);
+        continue;
+      }
+      EXPECT_TRUE(copy->CreateTable(table->schema()).ok()) << name;
+      sqldb::Table* target = copy->GetMutableTable(name);
+      for (const auto& index : table->indexes()) {
+        if (target->FindIndexCovering(index->column_ordinals()) != nullptr) {
+          continue;  // the primary-key index CreateTable made
+        }
+        std::vector<std::string> columns;
+        for (size_t ord : index->column_ordinals()) {
+          columns.push_back(table->schema().columns()[ord].name);
+        }
+        EXPECT_TRUE(
+            target->CreateIndex(index->name(), columns, index->unique()).ok());
+      }
+      for (size_t row = 0; row < table->SlotCount(); ++row) {
+        if (!table->IsLive(row)) continue;
+        EXPECT_TRUE(copy->InsertRow(name, table->RowAt(row)).ok()) << name;
+      }
+    }
+    EXPECT_LT(blocked.size(), pending.size()) << "foreign-key cycle";
+    if (blocked.size() == pending.size()) break;
+    pending = std::move(blocked);
+  }
+  return copy;
+}
+
+TEST(StatementAllocationsTest, EvictingACachedPlanReleasesAFewBlocks) {
+  // Two copies of one replica run the same distinct rule queries, each a
+  // plan-cache miss on both. The 2-entry cache evicts (and so destroys)
+  // its oldest plan on every miss past the second; the other never
+  // evicts. Everything else the two executions do is identical, so the
+  // difference in frees is what destroying one cached plan, with its LRU
+  // entry, costs. (The never-evicting cache's index rehashes a dozen times
+  // as it grows; each rehash frees one bucket array, which lowers the mean
+  // by about 0.004.)
+  std::unique_ptr<server::PolicyServer> replica = MakeReplica();
+  std::vector<std::string> statements;
+  std::set<std::string> seen;
+  for (uint64_t seed = kFirstSeed; seed < kFirstSeed + kSeeds; ++seed) {
+    translator::OptimizedSqlTranslator translator(/*parameterized=*/true);
+    auto translated = translator.TranslateRuleset(Preference(seed));
+    ASSERT_TRUE(translated.ok()) << translated.status();
+    for (const std::string& sql : translated.value().rule_queries) {
+      if (seen.insert(sql).second) statements.push_back(sql);
+    }
+  }
+  auto first_policy =
+      replica->database()->Execute("SELECT MIN(policy_id) FROM Policy");
+  ASSERT_TRUE(first_policy.ok()) << first_policy.status();
+  const sqldb::Value policy_id = first_policy.value().rows.at(0).at(0);
+  ASSERT_EQ(policy_id.type(), sqldb::ValueType::kInteger);
+
+  std::unique_ptr<sqldb::Database> evicting =
+      CopyDatabase(*replica->database(), /*plan_cache_capacity=*/2);
+  std::unique_ptr<sqldb::Database> keeping =
+      CopyDatabase(*replica->database(), statements.size());
+  uint64_t evictions = 0;
+  int64_t eviction_frees = 0;
+  for (size_t i = 0; i < statements.size(); ++i) {
+    const std::string& sql = statements[i];
+    // Every `?` is the applicable policy's id (no literal contains one).
+    const std::vector<sqldb::Value> params(
+        static_cast<size_t>(std::count(sql.begin(), sql.end(), '?')),
+        policy_id);
+    uint64_t before = Frees();
+    auto evicted = evicting->Execute(sql, params);
+    const uint64_t evicting_frees = Frees() - before;
+    ASSERT_TRUE(evicted.ok()) << evicted.status() << "\n" << sql;
+    before = Frees();
+    auto kept = keeping->Execute(sql, params);
+    const uint64_t keeping_frees = Frees() - before;
+    ASSERT_TRUE(kept.ok()) << kept.status() << "\n" << sql;
+    ASSERT_EQ(evicted.value().rows.size(), kept.value().rows.size()) << sql;
+    if (i >= 2) {
+      ++evictions;
+      eviction_frees += static_cast<int64_t>(evicting_frees) -
+                        static_cast<int64_t>(keeping_frees);
+    }
+  }
+  EXPECT_EQ(evicting->stats().plan_cache_hits, 0u);
+  EXPECT_EQ(keeping->stats().plan_cache_hits, 0u);
+  ASSERT_GT(evictions, 0u);
+  const double per_plan = static_cast<double>(eviction_frees) /
+                          static_cast<double>(evictions);
+  std::printf(
+      "%llu distinct statements: frees per destroyed cached plan %.2f\n",
+      static_cast<unsigned long long>(statements.size()), per_plan);
+  EXPECT_LE(per_plan, kMaxFreesPerDestroyedPlan);
+}
+
 TEST(StatementAllocationsTest, CounterSeesHeapAllocations) {
-  // Guards the harness itself: a replaced operator new that the library
-  // bypassed would make every bound above pass vacuously.
+  // Guards the harness itself: a replaced operator new or delete that the
+  // library bypassed would make every bound above pass vacuously.
   const uint64_t before = Allocations();
+  const uint64_t frees_before = Frees();
   auto parsed = sqldb::ParseStatement("SELECT a FROM t WHERE b = 1");
   ASSERT_TRUE(parsed.ok());
-  EXPECT_GE(Allocations() - before, 3u);  // tokens, root, arena
+  EXPECT_GE(Allocations() - before, 2u);  // tokens, arena
+  EXPECT_GE(Frees() - frees_before, 1u);  // tokens
+  const uint64_t frees_parsed = Frees();
+  parsed.value().reset();
+  EXPECT_EQ(Frees() - frees_parsed, 1u);  // the arena, root included
 }
 
 }  // namespace

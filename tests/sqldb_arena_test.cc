@@ -1,8 +1,10 @@
-// Statement memory (ast.h): each parsed statement's nodes live in one arena
-// owned by its root, which must outlive every execution holding the plan,
-// take no allocation once the plan is published, and free everything on
-// parse errors. The threaded test runs under the `concurrency` label (TSan);
-// the error-path tests are what LeakSanitizer checks in the ASan job.
+// Statement memory (ast.h): each parsed statement's nodes and lists live in
+// one arena owned by its root, which must outlive every execution holding
+// the plan, take no allocation once the plan is published, and free
+// everything, finalizers included, on parse errors and on eviction. The
+// threaded test runs under the `concurrency` label (TSan); the error-path
+// and eviction tests are what LeakSanitizer and ASan check in the
+// sanitizer job.
 
 #include <gtest/gtest.h>
 
@@ -194,9 +196,8 @@ TEST(StatementArenaTest, EveryPrefixOfARuleQueryFailsCleanly) {
 }
 
 TEST(StatementArenaTest, NodesAreDestroyedWithTheirStatement) {
-  // Long literals put heap strings inside arena-placed nodes; unless the
-  // destroy-only deleter runs every node's destructor, LeakSanitizer
-  // reports them.
+  // Long literals put heap strings inside arena-placed nodes; unless their
+  // finalizers run when the arena goes, LeakSanitizer reports them.
   const std::string literal(200, 'x');
   auto parsed = ParseStatement("SELECT 1 FROM t WHERE a = '" + literal +
                                "' AND b IN ('" + literal + "', '" + literal +
@@ -207,6 +208,64 @@ TEST(StatementArenaTest, NodesAreDestroyedWithTheirStatement) {
   auto failed = ParseStatement("SELECT 1 FROM t WHERE a = '" + literal +
                                "' AND b IN ('" + literal + "', ");
   EXPECT_FALSE(failed.ok());
+
+  // A cached plan owning every kind of memory outside its arena: long text
+  // literals, a semi-join whose HashJoinRuntime has built its key set, and
+  // column headers (a long alias) shared with a QueryResult. The 2-entry
+  // cache evicts it; the result must still read its headers (ASan), and
+  // everything else must be released with the plan (LeakSanitizer).
+  Database db(PlannedOptions(/*plan_cache_capacity=*/2));
+  Load(&db);
+  const std::string alias = "parent_identifier_of_a_matching_row";
+  const std::string planned =
+      "SELECT p.id AS " + alias + ", '" + literal +
+      "' FROM parent p WHERE p.k = ? AND EXISTS (SELECT * FROM child c WHERE "
+      "c.pid = p.id AND c.s <> '" + literal + "') AND p.id <> " +
+      std::to_string(literal.size());
+  const uint64_t builds_before = db.stats().hash_join_builds;
+  auto held = db.Execute(planned, {Value::Integer(1)});
+  ASSERT_TRUE(held.ok()) << held.status();
+  ASSERT_GT(held.value().rows.size(), 0u);
+  EXPECT_GT(db.stats().semi_join_rewrites, 0u);
+  EXPECT_GT(db.stats().hash_join_builds, builds_before);
+  ASSERT_TRUE(db.Execute(planned, {Value::Integer(2)}).ok());  // a cache hit
+  for (int i = 0; i < 2; ++i) {  // two more statements evict it
+    ASSERT_TRUE(db.Execute(RuleQuery(i), {Value::Integer(0)}).ok());
+  }
+  const uint64_t plans_before = db.stats().plans_built;
+  ASSERT_TRUE(db.Execute(planned, {Value::Integer(1)}).ok());
+  EXPECT_EQ(db.stats().plans_built, plans_before + 1);  // it was evicted
+  ASSERT_EQ(held.value().columns.size(), 2u);
+  EXPECT_EQ(held.value().columns[0], alias);
+  EXPECT_EQ(held.value().columns[1], "'" + literal + "'");
+  EXPECT_EQ(held.value().rows[0][1].AsText(), literal);
+}
+
+TEST(StatementArenaTest, PlanCacheEvictsTheLeastRecentlyUsedPlan) {
+  // The LRU order is threaded through the cache index's nodes; a hit moves
+  // a plan to the front, so the next miss evicts the plan used longest ago.
+  Database db(PlannedOptions(/*plan_cache_capacity=*/3));
+  Load(&db);
+  const auto run = [&](int i) {
+    const ExecStats before = db.stats();
+    EXPECT_TRUE(db.Execute(RuleQuery(i), {Value::Integer(0)}).ok());
+    return db.stats().plan_cache_hits > before.plan_cache_hits;
+  };
+  EXPECT_FALSE(run(0));
+  EXPECT_FALSE(run(1));
+  EXPECT_FALSE(run(2));
+  EXPECT_TRUE(run(0));   // order, newest first: 0 2 1
+  EXPECT_FALSE(run(3));  // evicts 1: 3 0 2
+  EXPECT_TRUE(run(2));   // 2 3 0
+  EXPECT_TRUE(run(0));   // 0 2 3
+  EXPECT_FALSE(run(1));  // evicts 3: 1 0 2
+  EXPECT_TRUE(run(2));
+  EXPECT_TRUE(run(0));
+  EXPECT_TRUE(run(1));
+  EXPECT_FALSE(run(3));  // evicts 2: 3 1 0
+  EXPECT_FALSE(run(2));  // evicts 0: 2 3 1
+  EXPECT_TRUE(run(1));
+  EXPECT_TRUE(run(3));
 }
 
 }  // namespace
