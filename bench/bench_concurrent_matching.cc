@@ -12,6 +12,14 @@
 // MatchUri (reference-file resolution, then the hit). A warm hit writes
 // only per-thread cache lines, so these should scale with cores.
 //
+// "tier_custom_session" prices the tier's cold path instead: each op is a
+// new user's session — compile a fresh RandomPreference, then four
+// MatchPolicyId calls, one on each shard. Every match misses the match
+// cache and runs rule queries; the replicas share one plan cache, so a
+// rule text planned on one shard is a plan hit on the others. Its records
+// report sessions/s and the plans the tier built per session (from the
+// shared plan cache's counters).
+//
 // Usage: bench_concurrent_matching [--json <path>]
 // The JSON report carries (name, iters, ns/op, matches/sec) per
 // (mode, thread-count) point.
@@ -25,8 +33,10 @@
 #include "bench/harness.h"
 #include "common/string_util.h"
 #include "server/sharded_server.h"
+#include "common/random.h"
 #include "workload/corpus.h"
 #include "workload/jrc_preferences.h"
+#include "workload/random_preferences.h"
 
 namespace p3pdb::bench {
 namespace {
@@ -42,6 +52,9 @@ constexpr int kMatchesPerThread = 400;
 // far more matches per point than the engine modes to dwarf thread startup.
 constexpr int kTierMatchesPerThread = 100000;
 constexpr size_t kTierPolicies = 1000;
+// A cold session costs ~100-200 us of thread time.
+constexpr int kSessionsPerThread = 400;
+constexpr int kMatchesPerSession = 4;
 
 /// Thread counts sized to the machine instead of a hard-coded {1,2,4,8}:
 /// powers of two up to the hardware thread count, plus one 2x
@@ -75,6 +88,9 @@ struct ThroughputPoint {
   double hit_rate = -1.0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
+  // Session modes: sessions run and plans the tier built during them.
+  uint64_t sessions = 0;
+  uint64_t plans_built = 0;
 
   double MatchesPerSec() const {
     return elapsed_us <= 0.0 ? 0.0 : matches / (elapsed_us / 1e6);
@@ -232,6 +248,73 @@ Result<ThroughputPoint> MeasureTier(ShardedPolicyServer* tier,
   return point;
 }
 
+/// Closed-loop cold sessions on the tier: each op compiles a fresh
+/// RandomPreference (the rulesets are drawn before timing; seeds never
+/// repeat across points) and matches it against one policy on each shard.
+/// `ids_by_shard[k]` lists shard k's global ids. `first_seed` numbers the
+/// point's preferences.
+Result<ThroughputPoint> MeasureTierSessions(
+    ShardedPolicyServer* tier,
+    const std::vector<std::vector<int64_t>>& ids_by_shard, int threads,
+    uint64_t first_seed) {
+  std::vector<std::vector<appel::AppelRuleset>> rulesets(threads);
+  for (int t = 0; t < threads; ++t) {
+    for (int s = 0; s < kSessionsPerThread; ++s) {
+      Random rng(first_seed + static_cast<uint64_t>(t) * kSessionsPerThread +
+                 static_cast<uint64_t>(s));
+      rulesets[t].push_back(workload::RandomPreference(
+          &rng, workload::RandomPreferenceOptions{}));
+    }
+  }
+  std::vector<std::thread> workers;
+  std::vector<Status> outcomes(threads, Status::OK());
+  std::vector<TimingStats> latencies(threads);
+  std::atomic<bool> go{false};
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (int s = 0; s < kSessionsPerThread; ++s) {
+        Stopwatch session_sw;
+        auto pref = tier->CompilePreference(rulesets[t][s]);
+        if (!pref.ok()) {
+          outcomes[t] = pref.status();
+          return;
+        }
+        for (int m = 0; m < kMatchesPerSession; ++m) {
+          const std::vector<int64_t>& ids =
+              ids_by_shard[static_cast<size_t>(m) % ids_by_shard.size()];
+          const size_t pick = static_cast<size_t>(t * 7919 + s * 31 + m);
+          auto r = tier->MatchPolicyId(pref.value(), ids[pick % ids.size()]);
+          if (!r.ok()) {
+            outcomes[t] = r.status();
+            return;
+          }
+        }
+        latencies[t].Add(session_sw.ElapsedMicros());
+      }
+    });
+  }
+  const sqldb::PlanCacheStats before = tier->plan_cache().stats();
+  Stopwatch sw;
+  go.store(true);
+  for (std::thread& w : workers) w.join();
+  ThroughputPoint point;
+  point.elapsed_us = sw.ElapsedMicros();
+  for (const Status& s : outcomes) {
+    if (!s.ok()) return s;
+  }
+  for (const TimingStats& per_thread : latencies) {
+    for (double us : per_thread.samples()) point.latency_us.Add(us);
+  }
+  point.mode = "tier_custom_session";
+  point.threads = threads;
+  point.sessions = static_cast<uint64_t>(threads) * kSessionsPerThread;
+  point.matches = point.sessions * kMatchesPerSession;
+  point.plans_built =
+      tier->plan_cache().stats().plans_built - before.plans_built;
+  return point;
+}
+
 struct ExperimentOutput {
   std::vector<ThroughputPoint> points;
   std::string metrics_text;  // parameterized server's registry, end of run
@@ -282,6 +365,18 @@ Result<ExperimentOutput> RunExperiment() {
       out.points.push_back(std::move(p));
     }
   }
+  std::vector<std::vector<int64_t>> ids_by_shard(tier->shard_count());
+  for (int64_t id : ids) {
+    ids_by_shard[static_cast<size_t>(id) % ids_by_shard.size()].push_back(id);
+  }
+  uint64_t first_seed = 1;
+  for (int threads : ThreadCounts()) {
+    P3PDB_ASSIGN_OR_RETURN(
+        ThroughputPoint p,
+        MeasureTierSessions(tier.get(), ids_by_shard, threads, first_seed));
+    first_seed += p.sessions;
+    out.points.push_back(std::move(p));
+  }
   return out;
 }
 
@@ -292,6 +387,7 @@ void PrintReport(const std::vector<ThroughputPoint>& points) {
   std::printf(
       "E7: concurrent MatchUri throughput (SQL engine, High preference, "
       "29 policies; tier_* modes: 4-shard tier, 1000 policies, warm; "
+      "tier_custom_session: one cold session = compile + 4 matches; "
       "%u core%s)\n",
       cores, cores == 1 ? "" : "s");
   if (static_cast<int>(cores) < widest) {
@@ -299,7 +395,7 @@ void PrintReport(const std::vector<ThroughputPoint>& points) {
         "note: fewer cores than the widest thread count — speedups are "
         "bounded by the\nhardware, not the locking.\n");
   }
-  std::vector<int> widths = {14, 8, 12, 14, 10, 10, 10, 10, 10};
+  std::vector<int> widths = {20, 8, 12, 14, 10, 10, 10, 10, 10};
   PrintTableRule(widths);
   PrintTableRow({"Mode", "Threads", "ns/match", "Matches/sec", "Speedup",
                  "p50", "p90", "p99", "Hit rate"},
@@ -341,6 +437,16 @@ void PrintReport(const std::vector<ThroughputPoint>& points) {
                   widths);
   }
   PrintTableRule(widths);
+  for (const ThroughputPoint& p : points) {
+    if (p.sessions == 0) continue;
+    std::printf(
+        "(%s, %d thread%s: %s sessions/s, %s plans built per session)\n",
+        p.mode.c_str(), p.threads, p.threads == 1 ? "" : "s",
+        FormatDouble(p.sessions / (p.elapsed_us / 1e6), 0).c_str(),
+        FormatDouble(static_cast<double>(p.plans_built) / p.sessions, 3)
+            .c_str());
+  }
+  std::printf("\n");
   if (parameterized_1t > 0.0) {
     std::printf(
         "(parameterized %d-thread speedup over 1 thread: %sx)\n\n",
@@ -387,6 +493,11 @@ int main(int argc, char** argv) {
       // Thread counts now scale with the machine, so a record is only
       // comparable to records produced on the same core count.
       record.hardware_concurrency = std::thread::hardware_concurrency();
+      if (p.sessions > 0) {
+        record.sessions_per_sec = p.sessions / (p.elapsed_us / 1e6);
+        record.plans_per_session =
+            static_cast<double>(p.plans_built) / p.sessions;
+      }
       records.push_back(std::move(record));
     }
     auto written = p3pdb::bench::WriteBenchJson(json_path, records);

@@ -243,6 +243,13 @@ std::string BenchRecordsToJson(const std::vector<BenchJsonRecord>& records) {
     if (r.frees_per_op >= 0.0) {
       out += ", \"frees_per_op\": " + FormatDouble(r.frees_per_op, 2);
     }
+    if (r.sessions_per_sec >= 0.0) {
+      out += ", \"sessions_per_sec\": " + FormatDouble(r.sessions_per_sec, 1);
+    }
+    if (r.plans_per_session >= 0.0) {
+      out +=
+          ", \"plans_per_session\": " + FormatDouble(r.plans_per_session, 3);
+    }
     out += "}";
     if (i + 1 < records.size()) out += ",";
     out += "\n";

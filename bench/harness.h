@@ -159,6 +159,11 @@ struct BenchJsonRecord {
   // Heap frees per op, for benches that count them. Negative (the default)
   // leaves the field out of the JSON.
   double frees_per_op = -1.0;
+  // Session throughput and plans built per session, for benches whose op
+  // is a whole client session. Negative (the default) leaves each out of
+  // the JSON.
+  double sessions_per_sec = -1.0;
+  double plans_per_session = -1.0;
 };
 
 /// Builds a record from per-op samples held in microseconds (the unit

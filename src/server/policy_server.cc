@@ -106,6 +106,7 @@ PolicyServer::PolicyServer(Options options)
           .enforce_foreign_keys = true,
           .enable_planner = options.enable_planner,
           .enable_plan_cache = options.enable_planner,
+          .plan_cache = options.plan_cache,
           .enable_cost_model = options.enable_cost_model,
           .enable_vectorized_executor = options.enable_vectorized_executor,
           .enable_statement_stats = options.enable_statement_stats,
@@ -961,9 +962,10 @@ int64_t PolicyServer::PolicyVersion(std::string_view name) {
 }
 
 int64_t PolicyServer::PolicyVersionLocked(std::string_view name) {
-  auto result = db_.Execute(
-      "SELECT MAX(version) FROM PolicyCatalog WHERE name = " +
-      SqlQuote(name));
+  // The name is a bind parameter: one cached plan serves every install.
+  auto result =
+      db_.Execute("SELECT MAX(version) FROM PolicyCatalog WHERE name = ?",
+                  {Value::Text(std::string(name))});
   if (!result.ok() || result.value().rows.empty() ||
       result.value().rows[0][0].is_null()) {
     return 0;
@@ -976,9 +978,9 @@ Result<std::string> PolicyServer::PolicyXml(std::string_view name,
   std::shared_lock<StripedSharedMutex> lock(mu_);
   P3PDB_ASSIGN_OR_RETURN(
       QueryResult result,
-      db_.Execute("SELECT xml FROM PolicyCatalog WHERE name = " +
-                  SqlQuote(name) +
-                  " AND version = " + std::to_string(version)));
+      db_.Execute(
+          "SELECT xml FROM PolicyCatalog WHERE name = ? AND version = ?",
+          {Value::Text(std::string(name)), Value::Integer(version)}));
   if (result.rows.empty()) {
     return Status::NotFound("no version " + std::to_string(version) +
                             " of policy '" + std::string(name) + "'");

@@ -154,6 +154,10 @@ class PolicyServer {
     /// from the P3PDB_NO_COST environment variable, so the bench/CI
     /// ablations flip it the way they flip the planner.
     bool enable_cost_model = sqldb::CostModelEnabledFromEnv();
+    /// The plan cache the database shares with other servers' (the serving
+    /// tier hands one to all of its replicas; see sqldb/plan_cache.h).
+    /// Null = a private cache.
+    std::shared_ptr<sqldb::PlanCache> plan_cache;
     /// Log every match into the MatchLog table for site-owner analytics.
     bool record_matches = false;
     /// Bind the translated rule queries once at CompilePreference time and

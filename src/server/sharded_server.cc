@@ -40,6 +40,7 @@ Result<std::shared_ptr<PolicyServer>> ShardedPolicyServer::MakeReplica()
   o.match_cache_shards = options_.match_cache_shards;
   o.match_cache_capacity_per_shard = options_.match_cache_capacity_per_shard;
   o.enable_statement_stats = options_.enable_statement_stats;
+  o.plan_cache = plan_cache_;
   // Replicas are purely in-memory evaluation engines: durability lives in
   // the tier's durable store, telemetry in the tier registry.
   o.collect_metrics = false;
@@ -49,6 +50,10 @@ Result<std::shared_ptr<PolicyServer>> ShardedPolicyServer::MakeReplica()
 }
 
 Status ShardedPolicyServer::Init() {
+  // What the replicas' private caches held between them before they shared
+  // one: a published replica per shard, each with the default capacity.
+  plan_cache_ = std::make_shared<sqldb::PlanCache>(
+      options_.shards * sqldb::Database::Options{}.plan_cache_capacity);
   shards_.reserve(options_.shards);
   for (size_t k = 0; k < options_.shards; ++k) {
     auto shard = std::make_unique<Shard>();
@@ -73,6 +78,16 @@ Status ShardedPolicyServer::Init() {
     installs_total_ = metrics_.GetCounter("p3p_installs_total");
     metrics_.GetGauge("p3p_tier_shards")
         ->Set(static_cast<int64_t>(options_.shards));
+    metrics_.AddCollector([this](obs::MetricsSnapshot* snapshot) {
+      const sqldb::PlanCacheStats plans = plan_cache_->stats();
+      auto& counters = snapshot->counters;
+      counters["p3p_plan_cache_hits_total"] = plans.hits;
+      counters["p3p_plan_cache_misses_total"] = plans.misses;
+      counters["p3p_plan_cache_plans_built_total"] = plans.plans_built;
+      counters["p3p_plan_cache_evictions_total"] = plans.evictions;
+      snapshot->gauges["p3p_plan_cache_entries"] =
+          static_cast<int64_t>(plans.entries);
+    });
   }
 
   if (!options_.storage_path.empty()) {

@@ -24,13 +24,21 @@
 //   - A match loads the snapshot pointer (one pinned shared_ptr copy; the
 //     refcount is the reclamation scheme — a replica's snapshot stays alive
 //     exactly as long as some match still holds it) and evaluates against
-//     that replica. Everything the match touches — the replica's catalog,
-//     its MatchCache, its statement stats — is per-shard, so matches on
-//     different shards share no lock at all, and matches on the same shard
-//     share only that replica's (never exclusively held) StripedSharedMutex
-//     and its internally sharded cache. A warm hit writes only per-thread
-//     stripes — snapshot pin, shared locks, cache bits and counters — plus
-//     the snapshot's shared_ptr refcount.
+//     that replica. The replica's catalog, its MatchCache and its
+//     statement stats are per-shard, so a match-cache hit shares no lock
+//     with other shards, and matches on the same shard share only that
+//     replica's (never exclusively held) StripedSharedMutex and its
+//     internally sharded cache. A warm hit writes only per-thread stripes —
+//     snapshot pin, shared locks, cache bits and counters — plus the
+//     snapshot's shared_ptr refcount.
+//   - The one thing every replica shares is the plan cache
+//     (sqldb/plan_cache.h): all 2 x N replicas are members of one
+//     sqldb::PlanCache, so a rule query any shard has planned is a plan
+//     hit on every shard. Plans name tables by catalog slot and keep their
+//     runtime state (hash-join key sets, statement-stats entries) per
+//     replica, so a shared plan runs against each replica's own rows. A
+//     match-cache miss that runs rule queries takes one lock per query, on
+//     the cache stripe of the query's text.
 //
 // Epoch publication: every snapshot carries the tier-wide epoch it was
 // published at. A match resolves its whole subject against one snapshot, so
@@ -174,6 +182,9 @@ class ShardedPolicyServer {
   /// match tallies — what /healthz serves, so a stuck shard is visible.
   std::string RenderHealthzJson() const;
 
+  /// Also exports the shared plan cache (p3p_plan_cache_hits_total,
+  /// _misses_total, _plans_built_total, _evictions_total and the
+  /// p3p_plan_cache_entries gauge) when collect_metrics is on.
   std::string RenderMetricsText() const;
   std::string RenderMetricsJson() const;
   /// JSON object mapping "shard_<k>" to that replica's statement-stats
@@ -181,6 +192,9 @@ class ShardedPolicyServer {
   std::string RenderStatementStatsJson(size_t top) const;
 
   obs::MetricsRegistry* metrics() { return &metrics_; }
+  /// The plan cache every replica shares: shards x the single-database
+  /// default capacity (sqldb::Database::Options::plan_cache_capacity).
+  const sqldb::PlanCache& plan_cache() const { return *plan_cache_; }
   bool admin_endpoint_running() const { return admin_ != nullptr; }
   uint16_t admin_port() const;
 
@@ -260,6 +274,7 @@ class ShardedPolicyServer {
   }
 
   Options options_;
+  std::shared_ptr<sqldb::PlanCache> plan_cache_;  // every replica's
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Serializes reference-file installs (so durable order and published
   /// order agree); directory reads are lock-free snapshot loads.

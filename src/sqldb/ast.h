@@ -6,7 +6,16 @@
 // LIMIT; INSERT ... VALUES; DELETE; CREATE/DROP TABLE; CREATE INDEX.
 //
 // The binder annotates the tree in place (column refs get scope coordinates,
-// table refs get table pointers); see binder.h.
+// table refs get catalog slots); see binder.h.
+//
+// A bound plan names no object of the database that planned it: tables by
+// catalog slot (their position in the database's creation-order table
+// array), indexes by ordinal within their table, and a hash join's mutable
+// state (its cached key set) by the join's ordinal into a runtime block the
+// executing database owns (PlanRuntime, executor.h). So one plan can run on
+// any database whose schema identity matches the planner's (see
+// plan_cache.h): every database sharing a PlanCache resolves the plan's
+// slots through its own tables.
 //
 // Statement memory: a parsed statement is a handful of blocks. The root,
 // every node below it (each Expr, every nested SelectStmt, and the
@@ -24,10 +33,11 @@
 // which runs the finalizers the few heap-owning members registered and then
 // releases its blocks. Those
 // members are the rendered column headers (shared with every QueryResult,
-// so they outlive the plan), the mutable HashJoinRuntime, text literals too
-// long for std::string's inline buffer, and the non-SELECT roots' own
-// strings and vectors. Nothing allocates from an arena once parse, bind
-// and plan finish: executions only read the tree. Bind and plan take their
+// so they outlive the plan), the planning database's PlanRuntime block and
+// a cached plan's SharedPlan (plan_cache.h), text literals too long for
+// std::string's inline buffer, and the non-SELECT roots' own strings and
+// vectors. Nothing allocates from an arena once parse, bind and plan
+// finish: executions only read the tree. Bind and plan take their
 // temporary vectors from a stack buffer (Database::BindAndPlan), not from
 // the arena or the heap.
 
@@ -51,8 +61,6 @@
 
 namespace p3pdb::sqldb {
 
-class Index;
-class Table;
 struct SelectStmt;
 
 // ---------------------------------------------------------------------------
@@ -170,6 +178,17 @@ class alignas(std::max_align_t) StatementArena final
   template <typename T, typename... Args>
   T* NewFinalized(Args&&... args) {
     T* object = Place<T>(std::forward<Args>(args)...);
+    AddFinalizer(object);
+    return object;
+  }
+
+  /// NewFinalized for a T that constructs elements in storage trailing
+  /// itself: `bytes` (at least sizeof(T)) are reserved for the object and
+  /// its tail.
+  template <typename T, typename... Args>
+  T* NewFinalizedWithTail(size_t bytes, Args&&... args) {
+    T* object = ::new (Allocate(bytes, alignof(T)))
+        T(std::forward<Args>(args)...);
     AddFinalizer(object);
     return object;
   }
@@ -406,22 +425,17 @@ struct ExistsExpr : Expr {
   ArenaPtr<SelectStmt> subquery;
 };
 
-/// Executor-shared runtime state for a HashJoinExpr: the cached build-side
-/// key set plus the table-version stamp it was built at. Defined in
-/// executor.h (it needs table.h's IndexKey); the AST only carries a pointer
-/// to the one runtime the planner placed (finalized) in the arena, so
-/// concurrent executions of one cached plan share the build.
-struct HashJoinRuntime;
-
 /// Planner output (never produced by the parser): a decorrelated
 /// `[NOT] EXISTS` rewritten as a hash semi-/anti-join. The build side is the
 /// former subquery with its correlation equalities stripped (local predicates
 /// stay pushed below the build); `build_keys[i] = probe_keys[i]` are the
 /// stripped equalities, with probe-side column-ref levels rebased by -1 so
 /// they evaluate in the scope where this expression now sits. Evaluation
-/// builds the key set over the build side once (cached across executions via
-/// `runtime`, invalidated when any table in `dep_tables` changes) and then
-/// answers each outer row with one hash probe. Keys containing NULL never
+/// builds the key set over the build side once and then answers each outer
+/// row with one hash probe. The key set is runtime state, not plan: it
+/// lives in the executing database's PlanRuntime block at `ordinal`, is
+/// cached there across executions, and is rebuilt when any table in
+/// `dep_tables` changes on that database. Keys containing NULL never
 /// match on either side: a NULL build key is excluded from the set and a NULL
 /// probe key yields false for EXISTS / true for NOT EXISTS, matching the
 /// three-valued-logic result of the correlated path.
@@ -433,10 +447,14 @@ struct HashJoinExpr : Expr {
   ArenaPtr<SelectStmt> build;
   ArenaVector<ArenaPtr<ColumnRefExpr>> build_keys;  // level-0 in build
   ArenaVector<ExprPtr> probe_keys;  // evaluated in the enclosing scope
-  /// Every table the build side reads (transitively, nested subqueries
-  /// included); the cached key set is stale once any of their versions move.
-  ArenaVector<const Table*> dep_tables;
-  HashJoinRuntime* runtime = nullptr;
+  /// Catalog slot of every table the build side reads (transitively,
+  /// nested subqueries included), ascending; the cached key set is stale
+  /// once any of their versions move.
+  ArenaVector<CatalogSlot> dep_tables;
+  /// This join's index into a PlanRuntime's hash-join states: joins are
+  /// numbered 0.. in planning order across the whole statement (the root
+  /// SelectStmt records the count in `hash_joins`).
+  uint32_t ordinal = 0;
   /// Cost-model output: estimated rows the build side enumerates (drives
   /// cheapest-build-first ordering of sibling joins). Negative = not costed.
   double est_build_rows = -1.0;
@@ -553,8 +571,10 @@ struct TableRef {
   std::string_view table_name;
   std::string_view alias;  // defaults to table_name
 
-  // Binder output.
-  const Table* table = nullptr;
+  /// Binder output: the table's catalog slot. Executions resolve it through
+  /// the executing database's TableSlots, so the plan stays valid on every
+  /// database with the planner's schema identity.
+  CatalogSlot table = kNoSlot;
 };
 
 struct SelectItem {
@@ -565,14 +585,18 @@ struct SelectItem {
 
 /// Planner output (AnnotateSelect): the resolved access path for one FROM
 /// slot, computed once at plan time so the executor does not re-derive it on
-/// every scan. `index` is stable across CREATE INDEX (tables hold indexes by
-/// unique_ptr) and `key_exprs` are aligned with `index->column_ordinals()`.
+/// every scan. `index` is an ordinal into the slot's table's index list
+/// (Table::indexes(); indexes are only ever appended, and the schema
+/// identity covers their creation order), and `key_exprs` are aligned with
+/// that index's column ordinals.
 /// `vector_filter` marks the slot whose WHERE filtering the vectorized
 /// executor may run in columnar chunks (the innermost slot; outer slots must
 /// stay row-at-a-time so EXISTS early-out scans no extra rows).
 struct SlotPlan {
-  const Index* index = nullptr;          // null = sequential scan
+  static constexpr int32_t kSeqScan = -1;
+  int32_t index = kSeqScan;              // kSeqScan = sequential scan
   ArenaVector<const Expr*> key_exprs;    // probe keys, index column order
+  bool has_index() const { return index != kSeqScan; }
   bool vector_filter = false;
   /// Cost-model output: estimated rows this scan produces per loop, after
   /// the WHERE conjuncts local to the slot. Negative = not costed (cost
@@ -606,6 +630,9 @@ struct SelectStmt : Statement {
   /// included). Only meaningful on the root SELECT; executions must supply
   /// exactly this many values.
   size_t param_count = 0;
+  /// Number of HashJoinExprs the planner placed anywhere in the statement
+  /// (the size of a PlanRuntime block for it). Root SELECT only.
+  uint32_t hash_joins = 0;
 
   /// Per-FROM-slot access paths, filled by AnnotateSelect when the
   /// vectorized executor is enabled. Empty = not annotated (the executor
@@ -621,13 +648,6 @@ struct SelectStmt : Statement {
   /// executor derives both per query, as it always did.
   const ColumnHeaders* column_headers = nullptr;
   int8_t aggregate_mode = -1;  // -1 unknown, 0 plain, 1 aggregate
-
-  /// Statement-telemetry entry for this statement's shape, stamped at
-  /// prepare time by Database::BindAndPlan when statement stats are
-  /// enabled. Null = untracked (telemetry off, or bound outside
-  /// BindAndPlan). The entry outlives the plan: the registry never erases
-  /// entries (see StatementStatsRegistry::Reset).
-  class StatementStatsEntry* stats_entry = nullptr;
 };
 
 struct InsertStmt : Statement {

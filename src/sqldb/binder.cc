@@ -64,8 +64,8 @@ Status Binder::BindSelectImpl(SelectStmt* stmt, ScopeStack* stack) {
   }
   // Resolve FROM tables first so column refs can land on them.
   for (TableRef& ref : stmt->from) {
-    ref.table = catalog_.LookupTable(ref.table_name);
-    if (ref.table == nullptr) {
+    ref.table = catalog_.LookupSlot(ref.table_name);
+    if (ref.table == kNoSlot) {
       return Status::NotFound("table '" + std::string(ref.table_name) +
                               "' does not exist");
     }
@@ -242,6 +242,7 @@ Status Binder::BindExpr(Expr* expr, ScopeStack* stack,
 }
 
 Status Binder::BindColumnRef(ColumnRefExpr* ref, const ScopeStack& stack) {
+  const TableSlots tables = catalog_.table_slots();
   // Search scopes innermost-out. level = distance from the innermost scope.
   for (size_t up = 0; up < stack.size(); ++up) {
     const SelectStmt* scope = stack[stack.size() - 1 - up];
@@ -254,7 +255,7 @@ Status Binder::BindColumnRef(ColumnRefExpr* ref, const ScopeStack& stack) {
         continue;
       }
       std::optional<size_t> ord =
-          tr.table->schema().ColumnIndex(ref->column_name);
+          tables[tr.table].schema().ColumnIndex(ref->column_name);
       if (!ord.has_value()) continue;
       if (found_slot >= 0) {
         return Status::InvalidArgument("ambiguous column '" + ref->ToSql() +

@@ -3,7 +3,7 @@
 //
 // Binding is done in place on the AST: each ColumnRefExpr receives its scope
 // coordinates (level, table slot, column ordinal) and each TableRef its
-// Table pointer. Correlated references — a subquery referring to a table of
+// catalog slot. Correlated references — a subquery referring to a table of
 // an enclosing SELECT — resolve to level >= 1, which is what the generated
 // APPEL queries rely on for the parent-child joins of Figure 13.
 
@@ -16,6 +16,7 @@
 
 #include "common/result.h"
 #include "sqldb/ast.h"
+#include "sqldb/table.h"
 
 namespace p3pdb::sqldb {
 
@@ -23,8 +24,11 @@ namespace p3pdb::sqldb {
 class CatalogView {
  public:
   virtual ~CatalogView() = default;
-  /// Case-insensitive lookup; nullptr when absent.
-  virtual const Table* LookupTable(std::string_view name) const = 0;
+  /// Case-insensitive lookup of a table's catalog slot; kNoSlot when
+  /// absent.
+  virtual CatalogSlot LookupSlot(std::string_view name) const = 0;
+  /// Every table, by slot.
+  virtual TableSlots table_slots() const = 0;
 };
 
 class Binder {

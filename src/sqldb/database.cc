@@ -10,6 +10,7 @@
 #include "sqldb/executor.h"
 #include "sqldb/explain.h"
 #include "sqldb/parser.h"
+#include "sqldb/plan_cache.h"
 #include "sqldb/planner.h"
 
 namespace p3pdb::sqldb {
@@ -31,11 +32,58 @@ bool CostModelEnabledFromEnv() {
 
 namespace {
 
-/// Shared ownership of a bound SELECT still owned by its Statement base.
-std::shared_ptr<const SelectStmt> ShareSelect(std::unique_ptr<Statement> stmt,
-                                              const SelectStmt* select) {
-  return std::shared_ptr<const SelectStmt>(ShareStatement(std::move(stmt)),
-                                           select);
+/// Shared ownership of a bound root SELECT still owned by its Statement
+/// base, as the SharedPlan a plan cache holds: placed in the root's arena
+/// and kept alive by the root's own shared_ptr control block. `runtime` is
+/// member `member`'s block, already in the arena.
+std::shared_ptr<SharedPlan> SharePlan(std::unique_ptr<Statement> root,
+                                      const SelectStmt* select, size_t member,
+                                      PlanRuntime* runtime) {
+  SharedPlan* plan =
+      root->arena->NewFinalized<SharedPlan>(select, member, runtime);
+  return std::shared_ptr<SharedPlan>(ShareStatement(std::move(root)), plan);
+}
+
+/// FNV-1a 64 steps over the schema identity's inputs.
+constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
+uint64_t Mix(uint64_t h, std::string_view bytes) {
+  for (unsigned char c : bytes) h = (h ^ c) * kFnvPrime;
+  return (h ^ 0xff) * kFnvPrime;  // terminator: "ab"+"c" != "a"+"bc"
+}
+
+uint64_t Mix(uint64_t h, uint64_t value) {
+  for (int i = 0; i < 8; ++i) h = (h ^ ((value >> (8 * i)) & 0xff)) * kFnvPrime;
+  return h;
+}
+
+/// The identity a database starts from: its options that shape plans.
+uint64_t PlanningIdentity(const Database::Options& options) {
+  uint64_t h = kFnvOffset;
+  h = Mix(h, uint64_t{options.enable_planner});
+  h = Mix(h, uint64_t{options.enable_cost_model});
+  h = Mix(h, uint64_t{options.enable_vectorized_executor});
+  return Mix(h, static_cast<uint64_t>(options.max_subquery_depth));
+}
+
+/// Folds one CREATE TABLE into a schema identity.
+uint64_t MixTable(uint64_t h, const TableSchema& schema) {
+  h = Mix(h, "table");
+  h = Mix(h, ToLower(schema.name()));
+  for (const ColumnDef& col : schema.columns()) {
+    h = Mix(h, ToLower(col.name));
+    h = Mix(h, static_cast<uint64_t>(col.type));
+    h = Mix(h, uint64_t{col.nullable});
+  }
+  h = Mix(h, "pk");
+  for (const std::string& col : schema.primary_key()) h = Mix(h, ToLower(col));
+  return h;
+}
+
+ExecConfig ConfigOf(const Database::Options& options) {
+  return ExecConfig{options.enable_vectorized_executor,
+                    options.vector_chunk_size};
 }
 
 /// InvalidArgument unless `params` (null = none) holds exactly `expected`
@@ -58,6 +106,29 @@ constexpr size_t kPlanScratchBytes = 8192;
 
 }  // namespace
 
+Database::Database(Options options)
+    : options_(std::move(options)),
+      schema_identity_(PlanningIdentity(options_)) {
+  if (options_.enable_plan_cache) {
+    plan_cache_ = options_.plan_cache;
+    if (plan_cache_ == nullptr && options_.plan_cache_capacity > 0) {
+      plan_cache_ = std::make_shared<PlanCache>(options_.plan_cache_capacity);
+    }
+  }
+  if (plan_cache_ != nullptr) {
+    member_ = plan_cache_->AddMember();
+    stats_catalog_.ShareEpoch(plan_cache_->stats_epoch());
+  }
+  if (options_.enable_statement_stats &&
+      (options_.slow_query_threshold_us > 0 ||
+       options_.trace_sample_every > 0)) {
+    slow_log_ = std::make_unique<obs::SlowQueryLog>(options_.slow_log_capacity);
+  }
+  if (!options_.storage_path.empty()) {
+    storage_status_ = OpenStorage();
+  }
+}
+
 Database::~Database() {
   if (storage_ != nullptr && storage_status_.ok() &&
       options_.storage_checkpoint_on_close) {
@@ -67,7 +138,9 @@ Database::~Database() {
     (void)storage_->CommitIfImplicit();
     (void)storage_->Checkpoint(*this);
   }
-  for (auto& [key, table] : tables_) table->ClearObservers();
+  for (auto& table : tables_) {
+    if (table != nullptr) table->ClearObservers();
+  }
 }
 
 Status Database::OpenStorage() {
@@ -84,7 +157,9 @@ Status Database::OpenStorage() {
   storage_ = std::move(engine).value();
   Status st = storage_->RecoverInto(this);
   if (!st.ok()) {
-    for (auto& [key, table] : tables_) table->ClearObservers();
+    for (auto& table : tables_) {
+      if (table != nullptr) table->ClearObservers();
+    }
     storage_.reset();
     return st;
   }
@@ -98,17 +173,33 @@ Status Database::OpenStorage() {
 
 Table* Database::RestoreTable(TableSchema schema) {
   std::string key = ToLower(schema.name());
-  if (tables_.count(key) != 0) return nullptr;
-  auto [it, inserted] =
-      tables_.emplace(std::move(key),
-                      std::make_unique<Table>(std::move(schema)));
-  it->second->AddObserver(storage_.get());
-  if (options_.enable_cost_model) {
-    stats_catalog_.Register(it->second.get());
-    it->second->AddObserver(&stats_catalog_);
-  }
+  if (table_names_.count(key) != 0) return nullptr;
+  Table* table = AddTable(std::move(key), std::move(schema));
+  table->AddObserver(storage_.get());
+  return table;
+}
+
+Table* Database::AddTable(std::string key, TableSchema schema) {
+  const auto slot = static_cast<CatalogSlot>(tables_.size());
+  schema_identity_ = MixTable(schema_identity_, schema);
+  tables_.push_back(std::make_unique<Table>(std::move(schema)));
+  table_names_.emplace(std::move(key), slot);
   ++catalog_generation_;
-  return it->second.get();
+  Table* table = tables_.back().get();
+  table->AddObserver(&schema_observer_);
+  if (options_.enable_cost_model) {
+    stats_catalog_.Register(table);
+    table->AddObserver(&stats_catalog_);
+  }
+  return table;
+}
+
+void Database::OnCreateIndex(const Table& table, const Index& index) {
+  uint64_t h = Mix(schema_identity_, "index");
+  h = Mix(h, uint64_t{LookupSlot(table.schema().name())});
+  h = Mix(h, index.name());
+  for (size_t ord : index.column_ordinals()) h = Mix(h, uint64_t{ord});
+  schema_identity_ = Mix(h, uint64_t{index.unique()});
 }
 
 Status Database::StorageStatementEnd() {
@@ -174,11 +265,19 @@ Result<QueryResult> Database::ExecuteSql(std::string_view sql,
   // A plan-cache hit skips the parse and bind spans entirely — that absence
   // in the trace *is* the signal that the cached path ran. The text is
   // hashed once for both the lookup and a miss's store.
-  const size_t hash = options_.enable_plan_cache
-                          ? std::hash<std::string_view>{}(sql)
-                          : 0;
-  if (std::shared_ptr<const SelectStmt> plan = LookupCachedPlan(sql, hash)) {
-    return RunBoundSelect(*plan, params, trace);
+  const size_t hash =
+      plan_cache_ != nullptr ? std::hash<std::string_view>{}(sql) : 0;
+  if (plan_cache_ != nullptr) {
+    PlanCache::Probe probe = plan_cache_->Lookup(schema_identity_, sql, hash);
+    if (probe.recosted) Bump(Stripe().plan_recosts);
+    if (probe.plan != nullptr) {
+      Bump(Stripe().plan_cache_hits);
+      PlanRuntime& runtime = RuntimeFor(*probe.plan);
+      if (runtime.stats_entry() != nullptr) {
+        runtime.stats_entry()->RecordPlanCacheHit();
+      }
+      return RunBoundSelect(probe.plan->select(), runtime, params, trace);
+    }
   }
   obs::ScopedSpan parse_span(trace, "sql-parse");
   auto parsed = ParseStatement(sql);
@@ -198,18 +297,24 @@ Result<QueryResult> Database::ExecuteSql(std::string_view sql,
   }
   auto* select = static_cast<SelectStmt*>(stmt);
   P3PDB_RETURN_IF_ERROR(CheckParamCount(select->param_count, params));
+  PlanRuntime* runtime = nullptr;
   {
     obs::ScopedSpan bind_span(trace, "sql-bind");
-    P3PDB_RETURN_IF_ERROR(BindAndPlan(select, select->arena, sql));
+    P3PDB_ASSIGN_OR_RETURN(runtime, BindAndPlan(select, select->arena, sql));
   }
-  std::shared_ptr<const SelectStmt> plan =
-      ShareSelect(std::move(parsed).value(), select);
-  StoreCachedPlan(hash, plan);
-  return RunBoundSelect(*plan, params, trace);
+  if (plan_cache_ == nullptr) {
+    return RunBoundSelect(*select, *runtime, params, trace);
+  }
+  std::shared_ptr<SharedPlan> plan =
+      SharePlan(std::move(parsed).value(), select, member_, runtime);
+  plan_cache_->Store(schema_identity_, hash, plan,
+                     /*costed=*/options_.enable_cost_model);
+  return RunBoundSelect(*select, *runtime, params, trace);
 }
 
-Status Database::BindAndPlan(SelectStmt* select, StatementArena* arena,
-                             std::string_view sql) {
+Result<PlanRuntime*> Database::BindAndPlan(SelectStmt* select,
+                                           StatementArena* arena,
+                                           std::string_view sql) {
   // Bind and plan temporaries: a stack buffer, the heap only past it.
   alignas(std::max_align_t) std::array<std::byte, kPlanScratchBytes> buffer;
   std::pmr::monotonic_buffer_resource scratch(buffer.data(), buffer.size());
@@ -219,39 +324,54 @@ Status Database::BindAndPlan(SelectStmt* select, StatementArena* arena,
   ++local.plans_built;
   const StatsCatalog* catalog =
       options_.enable_cost_model ? &stats_catalog_ : nullptr;
+  const TableSlots tables = table_slots();
   if (options_.enable_planner) {
-    PlanSelect(select, arena, &local, catalog, &scratch);
+    PlanSelect(select, tables, arena, &local, catalog, &scratch);
   }
   // Annotation must follow planning: the rewrite replaces EXISTS subtrees
   // with hash joins, and the slot plans point into the final tree. The
   // cost model needs the slot plans too (est rows, index-vs-seq override),
   // so annotation also runs — scalar-path or not — whenever stats are on.
   if (options_.enable_vectorized_executor || catalog != nullptr) {
-    AnnotateSelect(select, arena, catalog, &local, &scratch);
+    AnnotateSelect(select, tables, arena, catalog, &local, &scratch);
   }
-  PrecomputeExecHints(select, arena);
+  PrecomputeExecHints(select, tables, arena);
+  StatementStatsEntry* entry = nullptr;
   if (options_.enable_statement_stats && !sql.empty()) {
-    select->stats_entry = statement_stats_.Intern(sql);
-    select->stats_entry->RecordPlanned(local.semi_join_rewrites,
-                                       local.anti_join_rewrites);
+    entry = statement_stats_.Intern(sql);
+    entry->RecordPlanned(local.semi_join_rewrites, local.anti_join_rewrites);
   }
   Stripe().Merge(local);
-  return Status::OK();
+  return arena->NewFinalizedWithTail<PlanRuntime>(
+      PlanRuntime::Bytes(select->hash_joins), select->hash_joins, entry);
+}
+
+PlanRuntime& Database::RuntimeFor(SharedPlan& plan) {
+  if (PlanRuntime* runtime = plan.runtime(member_)) return *runtime;
+  // The first execution here of a plan another member built: this
+  // database's own key sets and statement-stats entry.
+  const SelectStmt& select = plan.select();
+  StatementStatsEntry* entry =
+      options_.enable_statement_stats
+          ? statement_stats_.Intern(select.arena->text())
+          : nullptr;
+  return *plan.Install(member_,
+                       PlanRuntime::New(select.hash_joins, entry));
 }
 
 Result<QueryResult> Database::RunBoundSelect(const SelectStmt& select,
+                                             PlanRuntime& runtime,
                                              const std::vector<Value>* params,
                                              obs::TraceContext* trace) {
   P3PDB_RETURN_IF_ERROR(CheckParamCount(select.param_count, params));
   obs::ScopedSpan exec_span(trace, "sql-execute");
   // Telemetry costs one branch when off; when on, a stopwatch read plus a
   // handful of relaxed fetch_adds on the interned entry.
-  StatementStatsEntry* entry = select.stats_entry;
+  StatementStatsEntry* entry = runtime.stats_entry();
   Stopwatch timer;
   ExecStats local;
-  Executor executor(&local, params, nullptr,
-                    ExecConfig{options_.enable_vectorized_executor,
-                               options_.vector_chunk_size});
+  Executor executor(&local, table_slots(), params, &runtime, nullptr,
+                    ConfigOf(options_));
   auto result = executor.RunSelect(select);
   Stripe().Merge(local);
   if (entry != nullptr) {
@@ -260,7 +380,7 @@ Result<QueryResult> Database::RunBoundSelect(const SelectStmt& select,
                            result.ok() ? result.value().rows.size() : 0,
                            elapsed_us, result.ok());
     if (result.ok() && slow_log_ != nullptr) {
-      MaybeCaptureStatement(select, params, elapsed_us);
+      MaybeCaptureStatement(select, runtime, params, elapsed_us);
     }
   }
   if (result.ok()) {
@@ -272,9 +392,10 @@ Result<QueryResult> Database::RunBoundSelect(const SelectStmt& select,
 }
 
 void Database::MaybeCaptureStatement(const SelectStmt& select,
+                                     PlanRuntime& runtime,
                                      const std::vector<Value>* params,
                                      double elapsed_us) {
-  StatementStatsEntry* entry = select.stats_entry;
+  StatementStatsEntry* entry = runtime.stats_entry();
   const bool slow = options_.slow_query_threshold_us > 0 &&
                     elapsed_us >=
                         static_cast<double>(options_.slow_query_threshold_us);
@@ -304,87 +425,16 @@ void Database::MaybeCaptureStatement(const SelectStmt& select,
   capture.params = std::move(rendered);
   PlanProfile profile;
   ExecStats scratch;
-  Executor executor(&scratch, params, &profile,
-                    ExecConfig{options_.enable_vectorized_executor,
-                               options_.vector_chunk_size});
+  Executor executor(&scratch, table_slots(), params, &runtime, &profile,
+                    ConfigOf(options_));
   if (executor.RunSelect(select).ok()) {
     ExplainOptions explain_options;
+    explain_options.tables = table_slots();
     explain_options.params = params;
     explain_options.profile = &profile;
     capture.plan = ExplainPlan(select, explain_options);
   }
   slow_log_->Add(std::move(capture));
-}
-
-std::shared_ptr<const SelectStmt> Database::LookupCachedPlan(
-    std::string_view sql, size_t hash) {
-  if (!options_.enable_plan_cache) return nullptr;
-  // A dropped plan moves here and is destroyed after plan_mu_ is released,
-  // as in StoreCachedPlan.
-  PlanIndex::node_type dropped;
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  auto it = plan_index_.find(PlanKey{sql, hash});
-  if (it == plan_index_.end()) return nullptr;
-  CachedPlan* plan = &it->second;
-  if (plan->generation != catalog_generation_) {
-    // Stale after DDL: drop and let the caller re-prepare.
-    UnlinkPlan(plan);
-    dropped = plan_index_.extract(it);
-    return nullptr;
-  }
-  if (options_.enable_cost_model &&
-      plan->stats_epoch != stats_catalog_.epoch()) {
-    // Cardinalities drifted past the epoch boundary since this plan was
-    // costed: its build-side/access-path choices may no longer hold. Drop
-    // it and let the caller re-plan against current statistics.
-    UnlinkPlan(plan);
-    dropped = plan_index_.extract(it);
-    Bump(Stripe().plan_recosts);
-    return nullptr;
-  }
-  if (plan != newest_plan_) {
-    UnlinkPlan(plan);
-    LinkNewestPlan(plan);
-  }
-  Bump(Stripe().plan_cache_hits);
-  if (plan->stmt->stats_entry != nullptr) {
-    plan->stmt->stats_entry->RecordPlanCacheHit();
-  }
-  return plan->stmt;
-}
-
-void Database::StoreCachedPlan(size_t hash,
-                               std::shared_ptr<const SelectStmt> plan) {
-  if (!options_.enable_plan_cache || options_.plan_cache_capacity == 0) return;
-  // The key is the plan's own text copy, alive exactly as long as the entry.
-  const PlanKey key{plan->arena->text(), hash};
-  // The evicted plan moves here and is destroyed after plan_mu_ is
-  // released, so lookups never wait on a plan's release.
-  PlanIndex::node_type evicted;
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  auto [it, inserted] = plan_index_.try_emplace(
-      key, CachedPlan{std::move(plan), key, catalog_generation_,
-                      options_.enable_cost_model ? stats_catalog_.epoch() : 0});
-  if (!inserted) return;  // concurrent store
-  LinkNewestPlan(&it->second);
-  if (plan_index_.size() > options_.plan_cache_capacity) {
-    CachedPlan* victim = oldest_plan_;
-    UnlinkPlan(victim);
-    evicted = plan_index_.extract(victim->key);
-  }
-}
-
-void Database::UnlinkPlan(CachedPlan* plan) {
-  (plan->newer != nullptr ? plan->newer->older : newest_plan_) = plan->older;
-  (plan->older != nullptr ? plan->older->newer : oldest_plan_) = plan->newer;
-  plan->newer = nullptr;
-  plan->older = nullptr;
-}
-
-void Database::LinkNewestPlan(CachedPlan* plan) {
-  plan->older = newest_plan_;
-  (newest_plan_ != nullptr ? newest_plan_->newer : oldest_plan_) = plan;
-  newest_plan_ = plan;
 }
 
 Result<PreparedStatement> Database::Prepare(std::string_view sql) {
@@ -393,11 +443,13 @@ Result<PreparedStatement> Database::Prepare(std::string_view sql) {
   if (stmt->kind != StatementKind::kSelect) {
     return Status::Unsupported("only SELECT statements can be prepared");
   }
-  P3PDB_RETURN_IF_ERROR(
+  P3PDB_ASSIGN_OR_RETURN(
+      PlanRuntime* runtime,
       BindAndPlan(static_cast<SelectStmt*>(stmt.get()), stmt->arena, sql));
   PreparedStatement prepared;
   prepared.db_ = this;
   prepared.stmt_ = ShareStatement(std::move(stmt));
+  prepared.runtime_ = runtime;
   prepared.catalog_generation_ = catalog_generation_;
   return prepared;
 }
@@ -415,7 +467,7 @@ Result<QueryResult> PreparedStatement::Execute(
   // RunBoundSelect executes with per-call private stats (concurrent
   // executions stay race-free; the merge is the only shared-state touch)
   // and applies the same telemetry as the text-execution path.
-  return db_->RunBoundSelect(*select, &params, trace);
+  return db_->RunBoundSelect(*select, *runtime_, &params, trace);
 }
 
 size_t PreparedStatement::param_count() const {
@@ -439,11 +491,11 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
     case StatementKind::kSelect: {
       auto* select = static_cast<SelectStmt*>(stmt);
       P3PDB_RETURN_IF_ERROR(CheckParamCount(select->param_count, params));
-      P3PDB_RETURN_IF_ERROR(BindAndPlan(select, stmt->arena));
+      P3PDB_ASSIGN_OR_RETURN(PlanRuntime* runtime,
+                             BindAndPlan(select, stmt->arena));
       ExecStats local;
-      Executor executor(&local, params, nullptr,
-                        ExecConfig{options_.enable_vectorized_executor,
-                                   options_.vector_chunk_size});
+      Executor executor(&local, table_slots(), params, runtime, nullptr,
+                        ConfigOf(options_));
       auto result = executor.RunSelect(*select);
       Stripe().Merge(local);
       return result;
@@ -507,15 +559,16 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
       if (explain->analyze || (params != nullptr && !params->empty())) {
         P3PDB_RETURN_IF_ERROR(CheckParamCount(select->param_count, params));
       }
-      P3PDB_RETURN_IF_ERROR(BindAndPlan(select, explain->arena));
+      P3PDB_ASSIGN_OR_RETURN(PlanRuntime* runtime,
+                             BindAndPlan(select, explain->arena));
       ExplainOptions explain_options;
+      explain_options.tables = table_slots();
       explain_options.params = params;
       PlanProfile profile;
       if (explain->analyze) {
         ExecStats local;
-        Executor executor(&local, params, &profile,
-                          ExecConfig{options_.enable_vectorized_executor,
-                                     options_.vector_chunk_size});
+        Executor executor(&local, table_slots(), params, runtime, &profile,
+                          ConfigOf(options_));
         P3PDB_RETURN_IF_ERROR(executor.RunSelect(*select).status());
         Stripe().Merge(local);
         explain_options.profile = &profile;
@@ -535,7 +588,7 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
 Status Database::CreateTable(TableSchema schema) {
   if (!storage_status_.ok()) return storage_status_;
   std::string key = ToLower(schema.name());
-  if (tables_.count(key) != 0) {
+  if (table_names_.count(key) != 0) {
     return Status::AlreadyExists("table '" + schema.name() +
                                  "' already exists");
   }
@@ -573,16 +626,10 @@ Status Database::CreateTable(TableSchema schema) {
       }
     }
   }
-  auto [it, inserted] = tables_.emplace(
-      std::move(key), std::make_unique<Table>(std::move(schema)));
-  ++catalog_generation_;
-  if (options_.enable_cost_model) {
-    stats_catalog_.Register(it->second.get());
-    it->second->AddObserver(&stats_catalog_);
-  }
+  Table* table = AddTable(std::move(key), std::move(schema));
   if (storage_active()) {
-    storage_->LogCreateTable(it->second->schema());
-    it->second->AddObserver(storage_.get());
+    storage_->LogCreateTable(table->schema());
+    table->AddObserver(storage_.get());
     P3PDB_RETURN_IF_ERROR(StorageStatementEnd());
   }
   return Status::OK();
@@ -590,15 +637,17 @@ Status Database::CreateTable(TableSchema schema) {
 
 Status Database::DropTable(std::string_view name, bool if_exists) {
   if (!storage_status_.ok()) return storage_status_;
-  std::string key = ToLower(name);
-  auto it = tables_.find(key);
-  if (it == tables_.end()) {
+  auto it = table_names_.find(ToLower(name));
+  if (it == table_names_.end()) {
     if (if_exists) return Status::OK();
     return Status::NotFound("table '" + std::string(name) +
                             "' does not exist");
   }
-  stats_catalog_.Forget(it->second.get());
-  tables_.erase(it);
+  const CatalogSlot slot = it->second;
+  stats_catalog_.Forget(tables_[slot].get());
+  tables_[slot].reset();
+  table_names_.erase(it);
+  schema_identity_ = Mix(Mix(schema_identity_, "drop"), uint64_t{slot});
   ++catalog_generation_;
   if (storage_active() && !storage_->replaying()) {
     storage_->LogDropTable(std::string(name));
@@ -621,21 +670,26 @@ Status Database::InsertRow(std::string_view table_name, Row row) {
   return StorageStatementEnd();
 }
 
+CatalogSlot Database::LookupSlot(std::string_view name) const {
+  auto it = table_names_.find(ToLower(name));
+  return it == table_names_.end() ? kNoSlot : it->second;
+}
+
 const Table* Database::LookupTable(std::string_view name) const {
-  auto it = tables_.find(ToLower(name));
-  return it == tables_.end() ? nullptr : it->second.get();
+  const CatalogSlot slot = LookupSlot(name);
+  return slot == kNoSlot ? nullptr : tables_[slot].get();
 }
 
 Table* Database::GetMutableTable(std::string_view name) {
-  auto it = tables_.find(ToLower(name));
-  return it == tables_.end() ? nullptr : it->second.get();
+  const CatalogSlot slot = LookupSlot(name);
+  return slot == kNoSlot ? nullptr : tables_[slot].get();
 }
 
 std::vector<std::string> Database::TableNames() const {
   std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [key, table] : tables_) {
-    names.push_back(table->schema().name());
+  names.reserve(table_names_.size());
+  for (const auto& [key, slot] : table_names_) {
+    names.push_back(tables_[slot]->schema().name());
   }
   return names;
 }
@@ -806,7 +860,7 @@ Result<QueryResult> Database::ExecuteUpdate(UpdateStmt* stmt) {
   // Snapshot pass: compute every victim's new row from its old values
   // before mutating anything.
   ExecStats local;
-  Executor executor(&local);
+  Executor executor(&local, table_slots());
   std::vector<std::pair<size_t, Row>> updates;
   for (size_t row_id = 0; row_id < table->SlotCount(); ++row_id) {
     if (!table->IsLive(row_id)) continue;
@@ -889,7 +943,7 @@ Result<QueryResult> Database::ExecuteDelete(DeleteStmt* stmt) {
 
     // Enumerate matching rows by id (a bespoke loop rather than RunSelect so
     // the victim row ids are known).
-    Executor executor(&local);
+    Executor executor(&local, table_slots());
     for (size_t row_id = 0; row_id < table->SlotCount(); ++row_id) {
       if (!table->IsLive(row_id)) continue;
       auto pass = executor.EvalRowPredicate(probe, table->RowAt(row_id));

@@ -13,10 +13,8 @@
 #include <cstddef>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,6 +24,7 @@
 #include "obs/trace.h"
 #include "sqldb/ast.h"
 #include "sqldb/binder.h"
+#include "sqldb/plan_cache.h"
 #include "sqldb/query_result.h"
 #include "sqldb/statement_stats.h"
 #include "sqldb/stats.h"
@@ -35,6 +34,7 @@
 namespace p3pdb::sqldb {
 
 class Database;
+class PlanRuntime;
 
 /// Planner default: on, unless the environment sets P3PDB_NO_PLANNER to a
 /// non-empty value other than "0". Read at Database construction time, so
@@ -61,7 +61,10 @@ bool CostModelEnabledFromEnv();
 ///
 /// Execution is read-only over the bound AST, so one PreparedStatement may
 /// be executed from many threads concurrently (each call supplies its own
-/// parameter values and accumulates into a private ExecStats).
+/// parameter values and accumulates into a private ExecStats). The
+/// statement owns its database's runtime block for the plan (hash-join key
+/// sets, statement-stats entry), placed in the plan's arena; copies share
+/// both.
 class PreparedStatement {
  public:
   PreparedStatement() = default;
@@ -91,6 +94,7 @@ class PreparedStatement {
   friend class Database;
   Database* db_ = nullptr;
   std::shared_ptr<Statement> stmt_;  // bound SELECT
+  PlanRuntime* runtime_ = nullptr;   // db_'s block, in stmt_'s arena
   uint64_t catalog_generation_ = 0;  // guards against post-DDL execution
 };
 
@@ -107,13 +111,20 @@ class Database : public CatalogView {
     /// Run the rule-based planner (EXISTS decorrelation into hash
     /// semi/anti-joins, see planner.h) after binding every SELECT.
     bool enable_planner = PlannerEnabledFromEnv();
-    /// Cache parsed+bound+planned SELECTs keyed by SQL text, so repeated
-    /// executions of the same statement (the server's per-match rule
-    /// queries) skip parse/bind/plan entirely. Entries are stamped with the
-    /// catalog generation and lazily re-prepared after DDL.
+    /// Cache parsed+bound+planned SELECTs keyed by schema identity and SQL
+    /// text (see plan_cache.h), so repeated executions of the same
+    /// statement (the server's per-match rule queries) skip
+    /// parse/bind/plan entirely. DDL changes the schema identity, so
+    /// statements re-prepare after it.
     bool enable_plan_cache = PlannerEnabledFromEnv();
-    /// Bounded LRU capacity of the plan cache.
+    /// Bounded LRU capacity of the private plan cache (unused when
+    /// `plan_cache` names a shared one).
     size_t plan_cache_capacity = 256;
+    /// The plan cache this database shares with others (the serving
+    /// tier's replicas): plans any member built serve every member of the
+    /// same schema identity. Null = a private cache of
+    /// `plan_cache_capacity` plans.
+    std::shared_ptr<PlanCache> plan_cache;
     /// Maintain table/column statistics (see stats.h) and let them moderate
     /// the rule planner: build-side estimates, EXISTS rewrite vetoes,
     /// cheapest-build-first join ordering, index-vs-seq access choice, and
@@ -171,17 +182,7 @@ class Database : public CatalogView {
   };
 
   Database() : Database(Options{}) {}
-  explicit Database(Options options) : options_(options) {
-    if (options_.enable_statement_stats &&
-        (options_.slow_query_threshold_us > 0 ||
-         options_.trace_sample_every > 0)) {
-      slow_log_ =
-          std::make_unique<obs::SlowQueryLog>(options_.slow_log_capacity);
-    }
-    if (!options_.storage_path.empty()) {
-      storage_status_ = OpenStorage();
-    }
-  }
+  explicit Database(Options options);
   ~Database();
 
   Database(const Database&) = delete;
@@ -251,11 +252,21 @@ class Database : public CatalogView {
   Status InsertRow(std::string_view table_name, Row row);
 
   /// Case-insensitive table lookup; nullptr if absent.
-  const Table* LookupTable(std::string_view name) const override;
+  const Table* LookupTable(std::string_view name) const;
   Table* GetMutableTable(std::string_view name);
+  // CatalogView.
+  CatalogSlot LookupSlot(std::string_view name) const override;
+  TableSlots table_slots() const override { return TableSlots(tables_); }
 
   std::vector<std::string> TableNames() const;
-  size_t TableCount() const { return tables_.size(); }
+  size_t TableCount() const { return table_names_.size(); }
+
+  /// Hash of the planning options and of every CREATE TABLE, CREATE INDEX
+  /// (SQL or Table::CreateIndex) and DROP TABLE so far, in order. Plans are
+  /// cached under it: databases with equal identities have the same tables
+  /// in the same slots with the same indexes in the same order, so they
+  /// can run each other's plans.
+  uint64_t schema_identity() const { return schema_identity_; }
 
   const Options& options() const { return options_; }
   /// Snapshot of the accumulated execution counters (sums the stats
@@ -290,6 +301,12 @@ class Database : public CatalogView {
   /// validated when first created), attaches the storage observer. Returns
   /// nullptr if the name is already taken.
   Table* RestoreTable(TableSchema schema);
+  /// Places a new table in the next catalog slot: name map, schema
+  /// identity, catalog generation, and the schema and (with the cost model)
+  /// statistics observers.
+  Table* AddTable(std::string key, TableSchema schema);
+  /// Folds `table`'s new index into the schema identity.
+  void OnCreateIndex(const Table& table, const Index& index);
   Status OpenStorage();
   /// Commits the statement-level implicit transaction and runs the
   /// auto-checkpoint policy. Called at the end of every mutating
@@ -306,35 +323,33 @@ class Database : public CatalogView {
                                  obs::TraceContext* trace);
 
   /// Binds (and, when enabled, plans) a freshly parsed SELECT, counting the
-  /// work in the stats aggregate. `arena` is the root statement's arena;
-  /// planner rewrites and annotations place their nodes and lists there,
-  /// and nothing allocates from it after this returns. The binder's and
-  /// planner's temporary vectors come from a stack buffer (the heap only
-  /// past it). With statement stats on and a non-empty `sql`, interns the
-  /// statement shape and stamps the entry pointer onto the bound AST so
-  /// executions tally without any lookup.
-  Status BindAndPlan(SelectStmt* select, StatementArena* arena,
-                     std::string_view sql = {});
+  /// work in the stats aggregate, and returns this database's runtime
+  /// block for it. `arena` is the root statement's arena; planner rewrites
+  /// and annotations place their nodes and lists there, and so does the
+  /// block; nothing allocates from it once the plan is published. The
+  /// binder's and planner's temporary vectors come from a stack buffer (the
+  /// heap only past it). With statement stats on and a non-empty `sql`,
+  /// interns the statement shape into the block so executions tally
+  /// without any lookup.
+  Result<PlanRuntime*> BindAndPlan(SelectStmt* select, StatementArena* arena,
+                                   std::string_view sql = {});
+  /// This database's block for a cached plan, created on its first
+  /// execution here (the plan may have been built by another member).
+  PlanRuntime& RuntimeFor(SharedPlan& plan);
   /// Post-execution telemetry hook: decides whether this execution crossed
   /// the slow threshold or hit the trace-sampling stride, and if so
   /// re-executes with a PlanProfile to capture an EXPLAIN ANALYZE plan into
-  /// the slow log. Called only when the statement carries a stats entry.
-  void MaybeCaptureStatement(const SelectStmt& select,
+  /// the slow log. Called only when the runtime carries a stats entry.
+  void MaybeCaptureStatement(const SelectStmt& select, PlanRuntime& runtime,
                              const std::vector<Value>* params,
                              double elapsed_us);
-  /// Runs a bound SELECT: param-count check, private-stats execution,
-  /// merge. Shared by the plan-cache hit path and the fresh-parse path.
+  /// Runs a bound SELECT against this database's `runtime` block:
+  /// param-count check, private-stats execution, merge. Shared by the
+  /// plan-cache hit path, the fresh-parse path and PreparedStatement.
   Result<QueryResult> RunBoundSelect(const SelectStmt& select,
+                                     PlanRuntime& runtime,
                                      const std::vector<Value>* params,
                                      obs::TraceContext* trace);
-  /// Plan-cache lookup of `sql`, whose hash the caller computed once
-  /// (PlanKeyHash); returns null on miss or stale generation (the stale
-  /// entry is dropped). Hits are counted and moved to the LRU front.
-  std::shared_ptr<const SelectStmt> LookupCachedPlan(std::string_view sql,
-                                                     size_t hash);
-  /// Caches `plan`, keyed on its arena's copy of its SQL text, whose hash
-  /// is `hash`.
-  void StoreCachedPlan(size_t hash, std::shared_ptr<const SelectStmt> plan);
   Result<QueryResult> ExecuteInsert(InsertStmt* stmt);
   Result<QueryResult> ExecuteUpdate(UpdateStmt* stmt);
   Result<QueryResult> ExecuteDelete(DeleteStmt* stmt);
@@ -343,9 +358,29 @@ class Database : public CatalogView {
   /// This thread's stats stripe (see stripes_).
   AtomicExecStats& Stripe();
 
+  /// Folds index creation into the schema identity, however the index was
+  /// created (SQL, a shredder's Table::CreateIndex, recovery replay).
+  class SchemaObserver : public TableObserver {
+   public:
+    explicit SchemaObserver(Database* db) : db_(db) {}
+    void OnInsert(const Table&, size_t, const Row&) override {}
+    void OnDelete(const Table&, size_t) override {}
+    void OnCreateIndex(const Table& table, const Index& index) override {
+      db_->OnCreateIndex(table, index);
+    }
+
+   private:
+    Database* db_;
+  };
+
   Options options_;
-  // Keyed by lower-cased name for case-insensitive resolution.
-  std::map<std::string, std::unique_ptr<Table>> tables_;
+  // Every table by catalog slot, in creation order; a dropped table leaves
+  // its slot empty (and changes the schema identity).
+  std::vector<std::unique_ptr<Table>> tables_;
+  // Lower-cased name -> slot, for case-insensitive resolution.
+  std::map<std::string, CatalogSlot> table_names_;
+  uint64_t schema_identity_ = 0;
+  SchemaObserver schema_observer_{this};
 
   // Execution counters, striped so concurrent executions rarely share a
   // cache line: each thread merges into its ThreadStripe() (see
@@ -355,54 +390,16 @@ class Database : public CatalogView {
     AtomicExecStats stats;
   };
   std::array<StatsStripe, kThreadStripes> stripes_;
-  // Bumped on every DDL change; prepared statements from an older
-  // generation refuse to run rather than touch stale table pointers.
+  // Bumped on every CREATE/DROP TABLE; prepared statements from an older
+  // generation refuse to run rather than resolve a stale slot.
   uint64_t catalog_generation_ = 0;
 
-  /// Plan cache: SQL text -> bound+planned SELECT, stamped with the catalog
-  /// generation it was prepared under. LRU-bounded; the mutex guards only
-  /// the map/list bookkeeping — execution of a cached plan is read-only
-  /// over the shared AST (the PreparedStatement concurrency contract), so
-  /// hits from many threads proceed in parallel.
-  ///
-  /// An entry keys on the plan's own copy of its SQL text (in its arena),
-  /// with the hash ExecuteSql computed once per statement.
-  struct PlanKey {
-    std::string_view sql;
-    size_t hash;
-  };
-  struct PlanKeyHash {
-    size_t operator()(const PlanKey& key) const noexcept { return key.hash; }
-  };
-  struct PlanKeyEqual {
-    bool operator()(const PlanKey& a, const PlanKey& b) const noexcept {
-      return a.sql == b.sql;
-    }
-  };
-  ///
-  /// The LRU order is a list threaded through the index's own nodes (their
-  /// addresses are stable), so an entry is one heap node.
-  struct CachedPlan {
-    std::shared_ptr<const SelectStmt> stmt;
-    PlanKey key;
-    uint64_t generation = 0;
-    /// Stats epoch the plan was costed under (see StatsCatalog). With the
-    /// cost model on, a lookup whose epoch moved drops the entry so the
-    /// statement re-plans against the current cardinality landscape.
-    uint64_t stats_epoch = 0;
-    CachedPlan* newer = nullptr;  // LRU neighbours
-    CachedPlan* older = nullptr;
-  };
-  using PlanIndex =
-      std::unordered_map<PlanKey, CachedPlan, PlanKeyHash, PlanKeyEqual>;
-  /// Removes `plan` from the LRU list.
-  void UnlinkPlan(CachedPlan* plan);
-  /// Makes `plan` the most recently used entry.
-  void LinkNewestPlan(CachedPlan* plan);
-  mutable std::mutex plan_mu_;
-  PlanIndex plan_index_;
-  CachedPlan* newest_plan_ = nullptr;  // LRU front
-  CachedPlan* oldest_plan_ = nullptr;  // next to evict
+  /// The plan cache (plan_cache.h): private unless Options::plan_cache
+  /// names a shared one; null when plan caching is off. `member_` is this
+  /// database's ordinal in it, which finds its runtime block in every
+  /// cached plan.
+  std::shared_ptr<PlanCache> plan_cache_;
+  size_t member_ = 0;
 
   // Statement telemetry. The registry always exists (entries are only
   // created when enable_statement_stats is set); the slow log exists only

@@ -10,6 +10,28 @@
 
 namespace p3pdb::sqldb {
 
+PlanRuntime::PlanRuntime(size_t hash_joins, StatementStatsEntry* stats_entry)
+    : hash_joins_(hash_joins), stats_entry_(stats_entry) {
+  for (size_t i = 0; i < hash_joins_; ++i) {
+    ::new (joins() + i) HashJoinRuntime();
+  }
+}
+
+PlanRuntime::~PlanRuntime() {
+  for (size_t i = 0; i < hash_joins_; ++i) joins()[i].~HashJoinRuntime();
+}
+
+PlanRuntime* PlanRuntime::New(size_t hash_joins,
+                              StatementStatsEntry* stats_entry) {
+  return ::new (::operator new(Bytes(hash_joins)))
+      PlanRuntime(hash_joins, stats_entry);
+}
+
+void PlanRuntime::Delete(PlanRuntime* runtime) {
+  runtime->~PlanRuntime();
+  ::operator delete(runtime);
+}
+
 const PlanNodeStats* PlanProfile::FindSelect(const SelectStmt* stmt) const {
   auto it = selects_.find(stmt);
   return it == selects_.end() ? nullptr : &it->second;
@@ -424,8 +446,8 @@ Result<Value> Executor::EvalHashJoin(const HashJoinExpr& join,
 Result<std::shared_ptr<const HashJoinRuntime::KeySet>> Executor::HashJoinKeySet(
     const HashJoinExpr& join) {
   uint64_t version = 0;
-  for (const Table* t : join.dep_tables) version += t->version();
-  HashJoinRuntime& rt = *join.runtime;
+  for (CatalogSlot t : join.dep_tables) version += tables_[t].version();
+  HashJoinRuntime& rt = runtime_->join(join.ordinal);
   std::lock_guard<std::mutex> lock(rt.mu);
   if (rt.keys != nullptr && rt.built_at_version == version) {
     return std::shared_ptr<const HashJoinRuntime::KeySet>(rt.keys);
@@ -531,7 +553,7 @@ Status Executor::ScanSlot(const SelectStmt& stmt, ScopeStack& stack,
     return ScanSlotVectorized(stmt, stack, scope, slot, on_row, stopped, node);
   }
 
-  const Table* table = stmt.from[slot].table;
+  const Table* table = &tables_[stmt.from[slot].table];
 
   // Access path: annotated statements carry the planner's choice (which,
   // with the cost model on, may have overridden the syntactic index pick
@@ -541,7 +563,7 @@ Status Executor::ScanSlot(const SelectStmt& stmt, ScopeStack& stack,
   std::vector<const Expr*> key_exprs;
   if (!stmt.slot_plans.empty()) {
     const SlotPlan& sp = stmt.slot_plans[slot];
-    index = sp.index;
+    if (sp.has_index()) index = table->indexes()[sp.index].get();
     key_exprs.assign(sp.key_exprs.begin(), sp.key_exprs.end());
   } else {
     std::pmr::vector<IndexableEquality> equalities;
@@ -707,7 +729,7 @@ Result<QueryResult> Executor::RunPlainSelect(const SelectStmt& stmt,
     for (const SelectItem& item : stmt.items) {
       if (item.is_star) {
         for (const TableRef& tr : stmt.from) {
-          for (const ColumnDef& col : tr.table->schema().columns()) {
+          for (const ColumnDef& col : tables_[tr.table].schema().columns()) {
             result.columns.push_back(col.name);
           }
         }
@@ -761,7 +783,7 @@ Result<QueryResult> Executor::RunPlainSelect(const SelectStmt& stmt,
             std::string text = ob.expr->ToSql();
             size_t star_width = 0;
             for (const TableRef& tr : stmt.from) {
-              star_width += tr.table->schema().ColumnCount();
+              star_width += tables_[tr.table].schema().ColumnCount();
             }
             bool matched = false;
             size_t column = 0;
@@ -1010,7 +1032,8 @@ Status Executor::SortAndLimit(const SelectStmt& stmt, QueryResult* result,
   return Status::OK();
 }
 
-void PrecomputeExecHints(SelectStmt* stmt, StatementArena* arena) {
+void PrecomputeExecHints(SelectStmt* stmt, TableSlots tables,
+                         StatementArena* arena) {
   bool aggregate_mode = !stmt->group_by.empty();
   for (const SelectItem& item : stmt->items) {
     if (!item.is_star && ContainsAggregate(*item.expr)) aggregate_mode = true;
@@ -1025,7 +1048,7 @@ void PrecomputeExecHints(SelectStmt* stmt, StatementArena* arena) {
       continue;
     }
     for (const TableRef& tr : stmt->from) {
-      count += tr.table->schema().columns().size();
+      count += tables[tr.table].schema().columns().size();
     }
   }
   auto headers = std::make_shared<std::vector<std::string>>();
@@ -1033,7 +1056,7 @@ void PrecomputeExecHints(SelectStmt* stmt, StatementArena* arena) {
   for (const SelectItem& item : stmt->items) {
     if (item.is_star) {
       for (const TableRef& tr : stmt->from) {
-        for (const ColumnDef& col : tr.table->schema().columns()) {
+        for (const ColumnDef& col : tables[tr.table].schema().columns()) {
           headers->push_back(col.name);
         }
       }

@@ -28,13 +28,16 @@
 
 namespace p3pdb::sqldb {
 
-/// Shared runtime state of one planner-produced hash join (see planner.h):
-/// the build-side key set, cached across executions of the same bound plan
-/// and across the concurrent executors sharing it. `built_at_version` is
-/// the sum of the dep tables' modification counters at build time; any
-/// mismatch means a table changed and the set is rebuilt. Probers copy the
-/// shared_ptr under the mutex and then probe lock-free, so a rebuild never
-/// invalidates a set another thread is still reading.
+class StatementStatsEntry;
+
+/// Runtime state of one planner-produced hash join (see planner.h) on one
+/// database: the build-side key set, cached across executions of the plan
+/// on that database and across the concurrent executors sharing it.
+/// `built_at_version` is the sum of that database's dep-table modification
+/// counters at build time; any mismatch means a table changed and the set is
+/// rebuilt. Probers copy the shared_ptr under the mutex and then probe
+/// lock-free, so a rebuild never invalidates a set another thread is still
+/// reading.
 struct HashJoinRuntime {
   // Transparent hash/equality so probes can use IndexKeyView without
   // materializing an IndexKey per probe (heterogeneous lookup).
@@ -44,6 +47,44 @@ struct HashJoinRuntime {
   std::shared_ptr<const KeySet> keys;  // null until first build
   uint64_t built_at_version = 0;
 };
+
+/// One database's runtime state for one bound plan: a HashJoinRuntime per
+/// hash join of the plan (indexed by HashJoinExpr::ordinal) and the
+/// statement-stats entry its executions tally into (null = untracked). The
+/// plan itself is immutable and may be shared by every database of a
+/// PlanCache; each of them executes it against its own block (see
+/// SharedPlan, plan_cache.h). The join states trail the block in the same
+/// allocation: the planning database's block is placed in the plan's arena
+/// (StatementArena::NewFinalizedWithTail), another member's on the heap
+/// (New/Delete).
+class PlanRuntime {
+ public:
+  /// Bytes a block for a plan with `hash_joins` joins occupies.
+  static size_t Bytes(size_t hash_joins) {
+    return sizeof(PlanRuntime) + hash_joins * sizeof(HashJoinRuntime);
+  }
+  /// Constructs the block in storage of Bytes(hash_joins) bytes.
+  PlanRuntime(size_t hash_joins, StatementStatsEntry* stats_entry);
+  ~PlanRuntime();
+  PlanRuntime(const PlanRuntime&) = delete;
+  PlanRuntime& operator=(const PlanRuntime&) = delete;
+
+  /// A heap block, released with Delete.
+  static PlanRuntime* New(size_t hash_joins, StatementStatsEntry* stats_entry);
+  static void Delete(PlanRuntime* runtime);
+
+  HashJoinRuntime& join(size_t ordinal) { return joins()[ordinal]; }
+  StatementStatsEntry* stats_entry() const { return stats_entry_; }
+
+ private:
+  HashJoinRuntime* joins() {
+    return reinterpret_cast<HashJoinRuntime*>(this + 1);
+  }
+
+  size_t hash_joins_;
+  StatementStatsEntry* stats_entry_;
+};
+static_assert(sizeof(PlanRuntime) % alignof(HashJoinRuntime) == 0);
 
 /// Runtime counters for one plan node, accumulated across loops (EXPLAIN
 /// ANALYZE). `elapsed_us` is inclusive of child nodes, Postgres-style.
@@ -118,15 +159,26 @@ class RowCallback {
   Result<bool> (*call_)(const void*);
 };
 
-/// Executes bound SELECT statements. Stateless apart from the stats sink,
-/// the optional bind-parameter values, and the optional plan profile; one
-/// instance can run many queries. `stats` is a per-execution object owned
-/// by the caller, so concurrent executors never share mutable state.
+/// Executes bound SELECT statements against one database: `tables`
+/// resolves the plan's catalog slots, and `runtime` (that database's block
+/// for the plan; needed only when the plan holds hash joins) keeps the
+/// joins' key sets. Stateless apart from those, the stats sink, the
+/// optional bind-parameter values, and the optional plan profile; one
+/// instance can run many queries of the same plan. `stats` is a
+/// per-execution object owned by the caller, so concurrent executors never
+/// share mutable state beyond the runtime block's locked key sets.
 class Executor {
  public:
-  explicit Executor(ExecStats* stats, const std::vector<Value>* params = nullptr,
+  explicit Executor(ExecStats* stats, TableSlots tables = {},
+                    const std::vector<Value>* params = nullptr,
+                    PlanRuntime* runtime = nullptr,
                     PlanProfile* profile = nullptr, ExecConfig config = {})
-      : stats_(stats), params_(params), profile_(profile), config_(config) {}
+      : stats_(stats),
+        tables_(tables),
+        params_(params),
+        runtime_(runtime),
+        profile_(profile),
+        config_(config) {}
 
   /// Runs a bound SELECT and materializes the full result.
   Result<QueryResult> RunSelect(const SelectStmt& stmt);
@@ -265,7 +317,9 @@ class Executor {
                       const std::vector<Row>& order_keys);
 
   ExecStats* stats_;
+  TableSlots tables_;
   const std::vector<Value>* params_;  // null = statement takes no parameters
+  PlanRuntime* runtime_;  // null = the plan holds no hash joins
   PlanProfile* profile_;  // null = no per-node actuals collected
   ExecConfig config_;
 
@@ -304,7 +358,8 @@ void CollectIndexableEqualities(const Expr* where, size_t slot,
 /// mode) so the per-query hot path does not re-derive them. Called from
 /// Database::BindAndPlan after planning; the hints describe the final tree.
 /// The headers' shared_ptr is placed, finalized, in `arena`.
-void PrecomputeExecHints(SelectStmt* stmt, StatementArena* arena);
+void PrecomputeExecHints(SelectStmt* stmt, TableSlots tables,
+                         StatementArena* arena);
 
 }  // namespace p3pdb::sqldb
 

@@ -138,10 +138,11 @@ void ExplainSelect(const SelectStmt& stmt, int depth,
     Indent(depth + 1, out);
     out->append("scan ");
     out->append(ref.alias);
-    if (ref.table == nullptr) {
+    if (ref.table == kNoSlot) {
       out->append(" (unbound)\n");
       continue;
     }
+    const Table& table = options.tables[ref.table];
     // Annotated statements carry the planner's final access path (the cost
     // model may have overridden the syntactic index choice); un-annotated
     // ones re-derive the syntactic choice, matching the scalar executor.
@@ -151,7 +152,7 @@ void ExplainSelect(const SelectStmt& stmt, int depth,
     bool seq_forced = false;
     if (!stmt.slot_plans.empty()) {
       const SlotPlan& sp = stmt.slot_plans[slot];
-      index = sp.index;
+      if (sp.has_index()) index = table.indexes()[sp.index].get();
       key_exprs.assign(sp.key_exprs.begin(), sp.key_exprs.end());
       est_rows = sp.est_rows;
       seq_forced = sp.seq_forced;
@@ -164,7 +165,7 @@ void ExplainSelect(const SelectStmt& stmt, int depth,
         for (const IndexableEquality& eq : equalities) {
           ordinals.push_back(eq.column_ordinal);
         }
-        index = ref.table->FindIndexCovering(ordinals);
+        index = table.FindIndexCovering(ordinals);
       }
       if (index != nullptr) {
         for (size_t ord : index->column_ordinals()) {
@@ -183,7 +184,7 @@ void ExplainSelect(const SelectStmt& stmt, int depth,
       std::vector<std::string> cols;
       const std::vector<size_t>& ordinals = index->column_ordinals();
       for (size_t i = 0; i < ordinals.size(); ++i) {
-        std::string col = ref.table->schema().columns()[ordinals[i]].name;
+        std::string col = table.schema().columns()[ordinals[i]].name;
         if (i < key_exprs.size() && key_exprs[i] != nullptr) {
           col += " = " + RenderKeyExpr(*key_exprs[i], options);
         }
@@ -206,10 +207,6 @@ void ExplainSelect(const SelectStmt& stmt, int depth,
 }
 
 }  // namespace
-
-std::string ExplainPlan(const SelectStmt& stmt) {
-  return ExplainPlan(stmt, ExplainOptions{});
-}
 
 std::string ExplainPlan(const SelectStmt& stmt,
                         const ExplainOptions& options) {

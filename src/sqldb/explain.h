@@ -12,12 +12,15 @@
 
 #include "sqldb/ast.h"
 #include "sqldb/executor.h"
+#include "sqldb/table.h"
 #include "sqldb/value.h"
 
 namespace p3pdb::sqldb {
 
-/// Optional decorations for the plan text.
+/// The database a plan is rendered for, and optional decorations.
 struct ExplainOptions {
+  /// The tables the plan's catalog slots name: the rendering database's.
+  TableSlots tables;
   /// When set, `?` placeholders in index-key expressions render with their
   /// bound value — `?[=3]` — so parameterized-mode plans are readable.
   const std::vector<Value>* params = nullptr;
@@ -39,7 +42,6 @@ struct ExplainOptions {
 /// With `options.profile`, nodes carry actuals:
 ///
 ///   select (actual rows=1 loops=1 time=12.4us)
-std::string ExplainPlan(const SelectStmt& stmt);
 std::string ExplainPlan(const SelectStmt& stmt, const ExplainOptions& options);
 
 }  // namespace p3pdb::sqldb

@@ -151,7 +151,7 @@ bool SelectContainsParam(const SelectStmt& s) {
   return false;
 }
 
-using TableList = std::pmr::vector<const Table*>;
+using TableList = std::pmr::vector<CatalogSlot>;
 using ExprList = std::pmr::vector<ExprPtr>;
 using ExprViewList = std::pmr::vector<const Expr*>;
 
@@ -160,7 +160,7 @@ void CollectTablesExpr(const Expr& e, TableList* out);
 /// Every table the select reads, FROM lists of nested subqueries included.
 void CollectTables(const SelectStmt& s, TableList* out) {
   for (const TableRef& tr : s.from) {
-    if (tr.table != nullptr) out->push_back(tr.table);
+    if (tr.table != kNoSlot) out->push_back(tr.table);
   }
   if (s.where != nullptr) CollectTablesExpr(*s.where, out);
 }
@@ -441,11 +441,11 @@ double ConjSelectivity(const Expr& e, size_t slot, const Table& table,
 /// `skip_escaping` additionally drops conjuncts referencing enclosing
 /// scopes — the build-side estimate, where correlation equalities are
 /// stripped before the build executes. Temporaries come from `scratch`.
-double EstimateSlotRows(const SelectStmt& s, size_t slot,
+double EstimateSlotRows(const SelectStmt& s, size_t slot, TableSlots tables,
                         const StatsCatalog& catalog, bool skip_escaping,
                         std::pmr::memory_resource* scratch) {
-  const Table* table = s.from[slot].table;
-  if (table == nullptr) return 0.0;
+  if (s.from[slot].table == kNoSlot) return 0.0;
+  const Table* table = &tables[s.from[slot].table];
   double rows = catalog.EstimatedRows(table);
   if (s.where == nullptr) return rows;
   ExprViewList conjuncts(scratch);
@@ -460,13 +460,13 @@ double EstimateSlotRows(const SelectStmt& s, size_t slot,
 }
 
 /// Estimated row combinations a select enumerates (product over FROM).
-double EstimateSelectRows(const SelectStmt& s, const StatsCatalog& catalog,
-                          bool skip_escaping,
+double EstimateSelectRows(const SelectStmt& s, TableSlots tables,
+                          const StatsCatalog& catalog, bool skip_escaping,
                           std::pmr::memory_resource* scratch) {
   if (s.from.empty()) return 0.0;
   double rows = 1.0;
   for (size_t slot = 0; slot < s.from.size(); ++slot) {
-    rows *= EstimateSlotRows(s, slot, catalog, skip_escaping, scratch);
+    rows *= EstimateSlotRows(s, slot, tables, catalog, skip_escaping, scratch);
   }
   return rows;
 }
@@ -477,9 +477,10 @@ constexpr double kCorrelatedBuildFactor = 8.0;
 
 class Planner {
  public:
-  Planner(StatementArena* arena, ExecStats* stats,
+  Planner(TableSlots tables, StatementArena* arena, ExecStats* stats,
           const StatsCatalog* catalog, std::pmr::memory_resource* scratch)
-      : arena_(arena),
+      : tables_(tables),
+        arena_(arena),
         stats_(stats),
         catalog_(catalog),
         scratch_(scratch),
@@ -493,6 +494,9 @@ class Planner {
     }
     path_.pop_back();
   }
+
+  /// Hash joins placed so far (the next join's ordinal).
+  uint32_t hash_joins() const { return hash_joins_; }
 
  private:
   /// How one top-level conjunct of a candidate subquery classifies.
@@ -542,9 +546,9 @@ class Planner {
       scope = path_[path_.size() - static_cast<size_t>(ref.level)];
     }
     if (ref.table_slot >= scope->from.size()) return std::nullopt;
-    const Table* table = scope->from[ref.table_slot].table;
-    if (table == nullptr) return std::nullopt;
-    const auto& columns = table->schema().columns();
+    const CatalogSlot table = scope->from[ref.table_slot].table;
+    if (table == kNoSlot) return std::nullopt;
+    const auto& columns = tables_[table].schema().columns();
     if (ref.column_ordinal >= columns.size()) return std::nullopt;
     return columns[ref.column_ordinal].type;
   }
@@ -644,7 +648,7 @@ class Planner {
     std::sort(deps.begin(), deps.end());
     deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
     join->dep_tables = arena_->MoveArray(deps.data(), deps.size());
-    join->runtime = arena_->NewFinalized<HashJoinRuntime>();
+    join->ordinal = hash_joins_++;
 
     if (stats_ != nullptr) {
       if (join->anti) {
@@ -679,16 +683,18 @@ class Planner {
       ordinals.push_back(inner->column_ordinal);
     }
     if (!have_slot || inner_slot >= sub.from.size()) return false;
-    const Table* table = sub.from[inner_slot].table;
-    if (table == nullptr || table->FindIndexCovering(ordinals) == nullptr) {
+    const CatalogSlot table = sub.from[inner_slot].table;
+    if (table == kNoSlot ||
+        tables_[table].FindIndexCovering(ordinals) == nullptr) {
       return false;
     }
-    const double build_rows =
-        EstimateSelectRows(sub, *catalog_, /*skip_escaping=*/true, scratch_);
+    const double build_rows = EstimateSelectRows(
+        sub, tables_, *catalog_, /*skip_escaping=*/true, scratch_);
     const double outer_rows =
-        path_.empty() ? 1.0
-                      : EstimateSelectRows(*path_.back(), *catalog_,
-                                           /*skip_escaping=*/false, scratch_);
+        path_.empty()
+            ? 1.0
+            : EstimateSelectRows(*path_.back(), tables_, *catalog_,
+                                 /*skip_escaping=*/false, scratch_);
     return build_rows > kCorrelatedBuildFactor * std::max(1.0, outer_rows);
   }
 
@@ -741,7 +747,7 @@ class Planner {
         // Correlations were stripped into the keys, so no escaping
         // conjuncts remain in the build's WHERE.
         j->est_build_rows = EstimateSelectRows(
-            *j->build, *catalog_, /*skip_escaping=*/false, scratch_);
+            *j->build, tables_, *catalog_, /*skip_escaping=*/false, scratch_);
         return;
       }
       default:
@@ -749,26 +755,30 @@ class Planner {
     }
   }
 
+  TableSlots tables_;  // the planning database's
   StatementArena* arena_;  // where rewrite nodes are placed
   ExecStats* stats_;
   const StatsCatalog* catalog_;  // null = pure rule-based planning
   std::pmr::memory_resource* scratch_;  // temporaries
   std::pmr::vector<const SelectStmt*> path_;  // enclosing selects, innermost last
+  uint32_t hash_joins_ = 0;
 };
 
 }  // namespace
 
-void PlanSelect(SelectStmt* stmt, StatementArena* arena, ExecStats* stats,
-                const StatsCatalog* catalog,
+void PlanSelect(SelectStmt* stmt, TableSlots tables, StatementArena* arena,
+                ExecStats* stats, const StatsCatalog* catalog,
                 std::pmr::memory_resource* scratch) {
-  Planner planner(arena, stats, catalog, scratch);
+  Planner planner(tables, arena, stats, catalog, scratch);
   planner.Plan(stmt);
+  stmt->hash_joins = planner.hash_joins();
 }
 
 namespace {
 
 /// What AnnotateOne needs besides the statement.
 struct Annotation {
+  TableSlots tables;      // the planning database's
   StatementArena* arena;  // where slot plans are placed
   const StatsCatalog* catalog;
   ExecStats* stats;
@@ -776,6 +786,15 @@ struct Annotation {
 };
 
 void AnnotateExpr(const Expr& e, const Annotation& a);
+
+/// `index`'s position in `table`'s index list: what a SlotPlan records.
+int32_t IndexOrdinal(const Table& table, const Index* index) {
+  const auto& indexes = table.indexes();
+  for (size_t i = 0; i < indexes.size(); ++i) {
+    if (indexes[i].get() == index) return static_cast<int32_t>(i);
+  }
+  return SlotPlan::kSeqScan;
+}
 
 /// Resolves the access path of every FROM slot of `stmt`, mirroring the
 /// executor's per-scan derivation exactly (same equality collection, same
@@ -788,8 +807,11 @@ void AnnotateOne(SelectStmt* stmt, const Annotation& a) {
   stmt->slot_plans = a.arena->NewArray<SlotPlan>(stmt->from.size());
   for (size_t slot = 0; slot < stmt->from.size(); ++slot) {
     SlotPlan& sp = stmt->slot_plans[slot];
-    const Table* table = stmt->from[slot].table;
-    if (table == nullptr) continue;  // unbound (defensive); scalar would fail
+    if (stmt->from[slot].table == kNoSlot) {
+      continue;  // unbound (defensive); scalar would fail
+    }
+    const Table* table = &a.tables[stmt->from[slot].table];
+    const Index* index = nullptr;
     std::pmr::vector<IndexableEquality> equalities(a.scratch);
     CollectIndexableEqualities(stmt->where.get(), slot, &equalities);
     if (!equalities.empty()) {
@@ -798,15 +820,15 @@ void AnnotateOne(SelectStmt* stmt, const Annotation& a) {
       for (const IndexableEquality& eq : equalities) {
         available.push_back(eq.column_ordinal);
       }
-      sp.index = table->FindIndexCovering(available);
+      index = table->FindIndexCovering(available);
     }
     if (a.catalog != nullptr) {
       const double table_rows = a.catalog->EstimatedRows(table);
-      if (sp.index == nullptr) {
+      if (index == nullptr) {
         sp.est_rows = table_rows;
       } else {
         double key_sel = 1.0;
-        for (size_t ord : sp.index->column_ordinals()) {
+        for (size_t ord : index->column_ordinals()) {
           key_sel *= EqSelectivity(*table, ord, *a.catalog);
         }
         // Index vs seq: a lookup expected to return around half the table
@@ -816,7 +838,7 @@ void AnnotateOne(SelectStmt* stmt, const Annotation& a) {
         // above 2 => selectivity slightly below 0.5) still trips it. Tiny
         // tables are left alone — either plan touches a handful of rows.
         if (key_sel >= 0.45 && table_rows >= 4.0) {
-          sp.index = nullptr;
+          index = nullptr;
           sp.seq_forced = true;
           sp.est_rows = table_rows;
           if (a.stats != nullptr) ++a.stats->cost_seq_forced;
@@ -826,8 +848,9 @@ void AnnotateOne(SelectStmt* stmt, const Annotation& a) {
       }
     }
     // Probe keys only for the index that survived the cost check.
-    if (sp.index != nullptr) {
-      const std::vector<size_t>& ordinals = sp.index->column_ordinals();
+    if (index != nullptr) {
+      sp.index = IndexOrdinal(*table, index);
+      const std::vector<size_t>& ordinals = index->column_ordinals();
       sp.key_exprs = a.arena->NewArray<const Expr*>(ordinals.size());
       for (size_t k = 0; k < ordinals.size(); ++k) {
         for (const IndexableEquality& eq : equalities) {
@@ -898,10 +921,10 @@ void AnnotateExpr(const Expr& e, const Annotation& a) {
 
 }  // namespace
 
-void AnnotateSelect(SelectStmt* stmt, StatementArena* arena,
+void AnnotateSelect(SelectStmt* stmt, TableSlots tables, StatementArena* arena,
                     const StatsCatalog* catalog, ExecStats* stats,
                     std::pmr::memory_resource* scratch) {
-  AnnotateOne(stmt, Annotation{arena, catalog, stats, scratch});
+  AnnotateOne(stmt, Annotation{tables, arena, catalog, stats, scratch});
 }
 
 }  // namespace p3pdb::sqldb

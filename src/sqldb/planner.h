@@ -40,6 +40,7 @@
 
 #include "sqldb/ast.h"
 #include "sqldb/query_result.h"
+#include "sqldb/table.h"
 
 namespace p3pdb::sqldb {
 
@@ -64,11 +65,17 @@ class StatsCatalog;
 /// for EXPLAIN. Rewrites and cost decisions are tallied into `stats` (the
 /// semi/anti-join rewrite and cost_* counters) when it is non-null.
 ///
+/// `tables` are the planning database's: the planner reads their schemas,
+/// indexes and statistics, and records catalog slots (a join's
+/// dependencies) in the plan. Each HashJoinExpr gets the next ordinal, and
+/// `stmt->hash_joins` the count, so a PlanRuntime block can hold the joins'
+/// key sets.
+///
 /// The nodes and lists a rewrite creates (the HashJoinExpr and its key and
 /// dependency lists, the residual AND of the build's local conjuncts) are
 /// placed in `arena`, the arena of the root statement `stmt` belongs to,
 /// each list once at its final size; temporary vectors come from `scratch`.
-void PlanSelect(SelectStmt* stmt, StatementArena* arena,
+void PlanSelect(SelectStmt* stmt, TableSlots tables, StatementArena* arena,
                 ExecStats* stats = nullptr,
                 const StatsCatalog* catalog = nullptr,
                 std::pmr::memory_resource* scratch =
@@ -87,9 +94,11 @@ void PlanSelect(SelectStmt* stmt, StatementArena* arena,
 /// NDV key) that the lookup would return most of the table anyway; each
 /// override ticks `stats->cost_seq_forced` when `stats` is non-null.
 ///
-/// The slot plans and their key lists are placed in `arena` (the root
-/// statement's); temporary vectors come from `scratch`.
-void AnnotateSelect(SelectStmt* stmt, StatementArena* arena,
+/// A slot plan names its index by ordinal in the slot's table (of
+/// `tables`, the planning database's). The slot plans and their key lists
+/// are placed in `arena` (the root statement's); temporary vectors come
+/// from `scratch`.
+void AnnotateSelect(SelectStmt* stmt, TableSlots tables, StatementArena* arena,
                     const StatsCatalog* catalog = nullptr,
                     ExecStats* stats = nullptr,
                     std::pmr::memory_resource* scratch =

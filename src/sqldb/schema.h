@@ -3,6 +3,7 @@
 #ifndef P3PDB_SQLDB_SCHEMA_H_
 #define P3PDB_SQLDB_SCHEMA_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -12,6 +13,12 @@
 #include "sqldb/value.h"
 
 namespace p3pdb::sqldb {
+
+/// A table's position in its database's creation-order table array (see
+/// TableSlots, table.h). A dropped table's slot stays empty, so slots are
+/// stable for the life of a schema identity.
+using CatalogSlot = uint32_t;
+inline constexpr CatalogSlot kNoSlot = UINT32_MAX;
 
 /// Declared column type. kText covers both VARCHAR(n) and TEXT; length
 /// limits are parsed but not enforced (matching common engines' permissive

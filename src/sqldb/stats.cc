@@ -290,7 +290,7 @@ void StatsCatalog::MaybeBumpEpochLocked(TableEntry* entry) {
   const bool shrank = anchor >= 16 && now * 2 < anchor;
   if (!grew && !shrank) return;
   entry->epoch_anchor_rows = now;
-  epoch_.fetch_add(1, std::memory_order_relaxed);
+  epoch_->fetch_add(1, std::memory_order_relaxed);
   epoch_bumps_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -114,7 +114,9 @@ struct StatsCounters {
 /// below 0.5x) of the count it had when its plans were last costed. Cached
 /// plans stamp the epoch they were costed under; a mismatch tells the plan
 /// cache the cardinality landscape moved enough that the cost choices may
-/// no longer hold, so the entry is dropped and re-costed.
+/// no longer hold, so the entry is dropped and re-costed. The databases
+/// sharing one PlanCache point their catalogs at the cache's epoch
+/// (ShareEpoch), so a drift on any of them re-costs the shared plans.
 class StatsCatalog : public TableObserver {
  public:
   StatsCatalog() = default;
@@ -158,7 +160,10 @@ class StatsCatalog : public TableObserver {
   /// Full snapshot for tests and the admin endpoint; nullopt if untracked.
   std::optional<TableStatsSnapshot> Snapshot(const Table* table) const;
 
-  uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
+  uint64_t epoch() const { return epoch_->load(std::memory_order_relaxed); }
+  /// Bumps (and reads) `*epoch` instead of the catalog's own counter from
+  /// now on; `*epoch` must outlive the catalog.
+  void ShareEpoch(std::atomic<uint64_t>* epoch) { epoch_ = epoch; }
   StatsCounters counters() const;
 
  private:
@@ -192,7 +197,8 @@ class StatsCatalog : public TableObserver {
 
   mutable std::mutex mu_;  // guards the map only; entries have their own
   std::unordered_map<const Table*, std::unique_ptr<TableEntry>> entries_;
-  std::atomic<uint64_t> epoch_{0};
+  std::atomic<uint64_t> own_epoch_{0};
+  std::atomic<uint64_t>* epoch_ = &own_epoch_;
   mutable std::atomic<uint64_t> updates_{0};
   mutable std::atomic<uint64_t> rebuilds_{0};
   std::atomic<uint64_t> epoch_bumps_{0};

@@ -229,6 +229,27 @@ class Table {
   std::vector<TableObserver*> observers_;
 };
 
+/// A database's tables by catalog slot: its creation-order table array, in
+/// which a dropped table leaves an empty slot. Bound plans name tables by
+/// slot (TableRef::table, HashJoinExpr::dep_tables) and every execution
+/// resolves them through the executing database's TableSlots, so one plan
+/// serves every database with the planner's schema identity. A view: valid
+/// until the next CREATE TABLE, which the callers' serialization keeps
+/// apart from executions.
+class TableSlots {
+ public:
+  TableSlots() = default;
+  explicit TableSlots(std::span<const std::unique_ptr<Table>> tables)
+      : tables_(tables) {}
+
+  /// The table at a slot the binder resolved (never an empty one: a DROP
+  /// changes the schema identity, so no plan naming the slot runs after).
+  const Table& operator[](CatalogSlot slot) const { return *tables_[slot]; }
+
+ private:
+  std::span<const std::unique_ptr<Table>> tables_;
+};
+
 }  // namespace p3pdb::sqldb
 
 #endif  // P3PDB_SQLDB_TABLE_H_

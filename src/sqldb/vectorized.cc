@@ -575,12 +575,13 @@ Status Executor::ScanSlotVectorized(
     const SelectStmt& stmt, ScopeStack& stack, Scope& scope, size_t slot,
     const RowCallback& on_row, bool* stopped,
     PlanNodeStats* node) {
-  const Table* table = stmt.from[slot].table;
+  const Table* table = &tables_[stmt.from[slot].table];
   const SlotPlan& sp = stmt.slot_plans[slot];
 
   // Access path from the plan annotation (no per-scan equality collection).
   const std::vector<size_t>* row_ids = nullptr;
-  if (sp.index != nullptr) {
+  if (sp.has_index()) {
+    const Index& index = *table->indexes()[sp.index];
     ++stats_->index_lookups;
     // Probe with a non-owning view over stack values: the per-match rule
     // queries do one of these per execution, and the owned-IndexKey vector
@@ -593,7 +594,7 @@ Status Executor::ScanSlotVectorized(
         P3PDB_ASSIGN_OR_RETURN(key_vals[i], Eval(*sp.key_exprs[i], stack));
         key_ptrs[i] = &key_vals[i];
       }
-      row_ids = sp.index->Lookup(IndexKeyView{key_ptrs, sp.key_exprs.size()});
+      row_ids = index.Lookup(IndexKeyView{key_ptrs, sp.key_exprs.size()});
     } else {
       IndexKey key;
       key.values.reserve(sp.key_exprs.size());
@@ -601,7 +602,7 @@ Status Executor::ScanSlotVectorized(
         P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*key_expr, stack));
         key.values.push_back(std::move(v));
       }
-      row_ids = sp.index->Lookup(key);
+      row_ids = index.Lookup(key);
     }
     if (row_ids == nullptr) return Status::OK();
   } else {

@@ -64,6 +64,38 @@ TEST(PolicyServerTest, VersioningTracksReinstalls) {
   EXPECT_EQ(server->PolicyVersion("unknown"), 0);
 }
 
+TEST(PolicyServerTest, InstallsOfDistinctNamesShareOnePlan) {
+  // An install looks up the name's latest version with the name bound as a
+  // parameter: one cached plan serves every install, instead of one plan
+  // per name that a shared plan cache would carry until evicted. With the
+  // cost model on, the growing catalog still drifts its tables past 2x
+  // now and then, and each drift re-plans (a re-cost, not a new text).
+  for (const bool cost_model : {false, true}) {
+    SCOPED_TRACE(cost_model ? "cost model" : "rule-only");
+    PolicyServer::Options options;
+    options.enable_cost_model = cost_model;
+    auto server = MustCreate(options);
+    const sqldb::Database& db = *server->database();
+    const std::vector<p3p::Policy> corpus =
+        workload::FortuneCorpus({.policy_count = 50});
+    const auto new_texts = [&db, before = db.stats()] {
+      const sqldb::ExecStats now = db.stats();
+      return (now.plans_built - before.plans_built) -
+             (now.plan_recosts - before.plan_recosts);
+    };
+    for (const p3p::Policy& policy : corpus) {
+      ASSERT_TRUE(server->InstallPolicy(policy).ok()) << policy.name;
+    }
+    EXPECT_LE(new_texts(), 2u);
+    if (!cost_model) EXPECT_EQ(db.stats().plan_recosts, 0u);
+    // Reading the versions back plans one more statement, not one per name.
+    for (const p3p::Policy& policy : corpus) {
+      ASSERT_TRUE(server->PolicyXml(policy.name, 1).ok()) << policy.name;
+    }
+    EXPECT_LE(new_texts(), 3u);
+  }
+}
+
 TEST(PolicyServerTest, ReferenceFileResolvesToLatestVersion) {
   auto server = MustCreate({});
   ASSERT_TRUE(server->InstallPolicy(VolgaPolicy()).ok());

@@ -14,11 +14,13 @@
 #include <vector>
 
 #include "appel/model.h"
+#include "common/random.h"
 #include "server/policy_server.h"
 #include "server/sharded_server.h"
 #include "workload/corpus.h"
 #include "workload/jrc_preferences.h"
 #include "workload/paper_examples.h"
+#include "workload/random_preferences.h"
 
 namespace p3pdb::server {
 namespace {
@@ -267,6 +269,132 @@ TEST(ServingTierTest, HealthzAndMetricsExposeShards) {
   EXPECT_NE(metrics.find("p3p_shard_1_policies"), std::string::npos);
   EXPECT_NE(metrics.find("p3p_shard_0_matches_total"), std::string::npos);
   EXPECT_NE(metrics.find("p3p_installs_total"), std::string::npos);
+}
+
+/// One installed global id per shard of `tier`.
+std::vector<int64_t> OnePolicyPerShard(ShardedPolicyServer& tier) {
+  std::vector<int64_t> ids(tier.shard_count(), -1);
+  for (int64_t id : tier.GlobalPolicyIds()) {
+    int64_t& slot = ids[static_cast<size_t>(id) % tier.shard_count()];
+    if (slot < 0) slot = id;
+  }
+  return ids;
+}
+
+/// The rule queries a match executed: every rule up to the one that fired,
+/// or all of them when none did.
+size_t RulesExecuted(const CompiledPreference& pref, const MatchResult& m) {
+  return m.fired_rule_index >= 0 ? static_cast<size_t>(m.fired_rule_index) + 1
+                                 : pref.sql.rule_queries.size();
+}
+
+/// Sum of the "calls" fields in one shard's array of the tier's
+/// /statements JSON.
+uint64_t ShardStatementCalls(const std::string& json, size_t shard) {
+  const std::string key = "\"shard_" + std::to_string(shard) + "\":";
+  size_t pos = json.find(key);
+  if (pos == std::string::npos) return 0;
+  const size_t end = json.find("\"shard_", pos + key.size());
+  uint64_t calls = 0;
+  const std::string field = "\"calls\": ";
+  while ((pos = json.find(field, pos)) < end) {
+    pos += field.size();
+    calls += std::stoull(json.substr(pos, json.find(',', pos) - pos));
+  }
+  return calls;
+}
+
+// The replicas share one plan cache, so a preference's rule queries are
+// planned once for the whole tier: matching it against one policy on each
+// of the four shards plans each distinct rule text those matches execute
+// exactly once, and every other execution of a text — on the shards that
+// did not plan it too — is a plan-cache hit. Before the cache was shared,
+// each shard planned each text itself (about four times as many plans).
+// The counts are the ones the tier's /metrics exports.
+TEST(ServingTierTest, ShardsShareOnePlanPerRuleText) {
+  const std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
+  auto tier = ShardedPolicyServer::Create(TierOptions(4));
+  ASSERT_TRUE(tier.ok()) << tier.status().message();
+  for (const p3p::Policy& policy : corpus) {
+    ASSERT_TRUE(tier.value()->InstallPolicy(policy).ok());
+  }
+  const std::vector<int64_t> ids = OnePolicyPerShard(*tier.value());
+  ASSERT_EQ(ids.size(), 4u);
+  for (int64_t id : ids) ASSERT_GE(id, 0);
+
+  std::set<std::string> distinct;
+  size_t executions = 0;
+  const sqldb::PlanCacheStats before = tier.value()->plan_cache().stats();
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Random rng(seed);
+    auto pref = tier.value()->CompilePreference(workload::RandomPreference(
+        &rng, workload::RandomPreferenceOptions{}));
+    ASSERT_TRUE(pref.ok()) << pref.status().message();
+    for (int64_t id : ids) {
+      auto match = tier.value()->MatchPolicyId(pref.value(), id);
+      ASSERT_TRUE(match.ok()) << match.status().message();
+      const size_t ran = RulesExecuted(pref.value(), match.value());
+      for (size_t i = 0; i < ran; ++i) {
+        distinct.insert(pref.value().sql.rule_queries[i]);
+      }
+      executions += ran;
+    }
+  }
+  const sqldb::PlanCacheStats after = tier.value()->plan_cache().stats();
+  ASSERT_GT(executions, distinct.size());  // some text ran on two shards
+  EXPECT_EQ(after.plans_built - before.plans_built, distinct.size());
+  EXPECT_EQ(after.hits - before.hits, executions - distinct.size());
+  EXPECT_EQ(after.misses - before.misses, distinct.size());
+  EXPECT_EQ(after.evictions, 0u);
+
+  const std::string metrics = tier.value()->RenderMetricsText();
+  for (const std::string& line : std::vector<std::string>{
+           "p3p_plan_cache_hits_total " + std::to_string(after.hits),
+        "p3p_plan_cache_misses_total " + std::to_string(after.misses),
+        "p3p_plan_cache_plans_built_total " +
+            std::to_string(after.plans_built),
+        std::string("p3p_plan_cache_evictions_total 0"),
+        "p3p_plan_cache_entries " + std::to_string(after.entries)}) {
+    EXPECT_NE(metrics.find(line + "\n"), std::string::npos) << line;
+  }
+}
+
+// With statement stats on, a replica executing a plan another shard built
+// tallies the execution in its own registry: each shard's /statements
+// counts exactly the rule queries that ran on that shard.
+TEST(ServingTierTest, EachShardCountsItsOwnStatements) {
+  const std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
+  ShardedPolicyServer::Options options = TierOptions(4);
+  options.enable_statement_stats = true;
+  options.enable_match_cache = false;  // every match runs its rule queries
+  auto tier = ShardedPolicyServer::Create(options);
+  ASSERT_TRUE(tier.ok()) << tier.status().message();
+  for (const p3p::Policy& policy : corpus) {
+    ASSERT_TRUE(tier.value()->InstallPolicy(policy).ok());
+  }
+  const std::vector<int64_t> ids = OnePolicyPerShard(*tier.value());
+  const std::string before = tier.value()->RenderStatementStatsJson(0);
+  std::vector<uint64_t> ran(4, 0);
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Random rng(seed);
+    auto pref = tier.value()->CompilePreference(workload::RandomPreference(
+        &rng, workload::RandomPreferenceOptions{}));
+    ASSERT_TRUE(pref.ok()) << pref.status().message();
+    for (size_t k = 0; k < ids.size(); ++k) {
+      // Twice per shard: the second run is a plan hit on every shard.
+      for (int rep = 0; rep < 2; ++rep) {
+        auto match = tier.value()->MatchPolicyId(pref.value(), ids[k]);
+        ASSERT_TRUE(match.ok()) << match.status().message();
+        if (rep == 0) ran[k] += 2 * RulesExecuted(pref.value(), match.value());
+      }
+    }
+  }
+  const std::string after = tier.value()->RenderStatementStatsJson(0);
+  for (size_t k = 0; k < ids.size(); ++k) {
+    EXPECT_EQ(ShardStatementCalls(after, k) - ShardStatementCalls(before, k),
+              ran[k])
+        << "shard " << k;
+  }
 }
 
 // Durable tier: reopening from the same storage directory must reproduce

@@ -15,6 +15,7 @@
 #include "common/random.h"
 #include "sqldb/database.h"
 #include "sqldb/executor.h"
+#include "sqldb/plan_cache.h"
 
 namespace p3pdb::sqldb {
 namespace {
@@ -507,6 +508,144 @@ TEST_P(SqldbRandomTest, VectorizedEquivalenceDifferential) {
   EXPECT_GT(vec_stats.vectorized_filters, 0u);
   EXPECT_EQ(scalar_stats.batches, 0u);
   EXPECT_EQ(scalar_stats.vectorized_filters, 0u);
+}
+
+/// Fills the plan-equivalence battery's tables t (with the extra column `d`
+/// when `wide`), u and s with the rows `data_seed` draws: the same skewed
+/// shape as PlannerEquivalenceDifferential, so the cost model's choices
+/// fire.
+void FillBatteryRows(Database* db, uint64_t data_seed, bool wide) {
+  Random rng(data_seed);
+  static const char* texts[] = {"x", "y", "z", "w", "xz", "xyz"};
+  auto maybe_null_int = [&](double p_null, int64_t hi) {
+    return rng.Bernoulli(p_null) ? Value::Null()
+                                 : Value::Integer(rng.UniformInt(0, hi));
+  };
+  auto text = [&](double p_null) {
+    return rng.Bernoulli(p_null) ? Value::Null()
+                                 : Value::Text(texts[rng.Uniform(6)]);
+  };
+  for (int i = 0; i < 40; ++i) {
+    Row row{maybe_null_int(0.25, 5), maybe_null_int(0.25, 5), text(0.2)};
+    if (wide) row.push_back(Value::Integer(i));
+    ASSERT_TRUE(db->InsertRow("t", std::move(row)).ok());
+  }
+  for (int i = 0; i < 400; ++i) {
+    Value k = rng.Bernoulli(0.15)
+                  ? Value::Null()
+                  : Value::Integer(std::min(rng.UniformInt(0, 5),
+                                            rng.UniformInt(0, 5)));
+    Row row{std::move(k), maybe_null_int(0.25, 5), text(0.3)};
+    ASSERT_TRUE(db->InsertRow("u", std::move(row)).ok());
+  }
+  for (int i = 0; i < 15; ++i) {
+    ASSERT_TRUE(db->InsertRow("s", {maybe_null_int(0.25, 5),
+                                    maybe_null_int(0.25, 3)})
+                    .ok());
+  }
+}
+
+// Shared-plan equivalence: a plan one member of a PlanCache built runs on
+// every other member of the same schema identity, against that member's
+// own rows and with its own hash-join key sets. Two databases with one
+// schema and different rows share a cache; every random query runs on
+// both, each planning every other query first, and both must return what
+// a private-cache twin holding the same rows returns. Two more databases
+// join the same cache with a schema that differs — an extra column in t,
+// or u's two secondary indexes created in the other order (which flips the
+// composite correlation's index choice, so a foreign plan would probe the
+// wrong index) — and must never receive a foreign plan: they plan exactly
+// as often as their private twins, and return the twins' rows.
+TEST_P(SqldbRandomTest, SharedPlanEquivalenceDifferential) {
+  const uint64_t seed = GetParam();
+  Random rng(seed * 15485863 + 5);
+  const Database::Options private_options{.enable_planner = true,
+                                          .enable_plan_cache = true,
+                                          .enable_cost_model = true};
+  Database::Options shared_options = private_options;
+  shared_options.plan_cache = std::make_shared<PlanCache>(256);
+  const std::string narrow_t =
+      "CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR(4));";
+  const std::string wide_t =
+      "CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR(4), d INTEGER);";
+  const std::string u_s =
+      "CREATE TABLE u (k INTEGER, v INTEGER, w VARCHAR(4));"
+      "CREATE TABLE s (m INTEGER, n INTEGER);";
+  const std::string k_then_v =
+      "CREATE INDEX u_k ON u (k); CREATE INDEX u_v ON u (v);";
+  const std::string v_then_k =
+      "CREATE INDEX u_v ON u (v); CREATE INDEX u_k ON u (k);";
+  struct Member {
+    std::string schema;
+    bool wide;
+  };
+  const Member members[] = {{narrow_t + u_s + k_then_v, false},
+                            {narrow_t + u_s + k_then_v, false},
+                            {wide_t + u_s + k_then_v, true},
+                            {narrow_t + u_s + v_then_k, false}};
+  const char* names[] = {"shared-a", "shared-b", "extra-column",
+                         "index-order"};
+  constexpr size_t kMembers = 4;
+  std::vector<std::unique_ptr<Database>> shared;
+  std::vector<std::unique_ptr<Database>> twin;
+  for (size_t i = 0; i < kMembers; ++i) {
+    shared.push_back(std::make_unique<Database>(shared_options));
+    twin.push_back(std::make_unique<Database>(private_options));
+    for (Database* db : {shared[i].get(), twin[i].get()}) {
+      ASSERT_TRUE(db->ExecuteScript(members[i].schema).ok());
+      FillBatteryRows(db, seed * 31 + i, members[i].wide);
+    }
+  }
+  EXPECT_EQ(shared[0]->schema_identity(), shared[1]->schema_identity());
+  EXPECT_EQ(shared[0]->schema_identity(), twin[0]->schema_identity());
+  EXPECT_NE(shared[0]->schema_identity(), shared[2]->schema_identity());
+  EXPECT_NE(shared[0]->schema_identity(), shared[3]->schema_identity());
+
+  PredicateGen scalar(&rng);
+  ExistsGen sub(&rng);
+  for (int trial = 0; trial < 90; ++trial) {
+    std::string where = sub.Generate();
+    if (rng.Bernoulli(0.5)) {
+      Predicate p = scalar.Generate(2);
+      where = "(" + where + (rng.Bernoulli(0.5) ? " AND " : " OR ") + p.sql +
+              ")";
+    }
+    const std::string sql = "SELECT a, b, c FROM t WHERE " + where;
+    // Alternate which of the pair plans the statement; the odd schemas run
+    // it after both.
+    const size_t order[kMembers] = {trial % 2 == 0 ? 0u : 1u,
+                                    trial % 2 == 0 ? 1u : 0u, 2, 3};
+    for (size_t i : order) {
+      auto got = shared[i]->Execute(sql);
+      auto want = twin[i]->Execute(sql);
+      ASSERT_TRUE(got.ok()) << names[i] << ": " << got.status() << "\n"
+                            << sql;
+      ASSERT_TRUE(want.ok()) << want.status() << "\n" << sql;
+      ASSERT_EQ(got.value().ToString(), want.value().ToString())
+          << names[i] << "\n" << sql;
+    }
+  }
+
+  // The pair shared its plans: between them it built fewer than its twins
+  // did, and took the difference as hits.
+  const uint64_t pair_built =
+      shared[0]->stats().plans_built + shared[1]->stats().plans_built;
+  const uint64_t twins_built =
+      twin[0]->stats().plans_built + twin[1]->stats().plans_built;
+  EXPECT_LT(pair_built, twins_built);
+  EXPECT_GT(shared[0]->stats().plan_cache_hits +
+                shared[1]->stats().plan_cache_hits,
+            twin[0]->stats().plan_cache_hits +
+                twin[1]->stats().plan_cache_hits);
+  EXPECT_GT(shared[1]->stats().hash_join_builds, 0u);
+  // The odd schemas never got a foreign plan.
+  for (size_t i = 2; i < kMembers; ++i) {
+    EXPECT_EQ(shared[i]->stats().plans_built, twin[i]->stats().plans_built)
+        << names[i];
+    EXPECT_EQ(shared[i]->stats().plan_cache_hits,
+              twin[i]->stats().plan_cache_hits)
+        << names[i];
+  }
 }
 
 TEST_P(SqldbRandomTest, DistinctAndOrderByAgreeWithBruteForce) {
