@@ -50,6 +50,8 @@ class Binder {
  private:
   using ScopeStack = std::pmr::vector<SelectStmt*>;
   Status BindSelectImpl(SelectStmt* stmt, ScopeStack* stack);
+  /// Binds the clauses of `stmt`, already the innermost scope on `stack`.
+  Status BindSelectBody(SelectStmt* stmt, ScopeStack* stack);
   Status BindExpr(Expr* expr, ScopeStack* stack, bool allow_aggregates);
   Status BindColumnRef(ColumnRefExpr* ref, const ScopeStack& stack);
 

@@ -1,13 +1,16 @@
 // Query executor.
 //
-// Evaluation is tuple-at-a-time over nested loops. For each table in a FROM
-// list the executor picks an access path: when the WHERE clause contains
-// equality conjuncts binding indexed columns of that table to values already
+// Evaluation is tuple-at-a-time over nested loops. Each table in a FROM
+// list is positioned through the access path the planner annotated on the
+// statement (AnnotateSelect, planner.h): a hash-index point lookup when the
+// WHERE clause equates indexed columns of that table with values already
 // available (outer-scope tables of a correlated subquery, or earlier tables
-// in the same FROM list), it performs a hash-index point lookup; otherwise
-// it scans. Correlated EXISTS subqueries are re-evaluated per outer row with
-// early-out on the first matching row — the execution shape DB2 would pick
-// for the highly selective key joins of the generated APPEL queries.
+// in the same FROM list), otherwise a scan. Correlated EXISTS subqueries are
+// re-evaluated per outer row with early-out on the first matching row — the
+// execution shape DB2 would pick for the highly selective key joins of the
+// generated APPEL queries. The executor decides nothing the binder or
+// planner recorded: access paths, aggregate mode, result headers and ORDER
+// BY targets are all read from the bound statement.
 
 #ifndef P3PDB_SQLDB_EXECUTOR_H_
 #define P3PDB_SQLDB_EXECUTOR_H_
@@ -15,7 +18,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <memory_resource>
 #include <mutex>
 #include <unordered_set>
 #include <utility>
@@ -128,8 +130,8 @@ class PlanProfile {
 };
 
 /// Execution-mode knobs, passed down from Database::Options. `vectorized`
-/// turns on the batch scan/filter path for annotated statements (see
-/// vectorized.cc); the scalar path is untouched when it is off.
+/// turns on the chunked filter of the innermost filtered slot (see
+/// vectorized.cc); off, every slot runs row at a time.
 struct ExecConfig {
   bool vectorized = false;
   uint32_t chunk_size = 1024;
@@ -278,23 +280,18 @@ class Executor {
   Status EnumerateRows(const SelectStmt& stmt, ScopeStack& stack, Scope& scope,
                        size_t slot, const RowCallback& on_row,
                        bool* stopped);
-  /// The per-slot body of EnumerateRows (access-path choice and row loop);
-  /// `node` collects actuals when profiling, else nullptr.
+  // --- Scans (vectorized.cc) -----------------------------------------------
+  /// The per-slot body of EnumerateRows: positions `slot` through its
+  /// annotated access path (SlotPlan) and loops over the rows. With
+  /// config_.vectorized on, the innermost filtered slot (vector_filter)
+  /// gathers rows into chunks and evaluates the WHERE clause with the chunk
+  /// kernels in EvalPredicateChunk; every other slot, and every slot with it
+  /// off, runs row at a time. Both loops have the same semantics
+  /// (three-valued logic, NULL join verdicts, error messages). `node`
+  /// collects actuals when profiling, else nullptr.
   Status ScanSlot(const SelectStmt& stmt, ScopeStack& stack, Scope& scope,
                   size_t slot, const RowCallback& on_row,
                   bool* stopped, PlanNodeStats* node);
-
-  // --- Vectorized path (vectorized.cc) -------------------------------------
-  // ScanSlot dispatches here when config_.vectorized is set and the
-  // statement carries slot_plans. The annotated access path replaces the
-  // per-scan equality collection; the innermost filtered slot additionally
-  // gathers rows into chunks and evaluates the WHERE clause with the chunk
-  // kernels in EvalPredicateChunk. Semantics are identical to the scalar
-  // path (three-valued logic, NULL join verdicts, error messages).
-  Status ScanSlotVectorized(const SelectStmt& stmt, ScopeStack& stack,
-                            Scope& scope, size_t slot,
-                            const RowCallback& on_row,
-                            bool* stopped, PlanNodeStats* node);
   /// Evaluates `expr` as a predicate over the active rows of the current
   /// chunk, writing tri-state verdicts (false/true/null) into `out` at the
   /// active positions. `active`/`n_active` is a selection vector of chunk
@@ -310,8 +307,7 @@ class Executor {
   Result<QueryResult> RunAggregateSelect(const SelectStmt& stmt,
                                          ScopeStack& stack);
 
-  Status ApplyDistinctOrderLimit(const SelectStmt& stmt, ScopeStack& stack,
-                                 QueryResult* result,
+  Status ApplyDistinctOrderLimit(const SelectStmt& stmt, QueryResult* result,
                                  const std::vector<Row>& order_keys);
   Status SortAndLimit(const SelectStmt& stmt, QueryResult* result,
                       const std::vector<Row>& order_keys);
@@ -340,24 +336,9 @@ class Executor {
 bool SqlLikeMatch(std::string_view text, std::string_view pattern,
                   char escape_char = '\0');
 
-/// An equality conjunct usable for an index lookup when positioning FROM
-/// slot `slot`: a column of that slot equated with an expression whose
-/// inputs are already available. Shared between the executor's access-path
-/// choice and EXPLAIN.
-struct IndexableEquality {
-  size_t column_ordinal;
-  const Expr* key_expr;
-};
-
-/// Appends the indexable equalities for `slot` of a bound WHERE clause to
-/// `out` (its temporaries use `out`'s memory resource).
-void CollectIndexableEqualities(const Expr* where, size_t slot,
-                                std::pmr::vector<IndexableEquality>* out);
-
-/// Fills the bound statement's execution hints (column headers, aggregate
-/// mode) so the per-query hot path does not re-derive them. Called from
-/// Database::BindAndPlan after planning; the hints describe the final tree.
-/// The headers' shared_ptr is placed, finalized, in `arena`.
+/// Renders the bound root SELECT's result column headers once, so no
+/// execution re-derives them. Called from Database::BindAndPlan after
+/// planning. The headers' shared_ptr is placed, finalized, in `arena`.
 void PrecomputeExecHints(SelectStmt* stmt, TableSlots tables,
                          StatementArena* arena);
 

@@ -138,64 +138,22 @@ void ExplainSelect(const SelectStmt& stmt, int depth,
     Indent(depth + 1, out);
     out->append("scan ");
     out->append(ref.alias);
-    if (ref.table == kNoSlot) {
-      out->append(" (unbound)\n");
-      continue;
-    }
     const Table& table = options.tables[ref.table];
-    // Annotated statements carry the planner's final access path (the cost
-    // model may have overridden the syntactic index choice); un-annotated
-    // ones re-derive the syntactic choice, matching the scalar executor.
-    const Index* index = nullptr;
-    std::vector<const Expr*> key_exprs;
-    double est_rows = -1.0;
-    bool seq_forced = false;
-    if (!stmt.slot_plans.empty()) {
-      const SlotPlan& sp = stmt.slot_plans[slot];
-      if (sp.has_index()) index = table.indexes()[sp.index].get();
-      key_exprs.assign(sp.key_exprs.begin(), sp.key_exprs.end());
-      est_rows = sp.est_rows;
-      seq_forced = sp.seq_forced;
-    } else {
-      std::pmr::vector<IndexableEquality> equalities;
-      CollectIndexableEqualities(stmt.where.get(), slot, &equalities);
-      if (!equalities.empty()) {
-        std::vector<size_t> ordinals;
-        ordinals.reserve(equalities.size());
-        for (const IndexableEquality& eq : equalities) {
-          ordinals.push_back(eq.column_ordinal);
-        }
-        index = table.FindIndexCovering(ordinals);
-      }
-      if (index != nullptr) {
-        for (size_t ord : index->column_ordinals()) {
-          const Expr* key_expr = nullptr;
-          for (const IndexableEquality& eq : equalities) {
-            if (eq.column_ordinal == ord) {
-              key_expr = eq.key_expr;
-              break;
-            }
-          }
-          key_exprs.push_back(key_expr);
-        }
-      }
-    }
-    if (index != nullptr) {
+    const SlotPlan& sp = stmt.slot_plans[slot];
+    if (sp.has_index()) {
+      const Index& index = *table.indexes()[sp.index];
       std::vector<std::string> cols;
-      const std::vector<size_t>& ordinals = index->column_ordinals();
+      const std::vector<size_t>& ordinals = index.column_ordinals();
       for (size_t i = 0; i < ordinals.size(); ++i) {
-        std::string col = table.schema().columns()[ordinals[i]].name;
-        if (i < key_exprs.size() && key_exprs[i] != nullptr) {
-          col += " = " + RenderKeyExpr(*key_exprs[i], options);
-        }
-        cols.push_back(std::move(col));
+        cols.push_back(table.schema().columns()[ordinals[i]].name + " = " +
+                       RenderKeyExpr(*sp.key_exprs[i], options));
       }
-      out->append(" (index " + index->name() + " on " + Join(cols, ", ") +
+      out->append(" (index " + index.name() + " on " + Join(cols, ", ") +
                   ")");
     } else {
       out->append(" (seq scan)");
     }
-    AppendEstimate(est_rows, seq_forced, out);
+    AppendEstimate(sp.est_rows, sp.seq_forced, out);
     if (options.profile != nullptr) {
       AppendActuals(options.profile->FindScan(&stmt, slot), options, out);
     }

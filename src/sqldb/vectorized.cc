@@ -1,14 +1,14 @@
-// Vectorized batch executor: the chunked scan/filter path of Executor.
+// Executor::ScanSlot and the vectorized batch executor's chunked filter.
 //
-// Scans of annotated statements (SelectStmt::slot_plans, see
-// planner.cc:AnnotateSelect) run here instead of the scalar ScanSlot body.
-// Outer FROM slots still position one row at a time — that preserves the
-// EXISTS early-out contract exactly — but they take their access path from
-// the plan annotation instead of re-deriving it per scan. The innermost
-// slot with a WHERE clause gathers live rows into chunks of row pointers
-// and evaluates the predicate with per-operator kernels over a selection
-// vector, so the interpreter recursion, Result<Value> plumbing, and Value
-// copies of the scalar path are amortized over whole chunks:
+// Every scan takes its access path from the plan annotation
+// (SelectStmt::slot_plans, see planner.cc:AnnotateSelect) and probes an
+// index with a non-owning IndexKeyView. Outer FROM slots position one row
+// at a time — that preserves the EXISTS early-out contract exactly — and so
+// does every slot when ExecConfig::vectorized is off. With it on, the
+// innermost slot with a WHERE clause gathers live rows into chunks of row
+// pointers and evaluates the predicate with per-operator kernels over a
+// selection vector, so the interpreter recursion, Result<Value> plumbing,
+// and Value copies of the row loop are amortized over whole chunks:
 //
 //   - comparisons, IN lists, LIKE, and IS NULL run as tight loops over
 //     operand "slices" (a broadcast scalar, a column of the chunk, or a
@@ -571,14 +571,13 @@ Status Executor::EvalPredicateChunk(const Expr& expr, size_t slot,
   }
 }
 
-Status Executor::ScanSlotVectorized(
-    const SelectStmt& stmt, ScopeStack& stack, Scope& scope, size_t slot,
-    const RowCallback& on_row, bool* stopped,
-    PlanNodeStats* node) {
+Status Executor::ScanSlot(const SelectStmt& stmt, ScopeStack& stack,
+                          Scope& scope, size_t slot, const RowCallback& on_row,
+                          bool* stopped, PlanNodeStats* node) {
   const Table* table = &tables_[stmt.from[slot].table];
   const SlotPlan& sp = stmt.slot_plans[slot];
 
-  // Access path from the plan annotation (no per-scan equality collection).
+  // Access path from the plan annotation.
   const std::vector<size_t>* row_ids = nullptr;
   if (sp.has_index()) {
     const Index& index = *table->indexes()[sp.index];
@@ -609,29 +608,22 @@ Status Executor::ScanSlotVectorized(
     ++stats_->full_scans;
   }
 
-  if (!sp.vector_filter) {
-    // Outer slot or no WHERE: identical row-at-a-time loop to the scalar
-    // path (per-row early-out stays exact), annotation-driven access path.
-    if (row_ids != nullptr) {
-      for (size_t row_id : *row_ids) {
-        if (!table->IsLive(row_id)) continue;
-        ++stats_->rows_scanned;
-        if (node != nullptr) ++node->rows;
-        scope.rows[slot] = &table->RowAt(row_id);
-        P3PDB_RETURN_IF_ERROR(
-            EnumerateRows(stmt, stack, scope, slot + 1, on_row, stopped));
-        if (*stopped) break;
-      }
-    } else {
-      for (size_t row_id = 0; row_id < table->SlotCount(); ++row_id) {
-        if (!table->IsLive(row_id)) continue;
-        ++stats_->rows_scanned;
-        if (node != nullptr) ++node->rows;
-        scope.rows[slot] = &table->RowAt(row_id);
-        P3PDB_RETURN_IF_ERROR(
-            EnumerateRows(stmt, stack, scope, slot + 1, on_row, stopped));
-        if (*stopped) break;
-      }
+  const size_t candidates =
+      row_ids != nullptr ? row_ids->size() : table->SlotCount();
+  if (!config_.vectorized || !sp.vector_filter) {
+    // Row at a time: every slot with the batch executor off, else outer
+    // slots and slots without a WHERE (per-row early-out stays exact). The
+    // WHERE is applied once the innermost slot is positioned
+    // (EnumerateRows' terminal case).
+    for (size_t i = 0; i < candidates; ++i) {
+      const size_t row_id = row_ids != nullptr ? (*row_ids)[i] : i;
+      if (!table->IsLive(row_id)) continue;
+      ++stats_->rows_scanned;
+      if (node != nullptr) ++node->rows;
+      scope.rows[slot] = &table->RowAt(row_id);
+      P3PDB_RETURN_IF_ERROR(
+          EnumerateRows(stmt, stack, scope, slot + 1, on_row, stopped));
+      if (*stopped) break;
     }
     scope.rows[slot] = nullptr;
     return Status::OK();
@@ -640,11 +632,9 @@ Status Executor::ScanSlotVectorized(
   // Tiny row sources skip the chunk machinery entirely: the match path's
   // per-policy point lookups position one or two rows, where scratch
   // leasing and kernel dispatch cost more than they amortize. The row loop
-  // is the scalar innermost loop (filter then emit), which also keeps the
-  // per-row early-out exact for EXISTS consumers of small scans.
+  // filters then emits, which also keeps the per-row early-out exact for
+  // EXISTS consumers of small scans.
   constexpr size_t kSmallScan = 16;
-  const size_t candidates =
-      row_ids != nullptr ? row_ids->size() : table->SlotCount();
   if (candidates <= kSmallScan) {
     for (size_t i = 0; i < candidates && !*stopped; ++i) {
       const size_t row_id = row_ids != nullptr ? (*row_ids)[i] : i;

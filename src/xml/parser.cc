@@ -14,7 +14,7 @@ class Cursor {
   explicit Cursor(std::string_view input) : input_(input) {}
 
   bool AtEnd() const { return pos_ >= input_.size(); }
-  char Peek() const { return input_[pos_]; }
+  char Peek() const { return PeekAt(0); }
   char PeekAt(size_t offset) const {
     size_t i = pos_ + offset;
     return i < input_.size() ? input_[i] : '\0';

@@ -188,9 +188,15 @@ TEST(SharedPlanCacheTest, DdlChangesTheIdentityAndOnlyTheIdentity) {
   ASSERT_TRUE(a.Execute("DROP TABLE child").ok());
   EXPECT_NE(a.schema_identity(), indexed);
   // Planning options shape plans, so they are part of the identity too.
+  Database::Options costed = RuleOptions(nullptr);
+  costed.enable_cost_model = !costed.enable_cost_model;
+  EXPECT_NE(Database(costed).schema_identity(),
+            Database(RuleOptions(nullptr)).schema_identity());
+  // The executor choice does not: every plan carries the same annotation,
+  // and the batch executor is a per-database way of running it.
   Database::Options scalar = RuleOptions(nullptr);
   scalar.enable_vectorized_executor = !scalar.enable_vectorized_executor;
-  EXPECT_NE(Database(scalar).schema_identity(),
+  EXPECT_EQ(Database(scalar).schema_identity(),
             Database(RuleOptions(nullptr)).schema_identity());
 }
 

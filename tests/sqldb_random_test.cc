@@ -424,12 +424,13 @@ TEST_P(SqldbRandomTest, PlannerEquivalenceDifferential) {
 
 // Vectorized-executor differential: the same generated battery (scalar
 // predicates, rewritable and non-rewritable EXISTS) runs on a vectorized
-// database and a scalar-executor database and must return identical rows in
-// identical order — chunked scans, selection-vector kernels, and batched
-// hash-join probes against the row-at-a-time ground truth. The stats
-// assertions prove the vectorized side actually emitted batches (a cutoff
-// that silently routed everything through the scalar loop would pass
-// vacuously) and that the scalar side never did.
+// database and two scalar-executor databases, one with the cost model on
+// and one with it off, and must return identical rows in identical order —
+// chunked scans, selection-vector kernels, and batched hash-join probes
+// against the row-at-a-time ground truth. The stats assertions prove the
+// vectorized side actually emitted batches (a cutoff that silently routed
+// everything through the scalar loop would pass vacuously) and that the
+// scalar sides never did.
 TEST_P(SqldbRandomTest, VectorizedEquivalenceDifferential) {
   Random rng(GetParam() * 104729 + 3);
   Database vec(Database::Options{.enable_planner = true,
@@ -438,17 +439,27 @@ TEST_P(SqldbRandomTest, VectorizedEquivalenceDifferential) {
   Database scalar(Database::Options{.enable_planner = true,
                                     .enable_plan_cache = true,
                                     .enable_vectorized_executor = false});
+  // Row at a time and uncosted: otherwise only CI's P3PDB_NO_VECTORIZE step
+  // runs annotated plans without cost estimates on the row loop.
+  Database::Options uncosted;
+  uncosted.enable_planner = true;
+  uncosted.enable_plan_cache = true;
+  uncosted.enable_cost_model = false;
+  uncosted.enable_vectorized_executor = false;
+  Database plain(uncosted);
   const char* schema =
       "CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR(4));"
       "CREATE TABLE u (k INTEGER, v INTEGER, w VARCHAR(4));"
       "CREATE TABLE s (m INTEGER, n INTEGER);";
-  ASSERT_TRUE(vec.ExecuteScript(schema).ok());
-  ASSERT_TRUE(scalar.ExecuteScript(schema).ok());
+  for (Database* db : {&vec, &scalar, &plain}) {
+    ASSERT_TRUE(db->ExecuteScript(schema).ok());
+  }
 
   static const char* texts[] = {"x", "y", "z", "w", "xz", "xyz"};
-  auto insert_both = [&](const char* table, Row row) {
-    ASSERT_TRUE(vec.InsertRow(table, row).ok());
-    ASSERT_TRUE(scalar.InsertRow(table, std::move(row)).ok());
+  auto insert_all = [&](const char* table, const Row& row) {
+    for (Database* db : {&vec, &scalar, &plain}) {
+      ASSERT_TRUE(db->InsertRow(table, row).ok());
+    }
   };
   auto maybe_null_int = [&](double p_null, int64_t hi) {
     return rng.Bernoulli(p_null) ? Value::Null()
@@ -462,7 +473,7 @@ TEST_P(SqldbRandomTest, VectorizedEquivalenceDifferential) {
     row.push_back(maybe_null_int(0.25, 5));
     row.push_back(rng.Bernoulli(0.2) ? Value::Null()
                                      : Value::Text(texts[rng.Uniform(6)]));
-    insert_both("t", std::move(row));
+    insert_all("t", row);
   }
   for (int i = 0; i < 50; ++i) {
     Row row;
@@ -470,13 +481,13 @@ TEST_P(SqldbRandomTest, VectorizedEquivalenceDifferential) {
     row.push_back(maybe_null_int(0.25, 5));
     row.push_back(rng.Bernoulli(0.3) ? Value::Null()
                                      : Value::Text(texts[rng.Uniform(6)]));
-    insert_both("u", std::move(row));
+    insert_all("u", row);
   }
   for (int i = 0; i < 15; ++i) {
     Row row;
     row.push_back(maybe_null_int(0.25, 5));
     row.push_back(maybe_null_int(0.25, 3));
-    insert_both("s", std::move(row));
+    insert_all("s", row);
   }
 
   PredicateGen scalar_gen(&rng);
@@ -496,9 +507,12 @@ TEST_P(SqldbRandomTest, VectorizedEquivalenceDifferential) {
     const std::string sql = "SELECT a, b, c FROM t WHERE " + where;
     auto v = vec.Execute(sql);
     auto s = scalar.Execute(sql);
+    auto p = plain.Execute(sql);
     ASSERT_TRUE(v.ok()) << v.status() << "\n" << sql;
     ASSERT_TRUE(s.ok()) << s.status() << "\n" << sql;
+    ASSERT_TRUE(p.ok()) << p.status() << "\n" << sql;
     ASSERT_EQ(v.value().ToString(), s.value().ToString()) << sql;
+    ASSERT_EQ(v.value().ToString(), p.value().ToString()) << sql;
   }
 
   const ExecStats vec_stats = vec.stats();
@@ -508,6 +522,7 @@ TEST_P(SqldbRandomTest, VectorizedEquivalenceDifferential) {
   EXPECT_GT(vec_stats.vectorized_filters, 0u);
   EXPECT_EQ(scalar_stats.batches, 0u);
   EXPECT_EQ(scalar_stats.vectorized_filters, 0u);
+  EXPECT_EQ(plain.stats().batches, 0u);
 }
 
 /// Fills the plan-equivalence battery's tables t (with the extra column `d`

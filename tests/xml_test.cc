@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
@@ -91,6 +93,14 @@ TEST(XmlParserTest, MismatchedEndTagFails) {
 
 TEST(XmlParserTest, UnterminatedElementFails) {
   EXPECT_FALSE(Parse("<a><b/>").ok());
+  // Every proper prefix ends the input inside some construct; the parser
+  // must report it without reading past the end (`<a x=` peeks for a quote
+  // at end of input).
+  const std::string whole = "<a x=\"1\">t</a>";
+  ASSERT_TRUE(Parse(whole).ok());
+  for (size_t n = 0; n < whole.size(); ++n) {
+    EXPECT_FALSE(Parse(whole.substr(0, n)).ok()) << whole.substr(0, n);
+  }
 }
 
 TEST(XmlParserTest, TrailingContentFails) {
