@@ -8,6 +8,10 @@
 // The binder annotates the tree in place (column refs get scope coordinates,
 // table refs get catalog slots); see binder.h.
 //
+// Which children each expression kind has is stated once, in AnyChild at
+// the end of this file; the binder, the planner and EXPLAIN walk the tree
+// through it (see "Tree walks").
+//
 // A bound plan names no object of the database that planned it: tables by
 // catalog slot (their position in the database's creation-order table
 // array), indexes by ordinal within their table, and a hash join's mutable
@@ -721,6 +725,117 @@ struct ExplainStmt : Statement {
   ArenaPtr<SelectStmt> select;
   bool analyze = false;
 };
+
+// ---------------------------------------------------------------------------
+// Tree walks
+// ---------------------------------------------------------------------------
+//
+// Which children each expression kind has, stated once. The binder, the
+// planner's structural predicates (parameter, escape and table collection,
+// slot estimability and availability, annotation) and EXPLAIN walk the
+// tree through these and keep only their per-kind decisions. Code
+// that computes a different result for each kind (Executor::Eval, the chunk
+// kernels, selectivity estimation, ToSql) and the rewrites that act only at
+// AND/OR/NOT positions keep their own switches.
+
+/// Calls `pred` on each direct child expression of `e`, left to right,
+/// until it returns true; returns whether it did. `E` is `Expr` or
+/// `const Expr`, and the child is passed as an `E&`. The children are:
+/// comparison left, right; AND/OR operands; NOT and IS NULL operand; IN
+/// operand, then items; LIKE operand, pattern; an aggregate's argument
+/// (none for COUNT(*)); a hash join's probe keys. A subquery is not a child
+/// expression: see SubqueryOf. Nothing here allocates.
+template <typename E, typename Pred>
+bool AnyChild(E& e, Pred&& pred) {
+  static_assert(std::is_same_v<std::remove_const_t<E>, Expr>);
+  const auto any_of = [&pred](const ArenaVector<ExprPtr>& list) {
+    for (const ExprPtr& child : list) {
+      if (pred(static_cast<E&>(*child))) return true;
+    }
+    return false;
+  };
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+    case ExprKind::kParam:
+    case ExprKind::kColumnRef:
+    case ExprKind::kExists:  // its subquery: SubqueryOf
+      return false;
+    case ExprKind::kComparison: {
+      const auto& c = static_cast<const ComparisonExpr&>(e);
+      return pred(static_cast<E&>(*c.left)) || pred(static_cast<E&>(*c.right));
+    }
+    case ExprKind::kLogical:
+      return any_of(static_cast<const LogicalExpr&>(e).operands);
+    case ExprKind::kNot:
+      return pred(static_cast<E&>(*static_cast<const NotExpr&>(e).operand));
+    case ExprKind::kIsNull:
+      return pred(static_cast<E&>(*static_cast<const IsNullExpr&>(e).operand));
+    case ExprKind::kInList: {
+      const auto& in = static_cast<const InListExpr&>(e);
+      return pred(static_cast<E&>(*in.operand)) || any_of(in.items);
+    }
+    case ExprKind::kLike: {
+      const auto& lk = static_cast<const LikeExpr&>(e);
+      return pred(static_cast<E&>(*lk.operand)) ||
+             pred(static_cast<E&>(*lk.pattern));
+    }
+    case ExprKind::kAggregate: {
+      const auto& agg = static_cast<const AggregateExpr&>(e);
+      return agg.arg != nullptr && pred(static_cast<E&>(*agg.arg));
+    }
+    case ExprKind::kHashJoin:  // its build side: SubqueryOf
+      return any_of(static_cast<const HashJoinExpr&>(e).probe_keys);
+  }
+  return false;
+}
+
+/// Calls `f` on each direct child expression of `e`, in AnyChild's order.
+template <typename E, typename F>
+void ForEachChild(E& e, F&& f) {
+  AnyChild(e, [&f](E& child) {
+    f(child);
+    return false;
+  });
+}
+
+/// The SELECT nested directly in `e`: an EXISTS subquery or a hash join's
+/// build side; null for every other kind. Like ArenaPtr, shallow-const.
+inline SelectStmt* SubqueryOf(const Expr& e) {
+  if (e.kind == ExprKind::kExists) {
+    return static_cast<const ExistsExpr&>(e).subquery.get();
+  }
+  if (e.kind == ExprKind::kHashJoin) {
+    return static_cast<const HashJoinExpr&>(e).build.get();
+  }
+  return nullptr;
+}
+
+/// Calls `pred` on each clause expression of `s` until it returns true, and
+/// returns whether it did: WHERE first, then the non-star select items,
+/// GROUP BY and ORDER BY. The FROM list and nested SELECTs are the caller's.
+template <typename Pred>
+bool AnyClause(const SelectStmt& s, Pred&& pred) {
+  if (s.where != nullptr && pred(*s.where)) return true;
+  for (const SelectItem& item : s.items) {
+    if (!item.is_star && pred(*item.expr)) return true;
+  }
+  for (const ExprPtr& g : s.group_by) {
+    if (pred(*g)) return true;
+  }
+  for (const OrderByItem& ob : s.order_by) {
+    if (pred(*ob.expr)) return true;
+  }
+  return false;
+}
+
+/// Calls `f` on each clause expression of `s`, in AnyClause's order.
+template <typename F>
+void ForEachClause(const SelectStmt& s, F&& f) {
+  AnyClause(s, [&f](const Expr& e) {
+    f(e);
+    return false;
+  });
+}
 
 }  // namespace p3pdb::sqldb
 

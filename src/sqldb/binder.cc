@@ -9,45 +9,9 @@
 namespace p3pdb::sqldb {
 
 bool ContainsAggregate(const Expr& expr) {
-  switch (expr.kind) {
-    case ExprKind::kAggregate:
-      return true;
-    case ExprKind::kComparison: {
-      const auto& c = static_cast<const ComparisonExpr&>(expr);
-      return ContainsAggregate(*c.left) || ContainsAggregate(*c.right);
-    }
-    case ExprKind::kLogical: {
-      const auto& l = static_cast<const LogicalExpr&>(expr);
-      for (const auto& op : l.operands) {
-        if (ContainsAggregate(*op)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kNot:
-      return ContainsAggregate(*static_cast<const NotExpr&>(expr).operand);
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(expr);
-      if (ContainsAggregate(*in.operand)) return true;
-      for (const auto& item : in.items) {
-        if (ContainsAggregate(*item)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kIsNull:
-      return ContainsAggregate(
-          *static_cast<const IsNullExpr&>(expr).operand);
-    case ExprKind::kLike: {
-      const auto& lk = static_cast<const LikeExpr&>(expr);
-      return ContainsAggregate(*lk.operand) || ContainsAggregate(*lk.pattern);
-    }
-    case ExprKind::kExists:    // subquery boundary
-    case ExprKind::kHashJoin:  // planner-produced, post-binding
-    case ExprKind::kLiteral:
-    case ExprKind::kParam:
-    case ExprKind::kColumnRef:
-      return false;
-  }
-  return false;
+  // An EXISTS subquery is not a child: aggregation stops at its boundary.
+  return expr.kind == ExprKind::kAggregate ||
+         AnyChild(expr, ContainsAggregate);
 }
 
 Status Binder::BindSelect(SelectStmt* stmt) {
@@ -191,68 +155,31 @@ Status Binder::BindSelectBody(SelectStmt* stmt, ScopeStack* stack) {
 Status Binder::BindExpr(Expr* expr, ScopeStack* stack,
                         bool allow_aggregates) {
   switch (expr->kind) {
-    case ExprKind::kLiteral:
-      return Status::OK();
-    case ExprKind::kParam:
-      // Placeholders bind to per-execution values, not catalog state.
-      return Status::OK();
     case ExprKind::kColumnRef:
       return BindColumnRef(static_cast<ColumnRefExpr*>(expr), *stack);
-    case ExprKind::kComparison: {
-      auto* c = static_cast<ComparisonExpr*>(expr);
-      P3PDB_RETURN_IF_ERROR(BindExpr(c->left.get(), stack, false));
-      return BindExpr(c->right.get(), stack, false);
-    }
-    case ExprKind::kLogical: {
-      auto* l = static_cast<LogicalExpr*>(expr);
-      for (ExprPtr& op : l->operands) {
-        P3PDB_RETURN_IF_ERROR(BindExpr(op.get(), stack, false));
-      }
-      return Status::OK();
-    }
-    case ExprKind::kNot:
-      return BindExpr(static_cast<NotExpr*>(expr)->operand.get(), stack,
-                      false);
-    case ExprKind::kExists: {
-      auto* e = static_cast<ExistsExpr*>(expr);
-      return BindSelectImpl(e->subquery.get(), stack);
-    }
-    case ExprKind::kInList: {
-      auto* in = static_cast<InListExpr*>(expr);
-      P3PDB_RETURN_IF_ERROR(BindExpr(in->operand.get(), stack, false));
-      for (ExprPtr& item : in->items) {
-        P3PDB_RETURN_IF_ERROR(BindExpr(item.get(), stack, false));
-      }
-      return Status::OK();
-    }
-    case ExprKind::kIsNull:
-      return BindExpr(static_cast<IsNullExpr*>(expr)->operand.get(), stack,
-                      false);
-    case ExprKind::kLike: {
-      auto* lk = static_cast<LikeExpr*>(expr);
-      P3PDB_RETURN_IF_ERROR(BindExpr(lk->operand.get(), stack, false));
-      return BindExpr(lk->pattern.get(), stack, false);
-    }
-    case ExprKind::kAggregate: {
-      if (!allow_aggregates) {
-        return Status::InvalidArgument("aggregate not allowed here");
-      }
-      auto* agg = static_cast<AggregateExpr*>(expr);
-      if (agg->arg != nullptr) {
-        P3PDB_RETURN_IF_ERROR(BindExpr(agg->arg.get(), stack, false));
-        if (ContainsAggregate(*agg->arg)) {
-          return Status::InvalidArgument("nested aggregates not allowed");
-        }
-      }
-      return Status::OK();
-    }
+    case ExprKind::kExists:
+      return BindSelectImpl(SubqueryOf(*expr), stack);
     case ExprKind::kHashJoin:
       // The planner rewrites EXISTS into hash joins only after binding; a
       // hash join reaching the binder means a plan was re-bound, which the
       // cache never does.
       return Status::Internal("hash join encountered during binding");
+    case ExprKind::kAggregate:
+      if (!allow_aggregates) {
+        return Status::InvalidArgument("aggregate not allowed here");
+      }
+      break;
+    default:
+      break;  // literals and placeholders bind nothing; operators, children
   }
-  return Status::Internal("unhandled expression kind in binder");
+  // Only an item's top may aggregate: an aggregate under an operator or in
+  // another aggregate's argument is rejected.
+  Status st;
+  AnyChild(*expr, [&](Expr& child) {
+    st = BindExpr(&child, stack, /*allow_aggregates=*/false);
+    return !st.ok();
+  });
+  return st;
 }
 
 Status Binder::BindColumnRef(ColumnRefExpr* ref, const ScopeStack& stack) {

@@ -68,54 +68,34 @@ void AppendActuals(const PlanNodeStats* node, const ExplainOptions& options,
 void ExplainSelect(const SelectStmt& stmt, int depth,
                    const ExplainOptions& options, std::string* out);
 
-/// Walks an expression for EXISTS subqueries and explains each.
+/// Explains every subquery in an expression, outermost first.
 void ExplainSubqueries(const Expr& expr, int depth,
                        const ExplainOptions& options, std::string* out) {
-  switch (expr.kind) {
-    case ExprKind::kExists: {
-      const auto& e = static_cast<const ExistsExpr&>(expr);
-      Indent(depth, out);
-      out->append(e.negated ? "not-exists-subquery\n" : "exists-subquery\n");
-      ExplainSelect(*e.subquery, depth + 1, options, out);
-      return;
+  if (expr.kind == ExprKind::kExists) {
+    const auto& e = static_cast<const ExistsExpr&>(expr);
+    Indent(depth, out);
+    out->append(e.negated ? "not-exists-subquery\n" : "exists-subquery\n");
+    ExplainSelect(*e.subquery, depth + 1, options, out);
+  } else if (expr.kind == ExprKind::kHashJoin) {
+    const auto& j = static_cast<const HashJoinExpr&>(expr);
+    Indent(depth, out);
+    out->append(j.anti ? "hash-anti-join" : "hash-semi-join");
+    std::vector<std::string> conds;
+    for (size_t i = 0; i < j.build_keys.size(); ++i) {
+      conds.push_back(j.build_keys[i]->ToSql() + " = " +
+                      RenderKeyExpr(*j.probe_keys[i], options));
     }
-    case ExprKind::kHashJoin: {
-      const auto& j = static_cast<const HashJoinExpr&>(expr);
-      Indent(depth, out);
-      out->append(j.anti ? "hash-anti-join" : "hash-semi-join");
-      std::vector<std::string> conds;
-      for (size_t i = 0; i < j.build_keys.size(); ++i) {
-        conds.push_back(j.build_keys[i]->ToSql() + " = " +
-                        RenderKeyExpr(*j.probe_keys[i], options));
-      }
-      out->append(" on " + Join(conds, ", "));
-      AppendEstimate(j.est_build_rows, /*seq_forced=*/false, out);
-      if (options.profile != nullptr) {
-        AppendActuals(options.profile->FindHashJoin(&j), options, out);
-      }
-      out->push_back('\n');
-      ExplainSelect(*j.build, depth + 1, options, out);
-      return;
+    out->append(" on " + Join(conds, ", "));
+    AppendEstimate(j.est_build_rows, /*seq_forced=*/false, out);
+    if (options.profile != nullptr) {
+      AppendActuals(options.profile->FindHashJoin(&j), options, out);
     }
-    case ExprKind::kLogical:
-      for (const ExprPtr& op :
-           static_cast<const LogicalExpr&>(expr).operands) {
-        ExplainSubqueries(*op, depth, options, out);
-      }
-      return;
-    case ExprKind::kNot:
-      ExplainSubqueries(*static_cast<const NotExpr&>(expr).operand, depth,
-                        options, out);
-      return;
-    case ExprKind::kComparison: {
-      const auto& c = static_cast<const ComparisonExpr&>(expr);
-      ExplainSubqueries(*c.left, depth, options, out);
-      ExplainSubqueries(*c.right, depth, options, out);
-      return;
-    }
-    default:
-      return;
+    out->push_back('\n');
+    ExplainSelect(*j.build, depth + 1, options, out);
   }
+  ForEachChild(expr, [&](const Expr& child) {
+    ExplainSubqueries(child, depth, options, out);
+  });
 }
 
 void ExplainSelect(const SelectStmt& stmt, int depth,
@@ -159,9 +139,10 @@ void ExplainSelect(const SelectStmt& stmt, int depth,
     }
     out->push_back('\n');
   }
-  if (stmt.where != nullptr) {
-    ExplainSubqueries(*stmt.where, depth + 1, options, out);
-  }
+  // WHERE first, then the other clauses: every subquery the executor runs.
+  ForEachClause(stmt, [&](const Expr& e) {
+    ExplainSubqueries(e, depth + 1, options, out);
+  });
 }
 
 }  // namespace

@@ -13,141 +13,27 @@
 namespace p3pdb::sqldb {
 namespace {
 
-bool RefsEscape(const Expr& e, int depth);
-
-/// True when any part of `s` references a scope more than `depth` SELECTs
-/// above it.
-bool SelectRefsEscape(const SelectStmt& s, int depth) {
-  for (const SelectItem& item : s.items) {
-    if (!item.is_star && RefsEscape(*item.expr, depth)) return true;
-  }
-  if (s.where != nullptr && RefsEscape(*s.where, depth)) return true;
-  for (const ExprPtr& g : s.group_by) {
-    if (RefsEscape(*g, depth)) return true;
-  }
-  for (const OrderByItem& ob : s.order_by) {
-    if (RefsEscape(*ob.expr, depth)) return true;
-  }
-  return false;
-}
-
 /// True when `e` contains a column reference that resolves more than
 /// `depth` SELECT levels above where `e` sits.
 bool RefsEscape(const Expr& e, int depth) {
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-    case ExprKind::kParam:
-      return false;
-    case ExprKind::kColumnRef:
-      return static_cast<const ColumnRefExpr&>(e).level > depth;
-    case ExprKind::kComparison: {
-      const auto& c = static_cast<const ComparisonExpr&>(e);
-      return RefsEscape(*c.left, depth) || RefsEscape(*c.right, depth);
-    }
-    case ExprKind::kLogical: {
-      for (const ExprPtr& op : static_cast<const LogicalExpr&>(e).operands) {
-        if (RefsEscape(*op, depth)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kNot:
-      return RefsEscape(*static_cast<const NotExpr&>(e).operand, depth);
-    case ExprKind::kExists:
-      return SelectRefsEscape(*static_cast<const ExistsExpr&>(e).subquery,
-                              depth + 1);
-    case ExprKind::kHashJoin: {
-      const auto& hj = static_cast<const HashJoinExpr&>(e);
-      for (const ExprPtr& pk : hj.probe_keys) {
-        if (RefsEscape(*pk, depth)) return true;
-      }
-      return SelectRefsEscape(*hj.build, depth + 1);
-    }
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(e);
-      if (RefsEscape(*in.operand, depth)) return true;
-      for (const ExprPtr& item : in.items) {
-        if (RefsEscape(*item, depth)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kIsNull:
-      return RefsEscape(*static_cast<const IsNullExpr&>(e).operand, depth);
-    case ExprKind::kLike: {
-      const auto& lk = static_cast<const LikeExpr&>(e);
-      return RefsEscape(*lk.operand, depth) || RefsEscape(*lk.pattern, depth);
-    }
-    case ExprKind::kAggregate: {
-      const auto& agg = static_cast<const AggregateExpr&>(e);
-      return agg.arg != nullptr && RefsEscape(*agg.arg, depth);
-    }
+  if (e.kind == ExprKind::kColumnRef) {
+    return static_cast<const ColumnRefExpr&>(e).level > depth;
   }
-  return true;  // unknown kind: assume the worst
+  if (AnyChild(e, [depth](const Expr& c) { return RefsEscape(c, depth); })) {
+    return true;
+  }
+  const SelectStmt* sub = SubqueryOf(e);
+  return sub != nullptr && AnyClause(*sub, [depth](const Expr& c) {
+           return RefsEscape(c, depth + 1);
+         });
 }
 
-bool SelectContainsParam(const SelectStmt& s);
-
+/// True when `e` contains a `?` placeholder, nested subqueries included.
 bool ContainsParam(const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-    case ExprKind::kColumnRef:
-      return false;
-    case ExprKind::kParam:
-      return true;
-    case ExprKind::kComparison: {
-      const auto& c = static_cast<const ComparisonExpr&>(e);
-      return ContainsParam(*c.left) || ContainsParam(*c.right);
-    }
-    case ExprKind::kLogical: {
-      for (const ExprPtr& op : static_cast<const LogicalExpr&>(e).operands) {
-        if (ContainsParam(*op)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kNot:
-      return ContainsParam(*static_cast<const NotExpr&>(e).operand);
-    case ExprKind::kExists:
-      return SelectContainsParam(*static_cast<const ExistsExpr&>(e).subquery);
-    case ExprKind::kHashJoin: {
-      const auto& hj = static_cast<const HashJoinExpr&>(e);
-      for (const ExprPtr& pk : hj.probe_keys) {
-        if (ContainsParam(*pk)) return true;
-      }
-      return SelectContainsParam(*hj.build);
-    }
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(e);
-      if (ContainsParam(*in.operand)) return true;
-      for (const ExprPtr& item : in.items) {
-        if (ContainsParam(*item)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kIsNull:
-      return ContainsParam(*static_cast<const IsNullExpr&>(e).operand);
-    case ExprKind::kLike: {
-      const auto& lk = static_cast<const LikeExpr&>(e);
-      return ContainsParam(*lk.operand) || ContainsParam(*lk.pattern);
-    }
-    case ExprKind::kAggregate: {
-      const auto& agg = static_cast<const AggregateExpr&>(e);
-      return agg.arg != nullptr && ContainsParam(*agg.arg);
-    }
-  }
-  return true;
-}
-
-bool SelectContainsParam(const SelectStmt& s) {
-  for (const SelectItem& item : s.items) {
-    if (!item.is_star && ContainsParam(*item.expr)) return true;
-  }
-  if (s.where != nullptr && ContainsParam(*s.where)) return true;
-  for (const ExprPtr& g : s.group_by) {
-    if (ContainsParam(*g)) return true;
-  }
-  for (const OrderByItem& ob : s.order_by) {
-    if (ContainsParam(*ob.expr)) return true;
-  }
-  return false;
+  if (e.kind == ExprKind::kParam) return true;
+  if (AnyChild(e, ContainsParam)) return true;
+  const SelectStmt* sub = SubqueryOf(e);
+  return sub != nullptr && AnyClause(*sub, ContainsParam);
 }
 
 using TableList = std::pmr::vector<CatalogSlot>;
@@ -161,49 +47,12 @@ void CollectTables(const SelectStmt& s, TableList* out) {
   for (const TableRef& tr : s.from) {
     if (tr.table != kNoSlot) out->push_back(tr.table);
   }
-  if (s.where != nullptr) CollectTablesExpr(*s.where, out);
+  ForEachClause(s, [out](const Expr& e) { CollectTablesExpr(e, out); });
 }
 
 void CollectTablesExpr(const Expr& e, TableList* out) {
-  switch (e.kind) {
-    case ExprKind::kComparison: {
-      const auto& c = static_cast<const ComparisonExpr&>(e);
-      CollectTablesExpr(*c.left, out);
-      CollectTablesExpr(*c.right, out);
-      return;
-    }
-    case ExprKind::kLogical:
-      for (const ExprPtr& op : static_cast<const LogicalExpr&>(e).operands) {
-        CollectTablesExpr(*op, out);
-      }
-      return;
-    case ExprKind::kNot:
-      CollectTablesExpr(*static_cast<const NotExpr&>(e).operand, out);
-      return;
-    case ExprKind::kExists:
-      CollectTables(*static_cast<const ExistsExpr&>(e).subquery, out);
-      return;
-    case ExprKind::kHashJoin:
-      CollectTables(*static_cast<const HashJoinExpr&>(e).build, out);
-      return;
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(e);
-      CollectTablesExpr(*in.operand, out);
-      for (const ExprPtr& item : in.items) CollectTablesExpr(*item, out);
-      return;
-    }
-    case ExprKind::kIsNull:
-      CollectTablesExpr(*static_cast<const IsNullExpr&>(e).operand, out);
-      return;
-    case ExprKind::kLike: {
-      const auto& lk = static_cast<const LikeExpr&>(e);
-      CollectTablesExpr(*lk.operand, out);
-      CollectTablesExpr(*lk.pattern, out);
-      return;
-    }
-    default:
-      return;
-  }
+  if (const SelectStmt* sub = SubqueryOf(e)) CollectTables(*sub, out);
+  ForEachChild(e, [out](const Expr& c) { CollectTablesExpr(c, out); });
 }
 
 /// Dismantles a tree of nested ANDs into its conjuncts, preserving
@@ -260,46 +109,16 @@ const ColumnRefExpr* SlotColumn(const Expr& e, size_t slot) {
 /// subqueries anywhere, and every level-0 column reference belongs to the
 /// slot (outer references and bind params act as opaque constants).
 bool EstimableForSlot(const Expr& e, size_t slot) {
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-    case ExprKind::kParam:
-      return true;
-    case ExprKind::kColumnRef: {
-      const auto& ref = static_cast<const ColumnRefExpr&>(e);
-      return ref.level != 0 || ref.table_slot == slot;
-    }
-    case ExprKind::kComparison: {
-      const auto& c = static_cast<const ComparisonExpr&>(e);
-      return EstimableForSlot(*c.left, slot) &&
-             EstimableForSlot(*c.right, slot);
-    }
-    case ExprKind::kLogical: {
-      for (const ExprPtr& op : static_cast<const LogicalExpr&>(e).operands) {
-        if (!EstimableForSlot(*op, slot)) return false;
-      }
-      return true;
-    }
-    case ExprKind::kNot:
-      return EstimableForSlot(*static_cast<const NotExpr&>(e).operand, slot);
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(e);
-      if (!EstimableForSlot(*in.operand, slot)) return false;
-      for (const ExprPtr& item : in.items) {
-        if (!EstimableForSlot(*item, slot)) return false;
-      }
-      return true;
-    }
-    case ExprKind::kIsNull:
-      return EstimableForSlot(*static_cast<const IsNullExpr&>(e).operand,
-                              slot);
-    case ExprKind::kLike: {
-      const auto& lk = static_cast<const LikeExpr&>(e);
-      return EstimableForSlot(*lk.operand, slot) &&
-             EstimableForSlot(*lk.pattern, slot);
-    }
-    default:
-      return false;  // EXISTS, hash joins, aggregates
+  if (e.kind == ExprKind::kColumnRef) {
+    const auto& ref = static_cast<const ColumnRefExpr&>(e);
+    return ref.level != 0 || ref.table_slot == slot;
   }
+  if (e.kind == ExprKind::kAggregate || SubqueryOf(e) != nullptr) {
+    return false;
+  }
+  return !AnyChild(e, [slot](const Expr& c) {
+    return !EstimableForSlot(c, slot);
+  });
 }
 
 double EqSelectivity(const Table& table, size_t ordinal,
@@ -555,7 +374,7 @@ class Planner {
   ArenaPtr<HashJoinExpr> TryRewrite(ExistsExpr* exists) {
     SelectStmt* sub = exists->subquery.get();
     if (sub->from.empty() || sub->where == nullptr) return nullptr;
-    if (SelectContainsParam(*sub)) return nullptr;
+    if (AnyClause(*sub, ContainsParam)) return nullptr;
 
     // Phase 1: classify every top-level conjunct without touching the tree.
     ExprViewList view(scratch_);
@@ -799,35 +618,18 @@ struct IndexableEquality {
 /// assigned: either an outer-scope reference (level > 0) or an earlier slot
 /// of the current FROM list. Subqueries are conservatively unavailable.
 bool RefsAvailableForSlot(const Expr& e, size_t slot) {
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-    case ExprKind::kParam:  // bound before execution starts
-      return true;
-    case ExprKind::kColumnRef: {
-      const auto& ref = static_cast<const ColumnRefExpr&>(e);
-      return ref.level > 0 || ref.table_slot < slot;
-    }
-    case ExprKind::kComparison: {
-      const auto& c = static_cast<const ComparisonExpr&>(e);
-      return RefsAvailableForSlot(*c.left, slot) &&
-             RefsAvailableForSlot(*c.right, slot);
-    }
-    case ExprKind::kLogical: {
-      const auto& l = static_cast<const LogicalExpr&>(e);
-      for (const auto& op : l.operands) {
-        if (!RefsAvailableForSlot(*op, slot)) return false;
-      }
-      return true;
-    }
-    case ExprKind::kNot:
-      return RefsAvailableForSlot(*static_cast<const NotExpr&>(e).operand,
-                                  slot);
-    case ExprKind::kIsNull:
-      return RefsAvailableForSlot(*static_cast<const IsNullExpr&>(e).operand,
-                                  slot);
-    default:
-      return false;
+  if (e.kind == ExprKind::kColumnRef) {
+    const auto& ref = static_cast<const ColumnRefExpr&>(e);
+    return ref.level > 0 || ref.table_slot < slot;
   }
+  // Conservatively, no probe key is taken from IN, LIKE or an aggregate.
+  if (e.kind == ExprKind::kInList || e.kind == ExprKind::kLike ||
+      e.kind == ExprKind::kAggregate || SubqueryOf(e) != nullptr) {
+    return false;
+  }
+  return !AnyChild(e, [slot](const Expr& c) {
+    return !RefsAvailableForSlot(c, slot);
+  });
 }
 
 /// Appends the indexable equalities for `slot` of a bound WHERE clause to
@@ -938,61 +740,12 @@ void AnnotateOne(SelectStmt* stmt, const Annotation& a) {
 
 /// Annotates every SELECT nested in `stmt`'s clauses, not `stmt` itself.
 void AnnotateNested(const SelectStmt& stmt, const Annotation& a) {
-  if (stmt.where != nullptr) AnnotateExpr(*stmt.where, a);
-  for (const SelectItem& item : stmt.items) {
-    if (!item.is_star) AnnotateExpr(*item.expr, a);
-  }
-  for (const ExprPtr& g : stmt.group_by) AnnotateExpr(*g, a);
-  for (const OrderByItem& ob : stmt.order_by) AnnotateExpr(*ob.expr, a);
+  ForEachClause(stmt, [&a](const Expr& e) { AnnotateExpr(e, a); });
 }
 
 void AnnotateExpr(const Expr& e, const Annotation& a) {
-  switch (e.kind) {
-    case ExprKind::kComparison: {
-      const auto& c = static_cast<const ComparisonExpr&>(e);
-      AnnotateExpr(*c.left, a);
-      AnnotateExpr(*c.right, a);
-      return;
-    }
-    case ExprKind::kLogical:
-      for (const ExprPtr& op : static_cast<const LogicalExpr&>(e).operands) {
-        AnnotateExpr(*op, a);
-      }
-      return;
-    case ExprKind::kNot:
-      AnnotateExpr(*static_cast<const NotExpr&>(e).operand, a);
-      return;
-    case ExprKind::kExists:
-      AnnotateOne(static_cast<const ExistsExpr&>(e).subquery.get(), a);
-      return;
-    case ExprKind::kHashJoin:
-      AnnotateOne(static_cast<const HashJoinExpr&>(e).build.get(), a);
-      return;
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(e);
-      AnnotateExpr(*in.operand, a);
-      for (const ExprPtr& item : in.items) AnnotateExpr(*item, a);
-      return;
-    }
-    case ExprKind::kIsNull:
-      AnnotateExpr(*static_cast<const IsNullExpr&>(e).operand, a);
-      return;
-    case ExprKind::kLike: {
-      const auto& lk = static_cast<const LikeExpr&>(e);
-      AnnotateExpr(*lk.operand, a);
-      AnnotateExpr(*lk.pattern, a);
-      return;
-    }
-    case ExprKind::kAggregate: {
-      const auto& agg = static_cast<const AggregateExpr&>(e);
-      if (agg.arg != nullptr) AnnotateExpr(*agg.arg, a);
-      return;
-    }
-    case ExprKind::kLiteral:
-    case ExprKind::kParam:
-    case ExprKind::kColumnRef:
-      return;
-  }
+  if (SelectStmt* sub = SubqueryOf(e)) AnnotateOne(sub, a);
+  ForEachChild(e, [&a](const Expr& c) { AnnotateExpr(c, a); });
 }
 
 }  // namespace

@@ -49,6 +49,8 @@ class StatsCatalog;
 /// Rewrites eligible [NOT] EXISTS predicates of a *bound* SELECT into
 /// HashJoinExpr nodes, in place. Idempotent-safe to skip: an unplanned
 /// statement executes identically (modulo speed) on the correlated path.
+/// Only a WHERE clause's AND/OR/NOT positions are rewritten (there an
+/// EXISTS answers a filter); an EXISTS anywhere else stays correlated.
 ///
 /// With a non-null `catalog`, the rule rewrites are moderated by the cost
 /// model (see stats.h):
@@ -82,8 +84,9 @@ void PlanSelect(SelectStmt* stmt, TableSlots tables, StatementArena* arena,
                     std::pmr::get_default_resource());
 
 /// Fills `slot_plans` on `stmt` and every nested SELECT (EXISTS subqueries,
-/// hash-join build sides): the access path of each FROM slot (index choice
-/// + probe key expressions), plus the vectorized-filter eligibility of the
+/// hash-join build sides, in any clause and under any operator: the tree
+/// walks of ast.h): the access path of each FROM slot (index choice + probe
+/// key expressions), plus the vectorized-filter eligibility of the
 /// innermost FROM slot. This is the only place access paths are decided:
 /// the executor and EXPLAIN read them. Runs on every bound SELECT
 /// (Database::BindAndPlan), after PlanSelect when that runs (rewrites

@@ -73,6 +73,7 @@ TEST(PolicyServerTest, InstallsOfDistinctNamesShareOnePlan) {
   for (const bool cost_model : {false, true}) {
     SCOPED_TRACE(cost_model ? "cost model" : "rule-only");
     PolicyServer::Options options;
+    options.enable_planner = true;  // and with it the plan cache
     options.enable_cost_model = cost_model;
     auto server = MustCreate(options);
     const sqldb::Database& db = *server->database();

@@ -313,7 +313,9 @@ uint64_t ShardStatementCalls(const std::string& json, size_t shard) {
 // The counts are the ones the tier's /metrics exports.
 TEST(ServingTierTest, ShardsShareOnePlanPerRuleText) {
   const std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
-  auto tier = ShardedPolicyServer::Create(TierOptions(4));
+  ShardedPolicyServer::Options options = TierOptions(4);
+  options.enable_planner = true;  // and with it the shared plan cache
+  auto tier = ShardedPolicyServer::Create(options);
   ASSERT_TRUE(tier.ok()) << tier.status().message();
   for (const p3p::Policy& policy : corpus) {
     ASSERT_TRUE(tier.value()->InstallPolicy(policy).ok());

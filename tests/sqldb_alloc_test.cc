@@ -132,11 +132,15 @@ constexpr double kMaxFreesPerDestroyedPlan = 6.0;
 uint64_t Allocations() { return g_allocations.load(std::memory_order_relaxed); }
 uint64_t Frees() { return g_frees.load(std::memory_order_relaxed); }
 
-/// One shard's replica of the serving tier: kSql, no statement stats, no
-/// metrics, every 4th of 1,000 corpus policies.
+/// One shard's replica of the serving tier: kSql with the planner and the
+/// cost model on (the bounds are theirs, whatever the P3PDB_NO_* ablation
+/// variables say), no statement stats, no metrics, every 4th of 1,000
+/// corpus policies.
 std::unique_ptr<server::PolicyServer> MakeReplica() {
   server::PolicyServer::Options options;
   options.engine = server::EngineKind::kSql;
+  options.enable_planner = true;
+  options.enable_cost_model = true;
   options.enable_statement_stats = false;
   options.collect_metrics = false;
   auto replica = server::PolicyServer::Create(std::move(options));
@@ -214,10 +218,14 @@ TEST(StatementAllocationsTest, ColdRuleQueryPathStaysPerStatement) {
 /// A standalone copy of `source` with a `plan_cache_capacity`-entry plan
 /// cache: the same schemas and secondary indexes, and the live rows
 /// inserted in slot order, so the cost model's statistics (and with them
-/// every plan) match the source's.
+/// every plan) match the source's. Planner, plan cache and cost model are
+/// on, as in the source.
 std::unique_ptr<sqldb::Database> CopyDatabase(const sqldb::Database& source,
                                               size_t plan_cache_capacity) {
   sqldb::Database::Options options;
+  options.enable_planner = true;
+  options.enable_plan_cache = true;
+  options.enable_cost_model = true;
   options.plan_cache_capacity = plan_cache_capacity;
   auto copy = std::make_unique<sqldb::Database>(options);
   std::vector<std::string> pending = source.TableNames();

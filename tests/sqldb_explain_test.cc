@@ -38,6 +38,17 @@ std::string AnalyzePlan(Database* db, const std::string& sql,
   return PlanText(db->Execute("EXPLAIN ANALYZE " + sql, params), sql);
 }
 
+/// A planned database, with (the default configuration) or without the
+/// cost model: the plans pinned below are these configurations', whatever
+/// the P3PDB_NO_* ablation variables say.
+Database::Options Planned(bool cost_model) {
+  Database::Options options;
+  options.enable_planner = true;
+  options.enable_plan_cache = true;
+  options.enable_cost_model = cost_model;
+  return options;
+}
+
 size_t CountOf(const std::string& haystack, const std::string& needle) {
   size_t count = 0, pos = 0;
   while ((pos = haystack.find(needle, pos)) != std::string::npos) {
@@ -111,7 +122,7 @@ TEST(ExplainTest, CorrelatedSubqueryShowsIndexProbe) {
 }
 
 TEST(ExplainTest, PlannerRewritesExistsToHashSemiJoin) {
-  Database db;
+  Database db(Planned(/*cost_model=*/true));
   ASSERT_TRUE(db.ExecuteScript(
                     "CREATE TABLE p (id INTEGER, PRIMARY KEY (id));"
                     "CREATE TABLE s (pid INTEGER);"
@@ -189,7 +200,8 @@ TEST(ExplainTest, GeneratedAppelQueryPlanIsFullyIndexed) {
 
 TEST(ExplainTest, Fig15RuleQueryPlanUsesHashSemiJoins) {
   auto server =
-      server::PolicyServer::Create({.engine = server::EngineKind::kSql});
+      server::PolicyServer::Create({.engine = server::EngineKind::kSql,
+                                    .enable_planner = true});
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.value()->InstallPolicy(workload::VolgaPolicy()).ok());
   auto pref = server.value()->CompilePreference(workload::JanePreference());
@@ -211,7 +223,7 @@ TEST(ExplainTest, Fig15RuleQueryPlanUsesHashSemiJoins) {
 
 TEST(ExplainTest, Fig11RuleQueryPlanUsesHashSemiJoins) {
   auto server = server::PolicyServer::Create(
-      {.engine = server::EngineKind::kSqlSimple});
+      {.engine = server::EngineKind::kSqlSimple, .enable_planner = true});
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.value()->InstallPolicy(workload::VolgaPolicy()).ok());
   auto pref = server.value()->CompilePreference(workload::JanePreference());
@@ -241,8 +253,8 @@ TEST(ExplainTest, OrExactRuleQueryPlanUsesHashAntiJoin) {
   appel::AppelRuleset ruleset;
   ruleset.rules.push_back(std::move(rule));
 
-  auto server =
-      server::PolicyServer::Create({.engine = server::EngineKind::kSql});
+  auto server = server::PolicyServer::Create(
+      {.engine = server::EngineKind::kSql, .enable_planner = true});
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server.value()->InstallPolicy(workload::VolgaPolicy()).ok());
   auto pref = server.value()->CompilePreference(ruleset);
@@ -273,7 +285,7 @@ TEST(ExplainTest, CostModelKeepsCorrelatedExistsWhenBuildDwarfsOuter) {
   const std::string sql =
       "SELECT * FROM p WHERE EXISTS (SELECT * FROM s WHERE s.pid = p.id)";
 
-  Database cost;  // cost model on by default
+  Database cost(Planned(/*cost_model=*/true));
   ASSERT_TRUE(cost.ExecuteScript(schema).ok());
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(cost.InsertRow("p", {Value::Integer(i)}).ok());
@@ -286,7 +298,7 @@ TEST(ExplainTest, CostModelKeepsCorrelatedExistsWhenBuildDwarfsOuter) {
   EXPECT_EQ(costed.find("hash-semi-join"), std::string::npos) << costed;
   EXPECT_NE(costed.find("index s_pid on pid"), std::string::npos) << costed;
 
-  Database rule(Database::Options{.enable_cost_model = false});
+  Database rule(Planned(/*cost_model=*/false));
   ASSERT_TRUE(rule.ExecuteScript(schema).ok());
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(rule.InsertRow("p", {Value::Integer(i)}).ok());
@@ -321,7 +333,7 @@ TEST(ExplainTest, RangeSelectivityInterpolationFlipsExistsRewrite) {
       "CREATE TABLE p (id INTEGER, PRIMARY KEY (id));"
       "CREATE TABLE s (pid INTEGER, val INTEGER);"
       "CREATE INDEX s_pid ON s (pid);";
-  Database db;  // cost model on by default
+  Database db(Planned(/*cost_model=*/true));
   ASSERT_TRUE(db.ExecuteScript(schema).ok());
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(db.InsertRow("p", {Value::Integer(i)}).ok());
@@ -352,7 +364,7 @@ TEST(ExplainTest, RangeSelectivityInterpolationFlipsExistsRewrite) {
 
   // The flip is a cost choice, not a semantic one: both shapes return the
   // same rows as the rule-only planner's unconditional rewrite.
-  Database rule(Database::Options{.enable_cost_model = false});
+  Database rule(Planned(/*cost_model=*/false));
   ASSERT_TRUE(rule.ExecuteScript(schema).ok());
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(rule.InsertRow("p", {Value::Integer(i)}).ok());
@@ -381,7 +393,7 @@ TEST(ExplainTest, CostModelForcesSeqScanOnLowCardinalityIndex) {
       "CREATE INDEX t_flag ON t (flag);";
   const std::string sql = "SELECT * FROM t WHERE flag = 1";
 
-  Database cost;
+  Database cost(Planned(/*cost_model=*/true));
   ASSERT_TRUE(cost.ExecuteScript(schema).ok());
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(
@@ -394,7 +406,7 @@ TEST(ExplainTest, CostModelForcesSeqScanOnLowCardinalityIndex) {
   EXPECT_EQ(costed.find("index t_flag"), std::string::npos) << costed;
   EXPECT_GT(cost.stats().cost_seq_forced, 0u);
 
-  Database rule(Database::Options{.enable_cost_model = false});
+  Database rule(Planned(/*cost_model=*/false));
   ASSERT_TRUE(rule.ExecuteScript(schema).ok());
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(
@@ -421,7 +433,7 @@ TEST(ExplainTest, CostModelForcesSeqScanOnLowCardinalityIndex) {
 TEST(ExplainAnalyzeTest, EstimatedVersusActualRows) {
   // The est-vs-actual golden: a unique key estimates 1 row and finds 1; a
   // seq scan estimates the full table and visits it.
-  Database db;
+  Database db(Planned(/*cost_model=*/true));
   ASSERT_TRUE(db.ExecuteScript(
                     "CREATE TABLE t (a INTEGER, b INTEGER, PRIMARY KEY (a));")
                   .ok());
@@ -446,7 +458,7 @@ TEST(ExplainTest, ExplainValidates) {
 }
 
 TEST(ExplainAnalyzeTest, ReportsActualRowsAndLoops) {
-  Database db;
+  Database db(Planned(/*cost_model=*/true));
   ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER);"
                                "INSERT INTO t VALUES (1);"
                                "INSERT INTO t VALUES (2);"
@@ -476,10 +488,35 @@ TEST(ExplainAnalyzeTest, CorrelatedSubqueryShowsLoops) {
       "SELECT * FROM p WHERE EXISTS (SELECT * FROM s WHERE s.pid = p.id)");
   // The subquery re-executes once per outer row: loops=2.
   EXPECT_NE(plan.find("loops=2"), std::string::npos) << plan;
+
+  // A correlated EXISTS outside WHERE's AND/OR/NOT/comparison positions
+  // runs once per outer row too, and EXPLAIN shows it with its actuals.
+  ASSERT_TRUE(db.Execute("CREATE INDEX s_pid ON s (pid)").ok());
+  const std::string sub = "EXISTS (SELECT * FROM s WHERE s.pid = p.id)";
+  const std::string inputs[] = {
+      "SELECT id, " + sub + " FROM p",              // select item
+      "SELECT COUNT(" + sub + ") FROM p",           // aggregate argument
+      "SELECT COUNT(*) FROM p GROUP BY " + sub,     // GROUP BY
+      "SELECT * FROM p ORDER BY " + sub + ", id",   // ORDER BY
+      "SELECT * FROM p WHERE (" + sub + ") IS NOT NULL",  // IS NULL operand
+      "SELECT * FROM p WHERE (" + sub + ") IN (TRUE, FALSE)",  // IN operand
+  };
+  for (const std::string& sql : inputs) {
+    const std::string analyzed = AnalyzePlan(&db, sql);
+    EXPECT_NE(analyzed.find("  exists-subquery\n"
+                            "    select (actual rows="),
+              std::string::npos)
+        << sql << "\n" << analyzed;
+    EXPECT_NE(analyzed.find("scan s (index s_pid on pid = p.id)"),
+              std::string::npos)
+        << sql << "\n" << analyzed;
+    EXPECT_NE(analyzed.find("loops=2"), std::string::npos)
+        << sql << "\n" << analyzed;
+  }
 }
 
 TEST(ExplainAnalyzeTest, VectorizedScanReportsBatchActuals) {
-  Database::Options options;
+  Database::Options options = Planned(/*cost_model=*/true);
   options.enable_vectorized_executor = true;
   Database db(options);
   ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER);").ok());
@@ -503,7 +540,7 @@ TEST(ExplainAnalyzeTest, VectorizedScanReportsBatchActuals) {
 
   // The scalar executor renders the same structural plan with no batch
   // decorations.
-  Database::Options scalar_options;
+  Database::Options scalar_options = Planned(/*cost_model=*/true);
   scalar_options.enable_vectorized_executor = false;
   Database scalar(scalar_options);
   ASSERT_TRUE(scalar.ExecuteScript("CREATE TABLE t (a INTEGER);").ok());

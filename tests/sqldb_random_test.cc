@@ -376,17 +376,8 @@ TEST_P(SqldbRandomTest, PlannerEquivalenceDifferential) {
 
   PredicateGen scalar(&rng);
   ExistsGen sub(&rng);
-  for (int trial = 0; trial < 90; ++trial) {
-    std::string where = sub.Generate();
-    if (rng.Bernoulli(0.5)) {
-      Predicate p = scalar.Generate(2);
-      where = "(" + where + (rng.Bernoulli(0.5) ? " AND " : " OR ") + p.sql +
-              ")";
-    }
-    if (rng.Bernoulli(0.3)) {
-      where += (rng.Bernoulli(0.5) ? " AND " : " OR ") + sub.Generate();
-    }
-    const std::string sql = "SELECT a, b, c FROM t WHERE " + where;
+  // All three modes must return identical rows in identical order.
+  const auto agree = [&](const std::string& sql) {
     auto want = none.Execute(sql);
     auto got_rule = rule.Execute(sql);
     auto got_cost = cost.Execute(sql);
@@ -400,6 +391,54 @@ TEST_P(SqldbRandomTest, PlannerEquivalenceDifferential) {
     }
     ASSERT_EQ(got_rule.value().ToString(), expected) << "rule-only\n" << sql;
     ASSERT_EQ(got_cost.value().ToString(), expected) << "cost-based\n" << sql;
+  };
+  for (int trial = 0; trial < 90; ++trial) {
+    std::string where = sub.Generate();
+    if (rng.Bernoulli(0.5)) {
+      Predicate p = scalar.Generate(2);
+      where = "(" + where + (rng.Bernoulli(0.5) ? " AND " : " OR ") + p.sql +
+              ")";
+    }
+    if (rng.Bernoulli(0.3)) {
+      where += (rng.Bernoulli(0.5) ? " AND " : " OR ") + sub.Generate();
+    }
+    agree("SELECT a, b, c FROM t WHERE " + where);
+    if (HasFatalFailure()) return;
+  }
+
+  // EXISTS outside WHERE's AND/OR positions: a select item, a MIN/MAX
+  // argument under GROUP BY, an ORDER BY key (a, b, c break ties) and an
+  // IS NULL operand. The planner rewrites none of these, so each stays a
+  // correlated subquery that every mode annotates and EXPLAIN must show.
+  // These run after the WHERE trials, so the rewrite counts asserted below
+  // are theirs alone.
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::string e = sub.Generate();
+    std::string sql;
+    switch (trial % 4) {
+      case 0:
+        sql = "SELECT a, b, c, " + e + " FROM t";
+        break;
+      case 1:
+        sql = "SELECT c, MIN(" + e + "), MAX(" + sub.Generate() +
+              ") FROM t GROUP BY c";
+        break;
+      case 2:
+        sql = "SELECT a, b, c FROM t ORDER BY " + e + ", a, b, c";
+        break;
+      default:
+        sql = "SELECT a, b, c FROM t WHERE (" + e + ") IS " +
+              (rng.Bernoulli(0.5) ? "NOT NULL" : "NULL") + " AND " +
+              scalar.Generate(2).sql;
+        break;
+    }
+    agree(sql);
+    if (HasFatalFailure()) return;
+    for (Database* db : dbs) {
+      const std::string plan = ExplainOrError(db, sql);
+      EXPECT_NE(plan.find("exists-subquery"), std::string::npos)
+          << sql << "\n" << plan;
+    }
   }
 
   const ExecStats none_stats = none.stats();

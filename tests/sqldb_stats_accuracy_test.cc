@@ -16,6 +16,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -24,6 +25,15 @@
 
 namespace p3pdb::sqldb {
 namespace {
+
+/// Statistics are kept only with the cost model on: every test but the
+/// cost-off one sets it rather than take the P3PDB_NO_COST default.
+Database::Options WithStats(std::string storage_path = "") {
+  Database::Options options;
+  options.enable_cost_model = true;
+  options.storage_path = std::move(storage_path);
+  return options;
+}
 
 // HLL with p=9 has standard error 1.04/sqrt(512) = 4.6%; three sigma plus
 // a little slack for the small-range linear-counting handoff.
@@ -63,7 +73,7 @@ class Zipf {
 };
 
 TEST(StatsAccuracyTest, NearUniqueNdvWithinSketchBounds) {
-  Database db;
+  Database db(WithStats());
   ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER);").ok());
   constexpr int kRows = 5000;
   for (int i = 0; i < kRows; ++i) {
@@ -76,7 +86,7 @@ TEST(StatsAccuracyTest, NearUniqueNdvWithinSketchBounds) {
 }
 
 TEST(StatsAccuracyTest, ZipfianNdvWithinSketchBounds) {
-  Database db;
+  Database db(WithStats());
   ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER, s TEXT);").ok());
   Random rng(20260808);
   Zipf zipf(1200);
@@ -99,7 +109,7 @@ TEST(StatsAccuracyTest, ExactStatsExactThroughSeededChurn) {
   // Randomized insert/delete churn with NULLs mixed in; after every phase
   // the exact quantities (rows, nulls, min, max) must match a brute-force
   // recompute of the live rows, and NDV must track the live distinct set.
-  Database db;
+  Database db(WithStats());
   ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER);").ok());
   const Table* t = db.LookupTable("t");
   ASSERT_NE(t, nullptr);
@@ -178,7 +188,7 @@ TEST(StatsAccuracyTest, StatsSurviveDiskBackedReopen) {
 
   TableStatsSnapshot before;
   {
-    Database db(Database::Options{.storage_path = dir});
+    Database db(WithStats(dir));
     ASSERT_TRUE(db.storage_status().ok());
     ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER, s TEXT);").ok());
     for (int i = 0; i < 3000; ++i) {
@@ -205,7 +215,7 @@ TEST(StatsAccuracyTest, StatsSurviveDiskBackedReopen) {
     before = *snap;
   }  // destructor checkpoints
 
-  Database reopened(Database::Options{.storage_path = dir});
+  Database reopened(WithStats(dir));
   ASSERT_TRUE(reopened.storage_status().ok());
   const Table* t = reopened.LookupTable("t");
   ASSERT_NE(t, nullptr);
@@ -266,7 +276,7 @@ void PrimeMemo(const Database& db, const Table* t) {
 }
 
 TEST(StatsAccuracyTest, MemoizedNdvEqualsFreshRecompute) {
-  Database db;
+  Database db(WithStats());
   ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER, s TEXT);").ok());
   const Table* t = db.LookupTable("t");
   ASSERT_NE(t, nullptr);
@@ -334,7 +344,7 @@ TEST(StatsAccuracyTest, MemoizedNdvEqualsFreshRecomputeAfterReopen) {
   const std::string dir = "stats_memo_reopen.tmp";
   std::filesystem::remove_all(dir);
   {
-    Database db(Database::Options{.storage_path = dir});
+    Database db(WithStats(dir));
     ASSERT_TRUE(db.storage_status().ok());
     ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER, s TEXT);").ok());
     for (int i = 0; i < 800; ++i) {
@@ -350,7 +360,7 @@ TEST(StatsAccuracyTest, MemoizedNdvEqualsFreshRecomputeAfterReopen) {
 
   // Reopening replays the rows and calls AnalyzeAll, which resets every
   // sketch; inserts after that must invalidate the rebuilt memo again.
-  Database reopened(Database::Options{.storage_path = dir});
+  Database reopened(WithStats(dir));
   ASSERT_TRUE(reopened.storage_status().ok());
   const Table* t = reopened.LookupTable("t");
   ASSERT_NE(t, nullptr);

@@ -106,7 +106,9 @@ int ReadConcurrently(const StatsCatalog& stats,
 }
 
 TEST(StatsConcurrencyTest, ConcurrentReadersSeeSingleThreadedValues) {
-  Database db;
+  Database::Options options;
+  options.enable_cost_model = true;  // statistics are kept only with it on
+  Database db(options);
   ASSERT_TRUE(db.ExecuteScript("CREATE TABLE grow (a INTEGER, s TEXT);"
                                "CREATE TABLE churn (a INTEGER, b INTEGER);"
                                "CREATE TABLE edge (a INTEGER, b INTEGER);")

@@ -95,7 +95,10 @@ TEST(StatementStatsTest, LiteralAndParamSubmissionsShareOneEntry) {
 }
 
 TEST(StatementStatsTest, PlanCacheHitsAttributeToTheEntry) {
-  Database db = MakeStatsDb();
+  Database::Options options;
+  options.enable_plan_cache = true;
+  options.enable_statement_stats = true;
+  Database db(options);
   InstallFixture(&db);
   const std::string sql = "SELECT name FROM t WHERE id = ?";
   for (int i = 0; i < 5; ++i) {
