@@ -12,6 +12,10 @@
 // MatchUri (reference-file resolution, then the hit). A warm hit writes
 // only per-thread cache lines, so these should scale with cores.
 //
+// The report also gives tier_uri's 1-thread ns per match over
+// tier_policy_id's: what resolving a URI adds to a warm hit (the JSON
+// carries it as `ns_ratio` on the tier_uri threads:1 record).
+//
 // "tier_custom_session" prices the tier's cold path instead: each op is a
 // new user's session — compile a fresh RandomPreference, then four
 // MatchPolicyId calls, one on each shard. Every match misses the match
@@ -315,6 +319,23 @@ Result<ThroughputPoint> MeasureTierSessions(
   return point;
 }
 
+/// ns per match of `mode` on one thread (0 when not measured).
+double OneThreadNsPerOp(const std::vector<ThroughputPoint>& points,
+                        const std::string& mode) {
+  for (const ThroughputPoint& p : points) {
+    if (p.mode == mode && p.threads == 1) return p.NsPerOp();
+  }
+  return 0.0;
+}
+
+/// tier_uri over tier_policy_id ns per match, one thread each (negative
+/// when either is missing).
+double UriToIdRatio(const std::vector<ThroughputPoint>& points) {
+  const double id_ns = OneThreadNsPerOp(points, "tier_policy_id");
+  const double uri_ns = OneThreadNsPerOp(points, "tier_uri");
+  return id_ns > 0.0 && uri_ns > 0.0 ? uri_ns / id_ns : -1.0;
+}
+
 struct ExperimentOutput {
   std::vector<ThroughputPoint> points;
   std::string metrics_text;  // parameterized server's registry, end of run
@@ -455,9 +476,15 @@ void PrintReport(const std::vector<ThroughputPoint>& points) {
   }
   if (tier_1t > 0.0 && tier_most_threads > 1) {
     std::printf(
-        "(tier_policy_id %d-thread speedup over 1 thread: %sx)\n\n",
+        "(tier_policy_id %d-thread speedup over 1 thread: %sx)\n",
         tier_most_threads, FormatDouble(tier_most / tier_1t, 2).c_str());
   }
+  if (const double ratio = UriToIdRatio(points); ratio >= 0.0) {
+    std::printf(
+        "(tier_uri / tier_policy_id ns per match, 1 thread: %sx)\n",
+        FormatDouble(ratio, 2).c_str());
+  }
+  std::printf("\n");
 }
 
 }  // namespace
@@ -477,6 +504,7 @@ int main(int argc, char** argv) {
   std::string json_path = p3pdb::bench::JsonPathFromArgs(argc, argv);
   if (!json_path.empty()) {
     std::vector<BenchJsonRecord> records;
+    const double uri_to_id = p3pdb::bench::UriToIdRatio(output.value().points);
     for (const auto& p : output.value().points) {
       BenchJsonRecord record = p3pdb::bench::RecordFromTimings(
           "concurrent_match/" + p.mode +
@@ -498,6 +526,7 @@ int main(int argc, char** argv) {
         record.plans_per_session =
             static_cast<double>(p.plans_built) / p.sessions;
       }
+      if (p.mode == "tier_uri" && p.threads == 1) record.ns_ratio = uri_to_id;
       records.push_back(std::move(record));
     }
     auto written = p3pdb::bench::WriteBenchJson(json_path, records);

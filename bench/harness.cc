@@ -250,6 +250,9 @@ std::string BenchRecordsToJson(const std::vector<BenchJsonRecord>& records) {
       out +=
           ", \"plans_per_session\": " + FormatDouble(r.plans_per_session, 3);
     }
+    if (r.ns_ratio >= 0.0) {
+      out += ", \"ns_ratio\": " + FormatDouble(r.ns_ratio, 3);
+    }
     out += "}";
     if (i + 1 < records.size()) out += ",";
     out += "\n";

@@ -164,6 +164,10 @@ struct BenchJsonRecord {
   // the JSON.
   double sessions_per_sec = -1.0;
   double plans_per_session = -1.0;
+  // ns per op of this record over ns per op of a baseline record (e.g. a
+  // URI match over an id match, both on one thread). Negative (the
+  // default) leaves it out of the JSON.
+  double ns_ratio = -1.0;
 };
 
 /// Builds a record from per-op samples held in microseconds (the unit

@@ -131,11 +131,11 @@ void ReferenceFile::AddRef(PolicyRef ref) {
   refs_.push_back(std::move(ref));
 }
 
-const PolicyRef* ReferenceFile::FindRef(
+std::optional<size_t> ReferenceFile::FindRef(
     const PrefixIndex& index, std::string_view path,
     const std::vector<std::string> PolicyRef::* includes,
     const std::vector<std::string> PolicyRef::* excludes) const {
-  if (index.has_length.empty()) return nullptr;
+  if (index.has_length.empty()) return std::nullopt;
   // Every pattern that matches `path` has a literal prefix that is a prefix
   // of it, so the candidates are the postings of the path's own prefixes.
   // Each list is in document order; the first candidate that matches is
@@ -162,24 +162,34 @@ const PolicyRef* ReferenceFile::FindRef(
     if (n == longest) break;
     hash = HashStep(hash, path[n]);
   }
-  return best == PrefixIndex::kNone ? nullptr : &refs_[best];
+  if (best == PrefixIndex::kNone) return std::nullopt;
+  return best;
+}
+
+std::optional<size_t> ReferenceFile::RefIndexForPath(
+    std::string_view local_path) const {
+  return FindRef(includes_, local_path, &PolicyRef::includes,
+                 &PolicyRef::excludes);
+}
+
+std::optional<size_t> ReferenceFile::RefIndexForCookie(
+    std::string_view cookie_path) const {
+  return FindRef(cookie_includes_, cookie_path, &PolicyRef::cookie_includes,
+                 &PolicyRef::cookie_excludes);
 }
 
 std::optional<std::string> ReferenceFile::PolicyForPath(
     std::string_view local_path) const {
-  const PolicyRef* ref = FindRef(includes_, local_path, &PolicyRef::includes,
-                                 &PolicyRef::excludes);
-  if (ref == nullptr) return std::nullopt;
-  return ref->about;
+  std::optional<size_t> i = RefIndexForPath(local_path);
+  if (!i.has_value()) return std::nullopt;
+  return refs_[*i].about;
 }
 
 std::optional<std::string> ReferenceFile::PolicyForCookie(
     std::string_view cookie_path) const {
-  const PolicyRef* ref =
-      FindRef(cookie_includes_, cookie_path, &PolicyRef::cookie_includes,
-              &PolicyRef::cookie_excludes);
-  if (ref == nullptr) return std::nullopt;
-  return ref->about;
+  std::optional<size_t> i = RefIndexForCookie(cookie_path);
+  if (!i.has_value()) return std::nullopt;
+  return refs_[*i].about;
 }
 
 Result<ReferenceFile> ReferenceFileFromXml(const xml::Element& root) {

@@ -51,12 +51,19 @@ class ReferenceFile {
   /// and COOKIE-INCLUDE patterns; O(total pattern bytes), amortized.
   void AddRef(PolicyRef ref);
 
-  /// Returns the `about` URI of the first POLICY-REF covering `local_path`
-  /// (spec §2.4.1: INCLUDEs match and no EXCLUDE matches; refs are tried in
-  /// document order). nullopt when no policy covers the path.
-  std::optional<std::string> PolicyForPath(std::string_view local_path) const;
+  /// Returns the index into refs() of the first POLICY-REF covering
+  /// `local_path` (spec §2.4.1: INCLUDEs match and no EXCLUDE matches; refs
+  /// are tried in document order). nullopt when no policy covers the path.
+  /// Allocates nothing.
+  std::optional<size_t> RefIndexForPath(std::string_view local_path) const;
 
   /// Same, for a cookie's path using COOKIE-INCLUDE/COOKIE-EXCLUDE.
+  std::optional<size_t> RefIndexForCookie(std::string_view cookie_path) const;
+
+  /// The `about` URI of the ref RefIndexForPath finds, copied out.
+  std::optional<std::string> PolicyForPath(std::string_view local_path) const;
+
+  /// The `about` URI of the ref RefIndexForCookie finds, copied out.
   std::optional<std::string> PolicyForCookie(
       std::string_view cookie_path) const;
 
@@ -101,9 +108,10 @@ class ReferenceFile {
     std::vector<uint8_t> has_length;  // [n] != 0: some prefix is n bytes
   };
 
-  /// The first ref in document order that one of its `includes` patterns
-  /// matches and none of its `excludes` does, or nullptr.
-  const PolicyRef* FindRef(
+  /// The index of the first ref in document order that one of its
+  /// `includes` patterns matches and none of its `excludes` does, or
+  /// nullopt.
+  std::optional<size_t> FindRef(
       const PrefixIndex& index, std::string_view path,
       const std::vector<std::string> PolicyRef::* includes,
       const std::vector<std::string> PolicyRef::* excludes) const;

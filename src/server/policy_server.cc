@@ -93,10 +93,10 @@ void FinishMatchSpan(obs::ScopedSpan& span,
 
 }  // namespace
 
-std::string AboutToPolicyName(std::string_view about) {
+std::string_view AboutToPolicyName(std::string_view about) {
   size_t hash = about.find('#');
-  if (hash == std::string_view::npos) return std::string(about);
-  return std::string(about.substr(hash + 1));
+  if (hash == std::string_view::npos) return about;
+  return about.substr(hash + 1);
 }
 
 PolicyServer::PolicyServer(Options options)
@@ -631,11 +631,12 @@ Result<int64_t> PolicyServer::FindApplicablePolicyId(
       if (result.rows.empty()) return int64_t{-1};
       return result.rows[0][0].AsInteger();
     }
-    std::optional<std::string> about =
-        for_cookie ? reference_file_.PolicyForCookie(local_path)
-                   : reference_file_.PolicyForPath(local_path);
-    if (!about.has_value()) return int64_t{-1};
-    std::optional<int64_t> found = FindPolicyIdByAboutLocked(*about);
+    std::optional<size_t> ref =
+        for_cookie ? reference_file_.RefIndexForCookie(local_path)
+                   : reference_file_.RefIndexForPath(local_path);
+    if (!ref.has_value()) return int64_t{-1};
+    std::optional<int64_t> found =
+        FindPolicyIdByAboutLocked(reference_file_.refs()[*ref].about);
     return found.has_value() ? *found : int64_t{-1};
   }();
 

@@ -87,8 +87,10 @@ class AdminHttpServer;
 
 /// Resolves the fragment of a POLICY-REF `about` URI to a policy name:
 /// "/P3P/policies.xml#shopping" -> "shopping"; no fragment -> whole string.
-/// Shared with the sharded serving tier, whose shard map hashes this name.
-std::string AboutToPolicyName(std::string_view about);
+/// A substring of `about` (it lives as long as `about` does), so resolving
+/// allocates nothing. Shared with the sharded serving tier, whose shard map
+/// hashes this name.
+std::string_view AboutToPolicyName(std::string_view about);
 
 /// One PolicyCatalog row, in install order: everything needed to replay the
 /// install elsewhere (the sharded tier's recovery path re-parses `text`

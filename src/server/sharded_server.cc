@@ -29,7 +29,7 @@ Result<std::unique_ptr<ShardedPolicyServer>> ShardedPolicyServer::Create(
   return tier;
 }
 
-Result<std::shared_ptr<PolicyServer>> ShardedPolicyServer::MakeReplica()
+Result<std::unique_ptr<PolicyServer>> ShardedPolicyServer::MakeReplica()
     const {
   PolicyServer::Options o;
   o.engine = options_.engine;
@@ -45,8 +45,7 @@ Result<std::shared_ptr<PolicyServer>> ShardedPolicyServer::MakeReplica()
   // the tier's durable store, telemetry in the tier registry.
   o.collect_metrics = false;
   o.enable_admin_endpoint = false;
-  P3PDB_ASSIGN_OR_RETURN(auto server, PolicyServer::Create(std::move(o)));
-  return std::shared_ptr<PolicyServer>(std::move(server));
+  return PolicyServer::Create(std::move(o));
 }
 
 Status ShardedPolicyServer::Init() {
@@ -60,8 +59,8 @@ Status ShardedPolicyServer::Init() {
     for (Replica& replica : shard->replicas) {
       P3PDB_ASSIGN_OR_RETURN(replica.server, MakeReplica());
     }
-    auto snapshot = std::make_shared<const ShardSnapshot>(
-        ShardSnapshot{shard->replicas[0].server, /*epoch=*/1, /*policies=*/0});
+    auto snapshot = std::make_shared<const ShardSnapshot>(ShardSnapshot{
+        shard->replicas[0].server.get(), /*epoch=*/1, /*policies=*/0});
     shard->published.Store(std::move(snapshot));
     if (options_.collect_metrics) {
       const std::string prefix = "p3p_shard_" + std::to_string(k);
@@ -116,11 +115,14 @@ Status ShardedPolicyServer::Init() {
     for (const InstalledPolicyRecord& record : records) {
       P3PDB_ASSIGN_OR_RETURN(p3p::Policy policy,
                              p3p::PolicyFromText(record.text));
+      // No directory is published yet, so replay republishes none; the
+      // reference file's ids are resolved once, after the whole replay.
       Shard& shard = *shards_[ShardOf(policy.name)];
       std::lock_guard<std::mutex> lock(shard.install_mu);
       P3PDB_RETURN_IF_ERROR(ApplyAndPublish(shard, policy).status());
     }
     if (auto rf = durable_->InstalledReferenceFile(); rf.has_value()) {
+      std::lock_guard<std::mutex> lock(directory_install_mu_);
       PublishDirectory(*rf);
     }
   }
@@ -173,7 +175,9 @@ Result<int64_t> ShardedPolicyServer::ApplyAndPublish(
 
   const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
   auto snapshot = std::make_shared<const ShardSnapshot>(ShardSnapshot{
-      spare.server, epoch, spare.server->policy_ids().size()});
+      spare.server.get(), epoch, spare.server->policy_ids().size()});
+  // Waits for the matches still running on the replica this retires, so
+  // the next install catches it up with no reader left on it.
   shard.published.Store(std::move(snapshot));
   shard.published_idx = 1 - shard.published_idx;
   shard.publishes.fetch_add(1, std::memory_order_relaxed);
@@ -209,15 +213,46 @@ Result<int64_t> ShardedPolicyServer::InstallPolicy(const p3p::Policy& policy) {
     P3PDB_RETURN_IF_ERROR(durable_->InstallPolicy(policy).status());
   }
   P3PDB_ASSIGN_OR_RETURN(int64_t local_id, ApplyAndPublish(shard, policy));
+  const int64_t global_id = GlobalId(local_id, k);
+  // Still under install_mu: the directory takes this name's installs in
+  // install order, and only after the shard serves the new id.
+  RepublishDirectory(policy.name, global_id);
   if (installs_total_ != nullptr) installs_total_->Increment();
-  return GlobalId(local_id, k);
+  return global_id;
 }
 
 void ShardedPolicyServer::PublishDirectory(const p3p::ReferenceFile& rf) {
-  const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  auto snapshot = std::make_shared<const DirectorySnapshot>(
-      DirectorySnapshot{rf, epoch});
-  directory_.Store(std::move(snapshot));
+  DirectorySnapshot next;
+  next.rf = std::make_shared<const p3p::ReferenceFile>(rf);
+  next.ids.reserve(rf.refs().size());
+  for (const p3p::PolicyRef& ref : rf.refs()) {
+    next.ids.push_back(FindPolicyIdByAbout(ref.about).value_or(-1));
+  }
+  epoch_.fetch_add(1, std::memory_order_acq_rel);
+  directory_.Store(
+      std::make_shared<const DirectorySnapshot>(std::move(next)));
+}
+
+void ShardedPolicyServer::RepublishDirectory(std::string_view policy_name,
+                                             int64_t global_id) {
+  std::lock_guard<std::mutex> lock(directory_install_mu_);
+  DirectorySnapshot next;
+  {
+    // Copy out under the guard and Store after it ends: a Store waits for
+    // every guard on its cell, this thread's own included (epoch_ptr.h).
+    DirectoryGuard directory(directory_);
+    if (!directory) return;
+    const std::vector<p3p::PolicyRef>& refs = directory->rf->refs();
+    for (size_t i = 0; i < refs.size(); ++i) {
+      if (AboutToPolicyName(refs[i].about) != policy_name) continue;
+      if (next.ids.empty()) next.ids = directory->ids;
+      next.ids[i] = global_id;
+    }
+    if (next.ids.empty()) return;  // no ref names the policy
+    next.rf = directory->rf;
+  }
+  directory_.Store(
+      std::make_shared<const DirectorySnapshot>(std::move(next)));
 }
 
 Status ShardedPolicyServer::InstallReferenceFile(
@@ -235,7 +270,7 @@ Result<CompiledPreference> ShardedPolicyServer::CompilePreference(
   // Compilation is catalog-independent (translation + fingerprint, no
   // prepared statements on this tier), so any replica can do it; shard 0's
   // published one is as good as any.
-  auto snapshot = shards_[0]->published.Load();
+  ShardGuard snapshot(shards_[0]->published);
   return snapshot->server->CompilePreference(ruleset);
 }
 
@@ -247,43 +282,9 @@ Result<MatchResult> ShardedPolicyServer::MatchPolicyId(
   }
   const int64_t n = static_cast<int64_t>(shards_.size());
   const size_t k = static_cast<size_t>(global_policy_id % n);
-  auto snapshot = shards_[k]->published.Load();
-  return MatchOnShard(pref, k, *snapshot, global_policy_id / n);
-}
-
-Result<MatchResult> ShardedPolicyServer::MatchResolved(
-    const CompiledPreference& pref, std::string_view path, bool for_cookie) {
-  auto directory = directory_.Load();
-  if (directory == nullptr) {
-    // Same contract as PolicyServer with no reference file installed.
-    return Status::InvalidArgument("no reference file installed");
-  }
-  std::optional<std::string> about =
-      for_cookie ? directory->rf.PolicyForCookie(path)
-                 : directory->rf.PolicyForPath(path);
-  std::optional<int64_t> local_id;
-  size_t k = 0;
-  std::shared_ptr<const ShardSnapshot> snapshot;
-  if (about.has_value()) {
-    k = ShardOf(AboutToPolicyName(*about));
-    snapshot = shards_[k]->published.Load();
-    local_id = snapshot->server->FindPolicyIdByAbout(*about);
-  }
-  if (!local_id.has_value()) {
-    if (matches_total_ != nullptr) matches_total_->Increment();
-    if (no_policy_total_ != nullptr) no_policy_total_->Increment();
-    MatchResult miss;
-    miss.behavior = kNoPolicyBehavior;
-    miss.policy_found = false;
-    return miss;
-  }
-  return MatchOnShard(pref, k, *snapshot, *local_id);
-}
-
-Result<MatchResult> ShardedPolicyServer::MatchOnShard(
-    const CompiledPreference& pref, size_t k, const ShardSnapshot& snapshot,
-    int64_t local_id) {
-  Result<MatchResult> result = snapshot.server->MatchPolicyId(pref, local_id);
+  const int64_t local_id = global_policy_id / n;
+  ShardGuard snapshot(shards_[k]->published);
+  Result<MatchResult> result = snapshot->server->MatchPolicyId(pref, local_id);
   if (matches_total_ != nullptr) matches_total_->Increment();
   if (shards_[k]->matches_total != nullptr) {
     shards_[k]->matches_total->Increment();
@@ -301,6 +302,31 @@ Result<MatchResult> ShardedPolicyServer::MatchOnShard(
   return result;
 }
 
+Result<MatchResult> ShardedPolicyServer::MatchResolved(
+    const CompiledPreference& pref, std::string_view path, bool for_cookie) {
+  int64_t global_id = -1;
+  {
+    DirectoryGuard directory(directory_);
+    if (!directory) {
+      // Same contract as PolicyServer with no reference file installed.
+      return Status::InvalidArgument("no reference file installed");
+    }
+    std::optional<size_t> ref = for_cookie
+                                    ? directory->rf->RefIndexForCookie(path)
+                                    : directory->rf->RefIndexForPath(path);
+    if (ref.has_value()) global_id = directory->ids[*ref];
+  }
+  if (global_id < 0) {
+    if (matches_total_ != nullptr) matches_total_->Increment();
+    if (no_policy_total_ != nullptr) no_policy_total_->Increment();
+    MatchResult miss;
+    miss.behavior = kNoPolicyBehavior;
+    miss.policy_found = false;
+    return miss;
+  }
+  return MatchPolicyId(pref, global_id);
+}
+
 Result<MatchResult> ShardedPolicyServer::MatchUri(
     const CompiledPreference& pref, std::string_view local_path) {
   return MatchResolved(pref, local_path, /*for_cookie=*/false);
@@ -314,14 +340,14 @@ Result<MatchResult> ShardedPolicyServer::MatchCookie(
 std::optional<int64_t> ShardedPolicyServer::FindPolicyIdByAbout(
     std::string_view about) const {
   const size_t k = ShardOf(AboutToPolicyName(about));
-  auto snapshot = shards_[k]->published.Load();
+  ShardGuard snapshot(shards_[k]->published);
   std::optional<int64_t> local_id = snapshot->server->FindPolicyIdByAbout(about);
   if (!local_id.has_value()) return std::nullopt;
   return GlobalId(*local_id, k);
 }
 
 size_t ShardedPolicyServer::ShardPolicyCount(size_t shard) const {
-  return shards_[shard]->published.Load()->policies;
+  return ShardGuard(shards_[shard]->published)->policies;
 }
 
 uint64_t ShardedPolicyServer::ShardPublishes(size_t shard) const {
@@ -331,11 +357,10 @@ uint64_t ShardedPolicyServer::ShardPublishes(size_t shard) const {
 std::vector<int64_t> ShardedPolicyServer::GlobalPolicyIds() const {
   std::vector<int64_t> ids;
   for (size_t k = 0; k < shards_.size(); ++k) {
-    Shard& shard = *shards_[k];
-    // install_mu keeps installs (which mutate the replica behind the
-    // snapshot once it cycles to spare) out while we walk the id list.
-    std::lock_guard<std::mutex> lock(shard.install_mu);
-    auto snapshot = shard.published.Load();
+    // The guard keeps installs off the replica while we walk its id list:
+    // an install mutates a replica only after a Store has retired it, and
+    // that Store waits for this guard.
+    ShardGuard snapshot(shards_[k]->published);
     for (int64_t local_id : snapshot->server->policy_ids()) {
       ids.push_back(GlobalId(local_id, k));
     }
@@ -350,11 +375,13 @@ std::string ShardedPolicyServer::RenderHealthzJson() const {
   bool poisoned = false;
   for (size_t k = 0; k < shards_.size(); ++k) {
     Shard& shard = *shards_[k];
-    auto snapshot = shard.published.Load();
     {
       std::lock_guard<std::mutex> lock(shard.install_mu);
       poisoned = poisoned || !shard.poisoned.ok();
     }
+    // Guard after install_mu is released, never before it is taken: an
+    // installer holds install_mu across the Store that waits for guards.
+    ShardGuard snapshot(shard.published);
     policies += snapshot->policies;
     const uint64_t shard_matches =
         shard.matches_total != nullptr ? shard.matches_total->value() : 0;
@@ -388,7 +415,7 @@ std::string ShardedPolicyServer::RenderMetricsJson() const {
 std::string ShardedPolicyServer::RenderStatementStatsJson(size_t top) const {
   std::string out = "{";
   for (size_t k = 0; k < shards_.size(); ++k) {
-    auto snapshot = shards_[k]->published.Load();
+    ShardGuard snapshot(shards_[k]->published);
     if (k > 0) out += ",";
     out += "\"shard_" + std::to_string(k) +
            "\":" + snapshot->server->RenderStatementStatsJson(top);

@@ -12,25 +12,26 @@
 //   - Each shard owns two in-memory PolicyServer replicas (A/B) and a short
 //     per-shard op log. At any moment one replica is *published* — reachable
 //     only through an EpochPtr<ShardSnapshot> (see epoch_ptr.h: a two-slot
-//     epoch-pinned cell; readers are lock-free, writers drain the old
-//     slot's nanosecond-scale reader pins before reclaiming) — and the
-//     other is the *spare*.
+//     epoch-pinned cell; readers are lock-free and pin the snapshot for as
+//     long as they use it, writers wait for the old slot's pins to drain
+//     before reclaiming) — and the other is the *spare*.
 //   - An install (serialized per shard by install_mu) first commits to the
 //     durable store, then catches the spare up from the op log and publishes
-//     it with a single epoch-pinned snapshot store. The previously published
-//     replica becomes the spare; it is caught up lazily by the *next*
-//     install, so the installer never takes an exclusive lock a match could
+//     it with a single epoch-pinned snapshot store. That store waits for the
+//     matches still running on the previously published replica (~0.3 us
+//     for a warm hit, tens of us for a cold match); the replica then becomes
+//     the spare, caught up lazily by the *next* install with no reader left
+//     on it, so the installer never takes an exclusive lock a match could
 //     be waiting behind.
-//   - A match loads the snapshot pointer (one pinned shared_ptr copy; the
-//     refcount is the reclamation scheme — a replica's snapshot stays alive
-//     exactly as long as some match still holds it) and evaluates against
-//     that replica. The replica's catalog, its MatchCache and its
-//     statement stats are per-shard, so a match-cache hit shares no lock
-//     with other shards, and matches on the same shard share only that
-//     replica's (never exclusively held) StripedSharedMutex and its
-//     internally sharded cache. A warm hit writes only per-thread stripes —
-//     snapshot pin, shared locks, cache bits and counters — plus the
-//     snapshot's shared_ptr refcount.
+//   - A match pins the shard's snapshot with an EpochPtr guard for the
+//     length of the evaluation — a per-thread stripe count, no reference
+//     count — and evaluates against that replica. The replica's catalog,
+//     its MatchCache and its statement stats are per-shard, so a
+//     match-cache hit shares no lock with other shards, and matches on the
+//     same shard share only that replica's (never exclusively held)
+//     StripedSharedMutex and its internally sharded cache. A warm hit, by
+//     id or by URI, writes only per-thread stripes — snapshot pins, shared
+//     locks, cache bits and counters — and allocates nothing.
 //   - The one thing every replica shares is the plan cache
 //     (sqldb/plan_cache.h): all 2 x N replicas are members of one
 //     sqldb::PlanCache, so a rule query any shard has planned is a plan
@@ -40,11 +41,25 @@
 //     match-cache miss that runs rule queries takes one lock per query, on
 //     the cache stripe of the query's text.
 //
+// URI resolution: the reference file lives in a tier-wide directory
+// snapshot (its own EpochPtr) next to an id vector holding, per POLICY-REF,
+// the latest global id of the policy its `about` names (-1 while none is
+// installed). A URI or cookie match finds the ref's index through the
+// reference file's prefix index, reads the id and ends its directory guard;
+// from there it is a MatchPolicyId. No policy name is extracted, hashed or
+// looked up per match. The ids stay current because an install whose
+// policy some ref names republishes the directory (the same shared
+// reference file, a copied id vector) after its shard publishes and before
+// it returns; a reference-file install resolves every ref from the shards.
+// Lock order: a shard's install_mu, then directory_install_mu_.
+//
 // Epoch publication: every snapshot carries the tier-wide epoch it was
-// published at. A match resolves its whole subject against one snapshot, so
-// it observes the catalog as-of one epoch — either entirely before an
+// published at. A match evaluates its policy against one shard snapshot, so
+// it observes that policy as-of one epoch — either entirely before an
 // install or entirely after, never a half-installed policy (the torn-epoch
-// test in serving_tier_test.cc hammers exactly this).
+// test in serving_tier_test.cc hammers exactly this). A directory
+// republish is part of its install's publication and takes no epoch of its
+// own, so catalog_epoch() rises by exactly one per install.
 //
 // Ids: a shard's replicas assign local policy ids deterministically (both
 // replay the identical op sequence), and the tier exposes
@@ -143,14 +158,14 @@ class ShardedPolicyServer {
       const appel::AppelRuleset& ruleset);
 
   /// Evaluates against one installed policy by global id. Hot path: one
-  /// atomic snapshot load + the replica's shared-mode match; no tier lock,
-  /// no exclusive lock anywhere.
+  /// snapshot guard + the replica's shared-mode match; no tier lock, no
+  /// exclusive lock, no reference count anywhere.
   Result<MatchResult> MatchPolicyId(const CompiledPreference& pref,
                                     int64_t global_policy_id);
 
-  /// Full pipeline: directory snapshot resolves the URI to a policy name,
-  /// the name's shard snapshot resolves and evaluates. One snapshot each,
-  /// so the observation is torn-free at both levels.
+  /// Full pipeline: the directory snapshot resolves the URI to the latest
+  /// global id of the policy covering it, then MatchPolicyId evaluates it.
+  /// One snapshot each, so the observation is torn-free at both levels.
   Result<MatchResult> MatchUri(const CompiledPreference& pref,
                                std::string_view local_path);
 
@@ -173,7 +188,7 @@ class ShardedPolicyServer {
   }
 
   /// Installed global ids, grouped by shard and in install order within
-  /// each shard (takes no tier lock beyond each shard's install_mu).
+  /// each shard (takes no lock; holds one shard guard at a time).
   std::vector<int64_t> GlobalPolicyIds() const;
 
   // -- Observability -------------------------------------------------------
@@ -205,25 +220,32 @@ class ShardedPolicyServer {
   const Options& options() const { return options_; }
 
  private:
-  /// What a match holds while it runs: the published replica plus the
-  /// publication metadata. Immutable after construction; reclaimed by the
-  /// shared_ptr refcount when the last in-flight match drops it.
+  /// What a match pins while it runs: the published replica plus the
+  /// publication metadata. Immutable after construction; destroyed by the
+  /// Store that replaces it, once no guard remains on it.
   struct ShardSnapshot {
-    std::shared_ptr<PolicyServer> server;
+    PolicyServer* server = nullptr;  // one of its shard's replicas
     uint64_t epoch = 0;
     size_t policies = 0;
   };
 
-  /// URI/cookie resolution state, tier-wide, swapped whole on reference
-  /// install. Matches resolve against one directory snapshot, never a
-  /// half-replaced reference file.
+  /// URI/cookie resolution state, tier-wide, replaced whole on every
+  /// reference install and on every install of a policy some ref names.
+  /// Matches resolve against one directory snapshot, never a half-replaced
+  /// reference file.
   struct DirectorySnapshot {
-    p3p::ReferenceFile rf;
-    uint64_t epoch = 0;
+    /// Shared by every snapshot of one reference-file install.
+    std::shared_ptr<const p3p::ReferenceFile> rf;
+    /// One entry per rf->refs(): the latest global id of the policy the
+    /// ref's `about` names, or -1 while none is installed.
+    std::vector<int64_t> ids;
   };
 
+  using ShardGuard = EpochPtr<ShardSnapshot>::Guard;
+  using DirectoryGuard = EpochPtr<DirectorySnapshot>::Guard;
+
   struct Replica {
-    std::shared_ptr<PolicyServer> server;
+    std::unique_ptr<PolicyServer> server;
     size_t applied = 0;  // absolute op index this replica has installed up to
   };
 
@@ -251,22 +273,23 @@ class ShardedPolicyServer {
   explicit ShardedPolicyServer(Options options);
 
   Status Init();
-  Result<std::shared_ptr<PolicyServer>> MakeReplica() const;
+  Result<std::unique_ptr<PolicyServer>> MakeReplica() const;
   size_t ShardOf(std::string_view policy_name) const;
   /// The install path shared by InstallPolicy and recovery replay: assumes
   /// shard.install_mu is held and the durable store (if any) already has
   /// the op. Appends to the op log, catches the spare up, publishes it.
   Result<int64_t> ApplyAndPublish(Shard& shard, const p3p::Policy& policy);
+  /// Publishes `rf` with every ref's id resolved from the shards, at a new
+  /// epoch. Assumes directory_install_mu_ is held.
   void PublishDirectory(const p3p::ReferenceFile& rf);
+  /// After an install of `policy_name` (now `global_id`): republishes the
+  /// directory with that id in every ref naming the policy; a no-op when
+  /// none does. Part of the install's publication, so it takes no epoch of
+  /// its own. Takes directory_install_mu_, so the caller may hold a
+  /// shard's install_mu but no directory guard.
+  void RepublishDirectory(std::string_view policy_name, int64_t global_id);
   Result<MatchResult> MatchResolved(const CompiledPreference& pref,
                                     std::string_view path, bool for_cookie);
-  /// The tail every tier match shares: evaluates `local_id` on shard `k`'s
-  /// snapshot replica, ticks the tier and shard match counters, and reports
-  /// ids as global ids (the result's, and the one a replica NotFound
-  /// names).
-  Result<MatchResult> MatchOnShard(const CompiledPreference& pref, size_t k,
-                                   const ShardSnapshot& snapshot,
-                                   int64_t local_id);
   /// Global id of shard `k`'s local id: local_id * shards + k.
   int64_t GlobalId(int64_t local_id, size_t k) const {
     return local_id * static_cast<int64_t>(shards_.size()) +
@@ -276,8 +299,9 @@ class ShardedPolicyServer {
   Options options_;
   std::shared_ptr<sqldb::PlanCache> plan_cache_;  // every replica's
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Serializes reference-file installs (so durable order and published
-  /// order agree); directory reads are lock-free snapshot loads.
+  /// Serializes directory publications: reference-file installs (so durable
+  /// order and published order agree) and install-time republishes.
+  /// Directory reads are lock-free guards.
   mutable std::mutex directory_install_mu_;
   EpochPtr<DirectorySnapshot> directory_;
   std::atomic<uint64_t> epoch_{1};

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -611,6 +612,166 @@ TEST(ServingTierTest, TornEpochNeverObserved) {
       tier.value()->MatchUri(pref.value(), "/churn/index.html");
   ASSERT_TRUE(final_match.ok());
   EXPECT_EQ(final_match.value().behavior, behavior_a);
+}
+
+uint64_t SeedFromEnv(const char* name, uint64_t fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  return static_cast<uint64_t>(std::strtoull(env, nullptr, 10));
+}
+
+// URI matches racing installs. The reference file names P (installed) and Q
+// (not yet). An installer re-installs P, alternating two variants, and
+// installs Q once at a seeded step; matchers resolve P's and Q's paths by
+// URI and by cookie, match P's latest announced id, and list the installed
+// ids (GlobalPolicyIds reads each replica under a guard alone). A URI match
+// reads the directory's id for the path, which installs republish, so:
+//   - the id a matcher sees for P's path never decreases, and is never
+//     older than an id whose InstallPolicy already returned;
+//   - Q's path goes from no-policy to Q's id, and never back;
+//   - right after InstallPolicy returns, a URI match on the installer's
+//     thread reports the id it returned;
+//   - catalog_epoch() rises by exactly one per install.
+// Set P3PDB_SERVING_TIER_SEED to replay a printed seed.
+TEST(ServingTierTest, UriMatchesFollowInstalls) {
+  const uint64_t seed = SeedFromEnv("P3PDB_SERVING_TIER_SEED", 25);
+  SCOPED_TRACE(::testing::Message()
+               << "seed " << seed << " (replay: P3PDB_SERVING_TIER_SEED="
+               << seed << ")");
+  const std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
+  p3p::Policy p_variants[2] = {corpus[0], corpus[1]};
+  p_variants[0].name = p_variants[1].name = "p";
+  p3p::Policy q = corpus[2];
+  q.name = "q";
+
+  auto tier = ShardedPolicyServer::Create(TierOptions(4));
+  ASSERT_TRUE(tier.ok()) << tier.status().message();
+  auto first_p = tier.value()->InstallPolicy(p_variants[0]);
+  ASSERT_TRUE(first_p.ok()) << first_p.status().message();
+  p3p::ReferenceFile rf;
+  for (const char* name : {"p", "q"}) {
+    p3p::PolicyRef ref;
+    ref.about = std::string("/P3P/policies.xml#") + name;
+    ref.includes = {std::string("/") + name + "/*"};
+    ref.cookie_includes = {std::string("/") + name + "/*"};
+    rf.AddRef(std::move(ref));
+  }
+  ASSERT_TRUE(tier.value()->InstallReferenceFile(rf).ok());
+  auto pref =
+      tier.value()->CompilePreference(JrcPreference(PreferenceLevel::kHigh));
+  ASSERT_TRUE(pref.ok());
+  {
+    auto r = tier.value()->MatchUri(pref.value(), "/q/index.html");
+    ASSERT_TRUE(r.ok());
+    ASSERT_FALSE(r.value().policy_found);
+  }
+
+  constexpr int kInstalls = 40;
+  constexpr int kMatcherThreads = 3;
+  Random schedule(seed);
+  const int q_step = static_cast<int>(schedule.Uniform(kInstalls));
+
+  std::atomic<int64_t> p_latest{first_p.value()};
+  std::atomic<int64_t> q_id{-1};
+  std::atomic<bool> stop{false};
+  std::atomic<int> install_errors{0};
+  std::atomic<int> epoch_errors{0};
+  std::atomic<int> stale_after_return{0};
+  std::atomic<int> errors{0};
+  std::atomic<int> p_went_back{0};
+  std::atomic<int> q_went_back{0};
+  std::atomic<int> q_wrong_id{0};
+  std::atomic<uint64_t> q_found{0};
+
+  std::thread installer([&] {
+    int p_installs = 0;
+    for (int step = 0; step < kInstalls; ++step) {
+      const bool is_q = step == q_step;
+      const p3p::Policy& next = is_q ? q : p_variants[++p_installs % 2];
+      const uint64_t epoch_before = tier.value()->catalog_epoch();
+      auto id = tier.value()->InstallPolicy(next);
+      if (!id.ok()) {
+        ++install_errors;
+        break;
+      }
+      if (tier.value()->catalog_epoch() != epoch_before + 1) ++epoch_errors;
+      const std::string path = "/" + next.name + "/index.html";
+      auto seen = tier.value()->MatchUri(pref.value(), path);
+      if (!seen.ok() || seen.value().policy_id != id.value()) {
+        ++stale_after_return;
+      }
+      (is_q ? q_id : p_latest).store(id.value());
+    }
+    stop.store(true);
+  });
+  std::vector<std::thread> matchers;
+  for (int t = 0; t < kMatcherThreads; ++t) {
+    matchers.emplace_back([&, t] {
+      Random rng(seed * 31 + static_cast<uint64_t>(t) + 1);
+      int64_t last_p = -1;
+      bool q_seen = false;
+      while (!stop.load()) {
+        const uint64_t op = rng.Uniform(6);
+        if (op == 5) {
+          const int64_t announced = p_latest.load();
+          const std::vector<int64_t> ids = tier.value()->GlobalPolicyIds();
+          if (std::find(ids.begin(), ids.end(), announced) == ids.end()) {
+            ++errors;
+          }
+          continue;
+        }
+        if (op == 0) {
+          const int64_t announced = p_latest.load();
+          auto r = tier.value()->MatchPolicyId(pref.value(), announced);
+          if (!r.ok() || r.value().policy_id != announced) ++errors;
+          continue;
+        }
+        const bool for_q = op >= 3;
+        const bool by_cookie = op % 2 == 0;
+        const int64_t announced = (for_q ? q_id : p_latest).load();
+        const std::string path = for_q ? "/q/index.html" : "/p/index.html";
+        auto r = by_cookie ? tier.value()->MatchCookie(pref.value(), path)
+                           : tier.value()->MatchUri(pref.value(), path);
+        if (!r.ok()) {
+          ++errors;
+          continue;
+        }
+        const MatchResult& m = r.value();
+        if (!for_q) {
+          if (!m.policy_found || m.policy_id < announced ||
+              m.policy_id < last_p) {
+            ++p_went_back;
+          }
+          last_p = std::max(last_p, m.policy_id);
+        } else if (m.policy_found) {
+          q_seen = true;
+          ++q_found;
+          const int64_t q_now = q_id.load();
+          if (q_now >= 0 && m.policy_id != q_now) ++q_wrong_id;
+        } else if (q_seen || announced >= 0) {
+          ++q_went_back;
+        }
+      }
+    });
+  }
+  installer.join();
+  for (std::thread& t : matchers) t.join();
+
+  EXPECT_EQ(install_errors.load(), 0);
+  EXPECT_EQ(epoch_errors.load(), 0);
+  EXPECT_EQ(stale_after_return.load(), 0);
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(p_went_back.load(), 0);
+  EXPECT_EQ(q_went_back.load(), 0);
+  EXPECT_EQ(q_wrong_id.load(), 0);
+  // Finally both paths resolve to the last ids installed.
+  auto p_final = tier.value()->MatchCookie(pref.value(), "/p/index.html");
+  ASSERT_TRUE(p_final.ok());
+  EXPECT_EQ(p_final.value().policy_id, p_latest.load());
+  auto q_final = tier.value()->MatchUri(pref.value(), "/q/index.html");
+  ASSERT_TRUE(q_final.ok());
+  EXPECT_TRUE(q_final.value().policy_found);
+  EXPECT_EQ(q_final.value().policy_id, q_id.load());
 }
 
 // Two preferences that differ only in a repeated attribute translate to

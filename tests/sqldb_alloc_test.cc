@@ -1,7 +1,8 @@
 // Heap allocations on the cold rule-query path, counted by a replaced global
 // operator new: per ParseStatement, per first-time Database::Prepare, and
-// per PolicyServer::CompilePreference; and heap frees, counted by the
-// replaced operator delete, per cached plan the plan cache evicts. The
+// per PolicyServer::CompilePreference; heap frees, counted by the replaced
+// operator delete, per cached plan the plan cache evicts; and allocations
+// per warm match-cache hit on the serving tier, by id and by URI. The
 // statements are the optimized translator's output for seeded
 // RandomPreferences, prepared against a kSql server holding every 4th of
 // 1,000 FortuneCorpus policies (one shard's share of the 4-shard serving
@@ -29,10 +30,12 @@
 #include "appel/model.h"
 #include "common/random.h"
 #include "server/policy_server.h"
+#include "server/sharded_server.h"
 #include "sqldb/database.h"
 #include "sqldb/parser.h"
 #include "translator/sql_optimized.h"
 #include "workload/corpus.h"
+#include "workload/jrc_preferences.h"
 #include "workload/random_preferences.h"
 
 namespace {
@@ -373,6 +376,65 @@ TEST(StatementAllocationsTest, IndexProbesAllocateAlikeOnBothExecutors) {
               static_cast<unsigned long long>(per_execution[0]),
               static_cast<unsigned long long>(per_execution[1]));
   EXPECT_EQ(per_execution[0], per_execution[1]);
+}
+
+// A warm tier hit allocates nothing, by id or by URI: the shard snapshot
+// and the directory are pinned by guards (no shared_ptr copy), a URI
+// resolves through the reference file's prefix index to a ref index and the
+// directory's id for it (no `about` copy, no policy-name string), and the
+// cached verdict is copied out without a heap block. Resolving the URI
+// through the `about` string and the replica's name map measured 2.80
+// allocations per MatchUri.
+TEST(StatementAllocationsTest, WarmTierHitsAllocateNothing) {
+  server::ShardedPolicyServer::Options options;
+  options.shards = 4;
+  auto tier = server::ShardedPolicyServer::Create(options);
+  ASSERT_TRUE(tier.ok()) << tier.status();
+  const std::vector<p3p::Policy> corpus =
+      workload::FortuneCorpus({.policy_count = 1000});
+  for (const p3p::Policy& policy : corpus) {
+    ASSERT_TRUE(tier.value()->InstallPolicy(policy).ok());
+  }
+  ASSERT_TRUE(tier.value()
+                  ->InstallReferenceFile(workload::CorpusReferenceFile(corpus))
+                  .ok());
+  auto pref = tier.value()->CompilePreference(
+      workload::JrcPreference(workload::PreferenceLevel::kHigh));
+  ASSERT_TRUE(pref.ok()) << pref.status();
+  const std::vector<int64_t> ids = tier.value()->GlobalPolicyIds();
+  std::vector<std::string> paths;
+  for (const p3p::Policy& policy : corpus) {
+    paths.push_back("/" + policy.name + "/index.html");
+  }
+  // Warm: every subject's verdict enters its replica's match cache.
+  for (int64_t id : ids) {
+    ASSERT_TRUE(tier.value()->MatchPolicyId(pref.value(), id).ok());
+  }
+  for (const std::string& path : paths) {
+    auto match = tier.value()->MatchUri(pref.value(), path);
+    ASSERT_TRUE(match.ok()) << match.status();
+    ASSERT_TRUE(match.value().policy_found) << path;
+  }
+
+  uint64_t before = Allocations();
+  for (int64_t id : ids) {
+    auto match = tier.value()->MatchPolicyId(pref.value(), id);
+    if (!match.ok()) FAIL() << match.status();
+  }
+  const double per_id = static_cast<double>(Allocations() - before) /
+                        static_cast<double>(ids.size());
+  before = Allocations();
+  for (const std::string& path : paths) {
+    auto match = tier.value()->MatchUri(pref.value(), path);
+    if (!match.ok()) FAIL() << match.status();
+  }
+  const double per_uri = static_cast<double>(Allocations() - before) /
+                         static_cast<double>(paths.size());
+  std::printf("allocations per warm tier hit: MatchPolicyId %.2f, "
+              "MatchUri %.2f (%zu policies)\n",
+              per_id, per_uri, ids.size());
+  EXPECT_EQ(per_id, 0.0);
+  EXPECT_EQ(per_uri, 0.0);
 }
 
 TEST(StatementAllocationsTest, CounterSeesHeapAllocations) {
