@@ -51,7 +51,8 @@ using server::ShardedPolicyServer;
 using workload::JrcPreference;
 using workload::PreferenceLevel;
 
-constexpr int kMatchesPerThread = 400;
+// 100 sampled matches per thread (see kSampleEvery).
+constexpr int kMatchesPerThread = 6400;
 // A warm tier hit costs well under a microsecond, so the tier modes need
 // far more matches per point than the engine modes to dwarf thread startup.
 constexpr int kTierMatchesPerThread = 100000;
@@ -59,6 +60,29 @@ constexpr size_t kTierPolicies = 1000;
 // A cold session costs ~100-200 us of thread time.
 constexpr int kSessionsPerThread = 400;
 constexpr int kMatchesPerSession = 4;
+// The match loops time one match in every kSampleEvery for the
+// percentiles and run the rest with no clock read: ns/op comes from the
+// loop's wall time, and two clock reads are a sizeable share of a warm hit.
+constexpr int kSampleEvery = 64;
+
+/// Runs `match(n)` for n in [0, count), timing every kSampleEvery-th call
+/// (not the first, which pays the thread's cold start) into `latency`.
+/// Stops at the first error and returns it.
+template <typename Match>
+Status SampledMatches(int count, TimingStats* latency, const Match& match) {
+  for (int n = 0; n < count; ++n) {
+    if (n % kSampleEvery != kSampleEvery - 1) {
+      P3PDB_RETURN_IF_ERROR(match(n).status());
+      continue;
+    }
+    Stopwatch sw;
+    auto r = match(n);
+    const double us = sw.ElapsedMicros();
+    P3PDB_RETURN_IF_ERROR(r.status());
+    latency->Add(us);
+  }
+  return Status::OK();
+}
 
 /// Thread counts sized to the machine instead of a hard-coded {1,2,4,8}:
 /// powers of two up to the hardware thread count, plus one 2x
@@ -87,7 +111,9 @@ struct ThroughputPoint {
   int threads = 0;
   uint64_t matches = 0;
   double elapsed_us = 0.0;
-  TimingStats latency_us;  // per-match wall time, merged across threads
+  // Sampled per-op wall time (one match in kSampleEvery; every session),
+  // merged across threads.
+  TimingStats latency_us;
   // Memo-cache counters over the measured region; hit_rate < 0 = uncached.
   double hit_rate = -1.0;
   uint64_t cache_hits = 0;
@@ -146,16 +172,10 @@ Result<ThroughputPoint> Measure(PolicyServer* server, const char* mode,
   Stopwatch sw;
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      for (int i = 0; i < kMatchesPerThread; ++i) {
-        Stopwatch match_sw;
-        auto r = server->MatchUri(pref, paths[(t + i) % paths.size()]);
-        double us = match_sw.ElapsedMicros();
-        if (!r.ok()) {
-          outcomes[t] = r.status();
-          return;
-        }
-        latencies[t].Add(us);
-      }
+      outcomes[t] =
+          SampledMatches(kMatchesPerThread, &latencies[t], [&](int i) {
+            return server->MatchUri(pref, paths[(t + i) % paths.size()]);
+          });
     });
   }
   for (std::thread& w : workers) w.join();
@@ -222,17 +242,12 @@ Result<ThroughputPoint> MeasureTier(ShardedPolicyServer* tier,
     workers.emplace_back([&, t] {
       while (!go.load()) std::this_thread::yield();
       size_t i = static_cast<size_t>(t) * subjects / threads;
-      for (int n = 0; n < kTierMatchesPerThread; ++n) {
-        Stopwatch match_sw;
-        auto r = match(i);
-        double us = match_sw.ElapsedMicros();
-        if (!r.ok()) {
-          outcomes[t] = r.status();
-          return;
-        }
-        latencies[t].Add(us);
-        if (++i == subjects) i = 0;
-      }
+      outcomes[t] = SampledMatches(kTierMatchesPerThread, &latencies[t],
+                                   [&](int) {
+                                     auto r = match(i);
+                                     if (++i == subjects) i = 0;
+                                     return r;
+                                   });
     });
   }
   Stopwatch sw;

@@ -1,10 +1,6 @@
-// Executor microbenchmarks: the vectorized batch executor against the
-// scalar row-at-a-time path on the three shapes the match path exercises —
-// a filtered sequential scan, a kernel-heavy predicate (LIKE / IN / OR),
-// and batched hash semi-join probes — plus a chunk-size sweep over the
-// filtered scan. Each workload runs twice against identically loaded
-// databases (vectorized on / off), so the printed speedup isolates the
-// executor change from everything else.
+// Executor microbenchmarks on three query shapes: a filtered sequential
+// scan, an operator-heavy predicate (LIKE / IN / OR), and hash semi-join
+// probes, each against a freshly loaded database.
 //
 // `--json <path>` writes one record per run. Samples are per-query
 // microseconds (so p50/p99 describe query latency); `matches_per_sec`
@@ -123,13 +119,10 @@ constexpr int kRepetitions = 20;
 
 /// Builds the workload tables: `events` (the scanned fact table) and
 /// `outer_t` (the probe side of the semi-join bench).
-std::unique_ptr<sqldb::Database> MakeDatabase(bool vectorized,
-                                              uint32_t chunk_size) {
+std::unique_ptr<sqldb::Database> MakeDatabase() {
   sqldb::Database::Options options;
   options.enable_planner = true;
   options.enable_plan_cache = true;
-  options.enable_vectorized_executor = vectorized;
-  options.vector_chunk_size = chunk_size;
   auto db = std::make_unique<sqldb::Database>(options);
 
   auto check = [](const Status& st) {
@@ -145,7 +138,7 @@ std::unique_ptr<sqldb::Database> MakeDatabase(bool vectorized,
     sqldb::Row row;
     row.push_back(sqldb::Value::Integer(static_cast<int64_t>(i)));
     row.push_back(sqldb::Value::Integer(static_cast<int64_t>(i % 100)));
-    // Every 97th v is NULL so the kernels see three-valued inputs.
+    // Every 97th v is NULL so the predicates see three-valued inputs.
     if (i % 97 == 0) {
       row.push_back(sqldb::Value::Null());
     } else {
@@ -382,46 +375,20 @@ int Main(int argc, char** argv) {
   std::printf("Executor microbenchmarks (%zu-row events table, "
               "%d reps per cell)\n\n",
               kEventRows, kRepetitions);
-  std::vector<int> widths = {12, 16, 16, 9};
+  std::vector<int> widths = {12, 16, 12};
   PrintTableRule(widths);
-  PrintTableRow({"workload", "vectorized", "scalar", "speedup"}, widths);
+  PrintTableRow({"workload", "throughput", "us/query"}, widths);
   PrintTableRule(widths);
 
   for (const Workload& w : workloads) {
-    auto vec_db = MakeDatabase(/*vectorized=*/true, /*chunk_size=*/1024);
-    auto scalar_db = MakeDatabase(/*vectorized=*/false, /*chunk_size=*/1024);
-    MicroResult vec = RunQuery(vec_db.get(), w.sql, w.rows_per_query);
-    MicroResult scalar = RunQuery(scalar_db.get(), w.sql, w.rows_per_query);
-    PrintTableRow({w.name, FormatRowsPerSec(vec.rows_per_sec),
-                   FormatRowsPerSec(scalar.rows_per_sec),
-                   [&] {
-                     char buf[32];
-                     std::snprintf(buf, sizeof(buf), "%.2fx",
-                                   scalar.timings.Average() /
-                                       vec.timings.Average());
-                     return std::string(buf);
-                   }()},
-                  widths);
-    records.push_back(Record(std::string("micro/") + w.name, vec));
-    records.push_back(Record(std::string("micro/") + w.name + "_novec",
-                             scalar));
+    auto db = MakeDatabase();
+    MicroResult r = RunQuery(db.get(), w.sql, w.rows_per_query);
+    char us[32];
+    std::snprintf(us, sizeof(us), "%.1f", r.timings.Average());
+    PrintTableRow({w.name, FormatRowsPerSec(r.rows_per_sec), us}, widths);
+    records.push_back(Record(std::string("micro/") + w.name, r));
   }
   PrintTableRule(widths);
-
-  // Chunk-size sweep over the filtered scan: 1 approximates the scalar
-  // path's per-row regime (kernel dispatch per row), the upper sizes show
-  // where the gather/kernel costs amortize flat.
-  std::printf("\nChunk-size sweep (scan_filter):\n");
-  for (uint32_t chunk : {1u, 64u, 256u, 1024u, 4096u}) {
-    auto db = MakeDatabase(/*vectorized=*/true, chunk);
-    MicroResult r = RunQuery(db.get(), workloads[0].sql,
-                             workloads[0].rows_per_query);
-    std::printf("  chunk %4u: %s (%.1fus/query)\n", chunk,
-                FormatRowsPerSec(r.rows_per_sec).c_str(),
-                r.timings.Average());
-    records.push_back(
-        Record("micro/scan_filter_chunk" + std::to_string(chunk), r));
-  }
 
   size_t statements = 0;
   double arena_reserved = 0.0;

@@ -39,10 +39,8 @@ using workload::VolgaPolicy;
 /// configuration (rule queries prepared at compile time, metrics off — see
 /// MakeBenchServer) so the record isolates engine execution cost. With the
 /// planner on, every sampled match probes cached hash-join key sets; with
-/// `--no-planner` each match runs correlated EXISTS subqueries (PR 5's
-/// >=2x bar). With `P3PDB_NO_VECTORIZE=1` the same build falls back to the
-/// scalar row-at-a-time executor (this PR's vectorization ablation,
-/// recorded as `bench_fig20_novec.json` in CI).
+/// `--no-planner` each match runs correlated EXISTS subqueries (the >=2x
+/// bar of the planner ablation).
 void RunSqlScale10k(bool enable_planner, const BenchObservability& obs,
                     int linger_seconds, const std::string& storage_path,
                     std::vector<BenchJsonRecord>* records) {
@@ -113,9 +111,7 @@ void RunSqlScale10k(bool enable_planner, const BenchObservability& obs,
       "SQL match at 10k-policy scale (Medium preference, %zu sampled "
       "policies, planner %s):\n  avg %s  p50 %s  p99 %s per match\n"
       "  plans built %llu, plan-cache hits %llu, semi-join rewrites %llu, "
-      "anti-join rewrites %llu, hash-join builds %llu, probes %llu\n"
-      "  batches %llu, batch rows %llu, vectorized filters %llu, "
-      "fallback rows %llu\n\n",
+      "anti-join rewrites %llu, hash-join builds %llu, probes %llu\n\n",
       sample.size(),
       storage_path.empty()
           ? (enable_planner ? "ON" : "OFF (--no-planner)")
@@ -129,11 +125,7 @@ void RunSqlScale10k(bool enable_planner, const BenchObservability& obs,
       static_cast<unsigned long long>(stats.semi_join_rewrites),
       static_cast<unsigned long long>(stats.anti_join_rewrites),
       static_cast<unsigned long long>(stats.hash_join_builds),
-      static_cast<unsigned long long>(stats.hash_join_probes),
-      static_cast<unsigned long long>(stats.batches),
-      static_cast<unsigned long long>(stats.batch_rows),
-      static_cast<unsigned long long>(stats.vectorized_filters),
-      static_cast<unsigned long long>(stats.vectorized_fallback_rows));
+      static_cast<unsigned long long>(stats.hash_join_probes));
   records->push_back(RecordFromTimings(
       storage_path.empty() ? "fig20/sql_query_10k" : "fig20/sql_query_10k_disk",
       query));

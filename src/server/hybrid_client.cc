@@ -3,35 +3,24 @@
 namespace p3pdb::server {
 
 Status HybridClient::FetchReferenceFile(const p3p::ReferenceFile& rf) {
-  about_to_policy_id_.clear();
+  ref_policy_id_.clear();
   for (const p3p::PolicyRef& ref : rf.refs()) {
-    std::optional<int64_t> id = server_->FindPolicyIdByAbout(ref.about);
-    if (id.has_value()) {
-      about_to_policy_id_[ref.about] = *id;
-    }
+    ref_policy_id_.push_back(server_->FindPolicyIdByAbout(ref.about));
   }
   cached_rf_ = rf;
   has_rf_ = true;
   return Status::OK();
 }
 
-Result<MatchResult> HybridClient::Dispatch(
-    const CompiledPreference& pref,
-    const std::optional<std::string>& about) {
-  if (!about.has_value()) {
+Result<MatchResult> HybridClient::Dispatch(const CompiledPreference& pref,
+                                           std::optional<size_t> ref) {
+  if (!ref.has_value() || !ref_policy_id_[*ref].has_value()) {
     MatchResult result;
     result.behavior = kNoPolicyBehavior;
     result.policy_found = false;
     return result;
   }
-  auto it = about_to_policy_id_.find(*about);
-  if (it == about_to_policy_id_.end()) {
-    MatchResult result;
-    result.behavior = kNoPolicyBehavior;
-    result.policy_found = false;
-    return result;
-  }
-  return server_->MatchPolicyId(pref, it->second);
+  return server_->MatchPolicyId(pref, *ref_policy_id_[*ref]);
 }
 
 Result<MatchResult> HybridClient::Check(const CompiledPreference& pref,
@@ -40,7 +29,7 @@ Result<MatchResult> HybridClient::Check(const CompiledPreference& pref,
     return Status::InvalidArgument("no reference file fetched");
   }
   ++local_resolutions_;
-  return Dispatch(pref, cached_rf_.PolicyForPath(local_path));
+  return Dispatch(pref, cached_rf_.RefIndexForPath(local_path));
 }
 
 Result<MatchResult> HybridClient::CheckCookie(const CompiledPreference& pref,
@@ -49,7 +38,7 @@ Result<MatchResult> HybridClient::CheckCookie(const CompiledPreference& pref,
     return Status::InvalidArgument("no reference file fetched");
   }
   ++local_resolutions_;
-  return Dispatch(pref, cached_rf_.PolicyForCookie(cookie_path));
+  return Dispatch(pref, cached_rf_.RefIndexForCookie(cookie_path));
 }
 
 }  // namespace p3pdb::server

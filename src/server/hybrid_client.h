@@ -14,10 +14,11 @@
 #ifndef P3PDB_SERVER_HYBRID_CLIENT_H_
 #define P3PDB_SERVER_HYBRID_CLIENT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
+#include <optional>
 #include <string_view>
+#include <vector>
 
 #include "p3p/reference_file.h"
 #include "server/policy_server.h"
@@ -46,13 +47,17 @@ class HybridClient {
   uint64_t local_resolutions() const { return local_resolutions_; }
 
  private:
+  /// Matches the policy of POLICY-REF `ref` (nullopt: no ref covers the
+  /// URI) on the server.
   Result<MatchResult> Dispatch(const CompiledPreference& pref,
-                               const std::optional<std::string>& about);
+                               std::optional<size_t> ref);
 
   PolicyServer* server_;
   p3p::ReferenceFile cached_rf_;
   bool has_rf_ = false;
-  std::map<std::string, int64_t> about_to_policy_id_;
+  /// Server-side policy id of each POLICY-REF of cached_rf_, by ref index;
+  /// nullopt when the server holds no policy with that `about`.
+  std::vector<std::optional<int64_t>> ref_policy_id_;
   uint64_t local_resolutions_ = 0;
 };
 

@@ -108,7 +108,6 @@ PolicyServer::PolicyServer(Options options)
           .enable_plan_cache = options.enable_planner,
           .plan_cache = options.plan_cache,
           .enable_cost_model = options.enable_cost_model,
-          .enable_vectorized_executor = options.enable_vectorized_executor,
           .enable_statement_stats = options.enable_statement_stats,
           .slow_query_threshold_us = options.slow_query_threshold_us,
           .trace_sample_every = options.trace_sample_every,

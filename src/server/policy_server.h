@@ -143,12 +143,8 @@ class PolicyServer {
     /// flipped without code changes; benches pass it explicitly for the
     /// `--no-planner` ablation.
     bool enable_planner = sqldb::PlannerEnabledFromEnv();
-    /// Run the database's vectorized batch executor (columnar chunk scans,
-    /// selection-vector predicate kernels, batched hash-join probes).
-    /// Defaults from the P3PDB_NO_VECTORIZE environment variable, so the
-    /// bench/CI ablations flip the whole server stack the way they flip
-    /// the planner. Off = the scalar row-at-a-time executor.
-    bool enable_vectorized_executor = sqldb::VectorizeEnabledFromEnv();
+    /// No effect; set only by perfbench's model servers.
+    bool enable_vectorized_executor = false;
     /// Maintain the database's statistics catalog (row counts, NDV
     /// sketches, min/max, null fractions) and let the cost model moderate
     /// the rule planner (build-side estimates, EXISTS rewrite vetoes,

@@ -34,7 +34,6 @@ Result<std::unique_ptr<PolicyServer>> ShardedPolicyServer::MakeReplica()
   PolicyServer::Options o;
   o.engine = options_.engine;
   o.enable_planner = options_.enable_planner;
-  o.enable_vectorized_executor = options_.enable_vectorized_executor;
   o.enable_cost_model = options_.enable_cost_model;
   o.enable_match_cache = options_.enable_match_cache;
   o.match_cache_shards = options_.match_cache_shards;

@@ -105,7 +105,8 @@ class ShardedPolicyServer {
     /// match is read-only.
     EngineKind engine = EngineKind::kSql;
     bool enable_planner = sqldb::PlannerEnabledFromEnv();
-    bool enable_vectorized_executor = sqldb::VectorizeEnabledFromEnv();
+    /// No effect; set only by perfbench's model servers.
+    bool enable_vectorized_executor = false;
     bool enable_cost_model = sqldb::CostModelEnabledFromEnv();
     /// Per-replica match caches (so caching, like matching, is per-shard).
     bool enable_match_cache = true;

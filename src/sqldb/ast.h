@@ -593,15 +593,11 @@ struct SelectItem {
 /// (Table::indexes(); indexes are only ever appended, and the schema
 /// identity covers their creation order), and `key_exprs` are aligned with
 /// that index's column ordinals.
-/// `vector_filter` marks the slot whose WHERE filtering the vectorized
-/// executor may run in columnar chunks (the innermost slot; outer slots must
-/// stay row-at-a-time so EXISTS early-out scans no extra rows).
 struct SlotPlan {
   static constexpr int32_t kSeqScan = -1;
   int32_t index = kSeqScan;              // kSeqScan = sequential scan
   ArenaVector<const Expr*> key_exprs;    // probe keys, index column order
   bool has_index() const { return index != kSeqScan; }
-  bool vector_filter = false;
   /// Cost-model output: estimated rows this scan produces per loop, after
   /// the WHERE conjuncts local to the slot. Negative = not costed (cost
   /// model off or no statistics); EXPLAIN prints it only when present.
@@ -734,8 +730,8 @@ struct ExplainStmt : Statement {
 // planner's structural predicates (parameter, escape and table collection,
 // slot estimability and availability, annotation) and EXPLAIN walk the
 // tree through these and keep only their per-kind decisions. Code
-// that computes a different result for each kind (Executor::Eval, the chunk
-// kernels, selectivity estimation, ToSql) and the rewrites that act only at
+// that computes a different result for each kind (Executor::Eval,
+// selectivity estimation, ToSql) and the rewrites that act only at
 // AND/OR/NOT positions keep their own switches.
 
 /// Calls `pred` on each direct child expression of `e`, left to right,

@@ -20,11 +20,6 @@ bool PlannerEnabledFromEnv() {
   return v == nullptr || v[0] == '\0' || std::string_view(v) == "0";
 }
 
-bool VectorizeEnabledFromEnv() {
-  const char* v = std::getenv("P3PDB_NO_VECTORIZE");
-  return v == nullptr || v[0] == '\0' || std::string_view(v) == "0";
-}
-
 bool CostModelEnabledFromEnv() {
   const char* v = std::getenv("P3PDB_NO_COST");
   return v == nullptr || v[0] == '\0' || std::string_view(v) == "0";
@@ -78,11 +73,6 @@ uint64_t MixTable(uint64_t h, const TableSchema& schema) {
   h = Mix(h, "pk");
   for (const std::string& col : schema.primary_key()) h = Mix(h, ToLower(col));
   return h;
-}
-
-ExecConfig ConfigOf(const Database::Options& options) {
-  return ExecConfig{options.enable_vectorized_executor,
-                    options.vector_chunk_size};
 }
 
 /// InvalidArgument unless `params` (null = none) holds exactly `expected`
@@ -375,14 +365,12 @@ Result<QueryResult> Database::RunBoundSelect(const SelectStmt& select,
   StatementStatsEntry* entry = runtime.stats_entry();
   Stopwatch timer;
   ExecStats local;
-  Executor executor(&local, table_slots(), params, &runtime, nullptr,
-                    ConfigOf(options_));
+  Executor executor(&local, table_slots(), params, &runtime);
   auto result = executor.RunSelect(select);
   Stripe().Merge(local);
   if (entry != nullptr) {
     const double elapsed_us = timer.ElapsedMicros();
-    entry->RecordExecution(local,
-                           result.ok() ? result.value().rows.size() : 0,
+    entry->RecordExecution(result.ok() ? result.value().rows.size() : 0,
                            elapsed_us, result.ok());
     if (result.ok() && slow_log_ != nullptr) {
       MaybeCaptureStatement(select, runtime, params, elapsed_us);
@@ -430,8 +418,7 @@ void Database::MaybeCaptureStatement(const SelectStmt& select,
   capture.params = std::move(rendered);
   PlanProfile profile;
   ExecStats scratch;
-  Executor executor(&scratch, table_slots(), params, &runtime, &profile,
-                    ConfigOf(options_));
+  Executor executor(&scratch, table_slots(), params, &runtime, &profile);
   if (executor.RunSelect(select).ok()) {
     ExplainOptions explain_options;
     explain_options.tables = table_slots();
@@ -499,8 +486,7 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
       P3PDB_ASSIGN_OR_RETURN(PlanRuntime* runtime,
                              BindAndPlan(select, stmt->arena));
       ExecStats local;
-      Executor executor(&local, table_slots(), params, runtime, nullptr,
-                        ConfigOf(options_));
+      Executor executor(&local, table_slots(), params, runtime);
       auto result = executor.RunSelect(*select);
       Stripe().Merge(local);
       return result;
@@ -572,8 +558,7 @@ Result<QueryResult> Database::ExecuteParsed(Statement* stmt,
       PlanProfile profile;
       if (explain->analyze) {
         ExecStats local;
-        Executor executor(&local, table_slots(), params, runtime, &profile,
-                          ConfigOf(options_));
+        Executor executor(&local, table_slots(), params, runtime, &profile);
         P3PDB_RETURN_IF_ERROR(executor.RunSelect(*select).status());
         Stripe().Merge(local);
         explain_options.profile = &profile;

@@ -43,12 +43,6 @@ class PlanRuntime;
 /// through every layer.
 bool PlannerEnabledFromEnv();
 
-/// Vectorized-executor default: on, unless the environment sets
-/// P3PDB_NO_VECTORIZE to a non-empty value other than "0". Same contract as
-/// PlannerEnabledFromEnv, so the bench/CI ablations flip the batch executor
-/// the way they flip the planner.
-bool VectorizeEnabledFromEnv();
-
 /// Cost-model default: on, unless the environment sets P3PDB_NO_COST to a
 /// non-empty value other than "0". Same contract as PlannerEnabledFromEnv,
 /// so bench/CI ablations can compare rule-only planning against cost-based
@@ -132,13 +126,8 @@ class Database : public CatalogView {
     /// purely syntactic, exactly as before, and stats maintenance costs
     /// zero on every DML path.
     bool enable_cost_model = CostModelEnabledFromEnv();
-    /// Run the innermost filtered scan of each SELECT on the vectorized
-    /// batch executor (chunked scans, selection-vector predicate kernels,
-    /// batched hash-join probes; see vectorized.cc). Off = every scan runs
-    /// row at a time. Plans do not depend on it.
-    bool enable_vectorized_executor = VectorizeEnabledFromEnv();
-    /// Rows per columnar chunk on the vectorized path.
-    uint32_t vector_chunk_size = 1024;
+    /// No effect; set only by perfbench's model servers.
+    bool enable_vectorized_executor = false;
     /// Fingerprint every prepared SELECT (literals normalize to `?`) and
     /// keep per-fingerprint aggregates — calls, rows, cache hits, rewrites,
     /// latency distribution (see statement_stats.h). Off by default: the

@@ -444,6 +444,62 @@ Result<const HashJoinRuntime::KeySet*> Executor::MemoKeySet(
   return slot.keys.get();
 }
 
+Status Executor::ScanSlot(const SelectStmt& stmt, ScopeStack& stack,
+                          Scope& scope, size_t slot, const RowCallback& on_row,
+                          bool* stopped, PlanNodeStats* node) {
+  const Table* table = &tables_[stmt.from[slot].table];
+  const SlotPlan& sp = stmt.slot_plans[slot];
+
+  // Access path from the plan annotation.
+  const std::vector<size_t>* row_ids = nullptr;
+  if (sp.has_index()) {
+    const Index& index = *table->indexes()[sp.index];
+    ++stats_->index_lookups;
+    // Probe with a non-owning view over stack values: the per-match rule
+    // queries do one of these per execution, and the owned-IndexKey vector
+    // allocation was visible in their profile.
+    constexpr size_t kInlineKeyCols = 8;
+    Value key_vals[kInlineKeyCols];
+    const Value* key_ptrs[kInlineKeyCols];
+    if (sp.key_exprs.size() <= kInlineKeyCols) {
+      for (size_t i = 0; i < sp.key_exprs.size(); ++i) {
+        P3PDB_ASSIGN_OR_RETURN(key_vals[i], Eval(*sp.key_exprs[i], stack));
+        key_ptrs[i] = &key_vals[i];
+      }
+      row_ids = index.Lookup(IndexKeyView{key_ptrs, sp.key_exprs.size()});
+    } else {
+      IndexKey key;
+      key.values.reserve(sp.key_exprs.size());
+      for (const Expr* key_expr : sp.key_exprs) {
+        P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*key_expr, stack));
+        key.values.push_back(std::move(v));
+      }
+      row_ids = index.Lookup(key);
+    }
+    if (row_ids == nullptr) return Status::OK();
+  } else {
+    ++stats_->full_scans;
+  }
+
+  // Row at a time. The WHERE is applied once the innermost slot is
+  // positioned (EnumerateRows' terminal case), so an EXISTS consumer stops
+  // on its first qualifying row.
+  const size_t candidates =
+      row_ids != nullptr ? row_ids->size() : table->SlotCount();
+  for (size_t i = 0; i < candidates; ++i) {
+    const size_t row_id = row_ids != nullptr ? (*row_ids)[i] : i;
+    if (!table->IsLive(row_id)) continue;
+    ++stats_->rows_scanned;
+    if (node != nullptr) ++node->rows;
+    scope.rows[slot] = &table->RowAt(row_id);
+    P3PDB_RETURN_IF_ERROR(
+        EnumerateRows(stmt, stack, scope, slot + 1, on_row, stopped));
+    if (*stopped) break;
+  }
+  scope.rows[slot] = nullptr;
+  return Status::OK();
+}
+
 Status Executor::EnumerateRows(
     const SelectStmt& stmt, ScopeStack& stack, Scope& scope, size_t slot,
     const RowCallback& on_row, bool* stopped) {

@@ -94,12 +94,6 @@ struct PlanNodeStats {
   uint64_t loops = 0;   // times the node was (re)started
   uint64_t rows = 0;    // rows the node produced, summed over loops
   double elapsed_us = 0.0;
-
-  // Vectorized-scan actuals (zero on row-at-a-time nodes): chunks emitted,
-  // rows gathered into them, and rows surviving the chunked filter.
-  uint64_t batches = 0;
-  uint64_t batch_rows_in = 0;
-  uint64_t batch_rows_out = 0;
 };
 
 /// Side table of actual runtime stats keyed by plan-node identity: a
@@ -128,16 +122,6 @@ class PlanProfile {
   std::map<std::pair<const SelectStmt*, size_t>, PlanNodeStats> scans_;
   std::map<const Expr*, PlanNodeStats> hash_joins_;
 };
-
-/// Execution-mode knobs, passed down from Database::Options. `vectorized`
-/// turns on the chunked filter of the innermost filtered slot (see
-/// vectorized.cc); off, every slot runs row at a time.
-struct ExecConfig {
-  bool vectorized = false;
-  uint32_t chunk_size = 1024;
-};
-
-struct VecScratch;  // chunk evaluation arenas, defined in vectorized.cc
 
 /// Non-owning view of a `Result<bool>()` callable. The per-row callbacks of
 /// EnumerateRows are constructed once per scan setup, and the match path
@@ -174,13 +158,12 @@ class Executor {
   explicit Executor(ExecStats* stats, TableSlots tables = {},
                     const std::vector<Value>* params = nullptr,
                     PlanRuntime* runtime = nullptr,
-                    PlanProfile* profile = nullptr, ExecConfig config = {})
+                    PlanProfile* profile = nullptr)
       : stats_(stats),
         tables_(tables),
         params_(params),
         runtime_(runtime),
-        profile_(profile),
-        config_(config) {}
+        profile_(profile) {}
 
   /// Runs a bound SELECT and materializes the full result.
   Result<QueryResult> RunSelect(const SelectStmt& stmt);
@@ -280,27 +263,13 @@ class Executor {
   Status EnumerateRows(const SelectStmt& stmt, ScopeStack& stack, Scope& scope,
                        size_t slot, const RowCallback& on_row,
                        bool* stopped);
-  // --- Scans (vectorized.cc) -----------------------------------------------
   /// The per-slot body of EnumerateRows: positions `slot` through its
-  /// annotated access path (SlotPlan) and loops over the rows. With
-  /// config_.vectorized on, the innermost filtered slot (vector_filter)
-  /// gathers rows into chunks and evaluates the WHERE clause with the chunk
-  /// kernels in EvalPredicateChunk; every other slot, and every slot with it
-  /// off, runs row at a time. Both loops have the same semantics
-  /// (three-valued logic, NULL join verdicts, error messages). `node`
-  /// collects actuals when profiling, else nullptr.
+  /// annotated access path (SlotPlan) — an index probe with a non-owning
+  /// IndexKeyView, or a full scan — and recurses into the next slot once
+  /// per live row. `node` collects actuals when profiling, else nullptr.
   Status ScanSlot(const SelectStmt& stmt, ScopeStack& stack, Scope& scope,
                   size_t slot, const RowCallback& on_row,
                   bool* stopped, PlanNodeStats* node);
-  /// Evaluates `expr` as a predicate over the active rows of the current
-  /// chunk, writing tri-state verdicts (false/true/null) into `out` at the
-  /// active positions. `active`/`n_active` is a selection vector of chunk
-  /// row indices. `nonbool_error` is the message prefix used when a non-kNot
-  /// context receives a non-boolean operand.
-  Status EvalPredicateChunk(const Expr& expr, size_t slot, ScopeStack& stack,
-                            Scope& scope, const uint32_t* active,
-                            size_t n_active, uint8_t* out,
-                            const char* nonbool_error, VecScratch& scratch);
 
   Result<QueryResult> RunPlainSelect(const SelectStmt& stmt,
                                      ScopeStack& stack);
@@ -317,7 +286,6 @@ class Executor {
   const std::vector<Value>* params_;  // null = statement takes no parameters
   PlanRuntime* runtime_;  // null = the plan holds no hash joins
   PlanProfile* profile_;  // null = no per-node actuals collected
-  ExecConfig config_;
 
   // MemoKeySet state: a small direct-scan cache (statements carry at most a
   // handful of distinct joins; round-robin eviction covers the rest).

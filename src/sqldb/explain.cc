@@ -46,23 +46,7 @@ void AppendActuals(const PlanNodeStats* node, const ExplainOptions& options,
   }
   out->append(" (actual rows=" + std::to_string(node->rows) +
               " loops=" + std::to_string(node->loops) +
-              " time=" + FormatDouble(node->elapsed_us, 1) + "us");
-  // Batch actuals live inside the actuals parens (no nesting: the explain
-  // test's StripActuals cuts from " (actual" to the first ')').
-  if (node->batches > 0) {
-    const double rows_per_batch =
-        static_cast<double>(node->batch_rows_in) /
-        static_cast<double>(node->batches);
-    const double selectivity =
-        node->batch_rows_in == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(node->batch_rows_out) /
-                  static_cast<double>(node->batch_rows_in);
-    out->append(" batches=" + std::to_string(node->batches) +
-                " rows/batch=" + FormatDouble(rows_per_batch, 1) +
-                " selectivity=" + FormatDouble(selectivity, 1) + "%");
-  }
-  out->push_back(')');
+              " time=" + FormatDouble(node->elapsed_us, 1) + "us)");
 }
 
 void ExplainSelect(const SelectStmt& stmt, int depth,

@@ -729,12 +729,6 @@ void AnnotateOne(SelectStmt* stmt, const Annotation& a) {
       }
     }
   }
-  // Only the innermost slot may filter in chunks: outer slots must stay
-  // row-at-a-time so an EXISTS early-out never gathers an outer row that
-  // one-row-at-a-time execution would not have reached.
-  if (!stmt->from.empty() && stmt->where != nullptr) {
-    stmt->slot_plans.back().vector_filter = true;
-  }
   AnnotateNested(*stmt, a);
 }
 

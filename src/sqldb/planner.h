@@ -86,8 +86,7 @@ void PlanSelect(SelectStmt* stmt, TableSlots tables, StatementArena* arena,
 /// Fills `slot_plans` on `stmt` and every nested SELECT (EXISTS subqueries,
 /// hash-join build sides, in any clause and under any operator: the tree
 /// walks of ast.h): the access path of each FROM slot (index choice + probe
-/// key expressions), plus the vectorized-filter eligibility of the
-/// innermost FROM slot. This is the only place access paths are decided:
+/// key expressions). This is the only place access paths are decided:
 /// the executor and EXPLAIN read them. Runs on every bound SELECT
 /// (Database::BindAndPlan), after PlanSelect when that runs (rewrites
 /// change the tree).

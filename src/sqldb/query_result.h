@@ -72,30 +72,26 @@ struct QueryResult {
 //
 // Planner rewrite and cost-model decision counters tick at plan time (see
 // planner.h, stats.h); plan_recosts ticks when the plan cache drops an
-// entry whose stats epoch drifted; the hash-join and vectorized counters
-// (see vectorized.cc) tick at execution time.
-#define P3PDB_EXEC_STATS_FIELDS(X)                                                                    \
-  X(statements_executed, nullptr)                                     /* statements run */            \
-  X(rows_scanned, nullptr)                                            /* rows visited, any path */    \
-  X(index_lookups, nullptr)                                           /* hash-index point lookups */  \
-  X(full_scans, nullptr)                                              /* scans, no usable index */    \
-  X(subquery_evals, nullptr)                                          /* EXISTS subquery runs */      \
-  X(comparisons, nullptr)                                             /* predicate comparisons */     \
-  X(plans_built, "sqldb_plans_built_total")                           /* SELECTs bound + planned */   \
-  X(plan_cache_hits, "sqldb_plan_cache_hits_total")                   /* parse/bind skipped */        \
-  X(semi_join_rewrites, "sqldb_semi_join_rewrites_total")             /* EXISTS -> semi-join */       \
-  X(anti_join_rewrites, "sqldb_anti_join_rewrites_total")             /* NOT EXISTS -> anti-join */   \
-  X(hash_join_builds, "sqldb_hash_join_builds_total")                 /* key-set builds */            \
-  X(hash_join_build_rows, nullptr)                                    /* rows enumerated by builds */ \
-  X(hash_join_probes, "sqldb_hash_join_probes_total")                 /* key-set probes */            \
-  X(cost_exists_kept, "sqldb_cost_exists_kept_total")                 /* rewrites vetoed by cost */   \
-  X(cost_join_reorders, "sqldb_cost_join_reorders_total")             /* AND chains reordered */      \
-  X(cost_seq_forced, "sqldb_cost_seq_forced_total")                   /* index -> seq scan */         \
-  X(plan_recosts, "sqldb_plan_recosts_total")                         /* plans dropped on drift */    \
-  X(batches, "sqldb_batches_total")                                   /* columnar chunks emitted */   \
-  X(batch_rows, "sqldb_batch_rows_total")                             /* rows gathered in chunks */   \
-  X(vectorized_filters, "sqldb_vectorized_filters_total")             /* WHEREs run by kernels */     \
-  X(vectorized_fallback_rows, "sqldb_vectorized_fallback_rows_total") /* chunk rows run scalar */
+// entry whose stats epoch drifted; the scan and hash-join counters tick at
+// execution time (executor.cc).
+#define P3PDB_EXEC_STATS_FIELDS(X)                                                        \
+  X(statements_executed, nullptr)                         /* statements run */            \
+  X(rows_scanned, nullptr)                                /* live rows visited */         \
+  X(index_lookups, nullptr)                               /* hash-index point lookups */  \
+  X(full_scans, nullptr)                                  /* scans, no usable index */    \
+  X(subquery_evals, nullptr)                              /* EXISTS subquery runs */      \
+  X(comparisons, nullptr)                                 /* predicate comparisons */     \
+  X(plans_built, "sqldb_plans_built_total")               /* SELECTs bound + planned */   \
+  X(plan_cache_hits, "sqldb_plan_cache_hits_total")       /* parse/bind skipped */        \
+  X(semi_join_rewrites, "sqldb_semi_join_rewrites_total") /* EXISTS -> semi-join */       \
+  X(anti_join_rewrites, "sqldb_anti_join_rewrites_total") /* NOT EXISTS -> anti-join */   \
+  X(hash_join_builds, "sqldb_hash_join_builds_total")     /* key-set builds */            \
+  X(hash_join_build_rows, nullptr)                        /* rows enumerated by builds */ \
+  X(hash_join_probes, "sqldb_hash_join_probes_total")     /* key-set probes */            \
+  X(cost_exists_kept, "sqldb_cost_exists_kept_total")     /* rewrites vetoed by cost */   \
+  X(cost_join_reorders, "sqldb_cost_join_reorders_total") /* AND chains reordered */      \
+  X(cost_seq_forced, "sqldb_cost_seq_forced_total")       /* index -> seq scan */         \
+  X(plan_recosts, "sqldb_plan_recosts_total")             /* plans dropped on drift */
 
 /// Counters accumulated by the executor; reset via Database::ResetStats().
 /// The ablation benchmarks report these to explain *why* one plan shape is

@@ -150,22 +150,11 @@ uint64_t FingerprintStatementText(std::string_view normalized) {
   return hash;
 }
 
-void StatementStatsEntry::RecordExecution(const ExecStats& local,
-                                          uint64_t rows, double elapsed_us,
+void StatementStatsEntry::RecordExecution(uint64_t rows, double elapsed_us,
                                           bool ok) {
   calls_.fetch_add(1, std::memory_order_relaxed);
   if (!ok) errors_.fetch_add(1, std::memory_order_relaxed);
   if (rows != 0) rows_returned_.fetch_add(rows, std::memory_order_relaxed);
-  if (local.batches != 0) {
-    batches_.fetch_add(local.batches, std::memory_order_relaxed);
-  }
-  if (local.batch_rows != 0) {
-    batch_rows_.fetch_add(local.batch_rows, std::memory_order_relaxed);
-  }
-  if (local.vectorized_fallback_rows != 0) {
-    fallback_rows_.fetch_add(local.vectorized_fallback_rows,
-                             std::memory_order_relaxed);
-  }
   const uint64_t us = static_cast<uint64_t>(elapsed_us);
   total_us_.fetch_add(us, std::memory_order_relaxed);
   AtomicMin(min_us_, us);
@@ -207,9 +196,6 @@ std::vector<StatementStatsSnapshot> StatementStatsRegistry::Snapshot(
           entry->semi_join_rewrites_.load(std::memory_order_relaxed);
       s.anti_join_rewrites =
           entry->anti_join_rewrites_.load(std::memory_order_relaxed);
-      s.batches = entry->batches_.load(std::memory_order_relaxed);
-      s.batch_rows = entry->batch_rows_.load(std::memory_order_relaxed);
-      s.fallback_rows = entry->fallback_rows_.load(std::memory_order_relaxed);
       s.total_us = entry->total_us_.load(std::memory_order_relaxed);
       const uint64_t min = entry->min_us_.load(std::memory_order_relaxed);
       s.min_us = min == UINT64_MAX ? 0 : min;
@@ -247,9 +233,6 @@ std::string StatementStatsRegistry::RenderJson(size_t top) const {
            ", ";
     out += "\"anti_join_rewrites\": " + std::to_string(s.anti_join_rewrites) +
            ", ";
-    out += "\"batches\": " + std::to_string(s.batches) + ", ";
-    out += "\"batch_rows\": " + std::to_string(s.batch_rows) + ", ";
-    out += "\"fallback_rows\": " + std::to_string(s.fallback_rows) + ", ";
     out += "\"total_us\": " + std::to_string(s.total_us) + ", ";
     out += "\"min_us\": " + std::to_string(s.min_us) + ", ";
     out += "\"max_us\": " + std::to_string(s.max_us) + ", ";
@@ -301,9 +284,6 @@ void StatementStatsRegistry::Reset() {
     entry->plan_cache_hits_.store(0, std::memory_order_relaxed);
     entry->semi_join_rewrites_.store(0, std::memory_order_relaxed);
     entry->anti_join_rewrites_.store(0, std::memory_order_relaxed);
-    entry->batches_.store(0, std::memory_order_relaxed);
-    entry->batch_rows_.store(0, std::memory_order_relaxed);
-    entry->fallback_rows_.store(0, std::memory_order_relaxed);
     entry->total_us_.store(0, std::memory_order_relaxed);
     entry->min_us_.store(UINT64_MAX, std::memory_order_relaxed);
     entry->max_us_.store(0, std::memory_order_relaxed);

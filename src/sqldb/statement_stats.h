@@ -7,8 +7,8 @@
 // over the normalized text. Statements that differ only in their literal
 // values — the translated rule queries re-submitted per match with a
 // different policy id — therefore share one StatementStatsEntry, which
-// accumulates calls, rows, plan-cache hits, planner rewrites, vectorized
-// batch activity, and a latency distribution.
+// accumulates calls, rows, plan-cache hits, planner rewrites, and a
+// latency distribution.
 //
 // Concurrency: the registry mutex is taken only at prepare time (Intern)
 // and snapshot time; the per-execution tallies on an entry are relaxed
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "sqldb/query_result.h"
 
 namespace p3pdb::sqldb {
 
@@ -50,10 +49,8 @@ class StatementStatsEntry {
       : fingerprint_(fingerprint), normalized_sql_(std::move(normalized_sql)) {}
 
   /// Tallies one finished execution. `rows` is the result row count (0 on
-  /// error), `elapsed_us` the wall time of the execute step, and `local`
-  /// the execution's private counters (batch/fallback activity).
-  void RecordExecution(const ExecStats& local, uint64_t rows,
-                       double elapsed_us, bool ok);
+  /// error) and `elapsed_us` the wall time of the execute step.
+  void RecordExecution(uint64_t rows, double elapsed_us, bool ok);
 
   /// Tallies a plan-cache hit for this shape (parse/bind/plan skipped).
   void RecordPlanCacheHit() {
@@ -84,9 +81,6 @@ class StatementStatsEntry {
   std::atomic<uint64_t> plan_cache_hits_{0};
   std::atomic<uint64_t> semi_join_rewrites_{0};
   std::atomic<uint64_t> anti_join_rewrites_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batch_rows_{0};
-  std::atomic<uint64_t> fallback_rows_{0};
   // Latency: total in integer microseconds plus a log-bucketed histogram
   // for percentiles; min/max maintained with relaxed CAS loops.
   std::atomic<uint64_t> total_us_{0};
@@ -106,9 +100,6 @@ struct StatementStatsSnapshot {
   uint64_t plan_cache_hits = 0;
   uint64_t semi_join_rewrites = 0;
   uint64_t anti_join_rewrites = 0;
-  uint64_t batches = 0;
-  uint64_t batch_rows = 0;
-  uint64_t fallback_rows = 0;
   uint64_t total_us = 0;
   uint64_t min_us = 0;
   uint64_t max_us = 0;

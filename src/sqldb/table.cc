@@ -174,19 +174,6 @@ Status Table::CreateIndex(const std::string& index_name,
   return Status::OK();
 }
 
-size_t Table::FetchChunk(size_t* cursor, size_t max,
-                         const Row** out) const {
-  size_t n = 0;
-  size_t slot = *cursor;
-  const size_t end = rows_.size();
-  while (slot < end && n < max) {
-    if (live_[slot]) out[n++] = &rows_[slot];
-    ++slot;
-  }
-  *cursor = slot;
-  return n;
-}
-
 const Index* Table::FindIndexCovering(
     std::span<const size_t> column_ordinals) const {
   // An index is usable if every one of its columns appears in the available

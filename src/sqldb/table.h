@@ -38,10 +38,10 @@ struct IndexKey {
 };
 
 /// Non-owning view of a composite key: an array of pointers to Values that
-/// live elsewhere (a chunk scratch arena, an expression result). Lets the
-/// vectorized executor probe indexes and hash-join key sets without
-/// materializing a std::vector<Value> per probe. Hash/equality are kept
-/// consistent with IndexKey via the transparent functors below.
+/// live elsewhere (the executor's stack, an expression result). Lets the
+/// executor probe indexes and hash-join key sets without materializing a
+/// std::vector<Value> per probe. Hash/equality are kept consistent with
+/// IndexKey via the transparent functors below.
 struct IndexKeyView {
   const Value* const* values = nullptr;
   size_t size = 0;
@@ -169,12 +169,6 @@ class Table {
 
   bool IsLive(size_t row_id) const { return live_[row_id]; }
   const Row& RowAt(size_t row_id) const { return rows_[row_id]; }
-
-  /// Gathers up to `max` live rows starting at `*cursor` into `out` (row
-  /// pointers; rows are stable while the table holds its shared lock).
-  /// Advances `*cursor` past the slots visited and returns the number of
-  /// rows gathered — 0 means the scan is exhausted.
-  size_t FetchChunk(size_t* cursor, size_t max, const Row** out) const;
 
   /// Creates a named index over the given columns. Existing rows are
   /// indexed immediately.

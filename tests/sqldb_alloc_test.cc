@@ -2,11 +2,11 @@
 // operator new: per ParseStatement, per first-time Database::Prepare, and
 // per PolicyServer::CompilePreference; heap frees, counted by the replaced
 // operator delete, per cached plan the plan cache evicts; and allocations
-// per warm match-cache hit on the serving tier, by id and by URI. The
-// statements are the optimized translator's output for seeded
-// RandomPreferences, prepared against a kSql server holding every 4th of
-// 1,000 FortuneCorpus policies (one shard's share of the 4-shard serving
-// tier).
+// per warm match-cache hit on the serving tier (by id and by URI) and on a
+// HybridClient. The statements are the optimized translator's output for
+// seeded RandomPreferences, prepared against a kSql server holding every
+// 4th of 1,000 FortuneCorpus policies (one shard's share of the 4-shard
+// serving tier).
 //
 // The bounds pin the statement memory model (ast.h): the lexer copies no
 // token text, every AST node and every list a node owns lives in its
@@ -29,6 +29,7 @@
 
 #include "appel/model.h"
 #include "common/random.h"
+#include "server/hybrid_client.h"
 #include "server/policy_server.h"
 #include "server/sharded_server.h"
 #include "sqldb/database.h"
@@ -334,48 +335,41 @@ TEST(StatementAllocationsTest, EvictingACachedPlanReleasesAFewBlocks) {
   EXPECT_LE(per_plan, kMaxFreesPerDestroyedPlan);
 }
 
-// Index probes allocate nothing with the batch executor on or off: every
-// scan probes through a non-owning key view. A row-at-a-time scan that built
-// an owned key and a key-expression list per probe measured 2 more
-// allocations per probe, 128 per execution here.
-TEST(StatementAllocationsTest, IndexProbesAllocateAlikeOnBothExecutors) {
-  uint64_t per_execution[2] = {0, 0};
-  for (bool vectorized : {false, true}) {
-    sqldb::Database::Options options;
-    options.enable_vectorized_executor = vectorized;
-    sqldb::Database db(options);
-    ASSERT_TRUE(db.ExecuteScript("CREATE TABLE p (id INTEGER, v INTEGER);"
-                                 "CREATE TABLE c (pid INTEGER, w INTEGER);"
-                                 "CREATE INDEX c_pid ON c (pid);")
+// Index probes allocate nothing: every scan probes through a non-owning
+// key view. A scan that built an owned key and a key-expression list per
+// probe measured 2 more allocations per probe, 128 per execution here.
+TEST(StatementAllocationsTest, IndexProbesAllocateNothing) {
+  sqldb::Database db;
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE p (id INTEGER, v INTEGER);"
+                               "CREATE TABLE c (pid INTEGER, w INTEGER);"
+                               "CREATE INDEX c_pid ON c (pid);")
+                  .ok());
+  for (int64_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(
+        db.InsertRow("p", {sqldb::Value::Integer(i), sqldb::Value::Integer(i)})
+            .ok());
+    ASSERT_TRUE(db.InsertRow("c", {sqldb::Value::Integer(i),
+                                   sqldb::Value::Integer(i % 3)})
                     .ok());
-    for (int64_t i = 0; i < 64; ++i) {
-      ASSERT_TRUE(
-          db.InsertRow("p", {sqldb::Value::Integer(i), sqldb::Value::Integer(i)})
-              .ok());
-      ASSERT_TRUE(db.InsertRow("c", {sqldb::Value::Integer(i),
-                                     sqldb::Value::Integer(i % 3)})
-                      .ok());
-    }
-    // One probe of c's index per row of p.
-    auto prepared = db.Prepare(
-        "SELECT COUNT(*) FROM p, c WHERE c.pid = p.id AND c.w = 1");
-    ASSERT_TRUE(prepared.ok()) << prepared.status();
-    ASSERT_TRUE(prepared.value().Execute().ok());  // warm
-    const uint64_t lookups = db.stats().index_lookups;
-    constexpr uint64_t kExecutions = 16;
-    const uint64_t before = Allocations();
-    for (uint64_t i = 0; i < kExecutions; ++i) {
-      auto result = prepared.value().Execute();
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(result.value().rows[0][0].AsInteger(), 21);
-    }
-    per_execution[vectorized] = (Allocations() - before) / kExecutions;
-    EXPECT_EQ(db.stats().index_lookups - lookups, 64 * kExecutions);
   }
-  std::printf("allocations per indexed execution: row loop %llu, batch %llu\n",
-              static_cast<unsigned long long>(per_execution[0]),
-              static_cast<unsigned long long>(per_execution[1]));
-  EXPECT_EQ(per_execution[0], per_execution[1]);
+  // One probe of c's index per row of p.
+  auto prepared = db.Prepare(
+      "SELECT COUNT(*) FROM p, c WHERE c.pid = p.id AND c.w = 1");
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  ASSERT_TRUE(prepared.value().Execute().ok());  // warm
+  const uint64_t lookups = db.stats().index_lookups;
+  constexpr uint64_t kExecutions = 16;
+  const uint64_t before = Allocations();
+  for (uint64_t i = 0; i < kExecutions; ++i) {
+    auto result = prepared.value().Execute();
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().rows[0][0].AsInteger(), 21);
+  }
+  const uint64_t per_execution = (Allocations() - before) / kExecutions;
+  EXPECT_EQ(db.stats().index_lookups - lookups, 64 * kExecutions);
+  std::printf("allocations per indexed execution: %llu\n",
+              static_cast<unsigned long long>(per_execution));
+  EXPECT_LT(per_execution, 64u);
 }
 
 // A warm tier hit allocates nothing, by id or by URI: the shard snapshot
@@ -435,6 +429,62 @@ TEST(StatementAllocationsTest, WarmTierHitsAllocateNothing) {
               per_id, per_uri, ids.size());
   EXPECT_EQ(per_id, 0.0);
   EXPECT_EQ(per_uri, 0.0);
+}
+
+// A warm HybridClient::Check allocates what the server's MatchPolicyId on
+// the same policy allocates: the client resolves the path to a POLICY-REF
+// index and that ref's policy id with no string copy. Copying the ref's
+// `about` out and looking it up in a string-keyed map measured 1 more
+// allocation per Check.
+TEST(StatementAllocationsTest, HybridCheckAddsNothingToTheMatch) {
+  server::PolicyServer::Options options;
+  options.engine = server::EngineKind::kSql;
+  options.collect_metrics = false;
+  auto server = server::PolicyServer::Create(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const std::vector<p3p::Policy> corpus =
+      workload::FortuneCorpus({.policy_count = 100});
+  std::vector<int64_t> ids;
+  for (const p3p::Policy& policy : corpus) {
+    auto id = server.value()->InstallPolicy(policy);
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(id.value());
+  }
+  server::HybridClient client(server.value().get());
+  ASSERT_TRUE(
+      client.FetchReferenceFile(workload::CorpusReferenceFile(corpus)).ok());
+  auto pref = server.value()->CompilePreference(
+      workload::JrcPreference(workload::PreferenceLevel::kHigh));
+  ASSERT_TRUE(pref.ok()) << pref.status();
+  std::vector<std::string> paths;
+  for (const p3p::Policy& policy : corpus) {
+    paths.push_back("/" + policy.name + "/index.html");
+  }
+  // Warm: every policy's verdict enters the server's match cache.
+  for (size_t i = 0; i < paths.size(); ++i) {
+    auto check = client.Check(pref.value(), paths[i]);
+    ASSERT_TRUE(check.ok()) << check.status();
+    ASSERT_EQ(check.value().policy_id, ids[i]) << paths[i];
+  }
+
+  uint64_t before = Allocations();
+  for (int64_t id : ids) {
+    auto match = server.value()->MatchPolicyId(pref.value(), id);
+    if (!match.ok()) FAIL() << match.status();
+  }
+  const double per_match = static_cast<double>(Allocations() - before) /
+                           static_cast<double>(ids.size());
+  before = Allocations();
+  for (const std::string& path : paths) {
+    auto check = client.Check(pref.value(), path);
+    if (!check.ok()) FAIL() << check.status();
+  }
+  const double per_check = static_cast<double>(Allocations() - before) /
+                           static_cast<double>(paths.size());
+  std::printf("allocations per warm hybrid hit: MatchPolicyId %.2f, "
+              "Check %.2f (%zu policies)\n",
+              per_match, per_check, ids.size());
+  EXPECT_EQ(per_check, per_match);
 }
 
 TEST(StatementAllocationsTest, CounterSeesHeapAllocations) {

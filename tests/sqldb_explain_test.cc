@@ -515,41 +515,21 @@ TEST(ExplainAnalyzeTest, CorrelatedSubqueryShowsLoops) {
   }
 }
 
-TEST(ExplainAnalyzeTest, VectorizedScanReportsBatchActuals) {
-  Database::Options options = Planned(/*cost_model=*/true);
-  options.enable_vectorized_executor = true;
-  Database db(options);
+TEST(ExplainAnalyzeTest, FilteredScanReportsActuals) {
+  Database db(Planned(/*cost_model=*/true));
   ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER);").ok());
-  // 64 rows: the adaptive ramp emits a 32-row first chunk and a 32-row
-  // second chunk, both past the small-scan cutoff.
   for (int i = 0; i < 64; ++i) {
     ASSERT_TRUE(db.InsertRow("t", {Value::Integer(i)}).ok());
   }
   const std::string sql = "SELECT * FROM t WHERE a >= 32";
   std::string plan = AnalyzePlan(&db, sql);
-  // Golden batch actuals: 2 chunks, 32 rows each, half the rows pass.
-  EXPECT_NE(plan.find("batches=2 rows/batch=32.0 selectivity=50.0%"),
-            std::string::npos)
-      << plan;
+  // The scan visits all 64 rows; the WHERE keeps half of them.
   EXPECT_NE(
       plan.find("scan t (seq scan) (est rows=64) (actual rows=64 loops=1"),
       std::string::npos)
       << plan;
   // Stripping the actuals recovers the structural EXPLAIN plan.
   EXPECT_EQ(StripActuals(plan), Plan(&db, sql));
-
-  // The scalar executor renders the same structural plan with no batch
-  // decorations.
-  Database::Options scalar_options = Planned(/*cost_model=*/true);
-  scalar_options.enable_vectorized_executor = false;
-  Database scalar(scalar_options);
-  ASSERT_TRUE(scalar.ExecuteScript("CREATE TABLE t (a INTEGER);").ok());
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(scalar.InsertRow("t", {Value::Integer(i)}).ok());
-  }
-  std::string scalar_plan = AnalyzePlan(&scalar, sql);
-  EXPECT_EQ(scalar_plan.find("batches="), std::string::npos) << scalar_plan;
-  EXPECT_EQ(StripActuals(scalar_plan), StripActuals(plan));
 }
 
 TEST(ExplainAnalyzeTest, AnnotatesBoundParameterValues) {

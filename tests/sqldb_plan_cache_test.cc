@@ -192,12 +192,6 @@ TEST(SharedPlanCacheTest, DdlChangesTheIdentityAndOnlyTheIdentity) {
   costed.enable_cost_model = !costed.enable_cost_model;
   EXPECT_NE(Database(costed).schema_identity(),
             Database(RuleOptions(nullptr)).schema_identity());
-  // The executor choice does not: every plan carries the same annotation,
-  // and the batch executor is a per-database way of running it.
-  Database::Options scalar = RuleOptions(nullptr);
-  scalar.enable_vectorized_executor = !scalar.enable_vectorized_executor;
-  EXPECT_EQ(Database(scalar).schema_identity(),
-            Database(RuleOptions(nullptr)).schema_identity());
 }
 
 }  // namespace

@@ -562,10 +562,6 @@ TEST(ServerStorage, ExportedSqldbAndStorageMetricNamesArePinned) {
       {"sqldb_anti_join_rewrites_total", exec.anti_join_rewrites},
       {"sqldb_hash_join_builds_total", exec.hash_join_builds},
       {"sqldb_hash_join_probes_total", exec.hash_join_probes},
-      {"sqldb_batches_total", exec.batches},
-      {"sqldb_batch_rows_total", exec.batch_rows},
-      {"sqldb_vectorized_filters_total", exec.vectorized_filters},
-      {"sqldb_vectorized_fallback_rows_total", exec.vectorized_fallback_rows},
       {"sqldb_cost_exists_kept_total", exec.cost_exists_kept},
       {"sqldb_cost_join_reorders_total", exec.cost_join_reorders},
       {"sqldb_cost_seq_forced_total", exec.cost_seq_forced},
@@ -594,7 +590,7 @@ TEST(ServerStorage, ExportedSqldbAndStorageMetricNamesArePinned) {
   ASSERT_TRUE(memory_server.ok());
   const std::map<std::string, uint64_t> memory_exported = ExportedCounters(
       memory_server.value()->RenderMetricsText(), {"sqldb_", "p3p_storage_"});
-  EXPECT_EQ(memory_exported.size(), 17u);
+  EXPECT_EQ(memory_exported.size(), 13u);
   EXPECT_EQ(memory_server.value()->RenderMetricsText().find("p3p_storage_"),
             std::string::npos);
 }
