@@ -134,13 +134,11 @@ void RunSqlScale10k(bool enable_planner, const BenchObservability& obs,
         server.value()->database()->storage_stats();
     std::printf(
         "  storage: %llu WAL records (%llu commits, %llu syncs), "
-        "%llu checkpoints, pool %llu hits / %llu misses\n\n",
+        "%llu checkpoints\n\n",
         static_cast<unsigned long long>(storage.wal_records),
         static_cast<unsigned long long>(storage.wal_commits),
         static_cast<unsigned long long>(storage.wal_syncs),
-        static_cast<unsigned long long>(storage.checkpoints),
-        static_cast<unsigned long long>(storage.pool.hits),
-        static_cast<unsigned long long>(storage.pool.misses));
+        static_cast<unsigned long long>(storage.checkpoints));
   }
 
   if (server.value()->admin_endpoint_running()) {

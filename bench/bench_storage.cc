@@ -11,15 +11,15 @@
 //   storage/install_disk       the same installs with WAL append + fsync
 //                              per install transaction
 //   storage/open_checkpoint    cold open of a checkpointed directory
-//                              (pages through the buffer pool, no replay)
+//                              (one sequential read of the image, no
+//                              replay)
 //   storage/open_wal_replay    cold open of the same corpus left entirely
 //                              in the WAL (two-pass scan + redo)
 //
 // The checkpoint-vs-replay pair is the recovery-cost tradeoff the
 // checkpoint threshold (`storage_checkpoint_wal_bytes`) tunes: a
 // checkpoint is sequential page reads, replay re-executes every committed
-// record. Buffer-pool hit rates for the checkpointed open are printed
-// alongside.
+// record.
 //
 // `--group-commit` runs a different experiment: what fsync coalescing buys
 // concurrent installers. Eight threads (enough in-flight committers that a
@@ -299,17 +299,11 @@ void Run(const std::string& json_path, bool no_stats) {
   TimingStats open_wal = TimeColdOpens(wal_dir, &wal_stats, stats_on);
   std::printf(
       "cold open:  checkpoint avg %s   wal-replay avg %s "
-      "(%llu records, %llu txns redone)\n",
+      "(%llu records, %llu txns redone)\n\n",
       FormatMicros(open_ckpt.Average()).c_str(),
       FormatMicros(open_wal.Average()).c_str(),
       static_cast<unsigned long long>(wal_stats.recovered_records),
       static_cast<unsigned long long>(wal_stats.recovered_txns));
-  const uint64_t fetches = ckpt_stats.pool.hits + ckpt_stats.pool.misses;
-  std::printf(
-      "checkpoint open pool: %llu fetches, %.1f%% hits, %llu evictions\n\n",
-      static_cast<unsigned long long>(fetches),
-      fetches == 0 ? 0.0 : 100.0 * ckpt_stats.pool.hits / fetches,
-      static_cast<unsigned long long>(ckpt_stats.pool.evictions));
 
   std::filesystem::remove_all(ckpt_dir);
   std::filesystem::remove_all(wal_dir);

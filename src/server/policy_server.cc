@@ -112,15 +112,13 @@ PolicyServer::PolicyServer(Options options)
           .slow_query_threshold_us = options.slow_query_threshold_us,
           .trace_sample_every = options.trace_sample_every,
           .slow_log_capacity = options.slow_log_capacity,
-          .storage_path = options.storage_path,
-          .storage_buffer_pool_pages = options.storage_buffer_pool_pages,
-          .storage_sync_on_commit = options.storage_sync_on_commit,
-          .storage_checkpoint_wal_bytes = options.storage_checkpoint_wal_bytes,
-          .storage_group_commit = options.storage_group_commit,
-          .storage_group_commit_window_us =
-              options.storage_group_commit_window_us,
-          .storage_checkpoint_on_close = options.storage_checkpoint_on_close,
-          .storage_backend_factory = options.storage_backend_factory}),
+          .storage =
+              {.path = options.storage_path,
+               .checkpoint_wal_bytes = options.storage_checkpoint_wal_bytes,
+               .group_commit = options.storage_group_commit,
+               .group_commit_window_us = options.storage_group_commit_window_us,
+               .backend_factory = options.storage_backend_factory},
+          .storage_checkpoint_on_close = options.storage_checkpoint_on_close}),
       native_engine_(appel::NativeEngine::Options{
           .augment_per_match =
               options.augmentation == Augmentation::kPerMatch}),
@@ -883,8 +881,6 @@ void PolicyServer::CollectMetrics(obs::MetricsSnapshot* snapshot) const {
     counters["p3p_storage_wal_group_syncs_total"] = storage.wal_group_syncs;
     counters["p3p_storage_wal_bytes_total"] = storage.wal_bytes;
     counters["p3p_storage_checkpoints_total"] = storage.checkpoints;
-    counters["p3p_storage_buffer_pool_hits_total"] = storage.pool.hits;
-    counters["p3p_storage_buffer_pool_misses_total"] = storage.pool.misses;
     counters["p3p_storage_recovered_txns_total"] = storage.recovered_txns;
   }
   snapshot->gauges["p3p_uptime_seconds"] =

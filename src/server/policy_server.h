@@ -213,8 +213,10 @@ class PolicyServer {
     /// the durable tables. Each InstallPolicy / InstallReferenceFile is one
     /// WAL transaction, so a crash mid-install recovers to "not installed".
     std::string storage_path;
+    /// No effect; read only by perfbench's model servers.
     size_t storage_buffer_pool_pages = 64;
-    /// fsync the WAL on every commit (off trades tail-loss for speed).
+    /// No effect; read only by perfbench's model servers. Every commit
+    /// fsyncs the WAL.
     bool storage_sync_on_commit = true;
     /// Auto-checkpoint once this many WAL bytes accumulate; 0 disables.
     uint64_t storage_checkpoint_wal_bytes = 4ull << 20;

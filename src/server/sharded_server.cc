@@ -98,8 +98,6 @@ Status ShardedPolicyServer::Init() {
     o.enable_match_cache = false;
     o.enable_statement_stats = false;
     o.storage_path = options_.storage_path;
-    o.storage_buffer_pool_pages = options_.storage_buffer_pool_pages;
-    o.storage_sync_on_commit = options_.storage_sync_on_commit;
     o.storage_checkpoint_wal_bytes = options_.storage_checkpoint_wal_bytes;
     o.storage_checkpoint_on_close = options_.storage_checkpoint_on_close;
     o.storage_group_commit = options_.storage_group_commit;

@@ -120,7 +120,9 @@ class ShardedPolicyServer {
     /// Directory for the durable store. Empty = no durability (bench and
     /// test use); non-empty opens or recovers it at Create.
     std::string storage_path;
+    /// No effect; read only by perfbench's model servers.
     size_t storage_buffer_pool_pages = 64;
+    /// No effect; read only by perfbench's model servers.
     bool storage_sync_on_commit = true;
     uint64_t storage_checkpoint_wal_bytes = 4ull << 20;
     bool storage_checkpoint_on_close = true;

@@ -113,7 +113,7 @@ Database::Database(Options options)
        options_.trace_sample_every > 0)) {
     slow_log_ = std::make_unique<obs::SlowQueryLog>(options_.slow_log_capacity);
   }
-  if (!options_.storage_path.empty()) {
+  if (!options_.storage.path.empty()) {
     storage_status_ = OpenStorage();
   }
 }
@@ -133,15 +133,7 @@ Database::~Database() {
 }
 
 Status Database::OpenStorage() {
-  StorageEngine::Options sopts;
-  sopts.path = options_.storage_path;
-  sopts.buffer_pool_pages = options_.storage_buffer_pool_pages;
-  sopts.sync_on_commit = options_.storage_sync_on_commit;
-  sopts.checkpoint_wal_bytes = options_.storage_checkpoint_wal_bytes;
-  sopts.group_commit = options_.storage_group_commit;
-  sopts.group_commit_window_us = options_.storage_group_commit_window_us;
-  sopts.backend_factory = options_.storage_backend_factory;
-  auto engine = StorageEngine::Open(std::move(sopts));
+  auto engine = StorageEngine::Open(options_.storage);
   if (!engine.ok()) return engine.status();
   storage_ = std::move(engine).value();
   Status st = storage_->RecoverInto(this);

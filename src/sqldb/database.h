@@ -143,31 +143,15 @@ class Database : public CatalogView {
     uint32_t trace_sample_every = 0;
     /// Ring capacity of the slow-query log.
     size_t slow_log_capacity = 128;
-    /// Directory for the disk-backed storage engine (page files + WAL,
-    /// see storage.h). Empty — the default — keeps the database purely
-    /// in-memory with zero storage overhead on any path. Non-empty opens
-    /// (creating or recovering) the directory at construction; check
-    /// storage_status() before use.
-    std::string storage_path;
-    /// Buffer pool capacity, in kPageSize frames, for checkpoint I/O.
-    size_t storage_buffer_pool_pages = 64;
-    /// fsync the WAL on every commit (off trades tail-loss for speed).
-    bool storage_sync_on_commit = true;
-    /// Auto-checkpoint once this many WAL bytes accumulate; 0 disables.
-    uint64_t storage_checkpoint_wal_bytes = 4ull << 20;
-    /// Group commit: concurrent committers share one WAL fsync via a
-    /// leader/follower queue instead of paying one fsync each. Also enables
-    /// the two-phase CommitTransactionStaged/WaitDurable surface.
-    bool storage_group_commit = false;
-    /// Extra microseconds a group-commit leader waits for followers to
-    /// stage before fsyncing; 0 adds no latency.
-    uint64_t storage_group_commit_window_us = 0;
+    /// The disk-backed storage engine (checkpoint image + WAL, see
+    /// storage.h). An empty `storage.path` — the default — keeps the
+    /// database purely in-memory with zero storage overhead on any path.
+    /// A non-empty one opens (creating or recovering) the directory at
+    /// construction; check storage_status() before use.
+    StorageEngine::Options storage;
     /// Take a final checkpoint in the destructor so the next open loads a
     /// compact image instead of replaying the whole WAL.
     bool storage_checkpoint_on_close = true;
-    /// File-backend factory for storage files; null means plain POSIX
-    /// files. The kill-and-recover harness injects fault backends here.
-    FileBackendFactory storage_backend_factory;
   };
 
   Database() : Database(Options{}) {}
@@ -185,7 +169,7 @@ class Database : public CatalogView {
   bool storage_active() const {
     return storage_ != nullptr && storage_status_.ok();
   }
-  /// WAL/buffer-pool/recovery counters; zeros when not disk-backed.
+  /// WAL/checkpoint/recovery counters; zeros when not disk-backed.
   StorageStats storage_stats() const {
     return storage_ != nullptr ? storage_->stats() : StorageStats{};
   }

@@ -1,8 +1,10 @@
 #include "sqldb/storage.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <unordered_set>
 
 #include "sqldb/database.h"
 #include "sqldb/storage_serde.h"
@@ -34,12 +36,7 @@ std::vector<uint8_t> EncodeCreateIndex(const Table& table,
                                        const Index& index) {
   ByteWriter w;
   w.PutString(table.schema().name());
-  w.PutString(index.name());
-  w.PutU32(static_cast<uint32_t>(index.column_ordinals().size()));
-  for (size_t ord : index.column_ordinals()) {
-    w.PutString(table.schema().columns()[ord].name);
-  }
-  w.PutU8(index.unique() ? 1 : 0);
+  w.PutIndexDef(table.schema(), index);
   return std::move(w.bytes);
 }
 
@@ -59,71 +56,76 @@ std::vector<uint8_t> EncodeDelete(const Table& table, size_t row_id) {
   return std::move(w.bytes);
 }
 
-// ---- Paged checkpoint streams ----------------------------------------------
+// ---- Checkpoint image streams ----------------------------------------------
 
-// Writes a byte stream across kPageSize pages through the buffer pool, so
-// checkpointing exercises the same replacement/writeback machinery a paged
-// heap would.
-class PagedWriter {
+// Streams a checkpoint image to its file through one page-sized staging
+// buffer: every full page is one WriteAt, and the last, partial page one
+// more, so a crash tears the image only at a page boundary or inside one
+// page write.
+class CheckpointWriter {
  public:
-  explicit PagedWriter(BufferPool* pool) : pool_(pool) {}
+  explicit CheckpointWriter(FileBackend* file) : file_(file) {
+    page_.reserve(kPageSize);
+  }
 
-  Status Append(const uint8_t* data, size_t len) {
+  Status Append(const ByteWriter& w) {
+    const uint8_t* data = w.bytes.data();
+    size_t len = w.bytes.size();
     while (len > 0) {
-      P3PDB_ASSIGN_OR_RETURN(uint8_t* page, pool_->FetchPage(page_));
-      const size_t in_page = kPageSize - page_offset_;
-      const size_t n = len < in_page ? len : in_page;
-      std::memcpy(page + page_offset_, data, n);
-      pool_->UnpinPage(page_, /*dirty=*/true);
-      page_offset_ += n;
+      const size_t n = std::min(len, kPageSize - page_.size());
+      page_.insert(page_.end(), data, data + n);
       data += n;
       len -= n;
-      total_ += n;
-      if (page_offset_ == kPageSize) {
-        ++page_;
-        page_offset_ = 0;
-      }
+      if (page_.size() == kPageSize) P3PDB_RETURN_IF_ERROR(WritePage());
     }
     return Status::OK();
   }
 
-  Status Append(const ByteWriter& w) {
-    return Append(w.bytes.data(), w.bytes.size());
+  /// Appends `body` behind its u32 byte length.
+  Status AppendFramed(const ByteWriter& body) {
+    ByteWriter len;
+    len.PutU32(static_cast<uint32_t>(body.bytes.size()));
+    P3PDB_RETURN_IF_ERROR(Append(len));
+    return Append(body);
   }
 
-  uint64_t total_bytes() const { return total_; }
+  /// Writes the partial last page. Does not sync the file.
+  Status Finish() { return page_.empty() ? Status::OK() : WritePage(); }
+
+  uint64_t total_bytes() const { return written_ + page_.size(); }
 
  private:
-  BufferPool* pool_;
-  PageId page_ = 0;
-  size_t page_offset_ = 0;
-  uint64_t total_ = 0;
+  Status WritePage() {
+    P3PDB_RETURN_IF_ERROR(file_->WriteAt(written_, page_.data(), page_.size()));
+    written_ += page_.size();
+    page_.clear();
+    return Status::OK();
+  }
+
+  FileBackend* file_;
+  std::vector<uint8_t> page_;
+  uint64_t written_ = 0;
 };
 
-// Pulls `len`-byte chunks of a checkpoint image back out through the pool.
-class PagedReader {
+// Reads the first `total_bytes` of a checkpoint image back in order through
+// one page-sized buffer. A file shorter than the image is an error.
+class CheckpointReader {
  public:
-  PagedReader(BufferPool* pool, uint64_t total_bytes)
-      : pool_(pool), remaining_(total_bytes) {}
+  CheckpointReader(FileBackend* file, uint64_t total_bytes)
+      : file_(file), end_(total_bytes), remaining_(total_bytes) {}
 
   Status Read(uint8_t* out, size_t len) {
     if (len > remaining_) {
       return Status::ParseError("checkpoint image: read past end");
     }
+    remaining_ -= len;
     while (len > 0) {
-      P3PDB_ASSIGN_OR_RETURN(uint8_t* page, pool_->FetchPage(page_));
-      const size_t in_page = kPageSize - page_offset_;
-      const size_t n = len < in_page ? len : in_page;
-      std::memcpy(out, page + page_offset_, n);
-      pool_->UnpinPage(page_, /*dirty=*/false);
-      page_offset_ += n;
+      if (pos_ == page_.size()) P3PDB_RETURN_IF_ERROR(Fill());
+      const size_t n = std::min(len, page_.size() - pos_);
+      std::memcpy(out, page_.data() + pos_, n);
+      pos_ += n;
       out += n;
       len -= n;
-      remaining_ -= n;
-      if (page_offset_ == kPageSize) {
-        ++page_;
-        page_offset_ = 0;
-      }
     }
     return Status::OK();
   }
@@ -147,10 +149,29 @@ class PagedReader {
   }
 
  private:
-  BufferPool* pool_;
-  PageId page_ = 0;
-  size_t page_offset_ = 0;
-  uint64_t remaining_;
+  // Loads the next page, or the image's tail when less than a page is left.
+  // Read calls this only with unread image bytes outstanding, so `want` > 0.
+  Status Fill() {
+    const size_t want =
+        static_cast<size_t>(std::min<uint64_t>(kPageSize, end_ - offset_));
+    page_.resize(want);
+    size_t got = 0;
+    P3PDB_RETURN_IF_ERROR(file_->ReadAt(offset_, page_.data(), want, &got));
+    if (got < want) {
+      return Status::ParseError(
+          "checkpoint image: file ends before the recorded image length");
+    }
+    offset_ += want;
+    pos_ = 0;
+    return Status::OK();
+  }
+
+  FileBackend* file_;
+  const uint64_t end_;
+  uint64_t remaining_;  // image bytes not yet returned by Read
+  uint64_t offset_ = 0;  // file offset of the next page to load
+  std::vector<uint8_t> page_;
+  size_t pos_ = 0;
 };
 
 bool IsImplicitPkIndex(const Table& table, const Index& index) {
@@ -284,8 +305,7 @@ Status StorageEngine::LoadCheckpoint(Database* db) {
   P3PDB_ASSIGN_OR_RETURN(
       std::unique_ptr<FileBackend> file,
       OpenFile("checkpoint." + std::to_string(generation_) + ".db"));
-  BufferPool pool(file.get(), options_.buffer_pool_pages);
-  PagedReader reader(&pool, checkpoint_bytes_);
+  CheckpointReader reader(file.get(), checkpoint_bytes_);
 
   P3PDB_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
   if (magic != kCheckpointMagic) {
@@ -306,16 +326,8 @@ Status StorageEngine::LoadCheckpoint(Database* db) {
     }
     P3PDB_ASSIGN_OR_RETURN(uint32_t index_count, hr.GetU32());
     for (uint32_t i = 0; i < index_count; ++i) {
-      P3PDB_ASSIGN_OR_RETURN(std::string index_name, hr.GetString());
-      P3PDB_ASSIGN_OR_RETURN(uint32_t ncols, hr.GetU32());
-      std::vector<std::string> cols;
-      cols.reserve(ncols);
-      for (uint32_t c = 0; c < ncols; ++c) {
-        P3PDB_ASSIGN_OR_RETURN(std::string col, hr.GetString());
-        cols.push_back(std::move(col));
-      }
-      P3PDB_ASSIGN_OR_RETURN(uint8_t unique, hr.GetU8());
-      Status st = table->CreateIndex(index_name, cols, unique != 0);
+      P3PDB_ASSIGN_OR_RETURN(IndexDef def, hr.GetIndexDef());
+      Status st = table->CreateIndex(def.name, def.columns, def.unique);
       // The implicit PK index already exists; a name collision with it is
       // not corruption.
       if (!st.ok() && st.code() != StatusCode::kAlreadyExists) return st;
@@ -338,7 +350,6 @@ Status StorageEngine::LoadCheckpoint(Database* db) {
       }
     }
   }
-  AccumulatePoolStats(pool.stats());
   return Status::OK();
 }
 
@@ -360,21 +371,13 @@ Status StorageEngine::ApplyRecord(Database* db, const WalRecord& record) {
     }
     case WalRecordType::kCreateIndex: {
       P3PDB_ASSIGN_OR_RETURN(std::string table_name, r.GetString());
-      P3PDB_ASSIGN_OR_RETURN(std::string index_name, r.GetString());
-      P3PDB_ASSIGN_OR_RETURN(uint32_t ncols, r.GetU32());
-      std::vector<std::string> cols;
-      cols.reserve(ncols);
-      for (uint32_t i = 0; i < ncols; ++i) {
-        P3PDB_ASSIGN_OR_RETURN(std::string col, r.GetString());
-        cols.push_back(std::move(col));
-      }
-      P3PDB_ASSIGN_OR_RETURN(uint8_t unique, r.GetU8());
+      P3PDB_ASSIGN_OR_RETURN(IndexDef def, r.GetIndexDef());
       Table* table = db->GetMutableTable(table_name);
       if (table == nullptr) {
         return Status::Internal("WAL replay: CREATE INDEX on missing table '" +
                                 table_name + "'");
       }
-      return table->CreateIndex(index_name, cols, unique != 0);
+      return table->CreateIndex(def.name, def.columns, def.unique);
     }
     case WalRecordType::kInsert: {
       P3PDB_ASSIGN_OR_RETURN(std::string table_name, r.GetString());
@@ -418,24 +421,18 @@ Status StorageEngine::RecoverInto(Database* db) {
     stats_.recovered_torn_tail = scan.truncated_tail;
 
     // Pass 1: which transactions reached their commit record?
-    std::vector<uint64_t> committed;
+    std::unordered_set<uint64_t> committed;
     for (const WalRecord& record : scan.records) {
       if (record.type == WalRecordType::kCommit) {
-        committed.push_back(record.txn_id);
+        committed.insert(record.txn_id);
       }
       if (record.txn_id >= next_txn_id_) next_txn_id_ = record.txn_id + 1;
     }
-    auto is_committed = [&committed](uint64_t txn_id) {
-      for (uint64_t id : committed) {
-        if (id == txn_id) return true;
-      }
-      return false;
-    };
 
     // Pass 2: redo the committed records in log order.
     for (const WalRecord& record : scan.records) {
       if (record.type == WalRecordType::kCommit) continue;
-      if (!is_committed(record.txn_id)) continue;
+      if (committed.count(record.txn_id) == 0) continue;
       P3PDB_RETURN_IF_ERROR(ApplyRecord(db, record));
       ++stats_.recovered_records;
     }
@@ -541,36 +538,22 @@ Status StorageEngine::CommitIfImplicit() {
 }
 
 Status StorageEngine::CommitCurrentTxn() {
+  P3PDB_ASSIGN_OR_RETURN(uint64_t ticket, StageCurrentTxn());
   if (options_.group_commit) {
     // Even a lone committer goes through the queue, so a commit racing a
     // leader's in-flight fsync piggybacks on it instead of issuing its own.
-    P3PDB_ASSIGN_OR_RETURN(uint64_t ticket, StageCurrentTxn());
     return WaitDurable(ticket);
   }
-  P3PDB_RETURN_IF_ERROR(FirstError());
-  if (current_txn_id_ == 0 || pending_ops_ == 0) {
-    current_txn_id_ = 0;  // an empty transaction writes nothing
-    return Status::OK();
-  }
-  WalRecord commit;
-  commit.txn_id = current_txn_id_;
-  commit.type = WalRecordType::kCommit;
-  Status st = wal_writer_->Append(commit);
+  if (ticket == 0) return Status::OK();
+  Status st = wal_writer_->Sync();
   if (!st.ok()) {
     RecordError(st);
     return st;
   }
-  if (options_.sync_on_commit) {
-    st = wal_writer_->Sync();
-    if (!st.ok()) {
-      RecordError(st);
-      return st;
-    }
-  }
-  ++stats_.wal_records;
-  ++stats_.wal_commits;
-  current_txn_id_ = 0;
-  pending_ops_ = 0;
+  // The fsync covers every ticket staged so far; a WaitDurable on one of
+  // them returns without another.
+  std::lock_guard<std::mutex> lock(gc_mu_);
+  synced_seq_ = std::max(synced_seq_, ticket);
   return Status::OK();
 }
 
@@ -592,7 +575,6 @@ Result<uint64_t> StorageEngine::StageCurrentTxn() {
   ++stats_.wal_commits;
   current_txn_id_ = 0;
   pending_ops_ = 0;
-  if (!options_.sync_on_commit) return 0;  // durability off: nothing to wait on
   // The ticket is issued after the append (still under the caller's append
   // serialization), so every ticket <= commit_seq_ has its commit record
   // fully written — a leader that fsyncs up to commit_seq_ covers them all.
@@ -663,8 +645,7 @@ Status StorageEngine::Checkpoint(const Database& db) {
   P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<FileBackend> ckpt_file,
                          OpenFile(ckpt_name));
   P3PDB_RETURN_IF_ERROR(ckpt_file->Truncate(0));  // a stale attempt may exist
-  BufferPool pool(ckpt_file.get(), options_.buffer_pool_pages);
-  PagedWriter writer(&pool);
+  CheckpointWriter writer(ckpt_file.get());
   {
     ByteWriter head;
     head.PutU32(kCheckpointMagic);
@@ -681,19 +662,12 @@ Status StorageEngine::Checkpoint(const Database& db) {
     }
     header.PutU32(static_cast<uint32_t>(secondary.size()));
     for (const Index* index : secondary) {
-      header.PutString(index->name());
-      header.PutU32(static_cast<uint32_t>(index->column_ordinals().size()));
-      for (size_t ord : index->column_ordinals()) {
-        header.PutString(table->schema().columns()[ord].name);
-      }
-      header.PutU8(index->unique() ? 1 : 0);
+      header.PutIndexDef(table->schema(), *index);
     }
-    ByteWriter framed;
-    framed.PutU32(static_cast<uint32_t>(header.bytes.size()));
-    framed.bytes.insert(framed.bytes.end(), header.bytes.begin(),
-                        header.bytes.end());
-    framed.PutU64(table->SlotCount());
-    P3PDB_RETURN_IF_ERROR(writer.Append(framed));
+    P3PDB_RETURN_IF_ERROR(writer.AppendFramed(header));
+    ByteWriter slot_count;
+    slot_count.PutU64(table->SlotCount());
+    P3PDB_RETURN_IF_ERROR(writer.Append(slot_count));
     for (size_t slot = 0; slot < table->SlotCount(); ++slot) {
       ByteWriter blob;
       if (table->IsLive(slot)) {
@@ -702,16 +676,11 @@ Status StorageEngine::Checkpoint(const Database& db) {
       } else {
         blob.PutU8(0);
       }
-      ByteWriter framed_slot;
-      framed_slot.PutU32(static_cast<uint32_t>(blob.bytes.size()));
-      framed_slot.bytes.insert(framed_slot.bytes.end(), blob.bytes.begin(),
-                               blob.bytes.end());
-      P3PDB_RETURN_IF_ERROR(writer.Append(framed_slot));
+      P3PDB_RETURN_IF_ERROR(writer.AppendFramed(blob));
     }
   }
-  P3PDB_RETURN_IF_ERROR(pool.FlushAll());
+  P3PDB_RETURN_IF_ERROR(writer.Finish());
   P3PDB_RETURN_IF_ERROR(ckpt_file->Sync());
-  AccumulatePoolStats(pool.stats());
 
   // 2. Create the empty next-generation WAL (truncating a stale attempt).
   P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<FileBackend> new_wal,
@@ -771,14 +740,6 @@ Status StorageEngine::MaybeCheckpoint(const Database& db) {
     return Status::OK();
   }
   return Checkpoint(db);
-}
-
-void StorageEngine::AccumulatePoolStats(const BufferPool::Stats& s) {
-  stats_.pool.fetches += s.fetches;
-  stats_.pool.hits += s.hits;
-  stats_.pool.misses += s.misses;
-  stats_.pool.evictions += s.evictions;
-  stats_.pool.writebacks += s.writebacks;
 }
 
 StorageStats StorageEngine::stats() const {

@@ -13,8 +13,8 @@
 // transaction durable. Statements outside an explicit transaction commit
 // implicitly. A checkpoint serializes the whole catalog — including
 // tombstoned slots, which is what keeps replayed row ids aligned with the
-// log — into checkpoint.<gen+1>.db through the buffer pool, creates an
-// empty wal.<gen+1>.log, and then flips the meta slot; a crash anywhere in
+// log — into checkpoint.<gen+1>.db, one write per kPageSize page, creates
+// an empty wal.<gen+1>.log, and then flips the meta slot; a crash anywhere in
 // that sequence recovers from whichever (checkpoint, wal) pair the meta
 // slot still names. Reopen = load checkpoint + replay the committed prefix
 // of the WAL; an uncommitted or torn tail is cut off.
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "sqldb/buffer_pool.h"
 #include "sqldb/file_backend.h"
 #include "sqldb/table.h"
 #include "sqldb/wal.h"
@@ -58,19 +57,17 @@ struct StorageStats {
   uint64_t recovered_txns = 0;
   uint64_t recovered_records = 0;
   bool recovered_torn_tail = false;
-  BufferPool::Stats pool;
 };
+
+/// Checkpoint images are written in pages of this many bytes, one WriteAt
+/// per page.
+inline constexpr size_t kPageSize = 8192;
 
 class StorageEngine : public TableObserver {
  public:
   struct Options {
     /// Directory holding meta/checkpoint/WAL files (created if absent).
     std::string path;
-    /// Buffer pool capacity (frames of kPageSize) for checkpoint I/O.
-    size_t buffer_pool_pages = 64;
-    /// fsync the WAL on every commit. Off trades durability of the last
-    /// few transactions for speed (bench use).
-    bool sync_on_commit = true;
     /// Auto-checkpoint once this many WAL bytes accumulate; 0 disables.
     uint64_t checkpoint_wal_bytes = 4ull << 20;
     /// Group commit: route commit fsyncs through a leader/follower queue so
@@ -125,8 +122,8 @@ class StorageEngine : public TableObserver {
   /// locks before blocking on the disk: CommitStaged appends the commit
   /// record (no fsync) and returns a durability ticket; WaitDurable blocks
   /// until that ticket's commit record is on disk, joining the group-commit
-  /// fsync queue. Ticket 0 means "already durable" (empty transaction, or
-  /// sync_on_commit off) — WaitDurable(0) returns immediately.
+  /// fsync queue. Ticket 0 means "already durable" (empty transaction) —
+  /// WaitDurable(0) returns immediately.
   ///
   /// Staging (like every append) must be serialized by the caller; WaitDurable
   /// is safe from any number of threads concurrently.
@@ -152,15 +149,13 @@ class StorageEngine : public TableObserver {
   Status EnsureTxn();
   Status CommitCurrentTxn();
   /// Appends the commit record and issues a durability ticket (0 when there
-  /// is nothing to sync). Shared by CommitStaged and the group-commit path
-  /// of CommitCurrentTxn.
+  /// is nothing to sync). Shared by CommitStaged and CommitCurrentTxn.
   Result<uint64_t> StageCurrentTxn();
   Status FirstError() const;
   void RecordError(const Status& st);
   Status AppendRecord(WalRecordType type, std::vector<uint8_t> payload);
   Status ApplyRecord(Database* db, const WalRecord& record);
   Status LoadCheckpoint(Database* db);
-  void AccumulatePoolStats(const BufferPool::Stats& s);
 
   Options options_;
   std::unique_ptr<FileBackend> meta_file_;

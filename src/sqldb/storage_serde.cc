@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "sqldb/table.h"
+
 namespace p3pdb::sqldb {
 
 namespace {
@@ -78,6 +80,15 @@ void ByteWriter::PutSchema(const TableSchema& schema) {
     PutU32(static_cast<uint32_t>(fk.referenced_columns.size()));
     for (const std::string& col : fk.referenced_columns) PutString(col);
   }
+}
+
+void ByteWriter::PutIndexDef(const TableSchema& schema, const Index& index) {
+  PutString(index.name());
+  PutU32(static_cast<uint32_t>(index.column_ordinals().size()));
+  for (size_t ord : index.column_ordinals()) {
+    PutString(schema.columns()[ord].name);
+  }
+  PutU8(index.unique() ? 1 : 0);
 }
 
 Result<uint8_t> ByteReader::GetU8() {
@@ -190,6 +201,20 @@ Result<TableSchema> ByteReader::GetSchema() {
     schema.AddForeignKey(std::move(fk));
   }
   return schema;
+}
+
+Result<IndexDef> ByteReader::GetIndexDef() {
+  IndexDef def;
+  P3PDB_ASSIGN_OR_RETURN(def.name, GetString());
+  P3PDB_ASSIGN_OR_RETURN(uint32_t ncols, GetU32());
+  def.columns.reserve(ncols);
+  for (uint32_t i = 0; i < ncols; ++i) {
+    P3PDB_ASSIGN_OR_RETURN(std::string col, GetString());
+    def.columns.push_back(std::move(col));
+  }
+  P3PDB_ASSIGN_OR_RETURN(uint8_t unique, GetU8());
+  def.unique = unique != 0;
+  return def;
 }
 
 }  // namespace p3pdb::sqldb

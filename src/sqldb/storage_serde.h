@@ -19,6 +19,16 @@
 
 namespace p3pdb::sqldb {
 
+class Index;
+
+/// A secondary index as the WAL and the checkpoint store it: the index
+/// name, its key columns by name, and uniqueness.
+struct IndexDef {
+  std::string name;
+  std::vector<std::string> columns;
+  bool unique = false;
+};
+
 /// FNV-1a over a byte range; the WAL record and meta-block checksum.
 uint64_t StorageChecksum(const uint8_t* data, size_t len);
 
@@ -33,6 +43,8 @@ struct ByteWriter {
   void PutValue(const Value& v);
   void PutRow(const Row& row);
   void PutSchema(const TableSchema& schema);
+  /// Encodes `index` of a table with `schema` as an IndexDef.
+  void PutIndexDef(const TableSchema& schema, const Index& index);
 };
 
 /// Bounds-checked decoder over a borrowed byte range.
@@ -47,6 +59,7 @@ class ByteReader {
   Result<Value> GetValue();
   Result<Row> GetRow();
   Result<TableSchema> GetSchema();
+  Result<IndexDef> GetIndexDef();
 
   size_t remaining() const { return len_ - pos_; }
   bool exhausted() const { return pos_ == len_; }

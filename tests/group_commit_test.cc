@@ -32,9 +32,9 @@ std::string TestDir(const std::string& name) {
 Database::Options GroupCommitOptions(const std::string& dir,
                                      uint64_t window_us = 0) {
   Database::Options o;
-  o.storage_path = dir;
-  o.storage_group_commit = true;
-  o.storage_group_commit_window_us = window_us;
+  o.storage.path = dir;
+  o.storage.group_commit = true;
+  o.storage.group_commit_window_us = window_us;
   return o;
 }
 
@@ -77,8 +77,8 @@ TEST(GroupCommitTest, OneSyncCoversAllStagedCommits) {
   std::filesystem::remove_all(dir);
 }
 
-// Ticket 0 means "nothing to make durable" (empty txn, or sync_on_commit
-// off); WaitDurable on it must be a no-op rather than a hang.
+// Ticket 0 means "nothing to make durable" (an empty txn); WaitDurable on
+// it must be a no-op rather than a hang.
 TEST(GroupCommitTest, EmptyTransactionStagesTicketZero) {
   const std::string dir = TestDir("empty_txn");
   Database db(GroupCommitOptions(dir));

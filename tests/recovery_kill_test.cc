@@ -219,10 +219,8 @@ PolicyServer::Options ChildOptions(const std::string& dir) {
   PolicyServer::Options options;
   options.engine = EngineKind::kSql;
   options.storage_path = dir;
-  // Small pool and aggressive checkpointing so the write schedule covers
-  // checkpoint page writes, meta flips, and WAL switches — not just WAL
-  // appends.
-  options.storage_buffer_pool_pages = 8;
+  // Aggressive checkpointing so the write schedule covers checkpoint page
+  // writes, meta flips, and WAL switches — not just WAL appends.
   options.storage_checkpoint_wal_bytes = 16 << 10;
   return options;
 }

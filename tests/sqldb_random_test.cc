@@ -701,7 +701,7 @@ TEST_P(SqldbRandomTest, DiskBackedDifferentialAndReopen) {
   // Record the DML stream so the reopened database's oracle is the same
   // in-memory database (mutated once, not replayed).
   {
-    Database disk(Database::Options{.storage_path = dir});
+    Database disk(Database::Options{.storage = {.path = dir}});
     ASSERT_TRUE(disk.storage_status().ok()) << disk.storage_status();
     ASSERT_TRUE(disk.ExecuteScript(schema).ok());
     for (int step = 0; step < 120; ++step) {
@@ -719,7 +719,7 @@ TEST_P(SqldbRandomTest, DiskBackedDifferentialAndReopen) {
   // Reopen: recovery (checkpoint load + WAL replay) must reproduce the
   // exact same physical state the oracle holds.
   {
-    Database reopened(Database::Options{.storage_path = dir});
+    Database reopened(Database::Options{.storage = {.path = dir}});
     ASSERT_TRUE(reopened.storage_status().ok()) << reopened.storage_status();
     compare_battery(reopened, "reopened");
     // The recovered database stays writable and durable: one more burst of

@@ -31,7 +31,7 @@ namespace {
 Database::Options WithStats(std::string storage_path = "") {
   Database::Options options;
   options.enable_cost_model = true;
-  options.storage_path = std::move(storage_path);
+  options.storage.path = std::move(storage_path);
   return options;
 }
 

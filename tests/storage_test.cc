@@ -1,7 +1,8 @@
 // Unit tests for the disk-backed storage engine's layers: serde encoding,
-// WAL framing and torn-tail scanning, buffer-pool replacement (LRU-K, pin
-// counts, writeback), the fault-injecting file backend, Database
-// close/reopen/checkpoint durability, and PolicyServer catalog recovery.
+// WAL framing and torn-tail scanning, the fault-injecting file backend,
+// the checkpoint image's page writes and its reader's length checks,
+// Database close/reopen/checkpoint durability, and PolicyServer catalog
+// recovery.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "server/policy_server.h"
-#include "sqldb/buffer_pool.h"
 #include "sqldb/database.h"
 #include "sqldb/file_backend.h"
 #include "sqldb/storage_serde.h"
@@ -78,6 +78,19 @@ TEST(StorageSerde, SchemaRoundtripKeepsKeysAndConstraints) {
   EXPECT_EQ(decoded.value().primary_key(), schema.primary_key());
   ASSERT_EQ(decoded.value().foreign_keys().size(), 1u);
   EXPECT_EQ(decoded.value().foreign_keys()[0].referenced_table, "Widgets");
+
+  // An index stores its key columns by name, in key order.
+  ByteWriter index_writer;
+  index_writer.PutIndexDef(schema, Index("idx_label_id", {2, 0}, true));
+  ByteReader index_reader(index_writer.bytes.data(),
+                          index_writer.bytes.size());
+  auto index = index_reader.GetIndexDef();
+  ASSERT_TRUE(index.ok()) << index.status();
+  EXPECT_TRUE(index_reader.exhausted());
+  EXPECT_EQ(index.value().name, "idx_label_id");
+  EXPECT_EQ(index.value().columns,
+            (std::vector<std::string>{"label", "id"}));
+  EXPECT_TRUE(index.value().unique);
 }
 
 TEST(StorageSerde, TruncatedBufferFailsCleanly) {
@@ -187,91 +200,6 @@ TEST(Wal, CorruptChecksumStopsScan) {
   ASSERT_EQ(scan.value().records.size(), 1u);
 }
 
-// ---------------------------------------------------------- buffer pool --
-
-TEST(BufferPoolTest, HitsMissesAndWriteback) {
-  const std::string dir = TestDir("pool_basic");
-  std::filesystem::create_directories(dir);
-  auto file = OpenPosixFile(dir + "/data.db");
-  ASSERT_TRUE(file.ok());
-
-  BufferPool pool(file.value().get(), /*frame_count=*/4);
-  auto page = pool.FetchPage(3);
-  ASSERT_TRUE(page.ok());
-  std::memcpy(page.value(), "paged bytes", 11);
-  pool.UnpinPage(3, /*dirty=*/true);
-  EXPECT_EQ(pool.stats().misses, 1u);
-
-  // Same page again: a hit, served from the frame.
-  auto again = pool.FetchPage(3);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(std::memcmp(again.value(), "paged bytes", 11), 0);
-  pool.UnpinPage(3, false);
-  EXPECT_EQ(pool.stats().hits, 1u);
-
-  // FlushAll persists the dirty frame; a direct file read sees the bytes at
-  // the page's offset.
-  ASSERT_TRUE(pool.FlushAll().ok());
-  char buf[12] = {0};
-  size_t n = 0;
-  ASSERT_TRUE(
-      file.value()->ReadAt(3 * kPageSize, buf, 11, &n).ok());
-  ASSERT_EQ(n, 11u);
-  EXPECT_EQ(std::memcmp(buf, "paged bytes", 11), 0);
-  EXPECT_GE(pool.stats().writebacks, 1u);
-}
-
-TEST(BufferPoolTest, PinnedFramesAreNeverEvicted) {
-  const std::string dir = TestDir("pool_pins");
-  std::filesystem::create_directories(dir);
-  auto file = OpenPosixFile(dir + "/data.db");
-  ASSERT_TRUE(file.ok());
-
-  BufferPool pool(file.value().get(), /*frame_count=*/2);
-  auto a = pool.FetchPage(0);
-  auto b = pool.FetchPage(1);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  // Every frame pinned: a third fetch must fail rather than evict.
-  EXPECT_FALSE(pool.FetchPage(2).ok());
-  pool.UnpinPage(1, false);
-  auto c = pool.FetchPage(2);
-  EXPECT_TRUE(c.ok());
-  EXPECT_EQ(pool.stats().evictions, 1u);
-  pool.UnpinPage(0, false);
-  pool.UnpinPage(2, false);
-}
-
-TEST(BufferPoolTest, LruKPrefersSingleUsePagesAsVictims) {
-  const std::string dir = TestDir("pool_lruk");
-  std::filesystem::create_directories(dir);
-  auto file = OpenPosixFile(dir + "/data.db");
-  ASSERT_TRUE(file.ok());
-
-  BufferPool pool(file.value().get(), /*frame_count=*/3, /*k=*/2);
-  auto touch = [&](PageId id) {
-    auto page = pool.FetchPage(id);
-    ASSERT_TRUE(page.ok());
-    pool.UnpinPage(id, false);
-  };
-  // Page 0 is hot (two accesses -> finite k-distance); 1 and 2 are
-  // scan-like single-access pages.
-  touch(0);
-  touch(0);
-  touch(1);
-  touch(2);
-  // A new page must evict one of the single-use pages, not the hot one,
-  // even though page 0's first access is the oldest (plain LRU would evict
-  // it).
-  touch(3);
-  auto hot = pool.FetchPage(0);
-  ASSERT_TRUE(hot.ok());
-  pool.UnpinPage(0, false);
-  const auto& stats = pool.stats();
-  // Refetching page 0 was a hit: it was still resident.
-  EXPECT_EQ(stats.hits, 2u);  // second touch(0) + the refetch
-}
-
 // -------------------------------------------------------- fault backend --
 
 TEST(FaultBackend, CrashesAtTheConfiguredOpWithPartialWrite) {
@@ -306,7 +234,7 @@ TEST(FaultBackend, CrashesAtTheConfiguredOpWithPartialWrite) {
 TEST(DatabaseStorage, UncommittedExplicitTransactionIsDroppedOnReopen) {
   const std::string dir = TestDir("db_uncommitted");
   {
-    Database db(Database::Options{.storage_path = dir});
+    Database db(Database::Options{.storage = {.path = dir}});
     ASSERT_TRUE(db.storage_status().ok());
     ASSERT_TRUE(
         db.ExecuteScript("CREATE TABLE t (k INTEGER, PRIMARY KEY (k));")
@@ -319,7 +247,7 @@ TEST(DatabaseStorage, UncommittedExplicitTransactionIsDroppedOnReopen) {
     ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (2)").ok());
   }
   {
-    Database db(Database::Options{.storage_path = dir});
+    Database db(Database::Options{.storage = {.path = dir}});
     ASSERT_TRUE(db.storage_status().ok()) << db.storage_status();
     auto rows = db.Execute("SELECT k FROM t ORDER BY k");
     ASSERT_TRUE(rows.ok());
@@ -331,7 +259,7 @@ TEST(DatabaseStorage, UncommittedExplicitTransactionIsDroppedOnReopen) {
 TEST(DatabaseStorage, CheckpointTruncatesWalAndSurvivesReopen) {
   const std::string dir = TestDir("db_checkpoint");
   {
-    Database db(Database::Options{.storage_path = dir});
+    Database db(Database::Options{.storage = {.path = dir}});
     ASSERT_TRUE(db.storage_status().ok());
     ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (k INTEGER, v VARCHAR(8));")
                     .ok());
@@ -347,7 +275,7 @@ TEST(DatabaseStorage, CheckpointTruncatesWalAndSurvivesReopen) {
     ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (100, 'after')").ok());
   }
   {
-    Database db(Database::Options{.storage_path = dir,
+    Database db(Database::Options{.storage = {.path = dir},
                                   .storage_checkpoint_on_close = false});
     ASSERT_TRUE(db.storage_status().ok()) << db.storage_status();
     auto count = db.Execute("SELECT COUNT(*) FROM t");
@@ -364,7 +292,7 @@ TEST(DatabaseStorage, CheckpointTruncatesWalAndSurvivesReopen) {
   // Third generation: the previous (non-checkpointing) close left the
   // insert only in the WAL; replay must still apply it.
   {
-    Database db(Database::Options{.storage_path = dir});
+    Database db(Database::Options{.storage = {.path = dir}});
     ASSERT_TRUE(db.storage_status().ok()) << db.storage_status();
     auto again = db.Execute("SELECT COUNT(*) FROM t WHERE k = 40");
     ASSERT_TRUE(again.ok());
@@ -386,7 +314,7 @@ TEST(DatabaseStorage, InMemoryDatabaseHasZeroStorageFootprint) {
 TEST(DatabaseStorage, SecondaryIndexesAreRebuiltConsistently) {
   const std::string dir = TestDir("db_indexes");
   {
-    Database db(Database::Options{.storage_path = dir});
+    Database db(Database::Options{.storage = {.path = dir}});
     ASSERT_TRUE(db.storage_status().ok());
     ASSERT_TRUE(db.ExecuteScript(
                       "CREATE TABLE t (k INTEGER, g INTEGER, "
@@ -400,7 +328,7 @@ TEST(DatabaseStorage, SecondaryIndexesAreRebuiltConsistently) {
     }
   }
   {
-    Database db(Database::Options{.storage_path = dir});
+    Database db(Database::Options{.storage = {.path = dir}});
     ASSERT_TRUE(db.storage_status().ok()) << db.storage_status();
     // The PK index must reject duplicates on recovered data.
     EXPECT_FALSE(db.Execute("INSERT INTO t VALUES (5, 0)").ok());
@@ -412,6 +340,150 @@ TEST(DatabaseStorage, SecondaryIndexesAreRebuiltConsistently) {
     ASSERT_NE(table, nullptr);
     ASSERT_EQ(table->indexes().size(), 2u);  // pk + idx_t_g
   }
+}
+
+// ------------------------------------------------- checkpoint image ----
+
+// The one checkpoint.<gen>.db in `dir`.
+std::string CheckpointFile(const std::string& dir) {
+  std::vector<std::string> found;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("checkpoint.", 0) == 0) found.push_back(entry.path());
+  }
+  EXPECT_EQ(found.size(), 1u);
+  return found.empty() ? "" : found[0];
+}
+
+// Every table's name and slots (liveness + row), encoded: equal dumps mean
+// equal catalogs, tombstones included.
+std::vector<uint8_t> CatalogDump(const Database& db) {
+  ByteWriter w;
+  for (const std::string& name : db.TableNames()) {
+    const Table* table = db.LookupTable(name);
+    w.PutSchema(table->schema());
+    w.PutU64(table->SlotCount());
+    for (size_t slot = 0; slot < table->SlotCount(); ++slot) {
+      w.PutU8(table->IsLive(slot) ? 1 : 0);
+      if (table->IsLive(slot)) w.PutRow(table->RowAt(slot));
+    }
+  }
+  return std::move(w.bytes);
+}
+
+// Fills `t` with rows wide enough that its checkpoint spans several pages;
+// the last row ends in INTEGER 0, so the image's last bytes are zeros.
+void FillWideTable(Database* db) {
+  ASSERT_TRUE(
+      db->ExecuteScript("CREATE TABLE t (k INTEGER, s VARCHAR(300), "
+                        "z INTEGER, PRIMARY KEY (k));")
+          .ok());
+  for (int i = 0; i < 120; ++i) {
+    ASSERT_TRUE(db->InsertRow("t", {Value::Integer(i),
+                                    Value::Text(std::string(250, 'a' + i % 26)),
+                                    Value::Integer(i % 2 == 0 ? 0 : i)})
+                    .ok());
+  }
+  ASSERT_TRUE(db->Execute("DELETE FROM t WHERE k = 7").ok());
+}
+
+// Checkpoint images written before the page-streaming writer were padded
+// with zeros to a whole number of pages; the reader stops at the image
+// length the meta slot records, so such an image loads the same catalog.
+TEST(CheckpointImage, ZeroPaddedImageRecoversTheSameCatalog) {
+  const std::string dir = TestDir("ckpt_padded");
+  {
+    Database db(Database::Options{.storage = {.path = dir}});
+    ASSERT_TRUE(db.storage_status().ok());
+    FillWideTable(&db);
+  }
+  std::vector<uint8_t> unpadded;
+  {
+    Database db(Database::Options{.storage = {.path = dir},
+                                  .storage_checkpoint_on_close = false});
+    ASSERT_TRUE(db.storage_status().ok()) << db.storage_status();
+    unpadded = CatalogDump(db);
+  }
+  const std::string image = CheckpointFile(dir);
+  const uint64_t bytes = std::filesystem::file_size(image);
+  ASSERT_NE(bytes % kPageSize, 0u);
+  std::filesystem::resize_file(image, (bytes / kPageSize + 1) * kPageSize);
+
+  Database db(Database::Options{.storage = {.path = dir},
+                                .storage_checkpoint_on_close = false});
+  ASSERT_TRUE(db.storage_status().ok()) << db.storage_status();
+  EXPECT_EQ(CatalogDump(db), unpadded);
+  EXPECT_EQ(db.LookupTable("t")->SlotCount(), 120u);
+}
+
+// A checkpoint file shorter than the image length its meta slot records is
+// damage, not zeros: the open fails instead of loading a zero tail. The
+// image here ends in zero bytes, so reading zeros past the end of the file
+// would load the same rows and hide the damage.
+TEST(CheckpointImage, TruncatedImageFailsTheOpen) {
+  const std::string dir = TestDir("ckpt_truncated");
+  {
+    Database db(Database::Options{.storage = {.path = dir}});
+    ASSERT_TRUE(db.storage_status().ok());
+    FillWideTable(&db);
+  }
+  const std::string image = CheckpointFile(dir);
+  std::filesystem::resize_file(image, std::filesystem::file_size(image) - 4);
+
+  Database db(Database::Options{.storage = {.path = dir},
+                                .storage_checkpoint_on_close = false});
+  EXPECT_FALSE(db.storage_status().ok());
+  EXPECT_FALSE(db.storage_active());
+}
+
+// Counts WriteAt calls on checkpoint files and passes every call through.
+class CountingFileBackend : public FileBackend {
+ public:
+  CountingFileBackend(std::unique_ptr<FileBackend> inner,
+                      std::vector<size_t>* checkpoint_writes)
+      : inner_(std::move(inner)), checkpoint_writes_(checkpoint_writes) {}
+
+  Status ReadAt(uint64_t offset, void* buf, size_t len,
+                size_t* bytes_read) override {
+    return inner_->ReadAt(offset, buf, len, bytes_read);
+  }
+  Status WriteAt(uint64_t offset, const void* buf, size_t len) override {
+    if (checkpoint_writes_ != nullptr) checkpoint_writes_->push_back(len);
+    return inner_->WriteAt(offset, buf, len);
+  }
+  Status Sync() override { return inner_->Sync(); }
+  Status Truncate(uint64_t size) override { return inner_->Truncate(size); }
+  Result<uint64_t> Size() override { return inner_->Size(); }
+
+ private:
+  std::unique_ptr<FileBackend> inner_;
+  std::vector<size_t>* checkpoint_writes_;  // null: not a checkpoint file
+};
+
+// The checkpoint goes to disk one page per WriteAt, so the fault harness,
+// which crashes at the Nth WriteAt, can tear it at every page.
+TEST(CheckpointImage, MultiPageImageTakesOneWritePerPage) {
+  const std::string dir = TestDir("ckpt_pages");
+  std::vector<size_t> writes;
+  Database::Options options{.storage = {.path = dir}};
+  options.storage.backend_factory = [&writes](const std::string& path)
+      -> Result<std::unique_ptr<FileBackend>> {
+    P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<FileBackend> inner,
+                           OpenPosixFile(path));
+    const std::string name = std::filesystem::path(path).filename();
+    const bool checkpoint = name.rfind("checkpoint.", 0) == 0;
+    return std::unique_ptr<FileBackend>(std::make_unique<CountingFileBackend>(
+        std::move(inner), checkpoint ? &writes : nullptr));
+  };
+  Database db(options);
+  ASSERT_TRUE(db.storage_status().ok());
+  FillWideTable(&db);
+  ASSERT_TRUE(db.Checkpoint().ok());
+
+  const uint64_t bytes = std::filesystem::file_size(CheckpointFile(dir));
+  ASSERT_GT(bytes, 2 * kPageSize);
+  EXPECT_GE(writes.size(), (bytes + kPageSize - 1) / kPageSize);
+  for (size_t len : writes) EXPECT_LE(len, kPageSize);
 }
 
 // --------------------------------------------------- server recovery ----
@@ -575,8 +647,6 @@ TEST(ServerStorage, ExportedSqldbAndStorageMetricNamesArePinned) {
       {"p3p_storage_wal_group_syncs_total", storage.wal_group_syncs},
       {"p3p_storage_wal_bytes_total", storage.wal_bytes},
       {"p3p_storage_checkpoints_total", storage.checkpoints},
-      {"p3p_storage_buffer_pool_hits_total", storage.pool.hits},
-      {"p3p_storage_buffer_pool_misses_total", storage.pool.misses},
       {"p3p_storage_recovered_txns_total", storage.recovered_txns},
   };
   EXPECT_EQ(exported, expected);
