@@ -37,10 +37,15 @@ using workload::VolgaPolicy;
 /// 10k-policy corpus, one compiled (Medium) preference, matches sampled
 /// across the corpus. The server runs the steady-state matcher
 /// configuration (rule queries prepared at compile time, metrics off — see
-/// MakeBenchServer) so the record isolates engine execution cost. With the
-/// planner on, every sampled match probes cached hash-join key sets; with
-/// `--no-planner` each match runs correlated EXISTS subqueries (the >=2x
-/// bar of the planner ablation).
+/// MakeBenchServer) so the record isolates engine execution cost. Which
+/// plans the matches run is the cost model's call. On (the default), it
+/// vetoes the rule planner's EXISTS -> hash semi-join rewrites, so every
+/// sampled match runs index nested-loop EXISTS probes and no key set is
+/// built. With `P3PDB_NO_COST=1` the rule queries are rewritten, and their
+/// key sets are built once and probed by every match. With `--no-planner`
+/// each match runs correlated EXISTS subqueries (the >=2x bar of the
+/// planner ablation). The printed rewrite, build and probe counts say
+/// which of these ran.
 void RunSqlScale10k(bool enable_planner, const BenchObservability& obs,
                     int linger_seconds, const std::string& storage_path,
                     std::vector<BenchJsonRecord>* records) {

@@ -20,6 +20,10 @@ the per-layer breakdown. Nothing of the traced runs enters the pair counts.
 The record written to --out (rewritten after every run, so an interrupted
 session keeps what it measured) holds:
   - every run's last JSON line, with its seed, side, order and exit status;
+    a run that exited non-zero also keeps what it printed about why: each
+    open window the load generator fell behind in (`invalid_windows`:
+    offered and achieved rate, load lag p99, latency p99) and its `error:`
+    line;
   - nproc;
   - per workload and side, the median and quartiles of each metric over
     the side's runs that exited 0;
@@ -39,6 +43,7 @@ session keeps what it measured) holds:
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -68,16 +73,50 @@ def last_json_line(text):
     return None
 
 
+# An open window's report line, as perfbench prints it.
+WINDOW_LINE = re.compile(
+    r"(?P<window>[^:]+): offered=(?P<offered>[\d.]+)/s "
+    r"achieved=(?P<achieved>[\d.]+)/s .*load\.lag_us p50=[\d.]+ "
+    r"p99=(?P<lag_p99>[\d.]+) .*latency p50=[\d.]+us "
+    r"p99=(?P<latency_p99>[\d.]+)us")
+
+
+def failure_report(text):
+    """What a failed run printed about why: {"invalid_windows": [...],
+    "error": line}, each key present only when the run printed it."""
+    windows, report = [], {}
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("error:"):
+            report["error"] = line
+        elif "INVALID:" in line:
+            match = WINDOW_LINE.match(line)
+            windows.append({
+                "window": match["window"],
+                "offered_qps": float(match["offered"]),
+                "achieved_qps": float(match["achieved"]),
+                "lag_p99_us": float(match["lag_p99"]),
+                "latency_p99_us": float(match["latency_p99"]),
+            } if match else {"line": line})
+    if windows:
+        report["invalid_windows"] = windows
+    return report
+
+
 def run_once(checkout, workload, seed, trace, extra=()):
-    """Runs the checkout's benchmark once; returns (exit status, last JSON
-    line or None). The binary's per-run report goes to stderr."""
+    """Runs the checkout's benchmark once; returns {"exit", "result": last
+    JSON line or None}, plus failure_report's keys when the run exited
+    non-zero. The binary's per-run report goes to stderr."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--trace", str(trace)] + list(extra)
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           text=True)
     sys.stderr.write(proc.stdout)
-    return proc.returncode, last_json_line(proc.stdout)
+    run = {"exit": proc.returncode, "result": last_json_line(proc.stdout)}
+    if proc.returncode != 0:
+        run.update(failure_report(proc.stdout))
+    return run
 
 
 def quartiles(values):
@@ -226,8 +265,8 @@ def main():
     # withheld (exit 3, the load generator fell behind) did its job too.
     for side in SIDES:
         log("building the %s checkout" % side)
-        status, _ = run_once(checkouts[side], opts.workload[0][0], 1, 0,
-                             ["--seconds", "1"])
+        status = run_once(checkouts[side], opts.workload[0][0], 1, 0,
+                          ["--seconds", "1"])["exit"]
         if status not in (0, 3):
             log("the %s warm-up run failed with status %d" % (side, status))
             return 2
@@ -239,10 +278,10 @@ def main():
             order = SIDES if seed % 2 == 1 else SIDES[::-1]
             for position, side in enumerate(order):
                 log("%s seed %d: %s" % (name, seed, side))
-                status, result = run_once(checkouts[side], name, seed, 0)
-                runs.append({"seed": seed, "side": side,
-                             "ran_first": position == 0, "exit": status,
-                             "result": result})
+                run = run_once(checkouts[side], name, seed, 0)
+                run.update({"seed": seed, "side": side,
+                            "ran_first": position == 0})
+                runs.append(run)
                 entry["summary"] = summarize(runs)
                 entry["failed_share"] = failed_share(runs)
                 entry["pair_wins"] = pair_wins(runs, entry["summary"],
@@ -254,8 +293,8 @@ def main():
         traced = record["traced"][name] = {}
         for side in SIDES:
             log("%s traced: %s" % (name, side))
-            status, result = run_once(checkouts[side], name, 1, 1)
-            traced[side] = {"seed": 1, "exit": status, "result": result}
+            traced[side] = run_once(checkouts[side], name, 1, 1)
+            traced[side]["seed"] = 1
             save()
 
     bad = [r for w in record["workloads"].values() for r in w["runs"]

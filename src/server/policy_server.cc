@@ -1,5 +1,6 @@
 #include "server/policy_server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <shared_mutex>
 
@@ -89,6 +90,18 @@ void FinishMatchSpan(obs::ScopedSpan& span,
       span.SetAttr("rule", std::to_string(match.fired_rule_index));
     }
   }
+}
+
+/// The form every engine evaluates: canonicalized, augmented if kAtInstall.
+p3p::Policy Canonical(const p3p::Policy& policy, Augmentation augmentation) {
+  p3p::Policy canonical = p3p::Canonicalized(policy);
+  if (augmentation == Augmentation::kAtInstall) p3p::AugmentPolicy(&canonical);
+  return canonical;
+}
+
+Status NotInstalled(int64_t policy_id) {
+  return Status::NotFound("policy id " + std::to_string(policy_id) +
+                          " not installed");
 }
 
 }  // namespace
@@ -298,29 +311,23 @@ Status PolicyServer::RestoreFromStorage() {
     }
   }
 
-  // Policy catalog -> id list, name/version maps, and native evidence. The
-  // catalog stores the original un-augmented XML, so the DOM each non-SQL
-  // engine evaluates is rebuilt exactly as InstallPolicy built it. Slots
-  // are in install order, so the last row per name is the latest version.
+  // Policy catalog -> policy entries. Slots are in install order, so ids
+  // ascend and the last row per name is the latest version. Only the two
+  // non-SQL engines parse the catalog's un-augmented XML, to rebuild their
+  // evidence exactly as InstallPolicy built it.
   const sqldb::Table* catalog = db_.LookupTable("PolicyCatalog");
   for (size_t slot = 0; slot < catalog->SlotCount(); ++slot) {
     if (!catalog->IsLive(slot)) continue;
     const sqldb::Row& row = catalog->RowAt(slot);
-    const int64_t policy_id = row[0].AsInteger();
-    const std::string name = row[1].AsText();
-    P3PDB_ASSIGN_OR_RETURN(p3p::Policy policy,
-                           p3p::PolicyFromText(row[3].AsText()));
-    p3p::Policy canonical = p3p::Canonicalized(policy);
-    if (options_.augmentation == Augmentation::kAtInstall) {
-      p3p::AugmentPolicy(&canonical);
+    PolicyEntry entry;
+    entry.id = row[0].AsInteger();
+    entry.version = row[2].AsInteger();
+    if (!UsesSqlMatching()) {
+      P3PDB_ASSIGN_OR_RETURN(p3p::Policy policy,
+                             p3p::PolicyFromText(row[3].AsText()));
+      entry.dom = p3p::PolicyToXml(Canonical(policy, options_.augmentation));
     }
-    policy_dom_[policy_id] = p3p::PolicyToXml(canonical);
-    if (options_.engine == EngineKind::kNativeAppel) {
-      policy_text_[policy_id] = xml::Write(*policy_dom_[policy_id]);
-    }
-    policy_ids_.push_back(policy_id);
-    latest_policy_by_name_[name] = policy_id;
-    policy_version_by_id_[policy_id] = row[2].AsInteger();
+    AddPolicy(row[1].AsText(), std::move(entry));
   }
 
   // Reference file: every engine keeps the native copy for URI resolution.
@@ -342,10 +349,6 @@ Status PolicyServer::RestoreFromStorage() {
       if (id + 1 > next_match_id_) next_match_id_ = id + 1;
     }
   }
-
-  if (options_.collect_metrics) {
-    policies_installed_->Set(static_cast<int64_t>(policy_ids_.size()));
-  }
   return Status::OK();
 }
 
@@ -357,7 +360,7 @@ PolicyServer::InstalledPolicyRecords() const {
     return Status::Internal("PolicyCatalog table missing");
   }
   std::vector<InstalledPolicyRecord> records;
-  records.reserve(policy_ids_.size());
+  records.reserve(policies_.size());
   // Slots are in install order (append-only inserts), which is the order a
   // replaying tier must re-install in to reproduce versions.
   for (size_t slot = 0; slot < catalog->SlotCount(); ++slot) {
@@ -411,54 +414,68 @@ Result<int64_t> PolicyServer::InstallPolicy(const p3p::Policy& policy) {
 
 Result<int64_t> PolicyServer::InstallPolicyLocked(const p3p::Policy& policy) {
   P3PDB_RETURN_IF_ERROR(policy.Validate());
-  p3p::Policy canonical = p3p::Canonicalized(policy);
-  if (options_.augmentation == Augmentation::kAtInstall) {
-    p3p::AugmentPolicy(&canonical);
-  }
+  const p3p::Policy canonical = Canonical(policy, options_.augmentation);
 
-  int64_t policy_id = -1;
-  if (UsesSqlMatching()) {
-    if (UsesSimpleSchema()) {
-      std::unique_ptr<xml::Element> dom = p3p::PolicyToXml(canonical);
-      P3PDB_ASSIGN_OR_RETURN(policy_id, simple_shredder_->ShredPolicy(*dom));
-    } else {
-      P3PDB_ASSIGN_OR_RETURN(policy_id,
-                             optimized_shredder_->ShredPolicy(canonical));
-    }
+  PolicyEntry entry;
+  if (options_.engine == EngineKind::kSql) {
+    P3PDB_ASSIGN_OR_RETURN(entry.id,
+                           optimized_shredder_->ShredPolicy(canonical));
   } else {
-    policy_id = static_cast<int64_t>(policy_ids_.size()) + 1;
-  }
-
-  // Evidence for the non-SQL engines: DOM for the XML-store variations and
-  // serialized text for the client-centric baseline, which re-parses it on
-  // every match. (The original, un-augmented text is kept in the catalog
-  // for PolicyXml retrieval.)
-  policy_dom_[policy_id] = p3p::PolicyToXml(canonical);
-  if (options_.engine == EngineKind::kNativeAppel) {
-    policy_text_[policy_id] = xml::Write(*policy_dom_[policy_id]);
+    // Every other engine reads the policy as XML: the simple shredder walks
+    // the DOM, and the two non-SQL engines keep it as evidence.
+    entry.dom = p3p::PolicyToXml(canonical);
+    if (UsesSimpleSchema()) {
+      P3PDB_ASSIGN_OR_RETURN(entry.id,
+                             simple_shredder_->ShredPolicy(*entry.dom));
+    } else {
+      entry.id = static_cast<int64_t>(policies_.size()) + 1;
+    }
   }
 
   const std::string name =
-      policy.name.empty() ? ("policy-" + std::to_string(policy_id))
+      policy.name.empty() ? ("policy-" + std::to_string(entry.id))
                           : policy.name;
-  int64_t version = PolicyVersionLocked(name) + 1;
+  entry.version = PolicyVersionLocked(name) + 1;
+  // The catalog keeps the original, un-augmented text for PolicyXml.
   P3PDB_RETURN_IF_ERROR(db_.InsertRow(
       "PolicyCatalog",
-      {Value::Integer(policy_id), Value::Text(name), Value::Integer(version),
-       Value::Text(p3p::PolicyToText(policy))}));
+      {Value::Integer(entry.id), Value::Text(name),
+       Value::Integer(entry.version), Value::Text(p3p::PolicyToText(policy))}));
 
-  policy_ids_.push_back(policy_id);
-  latest_policy_by_name_[name] = policy_id;
-  policy_version_by_id_[policy_id] = version;
+  const int64_t policy_id = entry.id;
+  AddPolicy(name, std::move(entry));
   // Cached URI/cookie results may now be stale (a re-installed name changes
   // what a path resolves to): bump the catalog version. Stale entries are
   // invalidated lazily at their next lookup. Policy-id entries are keyed by
   // this id's immutable (id, version) pair and stay valid.
   ++catalog_epoch_;
-  if (options_.collect_metrics) {
-    policies_installed_->Set(static_cast<int64_t>(policy_ids_.size()));
-  }
   return policy_id;
+}
+
+void PolicyServer::AddPolicy(const std::string& name, PolicyEntry entry) {
+  if (options_.engine == EngineKind::kNativeAppel) {
+    entry.text = xml::Write(*entry.dom);
+  }
+  if (options_.engine != EngineKind::kXQueryNative) entry.dom.reset();
+  latest_policy_by_name_[name] = entry.id;
+  policies_.push_back(std::move(entry));
+  if (options_.collect_metrics) {
+    policies_installed_->Set(static_cast<int64_t>(policies_.size()));
+  }
+}
+
+const PolicyServer::PolicyEntry* PolicyServer::FindPolicy(
+    int64_t policy_id) const {
+  auto it =
+      std::ranges::lower_bound(policies_, policy_id, {}, &PolicyEntry::id);
+  return it != policies_.end() && it->id == policy_id ? &*it : nullptr;
+}
+
+std::vector<int64_t> PolicyServer::policy_ids() const {
+  std::shared_lock<StripedSharedMutex> lock(mu_);
+  std::vector<int64_t> ids;
+  for (const PolicyEntry& entry : policies_) ids.push_back(entry.id);
+  return ids;
 }
 
 Status PolicyServer::InstallReferenceFile(const p3p::ReferenceFile& rf) {
@@ -632,9 +649,9 @@ Result<int64_t> PolicyServer::FindApplicablePolicyId(
         for_cookie ? reference_file_.RefIndexForCookie(local_path)
                    : reference_file_.RefIndexForPath(local_path);
     if (!ref.has_value()) return int64_t{-1};
-    std::optional<int64_t> found =
-        FindPolicyIdByAboutLocked(reference_file_.refs()[*ref].about);
-    return found.has_value() ? *found : int64_t{-1};
+    auto it = latest_policy_by_name_.find(
+        AboutToPolicyName(reference_file_.refs()[*ref].about));
+    return it == latest_policy_by_name_.end() ? int64_t{-1} : it->second;
   }();
 
   if (options_.collect_metrics) {
@@ -649,39 +666,29 @@ Result<int64_t> PolicyServer::FindApplicablePolicyId(
 std::optional<int64_t> PolicyServer::FindPolicyIdByAbout(
     std::string_view about) const {
   std::shared_lock<StripedSharedMutex> lock(mu_);
-  return FindPolicyIdByAboutLocked(about);
-}
-
-std::optional<int64_t> PolicyServer::FindPolicyIdByAboutLocked(
-    std::string_view about) const {
   auto it = latest_policy_by_name_.find(AboutToPolicyName(about));
   if (it == latest_policy_by_name_.end()) return std::nullopt;
   return it->second;
 }
 
 Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
-    const CompiledPreference& pref, int64_t policy_id,
+    const CompiledPreference& pref, const PolicyEntry& policy,
     obs::TraceContext* trace) {
   MatchResult result;
-  result.policy_id = policy_id;
+  result.policy_id = policy.id;
   result.behavior = appel::kDefaultBehavior;
 
   switch (options_.engine) {
     case EngineKind::kNativeAppel: {
-      auto it = policy_text_.find(policy_id);
-      if (it == policy_text_.end()) {
-        return Status::NotFound("policy id " + std::to_string(policy_id) +
-                                " not installed");
-      }
       // The client-centric pipeline, per match: parse the policy XML the
       // site served, parse the user's APPEL text, then evaluate (with the
       // engine's per-match augmentation when so configured).
       xml::Document policy_doc;
       {
         obs::ScopedSpan parse_span(trace, "policy-parse");
-        P3PDB_ASSIGN_OR_RETURN(policy_doc, xml::Parse(it->second));
+        P3PDB_ASSIGN_OR_RETURN(policy_doc, xml::Parse(policy.text));
         if (parse_span.active()) {
-          parse_span.AddCount("chars", it->second.size());
+          parse_span.AddCount("chars", policy.text.size());
         }
       }
       appel::AppelRuleset ruleset;
@@ -716,7 +723,7 @@ Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
         }
         // Every `?` of the rule query binds the applicable policy id;
         // catch-all rules take none.
-        params.assign(pref.sql.param_counts[i], Value::Integer(policy_id));
+        params.assign(pref.sql.param_counts[i], Value::Integer(policy.id));
         // Without prepared statements (the paper's methodology) the SQL
         // text is submitted to the database for every match; query time
         // includes its prepare.
@@ -735,16 +742,11 @@ Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
       break;
     }
     case EngineKind::kXQueryNative: {
-      auto it = policy_dom_.find(policy_id);
-      if (it == policy_dom_.end()) {
-        return Status::NotFound("policy id " + std::to_string(policy_id) +
-                                " not installed");
-      }
       for (size_t i = 0; i < pref.xquery_asts.size(); ++i) {
         obs::ScopedSpan rule_span(trace, "rule-query");
         if (rule_span.active()) rule_span.SetAttr("rule", std::to_string(i));
         P3PDB_ASSIGN_OR_RETURN(
-            bool fired, xquery::EvalQuery(pref.xquery_asts[i], *it->second));
+            bool fired, xquery::EvalQuery(pref.xquery_asts[i], *policy.dom));
         if (options_.collect_metrics) rule_queries_total_->Increment();
         if (fired) {
           result.behavior = pref.xquery_text.behaviors[i];
@@ -785,23 +787,17 @@ Result<MatchResult> PolicyServer::Match(const CompiledPreference& pref,
   MatchCacheKey key;
   uint64_t version = 0;
   Result<MatchResult> result = [&]() -> Result<MatchResult> {
-    if (subject == MatchSubject::kPolicyId &&
-        policy_dom_.find(policy_id) == policy_dom_.end()) {
-      return Status::NotFound("policy id " + std::to_string(policy_id) +
-                              " not installed");
+    const PolicyEntry* policy = nullptr;
+    if (subject == MatchSubject::kPolicyId) {
+      policy = FindPolicy(policy_id);
+      if (policy == nullptr) return NotInstalled(policy_id);
     }
     if (cacheable) {
-      if (subject == MatchSubject::kPolicyId) {
-        // Policy ids are immutable (re-installing a name mints a new id),
-        // so the entry is stamped with the id's own version and survives
-        // unrelated catalog changes.
-        auto version_it = policy_version_by_id_.find(policy_id);
-        version = version_it == policy_version_by_id_.end()
-                      ? 0
-                      : static_cast<uint64_t>(version_it->second);
-      } else {
-        version = catalog_epoch_;
-      }
+      // Policy ids are immutable (re-installing a name mints a new id), so
+      // an id's entry is stamped with its own version and survives
+      // unrelated catalog changes.
+      version = policy != nullptr ? static_cast<uint64_t>(policy->version)
+                                  : catalog_epoch_;
       key = MatchCacheKey{pref.fingerprint, subject, policy_id,
                           std::string(path),
                           static_cast<uint8_t>(options_.engine)};
@@ -829,8 +825,10 @@ Result<MatchResult> PolicyServer::Match(const CompiledPreference& pref,
         miss.policy_found = false;
         return miss;
       }
+      policy = FindPolicy(policy_id);
+      if (policy == nullptr) return NotInstalled(policy_id);
     }
-    return EvaluateAgainstCurrent(pref, policy_id, t);
+    return EvaluateAgainstCurrent(pref, *policy, t);
   }();
   // Errors are not memoized: they describe the attempt, not the catalog.
   if (cacheable && !cache_hit && result.ok()) {
@@ -920,7 +918,7 @@ std::string PolicyServer::RenderHealthzJson() const {
   std::shared_lock<StripedSharedMutex> lock(mu_);
   std::string out = "{\"status\":\"ok\",\"catalog_epoch\":" +
                     std::to_string(catalog_epoch_) +
-                    ",\"policies\":" + std::to_string(policy_ids_.size()) +
+                    ",\"policies\":" + std::to_string(policies_.size()) +
                     ",\"match_cache_shards\":[";
   if (match_cache_ != nullptr) {
     for (size_t shard = 0; shard < match_cache_->shard_count(); ++shard) {
@@ -957,16 +955,11 @@ int64_t PolicyServer::PolicyVersion(std::string_view name) {
   return PolicyVersionLocked(name);
 }
 
-int64_t PolicyServer::PolicyVersionLocked(std::string_view name) {
-  // The name is a bind parameter: one cached plan serves every install.
-  auto result =
-      db_.Execute("SELECT MAX(version) FROM PolicyCatalog WHERE name = ?",
-                  {Value::Text(std::string(name))});
-  if (!result.ok() || result.value().rows.empty() ||
-      result.value().rows[0][0].is_null()) {
-    return 0;
-  }
-  return result.value().rows[0][0].AsInteger();
+int64_t PolicyServer::PolicyVersionLocked(std::string_view name) const {
+  // Versions grow per name, so the latest id's entry holds the maximum.
+  auto it = latest_policy_by_name_.find(name);
+  return it == latest_policy_by_name_.end() ? 0
+                                            : FindPolicy(it->second)->version;
 }
 
 Result<std::string> PolicyServer::PolicyXml(std::string_view name,

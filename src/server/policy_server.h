@@ -208,10 +208,10 @@ class PolicyServer {
     /// default — keeps the server purely in-memory with zero storage
     /// overhead. Non-empty either bootstraps a fresh catalog into the
     /// directory or recovers an existing one: Create() detects a recovered
-    /// PolicyCatalog, skips the schema installs, and rebuilds the in-memory
-    /// maps, policy DOMs, shredder id sequences, and reference file from
-    /// the durable tables. Each InstallPolicy / InstallReferenceFile is one
-    /// WAL transaction, so a crash mid-install recovers to "not installed".
+    /// PolicyCatalog, skips the schema installs, and rebuilds the policy
+    /// entries, shredder id sequences, and reference file from the durable
+    /// tables. Each InstallPolicy / InstallReferenceFile is one WAL
+    /// transaction, so a crash mid-install recovers to "not installed".
     std::string storage_path;
     /// No effect; read only by perfbench's model servers.
     size_t storage_buffer_pool_pages = 64;
@@ -315,8 +315,8 @@ class PolicyServer {
   /// (policy_id, behavior, matches).
   Result<sqldb::QueryResult> ConflictReport();
 
-  /// Ids of installed policies, in install order.
-  const std::vector<int64_t>& policy_ids() const { return policy_ids_; }
+  /// Ids of installed policies, in install order (ascending).
+  std::vector<int64_t> policy_ids() const;
 
   /// PolicyCatalog rows in install order (the durable system of record a
   /// sharded tier replays on recovery). Read-only; takes the shared lock.
@@ -409,8 +409,23 @@ class PolicyServer {
   Result<int64_t> FindApplicablePolicyId(std::string_view local_path,
                                          bool for_cookie,
                                          obs::TraceContext* trace);
+  /// One installed policy and the evidence its engine evaluates: the DOM
+  /// (kXQueryNative), or the XML text kNativeAppel re-parses per match (a
+  /// client receives XML over the wire, not the site's DOM). The SQL
+  /// engines keep neither.
+  struct PolicyEntry {
+    int64_t id = 0;
+    int64_t version = 0;  // the per-name version the id was installed as
+    std::unique_ptr<xml::Element> dom;
+    std::string text;
+  };
+  /// Null when the id is not installed.
+  const PolicyEntry* FindPolicy(int64_t policy_id) const;
+  /// Appends `entry` as the latest version of `name`, keeping only the
+  /// evidence this engine reads of the `dom` the non-SQL engines pass.
+  void AddPolicy(const std::string& name, PolicyEntry entry);
   Result<MatchResult> EvaluateAgainstCurrent(const CompiledPreference& pref,
-                                             int64_t policy_id,
+                                             const PolicyEntry& policy,
                                              obs::TraceContext* trace);
   Status RecordMatch(const MatchResult& result);
 
@@ -442,9 +457,7 @@ class PolicyServer {
   /// p3p_uptime_seconds to a snapshot, reading each source once.
   void CollectMetrics(obs::MetricsSnapshot* snapshot) const;
 
-  int64_t PolicyVersionLocked(std::string_view name);
-  std::optional<int64_t> FindPolicyIdByAboutLocked(
-      std::string_view about) const;
+  int64_t PolicyVersionLocked(std::string_view name) const;
 
   Options options_;
   // Reader/writer: installs and ConflictReport lock exclusively; matches,
@@ -460,24 +473,16 @@ class PolicyServer {
   sqldb::Database db_;
   appel::NativeEngine native_engine_;
 
-  // Native-evidence store: the policy DOM each non-SQL engine evaluates,
-  // plus the serialized text the client-centric baseline re-parses per
-  // match (a client receives policy XML over the wire, it does not share
-  // the site's DOM).
-  std::map<int64_t, std::unique_ptr<xml::Element>> policy_dom_;
-  std::map<int64_t, std::string> policy_text_;
-  std::vector<int64_t> policy_ids_;
+  // In install order, which sorts them by id on every engine.
+  std::vector<PolicyEntry> policies_;
   std::map<std::string, int64_t, std::less<>> latest_policy_by_name_;
   p3p::ReferenceFile reference_file_;  // native-path URI resolution
   bool has_reference_file_ = false;
 
-  // Versioned invalidation state (guarded by mu_: installs write under the
-  // exclusive lock, matches read under the shared lock). catalog_epoch_
-  // stamps URI/cookie cache entries; policy ids are immutable once
-  // installed, so their entries are stamped with the per-name version the
-  // id was installed as and stay valid across later installs.
+  // Stamps URI/cookie cache entries (guarded by mu_). Policy ids are
+  // immutable, so their entries carry the PolicyEntry's version instead and
+  // stay valid across later installs.
   uint64_t catalog_epoch_ = 1;
-  std::map<int64_t, int64_t> policy_version_by_id_;
   // Sharded memo cache; internally thread-safe (null when disabled).
   std::unique_ptr<MatchCache> match_cache_;
 

@@ -171,8 +171,9 @@ Result<int64_t> ShardedPolicyServer::ApplyAndPublish(
   }
 
   const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  auto snapshot = std::make_shared<const ShardSnapshot>(ShardSnapshot{
-      spare.server.get(), epoch, spare.server->policy_ids().size()});
+  // Every applied op installed one policy.
+  auto snapshot = std::make_shared<const ShardSnapshot>(
+      ShardSnapshot{spare.server.get(), epoch, spare.applied});
   // Waits for the matches still running on the replica this retires, so
   // the next install catches it up with no reader left on it.
   shard.published.Store(std::move(snapshot));
@@ -189,8 +190,7 @@ Result<int64_t> ShardedPolicyServer::ApplyAndPublish(
   }
 
   if (shard.policies_gauge != nullptr) {
-    shard.policies_gauge->Set(
-        static_cast<int64_t>(spare.server->policy_ids().size()));
+    shard.policies_gauge->Set(static_cast<int64_t>(spare.applied));
   }
   if (shard.epoch_gauge != nullptr) {
     shard.epoch_gauge->Set(static_cast<int64_t>(epoch));

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -727,6 +728,105 @@ TEST(ServerStorage, MatchLogAndConflictReportSurviveReopen) {
     }
     EXPECT_EQ(total, 4);
   }
+}
+
+// ------------------------------------------------------ policy id contract --
+
+class PolicyIdContractTest
+    : public ::testing::TestWithParam<server::EngineKind> {
+ protected:
+  /// Every engine mints ids in install order, so they ascend; only the
+  /// installed ones match, and the in-memory latest version of each name is
+  /// the catalog's latest row for it.
+  static void ExpectIdContract(PolicyServer& server,
+                               const std::vector<std::string>& names) {
+    const std::vector<int64_t> ids = server.policy_ids();
+    ASSERT_FALSE(ids.empty());
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+    auto pref = server.CompilePreference(workload::JanePreference());
+    ASSERT_TRUE(pref.ok()) << pref.status();
+    for (int64_t id : ids) {
+      EXPECT_TRUE(server.MatchPolicyId(pref.value(), id).ok()) << id;
+    }
+    std::vector<int64_t> absent = {0, -1, ids.back() + 1};
+    const bool shared_sequence =
+        GetParam() == EngineKind::kSqlSimple ||
+        GetParam() == EngineKind::kXQueryXTable;
+    if (shared_sequence) {
+      // The simple shredder's element rows share the policy id sequence,
+      // so the ids between two policies' ids are child rows' ids.
+      ASSERT_GT(ids[1], ids[0] + 1);
+      absent.push_back(ids[0] + 1);
+    }
+    for (int64_t id : absent) {
+      auto match = server.MatchPolicyId(pref.value(), id);
+      ASSERT_FALSE(match.ok()) << id;
+      EXPECT_EQ(match.status().code(), StatusCode::kNotFound) << id;
+    }
+    for (const std::string& name : names) {
+      const int64_t version = server.PolicyVersion(name);
+      EXPECT_GE(version, 1) << name;
+      EXPECT_TRUE(server.PolicyXml(name, version).ok()) << name;
+      auto next = server.PolicyXml(name, version + 1);
+      ASSERT_FALSE(next.ok()) << name;
+      EXPECT_EQ(next.status().code(), StatusCode::kNotFound) << name;
+    }
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, PolicyIdContractTest,
+    ::testing::Values(EngineKind::kNativeAppel, EngineKind::kSql,
+                      EngineKind::kSqlSimple, EngineKind::kXQueryNative,
+                      EngineKind::kXQueryXTable),
+    [](const auto& info) {
+      std::string name = server::EngineKindName(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+TEST_P(PolicyIdContractTest, HoldsAcrossReinstallsAndReopen) {
+  PolicyServer::Options options;
+  options.engine = GetParam();
+  options.storage_path =
+      TestDir(std::string("id_contract_") + server::EngineKindName(GetParam()));
+  const std::vector<p3p::Policy> corpus =
+      workload::FortuneCorpus({.policy_count = 3});
+  std::vector<std::string> names = {"volga"};
+  for (const p3p::Policy& policy : corpus) names.push_back(policy.name);
+
+  std::vector<int64_t> ids_before;
+  {
+    auto server = PolicyServer::Create(options);
+    ASSERT_TRUE(server.ok()) << server.status();
+    ASSERT_TRUE(server.value()->InstallPolicy(workload::VolgaPolicy()).ok());
+    for (const p3p::Policy& policy : corpus) {
+      ASSERT_TRUE(server.value()->InstallPolicy(policy).ok());
+    }
+    // Re-installs: volga reaches version 3, the first corpus name 2.
+    ASSERT_TRUE(server.value()->InstallPolicy(workload::VolgaPolicy()).ok());
+    ASSERT_TRUE(server.value()->InstallPolicy(corpus[0]).ok());
+    ASSERT_TRUE(server.value()->InstallPolicy(workload::VolgaPolicy()).ok());
+    EXPECT_EQ(server.value()->PolicyVersion("volga"), 3);
+    EXPECT_EQ(server.value()->PolicyVersion(corpus[0].name), 2);
+    ExpectIdContract(*server.value(), names);
+    ids_before = server.value()->policy_ids();
+  }
+
+  auto server = PolicyServer::Create(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  EXPECT_EQ(server.value()->policy_ids(), ids_before);
+  EXPECT_EQ(server.value()->PolicyVersion("volga"), 3);
+  ExpectIdContract(*server.value(), names);
+  // An install after the reopen continues the ascending sequence.
+  auto id = server.value()->InstallPolicy(workload::VolgaPolicy());
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_GT(id.value(), ids_before.back());
+  EXPECT_EQ(server.value()->PolicyVersion("volga"), 4);
+  ExpectIdContract(*server.value(), names);
 }
 
 }  // namespace
