@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <shared_mutex>
 
 #include "appel/fingerprint.h"
@@ -20,6 +21,7 @@
 
 namespace p3pdb::server {
 
+using shredder::PolicyCatalog;
 using sqldb::QueryResult;
 using sqldb::Value;
 
@@ -41,26 +43,13 @@ const char* EngineKindName(EngineKind kind) {
 
 namespace {
 
-constexpr const char* kCatalogDdl = R"sql(
-CREATE TABLE PolicyCatalog (
-  policy_id INTEGER NOT NULL,
-  name VARCHAR(255) NOT NULL,
-  version INTEGER NOT NULL,
-  xml TEXT,
-  PRIMARY KEY (policy_id)
-);
-CREATE INDEX idx_catalog_name ON PolicyCatalog (name);
+constexpr const char* kMatchLogDdl = R"sql(
 CREATE TABLE MatchLog (
   match_id INTEGER NOT NULL,
   policy_id INTEGER NOT NULL,
   behavior VARCHAR(32) NOT NULL,
   fired_rule INTEGER NOT NULL,
   PRIMARY KEY (match_id)
-);
-CREATE TABLE RefFileCatalog (
-  ref_id INTEGER NOT NULL,
-  xml TEXT,
-  PRIMARY KEY (ref_id)
 );
 )sql";
 
@@ -203,7 +192,7 @@ Status PolicyServer::Init() {
   // Disk-backed servers surface open/recovery failures at Create time
   // rather than on the first statement.
   P3PDB_RETURN_IF_ERROR(db_.storage_status());
-  if (db_.storage_active() && db_.LookupTable("PolicyCatalog") != nullptr) {
+  if (db_.storage_active() && catalog_.Present()) {
     // The storage directory already holds a bootstrapped catalog: rebuild
     // the in-memory server state from it instead of re-installing schemas.
     P3PDB_RETURN_IF_ERROR(RestoreFromStorage());
@@ -212,11 +201,7 @@ Status PolicyServer::Init() {
     // transaction: the anchor insert goes through the table directly (no
     // per-statement commit), so without the explicit commit it would stay
     // uncommitted and be dropped by the next recovery.
-    P3PDB_RETURN_IF_ERROR(db_.BeginTransaction());
-    Status schema = InitSchema();
-    Status commit = db_.CommitTransaction();
-    P3PDB_RETURN_IF_ERROR(schema);
-    P3PDB_RETURN_IF_ERROR(commit);
+    P3PDB_RETURN_IF_ERROR(InstallDurably([this] { return InitSchema(); }));
   }
   if (options_.enable_admin_endpoint) {
     P3PDB_ASSIGN_OR_RETURN(
@@ -229,7 +214,8 @@ Status PolicyServer::Init() {
 }
 
 Status PolicyServer::InitSchema() {
-  P3PDB_RETURN_IF_ERROR(db_.ExecuteScript(kCatalogDdl));
+  P3PDB_RETURN_IF_ERROR(catalog_.CreateTables());
+  P3PDB_RETURN_IF_ERROR(db_.ExecuteScript(kMatchLogDdl));
   if (UsesSqlMatching()) {
     if (UsesSimpleSchema()) {
       P3PDB_RETURN_IF_ERROR(shredder::InstallSimpleSchema(&db_));
@@ -303,43 +289,30 @@ Status PolicyServer::RestoreFromStorage() {
     sqldb::Table* anchor =
         db_.GetMutableTable(translator::kApplicablePolicyTable);
     if (anchor->RowCount() == 0) {
-      P3PDB_RETURN_IF_ERROR(db_.BeginTransaction());
-      Status inserted = anchor->Insert({Value::Integer(0)});
-      Status commit = db_.CommitTransaction();
-      P3PDB_RETURN_IF_ERROR(inserted);
-      P3PDB_RETURN_IF_ERROR(commit);
+      P3PDB_RETURN_IF_ERROR(
+          InstallDurably([&] { return anchor->Insert({Value::Integer(0)}); }));
     }
   }
 
-  // Policy catalog -> policy entries. Slots are in install order, so ids
-  // ascend and the last row per name is the latest version. Only the two
-  // non-SQL engines parse the catalog's un-augmented XML, to rebuild their
-  // evidence exactly as InstallPolicy built it.
-  const sqldb::Table* catalog = db_.LookupTable("PolicyCatalog");
-  for (size_t slot = 0; slot < catalog->SlotCount(); ++slot) {
-    if (!catalog->IsLive(slot)) continue;
-    const sqldb::Row& row = catalog->RowAt(slot);
-    PolicyEntry entry;
-    entry.id = row[0].AsInteger();
-    entry.version = row[2].AsInteger();
-    if (!UsesSqlMatching()) {
-      P3PDB_ASSIGN_OR_RETURN(p3p::Policy policy,
-                             p3p::PolicyFromText(row[3].AsText()));
-      entry.dom = p3p::PolicyToXml(Canonical(policy, options_.augmentation));
-    }
-    AddPolicy(row[1].AsText(), std::move(entry));
-  }
-
+  // Policy catalog -> policy entries. Only the two non-SQL engines parse
+  // the catalog's un-augmented XML, to rebuild their evidence exactly as
+  // InstallPolicy built it.
+  P3PDB_RETURN_IF_ERROR(
+      catalog_.Restore([&](const PolicyCatalog::Row& row) -> Status {
+        PolicyEntry entry;
+        entry.id = row.id;
+        entry.version = row.version;
+        if (!UsesSqlMatching()) {
+          P3PDB_ASSIGN_OR_RETURN(p3p::Policy policy,
+                                 p3p::PolicyFromText(row.text));
+          entry.dom =
+              p3p::PolicyToXml(Canonical(policy, options_.augmentation));
+        }
+        AddPolicy(std::move(entry));
+        return Status::OK();
+      }));
   // Reference file: every engine keeps the native copy for URI resolution.
-  if (const sqldb::Table* rft = db_.LookupTable("RefFileCatalog")) {
-    for (size_t slot = 0; slot < rft->SlotCount(); ++slot) {
-      if (!rft->IsLive(slot)) continue;
-      P3PDB_ASSIGN_OR_RETURN(
-          reference_file_,
-          p3p::ReferenceFileFromText(rft->RowAt(slot)[1].AsText()));
-      has_reference_file_ = true;
-    }
-  }
+  P3PDB_ASSIGN_OR_RETURN(reference_file_, catalog_.ReferenceFile());
 
   // MatchLog id sequence, so recorded matches never collide.
   if (const sqldb::Table* log = db_.LookupTable("MatchLog")) {
@@ -355,50 +328,18 @@ Status PolicyServer::RestoreFromStorage() {
 Result<std::vector<InstalledPolicyRecord>>
 PolicyServer::InstalledPolicyRecords() const {
   std::shared_lock<StripedSharedMutex> lock(mu_);
-  const sqldb::Table* catalog = db_.LookupTable("PolicyCatalog");
-  if (catalog == nullptr) {
-    return Status::Internal("PolicyCatalog table missing");
-  }
   std::vector<InstalledPolicyRecord> records;
-  records.reserve(policies_.size());
-  // Slots are in install order (append-only inserts), which is the order a
-  // replaying tier must re-install in to reproduce versions.
-  for (size_t slot = 0; slot < catalog->SlotCount(); ++slot) {
-    if (!catalog->IsLive(slot)) continue;
-    const sqldb::Row& row = catalog->RowAt(slot);
-    records.push_back({row[0].AsInteger(), row[1].AsText(),
-                       row[2].AsInteger(), row[3].AsText()});
-  }
+  P3PDB_RETURN_IF_ERROR(catalog_.Scan([&](const PolicyCatalog::Row& row) {
+    records.push_back(
+        {row.id, std::string(row.name), row.version, std::string(row.text)});
+    return Status::OK();
+  }));
   return records;
-}
-
-std::optional<p3p::ReferenceFile> PolicyServer::InstalledReferenceFile()
-    const {
-  std::shared_lock<StripedSharedMutex> lock(mu_);
-  if (!has_reference_file_) return std::nullopt;
-  return reference_file_;
 }
 
 Status PolicyServer::InstallDurably(const std::function<Status()>& install) {
   std::unique_lock<StripedSharedMutex> lock(mu_);
-  P3PDB_RETURN_IF_ERROR(db_.BeginTransaction());
-  Status result = install();
-  Status commit;
-  if (options_.storage_group_commit) {
-    // Two-phase commit: every WAL record (including the commit record) is
-    // already appended, so the exclusive lock can be released before the
-    // fsync — matches proceed and concurrent installers coalesce their
-    // fsyncs in WaitDurable's leader/follower queue.
-    Result<uint64_t> ticket = db_.CommitTransactionStaged();
-    commit = ticket.status();
-    if (ticket.ok()) {
-      lock.unlock();
-      commit = db_.WaitDurable(ticket.value());
-    }
-  } else {
-    commit = db_.CommitTransaction();
-  }
-  return result.ok() ? commit : result;
+  return db_.CommitDurably(lock, install);
 }
 
 Result<int64_t> PolicyServer::InstallPolicy(const p3p::Policy& policy) {
@@ -432,18 +373,10 @@ Result<int64_t> PolicyServer::InstallPolicyLocked(const p3p::Policy& policy) {
     }
   }
 
-  const std::string name =
-      policy.name.empty() ? ("policy-" + std::to_string(entry.id))
-                          : policy.name;
-  entry.version = PolicyVersionLocked(name) + 1;
   // The catalog keeps the original, un-augmented text for PolicyXml.
-  P3PDB_RETURN_IF_ERROR(db_.InsertRow(
-      "PolicyCatalog",
-      {Value::Integer(entry.id), Value::Text(name),
-       Value::Integer(entry.version), Value::Text(p3p::PolicyToText(policy))}));
-
+  P3PDB_ASSIGN_OR_RETURN(entry.version, catalog_.Append(entry.id, policy));
   const int64_t policy_id = entry.id;
-  AddPolicy(name, std::move(entry));
+  AddPolicy(std::move(entry));
   // Cached URI/cookie results may now be stale (a re-installed name changes
   // what a path resolves to): bump the catalog version. Stale entries are
   // invalidated lazily at their next lookup. Policy-id entries are keyed by
@@ -452,12 +385,11 @@ Result<int64_t> PolicyServer::InstallPolicyLocked(const p3p::Policy& policy) {
   return policy_id;
 }
 
-void PolicyServer::AddPolicy(const std::string& name, PolicyEntry entry) {
+void PolicyServer::AddPolicy(PolicyEntry entry) {
   if (options_.engine == EngineKind::kNativeAppel) {
     entry.text = xml::Write(*entry.dom);
   }
   if (options_.engine != EngineKind::kXQueryNative) entry.dom.reset();
-  latest_policy_by_name_[name] = entry.id;
   policies_.push_back(std::move(entry));
   if (options_.collect_metrics) {
     policies_installed_->Set(static_cast<int64_t>(policies_.size()));
@@ -488,9 +420,8 @@ Status PolicyServer::InstallReferenceFileLocked(const p3p::ReferenceFile& rf) {
   // Resolve about -> latest installed policy id by fragment name.
   std::map<std::string, int64_t> resolution;
   for (const p3p::PolicyRef& ref : rf.refs()) {
-    auto it = latest_policy_by_name_.find(AboutToPolicyName(ref.about));
-    if (it != latest_policy_by_name_.end()) {
-      resolution[ref.about] = it->second;
+    if (auto id = catalog_.LatestId(AboutToPolicyName(ref.about))) {
+      resolution[ref.about] = *id;
     }
   }
 
@@ -506,13 +437,8 @@ Status PolicyServer::InstallReferenceFileLocked(const p3p::ReferenceFile& rf) {
   }
   // Persist the reference XML itself so a disk-backed reopen can rebuild
   // the native-path copy (the shredded rows only carry LIKE patterns).
-  auto cleared = db_.Execute("DELETE FROM RefFileCatalog");
-  if (!cleared.ok()) return cleared.status();
-  P3PDB_RETURN_IF_ERROR(db_.InsertRow(
-      "RefFileCatalog",
-      {Value::Integer(0), Value::Text(p3p::ReferenceFileToText(rf))}));
+  P3PDB_RETURN_IF_ERROR(catalog_.PutReferenceFile(rf));
   reference_file_ = rf;
-  has_reference_file_ = true;
   // The path -> policy mapping changed; cached URI/cookie results computed
   // under the previous reference file must never be served again.
   ++catalog_epoch_;
@@ -624,7 +550,7 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
 
 Result<int64_t> PolicyServer::FindApplicablePolicyId(
     std::string_view local_path, bool for_cookie, obs::TraceContext* trace) {
-  if (!has_reference_file_) {
+  if (!reference_file_.has_value()) {
     return Status::InvalidArgument("no reference file installed");
   }
   obs::ScopedSpan span(trace, "ref-lookup");
@@ -646,12 +572,12 @@ Result<int64_t> PolicyServer::FindApplicablePolicyId(
       return result.rows[0][0].AsInteger();
     }
     std::optional<size_t> ref =
-        for_cookie ? reference_file_.RefIndexForCookie(local_path)
-                   : reference_file_.RefIndexForPath(local_path);
+        for_cookie ? reference_file_->RefIndexForCookie(local_path)
+                   : reference_file_->RefIndexForPath(local_path);
     if (!ref.has_value()) return int64_t{-1};
-    auto it = latest_policy_by_name_.find(
-        AboutToPolicyName(reference_file_.refs()[*ref].about));
-    return it == latest_policy_by_name_.end() ? int64_t{-1} : it->second;
+    return catalog_
+        .LatestId(AboutToPolicyName(reference_file_->refs()[*ref].about))
+        .value_or(-1);
   }();
 
   if (options_.collect_metrics) {
@@ -666,9 +592,7 @@ Result<int64_t> PolicyServer::FindApplicablePolicyId(
 std::optional<int64_t> PolicyServer::FindPolicyIdByAbout(
     std::string_view about) const {
   std::shared_lock<StripedSharedMutex> lock(mu_);
-  auto it = latest_policy_by_name_.find(AboutToPolicyName(about));
-  if (it == latest_policy_by_name_.end()) return std::nullopt;
-  return it->second;
+  return catalog_.LatestId(AboutToPolicyName(about));
 }
 
 Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
@@ -952,29 +876,13 @@ Status PolicyServer::RecordMatch(const MatchResult& result) {
 
 int64_t PolicyServer::PolicyVersion(std::string_view name) {
   std::shared_lock<StripedSharedMutex> lock(mu_);
-  return PolicyVersionLocked(name);
-}
-
-int64_t PolicyServer::PolicyVersionLocked(std::string_view name) const {
-  // Versions grow per name, so the latest id's entry holds the maximum.
-  auto it = latest_policy_by_name_.find(name);
-  return it == latest_policy_by_name_.end() ? 0
-                                            : FindPolicy(it->second)->version;
+  return catalog_.LatestVersion(name);
 }
 
 Result<std::string> PolicyServer::PolicyXml(std::string_view name,
                                             int64_t version) {
   std::shared_lock<StripedSharedMutex> lock(mu_);
-  P3PDB_ASSIGN_OR_RETURN(
-      QueryResult result,
-      db_.Execute(
-          "SELECT xml FROM PolicyCatalog WHERE name = ? AND version = ?",
-          {Value::Text(std::string(name)), Value::Integer(version)}));
-  if (result.rows.empty()) {
-    return Status::NotFound("no version " + std::to_string(version) +
-                            " of policy '" + std::string(name) + "'");
-  }
-  return result.rows[0][0].AsText();
+  return catalog_.PolicyXml(name, version);
 }
 
 Result<sqldb::QueryResult> PolicyServer::ConflictReport() {

@@ -55,7 +55,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -73,6 +72,7 @@
 #include "server/match_cache.h"
 #include "server/match_result.h"
 #include "shredder/optimized_schema.h"
+#include "shredder/policy_catalog.h"
 #include "shredder/reference_schema.h"
 #include "shredder/simple_schema.h"
 #include "sqldb/database.h"
@@ -93,8 +93,7 @@ class AdminHttpServer;
 std::string_view AboutToPolicyName(std::string_view about);
 
 /// One PolicyCatalog row, in install order: everything needed to replay the
-/// install elsewhere (the sharded tier's recovery path re-parses `text`
-/// with p3p::PolicyFromText and re-installs).
+/// install elsewhere.
 struct InstalledPolicyRecord {
   int64_t id = 0;
   std::string name;
@@ -318,12 +317,8 @@ class PolicyServer {
   /// Ids of installed policies, in install order (ascending).
   std::vector<int64_t> policy_ids() const;
 
-  /// PolicyCatalog rows in install order (the durable system of record a
-  /// sharded tier replays on recovery). Read-only; takes the shared lock.
+  /// PolicyCatalog rows in install order. Read-only; takes the shared lock.
   Result<std::vector<InstalledPolicyRecord>> InstalledPolicyRecords() const;
-
-  /// Copy of the installed reference file; nullopt when none is installed.
-  std::optional<p3p::ReferenceFile> InstalledReferenceFile() const;
 
   // -- Observability -------------------------------------------------------
 
@@ -396,11 +391,8 @@ class PolicyServer {
   /// Disk-backed reopen: verifies the recovered tables match this engine
   /// configuration and rebuilds all in-memory state from them.
   Status RestoreFromStorage();
-  /// Runs `install` under the exclusive lock as one durable unit: one WAL
-  /// transaction, committed on every path (there is no rollback, so disk
-  /// keeps whatever memory kept). Under group commit the lock is released
-  /// before the fsync wait. The install's own error wins over a commit
-  /// error.
+  /// Runs `install` under the exclusive lock as one durable unit
+  /// (Database::CommitDurably).
   Status InstallDurably(const std::function<Status()>& install);
   Result<int64_t> InstallPolicyLocked(const p3p::Policy& policy);
   Status InstallReferenceFileLocked(const p3p::ReferenceFile& rf);
@@ -421,9 +413,9 @@ class PolicyServer {
   };
   /// Null when the id is not installed.
   const PolicyEntry* FindPolicy(int64_t policy_id) const;
-  /// Appends `entry` as the latest version of `name`, keeping only the
-  /// evidence this engine reads of the `dom` the non-SQL engines pass.
-  void AddPolicy(const std::string& name, PolicyEntry entry);
+  /// Appends `entry` (already in the catalog), keeping only the evidence
+  /// this engine reads of the `dom` the non-SQL engines pass.
+  void AddPolicy(PolicyEntry entry);
   Result<MatchResult> EvaluateAgainstCurrent(const CompiledPreference& pref,
                                              const PolicyEntry& policy,
                                              obs::TraceContext* trace);
@@ -457,8 +449,6 @@ class PolicyServer {
   /// p3p_uptime_seconds to a snapshot, reading each source once.
   void CollectMetrics(obs::MetricsSnapshot* snapshot) const;
 
-  int64_t PolicyVersionLocked(std::string_view name) const;
-
   Options options_;
   // Reader/writer: installs and ConflictReport lock exclusively; matches,
   // compiles, and catalog lookups lock shared (read-only against db_ and
@@ -471,13 +461,13 @@ class PolicyServer {
   // is only read by ConflictReport, which holds the exclusive lock.
   mutable std::mutex match_log_mu_;
   sqldb::Database db_;
+  shredder::PolicyCatalog catalog_{&db_};
   appel::NativeEngine native_engine_;
 
   // In install order, which sorts them by id on every engine.
   std::vector<PolicyEntry> policies_;
-  std::map<std::string, int64_t, std::less<>> latest_policy_by_name_;
-  p3p::ReferenceFile reference_file_;  // native-path URI resolution
-  bool has_reference_file_ = false;
+  // Native-path URI resolution; nullopt until one is installed.
+  std::optional<p3p::ReferenceFile> reference_file_;
 
   // Stamps URI/cookie cache entries (guarded by mu_). Policy ids are
   // immutable, so their entries carry the PolicyEntry's version instead and

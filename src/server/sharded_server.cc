@@ -89,36 +89,40 @@ Status ShardedPolicyServer::Init() {
   }
 
   if (!options_.storage_path.empty()) {
-    // The durable store shreds nothing (kNativeAppel keeps catalog rows and
-    // policy DOMs only) and serves no traffic; it is the WAL-backed system
-    // of record whose group commit coalesces cross-shard install fsyncs.
-    PolicyServer::Options o;
-    o.engine = EngineKind::kNativeAppel;
-    o.collect_metrics = false;
-    o.enable_match_cache = false;
-    o.enable_statement_stats = false;
-    o.storage_path = options_.storage_path;
-    o.storage_checkpoint_wal_bytes = options_.storage_checkpoint_wal_bytes;
-    o.storage_checkpoint_on_close = options_.storage_checkpoint_on_close;
-    o.storage_group_commit = options_.storage_group_commit;
-    o.storage_group_commit_window_us = options_.storage_group_commit_window_us;
-    P3PDB_ASSIGN_OR_RETURN(auto durable, PolicyServer::Create(std::move(o)));
-    durable_ = std::move(durable);
-
-    // Recovery replay: the durable catalog, re-parsed and re-routed through
-    // the same shard map, reproduces every replica and every global id (the
-    // routing hash and the replicas' id sequences are deterministic).
-    P3PDB_ASSIGN_OR_RETURN(auto records, durable_->InstalledPolicyRecords());
-    for (const InstalledPolicyRecord& record : records) {
-      P3PDB_ASSIGN_OR_RETURN(p3p::Policy policy,
-                             p3p::PolicyFromText(record.text));
-      // No directory is published yet, so replay republishes none; the
-      // reference file's ids are resolved once, after the whole replay.
-      Shard& shard = *shards_[ShardOf(policy.name)];
-      std::lock_guard<std::mutex> lock(shard.install_mu);
-      P3PDB_RETURN_IF_ERROR(ApplyAndPublish(shard, policy).status());
+    // The durable store is the policy catalog alone, in a database of its
+    // own: the WAL-backed system of record, whose group commit coalesces
+    // cross-shard install fsyncs. It serves no traffic.
+    sqldb::Database::Options db;
+    db.storage.path = options_.storage_path;
+    db.storage.checkpoint_wal_bytes = options_.storage_checkpoint_wal_bytes;
+    db.storage.group_commit = options_.storage_group_commit;
+    db.storage.group_commit_window_us = options_.storage_group_commit_window_us;
+    db.storage_checkpoint_on_close = options_.storage_checkpoint_on_close;
+    durable_db_ = std::make_unique<sqldb::Database>(std::move(db));
+    P3PDB_RETURN_IF_ERROR(durable_db_->storage_status());
+    durable_ = std::make_unique<shredder::PolicyCatalog>(durable_db_.get());
+    if (!durable_->Present()) {
+      P3PDB_RETURN_IF_ERROR(
+          WriteDurably([this] { return durable_->CreateTables(); }));
     }
-    if (auto rf = durable_->InstalledReferenceFile(); rf.has_value()) {
+
+    // Recovery replay (nothing on a fresh directory): the catalog rows,
+    // parsed once and re-routed through the same shard map, reproduce
+    // every replica and every global id (the routing hash and the
+    // replicas' id sequences are deterministic).
+    P3PDB_RETURN_IF_ERROR(
+        durable_->Restore([this](const shredder::PolicyCatalog::Row& row) {
+          P3PDB_ASSIGN_OR_RETURN(p3p::Policy policy,
+                                 p3p::PolicyFromText(row.text));
+          // No directory is published yet, so replay republishes none; the
+          // reference file's ids are resolved once, after the whole replay.
+          Shard& shard = *shards_[ShardOf(policy.name)];
+          std::lock_guard<std::mutex> lock(shard.install_mu);
+          return ApplyAndPublish(shard, policy).status();
+        }));
+    P3PDB_ASSIGN_OR_RETURN(std::optional<p3p::ReferenceFile> rf,
+                           durable_->ReferenceFile());
+    if (rf.has_value()) {
       std::lock_guard<std::mutex> lock(directory_install_mu_);
       PublishDirectory(*rf);
     }
@@ -198,16 +202,31 @@ Result<int64_t> ShardedPolicyServer::ApplyAndPublish(
   return local_id;
 }
 
+Status ShardedPolicyServer::WriteDurably(
+    const std::function<Status()>& write) {
+  std::unique_lock<std::mutex> lock(durable_mu_);
+  return durable_db_->CommitDurably(lock, write);
+}
+
 Result<int64_t> ShardedPolicyServer::InstallPolicy(const p3p::Policy& policy) {
+  // Validated at the door: a policy no replica would install must reach
+  // neither the durable catalog nor a shard's op log, where the spare's
+  // refusal would poison the shard.
+  P3PDB_RETURN_IF_ERROR(policy.Validate());
   const size_t k = ShardOf(policy.name);
   Shard& shard = *shards_[k];
   std::lock_guard<std::mutex> lock(shard.install_mu);
   if (!shard.poisoned.ok()) return shard.poisoned;
   if (durable_ != nullptr) {
     // Durable first: by the time the policy is reachable through any
-    // snapshot, its install has survived an fsync (group-committed with
-    // whatever other shards are installing right now).
-    P3PDB_RETURN_IF_ERROR(durable_->InstallPolicy(policy).status());
+    // snapshot, its catalog row has survived an fsync (group-committed
+    // with whatever other shards are installing right now). Catalog ids
+    // count installs from 1.
+    P3PDB_RETURN_IF_ERROR(WriteDurably([&] {
+      return durable_
+          ->Append(static_cast<int64_t>(durable_->size()) + 1, policy)
+          .status();
+    }));
   }
   P3PDB_ASSIGN_OR_RETURN(int64_t local_id, ApplyAndPublish(shard, policy));
   const int64_t global_id = GlobalId(local_id, k);
@@ -256,7 +275,8 @@ Status ShardedPolicyServer::InstallReferenceFile(
     const p3p::ReferenceFile& rf) {
   std::lock_guard<std::mutex> lock(directory_install_mu_);
   if (durable_ != nullptr) {
-    P3PDB_RETURN_IF_ERROR(durable_->InstallReferenceFile(rf));
+    P3PDB_RETURN_IF_ERROR(
+        WriteDurably([&] { return durable_->PutReferenceFile(rf); }));
   }
   PublishDirectory(rf);
   return Status::OK();

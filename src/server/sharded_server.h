@@ -66,12 +66,13 @@
 // global = local * num_shards + shard, so routing a global id back to its
 // shard is a modulo, no map lookup on the hot path.
 //
-// Durability: one disk-backed PolicyServer (the *durable store*, engine
-// kNativeAppel — catalog rows only, no shredding) is the system of record,
-// opened with WAL group commit so concurrent installs to different shards
-// coalesce their fsyncs. Create() on an existing directory replays the
-// PolicyCatalog in install order through the same routing, reproducing the
-// shard contents and global ids exactly.
+// Durability: the *durable store* is a shredder::PolicyCatalog over a
+// disk-backed sqldb::Database of the tier's own: one catalog row per
+// install and the reference file, no shredded tables and no policy
+// evidence. Its WAL runs group commit, so concurrent installs to different
+// shards coalesce their fsyncs. Create() on an existing directory replays
+// the catalog rows in install order through the same routing, parsing each
+// policy once, and so reproduces the shard contents and global ids exactly.
 
 #ifndef P3PDB_SERVER_SHARDED_SERVER_H_
 #define P3PDB_SERVER_SHARDED_SERVER_H_
@@ -79,6 +80,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -93,6 +95,7 @@
 #include "server/epoch_ptr.h"
 #include "server/match_result.h"
 #include "server/policy_server.h"
+#include "shredder/policy_catalog.h"
 
 namespace p3pdb::server {
 
@@ -145,7 +148,8 @@ class ShardedPolicyServer {
   ShardedPolicyServer& operator=(const ShardedPolicyServer&) = delete;
 
   /// Installs (a new version of) a policy into its name's shard. Returns
-  /// the global policy id. Durable-store commit first, then epoch
+  /// the global policy id. Validation first (an invalid policy fails here
+  /// and touches no shard), then the durable-store commit, then epoch
   /// publication — a policy is never served before it is durable.
   Result<int64_t> InstallPolicy(const p3p::Policy& policy);
 
@@ -216,9 +220,9 @@ class ShardedPolicyServer {
   bool admin_endpoint_running() const { return admin_ != nullptr; }
   uint16_t admin_port() const;
 
-  /// The durable store (nullptr without storage_path); tests inspect its
-  /// storage stats to count coalesced fsyncs.
-  PolicyServer* durable_store() { return durable_.get(); }
+  /// The durable store (nullptr without storage_path); tests and the
+  /// benchmark read its database's storage stats to count coalesced fsyncs.
+  shredder::PolicyCatalog* durable_store() { return durable_.get(); }
 
   const Options& options() const { return options_; }
 
@@ -278,6 +282,9 @@ class ShardedPolicyServer {
   Status Init();
   Result<std::unique_ptr<PolicyServer>> MakeReplica() const;
   size_t ShardOf(std::string_view policy_name) const;
+  /// Runs `write` against the durable catalog as one WAL transaction
+  /// (Database::CommitDurably under durable_mu_).
+  Status WriteDurably(const std::function<Status()>& write);
   /// The install path shared by InstallPolicy and recovery replay: assumes
   /// shard.install_mu is held and the durable store (if any) already has
   /// the op. Appends to the op log, catches the spare up, publishes it.
@@ -308,7 +315,10 @@ class ShardedPolicyServer {
   mutable std::mutex directory_install_mu_;
   EpochPtr<DirectorySnapshot> directory_;
   std::atomic<uint64_t> epoch_{1};
-  std::unique_ptr<PolicyServer> durable_;
+  std::unique_ptr<sqldb::Database> durable_db_;
+  std::unique_ptr<shredder::PolicyCatalog> durable_;  // over durable_db_
+  /// Serializes durable-store writes; released before a commit's fsync.
+  std::mutex durable_mu_;
   obs::MetricsRegistry metrics_;
   obs::Counter* matches_total_ = nullptr;
   obs::Counter* no_policy_total_ = nullptr;

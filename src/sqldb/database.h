@@ -191,6 +191,30 @@ class Database : public CatalogView {
   Result<uint64_t> CommitTransactionStaged();
   Status WaitDurable(uint64_t ticket);
 
+  /// Runs `write` as one transaction, with `lock` (held on entry)
+  /// serializing it, and commits on every path: there is no rollback, so
+  /// disk keeps what memory kept; `write`'s error wins over the commit's.
+  /// Under group commit `lock` is released between the staged commit and
+  /// WaitDurable, so concurrent writers share an fsync and the lock's
+  /// readers never wait behind the disk.
+  template <typename Lock, typename Write>
+  Status CommitDurably(Lock& lock, Write&& write) {
+    P3PDB_RETURN_IF_ERROR(BeginTransaction());
+    Status result = write();
+    Status commit;
+    if (options_.storage.group_commit) {
+      Result<uint64_t> ticket = CommitTransactionStaged();
+      commit = ticket.status();
+      if (ticket.ok()) {
+        lock.unlock();
+        commit = WaitDurable(ticket.value());
+      }
+    } else {
+      commit = CommitTransaction();
+    }
+    return result.ok() ? commit : result;
+  }
+
   /// Forces a checkpoint (full catalog image + WAL truncation). No-op when
   /// in-memory.
   Status Checkpoint();

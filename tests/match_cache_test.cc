@@ -271,7 +271,9 @@ TEST(MatchCacheTest, ConcurrentHitsSweepsAndRestampsStayConsistent) {
   std::atomic<uint64_t> lookups{0};
   std::thread writer([&] {
     uint64_t next = 0;
-    while (!stop.load()) {
+    // Past kCapacity cold keys whatever `stop` says: the shard must fill
+    // and sweep even when the readers finish before this thread gets far.
+    while (!stop.load() || next <= kCapacity) {
       // A cold key: fills the shard and forces a sweep once it is full.
       cache.Insert(UriKey(4, "/cold" + std::to_string(next)), 1,
                    SomeResult("block", 0));

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 
 #include "appel/model.h"
 #include "common/random.h"
+#include "p3p/policy_xml.h"
 #include "server/policy_server.h"
 #include "server/sharded_server.h"
 #include "workload/corpus.h"
@@ -457,6 +460,301 @@ TEST(ServingTierTest, RecoversFromDurableStore) {
     ASSERT_TRUE(p.ok());
     EXPECT_TRUE(p.value().policy_found);
   }
+  std::filesystem::remove_all(dir);
+}
+
+// An invalid policy fails at the tier's door and leaves its shard serving,
+// on a durable tier and on one without storage: the next valid install
+// succeeds and serves, and /healthz reads "ok" (a replica's refusal used to
+// poison a shard of a tier without storage for good).
+TEST(ServingTierTest, InvalidPolicyLeavesShardServing) {
+  for (bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durable" : "no storage");
+    const std::string dir = TestDir("invalid");
+    ShardedPolicyServer::Options o = TierOptions(1);
+    if (durable) o.storage_path = dir;
+    auto tier = ShardedPolicyServer::Create(o);
+    ASSERT_TRUE(tier.ok()) << tier.status().message();
+    p3p::Policy bad = workload::VolgaPolicy();
+    bad.name = "bad";
+    bad.statements.clear();
+    auto refused = tier.value()->InstallPolicy(bad);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
+    auto id = tier.value()->InstallPolicy(workload::VolgaPolicy());
+    ASSERT_TRUE(id.ok()) << id.status().message();
+    auto pref = tier.value()->CompilePreference(workload::JanePreference());
+    ASSERT_TRUE(pref.ok());
+    auto match = tier.value()->MatchPolicyId(pref.value(), id.value());
+    ASSERT_TRUE(match.ok()) << match.status().message();
+    EXPECT_TRUE(match.value().policy_found);
+    EXPECT_EQ(tier.value()->ShardPolicyCount(0), 1u);
+    const std::string healthz = tier.value()->RenderHealthzJson();
+    EXPECT_NE(healthz.find("\"status\":\"ok\""), std::string::npos) << healthz;
+    if (durable) {
+      // The refused policy never reached the catalog either.
+      tier.value().reset();
+      auto reopened = ShardedPolicyServer::Create(o);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+      EXPECT_EQ(reopened.value()->GlobalPolicyIds(),
+                std::vector<int64_t>{id.value()});
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// The install stream of the catalog format tests: corpus policies, two
+// more versions of one name (the second with another policy's body), and
+// an unnamed policy, whose catalog row is named "policy-<id>".
+constexpr size_t kFormatCorpus = 12;
+
+std::vector<p3p::Policy> FormatStream() {
+  workload::CorpusOptions options;
+  options.policy_count = kFormatCorpus;
+  std::vector<p3p::Policy> stream = workload::FortuneCorpus(options);
+  p3p::Policy other_body = stream[5];
+  other_body.name = stream[0].name;
+  p3p::Policy unnamed = stream[2];
+  unnamed.name.clear();
+  stream.push_back(stream[0]);
+  stream.push_back(other_body);
+  stream.push_back(unnamed);
+  return stream;
+}
+
+/// What a client can observe of a tier: its sorted global ids, the verdict
+/// for each, and what every corpus path resolves to.
+struct TierView {
+  std::vector<int64_t> ids;
+  std::vector<std::string> verdicts;
+  std::vector<int64_t> uri_ids;
+  std::vector<std::string> uri_verdicts;
+};
+
+TierView Observe(ShardedPolicyServer& tier,
+                 const std::vector<p3p::Policy>& corpus) {
+  TierView view;
+  view.ids = tier.GlobalPolicyIds();
+  std::sort(view.ids.begin(), view.ids.end());
+  auto pref = tier.CompilePreference(JrcPreference(PreferenceLevel::kHigh));
+  EXPECT_TRUE(pref.ok());
+  if (!pref.ok()) return view;
+  for (int64_t id : view.ids) {
+    auto match = tier.MatchPolicyId(pref.value(), id);
+    view.verdicts.push_back(match.ok() ? match.value().behavior
+                                       : match.status().message());
+  }
+  for (const p3p::Policy& policy : corpus) {
+    auto match = tier.MatchUri(pref.value(), "/" + policy.name + "/index.html");
+    view.uri_ids.push_back(match.ok() ? match.value().policy_id : -2);
+    view.uri_verdicts.push_back(match.ok() ? match.value().behavior
+                                           : match.status().message());
+  }
+  return view;
+}
+
+void ExpectSameView(const TierView& got, const TierView& want) {
+  EXPECT_EQ(got.ids, want.ids);
+  EXPECT_EQ(got.verdicts, want.verdicts);
+  EXPECT_EQ(got.uri_ids, want.uri_ids);
+  EXPECT_EQ(got.uri_verdicts, want.uri_verdicts);
+}
+
+// A directory a disk-backed kNativeAppel PolicyServer wrote (what the
+// tier's durable store was before it became a bare catalog) opens in the
+// tier with the global ids, verdicts and URI resolution of a tier that
+// installed the same stream itself, and later installs continue its ids.
+TEST(ServingTierTest, OpensCatalogAPolicyServerWrote) {
+  const std::string dir = TestDir("format_from_server");
+  const std::vector<p3p::Policy> stream = FormatStream();
+  const std::vector<p3p::Policy> corpus(stream.begin(),
+                                        stream.begin() + kFormatCorpus);
+  const p3p::ReferenceFile rf = workload::CorpusReferenceFile(corpus);
+  {
+    PolicyServer::Options o;
+    o.engine = EngineKind::kNativeAppel;
+    o.storage_path = dir;
+    o.storage_group_commit = true;
+    auto server = PolicyServer::Create(o);
+    ASSERT_TRUE(server.ok()) << server.status().message();
+    for (const p3p::Policy& policy : stream) {
+      ASSERT_TRUE(server.value()->InstallPolicy(policy).ok());
+    }
+    ASSERT_TRUE(server.value()->InstallReferenceFile(rf).ok());
+  }
+  auto installed = ShardedPolicyServer::Create(TierOptions(4));
+  ASSERT_TRUE(installed.ok());
+  for (const p3p::Policy& policy : stream) {
+    ASSERT_TRUE(installed.value()->InstallPolicy(policy).ok());
+  }
+  ASSERT_TRUE(installed.value()->InstallReferenceFile(rf).ok());
+
+  ShardedPolicyServer::Options o = TierOptions(4);
+  o.storage_path = dir;
+  auto reopened = ShardedPolicyServer::Create(o);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  ExpectSameView(Observe(*reopened.value(), corpus),
+                 Observe(*installed.value(), corpus));
+  auto next = reopened.value()->InstallPolicy(stream[3]);
+  ASSERT_TRUE(next.ok()) << next.status().message();
+  EXPECT_EQ(next.value(), installed.value()->InstallPolicy(stream[3]).value());
+  reopened.value().reset();
+  std::filesystem::remove_all(dir);
+}
+
+// A directory the tier wrote reopens in a kNativeAppel PolicyServer with the
+// same names, versions and PolicyXml texts, so rolling the tier back to a
+// build whose durable store is such a server keeps every policy.
+TEST(ServingTierTest, CatalogReopensInAPolicyServer) {
+  const std::string dir = TestDir("format_to_server");
+  const std::vector<p3p::Policy> stream = FormatStream();
+  const std::vector<p3p::Policy> corpus(stream.begin(),
+                                        stream.begin() + kFormatCorpus);
+  {
+    ShardedPolicyServer::Options o = TierOptions(4);
+    o.storage_path = dir;
+    auto tier = ShardedPolicyServer::Create(o);
+    ASSERT_TRUE(tier.ok()) << tier.status().message();
+    for (const p3p::Policy& policy : stream) {
+      ASSERT_TRUE(tier.value()->InstallPolicy(policy).ok());
+    }
+    const p3p::ReferenceFile rf = workload::CorpusReferenceFile(corpus);
+    ASSERT_TRUE(tier.value()->InstallReferenceFile(rf).ok());
+  }
+  PolicyServer::Options o;
+  o.engine = EngineKind::kNativeAppel;
+  o.storage_path = dir;
+  o.storage_group_commit = true;
+  auto server = PolicyServer::Create(o);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+
+  // Name -> the texts of its versions, in version order; catalog ids count
+  // installs from 1.
+  std::map<std::string, std::vector<std::string>> versions;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const std::string name = stream[i].name.empty()
+                                 ? "policy-" + std::to_string(i + 1)
+                                 : stream[i].name;
+    versions[name].push_back(p3p::PolicyToText(stream[i]));
+  }
+  for (const auto& [name, texts] : versions) {
+    EXPECT_EQ(server.value()->PolicyVersion(name),
+              static_cast<int64_t>(texts.size()))
+        << name;
+    for (size_t v = 0; v < texts.size(); ++v) {
+      auto xml = server.value()->PolicyXml(name, static_cast<int64_t>(v) + 1);
+      ASSERT_TRUE(xml.ok()) << name << " v" << v + 1;
+      EXPECT_EQ(xml.value(), texts[v]) << name << " v" << v + 1;
+    }
+  }
+  auto records = server.value()->InstalledPolicyRecords();
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records.value().size(), stream.size());
+  for (size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_EQ(records.value()[i].id, static_cast<int64_t>(i) + 1);
+  }
+  // The reference file came along.
+  auto pref = server.value()->CompilePreference(
+      JrcPreference(PreferenceLevel::kHigh));
+  ASSERT_TRUE(pref.ok());
+  auto uri = server.value()->MatchUri(pref.value(),
+                                      "/" + corpus[1].name + "/index.html");
+  ASSERT_TRUE(uri.ok()) << uri.status().message();
+  EXPECT_TRUE(uri.value().policy_found);
+  server.value().reset();
+  std::filesystem::remove_all(dir);
+}
+
+// Durable installs from four threads, each into its own shard, while a
+// matcher re-checks ids installed before the race: verdicts hold, the
+// group commit never issues more fsyncs than installs, and a reopen
+// reproduces every id and verdict.
+TEST(ServingTierTest, ConcurrentDurableInstallsRecover) {
+  constexpr size_t kShards = 4;
+  const std::string dir = TestDir("concurrent_durable");
+  workload::CorpusOptions corpus_options;
+  corpus_options.policy_count = 64;
+  std::vector<std::vector<p3p::Policy>> buckets(kShards);
+  for (const p3p::Policy& policy : workload::FortuneCorpus(corpus_options)) {
+    // The tier's routing: policy-name hash modulo the shard count.
+    buckets[std::hash<std::string_view>{}(policy.name) % kShards].push_back(
+        policy);
+  }
+  for (const auto& bucket : buckets) ASSERT_GE(bucket.size(), 2u);
+
+  ShardedPolicyServer::Options o = TierOptions(kShards);
+  o.storage_path = dir;
+  auto tier = ShardedPolicyServer::Create(o);
+  ASSERT_TRUE(tier.ok()) << tier.status().message();
+  auto pref = tier.value()->CompilePreference(
+      JrcPreference(PreferenceLevel::kHigh));
+  ASSERT_TRUE(pref.ok());
+  // Each bucket's first policy goes in before the race; the matcher
+  // re-checks those.
+  std::vector<int64_t> early_ids;
+  std::vector<std::string> early_verdicts;
+  for (size_t k = 0; k < kShards; ++k) {
+    auto id = tier.value()->InstallPolicy(buckets[k][0]);
+    ASSERT_TRUE(id.ok()) << id.status().message();
+    EXPECT_EQ(static_cast<size_t>(id.value()) % kShards, k);
+    early_ids.push_back(id.value());
+    auto match = tier.value()->MatchPolicyId(pref.value(), id.value());
+    ASSERT_TRUE(match.ok());
+    early_verdicts.push_back(match.value().behavior);
+  }
+
+  const sqldb::StorageStats before =
+      tier.value()->durable_store()->database()->storage_stats();
+  std::atomic<size_t> installers_left{kShards};
+  std::atomic<int> failures{0};
+  std::atomic<int> wrong_shard{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> installers;
+  for (size_t k = 0; k < kShards; ++k) {
+    installers.emplace_back([&, k] {
+      for (size_t i = 1; i < buckets[k].size(); ++i) {
+        auto id = tier.value()->InstallPolicy(buckets[k][i]);
+        if (!id.ok()) {
+          failures.fetch_add(1);
+        } else if (static_cast<size_t>(id.value()) % kShards != k) {
+          wrong_shard.fetch_add(1);
+        }
+      }
+      installers_left.fetch_sub(1);
+    });
+  }
+  std::thread matcher([&] {
+    while (installers_left.load() > 0) {
+      for (size_t k = 0; k < kShards; ++k) {
+        auto match = tier.value()->MatchPolicyId(pref.value(), early_ids[k]);
+        if (!match.ok() || match.value().behavior != early_verdicts[k]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    }
+  });
+  for (std::thread& t : installers) t.join();
+  matcher.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(wrong_shard.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+
+  const sqldb::StorageStats after =
+      tier.value()->durable_store()->database()->storage_stats();
+  size_t raced = 0;
+  for (const auto& bucket : buckets) raced += bucket.size() - 1;
+  EXPECT_EQ(after.wal_commits - before.wal_commits, raced);
+  EXPECT_GT(after.wal_syncs - before.wal_syncs, 0u);
+  EXPECT_LE(after.wal_syncs - before.wal_syncs, raced);
+
+  const TierView want = Observe(*tier.value(), {});
+  EXPECT_EQ(want.ids.size(), raced + kShards);
+  tier.value().reset();
+  auto reopened = ShardedPolicyServer::Create(o);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  ExpectSameView(Observe(*reopened.value(), {}), want);
+  reopened.value().reset();
   std::filesystem::remove_all(dir);
 }
 
