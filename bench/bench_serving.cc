@@ -21,8 +21,9 @@
 //                            policies at --install-qps (epoch churn: what
 //                            publication costs the match tail)
 //   serving/install          per-install service latency during the churn
-//                            phase (validate + catch-up + publish; the
-//                            tier has no storage_path, so no WAL commit)
+//                            phase (validate + two replica installs +
+//                            publish; the tier has no storage_path, so no
+//                            WAL commit)
 //
 // Usage: bench_serving [--duration-s N] [--qps N] [--install-qps N]
 //                      [--shards N] [--threads N] [--json <path>]
@@ -227,9 +228,9 @@ int RunServing(const ServingConfig& config, const std::string& json_path) {
   PrintPhase("serving/match_baseline", baseline, config.qps);
 
   // Churn phase: the same match grid while an installer reinstalls
-  // policies (same names — each reinstall is a replica catch-up plus an
-  // epoch publication on that name's shard; the tier is in-memory, so no
-  // WAL commit).
+  // policies (same names — each reinstall is two replica installs around
+  // an epoch publication on that name's shard; the tier is in-memory, so
+  // no WAL commit).
   std::atomic<bool> stop_installer{false};
   TimingStats install_latency_us;
   std::atomic<uint64_t> install_errors{0};

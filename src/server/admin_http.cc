@@ -10,8 +10,6 @@
 #include <cstdint>
 #include <cstring>
 
-#include "server/policy_server.h"
-
 namespace p3pdb::server {
 
 namespace {
@@ -70,24 +68,6 @@ Result<std::unique_ptr<AdminHttpServer>> AdminHttpServer::Start(
   P3PDB_RETURN_IF_ERROR(admin->Bind());
   admin->thread_ = std::thread([raw = admin.get()] { raw->AcceptLoop(); });
   return admin;
-}
-
-Result<std::unique_ptr<AdminHttpServer>> AdminHttpServer::Start(
-    PolicyServer* server, Options options) {
-  Handlers handlers;
-  handlers.healthz_json = [server] { return server->RenderHealthzJson(); };
-  handlers.metrics_text = [server] { return server->RenderMetricsText(); };
-  handlers.metrics_json = [server] { return server->RenderMetricsJson(); };
-  handlers.statements_json = [server](size_t top) {
-    return server->RenderStatementStatsJson(top);
-  };
-  handlers.slow_json = [server] {
-    return server->RenderSlowLogJson(obs::SlowQueryEntry::Kind::kSlow);
-  };
-  handlers.traces_json = [server] {
-    return server->RenderSlowLogJson(obs::SlowQueryEntry::Kind::kTraceSample);
-  };
-  return Start(std::move(handlers), std::move(options));
 }
 
 AdminHttpServer::~AdminHttpServer() { Stop(); }

@@ -36,8 +36,6 @@
 
 namespace p3pdb::server {
 
-class PolicyServer;
-
 class AdminHttpServer {
  public:
   struct Options {
@@ -60,10 +58,6 @@ class AdminHttpServer {
   /// Binds, listens, and starts the accept thread. Fails (rather than
   /// crashing later) when the address cannot be bound.
   static Result<std::unique_ptr<AdminHttpServer>> Start(Handlers handlers,
-                                                        Options options);
-
-  /// Convenience: the standard URL map over a PolicyServer's renderers.
-  static Result<std::unique_ptr<AdminHttpServer>> Start(PolicyServer* server,
                                                         Options options);
 
   ~AdminHttpServer();

@@ -204,11 +204,24 @@ Status PolicyServer::Init() {
     P3PDB_RETURN_IF_ERROR(InstallDurably([this] { return InitSchema(); }));
   }
   if (options_.enable_admin_endpoint) {
+    AdminHttpServer::Handlers handlers;
+    handlers.healthz_json = [this] { return RenderHealthzJson(); };
+    handlers.metrics_text = [this] { return RenderMetricsText(); };
+    handlers.metrics_json = [this] { return RenderMetricsJson(); };
+    handlers.statements_json = [this](size_t top) {
+      return RenderStatementStatsJson(top);
+    };
+    handlers.slow_json = [this] {
+      return RenderSlowLogJson(obs::SlowQueryEntry::Kind::kSlow);
+    };
+    handlers.traces_json = [this] {
+      return RenderSlowLogJson(obs::SlowQueryEntry::Kind::kTraceSample);
+    };
     P3PDB_ASSIGN_OR_RETURN(
         admin_, AdminHttpServer::Start(
-                    this, AdminHttpServer::Options{
-                              .host = options_.admin_host,
-                              .port = options_.admin_port}));
+                    std::move(handlers),
+                    AdminHttpServer::Options{.host = options_.admin_host,
+                                             .port = options_.admin_port}));
   }
   return Status::OK();
 }

@@ -1,6 +1,5 @@
 #include "server/sharded_server.h"
 
-#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -55,11 +54,11 @@ Status ShardedPolicyServer::Init() {
   shards_.reserve(options_.shards);
   for (size_t k = 0; k < options_.shards; ++k) {
     auto shard = std::make_unique<Shard>();
-    for (Replica& replica : shard->replicas) {
-      P3PDB_ASSIGN_OR_RETURN(replica.server, MakeReplica());
+    for (std::unique_ptr<PolicyServer>& replica : shard->replicas) {
+      P3PDB_ASSIGN_OR_RETURN(replica, MakeReplica());
     }
     auto snapshot = std::make_shared<const ShardSnapshot>(ShardSnapshot{
-        shard->replicas[0].server.get(), /*epoch=*/1, /*policies=*/0});
+        shard->replicas[0].get(), /*epoch=*/1, /*policies=*/0});
     shard->published.Store(std::move(snapshot));
     if (options_.collect_metrics) {
       const std::string prefix = "p3p_shard_" + std::to_string(k);
@@ -152,53 +151,35 @@ size_t ShardedPolicyServer::ShardOf(std::string_view policy_name) const {
 Result<int64_t> ShardedPolicyServer::ApplyAndPublish(
     Shard& shard, const p3p::Policy& policy) {
   if (!shard.poisoned.ok()) return shard.poisoned;
-  shard.op_log.push_back(policy);
-  const size_t total = shard.op_base + shard.op_log.size();
-
-  // Catch the spare up through the op it has not yet applied — usually just
-  // the one appended above plus the op the previous install published
-  // without waiting for this replica.
-  Replica& spare = shard.replicas[1 - shard.published_idx];
-  int64_t local_id = -1;
-  while (spare.applied < total) {
-    const p3p::Policy& op = shard.op_log[spare.applied - shard.op_base];
-    Result<int64_t> installed = spare.server->InstallPolicy(op);
-    if (!installed.ok()) {
-      // The durable store (when present) already committed this op; a
-      // replica that cannot apply it would serve a catalog disagreeing
-      // with disk. Refuse the shard until a restart replays cleanly.
-      shard.poisoned = installed.status();
-      return installed.status();
-    }
-    local_id = installed.value();
-    ++spare.applied;
-  }
+  // The durable store (when present) already committed this policy; a
+  // replica that cannot install it would serve a catalog disagreeing with
+  // disk. Refuse the shard until a restart replays cleanly.
+  auto install = [&](PolicyServer& replica) {
+    Result<int64_t> installed = replica.InstallPolicy(policy);
+    if (!installed.ok()) shard.poisoned = installed.status();
+    return installed;
+  };
+  const int spare = 1 - shard.published_idx;
+  P3PDB_ASSIGN_OR_RETURN(int64_t local_id, install(*shard.replicas[spare]));
+  ++shard.policies;
 
   const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  // Every applied op installed one policy.
-  auto snapshot = std::make_shared<const ShardSnapshot>(
-      ShardSnapshot{spare.server.get(), epoch, spare.applied});
-  // Waits for the matches still running on the replica this retires, so
-  // the next install catches it up with no reader left on it.
-  shard.published.Store(std::move(snapshot));
-  shard.published_idx = 1 - shard.published_idx;
+  // Waits for the matches still running on the replica this retires; once
+  // it returns, no reader is on that replica and none can reach it.
+  shard.published.Store(std::make_shared<const ShardSnapshot>(
+      ShardSnapshot{shard.replicas[spare].get(), epoch, shard.policies}));
+  PolicyServer& retired = *shard.replicas[shard.published_idx];
+  shard.published_idx = spare;
   shard.publishes.fetch_add(1, std::memory_order_relaxed);
-
-  // Drop ops both replicas have applied; the deque retains only what the
-  // now-spare (previously published) replica still owes.
-  const size_t min_applied =
-      std::min(shard.replicas[0].applied, shard.replicas[1].applied);
-  while (shard.op_base < min_applied && !shard.op_log.empty()) {
-    shard.op_log.pop_front();
-    ++shard.op_base;
-  }
-
   if (shard.policies_gauge != nullptr) {
-    shard.policies_gauge->Set(static_cast<int64_t>(spare.applied));
+    shard.policies_gauge->Set(static_cast<int64_t>(shard.policies));
   }
   if (shard.epoch_gauge != nullptr) {
     shard.epoch_gauge->Set(static_cast<int64_t>(epoch));
   }
+
+  // The retired replica takes the same policy, so both agree again.
+  P3PDB_RETURN_IF_ERROR(install(retired).status());
   return local_id;
 }
 
@@ -210,8 +191,8 @@ Status ShardedPolicyServer::WriteDurably(
 
 Result<int64_t> ShardedPolicyServer::InstallPolicy(const p3p::Policy& policy) {
   // Validated at the door: a policy no replica would install must reach
-  // neither the durable catalog nor a shard's op log, where the spare's
-  // refusal would poison the shard.
+  // neither the durable catalog nor a replica, whose refusal would poison
+  // the shard.
   P3PDB_RETURN_IF_ERROR(policy.Validate());
   const size_t k = ShardOf(policy.name);
   Shard& shard = *shards_[k];

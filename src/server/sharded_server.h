@@ -9,20 +9,23 @@
 // catalog shards, and each shard serves matches from an immutable published
 // snapshot that installs swap RCU-style:
 //
-//   - Each shard owns two in-memory PolicyServer replicas (A/B) and a short
-//     per-shard op log. At any moment one replica is *published* — reachable
-//     only through an EpochPtr<ShardSnapshot> (see epoch_ptr.h: a two-slot
-//     epoch-pinned cell; readers are lock-free and pin the snapshot for as
-//     long as they use it, writers wait for the old slot's pins to drain
-//     before reclaiming) — and the other is the *spare*.
+//   - Each shard owns two in-memory PolicyServer replicas (A/B). At any
+//     moment one replica is *published* — reachable only through an
+//     EpochPtr<ShardSnapshot> (see epoch_ptr.h: a two-slot epoch-pinned
+//     cell; readers are lock-free and pin the snapshot for as long as they
+//     use it, writers wait for the old slot's pins to drain before
+//     reclaiming) — and the other is the *spare*, which no reader can reach.
 //   - An install (serialized per shard by install_mu) first commits to the
-//     durable store, then catches the spare up from the op log and publishes
-//     it with a single epoch-pinned snapshot store. That store waits for the
-//     matches still running on the previously published replica (~0.3 us
-//     for a warm hit, tens of us for a cold match); the replica then becomes
-//     the spare, caught up lazily by the *next* install with no reader left
-//     on it, so the installer never takes an exclusive lock a match could
-//     be waiting behind.
+//     durable store, then runs in lockstep: it installs the policy into the
+//     spare, publishes the spare with a single epoch-pinned snapshot store,
+//     and installs the same policy into the replica that store retired.
+//     The store waits for the matches still running on the retired replica
+//     (~0.3 us for a warm hit, tens of us for a cold match), so neither
+//     replica install has a reader on its replica, and the policy is served
+//     after one replica install.
+//   - Invariant: whenever a shard's install_mu is free, both its replicas
+//     hold the same policies under the same local ids (unless the shard is
+//     poisoned, see Shard::poisoned).
 //   - A match pins the shard's snapshot with an EpochPtr guard for the
 //     length of the evaluation — a per-thread stripe count, no reference
 //     count — and evaluates against that replica. The replica's catalog,
@@ -62,7 +65,7 @@
 // own, so catalog_epoch() rises by exactly one per install.
 //
 // Ids: a shard's replicas assign local policy ids deterministically (both
-// replay the identical op sequence), and the tier exposes
+// install the identical policy sequence), and the tier exposes
 // global = local * num_shards + shard, so routing a global id back to its
 // shard is a modulo, no map lookup on the hot path.
 //
@@ -79,7 +82,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -251,22 +253,14 @@ class ShardedPolicyServer {
   using ShardGuard = EpochPtr<ShardSnapshot>::Guard;
   using DirectoryGuard = EpochPtr<DirectorySnapshot>::Guard;
 
-  struct Replica {
-    std::unique_ptr<PolicyServer> server;
-    size_t applied = 0;  // absolute op index this replica has installed up to
-  };
-
   struct Shard {
     /// Serializes installs to this shard (matches never take it).
     std::mutex install_mu;
-    Replica replicas[2];
+    std::unique_ptr<PolicyServer> replicas[2];
     int published_idx = 0;  // which replica the current snapshot wraps
-    /// Install-order op log; replicas consume it to catch up. Pruned to the
-    /// suffix some replica still needs, so it stays O(1) entries.
-    std::deque<p3p::Policy> op_log;
-    size_t op_base = 0;  // absolute index of op_log.front()
+    size_t policies = 0;    // installed in each replica
     /// Sticky failure: a replica that diverged mid-install (durable store
-    /// has the op, the replica does not) poisons the shard rather than
+    /// has the policy, the replica does not) poisons the shard rather than
     /// serving a catalog that disagrees with disk.
     Status poisoned = Status::OK();
     EpochPtr<ShardSnapshot> published;
@@ -287,7 +281,10 @@ class ShardedPolicyServer {
   Status WriteDurably(const std::function<Status()>& write);
   /// The install path shared by InstallPolicy and recovery replay: assumes
   /// shard.install_mu is held and the durable store (if any) already has
-  /// the op. Appends to the op log, catches the spare up, publishes it.
+  /// the policy. Installs it into the spare, publishes the spare, then
+  /// installs it into the replica the publication retired, so both replicas
+  /// agree again before install_mu is released. Either replica failing
+  /// poisons the shard and fails this install.
   Result<int64_t> ApplyAndPublish(Shard& shard, const p3p::Policy& policy);
   /// Publishes `rf` with every ref's id resolved from the shards, at a new
   /// epoch. Assumes directory_install_mu_ is held.

@@ -1072,6 +1072,152 @@ TEST(ServingTierTest, UriMatchesFollowInstalls) {
   EXPECT_EQ(q_final.value().policy_id, q_id.load());
 }
 
+/// A tier and a single server fed the same install stream, and what each
+/// returned per install.
+struct LockstepPair {
+  std::unique_ptr<ShardedPolicyServer> tier;
+  std::unique_ptr<PolicyServer> single;
+  std::vector<int64_t> tier_ids;  // per install, in stream order
+  std::vector<int64_t> single_ids;
+  std::vector<CompiledPreference> tier_prefs;
+  std::vector<CompiledPreference> single_prefs;
+};
+
+/// Every id installed so far (by id) and every ref's path (by URI) must
+/// give the single server's verdict under `pref`. A URI match must land
+/// on the same install of the stream on both.
+void ExpectSingleServerVerdicts(LockstepPair& pair, size_t pref,
+                                const std::vector<p3p::Policy>& named) {
+  auto verdict = [](const Result<MatchResult>& r) {
+    if (!r.ok()) return r.status().message();
+    return r.value().behavior + "/" +
+           std::to_string(r.value().fired_rule_index) +
+           (r.value().policy_found ? "" : "/no-policy");
+  };
+  auto install_of = [](const std::vector<int64_t>& ids, int64_t id) {
+    return std::find(ids.begin(), ids.end(), id) - ids.begin();
+  };
+  for (size_t i = 0; i < pair.tier_ids.size(); ++i) {
+    EXPECT_EQ(verdict(pair.tier->MatchPolicyId(pair.tier_prefs[pref],
+                                               pair.tier_ids[i])),
+              verdict(pair.single->MatchPolicyId(pair.single_prefs[pref],
+                                                 pair.single_ids[i])))
+        << "install " << i;
+  }
+  for (const p3p::Policy& policy : named) {
+    const std::string path = "/" + policy.name + "/index.html";
+    auto got = pair.tier->MatchUri(pair.tier_prefs[pref], path);
+    auto want = pair.single->MatchUri(pair.single_prefs[pref], path);
+    EXPECT_EQ(verdict(got), verdict(want)) << path;
+    if (got.ok() && want.ok()) {
+      EXPECT_EQ(install_of(pair.tier_ids, got.value().policy_id),
+                install_of(pair.single_ids, want.value().policy_id))
+          << path;
+    }
+  }
+}
+
+// Both replicas of a shard serve every install. With one shard each
+// install publishes the other replica, so successive checks alternate
+// between A and B: after every install of a seeded stream (a third of it
+// re-installs an earlier name, a new version under a new id), every id and
+// every ref's path must give a single server's verdict. The same holds
+// after a durable reopen, on both replicas again. Set
+// P3PDB_SERVING_TIER_SEED to replay a printed seed.
+TEST(ServingTierTest, BothReplicasServeEveryInstall) {
+  const uint64_t seed = SeedFromEnv("P3PDB_SERVING_TIER_SEED", 34);
+  SCOPED_TRACE(::testing::Message()
+               << "seed " << seed << " (replay: P3PDB_SERVING_TIER_SEED="
+               << seed << ")");
+  const std::string dir = TestDir("lockstep");
+  const std::vector<p3p::Policy> named =
+      workload::FortuneCorpus({.policy_count = 40});
+  const p3p::ReferenceFile rf = workload::CorpusReferenceFile(named);
+  Random rng(seed);
+  std::vector<p3p::Policy> stream;
+  for (size_t fresh = 0; stream.size() < 60;) {
+    if (fresh == named.size() || (fresh > 0 && rng.Uniform(3) == 0)) {
+      p3p::Policy again = named[rng.Uniform(named.size())];
+      again.name = named[rng.Uniform(fresh)].name;
+      stream.push_back(std::move(again));
+    } else {
+      stream.push_back(named[fresh++]);
+    }
+  }
+  std::vector<appel::AppelRuleset> rulesets = {
+      JrcPreference(PreferenceLevel::kHigh),
+      JrcPreference(PreferenceLevel::kLow)};
+  for (int i = 0; i < 2; ++i) {
+    rulesets.push_back(workload::RandomPreference(
+        &rng, workload::RandomPreferenceOptions{}));
+  }
+
+  ShardedPolicyServer::Options options = TierOptions(1);
+  options.enable_match_cache = false;
+  options.storage_path = dir;
+  LockstepPair pair;
+  auto open_tier = [&] {
+    auto tier = ShardedPolicyServer::Create(options);
+    ASSERT_TRUE(tier.ok()) << tier.status().message();
+    pair.tier = std::move(tier.value());
+    pair.tier_prefs.clear();
+    for (const appel::AppelRuleset& ruleset : rulesets) {
+      auto pref = pair.tier->CompilePreference(ruleset);
+      ASSERT_TRUE(pref.ok()) << pref.status().message();
+      pair.tier_prefs.push_back(std::move(pref.value()));
+    }
+  };
+  auto install = [&](const p3p::Policy& policy) {
+    auto tier_id = pair.tier->InstallPolicy(policy);
+    ASSERT_TRUE(tier_id.ok()) << tier_id.status().message();
+    auto single_id = pair.single->InstallPolicy(policy);
+    ASSERT_TRUE(single_id.ok()) << single_id.status().message();
+    // A single server resolves refs when its reference file is installed;
+    // the tier republishes them on every install.
+    ASSERT_TRUE(pair.single->InstallReferenceFile(rf).ok());
+    pair.tier_ids.push_back(tier_id.value());
+    pair.single_ids.push_back(single_id.value());
+  };
+
+  auto single = PolicyServer::Create(
+      {.engine = EngineKind::kSql, .enable_match_cache = false});
+  ASSERT_TRUE(single.ok()) << single.status().message();
+  pair.single = std::move(single.value());
+  for (const appel::AppelRuleset& ruleset : rulesets) {
+    auto pref = pair.single->CompilePreference(ruleset);
+    ASSERT_TRUE(pref.ok()) << pref.status().message();
+    pair.single_prefs.push_back(std::move(pref.value()));
+  }
+  ASSERT_TRUE(pair.single->InstallReferenceFile(rf).ok());
+  ASSERT_NO_FATAL_FAILURE(open_tier());
+  ASSERT_TRUE(pair.tier->InstallReferenceFile(rf).ok());
+
+  for (size_t i = 0; i < stream.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "after install " << i);
+    ASSERT_NO_FATAL_FAILURE(install(stream[i]));
+    ExpectSingleServerVerdicts(pair, rng.Uniform(rulesets.size()), named);
+  }
+  EXPECT_EQ(pair.tier->ShardPolicyCount(0), stream.size());
+
+  // Reopen: replay rebuilds both replicas; check the published one, then
+  // install once more so the other is published and check it too.
+  pair.tier.reset();
+  ASSERT_NO_FATAL_FAILURE(open_tier());
+  EXPECT_EQ(pair.tier->ShardPolicyCount(0), stream.size());
+  for (size_t pref = 0; pref < rulesets.size(); ++pref) {
+    SCOPED_TRACE(::testing::Message() << "reopened, preference " << pref);
+    ExpectSingleServerVerdicts(pair, pref, named);
+  }
+  ASSERT_NO_FATAL_FAILURE(install(named[rng.Uniform(named.size())]));
+  for (size_t pref = 0; pref < rulesets.size(); ++pref) {
+    SCOPED_TRACE(::testing::Message()
+                 << "reopened and installed, preference " << pref);
+    ExpectSingleServerVerdicts(pair, pref, named);
+  }
+  pair.tier.reset();
+  std::filesystem::remove_all(dir);
+}
+
 // Two preferences that differ only in a repeated attribute translate to
 // different SQL, so they must never share a match-cache entry: rule A
 // requires POLICY name="x" *and* name=<p> (never true), rule B only
