@@ -9,8 +9,10 @@
 // The two tier modes price the deployed shape on its hottest path: a
 // 4-shard ShardedPolicyServer holding 1,000 corpus policies, every match a
 // warm cache hit. "tier_policy_id" runs MatchPolicyId, "tier_uri" runs
-// MatchUri (reference-file resolution, then the hit). A warm hit writes
-// only per-thread cache lines, so these should scale with cores.
+// MatchUri (reference-file resolution, then the hit). A warm hit loads the
+// shard's published-replica index and takes that replica's striped shared
+// lock (a URI hit also the directory's), so it writes only per-thread
+// cache lines and should scale with cores.
 //
 // The report also gives tier_uri's 1-thread ns per match over
 // tier_policy_id's: what resolving a URI adds to a warm hit (the JSON

@@ -18,8 +18,9 @@
 //
 //   serving/match_baseline   match traffic only, quiescent catalog
 //   serving/match_churn      same grid while an installer reinstalls
-//                            policies at --install-qps (epoch churn: what
-//                            publication costs the match tail)
+//                            policies at --install-qps (what publication,
+//                            an index flip plus the retired replica's
+//                            exclusive-lock wait, costs the match tail)
 //   serving/install          per-install service latency during the churn
 //                            phase (validate + two replica installs +
 //                            publish; the tier has no storage_path, so no
@@ -229,8 +230,8 @@ int RunServing(const ServingConfig& config, const std::string& json_path) {
 
   // Churn phase: the same match grid while an installer reinstalls
   // policies (same names — each reinstall is two replica installs around
-  // an epoch publication on that name's shard; the tier is in-memory, so
-  // no WAL commit).
+  // the index flip that publishes it on that name's shard; the tier is
+  // in-memory, so no WAL commit).
   std::atomic<bool> stop_installer{false};
   TimingStats install_latency_us;
   std::atomic<uint64_t> install_errors{0};

@@ -189,19 +189,6 @@ void PrintTableRow(const std::vector<std::string>& cells,
   std::fputc('\n', stdout);
 }
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
-
 BenchJsonRecord RecordFromTimings(std::string name,
                                   const TimingStats& micros) {
   BenchJsonRecord record;

@@ -84,6 +84,40 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
   return out;
 }
 
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char code[7];
+          std::snprintf(code, sizeof(code), "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += code;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 std::string SqlQuote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);

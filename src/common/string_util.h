@@ -37,6 +37,11 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
 /// (doubles embedded quotes).
 std::string SqlQuote(std::string_view s);
 
+/// Escapes `s` for the inside of a JSON string literal: `"` and `\` take a
+/// backslash, newline, carriage return and tab their short escapes, and
+/// every other byte below 0x20 becomes \u00XX.
+std::string JsonEscape(std::string_view s);
+
 /// Formats a double with `digits` fractional digits (for report tables).
 std::string FormatDouble(double value, int digits);
 

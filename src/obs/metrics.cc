@@ -206,7 +206,7 @@ std::string MetricsRegistry::RenderJson() const {
       for (size_t i = 0; i < labels.size(); ++i) {
         if (i != 0) out += ", ";
         out += "\"" + SanitizeMetricName(labels[i].first) + "\": \"" +
-               EscapeLabelValue(labels[i].second) + "\"";
+               JsonEscape(labels[i].second) + "\"";
       }
       out += "}";
       first_info = false;

@@ -7,37 +7,6 @@
 
 namespace p3pdb::obs {
 
-namespace {
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 const char* SlowQueryKindName(SlowQueryEntry::Kind kind) {
   switch (kind) {
     case SlowQueryEntry::Kind::kSlow:

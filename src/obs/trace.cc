@@ -78,15 +78,6 @@ void RenderSpanText(const TraceSpan& span, int depth, std::string* out) {
   }
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 void RenderSpanJson(const TraceSpan& span, std::string* out) {
   *out += "{\"name\": \"" + JsonEscape(span.name) + "\", \"elapsed_us\": " +
           FormatDouble(span.elapsed_us, 1);

@@ -390,6 +390,21 @@ Result<int64_t> PolicyServer::InstallPolicyLocked(const p3p::Policy& policy) {
   P3PDB_ASSIGN_OR_RETURN(entry.version, catalog_.Append(entry.id, policy));
   const int64_t policy_id = entry.id;
   AddPolicy(std::move(entry));
+  if (UsesSqlMatching() && reference_file_.has_value()) {
+    // applicablePolicy() reads Policyref.policy_id: rebind every ref whose
+    // `about` now names this install, as the other engines' catalog lookup
+    // does at match time.
+    for (const p3p::PolicyRef& ref : reference_file_->refs()) {
+      if (catalog_.LatestId(AboutToPolicyName(ref.about)) != policy_id) {
+        continue;
+      }
+      P3PDB_RETURN_IF_ERROR(
+          db_.Execute("UPDATE Policyref SET policy_id = " +
+                      std::to_string(policy_id) +
+                      " WHERE about = " + SqlQuote(ref.about))
+              .status());
+    }
+  }
   // Cached URI/cookie results may now be stale (a re-installed name changes
   // what a path resolves to): bump the catalog version. Stale entries are
   // invalidated lazily at their next lookup. Policy-id entries are keyed by
@@ -581,7 +596,9 @@ Result<int64_t> PolicyServer::FindApplicablePolicyId(
           db_.Execute(
               translator::ApplicablePolicyQuery(local_path, for_cookie),
               trace));
-      if (result.rows.empty()) return int64_t{-1};
+      if (result.rows.empty() || result.rows[0][0].is_null()) {
+        return int64_t{-1};
+      }
       return result.rows[0][0].AsInteger();
     }
     std::optional<size_t> ref =

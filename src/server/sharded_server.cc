@@ -1,6 +1,7 @@
 #include "server/sharded_server.h"
 
 #include <functional>
+#include <shared_mutex>
 #include <utility>
 
 #include "p3p/policy_xml.h"
@@ -57,9 +58,6 @@ Status ShardedPolicyServer::Init() {
     for (std::unique_ptr<PolicyServer>& replica : shard->replicas) {
       P3PDB_ASSIGN_OR_RETURN(replica, MakeReplica());
     }
-    auto snapshot = std::make_shared<const ShardSnapshot>(ShardSnapshot{
-        shard->replicas[0].get(), /*epoch=*/1, /*policies=*/0});
-    shard->published.Store(std::move(snapshot));
     if (options_.collect_metrics) {
       const std::string prefix = "p3p_shard_" + std::to_string(k);
       shard->matches_total = metrics_.GetCounter(prefix + "_matches_total");
@@ -159,27 +157,29 @@ Result<int64_t> ShardedPolicyServer::ApplyAndPublish(
     if (!installed.ok()) shard.poisoned = installed.status();
     return installed;
   };
-  const int spare = 1 - shard.published_idx;
+  const int spare = 1 - shard.published.load(std::memory_order_relaxed);
   P3PDB_ASSIGN_OR_RETURN(int64_t local_id, install(*shard.replicas[spare]));
-  ++shard.policies;
+  const size_t policies =
+      shard.policies.fetch_add(1, std::memory_order_relaxed) + 1;
 
   const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  // Waits for the matches still running on the replica this retires; once
-  // it returns, no reader is on that replica and none can reach it.
-  shard.published.Store(std::make_shared<const ShardSnapshot>(
-      ShardSnapshot{shard.replicas[spare].get(), epoch, shard.policies}));
-  PolicyServer& retired = *shard.replicas[shard.published_idx];
-  shard.published_idx = spare;
+  shard.epoch.store(epoch, std::memory_order_relaxed);
+  // The publish: every match that loads the index from here on reads the
+  // spare, which already holds the policy.
+  shard.published.store(spare, std::memory_order_release);
   shard.publishes.fetch_add(1, std::memory_order_relaxed);
   if (shard.policies_gauge != nullptr) {
-    shard.policies_gauge->Set(static_cast<int64_t>(shard.policies));
+    shard.policies_gauge->Set(static_cast<int64_t>(policies));
   }
   if (shard.epoch_gauge != nullptr) {
     shard.epoch_gauge->Set(static_cast<int64_t>(epoch));
   }
 
-  // The retired replica takes the same policy, so both agree again.
-  P3PDB_RETURN_IF_ERROR(install(retired).status());
+  // The retired replica takes the same policy, so both agree again. Its
+  // install takes the replica's exclusive lock: that waits for the matches
+  // still running there, and a match that loaded the old index just before
+  // the publish waits in turn until the replica has the policy.
+  P3PDB_RETURN_IF_ERROR(install(*shard.replicas[1 - spare]).status());
   return local_id;
 }
 
@@ -200,7 +200,7 @@ Result<int64_t> ShardedPolicyServer::InstallPolicy(const p3p::Policy& policy) {
   if (!shard.poisoned.ok()) return shard.poisoned;
   if (durable_ != nullptr) {
     // Durable first: by the time the policy is reachable through any
-    // snapshot, its catalog row has survived an fsync (group-committed
+    // replica, its catalog row has survived an fsync (group-committed
     // with whatever other shards are installing right now). Catalog ids
     // count installs from 1.
     P3PDB_RETURN_IF_ERROR(WriteDurably([&] {
@@ -226,30 +226,33 @@ void ShardedPolicyServer::PublishDirectory(const p3p::ReferenceFile& rf) {
     next.ids.push_back(FindPolicyIdByAbout(ref.about).value_or(-1));
   }
   epoch_.fetch_add(1, std::memory_order_acq_rel);
-  directory_.Store(
-      std::make_shared<const DirectorySnapshot>(std::move(next)));
+  SwapDirectory(std::move(next));
+}
+
+void ShardedPolicyServer::SwapDirectory(DirectorySnapshot next) {
+  auto snapshot = std::make_shared<const DirectorySnapshot>(std::move(next));
+  {
+    std::lock_guard<StripedSharedMutex> lock(directory_mu_);
+    directory_.swap(snapshot);
+  }
+  // `snapshot` now holds the old directory; no match can still read it.
 }
 
 void ShardedPolicyServer::RepublishDirectory(std::string_view policy_name,
                                              int64_t global_id) {
   std::lock_guard<std::mutex> lock(directory_install_mu_);
+  // Only publishers write directory_, and they hold the mutex above.
+  if (directory_ == nullptr) return;
   DirectorySnapshot next;
-  {
-    // Copy out under the guard and Store after it ends: a Store waits for
-    // every guard on its cell, this thread's own included (epoch_ptr.h).
-    DirectoryGuard directory(directory_);
-    if (!directory) return;
-    const std::vector<p3p::PolicyRef>& refs = directory->rf->refs();
-    for (size_t i = 0; i < refs.size(); ++i) {
-      if (AboutToPolicyName(refs[i].about) != policy_name) continue;
-      if (next.ids.empty()) next.ids = directory->ids;
-      next.ids[i] = global_id;
-    }
-    if (next.ids.empty()) return;  // no ref names the policy
-    next.rf = directory->rf;
+  const std::vector<p3p::PolicyRef>& refs = directory_->rf->refs();
+  for (size_t i = 0; i < refs.size(); ++i) {
+    if (AboutToPolicyName(refs[i].about) != policy_name) continue;
+    if (next.ids.empty()) next.ids = directory_->ids;
+    next.ids[i] = global_id;
   }
-  directory_.Store(
-      std::make_shared<const DirectorySnapshot>(std::move(next)));
+  if (next.ids.empty()) return;  // no ref names the policy
+  next.rf = directory_->rf;
+  SwapDirectory(std::move(next));
 }
 
 Status ShardedPolicyServer::InstallReferenceFile(
@@ -268,8 +271,7 @@ Result<CompiledPreference> ShardedPolicyServer::CompilePreference(
   // Compilation is catalog-independent (translation + fingerprint, no
   // prepared statements on this tier), so any replica can do it; shard 0's
   // published one is as good as any.
-  ShardGuard snapshot(shards_[0]->published);
-  return snapshot->server->CompilePreference(ruleset);
+  return shards_[0]->Published().CompilePreference(ruleset);
 }
 
 Result<MatchResult> ShardedPolicyServer::MatchPolicyId(
@@ -281,8 +283,8 @@ Result<MatchResult> ShardedPolicyServer::MatchPolicyId(
   const int64_t n = static_cast<int64_t>(shards_.size());
   const size_t k = static_cast<size_t>(global_policy_id % n);
   const int64_t local_id = global_policy_id / n;
-  ShardGuard snapshot(shards_[k]->published);
-  Result<MatchResult> result = snapshot->server->MatchPolicyId(pref, local_id);
+  Result<MatchResult> result =
+      shards_[k]->Published().MatchPolicyId(pref, local_id);
   if (matches_total_ != nullptr) matches_total_->Increment();
   if (shards_[k]->matches_total != nullptr) {
     shards_[k]->matches_total->Increment();
@@ -304,15 +306,15 @@ Result<MatchResult> ShardedPolicyServer::MatchResolved(
     const CompiledPreference& pref, std::string_view path, bool for_cookie) {
   int64_t global_id = -1;
   {
-    DirectoryGuard directory(directory_);
-    if (!directory) {
+    std::shared_lock<StripedSharedMutex> lock(directory_mu_);
+    if (directory_ == nullptr) {
       // Same contract as PolicyServer with no reference file installed.
       return Status::InvalidArgument("no reference file installed");
     }
     std::optional<size_t> ref = for_cookie
-                                    ? directory->rf->RefIndexForCookie(path)
-                                    : directory->rf->RefIndexForPath(path);
-    if (ref.has_value()) global_id = directory->ids[*ref];
+                                    ? directory_->rf->RefIndexForCookie(path)
+                                    : directory_->rf->RefIndexForPath(path);
+    if (ref.has_value()) global_id = directory_->ids[*ref];
   }
   if (global_id < 0) {
     if (matches_total_ != nullptr) matches_total_->Increment();
@@ -338,14 +340,14 @@ Result<MatchResult> ShardedPolicyServer::MatchCookie(
 std::optional<int64_t> ShardedPolicyServer::FindPolicyIdByAbout(
     std::string_view about) const {
   const size_t k = ShardOf(AboutToPolicyName(about));
-  ShardGuard snapshot(shards_[k]->published);
-  std::optional<int64_t> local_id = snapshot->server->FindPolicyIdByAbout(about);
+  std::optional<int64_t> local_id =
+      shards_[k]->Published().FindPolicyIdByAbout(about);
   if (!local_id.has_value()) return std::nullopt;
   return GlobalId(*local_id, k);
 }
 
 size_t ShardedPolicyServer::ShardPolicyCount(size_t shard) const {
-  return ShardGuard(shards_[shard]->published)->policies;
+  return shards_[shard]->policies.load(std::memory_order_relaxed);
 }
 
 uint64_t ShardedPolicyServer::ShardPublishes(size_t shard) const {
@@ -355,11 +357,8 @@ uint64_t ShardedPolicyServer::ShardPublishes(size_t shard) const {
 std::vector<int64_t> ShardedPolicyServer::GlobalPolicyIds() const {
   std::vector<int64_t> ids;
   for (size_t k = 0; k < shards_.size(); ++k) {
-    // The guard keeps installs off the replica while we walk its id list:
-    // an install mutates a replica only after a Store has retired it, and
-    // that Store waits for this guard.
-    ShardGuard snapshot(shards_[k]->published);
-    for (int64_t local_id : snapshot->server->policy_ids()) {
+    // policy_ids() copies the list under the replica's shared lock.
+    for (int64_t local_id : shards_[k]->Published().policy_ids()) {
       ids.push_back(GlobalId(local_id, k));
     }
   }
@@ -377,17 +376,17 @@ std::string ShardedPolicyServer::RenderHealthzJson() const {
       std::lock_guard<std::mutex> lock(shard.install_mu);
       poisoned = poisoned || !shard.poisoned.ok();
     }
-    // Guard after install_mu is released, never before it is taken: an
-    // installer holds install_mu across the Store that waits for guards.
-    ShardGuard snapshot(shard.published);
-    policies += snapshot->policies;
+    const size_t shard_policies =
+        shard.policies.load(std::memory_order_relaxed);
+    policies += shard_policies;
     const uint64_t shard_matches =
         shard.matches_total != nullptr ? shard.matches_total->value() : 0;
     matches += shard_matches;
     if (k > 0) shards_json += ",";
     shards_json += "{\"shard\":" + std::to_string(k) +
-                   ",\"epoch\":" + std::to_string(snapshot->epoch) +
-                   ",\"policies\":" + std::to_string(snapshot->policies) +
+                   ",\"epoch\":" +
+                   std::to_string(shard.epoch.load(std::memory_order_relaxed)) +
+                   ",\"policies\":" + std::to_string(shard_policies) +
                    ",\"publishes\":" +
                    std::to_string(
                        shard.publishes.load(std::memory_order_relaxed)) +
@@ -413,10 +412,9 @@ std::string ShardedPolicyServer::RenderMetricsJson() const {
 std::string ShardedPolicyServer::RenderStatementStatsJson(size_t top) const {
   std::string out = "{";
   for (size_t k = 0; k < shards_.size(); ++k) {
-    ShardGuard snapshot(shards_[k]->published);
     if (k > 0) out += ",";
     out += "\"shard_" + std::to_string(k) +
-           "\":" + snapshot->server->RenderStatementStatsJson(top);
+           "\":" + shards_[k]->Published().RenderStatementStatsJson(top);
   }
   out += "}";
   return out;

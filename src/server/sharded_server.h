@@ -6,35 +6,36 @@
 // Why not one PolicyServer? Its single reader-writer lock means every install
 // stalls the entire match fleet for the install's full duration (shred +
 // WAL fsync). Here, policy state is partitioned by policy-name hash into N
-// catalog shards, and each shard serves matches from an immutable published
-// snapshot that installs swap RCU-style:
+// catalog shards, and each shard serves matches from one of two replicas
+// while installs go to the other:
 //
 //   - Each shard owns two in-memory PolicyServer replicas (A/B). At any
-//     moment one replica is *published* — reachable only through an
-//     EpochPtr<ShardSnapshot> (see epoch_ptr.h: a two-slot epoch-pinned
-//     cell; readers are lock-free and pin the snapshot for as long as they
-//     use it, writers wait for the old slot's pins to drain before
-//     reclaiming) — and the other is the *spare*, which no reader can reach.
+//     moment one replica is *published*: Shard::published holds its index,
+//     and a match acquire-loads that index and calls the replica, whose own
+//     StripedSharedMutex (shared for matches, exclusive for installs) is the
+//     only lock the match takes. The other replica is the *spare*, which
+//     readers that load the index after a publish never reach.
 //   - An install (serialized per shard by install_mu) first commits to the
 //     durable store, then runs in lockstep: it installs the policy into the
-//     spare, publishes the spare with a single epoch-pinned snapshot store,
-//     and installs the same policy into the replica that store retired.
-//     The store waits for the matches still running on the retired replica
-//     (~0.3 us for a warm hit, tens of us for a cold match), so neither
-//     replica install has a reader on its replica, and the policy is served
-//     after one replica install.
+//     spare, release-stores the spare's index (the publish), and installs
+//     the same policy into the replica the publish retired. That last
+//     install takes the retired replica's exclusive lock, so it waits for
+//     the matches still running there (~0.3 us for a warm hit, tens of us
+//     for a cold match) and holds off a match that loaded the old index
+//     just before the publish until the replica has the policy too. The
+//     policy is served after one replica install.
 //   - Invariant: whenever a shard's install_mu is free, both its replicas
 //     hold the same policies under the same local ids (unless the shard is
 //     poisoned, see Shard::poisoned).
-//   - A match pins the shard's snapshot with an EpochPtr guard for the
-//     length of the evaluation — a per-thread stripe count, no reference
-//     count — and evaluates against that replica. The replica's catalog,
-//     its MatchCache and its statement stats are per-shard, so a
-//     match-cache hit shares no lock with other shards, and matches on the
-//     same shard share only that replica's (never exclusively held)
+//   - Every replica install is atomic under the replica's exclusive lock,
+//     so a match, which runs under the shared lock, sees a policy either
+//     entirely installed or not at all. The replica's catalog, its
+//     MatchCache and its statement stats are per-shard, so a match-cache
+//     hit shares no lock with other shards, and matches on the same shard
+//     share only that replica's (never exclusively held while published)
 //     StripedSharedMutex and its internally sharded cache. A warm hit, by
-//     id or by URI, writes only per-thread stripes — snapshot pins, shared
-//     locks, cache bits and counters — and allocates nothing.
+//     id or by URI, writes only per-thread stripes — shared locks, cache
+//     bits and counters — and allocates nothing.
 //   - The one thing every replica shares is the plan cache
 //     (sqldb/plan_cache.h): all 2 x N replicas are members of one
 //     sqldb::PlanCache, so a rule query any shard has planned is a plan
@@ -45,24 +46,26 @@
 //     the cache stripe of the query's text.
 //
 // URI resolution: the reference file lives in a tier-wide directory
-// snapshot (its own EpochPtr) next to an id vector holding, per POLICY-REF,
-// the latest global id of the policy its `about` names (-1 while none is
-// installed). A URI or cookie match finds the ref's index through the
-// reference file's prefix index, reads the id and ends its directory guard;
+// snapshot next to an id vector holding, per POLICY-REF, the latest global
+// id of the policy its `about` names (-1 while none is installed). A URI or
+// cookie match takes directory_mu_ shared, finds the ref's index through
+// the reference file's prefix index, reads the id and releases the lock;
 // from there it is a MatchPolicyId. No policy name is extracted, hashed or
 // looked up per match. The ids stay current because an install whose
 // policy some ref names republishes the directory (the same shared
 // reference file, a copied id vector) after its shard publishes and before
 // it returns; a reference-file install resolves every ref from the shards.
-// Lock order: a shard's install_mu, then directory_install_mu_.
+// A republish builds the new snapshot outside directory_mu_ and swaps it in
+// under the exclusive lock, so readers wait at most for the swap.
+// Lock order: a shard's install_mu, then directory_install_mu_, then
+// directory_mu_. No thread takes any of these while it holds a replica's
+// lock or directory_mu_.
 //
-// Epoch publication: every snapshot carries the tier-wide epoch it was
-// published at. A match evaluates its policy against one shard snapshot, so
-// it observes that policy as-of one epoch — either entirely before an
-// install or entirely after, never a half-installed policy (the torn-epoch
-// test in serving_tier_test.cc hammers exactly this). A directory
-// republish is part of its install's publication and takes no epoch of its
-// own, so catalog_epoch() rises by exactly one per install.
+// Epoch publication: every publish carries the tier-wide epoch it happened
+// at (Shard::epoch, /healthz). A directory republish is part of its
+// install's publication and takes no epoch of its own, so catalog_epoch()
+// rises by exactly one per install (the torn-epoch test in
+// serving_tier_test.cc hammers one name's installs under matchers).
 //
 // Ids: a shard's replicas assign local policy ids deterministically (both
 // install the identical policy sequence), and the tier exposes
@@ -91,10 +94,10 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/striped_shared_mutex.h"
 #include "obs/metrics.h"
 #include "p3p/policy.h"
 #include "p3p/reference_file.h"
-#include "server/epoch_ptr.h"
 #include "server/match_result.h"
 #include "server/policy_server.h"
 #include "shredder/policy_catalog.h"
@@ -167,14 +170,15 @@ class ShardedPolicyServer {
       const appel::AppelRuleset& ruleset);
 
   /// Evaluates against one installed policy by global id. Hot path: one
-  /// snapshot guard + the replica's shared-mode match; no tier lock, no
-  /// exclusive lock, no reference count anywhere.
+  /// index load + the published replica's shared-mode match; no tier lock,
+  /// no exclusive lock, no reference count anywhere.
   Result<MatchResult> MatchPolicyId(const CompiledPreference& pref,
                                     int64_t global_policy_id);
 
   /// Full pipeline: the directory snapshot resolves the URI to the latest
   /// global id of the policy covering it, then MatchPolicyId evaluates it.
-  /// One snapshot each, so the observation is torn-free at both levels.
+  /// One snapshot and one replica, each read under its shared lock, so the
+  /// observation is torn-free at both levels.
   Result<MatchResult> MatchUri(const CompiledPreference& pref,
                                std::string_view local_path);
 
@@ -186,9 +190,9 @@ class ShardedPolicyServer {
   std::optional<int64_t> FindPolicyIdByAbout(std::string_view about) const;
 
   size_t shard_count() const { return shards_.size(); }
-  /// Installed policies in one shard's published snapshot.
+  /// Installed policies in one shard's published replica.
   size_t ShardPolicyCount(size_t shard) const;
-  /// Snapshot publications (installs) a shard has performed.
+  /// Publications (installs) a shard has performed.
   uint64_t ShardPublishes(size_t shard) const;
   /// Tier-wide publication epoch: bumped by every shard publish and every
   /// reference-file install.
@@ -197,7 +201,7 @@ class ShardedPolicyServer {
   }
 
   /// Installed global ids, grouped by shard and in install order within
-  /// each shard (takes no lock; holds one shard guard at a time).
+  /// each shard (holds one published replica's shared lock at a time).
   std::vector<int64_t> GlobalPolicyIds() const;
 
   // -- Observability -------------------------------------------------------
@@ -229,15 +233,6 @@ class ShardedPolicyServer {
   const Options& options() const { return options_; }
 
  private:
-  /// What a match pins while it runs: the published replica plus the
-  /// publication metadata. Immutable after construction; destroyed by the
-  /// Store that replaces it, once no guard remains on it.
-  struct ShardSnapshot {
-    PolicyServer* server = nullptr;  // one of its shard's replicas
-    uint64_t epoch = 0;
-    size_t policies = 0;
-  };
-
   /// URI/cookie resolution state, tier-wide, replaced whole on every
   /// reference install and on every install of a policy some ref names.
   /// Matches resolve against one directory snapshot, never a half-replaced
@@ -250,25 +245,29 @@ class ShardedPolicyServer {
     std::vector<int64_t> ids;
   };
 
-  using ShardGuard = EpochPtr<ShardSnapshot>::Guard;
-  using DirectoryGuard = EpochPtr<DirectorySnapshot>::Guard;
-
   struct Shard {
     /// Serializes installs to this shard (matches never take it).
     std::mutex install_mu;
     std::unique_ptr<PolicyServer> replicas[2];
-    int published_idx = 0;  // which replica the current snapshot wraps
-    size_t policies = 0;    // installed in each replica
+    /// Which replica matches read: release-stored by the installer once
+    /// the spare holds the new policy, acquire-loaded by every match.
+    std::atomic<int> published{0};
+    /// The tier epoch of the shard's latest publish.
+    std::atomic<uint64_t> epoch{1};
+    std::atomic<size_t> policies{0};  // installed in each replica
     /// Sticky failure: a replica that diverged mid-install (durable store
     /// has the policy, the replica does not) poisons the shard rather than
     /// serving a catalog that disagrees with disk.
     Status poisoned = Status::OK();
-    EpochPtr<ShardSnapshot> published;
     std::atomic<uint64_t> publishes{0};
     // Tier instruments (null when collect_metrics is off).
     obs::Counter* matches_total = nullptr;
     obs::Gauge* policies_gauge = nullptr;
     obs::Gauge* epoch_gauge = nullptr;
+
+    PolicyServer& Published() const {
+      return *replicas[published.load(std::memory_order_acquire)];
+    }
   };
 
   explicit ShardedPolicyServer(Options options);
@@ -282,18 +281,23 @@ class ShardedPolicyServer {
   /// The install path shared by InstallPolicy and recovery replay: assumes
   /// shard.install_mu is held and the durable store (if any) already has
   /// the policy. Installs it into the spare, publishes the spare, then
-  /// installs it into the replica the publication retired, so both replicas
-  /// agree again before install_mu is released. Either replica failing
+  /// installs it into the replica the publish retired (waiting for the
+  /// matches still on it), so both replicas agree again before install_mu
+  /// is released. Either replica failing
   /// poisons the shard and fails this install.
   Result<int64_t> ApplyAndPublish(Shard& shard, const p3p::Policy& policy);
   /// Publishes `rf` with every ref's id resolved from the shards, at a new
   /// epoch. Assumes directory_install_mu_ is held.
   void PublishDirectory(const p3p::ReferenceFile& rf);
+  /// Swaps `next` in as the directory under directory_mu_'s exclusive lock
+  /// and destroys the old snapshot after releasing it. Assumes
+  /// directory_install_mu_ is held.
+  void SwapDirectory(DirectorySnapshot next);
   /// After an install of `policy_name` (now `global_id`): republishes the
   /// directory with that id in every ref naming the policy; a no-op when
   /// none does. Part of the install's publication, so it takes no epoch of
   /// its own. Takes directory_install_mu_, so the caller may hold a
-  /// shard's install_mu but no directory guard.
+  /// shard's install_mu.
   void RepublishDirectory(std::string_view policy_name, int64_t global_id);
   Result<MatchResult> MatchResolved(const CompiledPreference& pref,
                                     std::string_view path, bool for_cookie);
@@ -307,10 +311,12 @@ class ShardedPolicyServer {
   std::shared_ptr<sqldb::PlanCache> plan_cache_;  // every replica's
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Serializes directory publications: reference-file installs (so durable
-  /// order and published order agree) and install-time republishes.
-  /// Directory reads are lock-free guards.
+  /// order and published order agree) and install-time republishes. A
+  /// publisher reads directory_ under this mutex alone.
   mutable std::mutex directory_install_mu_;
-  EpochPtr<DirectorySnapshot> directory_;
+  /// Shared by URI/cookie matches, exclusive for the swap of directory_.
+  mutable StripedSharedMutex directory_mu_;
+  std::shared_ptr<const DirectorySnapshot> directory_;  // null until an rf
   std::atomic<uint64_t> epoch_{1};
   std::unique_ptr<sqldb::Database> durable_db_;
   std::unique_ptr<shredder::PolicyCatalog> durable_;  // over durable_db_

@@ -26,33 +26,6 @@ void AtomicMax(std::atomic<uint64_t>& dst, uint64_t v) {
   }
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 std::string HexFingerprint(uint64_t fp) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",

@@ -10,7 +10,7 @@ std::string ApplicablePolicyQuery(std::string_view local_path,
   const char* exclude_table = for_cookie ? "CookieExclude" : "Exclude";
   std::string path_literal = SqlQuote(local_path);
   std::string sql = "SELECT Policyref.policy_id FROM Policyref WHERE ";
-  sql += "Policyref.policy_id IS NOT NULL AND EXISTS (SELECT * FROM ";
+  sql += "EXISTS (SELECT * FROM ";
   sql += include_table;
   sql += " WHERE ";
   sql += include_table;

@@ -22,6 +22,8 @@ inline constexpr const char* kApplicablePolicyTable = "ApplicablePolicy";
 /// Builds the SQL locating the applicable policy for `local_path` per spec
 /// §2.4.1: the first POLICY-REF (document order) with a matching INCLUDE
 /// and no matching EXCLUDE. Patterns were converted to LIKE at shred time.
+/// That ref decides even when it names no installed policy: its row's
+/// policy_id is then NULL, which means no policy.
 std::string ApplicablePolicyQuery(std::string_view local_path,
                                   bool for_cookie = false);
 

@@ -89,6 +89,14 @@ TEST(StringUtilTest, JoinRoundTrip) {
   EXPECT_EQ(Join({}, ","), "");
 }
 
+TEST(StringUtilTest, JsonEscapeCoversEveryControlCharacter) {
+  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(JsonEscape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(JsonEscape(std::string_view("\x00\x01\x1f", 3)),
+            "\\u0000\\u0001\\u001f");
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9 ~"), "caf\xc3\xa9 ~");  // UTF-8 passes
+}
+
 TEST(StringUtilTest, ToLowerAsciiOnly) {
   EXPECT_EQ(ToLower("AbC-12_Z"), "abc-12_z");
 }

@@ -10,6 +10,10 @@
 // XML, and writes the same repro to differential_failure.txt so CI can
 // upload it as an artifact.
 //
+// A second check cross-examines URI and cookie resolution: a seeded
+// reference file and install stream, every engine plus a 2-shard tier
+// resolving the same probe paths (EnginesAndTierAgreeOnUriResolution).
+//
 // The seed comes from P3PDB_DIFFERENTIAL_SEED (default 2003) so a CI
 // failure can be replayed locally with the same draw.
 
@@ -21,16 +25,20 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "appel/model.h"
 #include "common/random.h"
 #include "p3p/policy_xml.h"
 #include "server/policy_server.h"
+#include "server/sharded_server.h"
 #include "workload/corpus.h"
+#include "workload/jrc_preferences.h"
 #include "workload/random_preferences.h"
 
 namespace p3pdb {
@@ -417,6 +425,182 @@ TEST(DifferentialTest, PerturbedEngineFailsLoudlyWithMinimizedRepro) {
   EXPECT_NE(stats_contents.find("storage: in-memory"), std::string::npos);
   EXPECT_NE(stats_contents.find("storage: disk"), std::string::npos);
   std::remove(kStatementsArtifact);
+}
+
+// URI and cookie resolution, cross-checked. A seeded reference file with
+// overlapping includes, excludes and cookie patterns, and one ref (never
+// last) naming a policy that is never installed, goes in at a seeded point
+// of a seeded install stream; the policies after that point are fresh
+// installs and re-installs of names the file's refs name. After the
+// reference file and after every later install, the five engines and a
+// 2-shard tier must resolve each probe path, by URI and by cookie, to the
+// same (found, policy name, version). Ids differ per engine (kSqlSimple's
+// are shredder ids), so each server's ids map back through its own log.
+
+/// One server under the URI differential, with its install log.
+template <typename Server>
+struct UriSubject {
+  std::string label;
+  std::unique_ptr<Server> server;
+  CompiledPreference pref;
+  std::map<int64_t, std::string> installs;  // id -> "name v<version>"
+};
+
+p3p::ReferenceFile RandomOverlappingReferenceFile(
+    Random* rng, const std::vector<std::string>& names) {
+  const std::vector<std::string> includes = {
+      "/*",           "/shop/*",        "/shop/cart/*",        "/news/*",
+      "/news/*.html", "/help/faq.html", "/shop/cart/checkout*"};
+  const std::vector<std::string> excludes = {"/shop/cart/*", "*.cgi",
+                                             "/news/archive/*", "/help/*"};
+  const std::vector<std::string> cookie_includes = {"/*", "/shop/*",
+                                                    "/session*", "/news/*"};
+  const std::vector<std::string> cookie_excludes = {"/shop/private*",
+                                                    "/session-tmp*"};
+  auto draw = [&](const std::vector<std::string>& pool, int lo, int hi) {
+    std::vector<std::string> out;
+    for (int n = rng->UniformInt(lo, hi); n > 0; --n) {
+      out.push_back(pool[rng->Uniform(pool.size())]);
+    }
+    return out;
+  };
+  constexpr int kRefs = 6;
+  const int never_installed = rng->UniformInt(0, kRefs - 2);
+  p3p::ReferenceFile rf;
+  for (int i = 0; i < kRefs; ++i) {
+    p3p::PolicyRef ref;
+    ref.about = "/P3P/policies.xml#" +
+                (i == never_installed ? std::string("never-installed")
+                                      : names[rng->Uniform(names.size())]);
+    ref.includes = draw(includes, 1, 2);
+    ref.excludes = draw(excludes, 0, 1);
+    ref.cookie_includes = draw(cookie_includes, 0, 2);
+    ref.cookie_excludes = draw(cookie_excludes, 0, 1);
+    rf.AddRef(std::move(ref));
+  }
+  return rf;
+}
+
+TEST(DifferentialTest, EnginesAndTierAgreeOnUriResolution) {
+  const uint64_t seed = SeedFromEnv();
+  SCOPED_TRACE(::testing::Message() << "replay: P3PDB_DIFFERENTIAL_SEED="
+                                    << seed);
+  Random rng(seed * 104729 + 7);
+  const std::vector<p3p::Policy> corpus =
+      workload::FortuneCorpus({.seed = seed, .policy_count = 8});
+  std::vector<std::string> names;
+  for (const p3p::Policy& policy : corpus) names.push_back(policy.name);
+  const p3p::ReferenceFile rf = RandomOverlappingReferenceFile(&rng, names);
+  std::vector<std::string> referenced;  // installed names some ref names
+  for (const p3p::PolicyRef& ref : rf.refs()) {
+    const std::string name = ref.about.substr(ref.about.find('#') + 1);
+    if (name != "never-installed") referenced.push_back(name);
+  }
+
+  // Before the reference file: a seeded prefix of the corpus. After it:
+  // the rest of the corpus, then re-installs of referenced names (another
+  // corpus body under the name, so each is a new version).
+  const size_t rf_point = 2 + rng.Uniform(corpus.size() - 2);
+  std::vector<p3p::Policy> stream(corpus.begin(), corpus.end());
+  for (int i = 0; i < 5; ++i) {
+    p3p::Policy again = corpus[rng.Uniform(corpus.size())];
+    again.name = referenced[rng.Uniform(referenced.size())];
+    stream.push_back(std::move(again));
+  }
+
+  const std::vector<std::string> probes = {
+      "/",
+      "/index.html",
+      "/shop/item.html",
+      "/shop/cart/view",
+      "/shop/cart/checkout.cgi",
+      "/shop/cart/checkout2",
+      "/shop/private/y",
+      "/news/today.html",
+      "/news/archive/old.html",
+      "/news/feed.xml",
+      "/help/faq.html",
+      "/help/other.html",
+      "/session",
+      "/session-tmp/x",
+      "/unlisted"};
+  const appel::AppelRuleset ruleset =
+      workload::JrcPreference(workload::PreferenceLevel::kHigh);
+
+  std::vector<UriSubject<PolicyServer>> engines;
+  for (auto [label, kind] :
+       {std::pair{"native-appel", EngineKind::kNativeAppel},
+        std::pair{"sql", EngineKind::kSql},
+        std::pair{"sql-simple", EngineKind::kSqlSimple},
+        std::pair{"xquery-native", EngineKind::kXQueryNative},
+        std::pair{"xquery-xtable", EngineKind::kXQueryXTable}}) {
+    PolicyServer::Options options;
+    options.engine = kind;
+    auto server = PolicyServer::Create(options);
+    ASSERT_TRUE(server.ok()) << server.status();
+    auto pref = server.value()->CompilePreference(ruleset);
+    ASSERT_TRUE(pref.ok()) << label << ": " << pref.status();
+    engines.push_back(
+        {label, std::move(server).value(), std::move(pref).value(), {}});
+  }
+  UriSubject<server::ShardedPolicyServer> tier;
+  {
+    server::ShardedPolicyServer::Options options;
+    options.shards = 2;
+    auto created = server::ShardedPolicyServer::Create(options);
+    ASSERT_TRUE(created.ok()) << created.status();
+    auto pref = created.value()->CompilePreference(ruleset);
+    ASSERT_TRUE(pref.ok()) << pref.status();
+    tier = {"tier", std::move(created).value(), std::move(pref).value(), {}};
+  }
+
+  std::map<std::string, int> versions;
+  auto install = [&](auto& subject, const p3p::Policy& policy,
+                     const std::string& name_version) {
+    auto id = subject.server->InstallPolicy(policy);
+    ASSERT_TRUE(id.ok()) << subject.label << ": " << id.status();
+    subject.installs[id.value()] = name_version;
+  };
+  auto resolve = [&](auto& subject, const std::string& path, bool cookie) {
+    auto r = cookie ? subject.server->MatchCookie(subject.pref, path)
+                    : subject.server->MatchUri(subject.pref, path);
+    if (!r.ok()) return "error: " + r.status().ToString();
+    if (!r.value().policy_found) return std::string("no-policy");
+    auto it = subject.installs.find(r.value().policy_id);
+    return it != subject.installs.end()
+               ? it->second
+               : "unknown id " + std::to_string(r.value().policy_id);
+  };
+  auto expect_agreement = [&](size_t step) {
+    for (bool cookie : {false, true}) {
+      for (const std::string& path : probes) {
+        const std::string want = resolve(tier, path, cookie);
+        for (UriSubject<PolicyServer>& engine : engines) {
+          EXPECT_EQ(resolve(engine, path, cookie), want)
+              << engine.label << " vs tier, " << (cookie ? "cookie " : "")
+              << path << ", after install " << step;
+        }
+      }
+    }
+  };
+
+  for (size_t i = 0; i < stream.size(); ++i) {
+    if (i == rf_point) {
+      for (UriSubject<PolicyServer>& engine : engines) {
+        ASSERT_TRUE(engine.server->InstallReferenceFile(rf).ok());
+      }
+      ASSERT_TRUE(tier.server->InstallReferenceFile(rf).ok());
+      expect_agreement(i);
+    }
+    const p3p::Policy& policy = stream[i];
+    const std::string name_version =
+        policy.name + " v" + std::to_string(++versions[policy.name]);
+    for (UriSubject<PolicyServer>& engine : engines) {
+      ASSERT_NO_FATAL_FAILURE(install(engine, policy, name_version));
+    }
+    ASSERT_NO_FATAL_FAILURE(install(tier, policy, name_version));
+    if (i >= rf_point) expect_agreement(i);
+  }
 }
 
 }  // namespace

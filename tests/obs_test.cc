@@ -1,18 +1,167 @@
 // Tests for the observability subsystem: histogram bucket boundaries and
 // percentile math (pure integer arithmetic, fully deterministic), the
-// metrics registry's render formats, and trace span nesting/rendering.
+// metrics registry's render formats, trace span nesting/rendering, and
+// that the JSON renderers escape request-supplied text.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/slow_log.h"
 #include "obs/trace.h"
 
 namespace p3pdb::obs {
 namespace {
+
+/// Strict JSON syntax check (RFC 8259; numbers only loosely): whether a
+/// renderer's output would parse.
+class JsonChecker {
+ public:
+  explicit JsonChecker(std::string_view text) : text_(text) {}
+
+  bool Valid() {
+    SkipSpace();
+    if (!Value()) return false;
+    SkipSpace();
+    return pos_ == text_.size();
+  }
+
+ private:
+  bool Value() {
+    if (pos_ >= text_.size()) return false;
+    switch (text_[pos_]) {
+      case '{':
+        return Composite('}', /*object=*/true);
+      case '[':
+        return Composite(']', /*object=*/false);
+      case '"':
+        return String();
+      case 't':
+        return Literal("true");
+      case 'f':
+        return Literal("false");
+      case 'n':
+        return Literal("null");
+      default:
+        return Number();
+    }
+  }
+
+  bool Composite(char close, bool object) {
+    ++pos_;
+    SkipSpace();
+    if (Eat(close)) return true;
+    for (;;) {
+      if (object) {
+        if (!String()) return false;
+        SkipSpace();
+        if (!Eat(':')) return false;
+        SkipSpace();
+      }
+      if (!Value()) return false;
+      SkipSpace();
+      if (Eat(close)) return true;
+      if (!Eat(',')) return false;
+      SkipSpace();
+    }
+  }
+
+  bool String() {
+    if (!Eat('"')) return false;
+    while (pos_ < text_.size()) {
+      const unsigned char c = static_cast<unsigned char>(text_[pos_++]);
+      if (c == '"') return true;
+      if (c < 0x20) return false;  // raw control characters are invalid
+      if (c != '\\') continue;
+      if (pos_ >= text_.size()) return false;
+      const char escape = text_[pos_++];
+      if (escape == 'u') {
+        for (int i = 0; i < 4; ++i) {
+          if (pos_ >= text_.size() ||
+              !std::isxdigit(static_cast<unsigned char>(text_[pos_++]))) {
+            return false;
+          }
+        }
+      } else if (std::string_view("\"\\/bfnrt").find(escape) ==
+                 std::string_view::npos) {
+        return false;
+      }
+    }
+    return false;
+  }
+
+  bool Number() {
+    const size_t start = pos_;
+    while (pos_ < text_.size() &&
+           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
+            std::string_view("+-.eE").find(text_[pos_]) !=
+                std::string_view::npos)) {
+      ++pos_;
+    }
+    return pos_ > start;
+  }
+
+  bool Literal(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) return false;
+    pos_ += word.size();
+    return true;
+  }
+
+  bool Eat(char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  void SkipSpace() {
+    while (pos_ < text_.size() &&
+           std::string_view(" \t\r\n").find(text_[pos_]) !=
+               std::string_view::npos) {
+      ++pos_;
+    }
+  }
+
+  std::string_view text_;
+  size_t pos_ = 0;
+};
+
+TEST(JsonCheckerTest, RejectsRawControlCharactersInStrings) {
+  EXPECT_TRUE(
+      JsonChecker(R"({"a": ["b\n\u0001", 1.5, true, null]})").Valid());
+  EXPECT_FALSE(JsonChecker("{\"a\": \"b\nc\"}").Valid());
+  EXPECT_FALSE(JsonChecker("{\"a\": \"b\x01\"}").Valid());
+  EXPECT_FALSE(JsonChecker(R"({"a": "b\q"})").Valid());
+}
+
+// A traced match puts the request's path into span attributes, so the
+// span JSON must stay valid whatever bytes the path holds.
+TEST(JsonRenderTest, SpanAttributeWithControlCharactersRendersValidJson) {
+  TraceContext trace;
+  {
+    ScopedSpan span(&trace, "match");
+    span.SetAttr("uri", "/a\"b\n\x01");
+  }
+  const std::string json = trace.RenderJson();
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_NE(json.find(R"(/a\"b\n\u0001)"), std::string::npos) << json;
+}
+
+TEST(JsonRenderTest, SlowLogEntryWithControlCharactersRendersValidJson) {
+  SlowQueryLog log(2);
+  SlowQueryEntry entry;
+  entry.sql = "SELECT '\n\x01'";
+  entry.params = "[\"\n\x01\"]";
+  entry.plan = "Scan\n\x01";
+  log.Add(std::move(entry));
+  const std::string json = log.RenderJson();
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_NE(json.find(R"(SELECT '\n\u0001')"), std::string::npos) << json;
+}
 
 // -- histogram buckets -------------------------------------------------------
 

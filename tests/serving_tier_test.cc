@@ -1172,9 +1172,6 @@ TEST(ServingTierTest, BothReplicasServeEveryInstall) {
     ASSERT_TRUE(tier_id.ok()) << tier_id.status().message();
     auto single_id = pair.single->InstallPolicy(policy);
     ASSERT_TRUE(single_id.ok()) << single_id.status().message();
-    // A single server resolves refs when its reference file is installed;
-    // the tier republishes them on every install.
-    ASSERT_TRUE(pair.single->InstallReferenceFile(rf).ok());
     pair.tier_ids.push_back(tier_id.value());
     pair.single_ids.push_back(single_id.value());
   };

@@ -489,6 +489,41 @@ TEST(CheckpointImage, MultiPageImageTakesOneWritePerPage) {
 
 // --------------------------------------------------- server recovery ----
 
+// A SQL engine resolves URIs through Policyref.policy_id, which an install
+// behind the reference file rebinds in the install's own durable unit: the
+// binding of a policy installed (and re-installed) after the file must
+// survive a reopen.
+TEST(ServerStorage, RefBindingsOfLaterInstallsSurviveReopen) {
+  for (EngineKind engine : {EngineKind::kSql, EngineKind::kSqlSimple}) {
+    SCOPED_TRACE(server::EngineKindName(engine));
+    const std::string dir = TestDir("ref_rebind");
+    PolicyServer::Options options;
+    options.engine = engine;
+    options.storage_path = dir;
+    int64_t latest = -1;
+    {
+      auto server = PolicyServer::Create(options);
+      ASSERT_TRUE(server.ok()) << server.status();
+      ASSERT_TRUE(server.value()
+                      ->InstallReferenceFile(workload::VolgaReferenceFile())
+                      .ok());
+      ASSERT_TRUE(
+          server.value()->InstallPolicy(workload::VolgaPolicy()).ok());
+      auto again = server.value()->InstallPolicy(workload::VolgaPolicy());
+      ASSERT_TRUE(again.ok()) << again.status();
+      latest = again.value();
+    }
+    auto server = PolicyServer::Create(options);
+    ASSERT_TRUE(server.ok()) << server.status();
+    auto pref = server.value()->CompilePreference(workload::JanePreference());
+    ASSERT_TRUE(pref.ok());
+    auto match = server.value()->MatchUri(pref.value(), "/catalog");
+    ASSERT_TRUE(match.ok()) << match.status();
+    EXPECT_TRUE(match.value().policy_found);
+    EXPECT_EQ(match.value().policy_id, latest);
+  }
+}
+
 TEST(ServerStorage, CatalogAndMatchingSurviveReopen) {
   const std::string dir = TestDir("server_reopen");
   PolicyServer::Options options;
