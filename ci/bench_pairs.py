@@ -104,9 +104,10 @@ def failure_report(text):
 
 
 def run_once(checkout, workload, seed, trace, extra=()):
-    """Runs the checkout's benchmark once; returns {"exit", "result": last
-    JSON line or None}, plus failure_report's keys when the run exited
-    non-zero. The binary's per-run report goes to stderr."""
+    """Runs the checkout's benchmark once; returns (run, text). `run` is
+    {"exit", "result": last JSON line or None}, plus failure_report's keys
+    when the run exited non-zero; `text` is everything the run printed.
+    The binary's per-run report also goes to stderr."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--trace", str(trace)] + list(extra)
@@ -116,7 +117,7 @@ def run_once(checkout, workload, seed, trace, extra=()):
     run = {"exit": proc.returncode, "result": last_json_line(proc.stdout)}
     if proc.returncode != 0:
         run.update(failure_report(proc.stdout))
-    return run
+    return run, proc.stdout
 
 
 def quartiles(values):
@@ -266,7 +267,7 @@ def main():
     for side in SIDES:
         log("building the %s checkout" % side)
         status = run_once(checkouts[side], opts.workload[0][0], 1, 0,
-                          ["--seconds", "1"])["exit"]
+                          ["--seconds", "1"])[0]["exit"]
         if status not in (0, 3):
             log("the %s warm-up run failed with status %d" % (side, status))
             return 2
@@ -278,7 +279,7 @@ def main():
             order = SIDES if seed % 2 == 1 else SIDES[::-1]
             for position, side in enumerate(order):
                 log("%s seed %d: %s" % (name, seed, side))
-                run = run_once(checkouts[side], name, seed, 0)
+                run, _ = run_once(checkouts[side], name, seed, 0)
                 run.update({"seed": seed, "side": side,
                             "ran_first": position == 0})
                 runs.append(run)
@@ -293,7 +294,7 @@ def main():
         traced = record["traced"][name] = {}
         for side in SIDES:
             log("%s traced: %s" % (name, side))
-            traced[side] = run_once(checkouts[side], name, 1, 1)
+            traced[side], _ = run_once(checkouts[side], name, 1, 1)
             traced[side]["seed"] = 1
             save()
 

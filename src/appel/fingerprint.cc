@@ -2,12 +2,11 @@
 
 #include <string_view>
 
+#include "common/fnv.h"
+
 namespace p3pdb::appel {
 
 namespace {
-
-constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 
 /// FNV-1a 64-bit over a sequence of fields. Every string is prefixed with
 /// its length and every list with its size, so two different field
@@ -25,10 +24,7 @@ class FieldHasher {
   uint64_t value() const { return hash_ == 0 ? 1 : hash_; }
 
  private:
-  void Mix(unsigned char c) {
-    hash_ ^= c;
-    hash_ *= kFnvPrime;
-  }
+  void Mix(unsigned char c) { hash_ = FnvStep(hash_, c); }
 
   uint64_t hash_ = kFnvOffsetBasis;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/fnv.h"
 #include "common/string_util.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
@@ -33,13 +34,6 @@ bool UriPatternMatch(std::string_view pattern, std::string_view path) {
 }
 
 namespace {
-
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-/// FNV-1a, one byte: the hash of a string extended by `c`.
-inline uint64_t HashStep(uint64_t hash, char c) {
-  return (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-}
 
 /// Table slot of a hash: FNV's low bits depend only on the inputs' low
 /// bits, so fold the high half in first.
@@ -86,8 +80,7 @@ void ReferenceFile::PrefixIndex::Rehash(size_t slots) {
 void ReferenceFile::PrefixIndex::Add(std::string_view pattern, size_t ref) {
   if (pattern.empty()) return;
   const std::string_view prefix = pattern.substr(0, pattern.find('*'));
-  uint64_t hash = kFnvBasis;
-  for (char c : prefix) hash = HashStep(hash, c);
+  const uint64_t hash = FnvHash(prefix);
   size_t i = Find(prefix, hash);
   if (i == kNone) {
     // Keep the load factor at most 1/2 (power-of-two sizes).
@@ -142,7 +135,7 @@ std::optional<size_t> ReferenceFile::FindRef(
   // the answer, so a list stops at the first match or at `best`.
   size_t best = PrefixIndex::kNone;
   const size_t longest = std::min(path.size(), index.has_length.size() - 1);
-  uint64_t hash = kFnvBasis;
+  uint64_t hash = kFnvOffsetBasis;
   for (size_t n = 0;; ++n) {
     if (index.has_length[n] != 0) {
       const size_t i = index.Find(path.substr(0, n), hash);
@@ -160,7 +153,7 @@ std::optional<size_t> ReferenceFile::FindRef(
       }
     }
     if (n == longest) break;
-    hash = HashStep(hash, path[n]);
+    hash = FnvStep(hash, static_cast<unsigned char>(path[n]));
   }
   if (best == PrefixIndex::kNone) return std::nullopt;
   return best;

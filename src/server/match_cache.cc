@@ -3,27 +3,26 @@
 #include <mutex>
 #include <shared_mutex>
 
+#include "common/fnv.h"
+
 namespace p3pdb::server {
 
 namespace {
 
 inline uint64_t HashCombine(uint64_t h, uint64_t v) {
-  // FNV-1a over the value's bytes, word at a time.
-  h ^= v;
-  h *= 0x100000001b3ULL;
-  return h;
+  // FNV-1a's step, a word at a time.
+  return (h ^ v) * kFnvPrime;
 }
 
 }  // namespace
 
 size_t MatchCacheKeyHash::operator()(const MatchCacheKey& key) const {
-  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t h = kFnvOffsetBasis;
   h = HashCombine(h, key.pref_fingerprint);
   h = HashCombine(h, static_cast<uint64_t>(key.subject));
   h = HashCombine(h, static_cast<uint64_t>(key.policy_id));
   h = HashCombine(h, static_cast<uint64_t>(key.engine));
-  for (unsigned char c : key.path) h = HashCombine(h, c);
-  return static_cast<size_t>(h);
+  return static_cast<size_t>(FnvHash(key.path, h));
 }
 
 MatchCache::MatchCache(Options options, obs::MetricsRegistry* registry)

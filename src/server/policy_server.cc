@@ -479,8 +479,7 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
   // statement preparation only reads the catalog, so compiles run
   // concurrently with matches and each other.
   std::shared_lock<StripedSharedMutex> lock(mu_);
-  obs::TraceContext* t = EffectiveTrace(trace);
-  obs::ScopedSpan compile_span(t, "compile-preference");
+  obs::ScopedSpan compile_span(trace, "compile-preference");
   if (compile_span.active()) {
     compile_span.SetAttr("engine", EngineKindName(options_.engine));
     compile_span.AddCount("rules", ruleset.rules.size());
@@ -495,7 +494,7 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
   // engine this preference compiles on.
   pref.fingerprint = appel::RulesetFingerprint(ruleset);
   {
-    obs::ScopedSpan translate_span(t, "translate");
+    obs::ScopedSpan translate_span(trace, "translate");
     switch (options_.engine) {
       case EngineKind::kNativeAppel:
         // No compilation in the client-centric model: the engine consumes
@@ -506,14 +505,14 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
         translator::OptimizedSqlTranslator translator(
             /*parameterized=*/true);
         P3PDB_ASSIGN_OR_RETURN(pref.sql,
-                               translator.TranslateRuleset(ruleset, t));
+                               translator.TranslateRuleset(ruleset, trace));
         break;
       }
       case EngineKind::kSqlSimple: {
         translator::SimpleSqlTranslator translator(
             /*parameterized=*/true);
         P3PDB_ASSIGN_OR_RETURN(pref.sql,
-                               translator.TranslateRuleset(ruleset, t));
+                               translator.TranslateRuleset(ruleset, trace));
         break;
       }
       case EngineKind::kXQueryNative: {
@@ -560,7 +559,7 @@ Result<CompiledPreference> PolicyServer::CompilePreference(
     }
   }
   if (options_.use_prepared_statements) {
-    obs::ScopedSpan prepare_span(t, "prepare");
+    obs::ScopedSpan prepare_span(trace, "prepare");
     for (const std::string& sql : pref.sql.rule_queries) {
       P3PDB_ASSIGN_OR_RETURN(sqldb::PreparedStatement stmt, db_.Prepare(sql));
       pref.prepared_sql.push_back(std::move(stmt));
@@ -711,10 +710,6 @@ Result<MatchResult> PolicyServer::EvaluateAgainstCurrent(
       break;
     }
   }
-  if (options_.record_matches) {
-    obs::ScopedSpan record_span(trace, "record-match");
-    P3PDB_RETURN_IF_ERROR(RecordMatch(result));
-  }
   return result;
 }
 
@@ -723,8 +718,7 @@ Result<MatchResult> PolicyServer::Match(const CompiledPreference& pref,
                                         int64_t policy_id,
                                         std::string_view path,
                                         obs::TraceContext* trace) {
-  obs::TraceContext* t = EffectiveTrace(trace);
-  obs::ScopedSpan match_span(t, "match");
+  obs::ScopedSpan match_span(trace, "match");
   if (match_span.active()) {
     match_span.SetAttr("engine", EngineKindName(options_.engine));
     if (subject == MatchSubject::kUri) match_span.SetAttr("uri", path);
@@ -760,19 +754,15 @@ Result<MatchResult> PolicyServer::Match(const CompiledPreference& pref,
         match_span.SetAttr("cache", hit.has_value() ? "hit" : "miss");
       }
       if (hit.has_value()) {
-        // A hit does the per-match bookkeeping a computed match would.
         cache_hit = true;
-        if (options_.record_matches) {
-          obs::ScopedSpan record_span(t, "record-match");
-          P3PDB_RETURN_IF_ERROR(RecordMatch(*hit));
-        }
         return *hit;
       }
     }
     if (subject != MatchSubject::kPolicyId) {
       P3PDB_ASSIGN_OR_RETURN(
           policy_id,
-          FindApplicablePolicyId(path, subject == MatchSubject::kCookie, t));
+          FindApplicablePolicyId(path, subject == MatchSubject::kCookie,
+                                 trace));
       if (policy_id < 0) {
         MatchResult miss;
         miss.behavior = kNoPolicyBehavior;
@@ -782,8 +772,15 @@ Result<MatchResult> PolicyServer::Match(const CompiledPreference& pref,
       policy = FindPolicy(policy_id);
       if (policy == nullptr) return NotInstalled(policy_id);
     }
-    return EvaluateAgainstCurrent(pref, *policy, t);
+    return EvaluateAgainstCurrent(pref, *policy, trace);
   }();
+  // One MatchLog row per match that found a policy, computed or cached
+  // alike; a URI no policy covers logs nothing.
+  if (options_.record_matches && result.ok() && result.value().policy_found) {
+    obs::ScopedSpan record_span(trace, "record-match");
+    const Status recorded = RecordMatch(result.value());
+    if (!recorded.ok()) result = recorded;
+  }
   // Errors are not memoized: they describe the attempt, not the catalog.
   if (cacheable && !cache_hit && result.ok()) {
     match_cache_->Insert(key, version, result.value());

@@ -155,7 +155,8 @@ class PolicyServer {
     /// tier hands one to all of its replicas; see sqldb/plan_cache.h).
     /// Null = a private cache.
     std::shared_ptr<sqldb::PlanCache> plan_cache;
-    /// Log every match into the MatchLog table for site-owner analytics.
+    /// Log every match that found a policy, cache hits included, into the
+    /// MatchLog table for site-owner analytics.
     bool record_matches = false;
     /// Bind the translated rule queries once at CompilePreference time and
     /// reuse them across matches. Off by default to mirror the paper's
@@ -167,10 +168,6 @@ class PolicyServer {
     /// the server's MetricsRegistry (lock-free on the hot path; see
     /// RenderMetricsText). Off switches even the clock reads off.
     bool collect_metrics = true;
-    /// Honor the TraceContext* passed to Match*/CompilePreference. Off (the
-    /// default) makes every instrumentation point a no-op — the
-    /// zero-overhead guarantee — even when a caller supplies a context.
-    bool enable_tracing = false;
     /// Memoize full MatchResults in a sharded CLOCK cache keyed by
     /// (preference fingerprint, subject, catalog version, engine kind);
     /// installs bump the version so stale entries are never served. On by
@@ -259,9 +256,9 @@ class PolicyServer {
   /// engines this is the paper's "conversion" step: translation plus
   /// statement preparation; matches then pay execution cost only.
   ///
-  /// Every `trace` parameter below is honored only when
-  /// Options::enable_tracing is set; a null context is always free. Here it
-  /// gets a `compile-preference` root span with `translate` (one
+  /// Every `trace` parameter below is optional: a null context makes each
+  /// instrumentation point a no-op that reads no clock. Here it gets a
+  /// `compile-preference` root span with `translate` (one
   /// `translate-rule` child per rule) and `prepare` children.
   Result<CompiledPreference> CompilePreference(
       const appel::AppelRuleset& ruleset, obs::TraceContext* trace = nullptr);
@@ -422,20 +419,14 @@ class PolicyServer {
   Status RecordMatch(const MatchResult& result);
 
   /// The one match pipeline behind MatchPolicyId/MatchUri/MatchCookie:
-  /// span, shared lock, the id existence check, match-cache probe (a hit
-  /// still appends its MatchLog row), reference-file resolution for
-  /// URI/cookie subjects, evaluation, memoization and tally. `policy_id`
-  /// is read for kPolicyId, `path` for kUri/kCookie.
+  /// span, shared lock, the id existence check, match-cache probe,
+  /// reference-file resolution for URI/cookie subjects, evaluation, the
+  /// MatchLog row (a hit or a computed match that found a policy),
+  /// memoization and tally. `policy_id` is read for kPolicyId, `path` for
+  /// kUri/kCookie.
   Result<MatchResult> Match(const CompiledPreference& pref,
                             MatchSubject subject, int64_t policy_id,
                             std::string_view path, obs::TraceContext* trace);
-
-  /// The context instrumentation actually sees: null unless
-  /// Options::enable_tracing is set (so disabled tracing never reads the
-  /// clock, whatever the caller passed).
-  obs::TraceContext* EffectiveTrace(obs::TraceContext* trace) const {
-    return options_.enable_tracing ? trace : nullptr;
-  }
 
   /// Tallies one finished match into the counters/histograms (no-op unless
   /// Options::collect_metrics). `cache_hit` routes the latency into the

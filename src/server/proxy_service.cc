@@ -94,8 +94,7 @@ Result<MatchResult> ProxyService::Handle(std::string_view user,
                                          std::string_view host,
                                          std::string_view path, bool cookie,
                                          obs::TraceContext* trace) {
-  // The proxy span opens regardless of the site's enable_tracing option —
-  // the proxy is its own deployment; a null context is still free.
+  // A null context is free here and in the site server it is forwarded to.
   obs::ScopedSpan span(trace, "proxy-request");
   if (span.active()) {
     span.SetAttr("user", user);

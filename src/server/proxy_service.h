@@ -72,8 +72,8 @@ class ProxyService {
   /// the user's preference for it (cached), locate the applicable policy
   /// for the path, evaluate. NotFound for unknown host or user. A non-null
   /// `trace` gets a `proxy-request` root span (user/host/path attributes)
-  /// and is forwarded into the site server's match, which honors it only
-  /// when its Options::enable_tracing is set.
+  /// and is forwarded into the site server's match, whose spans nest under
+  /// it.
   Result<MatchResult> HandleRequest(std::string_view user,
                                     std::string_view host,
                                     std::string_view path,

@@ -6,6 +6,7 @@
 #include <memory_resource>
 #include <optional>
 
+#include "common/fnv.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "sqldb/executor.h"
@@ -40,23 +41,22 @@ std::shared_ptr<SharedPlan> SharePlan(std::unique_ptr<Statement> root,
   return std::shared_ptr<SharedPlan>(ShareStatement(std::move(root)), plan);
 }
 
-/// FNV-1a 64 steps over the schema identity's inputs.
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
+/// FNV-1a steps over the schema identity's inputs.
 uint64_t Mix(uint64_t h, std::string_view bytes) {
-  for (unsigned char c : bytes) h = (h ^ c) * kFnvPrime;
-  return (h ^ 0xff) * kFnvPrime;  // terminator: "ab"+"c" != "a"+"bc"
+  // The terminator keeps "ab"+"c" apart from "a"+"bc".
+  return FnvStep(FnvHash(bytes, h), 0xff);
 }
 
 uint64_t Mix(uint64_t h, uint64_t value) {
-  for (int i = 0; i < 8; ++i) h = (h ^ ((value >> (8 * i)) & 0xff)) * kFnvPrime;
+  for (int i = 0; i < 8; ++i) {
+    h = FnvStep(h, static_cast<unsigned char>(value >> (8 * i)));
+  }
   return h;
 }
 
 /// The identity a database starts from: its options that shape plans.
 uint64_t PlanningIdentity(const Database::Options& options) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnvOffsetBasis;
   h = Mix(h, uint64_t{options.enable_planner});
   h = Mix(h, uint64_t{options.enable_cost_model});
   return Mix(h, static_cast<uint64_t>(options.max_subquery_depth));

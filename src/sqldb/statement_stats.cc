@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/fnv.h"
 #include "common/string_util.h"
 #include "sqldb/lexer.h"
 
@@ -114,13 +115,7 @@ std::string NormalizeStatementText(std::string_view sql) {
 }
 
 uint64_t FingerprintStatementText(std::string_view normalized) {
-  // FNV-1a 64-bit.
-  uint64_t hash = 1469598103934665603ull;
-  for (unsigned char c : normalized) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
+  return FnvHash(normalized);
 }
 
 void StatementStatsEntry::RecordExecution(uint64_t rows, double elapsed_us,

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/fnv.h"
 #include "sqldb/table.h"
 
 namespace p3pdb::sqldb {
@@ -16,11 +17,7 @@ constexpr uint8_t kTagText = 2;
 }  // namespace
 
 uint64_t StorageChecksum(const uint8_t* data, size_t len) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (size_t i = 0; i < len; ++i) {
-    h = (h ^ data[i]) * 0x100000001B3ULL;
-  }
-  return h;
+  return FnvHash({data, len});
 }
 
 void ByteWriter::PutU32(uint32_t v) {

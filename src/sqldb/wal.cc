@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/fnv.h"
 #include "sqldb/storage_serde.h"
 
 namespace p3pdb::sqldb {
@@ -17,12 +18,9 @@ uint64_t RecordChecksum(uint64_t txn_id, uint8_t type,
   ByteWriter w;
   w.PutU64(txn_id);
   w.PutU8(type);
-  uint64_t h = StorageChecksum(w.bytes.data(), w.bytes.size());
+  const uint64_t h = StorageChecksum(w.bytes.data(), w.bytes.size());
   // Chain the payload through the same FNV stream.
-  for (uint8_t b : payload) {
-    h = (h ^ b) * 0x100000001B3ULL;
-  }
-  return h;
+  return FnvHash(payload, h);
 }
 
 }  // namespace

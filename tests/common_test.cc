@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -122,6 +123,16 @@ TEST(StringUtilTest, SqlQuoteDoublesQuotes) {
 TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(2.0, 1), "2.0");
+}
+
+TEST(FnvTest, KnownAnswers) {
+  // The published FNV-1a 64-bit test vectors.
+  EXPECT_EQ(FnvHash(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(FnvHash("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(FnvHash("foobar"), 0x85944171f73967e8ULL);
+  // A hash continues byte by byte: split input hashes as the whole.
+  EXPECT_EQ(FnvHash("bar", FnvHash("foo")), FnvHash("foobar"));
+  EXPECT_EQ(FnvStep(FnvHash("fooba"), 'r'), FnvHash("foobar"));
 }
 
 TEST(RandomTest, Deterministic) {

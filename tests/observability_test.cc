@@ -1,7 +1,7 @@
 // End-to-end observability tests: the match path's trace shape on both
 // engines, the §6.3.2 category-augmentation finding reproduced by counters
 // (deterministic — no wall-clock assertions), server/proxy metrics, and the
-// zero-overhead guarantee when tracing is disabled.
+// per-subject match contract.
 
 #include <gtest/gtest.h>
 
@@ -21,11 +21,9 @@ using obs::TraceContext;
 using obs::TraceSpan;
 
 Result<std::unique_ptr<PolicyServer>> MakeSqlServer(
-    bool tracing, bool record_matches = false,
-    bool use_prepared_statements = false) {
+    bool record_matches = false, bool use_prepared_statements = false) {
   PolicyServer::Options options;
   options.engine = EngineKind::kSql;
-  options.enable_tracing = tracing;
   options.record_matches = record_matches;
   options.use_prepared_statements = use_prepared_statements;
   P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<PolicyServer> server,
@@ -52,8 +50,7 @@ TEST(ObservabilityTest, Section6AugmentationDominatesByCounter) {
   // schema — not evaluating the rule connectives. The spans carry explicit
   // work counters (elements visited), so the comparison is deterministic.
   auto server = PolicyServer::Create({.engine = EngineKind::kNativeAppel,
-                                      .augmentation = Augmentation::kPerMatch,
-                                      .enable_tracing = true});
+                                      .augmentation = Augmentation::kPerMatch});
   ASSERT_TRUE(server.ok());
   auto policy_id = server.value()->InstallPolicy(workload::VolgaPolicy());
   ASSERT_TRUE(policy_id.ok());
@@ -87,8 +84,7 @@ TEST(ObservabilityTest, PreAugmentedEngineSkipsAugmentationSpan) {
   // disappears from the trace entirely.
   auto server =
       PolicyServer::Create({.engine = EngineKind::kNativeAppel,
-                            .augmentation = Augmentation::kAtInstall,
-                            .enable_tracing = true});
+                            .augmentation = Augmentation::kAtInstall});
   ASSERT_TRUE(server.ok());
   auto policy_id = server.value()->InstallPolicy(workload::VolgaPolicy());
   ASSERT_TRUE(policy_id.ok());
@@ -104,7 +100,7 @@ TEST(ObservabilityTest, PreAugmentedEngineSkipsAugmentationSpan) {
 }
 
 TEST(ObservabilityTest, SqlMatchTraceShape) {
-  auto server = MakeSqlServer(/*tracing=*/true, /*record_matches=*/true);
+  auto server = MakeSqlServer(/*record_matches=*/true);
   ASSERT_TRUE(server.ok());
   auto pref = server.value()->CompilePreference(workload::JanePreference());
   ASSERT_TRUE(pref.ok());
@@ -131,7 +127,7 @@ TEST(ObservabilityTest, SqlMatchTraceShape) {
 }
 
 TEST(ObservabilityTest, TracedCompileHasTranslateAndPrepareSpans) {
-  auto server = MakeSqlServer(/*tracing=*/true, /*record_matches=*/false,
+  auto server = MakeSqlServer(/*record_matches=*/false,
                               /*use_prepared_statements=*/true);
   ASSERT_TRUE(server.ok());
   TraceContext trace;
@@ -145,22 +141,8 @@ TEST(ObservabilityTest, TracedCompileHasTranslateAndPrepareSpans) {
   EXPECT_NE(root->FindChild("prepare"), nullptr) << trace.RenderText();
 }
 
-TEST(ObservabilityTest, DisabledTracingLeavesContextUntouched) {
-  // enable_tracing=false (the default): a supplied context must stay empty —
-  // the guarantee behind "zero overhead when tracing is off" (no spans, no
-  // clock reads on the match path).
-  auto server = MakeSqlServer(/*tracing=*/false);
-  ASSERT_TRUE(server.ok());
-  auto pref = server.value()->CompilePreference(workload::JanePreference());
-  ASSERT_TRUE(pref.ok());
-  TraceContext trace;
-  ASSERT_TRUE(
-      server.value()->MatchUri(pref.value(), "/catalog/specials", &trace).ok());
-  EXPECT_EQ(trace.root(), nullptr);
-}
-
 TEST(ObservabilityTest, ServerMetricsCountMatches) {
-  auto server = MakeSqlServer(/*tracing=*/false);
+  auto server = MakeSqlServer();
   ASSERT_TRUE(server.ok());
   auto pref = server.value()->CompilePreference(workload::JanePreference());
   ASSERT_TRUE(pref.ok());
@@ -216,7 +198,6 @@ TEST(ObservabilityTest, MetricsCanBeDisabled) {
 TEST(ObservabilityTest, ProxyCountsRequestsAndForwardsTrace) {
   PolicyServer::Options site_options;
   site_options.engine = EngineKind::kSql;
-  site_options.enable_tracing = true;
   ProxyService proxy(site_options);
   auto site = proxy.AddSite("books.example");
   ASSERT_TRUE(site.ok());
@@ -283,7 +264,6 @@ void CheckMatchContract(EngineKind engine, bool enable_match_cache) {
                  << " subject=" << static_cast<int>(subject));
     PolicyServer::Options options;
     options.engine = engine;
-    options.enable_tracing = true;
     options.record_matches = true;
     options.enable_match_cache = enable_match_cache;
     auto server = PolicyServer::Create(options);

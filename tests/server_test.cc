@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "server/policy_server.h"
 #include "workload/corpus.h"
 #include "workload/jrc_preferences.h"
@@ -148,40 +151,75 @@ TEST(PolicyServerTest, MatchUriWithoutReferenceFileFails) {
 }
 
 TEST(PolicyServerTest, ConflictReportAggregatesMatchLog) {
-  PolicyServer::Options options;
-  options.record_matches = true;
-  auto server = MustCreate(options);
+  // Every match that found a policy is logged once, whether it was computed
+  // or served from the match cache, and a URI that no policy covers (the
+  // reference file excludes /about/*) logs nothing. So the report is the
+  // same with the cache on and off, on every engine.
+  constexpr EngineKind kEngines[] = {
+      EngineKind::kNativeAppel, EngineKind::kSql, EngineKind::kSqlSimple,
+      EngineKind::kXQueryNative, EngineKind::kXQueryXTable};
+  constexpr int kRepeats = 2;
+  const std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
+  for (EngineKind engine : kEngines) {
+    std::string uncached_report;
+    for (bool cached : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << EngineKindName(engine) << " cache=" << cached);
+      PolicyServer::Options options;
+      options.engine = engine;
+      options.record_matches = true;
+      options.enable_match_cache = cached;
+      auto server = MustCreate(options);
+      std::vector<int64_t> ids;
+      for (const p3p::Policy& policy : corpus) {
+        auto id = server->InstallPolicy(policy);
+        ASSERT_TRUE(id.ok()) << id.status();
+        ids.push_back(id.value());
+      }
+      ASSERT_TRUE(server->InstallPolicy(VolgaPolicy()).ok());
+      ASSERT_TRUE(server->InstallReferenceFile(VolgaReferenceFile()).ok());
+      auto pref = server->CompilePreference(
+          workload::JrcPreference(workload::PreferenceLevel::kHigh));
+      ASSERT_TRUE(pref.ok()) << pref.status();
+      // Every match after the first of each subject is a cache hit on the
+      // cached server.
+      for (int i = 0; i < kRepeats; ++i) {
+        for (int64_t id : ids) {
+          ASSERT_TRUE(server->MatchPolicyId(pref.value(), id).ok());
+        }
+        auto covered = server->MatchUri(pref.value(), "/catalog/specials");
+        ASSERT_TRUE(covered.ok()) << covered.status();
+        EXPECT_TRUE(covered.value().policy_found);
+        auto excluded = server->MatchUri(pref.value(), "/about/team");
+        ASSERT_TRUE(excluded.ok()) << excluded.status();
+        EXPECT_FALSE(excluded.value().policy_found);
+      }
 
-  std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
-  std::vector<int64_t> ids;
-  for (const p3p::Policy& policy : corpus) {
-    auto id = server->InstallPolicy(policy);
-    ASSERT_TRUE(id.ok());
-    ids.push_back(id.value());
+      auto report = server->ConflictReport();
+      ASSERT_TRUE(report.ok()) << report.status();
+      int64_t total = 0;
+      bool saw_block = false, saw_request = false;
+      std::string rendered;
+      for (const auto& row : report.value().rows) {
+        EXPECT_GE(row[0].AsInteger(), 0) << "a no-policy match was logged";
+        total += row[2].AsInteger();
+        if (row[1].AsText() == "block") saw_block = true;
+        if (row[1].AsText() == "request") saw_request = true;
+        rendered += std::to_string(row[0].AsInteger()) + " " +
+                    row[1].AsText() + " " +
+                    std::to_string(row[2].AsInteger()) + "\n";
+      }
+      EXPECT_EQ(total, kRepeats * static_cast<int64_t>(ids.size() + 1));
+      // The site owner sees both conforming and conflicting policies.
+      EXPECT_TRUE(saw_block);
+      EXPECT_TRUE(saw_request);
+      if (cached) {
+        EXPECT_EQ(rendered, uncached_report);
+      } else {
+        uncached_report = rendered;
+      }
+    }
   }
-  auto pref = server->CompilePreference(
-      workload::JrcPreference(workload::PreferenceLevel::kHigh));
-  ASSERT_TRUE(pref.ok());
-  for (int64_t id : ids) {
-    ASSERT_TRUE(server->MatchPolicyId(pref.value(), id).ok());
-  }
-
-  auto report = server->ConflictReport();
-  ASSERT_TRUE(report.ok()) << report.status();
-  // Every match was logged: behavior counts sum to the corpus size.
-  int64_t total = 0;
-  for (const auto& row : report.value().rows) {
-    total += row[2].AsInteger();
-  }
-  EXPECT_EQ(total, static_cast<int64_t>(corpus.size()));
-  // The site owner sees both conforming and conflicting policies.
-  bool saw_block = false, saw_request = false;
-  for (const auto& row : report.value().rows) {
-    if (row[1].AsText() == "block") saw_block = true;
-    if (row[1].AsText() == "request") saw_request = true;
-  }
-  EXPECT_TRUE(saw_block);
-  EXPECT_TRUE(saw_request);
 }
 
 TEST(PolicyServerTest, CompileRejectsInvalidRuleset) {
