@@ -3,14 +3,20 @@
 // privacy preferences of their users", which "the current [client-centric]
 // architecture does not allow".
 //
-// Installs the Fortune-1000 corpus, replays a stream of user checks at
-// mixed sensitivity levels with match logging on, and then answers the
-// site owner's questions with plain SQL over the shredded policy tables
-// and the match log — the payoff of storing policies in a database.
+// Installs the Fortune-1000 corpus and replays a stream of user checks at
+// mixed sensitivity levels. The server counts every match per (policy,
+// behavior), so its ConflictReport names the policies users block most;
+// plain SQL over the shredded policy tables then says what those policies
+// declare — the payoff of storing policies in a database.
 //
 //   $ ./policy_analytics
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "server/policy_server.h"
@@ -18,6 +24,7 @@
 #include "workload/jrc_preferences.h"
 
 using p3pdb::Random;
+using p3pdb::server::ConflictCount;
 using p3pdb::server::EngineKind;
 using p3pdb::server::PolicyServer;
 using p3pdb::workload::AllPreferenceLevels;
@@ -26,8 +33,9 @@ using p3pdb::workload::PreferenceLevel;
 
 namespace {
 
-void RunQuery(PolicyServer* server, const char* question, const char* sql) {
-  std::printf("-- %s\n   %s\n", question, sql);
+void RunQuery(PolicyServer* server, const char* question,
+              const std::string& sql) {
+  std::printf("-- %s\n   %s\n", question, sql.c_str());
   auto result = server->database()->Execute(sql);
   if (!result.ok()) {
     std::printf("error: %s\n\n", result.status().ToString().c_str());
@@ -41,7 +49,6 @@ void RunQuery(PolicyServer* server, const char* question, const char* sql) {
 int main() {
   PolicyServer::Options options;
   options.engine = EngineKind::kSql;
-  options.record_matches = true;
   auto server = PolicyServer::Create(options);
   if (!server.ok()) {
     std::fprintf(stderr, "server: %s\n", server.status().ToString().c_str());
@@ -93,33 +100,54 @@ int main() {
     }
     ++checks;
   }
-  std::printf("replayed %d preference checks with match logging on\n\n",
-              checks);
+  std::printf("replayed %d preference checks\n\n", checks);
 
-  RunQuery(server.value().get(),
-           "Which policies conflict with users' preferences the most?",
-           "SELECT policy_id, COUNT(*) AS blocks FROM MatchLog "
-           "WHERE behavior = 'block' GROUP BY policy_id "
-           "ORDER BY 2 DESC, 1 LIMIT 5");
+  // The server's conflict counts: one row per (policy, behavior).
+  const std::vector<ConflictCount> report = server.value()->ConflictReport();
+  std::map<std::string, uint64_t> outcomes;
+  std::map<int64_t, uint64_t> checks_per_policy;
+  std::vector<std::pair<uint64_t, int64_t>> blocks;  // (blocks, policy id)
+  for (const ConflictCount& row : report) {
+    outcomes[row.behavior] += row.matches;
+    checks_per_policy[row.policy_id] += row.matches;
+    if (row.behavior == "block") blocks.emplace_back(row.matches, row.policy_id);
+  }
+  std::sort(blocks.begin(), blocks.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  blocks.resize(std::min<size_t>(blocks.size(), 5));
 
-  RunQuery(server.value().get(),
-           "How do outcomes split overall?",
-           "SELECT behavior, COUNT(*) AS matches FROM MatchLog "
-           "GROUP BY behavior ORDER BY 2 DESC");
+  std::printf("-- How do outcomes split overall? (ConflictReport)\n");
+  for (const auto& [behavior, matches] : outcomes) {
+    std::printf("   %-8s %6llu\n", behavior.c_str(),
+                static_cast<unsigned long long>(matches));
+  }
+  std::printf(
+      "\n-- Which policies conflict with users' preferences the most?\n");
+  std::printf("   policy_id  blocks  checks\n");
+  std::string top_ids;
+  for (const auto& [count, policy_id] : blocks) {
+    std::printf("   %9lld  %6llu  %6llu\n", static_cast<long long>(policy_id),
+                static_cast<unsigned long long>(count),
+                static_cast<unsigned long long>(checks_per_policy[policy_id]));
+    if (!top_ids.empty()) top_ids += ", ";
+    top_ids += std::to_string(policy_id);
+  }
+  std::printf("\n");
 
-  RunQuery(server.value().get(),
-           "Which rules fire? (rule -1 = default / catch-all ordering)",
-           "SELECT fired_rule, behavior, COUNT(*) AS matches FROM MatchLog "
-           "GROUP BY fired_rule, behavior ORDER BY 3 DESC LIMIT 6");
-
-  RunQuery(server.value().get(),
-           "Which purposes do the blocked policies declare? "
-           "(join the log with the shredded Purpose table)",
-           "SELECT Purpose.purpose, COUNT(*) AS occurrences "
-           "FROM Purpose, MatchLog "
-           "WHERE MatchLog.behavior = 'block' "
-           "AND Purpose.policy_id = MatchLog.policy_id "
-           "GROUP BY Purpose.purpose ORDER BY 2 DESC LIMIT 8");
+  if (!top_ids.empty()) {
+    RunQuery(server.value().get(),
+             "Which purposes do the most-blocked policies declare? "
+             "(the shredded Purpose table)",
+             "SELECT purpose, COUNT(*) AS occurrences FROM Purpose "
+             "WHERE policy_id IN (" + top_ids + ") "
+             "GROUP BY purpose ORDER BY 2 DESC, 1 LIMIT 8");
+    RunQuery(server.value().get(),
+             "And to which recipients do they give the data?",
+             "SELECT recipient, COUNT(*) AS occurrences FROM Recipient "
+             "WHERE policy_id IN (" + top_ids + ") "
+             "GROUP BY recipient ORDER BY 2 DESC, 1 LIMIT 8");
+  }
 
   RunQuery(server.value().get(),
            "How many statements retain data indefinitely, per policy?",

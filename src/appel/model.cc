@@ -52,9 +52,10 @@ Status AppelRuleset::Validate() const {
     return Status::InvalidArgument("ruleset has no rules");
   }
   for (size_t i = 0; i < rules.size(); ++i) {
-    if (rules[i].behavior.empty()) {
-      return Status::InvalidArgument("rule " + std::to_string(i + 1) +
-                                     " has no behavior");
+    if (!BehaviorIndex(rules[i].behavior).has_value()) {
+      return Status::InvalidArgument(
+          "rule " + std::to_string(i + 1) + " has behavior '" +
+          rules[i].behavior + "'; APPEL defines block, limited and request");
     }
     if (rules[i].IsCatchAll() && i + 1 != rules.size()) {
       return Status::InvalidArgument(

@@ -1,6 +1,7 @@
 #include "server/policy_server.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <shared_mutex>
@@ -43,15 +44,7 @@ const char* EngineKindName(EngineKind kind) {
 
 namespace {
 
-constexpr const char* kMatchLogDdl = R"sql(
-CREATE TABLE MatchLog (
-  match_id INTEGER NOT NULL,
-  policy_id INTEGER NOT NULL,
-  behavior VARCHAR(32) NOT NULL,
-  fired_rule INTEGER NOT NULL,
-  PRIMARY KEY (match_id)
-);
-)sql";
+constexpr size_t kBehaviorCount = appel::kBehaviors.size();
 
 /// Microseconds since `start`. Callers read the clock only when
 /// collect_metrics is on, so the start point is a plain time_point rather
@@ -228,7 +221,6 @@ Status PolicyServer::Init() {
 
 Status PolicyServer::InitSchema() {
   P3PDB_RETURN_IF_ERROR(catalog_.CreateTables());
-  P3PDB_RETURN_IF_ERROR(db_.ExecuteScript(kMatchLogDdl));
   if (UsesSqlMatching()) {
     if (UsesSimpleSchema()) {
       P3PDB_RETURN_IF_ERROR(shredder::InstallSimpleSchema(&db_));
@@ -326,15 +318,6 @@ Status PolicyServer::RestoreFromStorage() {
       }));
   // Reference file: every engine keeps the native copy for URI resolution.
   P3PDB_ASSIGN_OR_RETURN(reference_file_, catalog_.ReferenceFile());
-
-  // MatchLog id sequence, so recorded matches never collide.
-  if (const sqldb::Table* log = db_.LookupTable("MatchLog")) {
-    for (size_t slot = 0; slot < log->SlotCount(); ++slot) {
-      if (!log->IsLive(slot)) continue;
-      const int64_t id = log->RowAt(slot)[0].AsInteger();
-      if (id + 1 > next_match_id_) next_match_id_ = id + 1;
-    }
-  }
   return Status::OK();
 }
 
@@ -419,9 +402,28 @@ void PolicyServer::AddPolicy(PolicyEntry entry) {
   }
   if (options_.engine != EngineKind::kXQueryNative) entry.dom.reset();
   policies_.push_back(std::move(entry));
+  const size_t lines = (policies_.size() * kBehaviorCount +
+                        CountLine::kCounts - 1) / CountLine::kCounts;
+  for (std::vector<CountLine>& stripe : conflict_counts_) stripe.resize(lines);
   if (options_.collect_metrics) {
     policies_installed_->Set(static_cast<int64_t>(policies_.size()));
   }
+}
+
+void PolicyServer::CountMatch(const PolicyEntry& policy,
+                              std::string_view behavior) {
+  const std::optional<size_t> b = appel::BehaviorIndex(behavior);
+  if (!b.has_value()) return;
+  ConflictCountRef(conflict_counts_[ThreadStripe()],
+                   static_cast<size_t>(&policy - policies_.data()), *b)
+      .fetch_add(1, std::memory_order_relaxed);
+}
+
+std::atomic_ref<uint64_t> PolicyServer::ConflictCountRef(
+    std::vector<CountLine>& stripe, size_t policy, size_t behavior) {
+  const size_t slot = policy * kBehaviorCount + behavior;
+  return std::atomic_ref<uint64_t>(
+      stripe[slot / CountLine::kCounts].counts[slot % CountLine::kCounts]);
 }
 
 const PolicyServer::PolicyEntry* PolicyServer::FindPolicy(
@@ -734,8 +736,10 @@ Result<MatchResult> PolicyServer::Match(const CompiledPreference& pref,
   bool cache_hit = false;
   MatchCacheKey key;
   uint64_t version = 0;
+  // The matched policy's entry: found by the id check or the resolution,
+  // null after a URI/cookie cache hit.
+  const PolicyEntry* policy = nullptr;
   Result<MatchResult> result = [&]() -> Result<MatchResult> {
-    const PolicyEntry* policy = nullptr;
     if (subject == MatchSubject::kPolicyId) {
       policy = FindPolicy(policy_id);
       if (policy == nullptr) return NotInstalled(policy_id);
@@ -774,12 +778,11 @@ Result<MatchResult> PolicyServer::Match(const CompiledPreference& pref,
     }
     return EvaluateAgainstCurrent(pref, *policy, trace);
   }();
-  // One MatchLog row per match that found a policy, computed or cached
-  // alike; a URI no policy covers logs nothing.
-  if (options_.record_matches && result.ok() && result.value().policy_found) {
-    obs::ScopedSpan record_span(trace, "record-match");
-    const Status recorded = RecordMatch(result.value());
-    if (!recorded.ok()) result = recorded;
+  // One count per match that found a policy, computed or cached alike; a
+  // URI no policy covers counts nothing.
+  if (result.ok() && result.value().policy_found) {
+    if (policy == nullptr) policy = FindPolicy(result.value().policy_id);
+    if (policy != nullptr) CountMatch(*policy, result.value().behavior);
   }
   // Errors are not memoized: they describe the attempt, not the catalog.
   if (cacheable && !cache_hit && result.ok()) {
@@ -888,19 +891,6 @@ uint16_t PolicyServer::admin_port() const {
   return admin_ == nullptr ? 0 : admin_->port();
 }
 
-Status PolicyServer::RecordMatch(const MatchResult& result) {
-  // Matches hold the main lock shared, so the log append — the one write a
-  // read-only match performs — gets its own mutex. MatchLog is touched by
-  // nothing else a concurrent matcher executes, and ConflictReport reads it
-  // under the exclusive main lock.
-  std::lock_guard<std::mutex> lock(match_log_mu_);
-  return db_.InsertRow(
-      "MatchLog",
-      {Value::Integer(next_match_id_++), Value::Integer(result.policy_id),
-       Value::Text(result.behavior),
-       Value::Integer(result.fired_rule_index)});
-}
-
 int64_t PolicyServer::PolicyVersion(std::string_view name) {
   std::shared_lock<StripedSharedMutex> lock(mu_);
   return catalog_.LatestVersion(name);
@@ -912,13 +902,25 @@ Result<std::string> PolicyServer::PolicyXml(std::string_view name,
   return catalog_.PolicyXml(name, version);
 }
 
-Result<sqldb::QueryResult> PolicyServer::ConflictReport() {
-  // Exclusive: reads MatchLog, which concurrent shared-lock matchers append
-  // to under match_log_mu_.
-  std::unique_lock<StripedSharedMutex> lock(mu_);
-  return db_.Execute(
-      "SELECT policy_id, behavior, COUNT(*) AS matches FROM MatchLog "
-      "GROUP BY policy_id, behavior ORDER BY 1, 2");
+std::vector<ConflictCount> PolicyServer::ConflictReport() const {
+  // Shared: the counts' layout only changes under the exclusive lock, and
+  // concurrent matches increment them atomically.
+  std::shared_lock<StripedSharedMutex> lock(mu_);
+  std::vector<ConflictCount> rows;
+  for (size_t i = 0; i < policies_.size(); ++i) {
+    for (size_t b = 0; b < kBehaviorCount; ++b) {
+      uint64_t matches = 0;
+      for (std::vector<CountLine>& stripe : conflict_counts_) {
+        matches +=
+            ConflictCountRef(stripe, i, b).load(std::memory_order_relaxed);
+      }
+      if (matches > 0) {
+        rows.push_back(
+            {policies_[i].id, std::string(appel::kBehaviors[b]), matches});
+      }
+    }
+  }
+  return rows;
 }
 
 }  // namespace p3pdb::server

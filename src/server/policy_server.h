@@ -23,17 +23,16 @@
 // policies collide with users' preferences.
 //
 // Thread safety: all public methods are safe to call from multiple threads.
-// Installs (InstallPolicy, InstallReferenceFile) and ConflictReport take the
-// server mutex exclusively; matching, preference compilation, and the
-// catalog lookups take it shared and therefore run concurrently. This works
-// because every engine's match path is read-only: the generated rule
-// queries take the applicable policy id as a bind parameter (`?`) instead
-// of joining a materialized one-row ApplicablePolicy table (which stays
-// only as a static one-row FROM anchor), and the executor statistics merge
-// into atomic counters at the Database level. Per-match bookkeeping that
-// does write — the MatchLog insert and its id sequence, active only with
-// `record_matches` — is serialized by a dedicated internal mutex so it
-// never blocks other readers' query execution.
+// Installs (InstallPolicy, InstallReferenceFile) take the server mutex
+// exclusively; matching, preference compilation, the catalog lookups and
+// ConflictReport take it shared and therefore run concurrently. This works
+// because every engine's match path is read-only against the database: the
+// generated rule queries take the applicable policy id as a bind parameter
+// (`?`) instead of joining a materialized one-row ApplicablePolicy table
+// (which stays only as a static one-row FROM anchor), the executor
+// statistics merge into atomic counters at the Database level, and the
+// per-policy conflict counts a match bumps are in-memory atomics in the
+// calling thread's stripe.
 //
 // Caching: repeated (preference, subject) checks — the server-centric load
 // of Figure 6 — are memoized in a sharded CLOCK MatchCache keyed by the
@@ -52,11 +51,12 @@
 #ifndef P3PDB_SERVER_POLICY_SERVER_H_
 #define P3PDB_SERVER_POLICY_SERVER_H_
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,6 +65,7 @@
 #include "appel/model.h"
 #include "common/result.h"
 #include "common/striped_shared_mutex.h"
+#include "common/thread_ordinal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "p3p/policy.h"
@@ -128,6 +129,16 @@ struct CompiledPreference {
   std::vector<xquery::Query> xquery_asts;    // kXQueryNative
 };
 
+/// One ConflictReport row: how many matches against one installed policy
+/// ended in one behavior.
+struct ConflictCount {
+  int64_t policy_id = 0;
+  std::string behavior;
+  uint64_t matches = 0;
+
+  bool operator==(const ConflictCount&) const = default;
+};
+
 class PolicyServer {
  public:
   struct Options {
@@ -155,9 +166,6 @@ class PolicyServer {
     /// tier hands one to all of its replicas; see sqldb/plan_cache.h).
     /// Null = a private cache.
     std::shared_ptr<sqldb::PlanCache> plan_cache;
-    /// Log every match that found a policy, cache hits included, into the
-    /// MatchLog table for site-owner analytics.
-    bool record_matches = false;
     /// Bind the translated rule queries once at CompilePreference time and
     /// reuse them across matches. Off by default to mirror the paper's
     /// methodology (SQL text was submitted to DB2 for every match, and
@@ -306,10 +314,12 @@ class PolicyServer {
   /// XML text of a specific installed version (NotFound if absent).
   Result<std::string> PolicyXml(std::string_view name, int64_t version);
 
-  /// Per-policy behavior counts from the MatchLog — what a site owner
-  /// would study to refine a conflicting policy. Rows:
-  /// (policy_id, behavior, matches).
-  Result<sqldb::QueryResult> ConflictReport();
+  /// Per-policy behavior counts — what a site owner would study to refine
+  /// a conflicting policy. Every match that found a policy, computed or
+  /// served from the match cache, counts once; the counts live in memory,
+  /// so a disk-backed reopen starts them at zero. Rows ordered by policy id
+  /// then behavior, zero counts left out.
+  std::vector<ConflictCount> ConflictReport() const;
 
   /// Ids of installed policies, in install order (ascending).
   std::vector<int64_t> policy_ids() const;
@@ -411,17 +421,21 @@ class PolicyServer {
   /// Null when the id is not installed.
   const PolicyEntry* FindPolicy(int64_t policy_id) const;
   /// Appends `entry` (already in the catalog), keeping only the evidence
-  /// this engine reads of the `dom` the non-SQL engines pass.
+  /// this engine reads of the `dom` the non-SQL engines pass, and gives it
+  /// zeroed conflict counts in every stripe.
   void AddPolicy(PolicyEntry entry);
+  /// Counts one match against `policy` that ended in `behavior` into the
+  /// calling thread's stripe. A behavior outside appel::kBehaviors (only a
+  /// hand-assembled CompiledPreference can produce one) is not counted.
+  void CountMatch(const PolicyEntry& policy, std::string_view behavior);
   Result<MatchResult> EvaluateAgainstCurrent(const CompiledPreference& pref,
                                              const PolicyEntry& policy,
                                              obs::TraceContext* trace);
-  Status RecordMatch(const MatchResult& result);
 
   /// The one match pipeline behind MatchPolicyId/MatchUri/MatchCookie:
   /// span, shared lock, the id existence check, match-cache probe,
   /// reference-file resolution for URI/cookie subjects, evaluation, the
-  /// MatchLog row (a hit or a computed match that found a policy),
+  /// conflict count (a hit or a computed match that found a policy),
   /// memoization and tally. `policy_id` is read for kPolicyId, `path` for
   /// kUri/kCookie.
   Result<MatchResult> Match(const CompiledPreference& pref,
@@ -441,22 +455,34 @@ class PolicyServer {
   void CollectMetrics(obs::MetricsSnapshot* snapshot) const;
 
   Options options_;
-  // Reader/writer: installs and ConflictReport lock exclusively; matches,
-  // compiles, and catalog lookups lock shared (read-only against db_ and
-  // the in-memory maps). Private *Locked helpers assume the caller holds
-  // it (either mode); it is never taken shared recursively (see the
-  // locking note above).
+  // Reader/writer: installs lock exclusively; matches, compiles, catalog
+  // lookups and ConflictReport lock shared (read-only against db_ and the
+  // in-memory maps). Private *Locked helpers assume the caller holds it
+  // (either mode); it is never taken shared recursively (see the locking
+  // note above).
   mutable StripedSharedMutex mu_;
-  // Serializes MatchLog appends (next_match_id_ and the InsertRow), which
-  // happen under the *shared* main lock when record_matches is on. MatchLog
-  // is only read by ConflictReport, which holds the exclusive lock.
-  mutable std::mutex match_log_mu_;
   sqldb::Database db_;
   shredder::PolicyCatalog catalog_{&db_};
   appel::NativeEngine native_engine_;
 
   // In install order, which sorts them by id on every engine.
   std::vector<PolicyEntry> policies_;
+  // Conflict counts, stripe-major: stripe s holds one dense array of
+  // policies_.size() x appel::kBehaviors counts (policy position major),
+  // written only by the threads of ThreadStripe() s with relaxed atomic_ref
+  // increments under the shared lock, and summed by ConflictReport. Each
+  // array starts and ends on a cache-line boundary, so a warm hit writes
+  // only its own stripe's lines. Grown by AddPolicy under the exclusive
+  // lock.
+  struct alignas(64) CountLine {
+    static constexpr size_t kCounts = 8;
+    uint64_t counts[kCounts] = {};
+  };
+  mutable std::array<std::vector<CountLine>, kThreadStripes> conflict_counts_;
+  /// The count of (policies_[policy], appel::kBehaviors[behavior]) in
+  /// `stripe`.
+  static std::atomic_ref<uint64_t> ConflictCountRef(
+      std::vector<CountLine>& stripe, size_t policy, size_t behavior);
   // Native-path URI resolution; nullopt until one is installed.
   std::optional<p3p::ReferenceFile> reference_file_;
 
@@ -471,7 +497,6 @@ class PolicyServer {
   std::unique_ptr<shredder::SimpleShredder> simple_shredder_;
   std::unique_ptr<shredder::OptimizedShredder> optimized_shredder_;
   std::unique_ptr<shredder::ReferenceShredder> reference_shredder_;
-  int64_t next_match_id_ = 1;  // guarded by match_log_mu_
 
   // Admin HTTP endpoint (null unless Options::enable_admin_endpoint).
   // Started last in Init and stopped first in the destructor, so its

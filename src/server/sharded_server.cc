@@ -1,6 +1,7 @@
 #include "server/sharded_server.h"
 
 #include <functional>
+#include <map>
 #include <shared_mutex>
 #include <utility>
 
@@ -154,7 +155,10 @@ Result<int64_t> ShardedPolicyServer::ApplyAndPublish(
   // disk. Refuse the shard until a restart replays cleanly.
   auto install = [&](PolicyServer& replica) {
     Result<int64_t> installed = replica.InstallPolicy(policy);
-    if (!installed.ok()) shard.poisoned = installed.status();
+    if (!installed.ok()) {
+      shard.poisoned = installed.status();
+      shard.is_poisoned.store(true, std::memory_order_relaxed);
+    }
     return installed;
   };
   const int spare = 1 - shard.published.load(std::memory_order_relaxed);
@@ -365,6 +369,24 @@ std::vector<int64_t> ShardedPolicyServer::GlobalPolicyIds() const {
   return ids;
 }
 
+std::vector<ConflictCount> ShardedPolicyServer::ConflictReport() const {
+  std::map<std::pair<int64_t, std::string>, uint64_t> sums;
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    for (const std::unique_ptr<PolicyServer>& replica : shards_[k]->replicas) {
+      for (ConflictCount& row : replica->ConflictReport()) {
+        sums[{GlobalId(row.policy_id, k), std::move(row.behavior)}] +=
+            row.matches;
+      }
+    }
+  }
+  std::vector<ConflictCount> rows;
+  rows.reserve(sums.size());
+  for (auto& [key, matches] : sums) {
+    rows.push_back({key.first, key.second, matches});
+  }
+  return rows;
+}
+
 std::string ShardedPolicyServer::RenderHealthzJson() const {
   uint64_t matches = 0;
   size_t policies = 0;
@@ -372,10 +394,7 @@ std::string ShardedPolicyServer::RenderHealthzJson() const {
   bool poisoned = false;
   for (size_t k = 0; k < shards_.size(); ++k) {
     Shard& shard = *shards_[k];
-    {
-      std::lock_guard<std::mutex> lock(shard.install_mu);
-      poisoned = poisoned || !shard.poisoned.ok();
-    }
+    poisoned = poisoned || shard.is_poisoned.load(std::memory_order_relaxed);
     const size_t shard_policies =
         shard.policies.load(std::memory_order_relaxed);
     policies += shard_policies;

@@ -204,6 +204,12 @@ class ShardedPolicyServer {
   /// each shard (holds one published replica's shared lock at a time).
   std::vector<int64_t> GlobalPolicyIds() const;
 
+  /// PolicyServer::ConflictReport over the whole tier, by global id. A
+  /// match counts in the replica it ran on, so each shard's two replicas
+  /// are summed (one replica's shared lock at a time). Ordered by global
+  /// id then behavior, zero counts left out.
+  std::vector<ConflictCount> ConflictReport() const;
+
   // -- Observability -------------------------------------------------------
 
   /// Tier health: epoch plus per-shard policy counts, publish counts, and
@@ -257,8 +263,11 @@ class ShardedPolicyServer {
     std::atomic<size_t> policies{0};  // installed in each replica
     /// Sticky failure: a replica that diverged mid-install (durable store
     /// has the policy, the replica does not) poisons the shard rather than
-    /// serving a catalog that disagrees with disk.
+    /// serving a catalog that disagrees with disk. Guarded by install_mu.
     Status poisoned = Status::OK();
+    /// Set with `poisoned` and never cleared, so /healthz reads it without
+    /// waiting for a running install.
+    std::atomic<bool> is_poisoned{false};
     std::atomic<uint64_t> publishes{0};
     // Tier instruments (null when collect_metrics is off).
     obs::Counter* matches_total = nullptr;

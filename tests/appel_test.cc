@@ -8,6 +8,7 @@
 #include "appel/model.h"
 #include "common/random.h"
 #include "p3p/policy_xml.h"
+#include "server/policy_server.h"
 #include "workload/paper_examples.h"
 #include "workload/random_preferences.h"
 #include "xml/parser.h"
@@ -51,6 +52,49 @@ TEST(ModelTest, ValidateRejectsMidCatchAll) {
 TEST(ModelTest, ValidateRejectsEmptyRuleset) {
   AppelRuleset rs;
   EXPECT_FALSE(rs.Validate().ok());
+}
+
+// APPEL 1.0 defines exactly three behaviors. Any other value fails
+// Validate, and so fails CompilePreference on every engine; each of the
+// three passes both.
+TEST(ModelTest, OnlyTheThreeSpecBehaviorsValidate) {
+  std::vector<std::unique_ptr<server::PolicyServer>> servers;
+  for (server::EngineKind engine :
+       {server::EngineKind::kNativeAppel, server::EngineKind::kSql,
+        server::EngineKind::kSqlSimple, server::EngineKind::kXQueryNative,
+        server::EngineKind::kXQueryXTable}) {
+    server::PolicyServer::Options options;
+    options.engine = engine;
+    auto server = server::PolicyServer::Create(options);
+    ASSERT_TRUE(server.ok()) << server.status();
+    servers.push_back(std::move(server.value()));
+  }
+  auto with_behavior = [](std::string_view behavior) {
+    AppelRuleset rs = workload::JanePreference();
+    rs.rules[1].behavior = std::string(behavior);
+    return rs;
+  };
+  for (const char* behavior : {"prompt", "b"}) {
+    SCOPED_TRACE(behavior);
+    const AppelRuleset rs = with_behavior(behavior);
+    EXPECT_EQ(rs.Validate().code(), StatusCode::kInvalidArgument);
+    for (const auto& server : servers) {
+      SCOPED_TRACE(server::EngineKindName(server->options().engine));
+      auto compiled = server->CompilePreference(rs);
+      ASSERT_FALSE(compiled.ok());
+      EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  for (std::string_view behavior : kBehaviors) {
+    SCOPED_TRACE(behavior);
+    const AppelRuleset rs = with_behavior(behavior);
+    EXPECT_TRUE(rs.Validate().ok()) << rs.Validate();
+    for (const auto& server : servers) {
+      SCOPED_TRACE(server::EngineKindName(server->options().engine));
+      auto compiled = server->CompilePreference(rs);
+      EXPECT_TRUE(compiled.ok()) << compiled.status();
+    }
+  }
 }
 
 TEST(ModelTest, XmlRoundTrip) {

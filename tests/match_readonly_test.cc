@@ -1,10 +1,12 @@
 // The read-only match path: the generated rule queries take the applicable
 // policy id as a bind parameter, so (a) their rows are identical to the
 // paper-text queries that join a materialized ApplicablePolicy row, and
-// (b) a match with record_matches off mutates no table at all, for every
-// SQL engine.
+// (b) a match mutates no table at all, for every SQL engine, and writes
+// no WAL record on a disk-backed server.
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
 
 #include "server/policy_server.h"
 #include "translator/sql_optimized.h"
@@ -95,9 +97,9 @@ TEST(MatchReadonlyTest, PreparedWithParamsMatchesLiteralQueryRows) {
   }
 }
 
-// Acceptance criterion of the read-only path: with record_matches off, a
-// match changes no table — neither live row counts nor tombstones.
-TEST(MatchReadonlyTest, MatchMutatesNoTableWhenNotRecording) {
+// Acceptance criterion of the read-only path: a match changes no table —
+// neither live row counts nor tombstones.
+TEST(MatchReadonlyTest, MatchMutatesNoTable) {
   std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
   for (EngineKind engine : {EngineKind::kSql, EngineKind::kSqlSimple,
                             EngineKind::kXQueryXTable}) {
@@ -134,6 +136,52 @@ TEST(MatchReadonlyTest, MatchMutatesNoTableWhenNotRecording) {
     }
     EXPECT_EQ(table_state(), before);
   }
+}
+
+// On a disk-backed server a match writes nothing durable: across 100
+// matches, by id and by URI, cached and computed, the WAL takes no record
+// and no fsync.
+TEST(MatchReadonlyTest, DiskBackedMatchWritesNoWal) {
+  const std::string dir = ::testing::TempDir() + "p3pdb_match_readonly_wal";
+  std::filesystem::remove_all(dir);
+  std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
+  PolicyServer::Options options;
+  options.engine = EngineKind::kSql;
+  options.storage_path = dir;
+  auto server = PolicyServer::Create(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  std::vector<int64_t> ids;
+  for (const p3p::Policy& policy : corpus) {
+    auto id = server.value()->InstallPolicy(policy);
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(id.value());
+  }
+  ASSERT_TRUE(server.value()
+                  ->InstallReferenceFile(workload::CorpusReferenceFile(corpus))
+                  .ok());
+  auto pref = server.value()->CompilePreference(
+      JrcPreference(PreferenceLevel::kHigh));
+  ASSERT_TRUE(pref.ok());
+
+  auto wal = [&] {
+    const obs::MetricsSnapshot snap = server.value()->MetricsSnapshot();
+    return std::make_pair(snap.counters.at("p3p_storage_wal_records_total"),
+                          snap.counters.at("p3p_storage_wal_syncs_total"));
+  };
+  const auto before = wal();
+  EXPECT_GT(before.first, 0u);
+  for (int i = 0; i < 100; ++i) {
+    const size_t pick = static_cast<size_t>(i) % 20;
+    auto match = i % 2 == 0
+                     ? server.value()->MatchPolicyId(pref.value(), ids[pick])
+                     : server.value()->MatchUri(
+                           pref.value(), "/" + corpus[pick].name + "/x");
+    ASSERT_TRUE(match.ok()) << match.status();
+    EXPECT_TRUE(match.value().policy_found);
+  }
+  EXPECT_EQ(wal(), before);
+  server.value().reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -486,7 +486,7 @@ TEST(TraceTest, SpansNestAndCarryData) {
       inner.AddCount("rows", 2);
       inner.AddCount("rows", 3);  // accumulates into one counter
     }
-    ScopedSpan sibling(&trace, "record-match");
+    ScopedSpan sibling(&trace, "ref-lookup");
   }
   const TraceSpan* root = trace.root();
   ASSERT_NE(root, nullptr);
@@ -494,10 +494,10 @@ TEST(TraceTest, SpansNestAndCarryData) {
   ASSERT_EQ(root->children.size(), 2u);
   EXPECT_EQ(root->children[0]->name, "rule-query");
   EXPECT_EQ(root->children[0]->CounterValue("rows"), 5u);
-  EXPECT_EQ(root->children[1]->name, "record-match");
+  EXPECT_EQ(root->children[1]->name, "ref-lookup");
   EXPECT_GE(root->elapsed_us, root->children[0]->elapsed_us);
 
-  EXPECT_EQ(trace.FindSpan("record-match"), root->children[1].get());
+  EXPECT_EQ(trace.FindSpan("ref-lookup"), root->children[1].get());
   EXPECT_EQ(trace.FindSpan("absent"), nullptr);
   EXPECT_EQ(root->FindChild("rule-query"), root->children[0].get());
 }

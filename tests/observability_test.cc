@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "obs/trace.h"
 #include "server/policy_server.h"
@@ -21,10 +24,9 @@ using obs::TraceContext;
 using obs::TraceSpan;
 
 Result<std::unique_ptr<PolicyServer>> MakeSqlServer(
-    bool record_matches = false, bool use_prepared_statements = false) {
+    bool use_prepared_statements = false) {
   PolicyServer::Options options;
   options.engine = EngineKind::kSql;
-  options.record_matches = record_matches;
   options.use_prepared_statements = use_prepared_statements;
   P3PDB_ASSIGN_OR_RETURN(std::unique_ptr<PolicyServer> server,
                          PolicyServer::Create(options));
@@ -100,7 +102,7 @@ TEST(ObservabilityTest, PreAugmentedEngineSkipsAugmentationSpan) {
 }
 
 TEST(ObservabilityTest, SqlMatchTraceShape) {
-  auto server = MakeSqlServer(/*record_matches=*/true);
+  auto server = MakeSqlServer();
   ASSERT_TRUE(server.ok());
   auto pref = server.value()->CompilePreference(workload::JanePreference());
   ASSERT_TRUE(pref.ok());
@@ -119,7 +121,6 @@ TEST(ObservabilityTest, SqlMatchTraceShape) {
   ASSERT_NE(ref, nullptr) << trace.RenderText();
   EXPECT_NE(trace.FindSpan("sql-execute"), nullptr) << trace.RenderText();
   EXPECT_NE(trace.FindSpan("rule-query"), nullptr) << trace.RenderText();
-  EXPECT_NE(trace.FindSpan("record-match"), nullptr) << trace.RenderText();
 
   // The rendered tree carries the engine attribute and per-span counters.
   std::string text = trace.RenderText();
@@ -127,8 +128,7 @@ TEST(ObservabilityTest, SqlMatchTraceShape) {
 }
 
 TEST(ObservabilityTest, TracedCompileHasTranslateAndPrepareSpans) {
-  auto server = MakeSqlServer(/*record_matches=*/false,
-                              /*use_prepared_statements=*/true);
+  auto server = MakeSqlServer(/*use_prepared_statements=*/true);
   ASSERT_TRUE(server.ok());
   TraceContext trace;
   auto pref = server.value()->CompilePreference(workload::JanePreference(),
@@ -228,8 +228,8 @@ TEST(ObservabilityTest, ProxyCountsRequestsAndForwardsTrace) {
 // The per-subject match contract every Match* entry point keeps: one root
 // `match` span carrying the subject attribute and (on a cached server) the
 // cache outcome, one tally per match routed into the hit/miss histograms,
-// one MatchLog row per match with cache hits included, and NotFound for an
-// id that was never installed.
+// a conflict count per returned result with cache hits included, and
+// NotFound for an id that was never installed.
 enum class Subject { kPolicyId, kUri, kCookie };
 
 constexpr const char* kContractPath = "/catalog/specials";
@@ -264,7 +264,6 @@ void CheckMatchContract(EngineKind engine, bool enable_match_cache) {
                  << " subject=" << static_cast<int>(subject));
     PolicyServer::Options options;
     options.engine = engine;
-    options.record_matches = true;
     options.enable_match_cache = enable_match_cache;
     auto server = PolicyServer::Create(options);
     ASSERT_TRUE(server.ok()) << server.status();
@@ -280,6 +279,7 @@ void CheckMatchContract(EngineKind engine, bool enable_match_cache) {
 
     constexpr int kMatches = 3;
     std::string first_behavior;
+    std::map<std::pair<int64_t, std::string>, uint64_t> tally;
     for (int i = 0; i < kMatches; ++i) {
       TraceContext trace;
       auto result = MatchSubjectOnce(server.value().get(), pref.value(),
@@ -289,6 +289,7 @@ void CheckMatchContract(EngineKind engine, bool enable_match_cache) {
       EXPECT_EQ(result.value().policy_id, policy_id.value());
       if (i == 0) first_behavior = result.value().behavior;
       EXPECT_EQ(result.value().behavior, first_behavior);
+      ++tally[{result.value().policy_id, result.value().behavior}];
 
       const TraceSpan* root = trace.root();
       ASSERT_NE(root, nullptr);
@@ -316,8 +317,6 @@ void CheckMatchContract(EngineKind engine, bool enable_match_cache) {
       EXPECT_EQ(root->FindChild("ref-lookup") != nullptr,
                 subject != Subject::kPolicyId && !hit)
           << trace.RenderText();
-      EXPECT_NE(root->FindChild("record-match"), nullptr)
-          << trace.RenderText();
     }
 
     obs::MetricsSnapshot snap = server.value()->MetricsSnapshot();
@@ -331,13 +330,14 @@ void CheckMatchContract(EngineKind engine, bool enable_match_cache) {
     EXPECT_EQ(snap.histograms.at("p3p_match_cache_miss_duration_us").count,
               cached ? 1u : 0u);
 
-    // One MatchLog row per match, cache hits included.
-    auto report = server.value()->ConflictReport();
-    ASSERT_TRUE(report.ok()) << report.status();
-    ASSERT_EQ(report.value().rows.size(), 1u);
-    EXPECT_EQ(report.value().rows[0][0].AsInteger(), policy_id.value());
-    EXPECT_EQ(report.value().rows[0][1].AsText(), first_behavior);
-    EXPECT_EQ(report.value().rows[0][2].AsInteger(), kMatches);
+    // One count per returned result, cache hits included.
+    std::vector<ConflictCount> expected;
+    for (const auto& [key, matches] : tally) {
+      expected.push_back({key.first, key.second, matches});
+    }
+    ASSERT_EQ(expected.size(), 1u);
+    EXPECT_EQ(expected[0].matches, static_cast<uint64_t>(kMatches));
+    EXPECT_EQ(server.value()->ConflictReport(), expected);
 
     auto unknown = server.value()->MatchPolicyId(pref.value(), 999);
     ASSERT_FALSE(unknown.ok());
@@ -346,18 +346,14 @@ void CheckMatchContract(EngineKind engine, bool enable_match_cache) {
   }
 }
 
-TEST(ObservabilityTest, MatchContractPerSubjectOnCachedSqlServer) {
-  CheckMatchContract(EngineKind::kSql, /*enable_match_cache=*/true);
-}
-
-TEST(ObservabilityTest, MatchContractPerSubjectOnUncachedSqlServer) {
-  CheckMatchContract(EngineKind::kSql, /*enable_match_cache=*/false);
-}
-
-TEST(ObservabilityTest, MatchContractPerSubjectOnXTableServer) {
-  // XTABLE binds the policy id like the other SQL engines, so it is cached
-  // and shares the lock.
-  CheckMatchContract(EngineKind::kXQueryXTable, /*enable_match_cache=*/true);
+TEST(ObservabilityTest, MatchContractPerSubjectOnEveryEngine) {
+  for (EngineKind engine :
+       {EngineKind::kNativeAppel, EngineKind::kSql, EngineKind::kSqlSimple,
+        EngineKind::kXQueryNative, EngineKind::kXQueryXTable}) {
+    for (bool enable_match_cache : {true, false}) {
+      CheckMatchContract(engine, enable_match_cache);
+    }
+  }
 }
 
 }  // namespace

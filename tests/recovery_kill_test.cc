@@ -423,9 +423,9 @@ void VerifyRecovered(const std::string& dir, const Workload& w,
 
   // Index/heap consistency of everything recovered.
   for (const char* name :
-       {"PolicyCatalog", "MatchLog", "RefFileCatalog", "KvStore", "Policy",
-        "Statement", "Purpose", "Recipient", "Data", "Categories", "Meta",
-        "Policyref", "Include", "Exclude", "CookieInclude", "CookieExclude",
+       {"PolicyCatalog", "RefFileCatalog", "KvStore", "Policy", "Statement",
+        "Purpose", "Recipient", "Data", "Categories", "Meta", "Policyref",
+        "Include", "Exclude", "CookieInclude", "CookieExclude",
         "ApplicablePolicy"}) {
     const sqldb::Table* table = server->database()->LookupTable(name);
     if (table != nullptr) VerifyTableIndexes(table, ctx);

@@ -1,10 +1,12 @@
 // Tests for the PolicyServer facade: engine setup, policy versioning,
-// reference-file replacement, match logging / conflict analytics, and the
+// reference-file replacement, conflict counts, and the
 // option validation rules.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "server/policy_server.h"
@@ -150,24 +152,39 @@ TEST(PolicyServerTest, MatchUriWithoutReferenceFileFails) {
   EXPECT_FALSE(server->MatchUri(pref.value(), "/x").ok());
 }
 
-TEST(PolicyServerTest, ConflictReportAggregatesMatchLog) {
-  // Every match that found a policy is logged once, whether it was computed
+/// What ConflictReport should hold after `results`: one count per result
+/// that found a policy, ordered by policy id then behavior.
+std::vector<ConflictCount> TallyResults(
+    const std::vector<MatchResult>& results) {
+  std::map<std::pair<int64_t, std::string>, uint64_t> tally;
+  for (const MatchResult& result : results) {
+    if (result.policy_found) ++tally[{result.policy_id, result.behavior}];
+  }
+  std::vector<ConflictCount> rows;
+  for (const auto& [key, matches] : tally) {
+    rows.push_back({key.first, key.second, matches});
+  }
+  return rows;
+}
+
+TEST(PolicyServerTest, ConflictReportEqualsTallyOfResults) {
+  // Every match that found a policy counts once, whether it was computed
   // or served from the match cache, and a URI that no policy covers (the
-  // reference file excludes /about/*) logs nothing. So the report is the
-  // same with the cache on and off, on every engine.
+  // reference file excludes /about/*) counts nothing. So the report equals
+  // a tally of the returned results, and is the same with the cache on and
+  // off, on every engine.
   constexpr EngineKind kEngines[] = {
       EngineKind::kNativeAppel, EngineKind::kSql, EngineKind::kSqlSimple,
       EngineKind::kXQueryNative, EngineKind::kXQueryXTable};
   constexpr int kRepeats = 2;
   const std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
   for (EngineKind engine : kEngines) {
-    std::string uncached_report;
+    std::vector<ConflictCount> uncached_report;
     for (bool cached : {false, true}) {
       SCOPED_TRACE(::testing::Message()
                    << EngineKindName(engine) << " cache=" << cached);
       PolicyServer::Options options;
       options.engine = engine;
-      options.record_matches = true;
       options.enable_match_cache = cached;
       auto server = MustCreate(options);
       std::vector<int64_t> ids;
@@ -181,42 +198,43 @@ TEST(PolicyServerTest, ConflictReportAggregatesMatchLog) {
       auto pref = server->CompilePreference(
           workload::JrcPreference(workload::PreferenceLevel::kHigh));
       ASSERT_TRUE(pref.ok()) << pref.status();
+      EXPECT_TRUE(server->ConflictReport().empty());
       // Every match after the first of each subject is a cache hit on the
       // cached server.
+      std::vector<MatchResult> results;
       for (int i = 0; i < kRepeats; ++i) {
         for (int64_t id : ids) {
-          ASSERT_TRUE(server->MatchPolicyId(pref.value(), id).ok());
+          auto match = server->MatchPolicyId(pref.value(), id);
+          ASSERT_TRUE(match.ok()) << match.status();
+          results.push_back(match.value());
         }
         auto covered = server->MatchUri(pref.value(), "/catalog/specials");
         ASSERT_TRUE(covered.ok()) << covered.status();
         EXPECT_TRUE(covered.value().policy_found);
+        results.push_back(covered.value());
         auto excluded = server->MatchUri(pref.value(), "/about/team");
         ASSERT_TRUE(excluded.ok()) << excluded.status();
         EXPECT_FALSE(excluded.value().policy_found);
+        results.push_back(excluded.value());
       }
 
-      auto report = server->ConflictReport();
-      ASSERT_TRUE(report.ok()) << report.status();
-      int64_t total = 0;
+      const std::vector<ConflictCount> report = server->ConflictReport();
+      EXPECT_EQ(report, TallyResults(results));
+      uint64_t total = 0;
       bool saw_block = false, saw_request = false;
-      std::string rendered;
-      for (const auto& row : report.value().rows) {
-        EXPECT_GE(row[0].AsInteger(), 0) << "a no-policy match was logged";
-        total += row[2].AsInteger();
-        if (row[1].AsText() == "block") saw_block = true;
-        if (row[1].AsText() == "request") saw_request = true;
-        rendered += std::to_string(row[0].AsInteger()) + " " +
-                    row[1].AsText() + " " +
-                    std::to_string(row[2].AsInteger()) + "\n";
+      for (const ConflictCount& row : report) {
+        total += row.matches;
+        if (row.behavior == "block") saw_block = true;
+        if (row.behavior == "request") saw_request = true;
       }
-      EXPECT_EQ(total, kRepeats * static_cast<int64_t>(ids.size() + 1));
+      EXPECT_EQ(total, kRepeats * (ids.size() + 1));
       // The site owner sees both conforming and conflicting policies.
       EXPECT_TRUE(saw_block);
       EXPECT_TRUE(saw_request);
       if (cached) {
-        EXPECT_EQ(rendered, uncached_report);
+        EXPECT_EQ(report, uncached_report);
       } else {
-        uncached_report = rendered;
+        uncached_report = report;
       }
     }
   }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
@@ -14,6 +15,8 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "appel/model.h"
@@ -1267,6 +1270,220 @@ TEST(ServingTierTest, RepeatedAttributeNeverSharesACachedVerdict) {
   EXPECT_EQ(verdicts[0],
             (std::vector<std::string>{"request", "block", "request"}));
   EXPECT_EQ(verdicts[1], verdicts[0]);
+}
+
+/// The report a tally of match results implies: one count per (policy id,
+/// behavior) of every result that found a policy, in ConflictReport order.
+std::vector<ConflictCount> ReportOf(
+    const std::map<std::pair<int64_t, std::string>, uint64_t>& tally) {
+  std::vector<ConflictCount> rows;
+  for (const auto& [key, matches] : tally) {
+    rows.push_back({key.first, key.second, matches});
+  }
+  return rows;
+}
+
+// The tier counts every match exactly once while installs flip replicas:
+// matchers by id and by URI race an installer that re-installs policies
+// (each install publishes the spare and then installs into the retired
+// replica, and a re-installed name republishes the directory). The tier's
+// report, summed over both replicas of each shard, equals the tally of the
+// results the matchers got back. Set P3PDB_SERVING_TIER_SEED to replay a
+// printed seed.
+TEST(ServingTierTest, ConflictCountsSurviveReplicaFlips) {
+  const uint64_t seed = SeedFromEnv("P3PDB_SERVING_TIER_SEED", 37);
+  SCOPED_TRACE(::testing::Message()
+               << "seed " << seed << " (replay: P3PDB_SERVING_TIER_SEED="
+               << seed << ")");
+  const std::vector<p3p::Policy> corpus =
+      workload::FortuneCorpus({.policy_count = 12});
+  auto tier = ShardedPolicyServer::Create(TierOptions(2));
+  ASSERT_TRUE(tier.ok()) << tier.status().message();
+  std::vector<int64_t> ids;
+  for (const p3p::Policy& policy : corpus) {
+    auto id = tier.value()->InstallPolicy(policy);
+    ASSERT_TRUE(id.ok()) << id.status().message();
+    ids.push_back(id.value());
+  }
+  ASSERT_TRUE(tier.value()
+                  ->InstallReferenceFile(workload::CorpusReferenceFile(corpus))
+                  .ok());
+  std::vector<CompiledPreference> prefs;
+  for (PreferenceLevel level :
+       {PreferenceLevel::kHigh, PreferenceLevel::kLow}) {
+    auto pref = tier.value()->CompilePreference(JrcPreference(level));
+    ASSERT_TRUE(pref.ok()) << pref.status().message();
+    prefs.push_back(std::move(pref.value()));
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kMatchesPerThread = 400;
+  std::atomic<int> errors{0};
+  std::atomic<int> matchers_done{0};
+  std::thread installer([&] {
+    // Installs for as long as the matchers run (at least 4, at most 200),
+    // reading the report between installs: its total never falls.
+    Random rng(seed);
+    uint64_t last_total = 0;
+    for (int i = 0; i < 200 && (i < 4 || matchers_done.load() < kThreads);
+         ++i) {
+      if (!tier.value()->InstallPolicy(corpus[rng.Uniform(corpus.size())])
+               .ok()) {
+        ++errors;
+      }
+      uint64_t total = 0;
+      for (const ConflictCount& row : tier.value()->ConflictReport()) {
+        total += row.matches;
+      }
+      if (total < last_total) ++errors;
+      last_total = total;
+    }
+  });
+  using Tally = std::map<std::pair<int64_t, std::string>, uint64_t>;
+  std::vector<Tally> tallies(kThreads);
+  std::vector<std::thread> matchers;
+  for (int t = 0; t < kThreads; ++t) {
+    matchers.emplace_back([&, t] {
+      Random rng(seed * kThreads + static_cast<uint64_t>(t) + 1);
+      for (int i = 0; i < kMatchesPerThread; ++i) {
+        const CompiledPreference& pref = prefs[rng.Uniform(prefs.size())];
+        const size_t pick = rng.Uniform(corpus.size());
+        auto match =
+            rng.Uniform(2) == 0
+                ? tier.value()->MatchPolicyId(pref, ids[pick])
+                : tier.value()->MatchUri(
+                      pref, "/" + corpus[pick].name + "/index.html");
+        if (!match.ok() || !match.value().policy_found) {
+          ++errors;
+          continue;
+        }
+        ++tallies[t][{match.value().policy_id, match.value().behavior}];
+      }
+      ++matchers_done;
+    });
+  }
+  installer.join();
+  for (std::thread& matcher : matchers) matcher.join();
+  ASSERT_EQ(errors.load(), 0);
+  Tally tally;
+  for (const Tally& thread_tally : tallies) {
+    for (const auto& [key, matches] : thread_tally) tally[key] += matches;
+  }
+  EXPECT_EQ(tier.value()->ConflictReport(), ReportOf(tally));
+}
+
+// On a seeded stream of installs (a third re-install an earlier name) with
+// seeded matches by id and by URI between them, a 2-shard tier and a single
+// kSql server count the same conflicts: their reports are equal once each
+// tier id is paired with the single server's id of the same install. Set
+// P3PDB_SERVING_TIER_SEED to replay a printed seed.
+TEST(ServingTierTest, TierConflictReportEqualsSingleServer) {
+  const uint64_t seed = SeedFromEnv("P3PDB_SERVING_TIER_SEED", 38);
+  SCOPED_TRACE(::testing::Message()
+               << "seed " << seed << " (replay: P3PDB_SERVING_TIER_SEED="
+               << seed << ")");
+  const std::vector<p3p::Policy> named =
+      workload::FortuneCorpus({.policy_count = 20});
+  Random rng(seed);
+  LockstepPair pair;
+  auto tier = ShardedPolicyServer::Create(TierOptions(2));
+  ASSERT_TRUE(tier.ok()) << tier.status().message();
+  pair.tier = std::move(tier.value());
+  PolicyServer::Options single_options;
+  single_options.engine = EngineKind::kSql;
+  auto single = PolicyServer::Create(single_options);
+  ASSERT_TRUE(single.ok()) << single.status().message();
+  pair.single = std::move(single.value());
+  const p3p::ReferenceFile rf = workload::CorpusReferenceFile(named);
+  ASSERT_TRUE(pair.tier->InstallReferenceFile(rf).ok());
+  ASSERT_TRUE(pair.single->InstallReferenceFile(rf).ok());
+  std::vector<appel::AppelRuleset> rulesets = {
+      JrcPreference(PreferenceLevel::kHigh),
+      JrcPreference(PreferenceLevel::kLow)};
+  rulesets.push_back(
+      workload::RandomPreference(&rng, workload::RandomPreferenceOptions{}));
+  for (const appel::AppelRuleset& ruleset : rulesets) {
+    auto tier_pref = pair.tier->CompilePreference(ruleset);
+    auto single_pref = pair.single->CompilePreference(ruleset);
+    ASSERT_TRUE(tier_pref.ok() && single_pref.ok());
+    pair.tier_prefs.push_back(std::move(tier_pref.value()));
+    pair.single_prefs.push_back(std::move(single_pref.value()));
+  }
+
+  for (size_t fresh = 0; pair.tier_ids.size() < 30;) {
+    p3p::Policy policy;
+    if (fresh == named.size() || (fresh > 0 && rng.Uniform(3) == 0)) {
+      policy = named[rng.Uniform(named.size())];
+      policy.name = named[rng.Uniform(fresh)].name;
+    } else {
+      policy = named[fresh++];
+    }
+    auto tier_id = pair.tier->InstallPolicy(policy);
+    auto single_id = pair.single->InstallPolicy(policy);
+    ASSERT_TRUE(tier_id.ok() && single_id.ok());
+    pair.tier_ids.push_back(tier_id.value());
+    pair.single_ids.push_back(single_id.value());
+    for (int m = 0; m < 8; ++m) {
+      const size_t pref = rng.Uniform(rulesets.size());
+      if (rng.Uniform(2) == 0) {
+        const size_t i = rng.Uniform(pair.tier_ids.size());
+        ASSERT_TRUE(
+            pair.tier->MatchPolicyId(pair.tier_prefs[pref], pair.tier_ids[i])
+                .ok());
+        ASSERT_TRUE(pair.single
+                        ->MatchPolicyId(pair.single_prefs[pref],
+                                        pair.single_ids[i])
+                        .ok());
+      } else {
+        const std::string path =
+            "/" + named[rng.Uniform(named.size())].name + "/index.html";
+        ASSERT_TRUE(pair.tier->MatchUri(pair.tier_prefs[pref], path).ok());
+        ASSERT_TRUE(
+            pair.single->MatchUri(pair.single_prefs[pref], path).ok());
+      }
+    }
+  }
+
+  const std::vector<ConflictCount> want = pair.single->ConflictReport();
+  std::vector<ConflictCount> got = pair.tier->ConflictReport();
+  for (ConflictCount& row : got) {
+    const auto install = std::find(pair.tier_ids.begin(), pair.tier_ids.end(),
+                                   row.policy_id);
+    ASSERT_NE(install, pair.tier_ids.end()) << row.policy_id;
+    row.policy_id = pair.single_ids[install - pair.tier_ids.begin()];
+  }
+  std::sort(got.begin(), got.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.policy_id, a.behavior) <
+           std::tie(b.policy_id, b.behavior);
+  });
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(got, want);
+}
+
+// /healthz reads each shard's poisoned flag without taking the install
+// lock, so it answers while an install waits for its durable commit (here
+// a 300 ms group-commit window).
+TEST(ServingTierTest, HealthzDoesNotWaitForARunningInstall) {
+  const std::string dir = TestDir("healthz_install");
+  ShardedPolicyServer::Options options = TierOptions(2);
+  options.storage_path = dir;
+  options.storage_group_commit_window_us = 300000;
+  auto tier = ShardedPolicyServer::Create(options);
+  ASSERT_TRUE(tier.ok()) << tier.status().message();
+  std::thread installer([&] {
+    EXPECT_TRUE(
+        tier.value()->InstallPolicy(workload::FortuneCorpus()[0]).ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto start = std::chrono::steady_clock::now();
+  const std::string healthz = tier.value()->RenderHealthzJson();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  installer.join();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
+  EXPECT_NE(healthz.find("\"status\":\"ok\""), std::string::npos)
+      << healthz;
+  tier.value().reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
