@@ -57,7 +57,11 @@ using workload::PreferenceLevel;
 constexpr int kMatchesPerThread = 6400;
 // A warm tier hit costs well under a microsecond, so the tier modes need
 // far more matches per point than the engine modes to dwarf thread startup.
+// One timed loop (~10-25 ms at one thread) lands in one of two clusters on
+// a shared host (~110 and ~180-260 ns per hit), so a tier point times
+// kTierRepetitions loops and reports the fastest.
 constexpr int kTierMatchesPerThread = 100000;
+constexpr int kTierRepetitions = 7;
 constexpr size_t kTierPolicies = 1000;
 // A cold session costs ~100-200 us of thread time.
 constexpr int kSessionsPerThread = 400;
@@ -236,32 +240,38 @@ Result<ThroughputPoint> MeasureTier(ShardedPolicyServer* tier,
     P3PDB_RETURN_IF_ERROR(match(i).status());
   }
 
-  std::vector<std::thread> workers;
-  std::vector<Status> outcomes(threads, Status::OK());
-  std::vector<TimingStats> latencies(threads);
-  std::atomic<bool> go{false};
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      while (!go.load()) std::this_thread::yield();
-      size_t i = static_cast<size_t>(t) * subjects / threads;
-      outcomes[t] = SampledMatches(kTierMatchesPerThread, &latencies[t],
-                                   [&](int) {
-                                     auto r = match(i);
-                                     if (++i == subjects) i = 0;
-                                     return r;
-                                   });
-    });
-  }
-  Stopwatch sw;
-  go.store(true);
-  for (std::thread& w : workers) w.join();
   ThroughputPoint point;
-  point.elapsed_us = sw.ElapsedMicros();
-  for (const Status& s : outcomes) {
-    if (!s.ok()) return s;
-  }
-  for (const TimingStats& per_thread : latencies) {
-    for (double us : per_thread.samples()) point.latency_us.Add(us);
+  for (int rep = 0; rep < kTierRepetitions; ++rep) {
+    std::vector<std::thread> workers;
+    std::vector<Status> outcomes(threads, Status::OK());
+    std::vector<TimingStats> latencies(threads);
+    std::atomic<bool> go{false};
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        size_t i = static_cast<size_t>(t) * subjects / threads;
+        outcomes[t] = SampledMatches(kTierMatchesPerThread, &latencies[t],
+                                     [&](int) {
+                                       auto r = match(i);
+                                       if (++i == subjects) i = 0;
+                                       return r;
+                                     });
+      });
+    }
+    Stopwatch sw;
+    go.store(true);
+    for (std::thread& w : workers) w.join();
+    const double elapsed_us = sw.ElapsedMicros();
+    for (const Status& s : outcomes) {
+      if (!s.ok()) return s;
+    }
+    if (rep > 0 && elapsed_us >= point.elapsed_us) continue;
+    // The fastest loop so far: its wall time and its latency samples.
+    point.elapsed_us = elapsed_us;
+    point.latency_us = TimingStats();
+    for (const TimingStats& per_thread : latencies) {
+      for (double us : per_thread.samples()) point.latency_us.Add(us);
+    }
   }
   point.mode = by_uri ? "tier_uri" : "tier_policy_id";
   point.threads = threads;

@@ -13,6 +13,12 @@
 // shard's replica of the serving tier. Samples are per-statement
 // microseconds; `matches_per_sec` carries statements prepared per second.
 //
+// `micro/index_lookup` times Index::Lookup alone: every (index, key) pair
+// of a kSql replica holding all 1,000 corpus policies, probed in a seeded
+// random order, each probe walking its rows. Samples are mean per-probe
+// microseconds over one pass of all the keys; `matches_per_sec` carries
+// probes per second.
+//
 // `micro/plan_evict_cold` times what the plan cache's eviction pays for a
 // plan: destroying it. Rounds of 512 distinct rule queries (twice the
 // default plan-cache capacity) are prepared and executed once on the same
@@ -284,6 +290,70 @@ MicroResult RunPrepareCold(size_t* statements, double* arena_reserved,
   return out;
 }
 
+constexpr int kLookupPasses = 15;
+
+/// micro/index_lookup (see the header comment). `probes` gets the number
+/// of (index, key) pairs in one pass.
+MicroResult RunIndexLookup(size_t* probes) {
+  server::PolicyServer::Options options;
+  options.engine = server::EngineKind::kSql;
+  options.enable_statement_stats = false;
+  options.collect_metrics = false;
+  auto replica = server::PolicyServer::Create(std::move(options));
+  if (!replica.ok()) std::exit(1);
+  for (const p3p::Policy& policy :
+       workload::FortuneCorpus({.policy_count = 1000})) {
+    if (!replica.value()->InstallPolicy(policy).ok()) std::exit(1);
+  }
+  const sqldb::Database& db = *replica.value()->database();
+  struct Probe {
+    const sqldb::Index* index;
+    std::vector<const sqldb::Value*> key;  // into the table's row
+  };
+  std::vector<Probe> order;
+  for (const std::string& name : db.TableNames()) {
+    const sqldb::Table& table = *db.LookupTable(name);
+    for (const auto& index : table.indexes()) {
+      std::set<size_t> seen_first;  // one probe per distinct key
+      for (size_t row = 0; row < table.SlotCount(); ++row) {
+        if (!table.IsLive(row)) continue;
+        Probe probe{index.get(), {}};
+        bool has_null = false;
+        for (size_t ord : index->column_ordinals()) {
+          probe.key.push_back(&table.RowAt(row)[ord]);
+          has_null |= probe.key.back()->is_null();
+        }
+        if (has_null) continue;
+        const sqldb::IndexRows rows = index->Lookup(
+            sqldb::IndexKeyView{probe.key.data(), probe.key.size()});
+        if (seen_first.insert(*rows.begin()).second) {
+          order.push_back(std::move(probe));
+        }
+      }
+    }
+  }
+  Random rng(38);
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.Uniform(i)]);
+  }
+  MicroResult out;
+  size_t sink = 0;
+  for (int pass = 0; pass < kLookupPasses; ++pass) {
+    Stopwatch sw;
+    for (const Probe& probe : order) {
+      for (size_t row : probe.index->Lookup(
+               sqldb::IndexKeyView{probe.key.data(), probe.key.size()})) {
+        sink += row;
+      }
+    }
+    out.timings.Add(sw.ElapsedMicros() / static_cast<double>(order.size()));
+  }
+  if (sink == 0) std::exit(1);  // keeps the probes from being elided
+  *probes = order.size();
+  out.rows_per_sec = 1e6 / out.timings.Percentile(50.0);
+  return out;
+}
+
 constexpr size_t kPlansPerRound = 2 * 256;      // twice the cache's default
 constexpr size_t kColdBytes = size_t{8} << 20;  // written between build/destroy
 
@@ -401,6 +471,16 @@ int Main(int argc, char** argv) {
       statements, cold.timings.Percentile(50.0), cold.timings.Percentile(99.0),
       arena_reserved, arena_used);
   records.push_back(Record("micro/prepare_cold", cold));
+
+  size_t probes = 0;
+  MicroResult lookup = RunIndexLookup(&probes);
+  std::printf(
+      "Index lookup (%zu distinct keys over the indexes of a 1,000-policy "
+      "kSql replica, random order, %d passes): p50 %.1fns, p99 %.1fns per "
+      "probe\n",
+      probes, kLookupPasses, lookup.timings.Percentile(50.0) * 1e3,
+      lookup.timings.Percentile(99.0) * 1e3);
+  records.push_back(Record("micro/index_lookup", lookup));
 
   size_t plans = 0;
   double frees_per_plan = 0.0;

@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace p3pdb {
@@ -63,6 +64,18 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
     if (ca != cb) return false;
   }
   return true;
+}
+
+bool LessIgnoreCase::operator()(std::string_view a, std::string_view b) const {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    auto ca = static_cast<unsigned char>(a[i]);
+    auto cb = static_cast<unsigned char>(b[i]);
+    if (ca >= 'A' && ca <= 'Z') ca = static_cast<unsigned char>(ca - 'A' + 'a');
+    if (cb >= 'A' && cb <= 'Z') cb = static_cast<unsigned char>(cb - 'A' + 'a');
+    if (ca != cb) return ca < cb;
+  }
+  return a.size() < b.size();
 }
 
 std::string ReplaceAll(std::string_view s, std::string_view from,

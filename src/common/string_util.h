@@ -25,6 +25,14 @@ std::string ToLower(std::string_view s);
 /// Case-insensitive ASCII equality (SQL keywords).
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
+/// Case-insensitive ASCII ordering: the order of the lower-cased strings.
+/// Transparent, so a map keyed by it finds a std::string_view with no
+/// lower-cased copy.
+struct LessIgnoreCase {
+  using is_transparent = void;
+  bool operator()(std::string_view a, std::string_view b) const;
+};
+
 bool IsAsciiSpace(char c);
 bool IsAsciiDigit(char c);
 bool IsAsciiAlpha(char c);

@@ -1,5 +1,6 @@
 #include "sqldb/database.h"
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdlib>
@@ -621,7 +622,7 @@ Status Database::CreateTable(TableSchema schema) {
 
 Status Database::DropTable(std::string_view name, bool if_exists) {
   if (!storage_status_.ok()) return storage_status_;
-  auto it = table_names_.find(ToLower(name));
+  auto it = table_names_.find(name);
   if (it == table_names_.end()) {
     if (if_exists) return Status::OK();
     return Status::NotFound("table '" + std::string(name) +
@@ -655,7 +656,7 @@ Status Database::InsertRow(std::string_view table_name, Row row) {
 }
 
 CatalogSlot Database::LookupSlot(std::string_view name) const {
-  auto it = table_names_.find(ToLower(name));
+  auto it = table_names_.find(name);
   return it == table_names_.end() ? kNoSlot : it->second;
 }
 
@@ -679,56 +680,61 @@ std::vector<std::string> Database::TableNames() const {
 }
 
 Status Database::CheckForeignKeys(const Table& table, const Row& row) const {
+  // Runs for every row a shredder writes, so it allocates nothing for a
+  // key of up to kInlineKeyCols columns: the table resolves through the
+  // case-insensitive name map, the ordinals sit on the stack, and the
+  // index is probed with a view over the row's own values.
+  constexpr size_t kInlineKeyCols = 8;
   for (const ForeignKeyDef& fk : table.schema().foreign_keys()) {
     const Table* ref = LookupTable(fk.referenced_table);
     if (ref == nullptr) {
       return Status::Internal("referenced table '" + fk.referenced_table +
                               "' vanished");
     }
-    // Build the referencing key; NULL components skip the check (SQL MATCH
+    const size_t n = fk.columns.size();
+    size_t inline_ords[2 * kInlineKeyCols];
+    const Value* inline_key[kInlineKeyCols];
+    std::vector<size_t> spill_ords;
+    std::vector<const Value*> spill_key;
+    size_t* ords = inline_ords;
+    const Value** key = inline_key;
+    if (n > kInlineKeyCols) {
+      spill_ords.resize(2 * n);
+      spill_key.resize(n);
+      ords = spill_ords.data();
+      key = spill_key.data();
+    }
+    // ords[i] is the row's column for the i-th key column, ref_ords[i] the
+    // referenced table's. A NULL component skips the check (SQL MATCH
     // SIMPLE semantics).
-    std::vector<Value> key_values;
+    size_t* ref_ords = ords + n;
     bool has_null = false;
-    for (const std::string& col : fk.columns) {
-      size_t ord = *table.schema().ColumnIndex(col);
-      if (row[ord].is_null()) {
-        has_null = true;
-        break;
-      }
-      key_values.push_back(row[ord]);
+    for (size_t i = 0; i < n && !has_null; ++i) {
+      ords[i] = *table.schema().ColumnIndex(fk.columns[i]);
+      ref_ords[i] = *ref->schema().ColumnIndex(fk.referenced_columns[i]);
+      has_null = row[ords[i]].is_null();
     }
     if (has_null) continue;
 
-    std::vector<size_t> ref_ordinals;
-    for (const std::string& col : fk.referenced_columns) {
-      ref_ordinals.push_back(*ref->schema().ColumnIndex(col));
-    }
-    const Index* index = ref->FindIndexCovering(ref_ordinals);
+    const Index* index =
+        ref->FindIndexCovering(std::span<const size_t>(ref_ords, n));
     bool found = false;
-    if (index != nullptr &&
-        index->column_ordinals().size() == ref_ordinals.size()) {
-      // Reorder key values to the index's column order.
-      IndexKey key;
-      for (size_t ord : index->column_ordinals()) {
-        for (size_t i = 0; i < ref_ordinals.size(); ++i) {
-          if (ref_ordinals[i] == ord) {
-            key.values.push_back(key_values[i]);
-            break;
-          }
-        }
+    if (index != nullptr && index->column_ordinals().size() == n) {
+      // The key in the index's column order.
+      for (size_t j = 0; j < n; ++j) {
+        const size_t i = static_cast<size_t>(
+            std::find(ref_ords, ref_ords + n, index->column_ordinals()[j]) -
+            ref_ords);
+        key[j] = &row[ords[i]];
       }
-      found = index->Lookup(key) != nullptr;
+      found = !index->Lookup(IndexKeyView{key, n}).empty();
     } else {
       for (size_t row_id = 0; row_id < ref->SlotCount() && !found; ++row_id) {
         if (!ref->IsLive(row_id)) continue;
         const Row& candidate = ref->RowAt(row_id);
         bool all_equal = true;
-        for (size_t i = 0; i < ref_ordinals.size(); ++i) {
-          if (Value::OrderCompare(candidate[ref_ordinals[i]],
-                                  key_values[i]) != 0) {
-            all_equal = false;
-            break;
-          }
+        for (size_t i = 0; i < n && all_equal; ++i) {
+          all_equal = candidate[ref_ords[i]] == row[ords[i]];
         }
         found = all_equal;
       }

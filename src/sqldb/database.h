@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/string_util.h"
 #include "common/thread_ordinal.h"
 #include "obs/slow_log.h"
 #include "obs/trace.h"
@@ -382,8 +383,9 @@ class Database : public CatalogView {
   // Every table by catalog slot, in creation order; a dropped table leaves
   // its slot empty (and changes the schema identity).
   std::vector<std::unique_ptr<Table>> tables_;
-  // Lower-cased name -> slot, for case-insensitive resolution.
-  std::map<std::string, CatalogSlot> table_names_;
+  // Lower-cased name -> slot, ordered case-insensitively so a lookup
+  // takes any spelling without lower-casing a copy.
+  std::map<std::string, CatalogSlot, LessIgnoreCase> table_names_;
   uint64_t schema_identity_ = 0;
   SchemaObserver schema_observer_{this};
 

@@ -50,6 +50,41 @@ const PlanNodeStats* PlanProfile::FindHashJoin(const Expr* join) const {
 
 namespace {
 
+/// A probe key's values and the non-owning view over them: on the stack up
+/// to kInlineKeyCols columns, on the heap past that. Index and key-set
+/// probes run once per outer row on the match path, and an owned key would
+/// allocate every time.
+class ProbeKey {
+ public:
+  explicit ProbeKey(size_t columns) {
+    if (columns > kInlineKeyCols) {
+      spill_vals_.resize(columns);
+      spill_ptrs_.resize(columns);
+      vals_ = spill_vals_.data();
+      ptrs_ = spill_ptrs_.data();
+    }
+  }
+  ProbeKey(const ProbeKey&) = delete;
+  ProbeKey& operator=(const ProbeKey&) = delete;
+
+  /// Column `i`'s value, which the view then points at.
+  Value& operator[](size_t i) {
+    ptrs_[i] = &vals_[i];
+    return vals_[i];
+  }
+  /// The view over columns [0, columns).
+  IndexKeyView view(size_t columns) const { return {ptrs_, columns}; }
+
+ private:
+  static constexpr size_t kInlineKeyCols = 8;
+  Value inline_vals_[kInlineKeyCols];
+  const Value* inline_ptrs_[kInlineKeyCols];
+  std::vector<Value> spill_vals_;
+  std::vector<const Value*> spill_ptrs_;
+  Value* vals_ = inline_vals_;
+  const Value** ptrs_ = inline_ptrs_;
+};
+
 Result<Value> ThreeValuedNot(const Value& v) {
   if (v.is_null()) return Value::Null();
   if (v.type() != ValueType::kBoolean) {
@@ -326,38 +361,22 @@ Result<Value> Executor::EvalHashJoin(const HashJoinExpr& join,
   // can never equal anything, so the subquery's correlation equality is
   // UNKNOWN for every inner row — EXISTS is false, NOT EXISTS is true —
   // without needing the key set at all.
-  // The probe key lives on the stack and is passed as a non-owning view
-  // (heterogeneous lookup): probes run once per outer row on the match
-  // path, and an owned IndexKey would allocate every time.
-  constexpr size_t kInlineKeyCols = 8;
-  Value inline_vals[kInlineKeyCols];
-  const Value* inline_ptrs[kInlineKeyCols];
-  std::vector<Value> spill_vals;
-  std::vector<const Value*> spill_ptrs;
-  Value* vals = inline_vals;
-  const Value** ptrs = inline_ptrs;
-  if (join.probe_keys.size() > kInlineKeyCols) {
-    spill_vals.resize(join.probe_keys.size());
-    spill_ptrs.resize(join.probe_keys.size());
-    vals = spill_vals.data();
-    ptrs = spill_ptrs.data();
-  }
+  ProbeKey key(join.probe_keys.size());
   size_t nk = 0;
   bool null_key = false;
   for (const ExprPtr& pk : join.probe_keys) {
-    P3PDB_ASSIGN_OR_RETURN(vals[nk], Eval(*pk, stack));
-    if (vals[nk].is_null()) {
+    P3PDB_ASSIGN_OR_RETURN(key[nk], Eval(*pk, stack));
+    if (key[nk].is_null()) {
       null_key = true;
       break;
     }
-    ptrs[nk] = &vals[nk];
     ++nk;
   }
   bool found = false;
   if (!null_key) {
     P3PDB_ASSIGN_OR_RETURN(const HashJoinRuntime::KeySet* keys,
                            MemoKeySet(join));
-    found = keys->find(IndexKeyView{ptrs, nk}) != keys->end();
+    found = keys->find(key.view(nk)) != keys->end();
   }
   ++stats_->hash_join_probes;
   if (node != nullptr) {
@@ -450,51 +469,36 @@ Status Executor::ScanSlot(const SelectStmt& stmt, ScopeStack& stack,
   const Table* table = &tables_[stmt.from[slot].table];
   const SlotPlan& sp = stmt.slot_plans[slot];
 
-  // Access path from the plan annotation.
-  const std::vector<size_t>* row_ids = nullptr;
-  if (sp.has_index()) {
-    const Index& index = *table->indexes()[sp.index];
-    ++stats_->index_lookups;
-    // Probe with a non-owning view over stack values: the per-match rule
-    // queries do one of these per execution, and the owned-IndexKey vector
-    // allocation was visible in their profile.
-    constexpr size_t kInlineKeyCols = 8;
-    Value key_vals[kInlineKeyCols];
-    const Value* key_ptrs[kInlineKeyCols];
-    if (sp.key_exprs.size() <= kInlineKeyCols) {
-      for (size_t i = 0; i < sp.key_exprs.size(); ++i) {
-        P3PDB_ASSIGN_OR_RETURN(key_vals[i], Eval(*sp.key_exprs[i], stack));
-        key_ptrs[i] = &key_vals[i];
-      }
-      row_ids = index.Lookup(IndexKeyView{key_ptrs, sp.key_exprs.size()});
-    } else {
-      IndexKey key;
-      key.values.reserve(sp.key_exprs.size());
-      for (const Expr* key_expr : sp.key_exprs) {
-        P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*key_expr, stack));
-        key.values.push_back(std::move(v));
-      }
-      row_ids = index.Lookup(key);
-    }
-    if (row_ids == nullptr) return Status::OK();
-  } else {
-    ++stats_->full_scans;
-  }
-
   // Row at a time. The WHERE is applied once the innermost slot is
   // positioned (EnumerateRows' terminal case), so an EXISTS consumer stops
   // on its first qualifying row.
-  const size_t candidates =
-      row_ids != nullptr ? row_ids->size() : table->SlotCount();
-  for (size_t i = 0; i < candidates; ++i) {
-    const size_t row_id = row_ids != nullptr ? (*row_ids)[i] : i;
-    if (!table->IsLive(row_id)) continue;
+  auto visit = [&](size_t row_id) -> Status {
+    if (!table->IsLive(row_id)) return Status::OK();
     ++stats_->rows_scanned;
     if (node != nullptr) ++node->rows;
     scope.rows[slot] = &table->RowAt(row_id);
-    P3PDB_RETURN_IF_ERROR(
-        EnumerateRows(stmt, stack, scope, slot + 1, on_row, stopped));
-    if (*stopped) break;
+    return EnumerateRows(stmt, stack, scope, slot + 1, on_row, stopped);
+  };
+
+  // Access path from the plan annotation.
+  if (sp.has_index()) {
+    const Index& index = *table->indexes()[sp.index];
+    ++stats_->index_lookups;
+    const size_t nk = sp.key_exprs.size();
+    ProbeKey key(nk);
+    for (size_t i = 0; i < nk; ++i) {
+      P3PDB_ASSIGN_OR_RETURN(key[i], Eval(*sp.key_exprs[i], stack));
+    }
+    for (size_t row_id : index.Lookup(key.view(nk))) {
+      P3PDB_RETURN_IF_ERROR(visit(row_id));
+      if (*stopped) break;
+    }
+  } else {
+    ++stats_->full_scans;
+    for (size_t row_id = 0; row_id < table->SlotCount(); ++row_id) {
+      P3PDB_RETURN_IF_ERROR(visit(row_id));
+      if (*stopped) break;
+    }
   }
   scope.rows[slot] = nullptr;
   return Status::OK();

@@ -4,65 +4,158 @@
 
 namespace p3pdb::sqldb {
 
+namespace {
+
+constexpr uint32_t kEnd = IndexRows::kEnd;
+constexpr size_t kMinSlots = 8;
+
+}  // namespace
+
+template <typename KeyAt>
+uint64_t Index::HashKey(KeyAt key_at) const {
+  uint64_t hash = kFnvOffsetBasis;
+  for (size_t i = 0; i < column_ordinals_.size(); ++i) {
+    hash = CombineKeyHash(hash, key_at(i));
+  }
+  return FinalizeKeyHash(hash);
+}
+
+template <typename KeyAt>
+size_t Index::FindSlot(uint64_t hash, KeyAt key_at, uint32_t self) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t pos = hash & mask;; pos = (pos + 1) & mask) {
+    const Slot& slot = slots_[pos];
+    if (slot.first == kEnd) return pos;
+    if (slot.hash != hash) continue;
+    // A row id sits in one chain only, so `self` needs no key compare
+    // (and may be the row Table::Insert has not appended yet).
+    if (slot.first == self) return pos;
+    const Row& first = table_->RowAt(slot.first);
+    bool equal = true;
+    for (size_t i = 0; i < column_ordinals_.size() && equal; ++i) {
+      equal = first[column_ordinals_[i]] == key_at(i);
+    }
+    if (equal) return pos;
+  }
+}
+
+void Index::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(std::max(kMinSlots, old.size() * 2), Slot{0, kEnd, kEnd});
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.first == kEnd) continue;
+    size_t pos = slot.hash & mask;
+    while (slots_[pos].first != kEnd) pos = (pos + 1) & mask;
+    slots_[pos] = slot;
+  }
+}
+
 Status Index::Insert(const Row& row, size_t row_id) {
-  IndexKey key = ExtractKey(row);
-  for (const Value& v : key.values) {
-    if (v.is_null()) return Status::OK();  // NULL keys are not indexed
+  for (size_t ord : column_ordinals_) {
+    if (row[ord].is_null()) return Status::OK();  // NULL keys are not indexed
   }
-  // Find-then-emplace so the key vector is moved into the map instead of
-  // copied (map_[key] would deep-copy every Value).
-  auto it = map_.find(key);
-  if (it == map_.end()) it = map_.try_emplace(std::move(key)).first;
-  std::vector<size_t>& ids = it->second;
-  if (unique_ && !ids.empty()) {
-    return Status::AlreadyExists("unique index '" + name_ +
-                                 "' violation for key " +
-                                 [&] {
-                                   std::string s;
-                                   for (const Value& v : it->first.values) {
-                                     if (!s.empty()) s += ", ";
-                                     s += v.ToString();
-                                   }
-                                   return s;
-                                 }());
+  if (row_id >= kEnd) {
+    return Status::LimitExceeded("index '" + name_ + "' is full");
   }
-  ids.push_back(row_id);
+  if (slots_.empty()) Grow();
+  auto key_at = [&](size_t i) -> const Value& {
+    return row[column_ordinals_[i]];
+  };
+  const uint64_t hash = HashKey(key_at);
+  size_t pos = FindSlot(hash, key_at, kEnd);
+  const auto id = static_cast<uint32_t>(row_id);
+  if (slots_[pos].first != kEnd) {
+    if (unique_) {
+      std::string key;
+      for (size_t ord : column_ordinals_) {
+        if (!key.empty()) key += ", ";
+        key += row[ord].ToString();
+      }
+      return Status::AlreadyExists("unique index '" + name_ +
+                                   "' violation for key " + key);
+    }
+    // Ids arrive ascending, so appending keeps the chain in row order.
+    if (next_.size() <= row_id) next_.resize(row_id + 1, kEnd);
+    next_[slots_[pos].last] = id;
+    next_[id] = kEnd;
+    slots_[pos].last = id;
+    return Status::OK();
+  }
+  if ((keys_ + 1) * 4 > slots_.size() * 3) {
+    Grow();
+    pos = FindSlot(hash, key_at, kEnd);
+  }
+  if (next_.size() <= row_id) next_.resize(row_id + 1, kEnd);
+  next_[id] = kEnd;
+  slots_[pos] = Slot{hash, id, id};
+  ++keys_;
   return Status::OK();
 }
 
 void Index::Erase(const Row& row, size_t row_id) {
-  IndexKey key = ExtractKey(row);
-  for (const Value& v : key.values) {
-    if (v.is_null()) return;
+  for (size_t ord : column_ordinals_) {
+    if (row[ord].is_null()) return;
   }
-  auto it = map_.find(key);
-  if (it == map_.end()) return;
-  auto& ids = it->second;
-  ids.erase(std::remove(ids.begin(), ids.end(), row_id), ids.end());
-  if (ids.empty()) map_.erase(it);
+  if (slots_.empty() || row_id >= next_.size()) return;
+  auto key_at = [&](size_t i) -> const Value& {
+    return row[column_ordinals_[i]];
+  };
+  const auto id = static_cast<uint32_t>(row_id);
+  size_t pos = FindSlot(HashKey(key_at), key_at, id);
+  Slot& slot = slots_[pos];
+  if (slot.first == kEnd) return;
+  if (slot.first != id) {
+    uint32_t prev = slot.first;
+    while (prev != kEnd && next_[prev] != id) prev = next_[prev];
+    if (prev == kEnd) return;  // not under this key
+    next_[prev] = next_[id];
+    if (slot.last == id) slot.last = prev;
+    next_[id] = kEnd;
+    return;
+  }
+  slot.first = next_[id];
+  next_[id] = kEnd;
+  if (slot.first != kEnd) return;
+  // The key's last row is gone: backward-shift deletion. Each later slot
+  // of the probe run moves into the hole unless its home slot lies
+  // between the hole and it, so every key stays reachable from its home.
+  const size_t mask = slots_.size() - 1;
+  size_t hole = pos;
+  for (size_t j = (hole + 1) & mask; slots_[j].first != kEnd;
+       j = (j + 1) & mask) {
+    const size_t home = slots_[j].hash & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{0, kEnd, kEnd};
+  --keys_;
 }
 
-const std::vector<size_t>* Index::Lookup(const IndexKey& key) const {
-  for (const Value& v : key.values) {
-    if (v.is_null()) return nullptr;
-  }
-  auto it = map_.find(key);
-  return it == map_.end() ? nullptr : &it->second;
-}
-
-const std::vector<size_t>* Index::Lookup(const IndexKeyView& key) const {
+IndexRows Index::Lookup(const IndexKeyView& key) const {
+  if (slots_.empty() || key.size != column_ordinals_.size()) return {};
   for (size_t i = 0; i < key.size; ++i) {
-    if (key.values[i]->is_null()) return nullptr;
+    if (key.values[i]->is_null()) return {};
   }
-  auto it = map_.find(key);  // heterogeneous lookup, no IndexKey built
-  return it == map_.end() ? nullptr : &it->second;
+  auto key_at = [&](size_t i) -> const Value& { return *key.values[i]; };
+  const Slot& slot = slots_[FindSlot(HashKey(key_at), key_at, kEnd)];
+  return IndexRows(slot.first, next_.data());
 }
 
-IndexKey Index::ExtractKey(const Row& row) const {
-  IndexKey key;
-  key.values.reserve(column_ordinals_.size());
-  for (size_t ord : column_ordinals_) key.values.push_back(row[ord]);
-  return key;
+Index::Footprint Index::footprint() const {
+  Footprint f;
+  f.keys = keys_;
+  f.slots = slots_.size();
+  const size_t mask = slots_.size() - 1;
+  for (size_t pos = 0; pos < slots_.size(); ++pos) {
+    if (slots_[pos].first == kEnd) continue;
+    f.max_probe = std::max(f.max_probe, (pos - slots_[pos].hash) & mask);
+  }
+  f.heap_bytes = slots_.capacity() * sizeof(Slot) +
+                 next_.capacity() * sizeof(uint32_t);
+  return f;
 }
 
 Table::Table(TableSchema schema) : schema_(std::move(schema)) {
@@ -162,7 +255,8 @@ Status Table::CreateIndex(const std::string& index_name,
       return Status::AlreadyExists("index '" + index_name + "' exists");
     }
   }
-  auto index = std::make_unique<Index>(index_name, std::move(ordinals), unique);
+  auto index = std::make_unique<Index>(index_name, std::move(ordinals), unique,
+                                       this);
   for (size_t row_id = 0; row_id < rows_.size(); ++row_id) {
     if (!live_[row_id]) continue;
     P3PDB_RETURN_IF_ERROR(index->Insert(rows_[row_id], row_id));

@@ -1,47 +1,66 @@
 // In-memory row-store table with hash indexes.
 //
 // Rows live in an append-only vector; deletion marks a tombstone so row ids
-// stay stable for the indexes. Hash indexes map a composite key (one or more
-// column values) to row ids; the primary key is backed by an automatically
-// created unique index, which is what makes the shredded policy-id joins in
-// the generated APPEL queries fast.
+// stay stable for the indexes. A hash index maps a composite key (one or
+// more column values) to the row ids carrying it, and stores only row ids:
+// one 16-byte slot per distinct key plus a 4-byte chain link per row, with
+// keys compared against the table's own rows (see Index). The primary key
+// is backed by an automatically created unique index, which is what makes
+// the shredded policy-id joins in the generated APPEL queries fast.
 
 #ifndef P3PDB_SQLDB_TABLE_H_
 #define P3PDB_SQLDB_TABLE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/result.h"
 #include "sqldb/schema.h"
 #include "sqldb/value.h"
 
 namespace p3pdb::sqldb {
 
-/// Composite key wrapper with hashing/equality consistent with
-/// Value::OrderCompare.
+/// Composite-key hashing, one definition for Index and the hash-join key
+/// sets (executor.h). Each column's Value::Hash is folded in with the
+/// FNV-1a 64-bit step (common/fnv.h) over the whole word. Value::Hash of an
+/// integer is the integer itself, and the fold's multiply only carries
+/// upward, so the folded hash's low bits depend on the columns' low bits
+/// alone; FinalizeKeyHash (MurmurHash3's fmix64) spreads every input bit
+/// into them, which is what lets Index take a slot from the low bits.
+inline uint64_t CombineKeyHash(uint64_t hash, const Value& column) {
+  return (hash ^ column.Hash()) * kFnvPrime;
+}
+
+inline uint64_t FinalizeKeyHash(uint64_t hash) {
+  hash ^= hash >> 33;
+  hash *= 0xff51afd7ed558ccdULL;
+  hash ^= hash >> 33;
+  hash *= 0xc4ceb9fe1a85ec53ULL;
+  hash ^= hash >> 33;
+  return hash;
+}
+
+/// An owned composite key: the element type of the hash-join key sets.
+/// Hashing and equality are consistent with Value::OrderCompare.
 struct IndexKey {
   std::vector<Value> values;
 
   bool operator==(const IndexKey& other) const {
-    if (values.size() != other.values.size()) return false;
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (Value::OrderCompare(values[i], other.values[i]) != 0) return false;
-    }
-    return true;
+    return values == other.values;
   }
 };
 
 /// Non-owning view of a composite key: an array of pointers to Values that
-/// live elsewhere (the executor's stack, an expression result). Lets the
-/// executor probe indexes and hash-join key sets without materializing a
-/// std::vector<Value> per probe. Hash/equality are kept consistent with
-/// IndexKey via the transparent functors below.
+/// live elsewhere (the executor's stack, an expression result, a row). Index
+/// probes and hash-join key-set probes take one, so no probe materializes a
+/// std::vector<Value>.
 struct IndexKeyView {
   const Value* const* values = nullptr;
   size_t size = 0;
@@ -51,18 +70,14 @@ struct IndexKeyHash {
   using is_transparent = void;
 
   size_t operator()(const IndexKey& k) const {
-    size_t h = 0x811C9DC5;
-    for (const Value& v : k.values) {
-      h = (h ^ v.Hash()) * 0x01000193;
-    }
-    return h;
+    uint64_t h = kFnvOffsetBasis;
+    for (const Value& v : k.values) h = CombineKeyHash(h, v);
+    return FinalizeKeyHash(h);
   }
   size_t operator()(const IndexKeyView& k) const {
-    size_t h = 0x811C9DC5;
-    for (size_t i = 0; i < k.size; ++i) {
-      h = (h ^ k.values[i]->Hash()) * 0x01000193;
-    }
-    return h;
+    uint64_t h = kFnvOffsetBasis;
+    for (size_t i = 0; i < k.size; ++i) h = CombineKeyHash(h, *k.values[i]);
+    return FinalizeKeyHash(h);
   }
 };
 
@@ -75,27 +90,81 @@ struct IndexKeyEqual {
   bool operator()(const IndexKey& a, const IndexKeyView& b) const {
     if (a.values.size() != b.size) return false;
     for (size_t i = 0; i < b.size; ++i) {
-      if (Value::OrderCompare(a.values[i], *b.values[i]) != 0) return false;
+      if (!(a.values[i] == *b.values[i])) return false;
     }
     return true;
   }
   bool operator()(const IndexKeyView& a, const IndexKey& b) const {
     return operator()(b, a);
   }
-  bool operator()(const IndexKeyView& a, const IndexKeyView& b) const {
-    if (a.size != b.size) return false;
-    for (size_t i = 0; i < a.size; ++i) {
-      if (Value::OrderCompare(*a.values[i], *b.values[i]) != 0) return false;
-    }
-    return true;
-  }
 };
 
-/// A secondary (or primary) hash index over one or more columns.
+class Table;
+
+/// The rows under one key of an Index, in ascending row-id order: a walk
+/// down the index's duplicate chain. Valid until the index next changes.
+class IndexRows {
+ public:
+  static constexpr uint32_t kEnd = UINT32_MAX;
+
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = size_t;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const size_t*;
+    using reference = size_t;
+
+    Iterator() = default;
+    size_t operator*() const { return row_; }
+    Iterator& operator++() {
+      row_ = next_[row_];
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const Iterator& other) const { return row_ == other.row_; }
+
+   private:
+    friend class IndexRows;
+    Iterator(uint32_t row, const uint32_t* next) : row_(row), next_(next) {}
+    uint32_t row_ = kEnd;
+    const uint32_t* next_ = nullptr;
+  };
+
+  IndexRows() = default;
+  IndexRows(uint32_t first, const uint32_t* next)
+      : first_(first), next_(next) {}
+
+  bool empty() const { return first_ == kEnd; }
+  Iterator begin() const { return Iterator(first_, next_); }
+  Iterator end() const { return Iterator(kEnd, next_); }
+
+ private:
+  uint32_t first_ = kEnd;
+  const uint32_t* next_ = nullptr;
+};
+
+/// A secondary (or primary) hash index over one or more columns of its
+/// table. An entry is a row id, not a copy of its key: an open-addressing
+/// table (linear probing, power-of-two capacity, at most 3/4 full) holds
+/// one 16-byte slot per distinct key — its finalized hash and the first and
+/// last row id with that key — and a next-row array indexed by row id
+/// chains the rows that share a key in ascending row-id order. Key equality
+/// reads the key columns from the table's own rows (the slot's first row),
+/// so the index copies no Value.
 class Index {
  public:
-  Index(std::string name, std::vector<size_t> column_ordinals, bool unique)
-      : name_(std::move(name)),
+  /// `table` owns the rows the index reads its keys from. Without one the
+  /// index is a definition only (name, columns, uniqueness) and holds no
+  /// rows, as the storage serde's encoder takes it.
+  Index(std::string name, std::vector<size_t> column_ordinals, bool unique,
+        const Table* table = nullptr)
+      : table_(table),
+        name_(std::move(name)),
         column_ordinals_(std::move(column_ordinals)),
         unique_(unique) {}
 
@@ -105,30 +174,53 @@ class Index {
   }
   bool unique() const { return unique_; }
 
-  /// Adds a row id for the key extracted from `row`. Fails on unique
-  /// violation.
+  /// Adds row `row_id`, whose values are `row`: the table's row, or the
+  /// one Table::Insert is about to append at that id. Row ids arrive in
+  /// ascending order, as the table appends them. A key with a NULL column
+  /// is not indexed. Fails on a unique violation.
   Status Insert(const Row& row, size_t row_id);
+  /// Removes row `row_id` (values `row`) from its key's chain.
   void Erase(const Row& row, size_t row_id);
 
-  /// Row ids matching the key (empty if none). Keys containing NULL never
-  /// match (SQL semantics: NULL = NULL is not true).
-  const std::vector<size_t>* Lookup(const IndexKey& key) const;
+  /// The rows whose key equals `key` (empty if none). A key containing
+  /// NULL never matches (SQL semantics: NULL = NULL is not true).
+  IndexRows Lookup(const IndexKeyView& key) const;
 
-  /// Same, but from a non-owning key view — no per-probe allocation.
-  const std::vector<size_t>* Lookup(const IndexKeyView& key) const;
-
-  IndexKey ExtractKey(const Row& row) const;
+  /// Occupancy and heap bytes of the hash table, for memory accounting and
+  /// the tests that pin the hash's spread. `max_probe` is the longest
+  /// distance, in slots, from a key's home slot to where it sits.
+  struct Footprint {
+    size_t keys = 0;
+    size_t slots = 0;
+    size_t max_probe = 0;
+    size_t heap_bytes = 0;
+  };
+  Footprint footprint() const;
 
  private:
+  struct Slot {
+    uint64_t hash;
+    uint32_t first;  // IndexRows::kEnd: the slot is empty
+    uint32_t last;
+  };
+
+  template <typename KeyAt>
+  uint64_t HashKey(KeyAt key_at) const;
+  /// The slot holding the key `key_at` yields, or the empty slot that ends
+  /// its probe sequence. `self` is a row id known to carry that key (the
+  /// row being erased; `kEnd` if none), which may not be in the table yet.
+  template <typename KeyAt>
+  size_t FindSlot(uint64_t hash, KeyAt key_at, uint32_t self) const;
+  void Grow();
+
+  const Table* table_;
   std::string name_;
   std::vector<size_t> column_ordinals_;
   bool unique_;
-  std::unordered_map<IndexKey, std::vector<size_t>, IndexKeyHash,
-                     IndexKeyEqual>
-      map_;
+  std::vector<Slot> slots_;  // empty, or a power of two
+  size_t keys_ = 0;
+  std::vector<uint32_t> next_;  // by row id; kEnd ends a chain
 };
-
-class Table;
 
 /// Observes physical mutations of a table. The disk-backed storage engine
 /// registers itself here so every row insert/delete and index creation —

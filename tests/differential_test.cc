@@ -31,6 +31,7 @@
 #include <string>
 #include <utility>
 #include <vector>
+#include <unistd.h>
 
 #include "appel/model.h"
 #include "common/random.h"
@@ -104,7 +105,9 @@ std::unique_ptr<PolicyServer> MakeEngine(const EngineConfig& config) {
     // candidate and must not recover a previous candidate's catalog.
     static int next_dir = 0;
     options.storage_path =
-        ::testing::TempDir() + "p3pdb_diff_disk_" + std::to_string(next_dir++);
+        ::testing::TempDir() + "p3pdb_diff_disk_" +
+                           std::to_string(::getpid()) + "_" +
+                           std::to_string(next_dir++);
     std::filesystem::remove_all(options.storage_path);
   }
   auto server = PolicyServer::Create(options);

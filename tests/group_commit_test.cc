@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 #include <vector>
+#include <unistd.h>
 
 #include "server/policy_server.h"
 #include "sqldb/database.h"
@@ -24,7 +25,8 @@ using server::EngineKind;
 using server::PolicyServer;
 
 std::string TestDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "p3pdb_group_commit_" + name;
+  std::string dir = ::testing::TempDir() + "p3pdb_group_commit_" +
+                    std::to_string(::getpid()) + "_" + name;
   std::filesystem::remove_all(dir);
   return dir;
 }

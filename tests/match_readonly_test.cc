@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <unistd.h>
 
 #include "server/policy_server.h"
 #include "translator/sql_optimized.h"
@@ -142,7 +143,8 @@ TEST(MatchReadonlyTest, MatchMutatesNoTable) {
 // matches, by id and by URI, cached and computed, the WAL takes no record
 // and no fsync.
 TEST(MatchReadonlyTest, DiskBackedMatchWritesNoWal) {
-  const std::string dir = ::testing::TempDir() + "p3pdb_match_readonly_wal";
+  const std::string dir = ::testing::TempDir() + "p3pdb_match_readonly_wal_" +
+                          std::to_string(::getpid());
   std::filesystem::remove_all(dir);
   std::vector<p3p::Policy> corpus = workload::FortuneCorpus();
   PolicyServer::Options options;

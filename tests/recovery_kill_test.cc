@@ -315,19 +315,23 @@ void VerifyTableIndexes(const sqldb::Table* table, const std::string& ctx) {
   for (const auto& index : table->indexes()) {
     for (size_t slot = 0; slot < table->SlotCount(); ++slot) {
       if (!table->IsLive(slot)) continue;
-      sqldb::IndexKey key = index->ExtractKey(table->RowAt(slot));
+      std::vector<const Value*> key;
       bool has_null = false;
-      for (const Value& v : key.values) has_null |= v.is_null();
+      for (size_t ord : index->column_ordinals()) {
+        key.push_back(&table->RowAt(slot)[ord]);
+        has_null |= key.back()->is_null();
+      }
       if (has_null) continue;  // NULL keys are not indexed
-      const std::vector<size_t>* ids = index->Lookup(key);
-      ASSERT_NE(ids, nullptr)
+      const sqldb::IndexRows ids =
+          index->Lookup(sqldb::IndexKeyView{key.data(), key.size()});
+      ASSERT_FALSE(ids.empty())
           << ctx << ": row " << slot << " of '" << table->schema().name()
           << "' missing from index '" << index->name() << "'";
-      EXPECT_NE(std::find(ids->begin(), ids->end(), slot), ids->end())
+      EXPECT_NE(std::find(ids.begin(), ids.end(), slot), ids.end())
           << ctx << ": row " << slot << " of '" << table->schema().name()
           << "' not under its key in index '" << index->name() << "'";
       if (index->unique()) {
-        EXPECT_EQ(ids->size(), 1u)
+        EXPECT_EQ(std::distance(ids.begin(), ids.end()), 1)
             << ctx << ": unique index '" << index->name() << "' of '"
             << table->schema().name() << "' has duplicates";
       }
@@ -437,7 +441,7 @@ void VerifyRecovered(const std::string& dir, const Workload& w,
 class RecoveryKillTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = ::testing::TempDir() + "p3pdb_recovery";
+    base_ = ::testing::TempDir() + "p3pdb_recovery_" + std::to_string(::getpid());
     std::filesystem::remove_all(base_);
     std::filesystem::create_directories(base_);
   }

@@ -18,6 +18,7 @@
 #include <tuple>
 #include <utility>
 #include <vector>
+#include <unistd.h>
 
 #include "appel/model.h"
 #include "common/random.h"
@@ -36,7 +37,8 @@ using workload::JrcPreference;
 using workload::PreferenceLevel;
 
 std::string TestDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "p3pdb_serving_tier_" + name;
+  std::string dir = ::testing::TempDir() + "p3pdb_serving_tier_" +
+                    std::to_string(::getpid()) + "_" + name;
   std::filesystem::remove_all(dir);
   return dir;
 }

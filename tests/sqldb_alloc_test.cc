@@ -1,11 +1,12 @@
 // Heap allocations on the cold rule-query path, counted by a replaced global
 // operator new: per ParseStatement, per first-time Database::Prepare, and
 // per PolicyServer::CompilePreference; heap frees, counted by the replaced
-// operator delete, per cached plan the plan cache evicts; and allocations
-// per warm match-cache hit on the serving tier (by id and by URI) and on a
-// HybridClient; and allocations per kSql InstallPolicy and per policy a
+// operator delete, per cached plan the plan cache evicts; allocations per
+// warm match-cache hit on the serving tier (by id and by URI) and on a
+// HybridClient; allocations per kSql InstallPolicy and per policy a
 // disk-backed kSql reopen restores, which pin that the SQL engine keeps no
-// policy DOM or text. The statements are the optimized translator's output for
+// policy DOM or text; and, by malloc's own count, the heap one replica's
+// catalog takes. The statements are the optimized translator's output for
 // seeded RandomPreferences, prepared against a kSql server holding every
 // 4th of 1,000 FortuneCorpus policies (one shard's share of the 4-shard
 // serving tier).
@@ -25,10 +26,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <malloc.h>
 #include <new>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
+#include <unistd.h>
 
 #include "appel/model.h"
 #include "common/random.h"
@@ -119,7 +124,9 @@ namespace {
 constexpr uint64_t kFirstSeed = 1000;
 constexpr uint64_t kSeeds = 1000;
 
-// Mean heap allocations per unit, now 2.6 / 6.6 / 242.8. Token text copied
+// Mean heap allocations per unit, now 2.6 / 4.6 / 242.8 (a Prepare took
+// 6.6 while every table-name lookup lower-cased a copy of the name). Token
+// text copied
 // into std::strings, one heap allocation per AST node and an XML DOM per
 // fingerprint measured 89.4 / 167.5 / 360.6 on the same inputs; with nodes
 // in the arena but node-owned lists, names and bind/plan temporaries on the
@@ -224,12 +231,15 @@ TEST(StatementAllocationsTest, ColdRuleQueryPathStaysPerStatement) {
 
 // Mean heap allocations per kSql InstallPolicy (in memory) and per policy
 // a disk-backed kSql reopen restores, over every 4th of 1,000 corpus
-// policies: now 984.3 / 372.2, nearly all of the install in the shred. A
-// policy DOM built at install and rebuilt from the catalog's XML at
-// restore, and a catalog query for the latest version at every install,
-// measured 1229.9 / 960.6.
-constexpr double kMaxInstallAllocations = 1080.0;
-constexpr double kMaxRestoreAllocations = 450.0;
+// policies: now 393.7 / 118.7, nearly all of the install in the shred.
+// Hash-index entries as std::unordered_map nodes (a node, an owned key
+// vector and a row-id vector per key) and a foreign-key check that built
+// three vectors and an owned key per referencing row measured 983.4 /
+// 372.2; before that, a policy DOM built at install and rebuilt from the
+// catalog's XML at restore, and a catalog query for the latest version at
+// every install, measured 1229.9 / 960.6.
+constexpr double kMaxInstallAllocations = 435.0;
+constexpr double kMaxRestoreAllocations = 130.0;
 
 TEST(StatementAllocationsTest, SqlEngineKeepsNoPolicyEvidence) {
   const std::vector<p3p::Policy> corpus =
@@ -254,7 +264,8 @@ TEST(StatementAllocationsTest, SqlEngineKeepsNoPolicyEvidence) {
     }
   }
 
-  options.storage_path = ::testing::TempDir() + "p3pdb_alloc_restore";
+  options.storage_path = ::testing::TempDir() + "p3pdb_alloc_restore_" +
+                         std::to_string(::getpid());
   std::filesystem::remove_all(options.storage_path);
   {
     auto server = server::PolicyServer::Create(options);
@@ -280,6 +291,84 @@ TEST(StatementAllocationsTest, SqlEngineKeepsNoPolicyEvidence) {
               static_cast<unsigned long long>(policies));
   EXPECT_LE(per_install, kMaxInstallAllocations);
   EXPECT_LE(per_restore, kMaxRestoreAllocations);
+}
+
+/// Bytes of heap in use, as malloc counts them (arena chunks plus mmapped
+/// blocks).
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+// Heap of one replica-shaped kSql PolicyServer (the serving tier's replica
+// options) holding all 1,000 corpus policies: now 18.4 MB, of which rows
+// 14.6 MB and hash indexes 2.6 MB. Index entries as std::unordered_map
+// nodes measured 33.8 MB, 18.4 MB of it index. The test also prints the
+// text value counts (74.8k values, 3.8k distinct) that a 16-byte Value
+// with interned text would work from.
+constexpr double kMaxReplicaHeapMb = 20.0;
+
+TEST(StatementAllocationsTest, ReplicaHeapPerThousandPolicies) {
+  const std::vector<p3p::Policy> corpus =
+      workload::FortuneCorpus({.policy_count = 1000});
+  const size_t before = HeapInUse();
+  server::PolicyServer::Options options;
+  options.engine = server::EngineKind::kSql;
+  options.enable_planner = true;
+  options.enable_cost_model = true;
+  options.enable_statement_stats = false;
+  options.collect_metrics = false;
+  auto replica = server::PolicyServer::Create(std::move(options));
+  ASSERT_TRUE(replica.ok()) << replica.status();
+  for (const p3p::Policy& policy : corpus) {
+    ASSERT_TRUE(replica.value()->InstallPolicy(policy).ok());
+  }
+  const double heap_mb =
+      static_cast<double>(HeapInUse() - before) / (1024.0 * 1024.0);
+
+  const sqldb::Database& db = *replica.value()->database();
+  size_t index_bytes = 0;
+  size_t indexes = 0;
+  size_t keys = 0;
+  size_t text_values = 0;
+  std::unordered_set<std::string_view> distinct_text;
+  std::vector<std::vector<sqldb::Row>> row_copies;
+  const size_t rows_before = HeapInUse();
+  for (const std::string& name : db.TableNames()) {
+    const sqldb::Table& table = *db.LookupTable(name);
+    for (const auto& index : table.indexes()) {
+      const sqldb::Index::Footprint f = index->footprint();
+      index_bytes += f.heap_bytes;
+      keys += f.keys;
+      ++indexes;
+    }
+    // A copy of the live rows measures what the table's rows hold.
+    std::vector<sqldb::Row>& copy = row_copies.emplace_back();
+    copy.reserve(table.RowCount());
+    for (size_t row = 0; row < table.SlotCount(); ++row) {
+      if (table.IsLive(row)) copy.push_back(table.RowAt(row));
+    }
+  }
+  const size_t row_bytes = HeapInUse() - rows_before;
+  row_copies.clear();
+  for (const std::string& name : db.TableNames()) {
+    const sqldb::Table& table = *db.LookupTable(name);
+    for (size_t row = 0; row < table.SlotCount(); ++row) {
+      if (!table.IsLive(row)) continue;
+      for (const sqldb::Value& v : table.RowAt(row)) {
+        if (v.type() != sqldb::ValueType::kText) continue;
+        ++text_values;
+        distinct_text.insert(v.AsText());
+      }
+    }
+  }
+  std::printf(
+      "replica heap per 1,000 policies %.1f MB: rows %.1f MB, %zu hash "
+      "indexes %.1f MB (%zu keys); %zu text values, %zu distinct\n",
+      heap_mb, static_cast<double>(row_bytes) / (1024.0 * 1024.0), indexes,
+      static_cast<double>(index_bytes) / (1024.0 * 1024.0), keys,
+      text_values, distinct_text.size());
+  EXPECT_LE(heap_mb, kMaxReplicaHeapMb);
 }
 
 /// A standalone copy of `source` with a `plan_cache_capacity`-entry plan

@@ -11,6 +11,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <unistd.h>
 
 #include "common/random.h"
 #include "sqldb/database.h"
@@ -643,7 +644,9 @@ TEST_P(SqldbRandomTest, DiskBackedDifferentialAndReopen) {
   const uint64_t seed = GetParam();
   Random rng(seed * 104729 + 17);
   const std::string dir =
-      ::testing::TempDir() + "p3pdb_random_storage_" + std::to_string(seed);
+      ::testing::TempDir() + "p3pdb_random_storage_" +
+                          std::to_string(::getpid()) + "_" +
+                          std::to_string(seed);
   std::filesystem::remove_all(dir);
 
   const char* schema =

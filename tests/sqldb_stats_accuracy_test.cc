@@ -18,6 +18,7 @@
 #include <string>
 #include <utility>
 #include <vector>
+#include <unistd.h>
 
 #include "common/random.h"
 #include "sqldb/database.h"
@@ -181,7 +182,8 @@ TEST(StatsAccuracyTest, ExactStatsExactThroughSeededChurn) {
 }
 
 TEST(StatsAccuracyTest, StatsSurviveDiskBackedReopen) {
-  const std::string dir = "stats_accuracy_reopen.tmp";
+  const std::string dir =
+      "stats_accuracy_reopen_" + std::to_string(::getpid()) + ".tmp";
   std::filesystem::remove_all(dir);
   Random rng(4242);
   Zipf zipf(300);
@@ -341,7 +343,8 @@ TEST(StatsAccuracyTest, MemoizedNdvEqualsFreshRecompute) {
 }
 
 TEST(StatsAccuracyTest, MemoizedNdvEqualsFreshRecomputeAfterReopen) {
-  const std::string dir = "stats_memo_reopen.tmp";
+  const std::string dir =
+      "stats_memo_reopen_" + std::to_string(::getpid()) + ".tmp";
   std::filesystem::remove_all(dir);
   {
     Database db(WithStats(dir));

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <vector>
+#include <unistd.h>
 
 #include "server/policy_server.h"
 #include "sqldb/database.h"
@@ -31,7 +32,8 @@ using server::EngineKind;
 using server::PolicyServer;
 
 std::string TestDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "p3pdb_storage_" + name;
+  std::string dir = ::testing::TempDir() + "p3pdb_storage_" +
+                    std::to_string(::getpid()) + "_" + name;
   std::filesystem::remove_all(dir);
   return dir;
 }
