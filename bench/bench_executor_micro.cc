@@ -27,6 +27,15 @@
 // destroyed oldest first. Samples are per-plan microseconds;
 // `matches_per_sec` carries plans destroyed per second and `frees_per_op`
 // the heap frees per destroyed plan (this binary counts operator delete).
+//
+// `micro/keyset_build` times what a plan miss pays per hash semi-join
+// whose build side is a text column: the build of its key set. Over the
+// Data table's `ref` column of a kSql replica holding all 1,000 corpus
+// policies, each build runs the loop the executor's HashJoinKeySet runs
+// per build row (the column read as Eval reads it, Value::Borrow, moved
+// into a one-column IndexKey and inserted into a fresh
+// HashJoinRuntime::KeySet). Samples are per-build microseconds;
+// `matches_per_sec` carries build rows per second.
 
 #include <algorithm>
 #include <atomic>
@@ -44,6 +53,7 @@
 #include "common/stopwatch.h"
 #include "server/policy_server.h"
 #include "sqldb/database.h"
+#include "sqldb/executor.h"
 #include "translator/sql_optimized.h"
 #include "workload/corpus.h"
 #include "workload/random_preferences.h"
@@ -292,9 +302,8 @@ MicroResult RunPrepareCold(size_t* statements, double* arena_reserved,
 
 constexpr int kLookupPasses = 15;
 
-/// micro/index_lookup (see the header comment). `probes` gets the number
-/// of (index, key) pairs in one pass.
-MicroResult RunIndexLookup(size_t* probes) {
+/// A kSql replica holding all 1,000 corpus policies.
+std::unique_ptr<server::PolicyServer> MakeFullReplica() {
   server::PolicyServer::Options options;
   options.engine = server::EngineKind::kSql;
   options.enable_statement_stats = false;
@@ -305,7 +314,14 @@ MicroResult RunIndexLookup(size_t* probes) {
        workload::FortuneCorpus({.policy_count = 1000})) {
     if (!replica.value()->InstallPolicy(policy).ok()) std::exit(1);
   }
-  const sqldb::Database& db = *replica.value()->database();
+  return std::move(replica).value();
+}
+
+/// micro/index_lookup (see the header comment). `probes` gets the number
+/// of (index, key) pairs in one pass.
+MicroResult RunIndexLookup(size_t* probes) {
+  std::unique_ptr<server::PolicyServer> replica = MakeFullReplica();
+  const sqldb::Database& db = *replica->database();
   struct Probe {
     const sqldb::Index* index;
     std::vector<const sqldb::Value*> key;  // into the table's row
@@ -351,6 +367,33 @@ MicroResult RunIndexLookup(size_t* probes) {
   if (sink == 0) std::exit(1);  // keeps the probes from being elided
   *probes = order.size();
   out.rows_per_sec = 1e6 / out.timings.Percentile(50.0);
+  return out;
+}
+
+/// micro/keyset_build (see the header comment). `rows` gets the build rows
+/// and `keys` the distinct keys of one set.
+MicroResult RunKeySetBuild(size_t* rows, size_t* keys) {
+  std::unique_ptr<server::PolicyServer> replica = MakeFullReplica();
+  const sqldb::Table& data = *replica->database()->LookupTable("Data");
+  const size_t ref = *data.schema().ColumnIndex("ref");
+  MicroResult out;
+  for (int rep = 0; rep < kWarmups + kRepetitions; ++rep) {
+    Stopwatch sw;
+    sqldb::HashJoinRuntime::KeySet set;
+    for (size_t row = 0; row < data.SlotCount(); ++row) {
+      if (!data.IsLive(row)) continue;
+      sqldb::IndexKey key;
+      key.values.reserve(1);
+      key.values.push_back(data.RowAt(row)[ref].Borrow());
+      set.insert(std::move(key));
+    }
+    const double us = sw.ElapsedMicros();
+    if (rep >= kWarmups) out.timings.Add(us);
+    *keys = set.size();
+  }
+  *rows = data.RowCount();
+  out.rows_per_sec =
+      static_cast<double>(*rows) * 1e6 / out.timings.Percentile(50.0);
   return out;
 }
 
@@ -481,6 +524,18 @@ int Main(int argc, char** argv) {
       probes, kLookupPasses, lookup.timings.Percentile(50.0) * 1e3,
       lookup.timings.Percentile(99.0) * 1e3);
   records.push_back(Record("micro/index_lookup", lookup));
+
+  size_t build_rows = 0;
+  size_t build_keys = 0;
+  MicroResult keyset = RunKeySetBuild(&build_rows, &build_keys);
+  std::printf(
+      "Key-set build (Data.ref of a 1,000-policy kSql replica, %zu rows, "
+      "%zu keys): p50 %.1fus, p99 %.1fus per build, %.1fns per row\n",
+      build_rows, build_keys, keyset.timings.Percentile(50.0),
+      keyset.timings.Percentile(99.0),
+      keyset.timings.Percentile(50.0) * 1e3 /
+          static_cast<double>(build_rows));
+  records.push_back(Record("micro/keyset_build", keyset));
 
   size_t plans = 0;
   double frees_per_plan = 0.0;

@@ -147,7 +147,8 @@ int main() {
         "=== EXPLAIN ANALYZE, rule %zu (behavior '%s') ===\n", i + 1,
         sql.behaviors[i].c_str());
     for (const auto& row : plan.value().rows) {
-      std::printf("%s\n", row[0].AsText().c_str());
+      const std::string_view line = row[0].AsText();
+      std::printf("%.*s\n", static_cast<int>(line.size()), line.data());
     }
     break;
   }

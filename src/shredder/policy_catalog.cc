@@ -40,9 +40,11 @@ Status PolicyCatalog::Scan(
   // last row is its latest version.
   for (size_t slot = 0; slot < catalog->SlotCount(); ++slot) {
     if (!catalog->IsLive(slot)) continue;
-    const sqldb::Row& row = catalog->RowAt(slot);
-    P3PDB_RETURN_IF_ERROR(on_row({row[0].AsInteger(), row[1].AsText(),
-                                  row[2].AsInteger(), row[3].AsText()}));
+    const sqldb::RowView row = catalog->RowAt(slot);
+    P3PDB_RETURN_IF_ERROR(on_row({row[0].AsInteger(),
+                                  std::string(row[1].AsText()),
+                                  row[2].AsInteger(),
+                                  std::string(row[3].AsText())}));
   }
   return Status::OK();
 }
@@ -95,12 +97,12 @@ Result<std::string> PolicyCatalog::PolicyXml(std::string_view name,
       sqldb::QueryResult result,
       db_->Execute(
           "SELECT xml FROM PolicyCatalog WHERE name = ? AND version = ?",
-          {Value::Text(std::string(name)), Value::Integer(version)}));
+          {Value::Text(name), Value::Integer(version)}));
   if (result.rows.empty()) {
     return Status::NotFound("no version " + std::to_string(version) +
                             " of policy '" + std::string(name) + "'");
   }
-  return result.rows[0][0].AsText();
+  return std::string(result.rows[0][0].AsText());
 }
 
 Result<std::optional<p3p::ReferenceFile>> PolicyCatalog::ReferenceFile()

@@ -113,10 +113,15 @@ std::shared_ptr<Statement> ShareStatement(std::unique_ptr<Statement> root) {
   return shared;
 }
 
+ArenaPtr<LiteralExpr> LiteralExpr::MakeText(StatementArena* arena,
+                                            std::string_view text) {
+  const size_t bytes = Value::StoredTextBytes(text.size());
+  if (bytes == 0) return Make(arena, Value::Text(text));
+  return ArenaPtr<LiteralExpr>(arena->Place<LiteralExpr>(
+      Value::StoreText(text, arena->Allocate(bytes, alignof(uint64_t)))));
+}
+
 ArenaPtr<LiteralExpr> LiteralExpr::Make(StatementArena* arena, Value v) {
-  if (v.OwnsHeapText()) {
-    return ArenaPtr<LiteralExpr>(arena->NewFinalized<LiteralExpr>(std::move(v)));
-  }
   // Nothing outside the arena to release: skipping the destructor is safe.
   return ArenaPtr<LiteralExpr>(arena->Place<LiteralExpr>(std::move(v)));
 }

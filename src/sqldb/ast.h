@@ -38,10 +38,10 @@
 // releases its blocks. Those
 // members are the rendered column headers (shared with every QueryResult,
 // so they outlive the plan), the planning database's PlanRuntime block and
-// a cached plan's SharedPlan (plan_cache.h), text literals too long for
-// std::string's inline buffer, and the non-SELECT roots' own strings and
-// vectors. Nothing allocates from an arena once parse, bind and plan
-// finish: executions only read the tree. Bind and plan take their
+// a cached plan's SharedPlan (plan_cache.h), and the non-SELECT roots' own
+// strings and vectors. A text literal keeps its bytes in the arena too
+// (LiteralExpr::MakeText). Nothing allocates from an arena once parse,
+// bind and plan finish: executions only read the tree. Bind and plan take their
 // temporary vectors from a stack buffer (Database::BindAndPlan), not from
 // the arena or the heap.
 
@@ -343,14 +343,16 @@ struct Expr {
 
 using ExprPtr = ArenaPtr<Expr>;
 
-/// The one node type that may own heap memory: a text value too long for
-/// std::string's inline buffer. Place literals with Make, which registers a
-/// finalizer for exactly those.
+/// A constant. Text too long for a Value's inline bytes lives in the arena
+/// (MakeText), so a literal owns no heap memory and needs no finalizer.
 struct LiteralExpr : Expr {
   explicit LiteralExpr(Value v) : Expr(ExprKind::kLiteral), value(std::move(v)) {}
   std::string ToSql() const override { return value.ToString(); }
 
+  /// A NULL, integer or boolean literal.
   static ArenaPtr<LiteralExpr> Make(StatementArena* arena, Value v);
+  static ArenaPtr<LiteralExpr> MakeText(StatementArena* arena,
+                                        std::string_view text);
 
   Value value;
 };

@@ -641,7 +641,7 @@ Status Database::DropTable(std::string_view name, bool if_exists) {
   return Status::OK();
 }
 
-Status Database::InsertRow(std::string_view table_name, Row row) {
+Status Database::InsertRow(std::string_view table_name, RowView row) {
   if (!storage_status_.ok()) return storage_status_;
   Table* table = GetMutableTable(table_name);
   if (table == nullptr) {
@@ -651,7 +651,7 @@ Status Database::InsertRow(std::string_view table_name, Row row) {
   if (options_.enforce_foreign_keys) {
     P3PDB_RETURN_IF_ERROR(CheckForeignKeys(*table, row));
   }
-  P3PDB_RETURN_IF_ERROR(table->Insert(std::move(row)));
+  P3PDB_RETURN_IF_ERROR(table->Insert(row));
   return StorageStatementEnd();
 }
 
@@ -679,7 +679,7 @@ std::vector<std::string> Database::TableNames() const {
   return names;
 }
 
-Status Database::CheckForeignKeys(const Table& table, const Row& row) const {
+Status Database::CheckForeignKeys(const Table& table, RowView row) const {
   // Runs for every row a shredder writes, so it allocates nothing for a
   // key of up to kInlineKeyCols columns: the table resolves through the
   // case-insensitive name map, the ordinals sit on the stack, and the
@@ -731,7 +731,7 @@ Status Database::CheckForeignKeys(const Table& table, const Row& row) const {
     } else {
       for (size_t row_id = 0; row_id < ref->SlotCount() && !found; ++row_id) {
         if (!ref->IsLive(row_id)) continue;
-        const Row& candidate = ref->RowAt(row_id);
+        const RowView candidate = ref->RowAt(row_id);
         bool all_equal = true;
         for (size_t i = 0; i < n && all_equal; ++i) {
           all_equal = candidate[ref_ords[i]] == row[ords[i]];
@@ -789,7 +789,7 @@ Result<QueryResult> Database::ExecuteInsert(InsertStmt* stmt) {
     if (options_.enforce_foreign_keys) {
       P3PDB_RETURN_IF_ERROR(CheckForeignKeys(*table, row));
     }
-    P3PDB_RETURN_IF_ERROR(table->Insert(std::move(row)));
+    P3PDB_RETURN_IF_ERROR(table->Insert(row));
     ++inserted;
   }
   ++local.statements_executed;
@@ -853,14 +853,14 @@ Result<QueryResult> Database::ExecuteUpdate(UpdateStmt* stmt) {
   std::vector<std::pair<size_t, Row>> updates;
   for (size_t row_id = 0; row_id < table->SlotCount(); ++row_id) {
     if (!table->IsLive(row_id)) continue;
-    const Row& old_row = table->RowAt(row_id);
+    const RowView old_row = table->RowAt(row_id);
     auto pass = executor.EvalRowPredicate(probe, old_row);
     if (!pass.ok()) {
       restore();
       return pass.status();
     }
     if (!pass.value()) continue;
-    Row new_row = old_row;
+    Row new_row(old_row.begin(), old_row.end());
     for (size_t i = 0; i < ordinals.size(); ++i) {
       auto value =
           executor.EvalRowExpression(probe, old_row, *probe.items[i].expr);
@@ -880,12 +880,13 @@ Result<QueryResult> Database::ExecuteUpdate(UpdateStmt* stmt) {
     if (options_.enforce_foreign_keys) {
       P3PDB_RETURN_IF_ERROR(CheckForeignKeys(*table, new_row));
     }
-    Row old_row = table->RowAt(row_id);
+    const Row old_row(table->RowAt(row_id).begin(),
+                      table->RowAt(row_id).end());
     table->Delete(row_id);
-    Status st = table->Insert(std::move(new_row));
+    Status st = table->Insert(new_row);
     if (!st.ok()) {
       // Try to put the old row back so a unique violation does not lose it.
-      (void)table->Insert(std::move(old_row));
+      (void)table->Insert(old_row);
       return st;
     }
   }

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstddef>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -247,7 +248,13 @@ class Database : public CatalogView {
   Status CreateTable(TableSchema schema);
   Status DropTable(std::string_view name, bool if_exists);
   /// Programmatic insert (bypasses SQL text; values must match the schema).
-  Status InsertRow(std::string_view table_name, Row row);
+  /// The table copies the values, so a braced list is never copied into a
+  /// Row first.
+  Status InsertRow(std::string_view table_name, RowView row);
+  Status InsertRow(std::string_view table_name,
+                   std::initializer_list<Value> row) {
+    return InsertRow(table_name, RowView(row.begin(), row.size()));
+  }
 
   /// Case-insensitive table lookup; nullptr if absent.
   const Table* LookupTable(std::string_view name) const;
@@ -359,7 +366,7 @@ class Database : public CatalogView {
   Result<QueryResult> ExecuteInsert(InsertStmt* stmt);
   Result<QueryResult> ExecuteUpdate(UpdateStmt* stmt);
   Result<QueryResult> ExecuteDelete(DeleteStmt* stmt);
-  Status CheckForeignKeys(const Table& table, const Row& row) const;
+  Status CheckForeignKeys(const Table& table, RowView row) const;
 
   /// This thread's stats stripe (see stripes_).
   AtomicExecStats& Stripe();
@@ -369,7 +376,7 @@ class Database : public CatalogView {
   class SchemaObserver : public TableObserver {
    public:
     explicit SchemaObserver(Database* db) : db_(db) {}
-    void OnInsert(const Table&, size_t, const Row&) override {}
+    void OnInsert(const Table&, size_t, RowView) override {}
     void OnDelete(const Table&, size_t) override {}
     void OnCreateIndex(const Table& table, const Index& index) override {
       db_->OnCreateIndex(table, index);

@@ -147,23 +147,23 @@ Result<Value> Executor::EvalConstant(const Expr& expr) {
 }
 
 Result<bool> Executor::EvalRowPredicate(const SelectStmt& stmt,
-                                        const Row& row) {
+                                        RowView row) {
   if (stmt.where == nullptr) return true;
   Scope scope;
   scope.stmt = &stmt;
   scope.Reset(stmt.from.size());
-  scope.rows[0] = &row;
+  scope.rows[0] = row.data();
   ScopeStack stack;
   stack.push_back(&scope);
   return EvalFilter(*stmt.where, stack);
 }
 
 Result<Value> Executor::EvalRowExpression(const SelectStmt& stmt,
-                                          const Row& row, const Expr& expr) {
+                                          RowView row, const Expr& expr) {
   Scope scope;
   scope.stmt = &stmt;
   scope.Reset(stmt.from.size());
-  scope.rows[0] = &row;
+  scope.rows[0] = row.data();
   ScopeStack stack;
   stack.push_back(&scope);
   return Eval(expr, stack);
@@ -172,7 +172,7 @@ Result<Value> Executor::EvalRowExpression(const SelectStmt& stmt,
 Result<Value> Executor::Eval(const Expr& expr, ScopeStack& stack) {
   switch (expr.kind) {
     case ExprKind::kLiteral:
-      return static_cast<const LiteralExpr&>(expr).value;
+      return static_cast<const LiteralExpr&>(expr).value.Borrow();
     case ExprKind::kParam: {
       const auto& param = static_cast<const ParamExpr&>(expr);
       if (params_ == nullptr || param.index >= params_->size()) {
@@ -182,7 +182,7 @@ Result<Value> Executor::Eval(const Expr& expr, ScopeStack& stack) {
             std::to_string(params_ == nullptr ? 0 : params_->size()) +
             " value(s) were supplied");
       }
-      return (*params_)[param.index];
+      return (*params_)[param.index].Borrow();
     }
     case ExprKind::kColumnRef: {
       const auto& ref = static_cast<const ColumnRefExpr&>(expr);
@@ -192,12 +192,12 @@ Result<Value> Executor::Eval(const Expr& expr, ScopeStack& stack) {
                                 "'");
       }
       const Scope* scope = stack[stack.size() - 1 - ref.level];
-      const Row* row = scope->rows[ref.table_slot];
+      const Value* row = scope->rows[ref.table_slot];
       if (row == nullptr) {
         return Status::Internal("column '" + ref.ToSql() +
                                 "' read before its table was positioned");
       }
-      return (*row)[ref.column_ordinal];
+      return row[ref.column_ordinal].Borrow();
     }
     case ExprKind::kComparison: {
       const auto& cmp = static_cast<const ComparisonExpr&>(expr);
@@ -476,7 +476,7 @@ Status Executor::ScanSlot(const SelectStmt& stmt, ScopeStack& stack,
     if (!table->IsLive(row_id)) return Status::OK();
     ++stats_->rows_scanned;
     if (node != nullptr) ++node->rows;
-    scope.rows[slot] = &table->RowAt(row_id);
+    scope.rows[slot] = table->RowAt(row_id).data();
     return EnumerateRows(stmt, stack, scope, slot + 1, on_row, stopped);
   };
 
@@ -615,11 +615,15 @@ Result<QueryResult> Executor::RunPlainSelect(const SelectStmt& stmt,
         for (const SelectItem& item : stmt.items) {
           if (item.is_star) {
             for (size_t slot = 0; slot < stmt.from.size(); ++slot) {
-              const Row* row = scope.rows[slot];
-              out.insert(out.end(), row->begin(), row->end());
+              const Value* row = scope.rows[slot];
+              out.insert(out.end(), row,
+                         row + tables_[stmt.from[slot].table]
+                                   .schema()
+                                   .ColumnCount());
             }
           } else {
             P3PDB_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, stack));
+            v.Own();  // the result outlives the rows it was read from
             out.push_back(std::move(v));
           }
         }

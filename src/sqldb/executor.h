@@ -175,17 +175,19 @@ class Executor {
   /// Evaluates the WHERE clause of a bound single-table SELECT against one
   /// candidate row (DELETE uses this to collect victims by row id). A null
   /// WHERE accepts every row.
-  Result<bool> EvalRowPredicate(const SelectStmt& stmt, const Row& row);
+  Result<bool> EvalRowPredicate(const SelectStmt& stmt, RowView row);
 
   /// Evaluates an arbitrary expression bound within `stmt`'s scope against
-  /// one row of its single FROM table (UPDATE assignment values).
-  Result<Value> EvalRowExpression(const SelectStmt& stmt, const Row& row,
+  /// one row of its single FROM table (UPDATE assignment values). Text in
+  /// the result, as in EvalConstant's, may borrow (Value::Borrow) from the
+  /// row, the statement or the parameters.
+  Result<Value> EvalRowExpression(const SelectStmt& stmt, RowView row,
                                   const Expr& expr);
 
  private:
   struct Scope {
     const SelectStmt* stmt = nullptr;
-    const Row** rows = nullptr;  // one slot per FROM entry
+    const Value** rows = nullptr;  // a row's cells per FROM entry
 
     /// Points `rows` at cleared storage for `n` slots: inline for the
     /// common narrow FROM lists (a heap vector per scope showed up in the
@@ -202,8 +204,8 @@ class Executor {
 
    private:
     static constexpr size_t kInlineSlots = 8;
-    const Row* inline_rows_[kInlineSlots];
-    std::vector<const Row*> spill_;
+    const Value* inline_rows_[kInlineSlots];
+    std::vector<const Value*> spill_;
   };
 
   /// Stack of enclosing scopes, innermost last. Depth is bounded by the
@@ -237,6 +239,8 @@ class Executor {
     std::vector<Scope*> spill_;
   };
 
+  /// Text in the result borrows (Value::Borrow) from the rows, literals
+  /// and parameters it was read from, which outlive the execution.
   Result<Value> Eval(const Expr& expr, ScopeStack& stack);
   /// Evaluates a predicate; the row passes only when the result is TRUE
   /// (NULL and FALSE both reject — SQL three-valued filter semantics).

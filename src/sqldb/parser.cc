@@ -615,7 +615,7 @@ class Parser {
       }
       case TokenType::kString: {
         ExprPtr e =
-            LiteralExpr::Make(arena_.get(), Value::Text(std::string(tok.text)));
+            LiteralExpr::MakeText(arena_.get(), tok.text);
         Advance();
         return e;
       }

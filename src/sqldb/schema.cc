@@ -22,7 +22,7 @@ std::optional<size_t> TableSchema::ColumnIndex(
   return std::nullopt;
 }
 
-Status TableSchema::ValidateRow(const std::vector<Value>& row) const {
+Status TableSchema::ValidateRow(std::span<const Value> row) const {
   if (row.size() != columns_.size()) {
     return Status::InvalidArgument(
         "row has " + std::to_string(row.size()) + " values, table '" + name_ +

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -68,7 +69,7 @@ class TableSchema {
 
   /// Verifies a row matches this schema: arity, types (NULL allowed per
   /// column nullability), booleans rejected as storage types.
-  Status ValidateRow(const std::vector<Value>& row) const;
+  Status ValidateRow(std::span<const Value> row) const;
 
   /// Renders a CREATE TABLE statement for this schema.
   std::string ToCreateTableSql() const;
@@ -80,8 +81,13 @@ class TableSchema {
   std::vector<ForeignKeyDef> foreign_keys_;
 };
 
-/// A row is a flat vector of values aligned with the schema's columns.
+/// A row is a flat vector of values aligned with the schema's columns: what
+/// an insert takes and a query returns.
 using Row = std::vector<Value>;
+
+/// A read-only view of one row's values: a table's slot (Table::RowAt) or a
+/// Row.
+using RowView = std::span<const Value>;
 
 }  // namespace p3pdb::sqldb
 

@@ -63,7 +63,7 @@ double HllSketch::ComputeEstimate() const {
 }
 
 void StatsCatalog::OnInsert(const Table& table, size_t row_id,
-                            const Row& row) {
+                            RowView row) {
   TableEntry* entry = Find(&table);
   if (entry == nullptr) return;
   std::lock_guard<std::mutex> lock(entry->mu);
@@ -96,7 +96,7 @@ void StatsCatalog::OnDelete(const Table& table, size_t row_id) {
   // The observer fires after the slot is tombstoned but before the row data
   // is reclaimed (it never is; slots are append-only), so the deleted
   // values are still readable here.
-  const Row& row = table.RowAt(row_id);
+  const RowView row = table.RowAt(row_id);
   for (size_t c = 0; c < entry->columns.size() && c < row.size(); ++c) {
     ColumnEntry& col = entry->columns[c];
     const Value& v = row[c];
@@ -255,7 +255,7 @@ void StatsCatalog::RebuildLocked(const Table& table,
   }
   for (size_t row_id = 0; row_id < table.SlotCount(); ++row_id) {
     if (!table.IsLive(row_id)) continue;
-    const Row& row = table.RowAt(row_id);
+    const RowView row = table.RowAt(row_id);
     for (size_t c = 0; c < entry->columns.size() && c < row.size(); ++c) {
       ColumnEntry& col = entry->columns[c];
       const Value& v = row[c];

@@ -125,7 +125,7 @@ class StatsCatalog : public TableObserver {
 
   // TableObserver. Fires after the mutation succeeded; OnDelete can still
   // read the tombstoned row's data.
-  void OnInsert(const Table& table, size_t row_id, const Row& row) override;
+  void OnInsert(const Table& table, size_t row_id, RowView row) override;
   void OnDelete(const Table& table, size_t row_id) override;
   void OnCreateIndex(const Table& /*table*/, const Index& /*index*/) override {
   }

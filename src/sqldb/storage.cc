@@ -41,7 +41,7 @@ std::vector<uint8_t> EncodeCreateIndex(const Table& table,
 }
 
 std::vector<uint8_t> EncodeInsert(const Table& table, size_t row_id,
-                                  const Row& row) {
+                                  RowView row) {
   ByteWriter w;
   w.PutString(table.schema().name());
   w.PutU64(row_id);
@@ -131,9 +131,14 @@ class CheckpointReader {
   }
 
   Result<std::vector<uint8_t>> ReadChunk(size_t len) {
-    std::vector<uint8_t> buf(len);
-    P3PDB_RETURN_IF_ERROR(Read(buf.data(), len));
+    std::vector<uint8_t> buf;
+    P3PDB_RETURN_IF_ERROR(ReadChunk(len, &buf));
     return buf;
+  }
+  /// ReadChunk into `buf`, reusing its capacity.
+  Status ReadChunk(size_t len, std::vector<uint8_t>* buf) {
+    buf->resize(len);
+    return Read(buf->data(), len);
   }
 
   Result<uint32_t> ReadU32() {
@@ -333,20 +338,25 @@ Status StorageEngine::LoadCheckpoint(Database* db) {
       if (!st.ok() && st.code() != StatusCode::kAlreadyExists) return st;
     }
     P3PDB_ASSIGN_OR_RETURN(uint64_t slot_count, reader.ReadU64());
+    // A slot takes at least its 4-byte frame and live byte, so a count the
+    // image cannot hold is corruption the loop below reports, not a size.
+    if (slot_count <= checkpoint_bytes_ / 5) table->ReserveSlots(slot_count);
+    // One slot at a time through the same two buffers: the table keeps
+    // its own copy of each row.
+    std::vector<uint8_t> blob;
+    Row row;
     for (uint64_t s = 0; s < slot_count; ++s) {
       P3PDB_ASSIGN_OR_RETURN(uint32_t slot_len, reader.ReadU32());
-      P3PDB_ASSIGN_OR_RETURN(std::vector<uint8_t> blob,
-                             reader.ReadChunk(slot_len));
+      P3PDB_RETURN_IF_ERROR(reader.ReadChunk(slot_len, &blob));
       ByteReader sr(blob.data(), blob.size());
       P3PDB_ASSIGN_OR_RETURN(uint8_t live, sr.GetU8());
       if (live != 0) {
-        P3PDB_ASSIGN_OR_RETURN(Row row, sr.GetRow());
-        P3PDB_RETURN_IF_ERROR(table->RestoreSlot(std::move(row), true));
+        P3PDB_RETURN_IF_ERROR(sr.GetRow(&row));
+        P3PDB_RETURN_IF_ERROR(table->RestoreSlot(row, true));
       } else {
-        // Tombstone: a placeholder row keeps the slot array aligned so
+        // Tombstone: a placeholder slot keeps the slot array aligned so
         // WAL row ids land where they did in the original run.
-        P3PDB_RETURN_IF_ERROR(
-            table->RestoreSlot(Row(table->schema().ColumnCount()), false));
+        P3PDB_RETURN_IF_ERROR(table->RestoreSlot({}, false));
       }
     }
   }
@@ -396,7 +406,7 @@ Status StorageEngine::ApplyRecord(Database* db, const WalRecord& record) {
             std::to_string(row_id) + ", next slot is " +
             std::to_string(table->SlotCount()) + ")");
       }
-      return table->Insert(std::move(row));
+      return table->Insert(row);
     }
     case WalRecordType::kDelete: {
       P3PDB_ASSIGN_OR_RETURN(std::string table_name, r.GetString());
@@ -487,7 +497,7 @@ Status StorageEngine::AppendRecord(WalRecordType type,
 }
 
 void StorageEngine::OnInsert(const Table& table, size_t row_id,
-                             const Row& row) {
+                             RowView row) {
   if (replaying_) return;
   (void)AppendRecord(WalRecordType::kInsert, EncodeInsert(table, row_id, row));
 }

@@ -101,7 +101,7 @@ class StorageEngine : public TableObserver {
 
   // TableObserver — row/index mutations arrive here from every path
   // (SQL DML, programmatic InsertRow, CREATE INDEX, shredder installs).
-  void OnInsert(const Table& table, size_t row_id, const Row& row) override;
+  void OnInsert(const Table& table, size_t row_id, RowView row) override;
   void OnDelete(const Table& table, size_t row_id) override;
   void OnCreateIndex(const Table& table, const Index& index) override;
 

@@ -28,7 +28,7 @@ void ByteWriter::PutU64(uint64_t v) {
   for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
 }
 
-void ByteWriter::PutString(const std::string& s) {
+void ByteWriter::PutString(std::string_view s) {
   PutU32(static_cast<uint32_t>(s.size()));
   bytes.insert(bytes.end(), s.begin(), s.end());
 }
@@ -54,7 +54,7 @@ void ByteWriter::PutValue(const Value& v) {
   }
 }
 
-void ByteWriter::PutRow(const Row& row) {
+void ByteWriter::PutRow(RowView row) {
   PutU32(static_cast<uint32_t>(row.size()));
   for (const Value& v : row) PutValue(v);
 }
@@ -113,14 +113,19 @@ Result<uint64_t> ByteReader::GetU64() {
   return v;
 }
 
-Result<std::string> ByteReader::GetString() {
+Result<std::string_view> ByteReader::GetStringView() {
   P3PDB_ASSIGN_OR_RETURN(uint32_t len, GetU32());
   if (pos_ + len > len_) {
     return Status::ParseError("storage decode: short string");
   }
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
+  std::string_view s(reinterpret_cast<const char*>(data_ + pos_), len);
   pos_ += len;
   return s;
+}
+
+Result<std::string> ByteReader::GetString() {
+  P3PDB_ASSIGN_OR_RETURN(std::string_view s, GetStringView());
+  return std::string(s);
 }
 
 Result<Value> ByteReader::GetValue() {
@@ -133,8 +138,8 @@ Result<Value> ByteReader::GetValue() {
       return Value::Integer(static_cast<int64_t>(raw));
     }
     case kTagText: {
-      P3PDB_ASSIGN_OR_RETURN(std::string s, GetString());
-      return Value::Text(std::move(s));
+      P3PDB_ASSIGN_OR_RETURN(std::string_view s, GetStringView());
+      return Value::Text(s);
     }
     default:
       return Status::ParseError("storage decode: bad value tag " +
@@ -143,19 +148,25 @@ Result<Value> ByteReader::GetValue() {
 }
 
 Result<Row> ByteReader::GetRow() {
+  Row row;
+  P3PDB_RETURN_IF_ERROR(GetRow(&row));
+  return row;
+}
+
+Status ByteReader::GetRow(Row* row) {
   P3PDB_ASSIGN_OR_RETURN(uint32_t count, GetU32());
   if (count > remaining()) {
     // Each value costs at least one tag byte; a count beyond the remaining
     // bytes is corruption, not a huge row.
     return Status::ParseError("storage decode: row count exceeds payload");
   }
-  Row row;
-  row.reserve(count);
+  row->clear();
+  row->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     P3PDB_ASSIGN_OR_RETURN(Value v, GetValue());
-    row.push_back(std::move(v));
+    row->push_back(std::move(v));
   }
-  return row;
+  return Status::OK();
 }
 
 Result<TableSchema> ByteReader::GetSchema() {

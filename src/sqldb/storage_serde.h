@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -39,9 +40,9 @@ struct ByteWriter {
   void PutU8(uint8_t v) { bytes.push_back(v); }
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
-  void PutString(const std::string& s);
+  void PutString(std::string_view s);
   void PutValue(const Value& v);
-  void PutRow(const Row& row);
+  void PutRow(RowView row);
   void PutSchema(const TableSchema& schema);
   /// Encodes `index` of a table with `schema` as an IndexDef.
   void PutIndexDef(const TableSchema& schema, const Index& index);
@@ -56,8 +57,12 @@ class ByteReader {
   Result<uint32_t> GetU32();
   Result<uint64_t> GetU64();
   Result<std::string> GetString();
+  /// A string's bytes, viewed in the decoded range.
+  Result<std::string_view> GetStringView();
   Result<Value> GetValue();
   Result<Row> GetRow();
+  /// GetRow into `row`, reusing its capacity.
+  Status GetRow(Row* row);
   Result<TableSchema> GetSchema();
   Result<IndexDef> GetIndexDef();
 

@@ -30,7 +30,7 @@ size_t Index::FindSlot(uint64_t hash, KeyAt key_at, uint32_t self) const {
     // A row id sits in one chain only, so `self` needs no key compare
     // (and may be the row Table::Insert has not appended yet).
     if (slot.first == self) return pos;
-    const Row& first = table_->RowAt(slot.first);
+    const RowView first = table_->RowAt(slot.first);
     bool equal = true;
     for (size_t i = 0; i < column_ordinals_.size() && equal; ++i) {
       equal = first[column_ordinals_[i]] == key_at(i);
@@ -51,7 +51,7 @@ void Index::Grow() {
   }
 }
 
-Status Index::Insert(const Row& row, size_t row_id) {
+Status Index::Insert(RowView row, size_t row_id) {
   for (size_t ord : column_ordinals_) {
     if (row[ord].is_null()) return Status::OK();  // NULL keys are not indexed
   }
@@ -93,7 +93,7 @@ Status Index::Insert(const Row& row, size_t row_id) {
   return Status::OK();
 }
 
-void Index::Erase(const Row& row, size_t row_id) {
+void Index::Erase(RowView row, size_t row_id) {
   for (size_t ord : column_ordinals_) {
     if (row[ord].is_null()) return;
   }
@@ -158,7 +158,54 @@ Index::Footprint Index::footprint() const {
   return f;
 }
 
-Table::Table(TableSchema schema) : schema_(std::move(schema)) {
+Value TextPool::Intern(const Value& v) {
+  const size_t bytes = v.StoredTextBytes();
+  if (bytes == 0) return v;
+  if ((size_ + 1) * 4 > slots_.size() * 3) Grow();
+  const size_t hash = v.Hash();
+  const size_t mask = slots_.size() - 1;
+  size_t pos = hash & mask;
+  for (; !slots_[pos].is_null(); pos = (pos + 1) & mask) {
+    const Value& slot = slots_[pos];
+    if (slot.Hash() == hash && slot.AsText() == v.AsText()) {
+      return slot.Borrow();
+    }
+  }
+  // Entries stay 8-byte aligned for their hash headers. A chunk holds at
+  // least every byte stored so far (capped), so chunks grow geometrically
+  // and a small table's pool stays small.
+  constexpr size_t kMinChunk = 256;
+  constexpr size_t kMaxChunk = 64 * 1024;
+  const size_t need = (bytes + 7) & ~size_t{7};
+  if (need > free_bytes_) {
+    const size_t chunk = std::max(
+        need, std::clamp(chunk_bytes_, kMinChunk, kMaxChunk));
+    chunks_.push_back(std::make_unique_for_overwrite<char[]>(chunk));
+    free_ = chunks_.back().get();
+    free_bytes_ = chunk;
+    chunk_bytes_ += chunk;
+  }
+  slots_[pos] = v.StoreText(free_);
+  free_ += need;
+  free_bytes_ -= need;
+  ++size_;
+  return slots_[pos].Borrow();
+}
+
+void TextPool::Grow() {
+  std::vector<Value> old = std::move(slots_);
+  slots_.assign(std::max(kMinSlots, old.size() * 2), Value());
+  const size_t mask = slots_.size() - 1;
+  for (Value& entry : old) {
+    if (entry.is_null()) continue;
+    size_t pos = entry.Hash() & mask;
+    while (!slots_[pos].is_null()) pos = (pos + 1) & mask;
+    slots_[pos] = std::move(entry);
+  }
+}
+
+Table::Table(TableSchema schema)
+    : schema_(std::move(schema)), columns_(schema_.ColumnCount()) {
   if (!schema_.primary_key().empty()) {
     // The implicit PK index; CreateIndex validates the column names.
     Status st = CreateIndex("pk_" + schema_.name(), schema_.primary_key(),
@@ -167,9 +214,25 @@ Table::Table(TableSchema schema) : schema_(std::move(schema)) {
   }
 }
 
-Status Table::Insert(Row row) {
-  P3PDB_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  size_t row_id = rows_.size();
+void Table::AppendCells(RowView row) {
+  // Growth by half again (not doubling) bounds the idle tail of the array,
+  // the bulk of a table's memory, to a third of it.
+  if (cells_.size() + columns_ > cells_.capacity()) {
+    // `row` may be one of this table's own slots, which the move drops.
+    const Value* old = cells_.data();
+    const bool own_slot = row.data() >= old && row.data() < old + cells_.size();
+    cells_.reserve(std::max(cells_.capacity() + cells_.capacity() / 2,
+                            cells_.size() + columns_));
+    if (own_slot) {
+      row = RowView(cells_.data() + (row.data() - old), row.size());
+    }
+  }
+  for (const Value& v : row) cells_.push_back(text_.Intern(v));
+  live_.push_back(false);
+}
+
+Status Table::IndexAppended(size_t row_id) {
+  const RowView row = RowAt(row_id);
   for (auto& index : indexes_) {
     Status st = index->Insert(row, row_id);
     if (!st.ok()) {
@@ -178,15 +241,24 @@ Status Table::Insert(Row row) {
         if (prior.get() == index.get()) break;
         prior->Erase(row, row_id);
       }
+      cells_.resize(row_id * columns_);
+      live_.pop_back();
       return st;
     }
   }
-  rows_.push_back(std::move(row));
-  live_.push_back(true);
+  return Status::OK();
+}
+
+Status Table::Insert(RowView row) {
+  P3PDB_RETURN_IF_ERROR(schema_.ValidateRow(row));
+  const size_t row_id = live_.size();
+  AppendCells(row);
+  P3PDB_RETURN_IF_ERROR(IndexAppended(row_id));
+  live_[row_id] = true;
   ++live_count_;
   version_.fetch_add(1, std::memory_order_relaxed);
   for (TableObserver* obs : observers_) {
-    obs->OnInsert(*this, row_id, rows_[row_id]);
+    obs->OnInsert(*this, row_id, RowAt(row_id));
   }
   return Status::OK();
 }
@@ -207,32 +279,27 @@ void Table::RemoveObserver(TableObserver* observer) {
 }
 
 void Table::Delete(size_t row_id) {
-  if (row_id >= rows_.size() || !live_[row_id]) return;
-  for (auto& index : indexes_) index->Erase(rows_[row_id], row_id);
+  if (row_id >= live_.size() || !live_[row_id]) return;
+  for (auto& index : indexes_) index->Erase(RowAt(row_id), row_id);
   live_[row_id] = false;
   --live_count_;
   version_.fetch_add(1, std::memory_order_relaxed);
   for (TableObserver* obs : observers_) obs->OnDelete(*this, row_id);
 }
 
-Status Table::RestoreSlot(Row row, bool live) {
-  const size_t row_id = rows_.size();
+Status Table::RestoreSlot(RowView row, bool live) {
+  const size_t row_id = live_.size();
   if (live) {
     P3PDB_RETURN_IF_ERROR(schema_.ValidateRow(row));
-    for (auto& index : indexes_) {
-      Status st = index->Insert(row, row_id);
-      if (!st.ok()) {
-        for (auto& prior : indexes_) {
-          if (prior.get() == index.get()) break;
-          prior->Erase(row, row_id);
-        }
-        return st;
-      }
-    }
+    AppendCells(row);
+    P3PDB_RETURN_IF_ERROR(IndexAppended(row_id));
+    live_[row_id] = true;
+    ++live_count_;
+  } else {
+    // A dead slot keeps only its place: NULL cells, nothing interned.
+    cells_.resize(cells_.size() + columns_);
+    live_.push_back(false);
   }
-  rows_.push_back(std::move(row));
-  live_.push_back(live);
-  if (live) ++live_count_;
   version_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -257,9 +324,9 @@ Status Table::CreateIndex(const std::string& index_name,
   }
   auto index = std::make_unique<Index>(index_name, std::move(ordinals), unique,
                                        this);
-  for (size_t row_id = 0; row_id < rows_.size(); ++row_id) {
+  for (size_t row_id = 0; row_id < live_.size(); ++row_id) {
     if (!live_[row_id]) continue;
-    P3PDB_RETURN_IF_ERROR(index->Insert(rows_[row_id], row_id));
+    P3PDB_RETURN_IF_ERROR(index->Insert(RowAt(row_id), row_id));
   }
   indexes_.push_back(std::move(index));
   for (TableObserver* obs : observers_) {

@@ -1,7 +1,10 @@
 // In-memory row-store table with hash indexes.
 //
-// Rows live in an append-only vector; deletion marks a tombstone so row ids
-// stay stable for the indexes. A hash index maps a composite key (one or
+// Rows live in one append-only array of 16-byte Values, row after row with
+// a stride of the column count; deletion marks a tombstone so row ids stay
+// stable for the indexes. Text longer than a Value holds inline is interned
+// in the table's TextPool: each distinct text is stored once, and a row's
+// cell shares it. A hash index maps a composite key (one or
 // more column values) to the row ids carrying it, and stores only row ids:
 // one 16-byte slot per distinct key plus a 4-byte chain link per row, with
 // keys compared against the table's own rows (see Index). The primary key
@@ -14,6 +17,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <iterator>
 #include <memory>
 #include <span>
@@ -47,8 +51,10 @@ inline uint64_t FinalizeKeyHash(uint64_t hash) {
   return hash;
 }
 
-/// An owned composite key: the element type of the hash-join key sets.
-/// Hashing and equality are consistent with Value::OrderCompare.
+/// A composite key: the element type of the hash-join key sets, whose
+/// values borrow (Value::Borrow) the text of the build side's rows and
+/// literals, which outlive the set. Hashing and equality are consistent
+/// with Value::OrderCompare.
 struct IndexKey {
   std::vector<Value> values;
 
@@ -178,9 +184,9 @@ class Index {
   /// one Table::Insert is about to append at that id. Row ids arrive in
   /// ascending order, as the table appends them. A key with a NULL column
   /// is not indexed. Fails on a unique violation.
-  Status Insert(const Row& row, size_t row_id);
+  Status Insert(RowView row, size_t row_id);
   /// Removes row `row_id` (values `row`) from its key's chain.
-  void Erase(const Row& row, size_t row_id);
+  void Erase(RowView row, size_t row_id);
 
   /// The rows whose key equals `key` (empty if none). A key containing
   /// NULL never matches (SQL semantics: NULL = NULL is not true).
@@ -231,9 +237,47 @@ class Index {
 class TableObserver {
  public:
   virtual ~TableObserver() = default;
-  virtual void OnInsert(const Table& table, size_t row_id, const Row& row) = 0;
+  virtual void OnInsert(const Table& table, size_t row_id, RowView row) = 0;
   virtual void OnDelete(const Table& table, size_t row_id) = 0;
   virtual void OnCreateIndex(const Table& table, const Index& index) = 0;
+};
+
+/// The distinct long text (longer than Value::kInlineText) of one table's
+/// rows, each stored once with its hash (Value::StoreText) in chunks that
+/// never move. Append-only: an entry's bytes stay unchanged until the pool
+/// dies with its table, so readers of shared Values into it take no lock of
+/// their own. Only the table's single writer appends, under the same
+/// serialization as every other mutation of the table (the server's
+/// exclusive install lock).
+class TextPool {
+ public:
+  TextPool() = default;
+  TextPool(const TextPool&) = delete;
+  TextPool& operator=(const TextPool&) = delete;
+
+  /// `v` as a table cell: long text shares the pool's copy of its bytes,
+  /// stored on first sight; any other value is copied as is.
+  Value Intern(const Value& v);
+
+  /// Distinct texts held.
+  size_t size() const { return size_; }
+  /// Heap bytes: the chunks and the lookup table.
+  size_t heap_bytes() const {
+    return chunk_bytes_ + slots_.capacity() * sizeof(Value);
+  }
+
+ private:
+  void Grow();
+
+  // Open addressing by the text's hash (linear probing, power-of-two
+  // capacity, at most 3/4 full); a NULL slot is empty, every other one a
+  // shared Value into a chunk.
+  std::vector<Value> slots_;
+  size_t size_ = 0;
+  std::vector<std::unique_ptr<char[]>> chunks_;
+  char* free_ = nullptr;  // unused tail of the newest chunk
+  size_t free_bytes_ = 0;
+  size_t chunk_bytes_ = 0;
 };
 
 /// A table: schema, rows, and indexes.
@@ -247,8 +291,12 @@ class Table {
   const TableSchema& schema() const { return schema_; }
 
   /// Validates and inserts a row, maintaining all indexes (including the
-  /// implicit primary-key index, so duplicate PKs are rejected).
-  Status Insert(Row row);
+  /// implicit primary-key index, so duplicate PKs are rejected). The table
+  /// keeps its own copy: long text is interned in its TextPool.
+  Status Insert(RowView row);
+  Status Insert(std::initializer_list<Value> row) {
+    return Insert(RowView(row.begin(), row.size()));
+  }
 
   /// Deletes the row with the given id (must be live).
   void Delete(size_t row_id);
@@ -257,10 +305,26 @@ class Table {
   size_t RowCount() const { return live_count_; }
 
   /// Total slots including tombstones (scan bound).
-  size_t SlotCount() const { return rows_.size(); }
+  size_t SlotCount() const { return live_.size(); }
 
   bool IsLive(size_t row_id) const { return live_[row_id]; }
-  const Row& RowAt(size_t row_id) const { return rows_[row_id]; }
+  /// The values of slot `row_id`: valid until the table's next insert.
+  /// Long text in them shares the table's TextPool; a copy of a Value
+  /// stands alone (value.h).
+  RowView RowAt(size_t row_id) const {
+    return RowView(cells_.data() + row_id * columns_, columns_);
+  }
+
+  /// Heap bytes of the rows: the cell array and the interned text.
+  struct Footprint {
+    size_t cell_bytes = 0;
+    size_t text_bytes = 0;
+    size_t distinct_texts = 0;
+  };
+  Footprint footprint() const {
+    return {cells_.capacity() * sizeof(Value), text_.heap_bytes(),
+            text_.size()};
+  }
 
   /// Creates a named index over the given columns. Existing rows are
   /// indexed immediately.
@@ -303,12 +367,26 @@ class Table {
   /// never validated or indexed). Bypasses the observer — a restore is not
   /// a new mutation. Used only by storage recovery; regular writers use
   /// Insert/Delete.
-  Status RestoreSlot(Row row, bool live);
+  Status RestoreSlot(RowView row, bool live);
+  /// Sizes the row storage for `slots` slots in all, as a restore that
+  /// knows its slot count does before its first RestoreSlot.
+  void ReserveSlots(size_t slots) {
+    cells_.reserve(slots * columns_);
+    live_.reserve(slots);
+  }
 
  private:
+  /// Appends `row` as the cells of slot SlotCount(), interning its text.
+  void AppendCells(RowView row);
+  /// Indexes the row just appended at `row_id`; on failure removes it from
+  /// the indexes that took it and drops its cells again.
+  Status IndexAppended(size_t row_id);
+
   TableSchema schema_;
-  std::vector<Row> rows_;
+  size_t columns_;
+  std::vector<Value> cells_;  // slot r: [r * columns_, (r + 1) * columns_)
   std::vector<bool> live_;
+  TextPool text_;
   size_t live_count_ = 0;
   std::vector<std::unique_ptr<Index>> indexes_;
   std::atomic<uint64_t> version_{0};

@@ -124,24 +124,25 @@ namespace {
 constexpr uint64_t kFirstSeed = 1000;
 constexpr uint64_t kSeeds = 1000;
 
-// Mean heap allocations per unit, now 2.6 / 4.6 / 242.8 (a Prepare took
-// 6.6 while every table-name lookup lower-cased a copy of the name). Token
-// text copied
+// Mean heap allocations per unit, now 2.0 / 4.0 / 242.8. Text literals
+// too long for a string's inline buffer on the heap measured 2.6 / 4.6 (a
+// Prepare took 6.6 while every table-name lookup lower-cased a copy of the
+// name). Token text copied
 // into std::strings, one heap allocation per AST node and an XML DOM per
 // fingerprint measured 89.4 / 167.5 / 360.6 on the same inputs; with nodes
 // in the arena but node-owned lists, names and bind/plan temporaries on the
 // heap, 32.1 / 110.3 / 242.8.
-constexpr double kMaxParseAllocations = 2.9;
+constexpr double kMaxParseAllocations = 2.3;
 constexpr double kMaxPrepareAllocations = 8.0;
 constexpr double kMaxCompileAllocations = 270.0;
 
 // Mean heap frees when the plan cache evicts one cached plan, the plan
-// itself and its cache entry: now 4.93 (the entry's node, the arena, the
-// column headers' two blocks, and ~0.93 text literals too long for the
-// inline string buffer). Node-owned lists and names on the heap, a
-// destructor walk over every node, a separate shared_ptr control block and
-// a std::string key in a separate LRU list node measured 47.73.
-constexpr double kMaxFreesPerDestroyedPlan = 6.0;
+// itself and its cache entry: now 3.97 (the entry's node, the arena and
+// the column headers' two blocks). Long text literals on the heap measured
+// 4.93; node-owned lists and names on the heap, a destructor walk over
+// every node, a separate shared_ptr control block and a std::string key in
+// a separate LRU list node measured 47.73.
+constexpr double kMaxFreesPerDestroyedPlan = 4.5;
 
 uint64_t Allocations() { return g_allocations.load(std::memory_order_relaxed); }
 uint64_t Frees() { return g_frees.load(std::memory_order_relaxed); }
@@ -231,15 +232,20 @@ TEST(StatementAllocationsTest, ColdRuleQueryPathStaysPerStatement) {
 
 // Mean heap allocations per kSql InstallPolicy (in memory) and per policy
 // a disk-backed kSql reopen restores, over every 4th of 1,000 corpus
-// policies: now 393.7 / 118.7, nearly all of the install in the shred.
-// Hash-index entries as std::unordered_map nodes (a node, an owned key
-// vector and a row-id vector per key) and a foreign-key check that built
+// policies: now 330.5 / 24.8, nearly all of the install in the shred. A
+// table copies each row into its flat cell array (long text interned), so
+// no Row vector is built to be inserted, and the restore decodes every
+// slot through one reused buffer. Rows kept as separately allocated Row
+// vectors, each inserted row first copied into one, and a fresh buffer
+// and Row per restored slot measured 393.7 / 118.7. Hash-index entries as
+// std::unordered_map nodes (a node, an owned key vector and a row-id
+// vector per key) and a foreign-key check that built
 // three vectors and an owned key per referencing row measured 983.4 /
 // 372.2; before that, a policy DOM built at install and rebuilt from the
 // catalog's XML at restore, and a catalog query for the latest version at
 // every install, measured 1229.9 / 960.6.
-constexpr double kMaxInstallAllocations = 435.0;
-constexpr double kMaxRestoreAllocations = 130.0;
+constexpr double kMaxInstallAllocations = 365.0;
+constexpr double kMaxRestoreAllocations = 30.0;
 
 TEST(StatementAllocationsTest, SqlEngineKeepsNoPolicyEvidence) {
   const std::vector<p3p::Policy> corpus =
@@ -301,12 +307,15 @@ size_t HeapInUse() {
 }
 
 // Heap of one replica-shaped kSql PolicyServer (the serving tier's replica
-// options) holding all 1,000 corpus policies: now 18.4 MB, of which rows
-// 14.6 MB and hash indexes 2.6 MB. Index entries as std::unordered_map
-// nodes measured 33.8 MB, 18.4 MB of it index. The test also prints the
-// text value counts (74.8k values, 3.8k distinct) that a 16-byte Value
-// with interned text would work from.
-constexpr double kMaxReplicaHeapMb = 20.0;
+// options) holding all 1,000 corpus policies: now 11.7 MB, of which rows
+// 8.3 MB and hash indexes 2.6 MB. The rows, as each table reports them
+// (Table::footprint), are 4.2 MB of 16-byte cells and 4.1 MB of interned
+// text, 3.1 MB of it the PolicyCatalog's policy XML (the test prints the
+// split). Rows as separately allocated vectors of 40-byte Values, each
+// holding its own std::string, measured 18.4 MB, 14.6 MB of it rows; index
+// entries as std::unordered_map nodes, 33.8 MB.
+constexpr double kMaxReplicaHeapMb = 13.0;
+constexpr double kMaxReplicaRowsMb = 8.5;
 
 TEST(StatementAllocationsTest, ReplicaHeapPerThousandPolicies) {
   const std::vector<p3p::Policy> corpus =
@@ -330,10 +339,12 @@ TEST(StatementAllocationsTest, ReplicaHeapPerThousandPolicies) {
   size_t index_bytes = 0;
   size_t indexes = 0;
   size_t keys = 0;
+  size_t cell_bytes = 0;
+  size_t text_bytes = 0;
+  size_t catalog_text_bytes = 0;
+  size_t interned = 0;
   size_t text_values = 0;
   std::unordered_set<std::string_view> distinct_text;
-  std::vector<std::vector<sqldb::Row>> row_copies;
-  const size_t rows_before = HeapInUse();
   for (const std::string& name : db.TableNames()) {
     const sqldb::Table& table = *db.LookupTable(name);
     for (const auto& index : table.indexes()) {
@@ -342,17 +353,11 @@ TEST(StatementAllocationsTest, ReplicaHeapPerThousandPolicies) {
       keys += f.keys;
       ++indexes;
     }
-    // A copy of the live rows measures what the table's rows hold.
-    std::vector<sqldb::Row>& copy = row_copies.emplace_back();
-    copy.reserve(table.RowCount());
-    for (size_t row = 0; row < table.SlotCount(); ++row) {
-      if (table.IsLive(row)) copy.push_back(table.RowAt(row));
-    }
-  }
-  const size_t row_bytes = HeapInUse() - rows_before;
-  row_copies.clear();
-  for (const std::string& name : db.TableNames()) {
-    const sqldb::Table& table = *db.LookupTable(name);
+    const sqldb::Table::Footprint rows = table.footprint();
+    cell_bytes += rows.cell_bytes;
+    text_bytes += rows.text_bytes;
+    interned += rows.distinct_texts;
+    if (name == "PolicyCatalog") catalog_text_bytes = rows.text_bytes;
     for (size_t row = 0; row < table.SlotCount(); ++row) {
       if (!table.IsLive(row)) continue;
       for (const sqldb::Value& v : table.RowAt(row)) {
@@ -362,12 +367,19 @@ TEST(StatementAllocationsTest, ReplicaHeapPerThousandPolicies) {
       }
     }
   }
+  constexpr double kMb = 1024.0 * 1024.0;
+  const double rows_mb = static_cast<double>(cell_bytes + text_bytes) / kMb;
   std::printf(
-      "replica heap per 1,000 policies %.1f MB: rows %.1f MB, %zu hash "
-      "indexes %.1f MB (%zu keys); %zu text values, %zu distinct\n",
-      heap_mb, static_cast<double>(row_bytes) / (1024.0 * 1024.0), indexes,
-      static_cast<double>(index_bytes) / (1024.0 * 1024.0), keys,
-      text_values, distinct_text.size());
+      "replica heap per 1,000 policies %.1f MB: rows %.1f MB (16-byte cells "
+      "%.1f MB, interned text %.1f MB in %zu texts, of which PolicyCatalog "
+      "XML %.1f MB), %zu hash indexes %.1f MB (%zu keys); %zu text values, "
+      "%zu distinct\n",
+      heap_mb, rows_mb, static_cast<double>(cell_bytes) / kMb,
+      static_cast<double>(text_bytes) / kMb, interned,
+      static_cast<double>(catalog_text_bytes) / kMb, indexes,
+      static_cast<double>(index_bytes) / kMb, keys, text_values,
+      distinct_text.size());
+  EXPECT_LE(rows_mb, kMaxReplicaRowsMb);
   EXPECT_LE(heap_mb, kMaxReplicaHeapMb);
 }
 
@@ -413,7 +425,11 @@ std::unique_ptr<sqldb::Database> CopyDatabase(const sqldb::Database& source,
       }
       for (size_t row = 0; row < table->SlotCount(); ++row) {
         if (!table->IsLive(row)) continue;
-        EXPECT_TRUE(copy->InsertRow(name, table->RowAt(row)).ok()) << name;
+        const sqldb::RowView values = table->RowAt(row);
+        EXPECT_TRUE(
+            copy->InsertRow(name, sqldb::Row(values.begin(), values.end()))
+                .ok())
+            << name;
       }
     }
     EXPECT_LT(blocked.size(), pending.size()) << "foreign-key cycle";

@@ -45,7 +45,7 @@ struct RefIndex {
   bool unique = false;
   std::map<Key, std::vector<size_t>, KeyLess> rows;
 
-  Key KeyOf(const Row& row) const {
+  Key KeyOf(RowView row) const {
     Key key;
     for (size_t c : columns) key.push_back(row[c]);
     return key;
@@ -54,11 +54,11 @@ struct RefIndex {
     return std::any_of(key.begin(), key.end(),
                        [](const Value& v) { return v.is_null(); });
   }
-  void Add(const Row& row, size_t id) {
+  void Add(RowView row, size_t id) {
     Key key = KeyOf(row);
     if (!HasNull(key)) rows[key].push_back(id);
   }
-  void Remove(const Row& row, size_t id) {
+  void Remove(RowView row, size_t id) {
     Key key = KeyOf(row);
     if (HasNull(key)) return;
     auto it = rows.find(key);

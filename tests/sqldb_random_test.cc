@@ -271,7 +271,7 @@ std::string ExplainOrError(Database* db, const std::string& sql) {
                            ">\n";
   std::string plan;
   for (const Row& row : result.value().rows) {
-    plan += "  " + row[0].AsText() + "\n";
+    plan += "  " + std::string(row[0].AsText()) + "\n";
   }
   return plan;
 }

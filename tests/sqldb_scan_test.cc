@@ -280,7 +280,7 @@ TEST(SqldbScanTest, DmlOwnTableIsNotCosted) {
 std::string GroupMinMax(const QueryResult& result) {
   std::string out;
   for (const Row& row : result.rows) {
-    out += row[0].AsText() + ":" + row[1].ToString() + "/" +
+    out += std::string(row[0].AsText()) + ":" + row[1].ToString() + "/" +
            row[2].ToString() + " ";
   }
   return out;

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <string_view>
+
 #include "sqldb/database.h"
 #include "sqldb/table.h"
 #include "sqldb/value.h"
@@ -75,22 +80,151 @@ TEST(ValueTest, HashConsistentWithOrderEquality) {
   EXPECT_EQ(Value::Null().Hash(), Value::Null().Hash());
 }
 
+TEST(ValueTest, SixteenBytesWithInlineAndStoredText) {
+  static_assert(sizeof(Value) == 16);
+  const std::string inline_text(Value::kInlineText, 'i');
+  const std::string long_text(Value::kInlineText + 1, 'l');
+  EXPECT_EQ(Value::Text(inline_text).StoredTextBytes(), 0u);
+  EXPECT_GT(Value::Text(long_text).StoredTextBytes(), long_text.size());
+  EXPECT_EQ(Value::Integer(1).StoredTextBytes(), 0u);
+  // Embedded NULs count, inline and stored.
+  const std::string nul_short("a\0b", 3);
+  const std::string nul_long("a\0bcdefghijklmnopq", 19);
+  EXPECT_EQ(Value::Text(nul_short).AsText(), nul_short);
+  EXPECT_EQ(Value::Text(nul_long).AsText(), nul_long);
+  EXPECT_FALSE(Value::Text(nul_long) == Value::Text("a"));
+  EXPECT_EQ(Value::Text(nul_long).Hash(),
+            std::hash<std::string_view>()(nul_long));
+}
+
+TEST(ValueTest, CopiesStandAloneAndBorrowsShare) {
+  const std::string text = "a text longer than the inline bytes";
+  Value owner = Value::Text(text);
+  const Value copy = owner;
+  const Value borrow = owner.Borrow();
+  EXPECT_NE(copy.AsText().data(), owner.AsText().data());
+  EXPECT_EQ(borrow.AsText().data(), owner.AsText().data());
+  // A borrow made to stand alone (as a result row is) outlives its owner.
+  Value kept = borrow;
+  Value owned_borrow = borrow;
+  owned_borrow.Own();
+  owner = Value::Null();
+  EXPECT_EQ(copy.AsText(), text);
+  EXPECT_EQ(kept.AsText(), text);
+  EXPECT_EQ(owned_borrow.AsText(), text);
+  // Moves keep the bytes where they are.
+  Value moved_from = Value::Text(text);
+  const char* bytes = moved_from.AsText().data();
+  Value moved = std::move(moved_from);
+  EXPECT_EQ(moved.AsText().data(), bytes);
+}
+
+TEST(ValueTest, ValuesOutliveTheirTableAndDatabase) {
+  // Long texts are interned in the table's pool, short ones sit inline.
+  const std::string long_a = "current,admin,develop,tailoring,pseudo-analysis";
+  const std::string long_b = "#dynamic.clickstream.uri.authority";
+  QueryResult rows;
+  QueryResult star;
+  QueryResult max;
+  QueryResult literal;
+  QueryResult param;
+  Value cell;
+  {
+    auto db = std::make_unique<Database>();
+    ASSERT_TRUE(db->ExecuteScript("CREATE TABLE t (id INTEGER, s TEXT, "
+                                  "u TEXT, PRIMARY KEY (id));")
+                    .ok());
+    ASSERT_TRUE(db->InsertRow("t", {Value::Integer(1), Value::Text(long_a),
+                                    Value::Text("short")})
+                    .ok());
+    ASSERT_TRUE(db->InsertRow("t", {Value::Integer(2), Value::Text(long_b),
+                                    Value::Text(long_a)})
+                    .ok());
+    auto r = db->Execute("SELECT s, u FROM t ORDER BY id");
+    ASSERT_TRUE(r.ok()) << r.status();
+    rows = std::move(r).value();
+    r = db->Execute("SELECT * FROM t WHERE id = 2");
+    ASSERT_TRUE(r.ok()) << r.status();
+    star = std::move(r).value();
+    r = db->Execute("SELECT MAX(s) FROM t");
+    ASSERT_TRUE(r.ok()) << r.status();
+    max = std::move(r).value();
+    r = db->Execute("SELECT 'a literal longer than the inline bytes' FROM t "
+                    "WHERE id = 1");
+    ASSERT_TRUE(r.ok()) << r.status();
+    literal = std::move(r).value();
+    auto prepared = db->Prepare("SELECT s FROM t WHERE s = ?");
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    r = prepared.value().Execute({Value::Text(long_b)});
+    ASSERT_TRUE(r.ok()) << r.status();
+    param = std::move(r).value();
+    cell = db->LookupTable("t")->RowAt(0)[1];
+
+    ASSERT_TRUE(db->Execute("DELETE FROM t").ok());
+    ASSERT_TRUE(db->Execute("DROP TABLE t").ok());
+    db.reset();
+  }
+  ASSERT_EQ(rows.rows.size(), 2u);
+  EXPECT_EQ(rows.rows[0][0].AsText(), long_a);
+  EXPECT_EQ(rows.rows[0][1].AsText(), "short");
+  EXPECT_EQ(rows.rows[1][0].AsText(), long_b);
+  EXPECT_EQ(rows.rows[1][1].AsText(), long_a);
+  ASSERT_EQ(star.rows.size(), 1u);
+  EXPECT_EQ(star.rows[0][1].AsText(), long_b);
+  EXPECT_EQ(star.rows[0][2].AsText(), long_a);
+  EXPECT_EQ(max.rows.at(0).at(0).AsText(), long_a);
+  EXPECT_EQ(literal.rows.at(0).at(0).AsText(),
+            "a literal longer than the inline bytes");
+  EXPECT_EQ(param.rows.at(0).at(0).AsText(), long_b);
+  EXPECT_EQ(cell.AsText(), long_a);
+  EXPECT_EQ(cell.Hash(), Value::Text(long_a).Hash());
+  // Copies of the kept values stand alone too.
+  const Value again = rows.rows[1][0];
+  rows = QueryResult();
+  EXPECT_EQ(again.AsText(), long_b);
+}
+
+TEST(TableTest, InternsEachDistinctLongTextOnce) {
+  TableSchema schema("t", {ColumnDef{"a", ColumnType::kText, true},
+                           ColumnDef{"b", ColumnType::kText, true}});
+  Table table(std::move(schema));
+  const std::string long_text = "a text longer than the inline bytes";
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(
+        table.Insert({Value::Text(long_text), Value::Text(long_text)}).ok());
+  }
+  ASSERT_TRUE(table.Insert({Value::Text("short"), Value::Null()}).ok());
+  EXPECT_EQ(table.footprint().distinct_texts, 1u);
+  EXPECT_EQ(table.RowAt(0)[0].AsText().data(),
+            table.RowAt(9)[1].AsText().data());
+  // A row re-inserted from the table's own slot survives the cell array
+  // growing under it.
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(table.Insert(table.RowAt(static_cast<size_t>(i))).ok());
+  }
+  for (size_t row = 0; row < table.SlotCount(); ++row) {
+    EXPECT_TRUE(table.RowAt(row)[0].AsText() == long_text ||
+                table.RowAt(row)[0].AsText() == "short");
+  }
+  EXPECT_EQ(table.footprint().distinct_texts, 1u);
+}
+
 TEST(TableSchemaTest, ValidateRow) {
   TableSchema schema("t", {ColumnDef{"a", ColumnType::kInteger, false},
                            ColumnDef{"b", ColumnType::kText, true}});
   EXPECT_TRUE(
-      schema.ValidateRow({Value::Integer(1), Value::Text("x")}).ok());
-  EXPECT_TRUE(schema.ValidateRow({Value::Integer(1), Value::Null()}).ok());
+      schema.ValidateRow(Row{Value::Integer(1), Value::Text("x")}).ok());
+  EXPECT_TRUE(schema.ValidateRow(Row{Value::Integer(1), Value::Null()}).ok());
   // Arity.
-  EXPECT_FALSE(schema.ValidateRow({Value::Integer(1)}).ok());
+  EXPECT_FALSE(schema.ValidateRow(Row{Value::Integer(1)}).ok());
   // NOT NULL.
-  EXPECT_FALSE(schema.ValidateRow({Value::Null(), Value::Null()}).ok());
+  EXPECT_FALSE(schema.ValidateRow(Row{Value::Null(), Value::Null()}).ok());
   // Type mismatch.
   EXPECT_FALSE(
-      schema.ValidateRow({Value::Text("1"), Value::Null()}).ok());
+      schema.ValidateRow(Row{Value::Text("1"), Value::Null()}).ok());
   // Booleans are not storable.
   EXPECT_FALSE(
-      schema.ValidateRow({Value::Integer(1), Value::Boolean(true)}).ok());
+      schema.ValidateRow(Row{Value::Integer(1), Value::Boolean(true)}).ok());
 }
 
 TEST(TableSchemaTest, ColumnIndexCaseInsensitive) {

@@ -42,9 +42,21 @@ std::string TestDir(const std::string& name) {
 
 TEST(StorageSerde, ValueAndRowRoundtrip) {
   ByteWriter writer;
-  Row row = {Value::Null(), Value::Integer(-42), Value::Text("héllo\0x"),
+  // 8 bytes with an embedded NUL: a const char* would stop at the NUL.
+  const std::string nul_text("h\xc3\xa9llo\0x", 8);
+  Row row = {Value::Null(), Value::Integer(-42), Value::Text(nul_text),
              Value::Integer(INT64_MAX), Value::Text("")};
   writer.PutRow(row);
+
+  // The on-disk encoding of this row (WAL records and checkpoints share
+  // it): a u32 count, then per value a tag byte (0 NULL, 1 integer, 2
+  // text) and a little-endian u64 or a u32 length and the bytes.
+  const std::vector<uint8_t> golden = {
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x01, 0xd6, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0xff, 0x02, 0x08, 0x00, 0x00, 0x00, 0x68, 0xc3, 0xa9,
+      0x6c, 0x6c, 0x6f, 0x00, 0x78, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0x7f, 0x02, 0x00, 0x00, 0x00, 0x00};
+  EXPECT_EQ(writer.bytes, golden);
 
   ByteReader reader(writer.bytes.data(), writer.bytes.size());
   auto decoded = reader.GetRow();
@@ -54,6 +66,8 @@ TEST(StorageSerde, ValueAndRowRoundtrip) {
   for (size_t i = 0; i < row.size(); ++i) {
     EXPECT_EQ(Value::OrderCompare(decoded.value()[i], row[i]), 0) << i;
   }
+  EXPECT_EQ(decoded.value()[2].AsText().size(), 8u);
+  EXPECT_EQ(decoded.value()[2].AsText(), nul_text);
 }
 
 TEST(StorageSerde, SchemaRoundtripKeepsKeysAndConstraints) {
@@ -98,7 +112,7 @@ TEST(StorageSerde, SchemaRoundtripKeepsKeysAndConstraints) {
 
 TEST(StorageSerde, TruncatedBufferFailsCleanly) {
   ByteWriter writer;
-  writer.PutRow({Value::Text("abcdefgh"), Value::Integer(7)});
+  writer.PutRow(Row{Value::Text("abcdefgh"), Value::Integer(7)});
   for (size_t cut = 0; cut < writer.bytes.size(); ++cut) {
     ByteReader reader(writer.bytes.data(), cut);
     EXPECT_FALSE(reader.GetRow().ok()) << "cut at " << cut;
